@@ -41,10 +41,12 @@
 // default) verifies everything in-process. "worker" additionally
 // serves the fleet protocol (POST /fleet/work, GET /fleet/health) so a
 // coordinator can dispatch work units to it. "coordinator" requires
-// -peers (comma-separated worker base URLs), fans /sweep out across
-// the fleet via internal/fleet — byte-identical summaries to
-// standalone, see docs/OPERATIONS.md — and serves GET /fleet/status
-// with dispatch counters and live worker health. Point -remotecache at
+// -peers (comma-separated worker base URLs), runs /sweep's Runner with
+// the fleet as its engine (internal/fleet; the pool is sized by the
+// slots each worker advertises, not by -workers or ?workers=) —
+// byte-identical summaries to standalone, see docs/OPERATIONS.md — and
+// serves GET /fleet/status with dispatch counters and live worker
+// health. Point -remotecache at
 // a peer's /cache/entry to layer that peer behind the local cache
 // tiers on any role; the peer must run -peercache (and the same
 // -cachesecret, if one is set on either side).
@@ -133,7 +135,7 @@ func main() {
 	remoteCache := fs.String("remotecache", "", "peer cache base URL (a peer's /cache/entry) layered behind the local tiers")
 	peerCache := fs.Bool("peercache", false, "serve the peer cache protocol at /cache/entry (opt-in: PUT bodies cannot be validated against their key, expose only to trusted peers)")
 	cacheSecret := fs.String("cachesecret", "", "shared secret for the peer cache protocol: required of /cache/entry clients when -peercache is set, and sent to the -remotecache peer")
-	fleetSlots := fs.Int("fleetslots", 0, "worker: concurrent work units (0 = one per CPU); coordinator: dispatch slots per worker (0 = default 4)")
+	fleetSlots := fs.Int("fleetslots", 0, "worker role: concurrent work units (0 = one per CPU); a coordinator sizes its dispatch credit from what each worker advertises")
 	quotaRate := fs.Float64("quotarate", 0, "per-tenant requests/second on expensive endpoints (0 = no quota)")
 	quotaBurst := fs.Int("quotaburst", 10, "per-tenant burst size when -quotarate is set")
 	maxInFlight := fs.Int("maxinflight", 0, "cap on concurrently executing expensive requests (0 = unlimited)")
@@ -229,7 +231,7 @@ type serverConfig struct {
 	MaxBody        int64
 	Role           string // standalone (default) | coordinator | worker
 	Peers          []string
-	FleetSlots     int
+	FleetSlots     int    // worker role: concurrent work units
 	PeerCache      bool   // serve /cache/entry (trusted peers only)
 	CacheSecret    string // shared secret required of /cache/entry clients
 	QuotaRate      float64
@@ -327,12 +329,14 @@ func newServer(cfg serverConfig) (*server, error) {
 		if cfg.Chaos != nil {
 			dispatchClient = &http.Client{Transport: cfg.Chaos.Transport("fleet.dispatch", nil)}
 		}
+		if cfg.FleetSlots != 0 {
+			log.Printf("mcaserved: -fleetslots %d ignored in the coordinator role: dispatch credit comes from each worker's /fleet/health slots", cfg.FleetSlots)
+		}
 		coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
-			Workers:        cfg.Peers,
-			Cache:          resultCache(cfg.Cache),
-			SlotsPerWorker: cfg.FleetSlots,
-			UnitTimeout:    cfg.MaxTimeout,
-			Client:         dispatchClient,
+			Workers:     cfg.Peers,
+			Cache:       resultCache(cfg.Cache),
+			UnitTimeout: cfg.MaxTimeout,
+			Client:      dispatchClient,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("role coordinator: %w (set -peers)", err)
@@ -633,20 +637,19 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	// In the coordinator role the sweep fans out across the worker
-	// fleet; otherwise a local Runner pool verifies it. Both paths
-	// produce identical result and summary bytes (wall-clock aside),
-	// so clients need not know which topology served them.
-	var resultStream <-chan engine.Result
+	// One scheduler serves every role; a coordinator's runs each cell on
+	// a fleet worker (pool sized by the fleet's credit, not ?workers=)
+	// instead of in this process. Result and summary bytes are the same
+	// (wall-clock aside), so clients need not know which served them.
+	var runner *engine.Runner
 	if s.coord != nil {
-		resultStream = s.coord.Stream(ctx, eng, scenarios)
+		runner = s.coord.Runner(ctx, eng)
 	} else {
-		runner := engine.NewRunner(engine.RunnerOptions{
+		runner = engine.NewRunner(engine.RunnerOptions{
 			Workers: poolWorkers,
 			Engine:  eng,
 			Cache:   resultCache(s.cfg.Cache),
 		})
-		resultStream = runner.Stream(ctx, scenarios)
 	}
 
 	// NDJSON: one result per line as soon as it completes, then one
@@ -654,7 +657,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	stream := startNDJSON(w, cancel, "sweep")
 	results := make([]engine.Result, len(scenarios))
 	start := time.Now()
-	for res := range resultStream {
+	for res := range runner.Stream(ctx, scenarios) {
 		results[res.Index] = res
 		data, err := engine.EncodeResult(&res)
 		stream.line(res.Scenario, data, err)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -289,7 +290,11 @@ func TestSweepEndpointStreamsNDJSON(t *testing.T) {
 // conclusive cell to come back as a cache hit.
 func TestSweepWarmPassIsCached(t *testing.T) {
 	srv, _ := testServer(t)
-	postJSON(t, srv.URL+"/sweep", sweepRequest).Body.Close()
+	// Drain the cold pass: closing an unread stream breaks the pipe, the
+	// server aborts the sweep, and the cancelled cells are never cached.
+	if _, err := io.Copy(io.Discard, postJSON(t, srv.URL+"/sweep", sweepRequest).Body); err != nil {
+		t.Fatal(err)
+	}
 	resp := postJSON(t, srv.URL+"/sweep", sweepRequest)
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {

@@ -212,8 +212,7 @@ func writeCoordinatorMetrics(p *promWriter, st fleet.Stats) {
 	}{
 		{"dispatch", st.Dispatches}, {"completed", st.Completed}, {"retry", st.Retries},
 		{"rejection", st.Rejections}, {"local_fallback", st.LocalFallbacks},
-		{"cache_hit", st.CacheHits}, {"drained", st.Drained},
-		{"breaker_fast_fail", st.BreakerFastFails},
+		{"drained", st.Drained}, {"breaker_fast_fail", st.BreakerFastFails},
 	} {
 		p.sample("mcaserved_fleet_dispatch_total", fmt.Sprintf("kind=%q", row.kind), row.v)
 	}

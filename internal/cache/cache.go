@@ -300,12 +300,11 @@ func diskEnvelope(payload []byte) []byte {
 }
 
 // openDiskEnvelope validates a disk file's checksum envelope and
-// returns the payload. Files without the magic are legacy pre-envelope
-// entries and pass through whole (their decode is still validated by
-// the caller).
+// returns the payload. A file without the magic is corrupt like any
+// other damaged entry.
 func openDiskEnvelope(data []byte) ([]byte, error) {
 	if !bytes.HasPrefix(data, []byte(diskMagic)) {
-		return data, nil
+		return nil, fmt.Errorf("cache: disk entry has no envelope")
 	}
 	headerLen := len(diskMagic) + sha256.Size*2 + 1
 	if len(data) < headerLen || data[headerLen-1] != '\n' {

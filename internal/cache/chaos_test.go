@@ -25,12 +25,8 @@ func TestDiskEnvelopeRoundTrip(t *testing.T) {
 	for bit := 0; bit < len(enveloped)*8; bit += 37 {
 		bad := append([]byte(nil), enveloped...)
 		bad[bit/8] ^= 1 << (bit % 8)
-		if opened, err := openDiskEnvelope(bad); err == nil && string(opened) == string(payload) {
-			// Flipping inside the magic prefix legitimately demotes the
-			// file to a legacy passthrough; anything else must fail.
-			if bit/8 >= len(diskMagic) {
-				t.Fatalf("bit %d flip went undetected", bit)
-			}
+		if _, err := openDiskEnvelope(bad); err == nil {
+			t.Fatalf("bit %d flip went undetected", bit)
 		}
 	}
 	if _, err := openDiskEnvelope([]byte(diskMagic + "short")); err == nil {
@@ -38,28 +34,32 @@ func TestDiskEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyDiskEntryStillReadable: pre-envelope files (bare result
-// JSON) keep hitting — a format migration must not cold the fleet's
-// disk tiers.
-func TestLegacyDiskEntryStillReadable(t *testing.T) {
+// TestBareDiskEntryIsQuarantined: a file without the checksum envelope
+// — even a perfectly decodable result document — cannot be validated,
+// so it is corrupt like any other damaged entry: a miss, deleted,
+// counted.
+func TestBareDiskEntryIsQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	legacy := res("legacy")
-	payload, err := engine.EncodeResult(&legacy)
+	bare := res("bare")
+	payload, err := engine.EncodeResult(&bare)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "old.json"), payload, 0o644); err != nil {
+	path := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(path, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c, err := New(Options{Capacity: 4, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.Get("old")
-	if !ok || got.Scenario != "legacy" {
-		t.Fatalf("legacy entry: ok=%v res=%+v", ok, got)
+	if got, ok := c.Get("old"); ok {
+		t.Fatalf("envelope-less entry served: %+v", got)
 	}
-	if st := c.Stats(); st.DiskHits != 1 || st.CorruptEntries != 0 {
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("envelope-less file not quarantined: %v", err)
+	}
+	if st := c.Stats(); st.DiskHits != 0 || st.CorruptEntries != 1 || st.Misses != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 }

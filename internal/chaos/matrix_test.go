@@ -119,7 +119,6 @@ func TestChaosMatrixCoordinatorMatchesRunner(t *testing.T) {
 				coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
 					Workers:         urls,
 					Client:          &http.Client{Transport: in.Transport("fleet.dispatch", nil)},
-					SlotsPerWorker:  2,
 					MaxAttempts:     4,
 					RetryBackoff:    2 * time.Millisecond,
 					UnitTimeout:     time.Second,

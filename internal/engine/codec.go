@@ -1024,7 +1024,10 @@ func DecodeSummary(data []byte) (Summary, error) {
 // configured scenarios hit the same cache entry regardless of how they
 // are labelled. Auto resolves to its per-scenario delegate, so
 // auto-scheduled work shares entries with direct engine calls; nil
-// means Auto. Scenarios the codec cannot encode are not addressable and
+// means Auto. An engine that only decides where another runs (the
+// fleet's remote executor) exposes it through Unwrap() Engine and is
+// addressed as that engine: one verdict, one address, wherever it was
+// computed. Scenarios the codec cannot encode are not addressable and
 // return an error (callers then simply skip caching).
 func CacheKey(s *Scenario, e Engine) (string, error) {
 	unnamed := *s
@@ -1032,6 +1035,13 @@ func CacheKey(s *Scenario, e Engine) (string, error) {
 	data, err := EncodeScenario(&unnamed)
 	if err != nil {
 		return "", err
+	}
+	for {
+		w, ok := e.(interface{ Unwrap() Engine })
+		if !ok {
+			break
+		}
+		e = w.Unwrap()
 	}
 	if e == nil {
 		e = Auto{}
@@ -1065,8 +1075,9 @@ func CacheKey(s *Scenario, e Engine) (string, error) {
 // the scenario's own display name restored — the cache is addressed on
 // content, not labels), a miss verifies on eng and stores conclusive
 // verdicts back, and scenarios the codec cannot address just verify. A
-// nil cache makes this plain eng.Verify. The Runner's workers and
-// cmd/mcaserved share this exact protocol.
+// nil cache makes this plain eng.Verify. This is the only
+// implementation of the cache protocol: the Runner's pool (and so the
+// fleet coordinator), cmd/mcaserved and fleet workers all call it.
 func VerifyCached(ctx context.Context, eng Engine, s Scenario, c ResultCache) Result {
 	var key string
 	if c != nil {
@@ -1082,7 +1093,11 @@ func VerifyCached(ctx context.Context, eng Engine, s Scenario, c ResultCache) Re
 	}
 	res := eng.Verify(ctx, s)
 	if key != "" && (res.Status == StatusHolds || res.Status == StatusViolated) {
-		c.Put(key, res)
+		// eng may have answered from a cache of its own (a fleet
+		// worker's): the entry is stored in the shape a computed one has.
+		stored := res
+		stored.Cached = false
+		c.Put(key, stored)
 	}
 	return res
 }

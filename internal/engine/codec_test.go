@@ -496,7 +496,28 @@ func TestCacheKey(t *testing.T) {
 	if _, err := CacheKey(&Scenario{Agents: make([]*mca.Agent, 1)}, Explicit{}); err == nil {
 		t.Fatalf("cache key for an unencodable scenario should error")
 	}
+	// An engine that only decides where another runs (Unwrap) is
+	// addressed as that engine, however deep the wrapping: the fleet's
+	// remote executor must not move a content address.
+	for _, e := range []Engine{Auto{}, Explicit{Workers: 2}, SAT{CubeVars: 2}, Simulation{Runs: 4, Seed: 1}} {
+		want, err := CacheKey(&base, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := CacheKey(&base, placed{placed{e}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: wrapped key %s != bare key %s", e.Name(), got, want)
+		}
+	}
 }
+
+// placed wraps an engine the way fleet's remote executor does.
+type placed struct{ Engine }
+
+func (p placed) Unwrap() Engine { return p.Engine }
 
 // TestModelCodecRegistry exercises the registry plumbing with a local
 // fake; the real mca-model codec is covered in mcamodel's tests.

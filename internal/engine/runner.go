@@ -2,9 +2,7 @@ package engine
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/explore"
@@ -47,16 +45,6 @@ type ResultCache interface {
 	Put(key string, res Result)
 }
 
-func (o RunnerOptions) withDefaults() RunnerOptions {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Engine == nil {
-		o.Engine = Auto{}
-	}
-	return o
-}
-
 func (o RunnerOptions) engineFor(s Scenario) Engine {
 	if o.EngineFor != nil {
 		if e := o.EngineFor(s); e != nil {
@@ -79,7 +67,10 @@ type Runner struct {
 
 // NewRunner builds a batch runner.
 func NewRunner(opts RunnerOptions) *Runner {
-	r := &Runner{opts: opts.withDefaults()}
+	if opts.Engine == nil {
+		opts.Engine = Auto{}
+	}
+	r := &Runner{opts: opts}
 	if opts.IncrementalSAT {
 		r.pool = NewSessionPool()
 	}
@@ -95,40 +86,11 @@ func (r *Runner) Stream(ctx context.Context, scenarios []Scenario) <-chan Result
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// More workers than scenarios is pure goroutine overhead — and the
-	// pool size can come straight from a request parameter (mcaserved
-	// /sweep?workers=), so the clamp also keeps an absurd value from
-	// exhausting memory. Verdicts never depend on the pool size.
-	workers := r.opts.Workers
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	out := make(chan Result, workers)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				res := r.runOne(ctx, scenarios[i])
-				res.Index = i
-				out <- res
-			}
-		}()
-	}
-	go func() {
-		for i := range scenarios {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		close(out)
-	}()
-	return out
+	return Pool(r.opts.Workers, len(scenarios), func(i int) Result {
+		res := r.runOne(ctx, scenarios[i])
+		res.Index = i
+		return res
+	})
 }
 
 // runOne verifies a single scenario, consulting the result cache when

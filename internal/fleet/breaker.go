@@ -15,9 +15,9 @@ const (
 )
 
 // breakerMaxCooldown caps the open interval no matter how many times a
-// worker reopens — mirroring the dispatch backoff cap, so a worker
-// that recovers is rediscovered within seconds.
-const breakerMaxCooldown = 2 * time.Second
+// worker reopens — the dispatch backoff cap, so a worker that recovers
+// is rediscovered within seconds.
+const breakerMaxCooldown = maxDelay
 
 // breaker is one worker's circuit breaker. It replaces the old
 // probe-before-claim probation: threshold consecutive dispatch

@@ -45,7 +45,7 @@ func TestFleetPropagatesCapped(t *testing.T) {
 	urls := startWorkers(t, 2, func(int) *fleet.Worker {
 		return fleet.NewWorker(fleet.WorkerOptions{Slots: 2})
 	})
-	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: urls, SlotsPerWorker: 2})
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: urls})
 	if err != nil {
 		t.Fatal(err)
 	}

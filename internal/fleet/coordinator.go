@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -30,18 +31,11 @@ type CoordinatorOptions struct {
 	// Client is the dispatch HTTP client (default: a pooled client with
 	// no global timeout — UnitTimeout bounds each dispatch).
 	Client *http.Client
-	// Engine is the default engine for batches whose Stream/Run call
-	// passes nil (nil here means Auto{}).
-	Engine engine.Engine
-	// Cache, when non-nil, short-circuits units whose content address
-	// is already conclusive and stores fresh conclusive results — the
-	// same protocol as engine.VerifyCached, so coordinator summaries
-	// stay identical to single-process Runner summaries.
+	// Cache, when non-nil, is the result cache of the Runner that
+	// schedules the fleet's batches: a unit whose content address is
+	// already conclusive never leaves the coordinator, and conclusive
+	// verdicts that come back from workers are stored.
 	Cache engine.ResultCache
-	// SlotsPerWorker is the number of concurrent dispatches per worker
-	// (default 4). Size it at or below the worker's -fleetslots; excess
-	// dispatches are rejected and retried, which is safe but wasteful.
-	SlotsPerWorker int
 	// MaxAttempts is the number of remote attempts per unit before the
 	// coordinator verifies it locally (default 3). Local fallback keeps
 	// a sweep completing — with identical verdicts — even when every
@@ -71,12 +65,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.Client == nil {
 		o.Client = &http.Client{}
 	}
-	if o.Engine == nil {
-		o.Engine = engine.Auto{}
-	}
-	if o.SlotsPerWorker <= 0 {
-		o.SlotsPerWorker = 4
-	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
 	}
@@ -104,7 +92,23 @@ type workerState struct {
 	failures    atomic.Uint64
 	consecutive atomic.Int64
 	br          *breaker
+	// slots is the admission limit the worker advertised on
+	// /fleet/health, 0 until it has answered. The worker has that many
+	// tokens in the coordinator's pool — one while it is unknown, so the
+	// breaker and the retry path still see it.
+	slots atomic.Int32
 }
+
+func (ws *workerState) status(healthy bool) WorkerStatus {
+	return WorkerStatus{
+		URL: ws.url, Healthy: healthy,
+		Completed: ws.completed.Load(), Failures: ws.failures.Load(), Breaker: ws.br.label(),
+	}
+}
+
+// maxWorkerCredit clamps an advertised slot count: the token pool is
+// allocated up front, and a confused health document must not size it.
+const maxWorkerCredit = 256
 
 // Stats is a point-in-time snapshot of the coordinator's counters.
 type Stats struct {
@@ -115,12 +119,10 @@ type Stats struct {
 	Completed  uint64 `json:"completed"`
 	Retries    uint64 `json:"retries"`
 	Rejections uint64 `json:"rejections"`
-	// LocalFallbacks counts units verified on the coordinator after
-	// exhausting remote attempts; CacheHits units short-circuited by
-	// the coordinator's cache; Drained units reported inconclusive
-	// because of Quiesce.
+	// LocalFallbacks counts units verified on the coordinator — after
+	// exhausting remote attempts, or at once when the scenario cannot be
+	// encoded; Drained units reported inconclusive because of Quiesce.
 	LocalFallbacks uint64 `json:"local_fallbacks"`
-	CacheHits      uint64 `json:"cache_hits"`
 	Drained        uint64 `json:"drained"`
 	// BreakerFastFails counts dispatch attempts answered by an open
 	// circuit breaker instead of an HTTP round trip.
@@ -141,11 +143,18 @@ type WorkerStatus struct {
 }
 
 // Coordinator dispatches verification batches across a worker fleet.
-// It is safe for concurrent use; each Stream call schedules its own
-// batch over the shared worker set.
+// It is safe for concurrent use: every batch is scheduled by its own
+// engine.Runner, and all of them draw dispatch credit from one pool.
 type Coordinator struct {
 	opts    CoordinatorOptions
 	workers []*workerState
+
+	// tokens is the fleet's dispatch credit: one per unit a worker admits
+	// concurrently, held for the dispatch's round trip, so a healthy
+	// fleet is never over-offered however many batches are in flight.
+	tokens  chan *workerState
+	learnMu sync.Mutex   // serializes learnCredit
+	units   atomic.Int64 // work-unit index source
 
 	quiesceOnce sync.Once
 	quiesce     chan struct{}
@@ -155,7 +164,6 @@ type Coordinator struct {
 	retries          atomic.Uint64
 	rejections       atomic.Uint64
 	localFallbacks   atomic.Uint64
-	cacheHits        atomic.Uint64
 	drained          atomic.Uint64
 	breakerFastFails atomic.Uint64
 }
@@ -166,18 +174,21 @@ func NewCoordinator(o CoordinatorOptions) (*Coordinator, error) {
 	if len(o.Workers) == 0 {
 		return nil, errors.New("fleet: coordinator needs at least one worker URL")
 	}
-	c := &Coordinator{opts: o, quiesce: make(chan struct{})}
+	c := &Coordinator{
+		opts:    o,
+		quiesce: make(chan struct{}),
+		tokens:  make(chan *workerState, len(o.Workers)*maxWorkerCredit),
+	}
 	for _, u := range o.Workers {
-		c.workers = append(c.workers, &workerState{
-			url: u,
-			br:  newBreaker(o.HealthThreshold, o.BreakerCooldown),
-		})
+		ws := &workerState{url: u, br: newBreaker(o.HealthThreshold, o.BreakerCooldown)}
+		c.workers = append(c.workers, ws)
+		c.tokens <- ws
 	}
 	return c, nil
 }
 
 // Quiesce permanently stops the coordinator from starting new
-// dispatches: pending units of in-flight batches come back
+// dispatches: units still waiting for credit or a retry come back
 // inconclusive (ErrDraining) while units already on a worker finish
 // normally. It is the fleet half of connection draining — call it when
 // the process begins shutting down.
@@ -193,343 +204,236 @@ func (c *Coordinator) Stats() Stats {
 		Retries:          c.retries.Load(),
 		Rejections:       c.rejections.Load(),
 		LocalFallbacks:   c.localFallbacks.Load(),
-		CacheHits:        c.cacheHits.Load(),
 		Drained:          c.drained.Load(),
 		BreakerFastFails: c.breakerFastFails.Load(),
 	}
-	for _, w := range c.workers {
-		st.Workers = append(st.Workers, WorkerStatus{
-			URL:       w.url,
-			Healthy:   w.consecutive.Load() < int64(c.opts.HealthThreshold),
-			Completed: w.completed.Load(),
-			Failures:  w.failures.Load(),
-			Breaker:   w.br.label(),
-		})
+	for _, ws := range c.workers {
+		st.Workers = append(st.Workers, ws.status(c.healthy(ws)))
 	}
 	return st
 }
 
-// ---- batch scheduling ----
-
-// unitState is one unit's scheduling record. attempts and notBefore
-// are only touched by the goroutine currently holding the unit.
-type unitState struct {
-	index     int
-	attempts  int
-	notBefore time.Time
-	data      []byte // encoded work unit
+// healthy is the dispatch-outcome health view: fewer consecutive
+// failures than open the breaker.
+func (c *Coordinator) healthy(ws *workerState) bool {
+	return ws.consecutive.Load() < int64(c.opts.HealthThreshold)
 }
 
-// batch tracks one Stream call's pending and undelivered units.
-type batch struct {
-	mu        sync.Mutex
-	pending   []*unitState
-	remaining int // units not yet delivered (pending + in flight)
-	delivered []bool
-	wake      chan struct{}
+// failed records one failed round trip to ws in both health views.
+func (c *Coordinator) failed(ws *workerState) {
+	ws.failures.Add(1)
+	ws.consecutive.Add(1)
+	ws.br.onFailure(time.Now())
 }
 
-func newBatch(n int) *batch {
-	return &batch{remaining: n, delivered: make([]bool, n), wake: make(chan struct{}, 1)}
-}
+// ---- scheduling ----
 
-func (b *batch) signal() {
-	select {
-	case b.wake <- struct{}{}:
-	default:
-	}
-}
-
-// enqueue adds a unit and wakes one waiter.
-func (b *batch) enqueue(u *unitState) {
-	b.mu.Lock()
-	b.pending = append(b.pending, u)
-	b.mu.Unlock()
-	b.signal()
-}
-
-// take claims the next ready unit. It returns nil when the batch is
-// complete, the context is cancelled, or the coordinator quiesced —
-// the three conditions under which a dispatcher goroutine should stop.
-func (b *batch) take(ctx context.Context, quiesce <-chan struct{}) *unitState {
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-quiesce:
-			return nil
-		default:
-		}
-		b.mu.Lock()
-		if b.remaining == 0 {
-			b.mu.Unlock()
-			return nil
-		}
-		now := time.Now()
-		wait := 10 * time.Millisecond
-		for i, u := range b.pending {
-			if !u.notBefore.After(now) {
-				b.pending = append(b.pending[:i], b.pending[i+1:]...)
-				b.mu.Unlock()
-				return u
-			}
-			if d := u.notBefore.Sub(now); d < wait {
-				wait = d
-			}
-		}
-		b.mu.Unlock()
-		// Nothing ready: units are in flight elsewhere or backing off.
-		// The timer bounds the wait so a missed wake only costs ~10ms.
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-quiesce:
-			return nil
-		case <-b.wake:
-		case <-time.After(wait):
-		}
-	}
-}
-
-// deliver emits one result and retires its unit.
-func (b *batch) deliver(out chan<- engine.Result, res engine.Result) {
-	b.mu.Lock()
-	if b.delivered[res.Index] {
-		b.mu.Unlock()
-		return
-	}
-	b.delivered[res.Index] = true
-	b.remaining--
-	b.mu.Unlock()
-	out <- res
-	b.signal()
-}
-
-// ---- dispatch ----
-
-// Stream verifies the batch across the fleet, sending each Result as
-// soon as it is ready, in completion order; Result.Index maps results
-// back to scenarios. The channel closes when every scenario has a
-// result. Cancellation and Quiesce both complete the stream promptly,
-// reporting unrun units as inconclusive — exactly like the Runner, a
-// consumer must drain the channel.
-func (c *Coordinator) Stream(ctx context.Context, eng engine.Engine, scenarios []engine.Scenario) <-chan engine.Result {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// Runner returns the scheduler for one batch over the fleet: an
+// ordinary engine.Runner — pool, cache short-circuit and store, results
+// by index, cancellation — whose engine runs eng (nil = Auto) on a
+// worker instead of here. Results and summary are therefore
+// byte-identical (wall aside) to a single-process Runner over the same
+// scenarios and eng, at any worker count and under any failure/retry
+// interleaving. The pool is as wide as the fleet's credit, which Runner
+// first learns from any worker that has not yet said.
+func (c *Coordinator) Runner(ctx context.Context, eng engine.Engine) *engine.Runner {
 	if eng == nil {
-		eng = c.opts.Engine
+		eng = engine.Auto{}
 	}
-	out := make(chan engine.Result, len(c.workers)*c.opts.SlotsPerWorker)
-	go c.run(ctx, eng, scenarios, out)
-	return out
+	return engine.NewRunner(engine.RunnerOptions{
+		Workers: c.learnCredit(ctx),
+		Engine:  remote{c: c, local: eng},
+		Cache:   c.opts.Cache,
+	})
 }
 
-// Run verifies the batch and returns results indexed by scenario plus
-// the aggregated summary — byte-identical (wall aside) to a
-// single-process Runner over the same scenarios and engine, at any
-// worker count and under any failure/retry interleaving.
+// Run verifies the batch across the fleet and returns results indexed
+// by scenario plus the aggregated summary.
 func (c *Coordinator) Run(ctx context.Context, eng engine.Engine, scenarios []engine.Scenario) ([]engine.Result, engine.Summary) {
-	start := time.Now()
-	results := make([]engine.Result, len(scenarios))
-	for res := range c.Stream(ctx, eng, scenarios) {
-		results[res.Index] = res
-	}
-	sum := engine.Summarize(results)
-	sum.Wall = time.Since(start)
-	return results, sum
+	return c.Runner(ctx, eng).Run(ctx, scenarios)
 }
 
-func (c *Coordinator) run(ctx context.Context, eng engine.Engine, scenarios []engine.Scenario, out chan<- engine.Result) {
-	defer close(out)
-	b := newBatch(len(scenarios))
-
-	// Dispatcher goroutines first, so cache probes and local-only units
-	// below overlap with remote work.
+// learnCredit asks every worker whose admission limit is still unknown
+// for its /fleet/health slots — in parallel, so at most one round trip
+// per batch — grows its share of the token pool to match, and returns
+// the fleet's total credit. A worker that does not answer keeps its one
+// token and takes the failure like a failed dispatch; once unhealthy it
+// is not asked again until a dispatch to it succeeds, so a dead worker
+// costs batches no standing timeout.
+func (c *Coordinator) learnCredit(ctx context.Context) int {
+	c.learnMu.Lock()
+	defer c.learnMu.Unlock()
 	var wg sync.WaitGroup
 	for _, ws := range c.workers {
-		for s := 0; s < c.opts.SlotsPerWorker; s++ {
-			wg.Add(1)
-			go func(ws *workerState) {
-				defer wg.Done()
-				c.dispatchLoop(ctx, ws, eng, scenarios, b, out)
-			}(ws)
-		}
-	}
-
-	for i := range scenarios {
-		// The coordinator's cache short-circuits before any dispatch,
-		// mirroring VerifyCached's hit path bit for bit.
-		if res, ok := c.cachedResult(&scenarios[i], eng); ok {
-			res.Index = i
-			c.cacheHits.Add(1)
-			b.deliver(out, res)
+		if ws.slots.Load() > 0 || !c.healthy(ws) {
 			continue
 		}
-		data, err := EncodeWorkUnit(i, eng, &scenarios[i])
-		if err != nil {
-			// Not dispatchable (pre-built agents, custom utilities):
-			// verify on the coordinator, like the Runner would.
-			res := engine.VerifyCached(ctx, eng, scenarios[i], c.opts.Cache)
-			res.Index = i
-			c.localFallbacks.Add(1)
-			b.deliver(out, res)
-			continue
-		}
-		b.enqueue(&unitState{index: i, data: data})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, ok := c.probe(ctx, ws)
+			if !ok {
+				if ctx.Err() == nil {
+					c.failed(ws)
+				}
+				return
+			}
+			n := min(max(st.Slots, 1), maxWorkerCredit)
+			for i := 1; i < n; i++ {
+				c.tokens <- ws
+			}
+			ws.slots.Store(int32(n))
+		}()
 	}
-
 	wg.Wait()
-
-	// Whatever was not delivered — cancellation or quiesce — is
-	// reported, never dropped: the stream always carries one result per
-	// scenario.
-	err := ctx.Err()
-	if err == nil {
-		err = ErrDraining
+	total := 0
+	for _, ws := range c.workers {
+		total += max(int(ws.slots.Load()), 1)
 	}
-	for i := range scenarios {
-		b.mu.Lock()
-		done := b.delivered[i]
-		b.mu.Unlock()
-		if done {
-			continue
-		}
-		c.drained.Add(1)
-		b.deliver(out, engine.Result{
-			Index: i, Scenario: scenarios[i].Name, Engine: "fleet",
-			Status: engine.StatusInconclusive, Err: err,
-		})
-	}
+	return total
 }
 
-// cachedResult is VerifyCached's hit path: consult the cache by
-// content address and restore the display name.
-func (c *Coordinator) cachedResult(s *engine.Scenario, eng engine.Engine) (engine.Result, bool) {
-	if c.opts.Cache == nil {
-		return engine.Result{}, false
-	}
-	key, err := engine.CacheKey(s, eng)
+// remote is the fleet as an engine.Engine: Verify runs one scenario on
+// whichever worker has credit, and on the wrapped engine here when the
+// fleet cannot. It decides where local runs, never what it computes, so
+// Unwrap lets engine.CacheKey address the verdict as local's.
+type remote struct {
+	c     *Coordinator
+	local engine.Engine
+}
+
+func (r remote) Name() string          { return r.local.Name() }
+func (r remote) Unwrap() engine.Engine { return r.local }
+
+// Verify dispatches s as one work unit, retrying with backoff on
+// whichever worker has credit next. At the attempt cap the unit is
+// verified locally, so fleet-wide failure degrades to single-process
+// verification instead of a lost sweep.
+func (r remote) Verify(ctx context.Context, s engine.Scenario) engine.Result {
+	c := r.c
+	index := int(c.units.Add(1))
+	unit, err := EncodeWorkUnit(index, r.local, &s)
 	if err != nil {
-		return engine.Result{}, false
+		// Not dispatchable (pre-built agents, custom utilities): verify
+		// on the coordinator, like the Runner would.
+		c.localFallbacks.Add(1)
+		return r.local.Verify(ctx, s)
 	}
-	res, ok := c.opts.Cache.Get(key)
-	if !ok {
-		return engine.Result{}, false
-	}
-	res.Scenario = s.Name
-	res.Cached = true
-	return res, true
-}
-
-// dispatchLoop is one worker slot: claim a unit, consult the worker's
-// circuit breaker, dispatch or fast-fail, deliver or requeue. It exits
-// when the batch completes, the context dies, or the coordinator
-// quiesces.
-func (c *Coordinator) dispatchLoop(ctx context.Context, ws *workerState, eng engine.Engine, scenarios []engine.Scenario, b *batch, out chan<- engine.Result) {
-	for {
-		u := b.take(ctx, c.quiesce)
-		if u == nil {
-			return
+	for attempt := 1; ; attempt++ {
+		ws, err := c.acquire(ctx)
+		if err != nil {
+			return c.unrun(&s, err)
 		}
-		if !ws.br.allow(time.Now()) {
-			// Open breaker: fail fast without an HTTP round trip. The
-			// fast-fail still consumes an attempt — the attempt cap
-			// (local fallback), not the breaker, is what guarantees
-			// batch progress when every worker is sick.
-			c.breakerFastFails.Add(1)
-			c.requeueOrFallback(ctx, u, 0, eng, scenarios, b, out)
-			continue
-		}
-		res, rejected, retryAfter, err := c.dispatch(ctx, ws, u)
+		res, retryAfter, err := c.try(ctx, ws, index, unit)
+		c.tokens <- ws
 		if err == nil {
-			ws.br.onSuccess()
-			ws.consecutive.Store(0)
-			ws.completed.Add(1)
-			c.completed.Add(1)
-			c.storeConclusive(&scenarios[u.index], eng, res)
-			b.deliver(out, res)
-			continue
+			return res
 		}
 		if ctx.Err() != nil {
-			// The dispatch failed because the batch is over, not
-			// because the worker is sick; run() reports the unit.
-			return
+			return c.unrun(&s, ctx.Err())
 		}
-		if rejected {
-			// Admission, not failure: a 429 proves the worker is alive,
-			// so it does not dent health or the breaker.
-			c.rejections.Add(1)
-		} else {
-			ws.failures.Add(1)
-			ws.consecutive.Add(1)
-			ws.br.onFailure(time.Now())
+		if attempt >= c.opts.MaxAttempts {
+			c.localFallbacks.Add(1)
+			return r.local.Verify(ctx, s)
 		}
-		c.requeueOrFallback(ctx, u, retryAfter, eng, scenarios, b, out)
+		c.retries.Add(1)
+		// A worker's Retry-After can stretch the backoff, never past
+		// the same cap.
+		if err := c.sleep(ctx, max(c.backoff(attempt), retryAfter)); err != nil {
+			return c.unrun(&s, err)
+		}
 	}
 }
 
-// requeueOrFallback charges one attempt against u and either requeues
-// it with backoff — stretched to honor a worker-provided Retry-After,
-// clamped to the same 2s the backoff is — or, at the attempt cap,
-// verifies it on the coordinator so fleet-wide failure degrades to
-// single-process verification instead of a lost sweep.
-func (c *Coordinator) requeueOrFallback(ctx context.Context, u *unitState, retryAfter time.Duration, eng engine.Engine, scenarios []engine.Scenario, b *batch, out chan<- engine.Result) {
-	u.attempts++
-	if u.attempts >= c.opts.MaxAttempts {
-		c.localFallbacks.Add(1)
-		res := engine.VerifyCached(ctx, eng, scenarios[u.index], c.opts.Cache)
-		res.Index = u.index
-		b.deliver(out, res)
-		return
+// acquire takes one token from the fleet's credit. A stop is checked
+// first because select picks at random among ready cases: a quiesced
+// coordinator must not start a dispatch because a token was free too.
+func (c *Coordinator) acquire(ctx context.Context) (*workerState, error) {
+	select {
+	case <-c.quiesce:
+		return nil, ErrDraining
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	default:
 	}
-	c.retries.Add(1)
-	delay := c.backoff(u.attempts)
-	if retryAfter > delay {
-		delay = retryAfter
+	select {
+	case <-c.quiesce:
+		return nil, ErrDraining
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case ws := <-c.tokens:
+		return ws, nil
 	}
-	u.notBefore = time.Now().Add(delay)
-	b.enqueue(u)
 }
 
-// backoff is the exponential re-dispatch delay, capped at 2s. The
-// shift is bounded before it is taken: probe feeds in the unbounded
-// consecutive-failure counter, and an unclamped shift past 62 bits
-// overflows to a zero-or-negative delay — silently defeating the very
-// sleep that keeps dead-worker slots from spin-claiming units.
+// sleep waits out a retry delay, holding no token.
+func (c *Coordinator) sleep(ctx context.Context, d time.Duration) error {
+	select {
+	case <-c.quiesce:
+		return ErrDraining
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(d):
+		return nil
+	}
+}
+
+// unrun reports a unit that got no verdict — the batch was cancelled
+// or the coordinator is draining — as inconclusive, never dropped.
+func (c *Coordinator) unrun(s *engine.Scenario, err error) engine.Result {
+	if errors.Is(err, ErrDraining) {
+		c.drained.Add(1)
+	}
+	return engine.Result{Index: -1, Scenario: s.Name, Engine: "fleet", Status: engine.StatusInconclusive, Err: err}
+}
+
+// errBreakerOpen is try's error for a fast-failed attempt.
+var errBreakerOpen = errors.New("fleet: circuit breaker open")
+
+// try makes one attempt on ws and folds its outcome into the worker's
+// health: a result, or an error with the worker's Retry-After hint.
+func (c *Coordinator) try(ctx context.Context, ws *workerState, index int, unit []byte) (engine.Result, time.Duration, error) {
+	if !ws.br.allow(time.Now()) {
+		// Open breaker: fail fast without an HTTP round trip. The
+		// fast-fail still consumes an attempt — the attempt cap (local
+		// fallback), not the breaker, is what guarantees progress when
+		// every worker is sick.
+		c.breakerFastFails.Add(1)
+		return engine.Result{}, 0, errBreakerOpen
+	}
+	res, rejected, retryAfter, err := c.dispatch(ctx, ws, index, unit)
+	switch {
+	case err == nil:
+		ws.br.onSuccess()
+		ws.consecutive.Store(0)
+		ws.completed.Add(1)
+		c.completed.Add(1)
+	case ctx.Err() != nil:
+		// The dispatch failed because the batch is over, not because
+		// the worker is sick.
+	case rejected:
+		// Admission, not failure: a 429 proves the worker is alive, so
+		// it does not dent health or the breaker.
+		c.rejections.Add(1)
+	default:
+		c.failed(ws)
+	}
+	return res, retryAfter, err
+}
+
+// maxDelay caps every retry delay, backoff and Retry-After alike: a
+// unit is stretched, never parked, while local fallback could finish it.
+const maxDelay = 2 * time.Second
+
+// backoff is the exponential re-dispatch delay: the base doubled per
+// attempt, capped at maxDelay. Doubling stops at the cap, so no attempt
+// count, however large, can overflow it into a zero or negative sleep.
 func (c *Coordinator) backoff(attempt int) time.Duration {
-	const max = 2 * time.Second
-	if c.opts.RetryBackoff >= max {
-		return max
+	d := c.opts.RetryBackoff
+	for i := 1; i < attempt && d < maxDelay; i++ {
+		d *= 2
 	}
-	if attempt < 1 {
-		attempt = 1
-	}
-	// With the base under 2s, 31 doublings exceed the cap long before
-	// they could overflow int64, so larger attempts all land on the cap.
-	if attempt > 32 {
-		return max
-	}
-	d := c.opts.RetryBackoff << (attempt - 1)
-	if d <= 0 || d > max {
-		d = max
-	}
-	return d
-}
-
-// storeConclusive puts a worker-computed conclusive verdict into the
-// coordinator's cache — the store half of the VerifyCached protocol.
-func (c *Coordinator) storeConclusive(s *engine.Scenario, eng engine.Engine, res engine.Result) {
-	if c.opts.Cache == nil || (res.Status != engine.StatusHolds && res.Status != engine.StatusViolated) {
-		return
-	}
-	// A result that arrived Cached was served from the worker's own
-	// tiers; store it uncached so a later coordinator hit reports the
-	// same shape a VerifyCached hit would.
-	res.Cached = false
-	if key, err := engine.CacheKey(s, eng); err == nil {
-		c.opts.Cache.Put(key, res)
-	}
+	return min(d, maxDelay)
 }
 
 // dispatch posts one unit to one worker. rejected reports a 429 —
@@ -540,28 +444,18 @@ func (c *Coordinator) storeConclusive(s *engine.Scenario, eng engine.Engine, res
 // the response body is verified against the worker's X-Fleet-Checksum
 // (when present) — a response corrupted in transit could otherwise
 // decode into a plausible but wrong Result.
-func (c *Coordinator) dispatch(ctx context.Context, ws *workerState, u *unitState) (res engine.Result, rejected bool, retryAfter time.Duration, err error) {
+func (c *Coordinator) dispatch(ctx context.Context, ws *workerState, index int, unit []byte) (res engine.Result, rejected bool, retryAfter time.Duration, err error) {
 	c.dispatches.Add(1)
 	dctx, cancel := context.WithTimeout(ctx, c.opts.UnitTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(dctx, http.MethodPost, ws.url+"/fleet/work", bytes.NewReader(u.data))
+	req, err := http.NewRequestWithContext(dctx, http.MethodPost, ws.url+"/fleet/work", bytes.NewReader(unit))
 	if err != nil {
 		return engine.Result{}, false, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if dl, ok := dctx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.Header.Set(deadlineHeader, strconv.FormatInt(ms, 10))
-	}
-	resp, err := c.opts.Client.Do(req)
-	if err != nil {
-		return engine.Result{}, false, 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, remoteResultLimit))
+	dl, _ := dctx.Deadline()
+	req.Header.Set(deadlineHeader, strconv.FormatInt(max(time.Until(dl).Milliseconds(), 1), 10))
+	resp, body, err := c.roundTrip(req)
 	if err != nil {
 		return engine.Result{}, false, 0, err
 	}
@@ -583,26 +477,35 @@ func (c *Coordinator) dispatch(ctx context.Context, ws *workerState, u *unitStat
 	if err != nil {
 		return engine.Result{}, false, 0, fmt.Errorf("fleet: worker %s: %w", ws.url, err)
 	}
-	if res.Index != u.index {
-		return engine.Result{}, false, 0, fmt.Errorf("fleet: worker %s answered unit %d with unit %d", ws.url, u.index, res.Index)
+	if res.Index != index {
+		return engine.Result{}, false, 0, fmt.Errorf("fleet: worker %s answered unit %d with unit %d", ws.url, index, res.Index)
 	}
+	// The echo has done its job; like any Engine.Verify, the result
+	// carries no batch position — the Runner assigns that.
+	res.Index = -1
 	return res, false, 0, nil
 }
 
 // parseRetryAfter reads an integer-seconds Retry-After value, clamped
-// to the same 2s cap as the dispatch backoff: the hint stretches a
-// retry, it can never park a unit — a hostile or confused 9999 must
-// not stall the sweep when local fallback could finish it.
+// to maxDelay: a hostile or confused 9999 must not stall the sweep.
 func parseRetryAfter(v string) time.Duration {
 	secs, err := strconv.Atoi(strings.TrimSpace(v))
 	if err != nil || secs <= 0 {
 		return 0
 	}
-	d := time.Duration(secs) * time.Second
-	if d > 2*time.Second {
-		d = 2 * time.Second
+	// Clamped before the multiply: a huge value must not overflow.
+	return time.Duration(min(secs, int(maxDelay/time.Second))) * time.Second
+}
+
+// roundTrip sends one request to a worker and reads its whole reply.
+func (c *Coordinator) roundTrip(req *http.Request) (*http.Response, []byte, error) {
+	resp, err := c.opts.Client.Do(req)
+	if err != nil {
+		return nil, nil, err
 	}
-	return d
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, remoteResultLimit))
+	return resp, body, err
 }
 
 // remoteResultLimit caps a worker response body; results are small.
@@ -619,6 +522,23 @@ const deadlineHeader = "X-Fleet-Deadline-Ms"
 // failures (and retries) instead of decoding corrupted bytes.
 const resultChecksumHeader = "X-Fleet-Checksum"
 
+// probe reads one worker's /fleet/health document; ok is false when
+// the worker cannot be asked or does not answer with one.
+func (c *Coordinator) probe(ctx context.Context, ws *workerState) (st WorkerStats, ok bool) {
+	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ws.url+"/fleet/health", nil)
+	if err != nil {
+		return st, false
+	}
+	resp, body, err := c.roundTrip(req)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return st, false
+	}
+	ok = json.Unmarshal(body, &st) == nil
+	return st, ok
+}
+
 // Health probes every worker once and returns the fleet view; it is
 // the coordinator-side liveness check ops endpoints expose.
 func (c *Coordinator) Health(ctx context.Context) []WorkerStatus {
@@ -626,21 +546,11 @@ func (c *Coordinator) Health(ctx context.Context) []WorkerStatus {
 	var wg sync.WaitGroup
 	for i, ws := range c.workers {
 		wg.Add(1)
-		go func(i int, ws *workerState) {
+		go func() {
 			defer wg.Done()
-			st := WorkerStatus{URL: ws.url, Completed: ws.completed.Load(), Failures: ws.failures.Load(), Breaker: ws.br.label()}
-			pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			defer cancel()
-			req, err := http.NewRequestWithContext(pctx, http.MethodGet, ws.url+"/fleet/health", nil)
-			if err == nil {
-				if resp, err2 := c.opts.Client.Do(req); err2 == nil {
-					io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-					resp.Body.Close()
-					st.Healthy = resp.StatusCode == http.StatusOK
-				}
-			}
-			out[i] = st
-		}(i, ws)
+			_, ok := c.probe(ctx, ws)
+			out[i] = ws.status(ok)
+		}()
 	}
 	wg.Wait()
 	return out

@@ -1,29 +1,39 @@
-// Package fleet scales sweep verification past one machine: a
-// coordinator expands a batch of scenarios into content-addressed work
-// units and dispatches them over HTTP to worker processes, then folds
-// the results back into the exact Summary a single-process Runner
-// would have produced.
+// Package fleet scales sweep verification past one machine: the one
+// scheduler every sweep uses — engine.Runner — runs each scenario on a
+// worker process over HTTP instead of in-process, so results and
+// Summary are a single-process Runner's by construction.
 //
 // The tier has two halves:
 //
 //   - Worker: an HTTP handler (POST /fleet/work, GET /fleet/health)
 //     that verifies one work unit per request under a concurrency
 //     limit. A unit is a (scenario, engine-spec) pair in the canonical
-//     codec form; the worker rebuilds the engine, runs VerifyCached
+//     codec form plus an index the worker echoes (the coordinator's
+//     dispatch sequence number, so a reply to some other unit is
+//     rejected); the worker rebuilds the engine, runs VerifyCached
 //     against its own (optionally remote-tiered) cache, and returns
 //     the encoded Result. Over-capacity units are rejected with 429 +
-//     Retry-After rather than queued, so the coordinator's retry logic
-//     owns all scheduling policy.
+//     Retry-After rather than queued, so the coordinator owns all
+//     scheduling policy.
 //
-//   - Coordinator: expands a batch, short-circuits units its local
-//     cache already holds, and fans the rest out over per-worker
-//     dispatch slots. Failures and rejections are retried with
-//     exponential backoff and re-dispatched to whichever worker claims
-//     them next; a worker that keeps failing is health-probed before
-//     it claims more units; and a unit that exhausts its remote
-//     attempts is verified locally, so a sweep always completes even
-//     with every worker dead. Quiesce stops new dispatches (for
-//     connection draining) while letting in-flight units finish.
+//   - Coordinator: Runner → remote engine → worker. Coordinator.Runner
+//     is an ordinary engine.Runner whose engine is the fleet: Verify
+//     encodes one work unit, takes a token for a worker, dispatches,
+//     and returns that worker's Result. Pool, cache short-circuit and
+//     store (engine.VerifyCached, keyed through the remote engine to
+//     the engine it places), results by index and cancellation are the
+//     Runner's own. Tokens are dispatch credit: one pool per
+//     coordinator, shared by concurrent batches, with as many tokens
+//     per worker as the slots it advertises on /fleet/health (one
+//     until it has answered) — a healthy fleet is never offered more
+//     than it admits, so it never 429s itself. Failures and rejections
+//     are retried with exponential backoff on whichever worker has
+//     credit next; a worker that keeps failing trips its circuit
+//     breaker and fast-fails until a half-open probe dispatch succeeds;
+//     a unit that exhausts its remote attempts (or cannot be encoded)
+//     is verified locally, so a sweep always completes even with every
+//     worker dead. Quiesce stops new dispatches (for connection
+//     draining) while letting in-flight units finish.
 //
 // Determinism: verdicts are produced by the same engines from the same
 // canonical scenario bytes on every node, results are reassembled by

@@ -115,7 +115,7 @@ func TestCoordinatorMatchesRunner(t *testing.T) {
 			urls := startWorkers(t, n, func(int) *fleet.Worker {
 				return fleet.NewWorker(fleet.WorkerOptions{Slots: 2})
 			})
-			coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: urls, SlotsPerWorker: 2})
+			coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: urls})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,9 +160,8 @@ func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 	})...)
 
 	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
-		Workers:        urls,
-		SlotsPerWorker: 2,
-		RetryBackoff:   5 * time.Millisecond,
+		Workers:      urls,
+		RetryBackoff: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +233,7 @@ func TestFleetRemoteCacheWarmsSecondPass(t *testing.T) {
 			caches[i] = c
 			return fleet.NewWorker(fleet.WorkerOptions{Slots: 2, Cache: c})
 		})
-		coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: urls, SlotsPerWorker: 2})
+		coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: urls})
 		if err != nil {
 			t.Fatal(err)
 		}

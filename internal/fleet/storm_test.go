@@ -27,7 +27,9 @@ func TestCoordinatorSurvivesRetryAfterStorm(t *testing.T) {
 	var served atomic.Int64
 	inner := fleet.NewWorker(fleet.WorkerOptions{Slots: 2}).Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if served.Add(1) <= stormLen {
+		// Only dispatches are stormed: the coordinator's credit probe
+		// (GET /fleet/health) must not eat a storm slot.
+		if r.URL.Path == "/fleet/work" && served.Add(1) <= stormLen {
 			w.Header().Set("Retry-After", "9999")
 			w.WriteHeader(http.StatusTooManyRequests)
 			return
@@ -37,10 +39,9 @@ func TestCoordinatorSurvivesRetryAfterStorm(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
-		Workers:        []string{srv.URL},
-		SlotsPerWorker: 2,
-		MaxAttempts:    4,
-		RetryBackoff:   time.Millisecond,
+		Workers:      []string{srv.URL},
+		MaxAttempts:  4,
+		RetryBackoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,9 +3,7 @@ package gen
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/mcamodel"
@@ -288,46 +286,14 @@ func compareLegs(legs []Leg) (bool, []string) {
 // the batch is done. The consumer must drain the channel.
 func DiffStream(ctx context.Context, scenarios []engine.Scenario, opts DiffOptions) <-chan DiffResult {
 	opts = opts.withDefaults()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// More workers than scenarios is pure goroutine overhead — and the
-	// worker count can come straight from a request parameter, so the
-	// clamp is also what keeps one absurd ?workers= from exhausting
-	// memory.
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make(chan DiffResult, workers)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				r := DiffVerify(ctx, scenarios[i], opts)
-				r.Index = i
-				out <- r
-			}
-		}()
-	}
-	go func() {
-		for i := range scenarios {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		close(out)
-	}()
-	return out
+	return engine.Pool(opts.Workers, len(scenarios), func(i int) DiffResult {
+		r := DiffVerify(ctx, scenarios[i], opts)
+		r.Index = i
+		return r
+	})
 }
 
 // DiffSweep runs the oracle over a scenario set and returns the results

@@ -58,23 +58,15 @@ type IncrementalOptions struct {
 // shared by every variant — typically the model's axioms) and returns a
 // session ready to solve variants against it.
 func NewIncremental(b *Bounds, base Formula, opts IncrementalOptions) *Incremental {
-	solver := sat.NewSolverWithOptions(opts.Solver)
-	circuit := NewCircuit(solver)
-	tr := NewTranslator(b, circuit)
-
-	start := time.Now()
-	root := tr.TranslateFormula(base)
-	circuit.Assert(root)
+	tr, stats := translate(b, base, opts.Solver)
+	solver := tr.circuit.solver
 	inc := &Incremental{
-		bounds:  b,
-		solver:  solver,
-		circuit: circuit,
-		tr:      tr,
-		cancel:  opts.Cancel,
-		baseStats: TranslationStats{
-			PrimaryVars:   tr.NumPrimaryVars(),
-			TranslateTime: time.Since(start),
-		},
+		bounds:    b,
+		solver:    solver,
+		circuit:   tr.circuit,
+		tr:        tr,
+		cancel:    opts.Cancel,
+		baseStats: stats,
 	}
 	if opts.Parallel != nil {
 		inc.session = portfolio.NewSession(solver.ExportCNF(), portfolio.Options{

@@ -57,31 +57,36 @@ type Result struct {
 	SolverStats sat.Stats
 }
 
-// Solve searches for an instance within bounds satisfying the formula
-// (Alloy's "run" command).
-func Solve(p *Problem) Result {
-	solver := sat.NewSolverWithOptions(p.SolverOptions)
-	circuit := NewCircuit(solver)
-	tr := NewTranslator(p.Bounds, circuit)
-
+// translate asserts a bounded formula into a fresh solver — the set-up
+// every entry point (Solve, TranslateToCNF, TranslateOnly,
+// NewEnumerator, NewIncremental) starts from. The circuit and solver
+// are the returned translator's; the stats leave SolveTime to the
+// caller.
+func translate(b *Bounds, f Formula, opts sat.Options) (*Translator, TranslationStats) {
+	circuit := NewCircuit(sat.NewSolverWithOptions(opts))
+	tr := NewTranslator(b, circuit)
 	start := time.Now()
-	root := tr.TranslateFormula(p.Formula)
-	circuit.Assert(root)
-	translateTime := time.Since(start)
-
-	stats := TranslationStats{
+	circuit.Assert(tr.TranslateFormula(f))
+	return tr, TranslationStats{
 		PrimaryVars:   tr.NumPrimaryVars(),
 		AuxVars:       circuit.NumGateVars(),
 		Clauses:       circuit.NumClauses(),
-		TranslateTime: translateTime,
+		TranslateTime: time.Since(start),
 	}
+}
+
+// Solve searches for an instance within bounds satisfying the formula
+// (Alloy's "run" command).
+func Solve(p *Problem) Result {
+	tr, stats := translate(p.Bounds, p.Formula, p.SolverOptions)
+	solver := tr.circuit.solver
 
 	if p.Parallel != nil {
 		// Hand the translated formula to the parallel engine: export the
 		// CNF the circuit emitted into the translation solver and race
 		// fresh solvers on it.
 		cnf := solver.ExportCNF()
-		start = time.Now()
+		start := time.Now()
 		pres := portfolio.Solve(cnf, portfolio.Options{
 			Workers:  p.Parallel.Workers,
 			CubeVars: p.Parallel.CubeVars,
@@ -99,7 +104,7 @@ func Solve(p *Problem) Result {
 	if p.Cancel != nil {
 		solver.SetCancel(p.Cancel)
 	}
-	start = time.Now()
+	start := time.Now()
 	status := solver.Solve()
 	stats.SolveTime = time.Since(start)
 
@@ -137,36 +142,15 @@ func CheckParallel(b *Bounds, axioms, assertion Formula, opts sat.Options, par P
 // for callers that want to drive the SAT backend themselves (solver
 // portfolios, DIMACS export, repeated solving of one translation).
 func TranslateToCNF(b *Bounds, f Formula) (*sat.CNF, TranslationStats) {
-	solver := sat.NewSolver()
-	circuit := NewCircuit(solver)
-	tr := NewTranslator(b, circuit)
-	start := time.Now()
-	root := tr.TranslateFormula(f)
-	circuit.Assert(root)
-	stats := TranslationStats{
-		PrimaryVars:   tr.NumPrimaryVars(),
-		AuxVars:       circuit.NumGateVars(),
-		Clauses:       circuit.NumClauses(),
-		TranslateTime: time.Since(start),
-	}
-	return solver.ExportCNF(), stats
+	tr, stats := translate(b, f, sat.Options{})
+	return tr.circuit.solver.ExportCNF(), stats
 }
 
 // TranslateOnly builds the CNF without solving — used by the clause-count
 // experiment (E5) where only translation size matters.
 func TranslateOnly(b *Bounds, f Formula) TranslationStats {
-	solver := sat.NewSolver()
-	circuit := NewCircuit(solver)
-	tr := NewTranslator(b, circuit)
-	start := time.Now()
-	root := tr.TranslateFormula(f)
-	circuit.Assert(root)
-	return TranslationStats{
-		PrimaryVars:   tr.NumPrimaryVars(),
-		AuxVars:       circuit.NumGateVars(),
-		Clauses:       circuit.NumClauses(),
-		TranslateTime: time.Since(start),
-	}
+	_, stats := translate(b, f, sat.Options{})
+	return stats
 }
 
 func decode(tr *Translator, solver *sat.Solver) *Instance {
@@ -207,21 +191,8 @@ type Enumerator struct {
 
 // NewEnumerator prepares instance enumeration for a problem.
 func NewEnumerator(p *Problem) *Enumerator {
-	solver := sat.NewSolverWithOptions(p.SolverOptions)
-	circuit := NewCircuit(solver)
-	tr := NewTranslator(p.Bounds, circuit)
-	root := tr.TranslateFormula(p.Formula)
-	circuit.Assert(root)
-	return &Enumerator{
-		solver: solver,
-		tr:     tr,
-		bounds: p.Bounds,
-		stats: TranslationStats{
-			PrimaryVars: tr.NumPrimaryVars(),
-			AuxVars:     circuit.NumGateVars(),
-			Clauses:     circuit.NumClauses(),
-		},
-	}
+	tr, stats := translate(p.Bounds, p.Formula, p.SolverOptions)
+	return &Enumerator{solver: tr.circuit.solver, tr: tr, bounds: p.Bounds, stats: stats}
 }
 
 // Stats returns the translation statistics.
