@@ -203,12 +203,26 @@ func e5Encodings() error {
 	if err != nil {
 		return err
 	}
-	mn := mcamodel.MeasureTranslation(n)
-	mo := mcamodel.MeasureTranslation(o)
+	// Sizes are exact; translate time is wall-clock, so each row is the
+	// fastest of five runs and the ratio is printed, never asserted.
+	measure := func(e *mcamodel.Encoding) mcamodel.Measurement {
+		best := mcamodel.MeasureTranslation(e)
+		for i := 1; i < 5; i++ {
+			if m := mcamodel.MeasureTranslation(e); m.Translate < best.Translate {
+				best = m
+			}
+		}
+		return best
+	}
+	mn := measure(n)
+	mo := measure(o)
 	fmt.Printf("scope %s\n", sc)
 	fmt.Printf("  %s\n  %s\n", mn, mo)
 	fmt.Printf("clause reduction: %.1f%% (paper: 259K -> 190K, ~27%%)\n",
 		100*(1-float64(mo.Clauses)/float64(mn.Clauses)))
+	fmt.Printf("translate time: optimized/naive = %.2f (%s / %s, fastest of 5)\n",
+		float64(mo.Translate)/float64(mn.Translate),
+		mo.Translate.Round(10*time.Microsecond), mn.Translate.Round(10*time.Microsecond))
 
 	// Parallel-vs-serial: the same consensus check on the optimized
 	// encoding, solved sequentially, by the solver portfolio, and by

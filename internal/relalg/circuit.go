@@ -2,8 +2,7 @@ package relalg
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"repro/internal/sat"
 )
@@ -19,9 +18,15 @@ const (
 	FalseNode Node = -1
 )
 
+// varUnset marks an AND gate whose Tseitin variable is not allocated yet.
+const varUnset sat.Var = -1
+
+// gate is an input (n == 0) or an AND gate over
+// Circuit.children[off:off+n], which are sorted ascending, distinct and
+// never constant.
 type gate struct {
-	satVar   sat.Var // for input nodes; -1 for AND gates
-	children []Node  // for AND gates; nil for inputs
+	off, n uint32
+	v      sat.Var // input variable, or Tseitin variable (varUnset until emitted)
 }
 
 // Circuit builds an and-inverter-style boolean circuit with structural
@@ -29,35 +34,46 @@ type gate struct {
 // boolean-circuit layer: the relational translator creates one input per
 // undetermined tuple and composes gates, and ToCNF performs the Tseitin
 // transformation that the clause-count experiment (E5) measures.
+//
+// Gates are interned on integers: two-input gates — the large majority —
+// by their child pair, wider ones through a bucket per child hash. Node
+// ids follow creation order, and Tseitin numbering follows node ids and
+// child order, so the emitted CNF is a function of the sequence of
+// And/Or calls alone.
 type Circuit struct {
-	solver *sat.Solver
-	gates  []gate // index = node id - 2 (ids 2.. are real nodes)
-	cache  map[string]Node
+	solver   *sat.Solver
+	gates    []gate // index = node id - 2 (ids 2.. are real nodes)
+	children []Node // child runs of every AND gate, back to back
 
-	gateVar map[Node]sat.Var // Tseitin variable per AND gate
-	clauses int
+	pairs map[[2]Node]Node // two-input gates by (smaller, larger) child
+	wide  map[uint64][]Node
+
+	scratch []Node    // and's working copy of its arguments
+	lits    []sat.Lit // litFor's stack of child literals
+
+	gateVars int
+	clauses  int
 }
 
 // NewCircuit creates a circuit whose inputs and Tseitin variables are
 // allocated in the given solver.
 func NewCircuit(s *sat.Solver) *Circuit {
-	return &Circuit{solver: s, cache: make(map[string]Node), gateVar: make(map[Node]sat.Var)}
+	return &Circuit{solver: s, pairs: make(map[[2]Node]Node), wide: make(map[uint64][]Node)}
 }
 
 // NewInput allocates a fresh input node backed by a fresh SAT variable.
 func (c *Circuit) NewInput() Node {
-	v := c.solver.NewVar()
-	c.gates = append(c.gates, gate{satVar: v})
+	c.gates = append(c.gates, gate{v: c.solver.NewVar()})
 	return Node(len(c.gates) + 1) // ids start at 2
 }
 
 // InputVar returns the SAT variable of an input node.
 func (c *Circuit) InputVar(n Node) sat.Var {
 	g := c.gate(n)
-	if g.children != nil {
+	if g.n != 0 {
 		panic("relalg: InputVar on a gate node")
 	}
-	return g.satVar
+	return g.v
 }
 
 func (c *Circuit) gate(n Node) *gate {
@@ -70,17 +86,29 @@ func (c *Circuit) gate(n Node) *gate {
 	return &c.gates[n-2]
 }
 
+// newGate appends an AND gate over the given sorted, distinct children.
+func (c *Circuit) newGate(children []Node) Node {
+	c.gates = append(c.gates, gate{off: uint32(len(c.children)), n: uint32(len(children)), v: varUnset})
+	c.children = append(c.children, children...)
+	return Node(len(c.gates) + 1)
+}
+
 // Not negates a node.
 func (c *Circuit) Not(n Node) Node { return -n }
 
 // And builds the conjunction of the given nodes with simplification and
 // structural hashing.
-func (c *Circuit) And(ns ...Node) Node {
-	// Flatten one level, drop TRUE, fail on FALSE, dedupe, detect x∧¬x.
-	uniq := make([]Node, 0, len(ns))
-	seen := make(map[Node]bool, len(ns))
+func (c *Circuit) And(ns ...Node) Node { return c.and(ns, 1) }
+
+// Or builds the disjunction via De Morgan.
+func (c *Circuit) Or(ns ...Node) Node { return -c.and(ns, -1) }
+
+// and conjoins sign*n over ns: drop TRUE, fail on FALSE, dedupe, detect
+// x∧¬x, then intern the sorted children.
+func (c *Circuit) and(ns []Node, sign Node) Node {
+	s := c.scratch[:0]
 	for _, n := range ns {
-		switch n {
+		switch n *= sign; n {
 		case TrueNode:
 			continue
 		case FalseNode:
@@ -88,55 +116,97 @@ func (c *Circuit) And(ns ...Node) Node {
 		case 0:
 			panic("relalg: zero node in And")
 		}
-		if seen[n] {
-			continue
-		}
-		if seen[-n] {
-			return FalseNode
-		}
-		seen[n] = true
-		uniq = append(uniq, n)
+		s = append(s, n)
 	}
-	switch len(uniq) {
+	c.scratch = s
+	if len(s) > 2 {
+		slices.Sort(s)
+		s = slices.Compact(s)
+		// Ascending order puts the negated children first, largest id
+		// first: walk them outwards from the sign change against the
+		// positive ones.
+		pos, _ := slices.BinarySearch(s, 0)
+		for i, j := pos-1, pos; i >= 0 && j < len(s); {
+			switch {
+			case -s[i] == s[j]:
+				return FalseNode
+			case -s[i] < s[j]:
+				i--
+			default:
+				j++
+			}
+		}
+	}
+	switch len(s) {
 	case 0:
 		return TrueNode
 	case 1:
-		return uniq[0]
+		return s[0]
+	case 2:
+		return c.and2(s[0], s[1])
 	}
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-	key := andKey(uniq)
-	if n, ok := c.cache[key]; ok {
-		return n
+	h := hashNodes(s)
+	for _, n := range c.wide[h] {
+		g := c.gates[n-2]
+		if slices.Equal(c.children[g.off:g.off+g.n], s) {
+			return n
+		}
 	}
-	c.gates = append(c.gates, gate{satVar: -1, children: uniq})
-	n := Node(len(c.gates) + 1)
-	c.cache[key] = n
+	n := c.newGate(s)
+	c.wide[h] = append(c.wide[h], n)
 	return n
 }
 
-// Or builds the disjunction via De Morgan.
-func (c *Circuit) Or(ns ...Node) Node {
-	neg := make([]Node, len(ns))
-	for i, n := range ns {
-		neg[i] = -n
+// and2 is And for exactly two nodes: no scratch, no sort, one map probe.
+func (c *Circuit) and2(a, b Node) Node {
+	switch {
+	case a == 0 || b == 0:
+		panic("relalg: zero node in And")
+	case a == FalseNode || b == FalseNode || a == -b:
+		return FalseNode
+	case a == TrueNode || a == b:
+		return b
+	case b == TrueNode:
+		return a
 	}
-	return -c.And(neg...)
+	if a > b {
+		a, b = b, a
+	}
+	key := [2]Node{a, b}
+	if n, ok := c.pairs[key]; ok {
+		return n
+	}
+	n := c.newGate(key[:])
+	c.pairs[key] = n
+	return n
+}
+
+// or2 is Or for exactly two nodes.
+func (c *Circuit) or2(a, b Node) Node { return -c.and2(-a, -b) }
+
+// hashNodes is FNV-1a over the child ids.
+func hashNodes(s []Node) uint64 {
+	h := uint64(14695981039346656037)
+	for _, n := range s {
+		h = (h ^ uint64(uint32(n))) * 1099511628211
+	}
+	return h
 }
 
 // Implies builds a → b.
-func (c *Circuit) Implies(a, b Node) Node { return c.Or(-a, b) }
+func (c *Circuit) Implies(a, b Node) Node { return c.or2(-a, b) }
 
 // Iff builds a ↔ b.
 func (c *Circuit) Iff(a, b Node) Node {
-	return c.And(c.Implies(a, b), c.Implies(b, a))
+	return c.and2(c.Implies(a, b), c.Implies(b, a))
 }
 
 // AtMostOne builds the pairwise at-most-one constraint.
 func (c *Circuit) AtMostOne(ns ...Node) Node {
-	var parts []Node
+	parts := make([]Node, 0, len(ns)*(len(ns)-1)/2)
 	for i := 0; i < len(ns); i++ {
 		for j := i + 1; j < len(ns); j++ {
-			parts = append(parts, c.Or(-ns[i], -ns[j]))
+			parts = append(parts, c.or2(-ns[i], -ns[j]))
 		}
 	}
 	return c.And(parts...)
@@ -183,20 +253,11 @@ func (c *Circuit) counter(ns []Node, width int) []Node {
 				carryIn = counts[j-1]
 			}
 			// at least j+1 after x ⇔ (at least j+1 before) ∨ (x ∧ at least j before)
-			next[j] = c.Or(counts[j], c.And(x, carryIn))
+			next[j] = c.or2(counts[j], c.and2(x, carryIn))
 		}
 		counts = next
 	}
 	return counts
-}
-
-func andKey(ns []Node) string {
-	var b strings.Builder
-	b.Grow(len(ns) * 8)
-	for _, n := range ns {
-		fmt.Fprintf(&b, "%d,", n)
-	}
-	return b.String()
 }
 
 // litFor returns the SAT literal representing node n, creating Tseitin
@@ -211,48 +272,30 @@ func (c *Circuit) litFor(n Node) sat.Lit {
 		panic("relalg: constant node has no literal; handle before litFor")
 	}
 	g := c.gate(pos)
-	var v sat.Var
-	if g.children == nil {
-		v = g.satVar
-	} else {
-		var ok bool
-		v, ok = c.gateVar[pos]
-		if !ok {
-			v = c.solver.NewVar()
-			c.gateVar[pos] = v
-			// Defining clauses: v ↔ AND(children)
-			childLits := make([]sat.Lit, len(g.children))
-			for i, ch := range g.children {
-				childLits[i] = c.litOrConst(ch)
-			}
-			// v → child_i
-			long := make([]sat.Lit, 0, len(childLits)+1)
-			long = append(long, sat.PosLit(v))
-			for _, cl := range childLits {
-				c.addClause(sat.NegLit(v), cl)
-				long = append(long, cl.Not())
-			}
-			// (AND children) → v
-			c.addClause(long...)
-		}
-	}
-	return sat.MkLit(v, neg)
-}
-
-// litOrConst is litFor but tolerates constants by materializing a frozen
-// variable for them (constants inside gate children are already
-// simplified away by And, so this is defensive).
-func (c *Circuit) litOrConst(n Node) sat.Lit {
-	if n == TrueNode || n == FalseNode {
+	if g.n != 0 && g.v == varUnset {
 		v := c.solver.NewVar()
-		if n == TrueNode {
-			c.addClause(sat.PosLit(v))
-		} else {
-			c.addClause(sat.NegLit(v))
+		g.v = v
+		c.gateVars++
+		// Defining clauses: v ↔ AND(children). The child literals sit on
+		// the c.lits stack above base; a recursive call leaves the stack
+		// as it found it, but may move it, so it is indexed, not sliced.
+		base := len(c.lits)
+		for _, ch := range c.children[g.off : g.off+g.n] {
+			l := c.litFor(ch)
+			c.lits = append(c.lits, l)
 		}
-		return sat.PosLit(v)
+		// v → child_i
+		for i := base; i < len(c.lits); i++ {
+			c.addClause(sat.NegLit(v), c.lits[i])
+			c.lits[i] = c.lits[i].Not()
+		}
+		// (AND children) → v
+		c.lits = append(c.lits, sat.PosLit(v))
+		c.addClause(c.lits[base:]...)
+		c.lits = c.lits[:base]
+		return sat.MkLit(v, neg)
 	}
-	return c.litFor(n)
+	return sat.MkLit(g.v, neg)
 }
 
 func (c *Circuit) addClause(lits ...sat.Lit) {
@@ -279,4 +322,4 @@ func (c *Circuit) Assert(n Node) {
 func (c *Circuit) NumClauses() int { return c.clauses }
 
 // NumGateVars returns the number of Tseitin auxiliary variables created.
-func (c *Circuit) NumGateVars() int { return len(c.gateVar) }
+func (c *Circuit) NumGateVars() int { return c.gateVars }

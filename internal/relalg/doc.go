@@ -20,6 +20,10 @@
 //
 // Determinism: translation is deterministic in (bounds, formula) —
 // variable numbering, Tseitin auxiliaries, and clause order are
-// reproducible — and solve answers are deterministic in the problem
-// (parallel solving changes wall-clock, never the verdict).
+// reproducible, and internal/mcamodel pins the consensus check's CNF
+// byte for byte — and solve answers are deterministic in the problem
+// (parallel solving changes wall-clock, never the verdict). The
+// translator's data structures (sorted sparse matrices, integer-interned
+// gates, a cache keyed by node and free-variable binding) are described
+// in docs/PERFORMANCE.md, "The SAT path: translation".
 package relalg

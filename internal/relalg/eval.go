@@ -174,18 +174,21 @@ func (ev *Evaluator) EvalFormula(f Formula) bool {
 		return false
 	case *QuantFormula:
 		domain := ev.EvalExpr(x.Over)
+		outer, shadowed := ev.env[x.V]
+		result := x.Quant == QuantAll
 		for _, t := range domain.Tuples() {
 			ev.env[x.V] = t[0]
-			holds := ev.EvalFormula(x.Body)
-			delete(ev.env, x.V)
-			if x.Quant == QuantAll && !holds {
-				return false
-			}
-			if x.Quant == QuantSome && holds {
-				return true
+			if ev.EvalFormula(x.Body) != result {
+				result = !result
+				break
 			}
 		}
-		return x.Quant == QuantAll
+		if shadowed {
+			ev.env[x.V] = outer
+		} else {
+			delete(ev.env, x.V)
+		}
+		return result
 	case *CardFormula:
 		n := ev.EvalExpr(x.E).Len()
 		if x.Op == CardLE {

@@ -30,10 +30,14 @@ func TestIncrementalMatchesOneShotProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed ^ 0x9e37))
 		b, s1, s2, e := incrementalFixture()
-		base := randomFormula(rng, s1, s2, e, 3)
+		// One generator for the whole sweep: variants reuse closed nodes
+		// of the base and of each other, so the session's translation
+		// cache is hit across Solve calls.
+		g := newFormulaGen(rng, s1, s2, e)
+		base := g.formula(3)
 		inc := NewIncremental(b, base, IncrementalOptions{})
 		for i := 0; i < 6; i++ {
-			variant := randomFormula(rng, s1, s2, e, 3)
+			variant := g.formula(3)
 			got := inc.Solve(variant)
 
 			b2, s1b, s2b, eb := incrementalFixture()
@@ -116,13 +120,14 @@ func TestIncrementalParallelMatchesSerial(t *testing.T) {
 	b2, s1b, s2b, eb := incrementalFixture()
 	remap := map[*Relation]*Relation{s1a: s1b, s2a: s2b, ea: eb}
 
-	base := randomFormula(rng, s1a, s2a, ea, 3)
+	g := newFormulaGen(rng, s1a, s2a, ea)
+	base := g.formula(3)
 	serial := NewIncremental(b1, base, IncrementalOptions{})
 	par := NewIncremental(b2, remapFormula(base, remap), IncrementalOptions{
 		Parallel: &ParallelOptions{Workers: 2},
 	})
 	for i := 0; i < 6; i++ {
-		variant := randomFormula(rng, s1a, s2a, ea, 3)
+		variant := g.formula(3)
 		gs := serial.Solve(variant)
 		gp := par.Solve(remapFormula(variant, remap))
 		if gs.Status != gp.Status {

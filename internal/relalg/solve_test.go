@@ -1,7 +1,9 @@
 package relalg
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -154,61 +156,169 @@ func TestCheckCounterexampleFalsifiesAssertion(t *testing.T) {
 
 // randomFormula builds a small random formula over the given relations.
 func randomFormula(rng *rand.Rand, s1, s2, e *Relation, depth int) Formula {
-	unary := func() Expr {
-		switch rng.Intn(4) {
-		case 0:
-			return R(s1)
-		case 1:
-			return R(s2)
-		case 2:
-			return Univ()
-		default:
-			return Join(Univ(), R(e)) // image of e
-		}
+	return newFormulaGen(rng, s1, s2, e).formula(depth)
+}
+
+func newFormulaGen(rng *rand.Rand, s1, s2, e *Relation) *formulaGen {
+	return &formulaGen{rng: rng, s1: s1, s2: s2, e: e, lt: Closure(R(e))}
+}
+
+// formulaGen draws random formulas shaped to exercise the translator's
+// binding-keyed cache: quantifiers nest up to three deep, leaves mention
+// any subset of the variables in scope (only the outer one, only the
+// inner one, both, neither), domains mention outer variables, a binder
+// may shadow a variable already in scope, one Closure node is shared by
+// every site that wants it, and formulas already built are handed out
+// again — the same pointer — wherever their variables are in scope, so
+// one node is translated at several sites and under several bindings.
+type formulaGen struct {
+	rng       *rand.Rand
+	s1, s2, e *Relation
+	lt        Expr   // the one ^e node every site shares
+	scope     []*Var // quantified variables in scope, innermost last
+	pool      []pooledFormula
+}
+
+// pooledFormula is a formula and the scope it was built in; it is
+// well-formed wherever those variables are all in scope.
+type pooledFormula struct {
+	f     Formula
+	scope []*Var
+}
+
+func (g *formulaGen) scopeVar() Expr { return V(g.scope[g.rng.Intn(len(g.scope))]) }
+
+func (g *formulaGen) unary() Expr {
+	n := 4
+	if len(g.scope) > 0 {
+		n = 7
 	}
-	binary := func() Expr {
-		switch rng.Intn(3) {
-		case 0:
-			return R(e)
-		case 1:
-			return Transpose(R(e))
-		default:
-			return Closure(R(e))
-		}
-	}
-	if depth <= 0 {
-		switch rng.Intn(6) {
-		case 0:
-			return Some(unary())
-		case 1:
-			return No(unary())
-		case 2:
-			return Lone(unary())
-		case 3:
-			return Subset(unary(), unary())
-		case 4:
-			return AtMost(binary(), rng.Intn(4))
-		default:
-			return AtLeast(unary(), rng.Intn(3))
-		}
-	}
-	switch rng.Intn(5) {
+	switch g.rng.Intn(n) {
 	case 0:
-		return And(randomFormula(rng, s1, s2, e, depth-1), randomFormula(rng, s1, s2, e, depth-1))
+		return R(g.s1)
 	case 1:
-		return Or(randomFormula(rng, s1, s2, e, depth-1), randomFormula(rng, s1, s2, e, depth-1))
+		return R(g.s2)
 	case 2:
-		return Not(randomFormula(rng, s1, s2, e, depth-1))
+		return Univ()
 	case 3:
-		x := NewVar("qx")
-		body := Some(Join(V(x), binary()))
-		if rng.Intn(2) == 0 {
-			return ForAll(x, unary(), body)
-		}
-		return Exists(x, unary(), body)
+		return Join(Univ(), R(g.e)) // image of e
+	case 4:
+		return g.scopeVar()
 	default:
-		return randomFormula(rng, s1, s2, e, 0)
+		return Join(g.scopeVar(), g.binary())
 	}
+}
+
+func (g *formulaGen) binary() Expr {
+	n := 4
+	if len(g.scope) > 0 {
+		n = 5
+	}
+	switch g.rng.Intn(n) {
+	case 0:
+		return R(g.e)
+	case 1:
+		return Transpose(R(g.e))
+	case 2:
+		return Closure(R(g.e))
+	case 3:
+		return g.lt
+	default:
+		return Product(g.scopeVar(), g.scopeVar())
+	}
+}
+
+func (g *formulaGen) leaf() Formula {
+	switch g.rng.Intn(6) {
+	case 0:
+		return Some(g.unary())
+	case 1:
+		return No(g.unary())
+	case 2:
+		return Lone(g.unary())
+	case 3:
+		return Subset(g.unary(), g.unary())
+	case 4:
+		return AtMost(g.binary(), g.rng.Intn(4))
+	default:
+		return AtLeast(g.unary(), g.rng.Intn(3))
+	}
+}
+
+// keep records f for reuse under the current scope and returns it.
+func (g *formulaGen) keep(f Formula) Formula {
+	g.pool = append(g.pool, pooledFormula{f, append([]*Var(nil), g.scope...)})
+	return f
+}
+
+// reuse returns an earlier formula whose variables are all in scope, or
+// a fresh leaf when a few draws find none.
+func (g *formulaGen) reuse() Formula {
+	for try := 0; try < 4 && len(g.pool) > 0; try++ {
+		p := g.pool[g.rng.Intn(len(g.pool))]
+		ok := true
+		for _, v := range p.scope {
+			ok = ok && slices.Contains(g.scope, v)
+		}
+		if ok {
+			return p.f
+		}
+	}
+	return g.leaf()
+}
+
+func (g *formulaGen) formula(depth int) Formula {
+	if depth <= 0 {
+		if g.rng.Intn(4) == 0 {
+			return g.reuse()
+		}
+		return g.keep(g.leaf())
+	}
+	switch g.rng.Intn(6) {
+	case 0:
+		return g.keep(And(g.formula(depth-1), g.formula(depth-1)))
+	case 1:
+		return g.keep(Or(g.formula(depth-1), g.formula(depth-1)))
+	case 2:
+		return Not(g.formula(depth - 1))
+	case 3, 4:
+		return g.keep(g.quant(depth))
+	default:
+		return g.formula(0)
+	}
+}
+
+// quant builds a quantifier; half the time its body is another one, so
+// depth 3 reaches three nested binders.
+func (g *formulaGen) quant(depth int) Formula {
+	var x *Var
+	if len(g.scope) > 0 && g.rng.Intn(4) == 0 {
+		x = g.scope[g.rng.Intn(len(g.scope))] // shadow a variable in scope
+	} else {
+		x = NewVar(fmt.Sprintf("q%d", len(g.scope)))
+	}
+	over := g.unary() // outside x's scope: may mention the variable x shadows
+	g.scope = append(g.scope, x)
+	// site mentions at most the variables bound so far; it sits beside
+	// the nested body here and comes back out of the pool further in.
+	site := g.keep(g.leaf())
+	var body Formula
+	if depth > 1 && g.rng.Intn(2) == 0 {
+		body = g.quant(depth - 1)
+	} else {
+		body = g.formula(depth - 1)
+	}
+	switch g.rng.Intn(3) {
+	case 0:
+		body = And(site, body)
+	case 1:
+		body = Or(body, site)
+	}
+	g.scope = g.scope[:len(g.scope)-1]
+	if g.rng.Intn(2) == 0 {
+		return ForAll(x, over, body)
+	}
+	return Exists(x, over, body)
 }
 
 func TestEnumeratorCountsModels(t *testing.T) {

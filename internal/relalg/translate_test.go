@@ -100,7 +100,8 @@ func TestTranslateExprConstantMatrices(t *testing.T) {
 			if len(m.cells) != want.Len() {
 				return false
 			}
-			for k, n := range m.cells {
+			for _, c := range m.cells {
+				k, n := c.key, c.node
 				if n != TrueNode {
 					return false
 				}

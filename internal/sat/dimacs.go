@@ -67,14 +67,30 @@ func (f *CNF) Eval(model []bool) bool {
 	return true
 }
 
+// maxDIMACSVar is the largest 1-based variable a DIMACS literal may
+// name: variable v-1 has the literals 2(v-1) and 2(v-1)+1, and Lit is
+// an int32.
+const maxDIMACSVar = 1 << 30
+
+// maxUnusedVars bounds the variables of a parsed formula that occur in
+// no clause. LoadInto allocates some 130 bytes of solver state per
+// variable, so without a bound a twenty-byte file — a large declared
+// count, or one literal with a large index — could demand gigabytes;
+// with it, memory stays proportional to the size of the input.
+const maxUnusedVars = 1 << 20
+
 // ParseDIMACS reads a CNF in DIMACS format. Comment lines (c ...) and the
-// problem line (p cnf V C) are handled; clause terminator is 0.
+// problem line (p cnf V C) are handled; clause terminator is 0. Input is
+// untrusted: a literal or variable count outside the representable
+// range, or a variable count far beyond the literals present, is an
+// error, never a wrapped index or an allocation.
 func ParseDIMACS(r io.Reader) (*CNF, error) {
 	f := &CNF{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	var cur []Lit
 	declaredVars := -1
+	numLits := 0
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "c") {
@@ -89,6 +105,9 @@ func ParseDIMACS(r io.Reader) (*CNF, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sat: bad var count in %q: %w", line, err)
 			}
+			if v < 0 || v > maxDIMACSVar {
+				return nil, fmt.Errorf("sat: var count %d outside [0, %d]", v, maxDIMACSVar)
+			}
 			declaredVars = v
 			continue
 		}
@@ -102,11 +121,15 @@ func ParseDIMACS(r io.Reader) (*CNF, error) {
 				cur = cur[:0]
 				continue
 			}
+			if n < -maxDIMACSVar || n > maxDIMACSVar {
+				return nil, fmt.Errorf("sat: literal %s names a variable above %d", tok, maxDIMACSVar)
+			}
 			v := n
 			if v < 0 {
 				v = -v
 			}
 			cur = append(cur, MkLit(Var(v-1), n < 0))
+			numLits++
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -117,6 +140,10 @@ func ParseDIMACS(r io.Reader) (*CNF, error) {
 	}
 	if declaredVars > f.NumVars {
 		f.NumVars = declaredVars
+	}
+	if f.NumVars-numLits > maxUnusedVars {
+		return nil, fmt.Errorf("sat: %d variables but only %d literals: more than %d variables occur nowhere",
+			f.NumVars, numLits, maxUnusedVars)
 	}
 	return f, nil
 }

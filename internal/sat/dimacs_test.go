@@ -2,6 +2,7 @@ package sat
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,12 +42,81 @@ func TestParseDIMACSErrors(t *testing.T) {
 		"p dnf 1 1\n1 0\n",
 		"p cnf 1 1\n1 z 0\n",
 		"p cnf 1 1\n1\n", // unterminated clause
+		// Out-of-range literals used to wrap through Var's int32 onto
+		// variable 1 (a wrong SATISFIABLE) or reach AddClause's panic.
+		"p cnf 1 1\n4294967297 0\n",
+		"p cnf 1 1\n-9223372036854775808 0\n",
+		"p cnf 1 1\n1073741825 0\n",
+		"p cnf -1 0\n",
+		"p cnf 1073741825 0\n",
+		// In range, but LoadInto would allocate for variables no clause uses.
+		"p cnf 1000000000 0\n",
+		"p cnf 1 1\n1000000000 0\n",
 	}
 	for _, in := range cases {
 		if _, err := ParseDIMACS(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q: expected error", in)
 		}
 	}
+}
+
+// The largest representable variable parses; a generous header is fine
+// as long as the clauses keep pace with it.
+func TestParseDIMACSLimits(t *testing.T) {
+	f, err := ParseDIMACS(strings.NewReader("p cnf 1048577 1\n1 0\n"))
+	if err != nil || f.NumVars != 1048577 {
+		t.Fatalf("header one past the unused-variable slack with one literal: %v, %v", f, err)
+	}
+	if _, err := ParseDIMACS(strings.NewReader("p cnf 1048578 1\n1 0\n")); err == nil {
+		t.Fatal("header beyond the unused-variable slack accepted")
+	}
+	if l := MkLit(Var(maxDIMACSVar-1), true); l < 0 || l.Var() != Var(maxDIMACSVar-1) || !l.Neg() {
+		t.Fatalf("largest DIMACS variable does not fit Lit: %d", l)
+	}
+}
+
+// FuzzParseDIMACS: arbitrary input either fails to parse or round-trips
+// through WriteDIMACS to an equal formula, and a formula of modest size
+// loads into a solver — never a panic. The seed corpus runs under plain
+// go test.
+func FuzzParseDIMACS(f *testing.F) {
+	var php bytes.Buffer
+	if err := PigeonholeCNF(3).WriteDIMACS(&php); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		"p cnf 1 1\n4294967297 0\n",
+		"p cnf 1 1\n-9223372036854775808 0\n",
+		"",
+		"c nothing but a comment\n",
+		php.String(),
+		"p cnf 2 1\n1 -2\n", // unterminated clause
+		"p cnf 3 2\n1 -2 0\n0\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cnf, err := ParseDIMACS(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := cnf.WriteDIMACS(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseDIMACS(&buf)
+		if err != nil {
+			t.Fatalf("re-parsing our own output: %v", err)
+		}
+		if !reflect.DeepEqual(cnf, back) {
+			t.Fatalf("round trip changed the formula: %+v -> %+v", cnf, back)
+		}
+		if cnf.NumVars <= 1<<12 {
+			if err := cnf.LoadInto(NewSolver()); err != nil {
+				t.Fatalf("loading a parsed formula: %v", err)
+			}
+		}
+	})
 }
 
 func TestDIMACSRoundTrip(t *testing.T) {

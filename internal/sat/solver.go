@@ -2,6 +2,7 @@ package sat
 
 import (
 	"errors"
+	"slices"
 	"sort"
 )
 
@@ -147,6 +148,7 @@ type Solver struct {
 	lbdSeen   []uint64 // per-level stamp array for computeLBD
 	lbdStamp  uint64
 	reduceCl  []cref
+	addCl     []Lit // AddClause's sorted working copy of its argument
 }
 
 // NewSolver returns a solver with default options.
@@ -265,8 +267,12 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	if s.decisionLevel() != 0 {
 		s.backtrack(0)
 	}
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	// Sort a solver-owned copy: the arena, the binary list and the trail
+	// each copy what they keep, so the buffer is free again on return.
+	// slices.Sort is a plain insertion sort at Tseitin-clause lengths.
+	ls := append(s.addCl[:0], lits...)
+	s.addCl = ls
+	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit = LitUndef
 	for _, l := range ls {
