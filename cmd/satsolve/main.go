@@ -22,15 +22,12 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 
 	"repro/internal/portfolio"
 	"repro/internal/sat"
@@ -173,50 +170,18 @@ func printVerdict(w io.Writer, status sat.Status, model []bool, numVars int) int
 	}
 }
 
-// runIncremental implements -incremental: split the input into DIMACS
-// clauses and iCNF assumption lines ("a <lits> 0"), load the clauses
-// into one persistent solver, and decide each assumption set in order.
+// runIncremental implements -incremental: read the DIMACS clauses and
+// iCNF assumption lines ("a <lits> 0"), load the clauses into one
+// persistent solver, and decide each assumption set in order.
 // Learnt clauses, activities, and phases carry over between queries.
 // Stats printed per query are that query's deltas, not running totals.
 func runIncremental(in io.Reader, stdout io.Writer, opts sat.Options, cancelled func() bool, stats bool) int {
-	var dimacs strings.Builder
-	var queries [][]sat.Lit
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(line, "a ") && line != "a" {
-			// "p inccnf" is the iCNF header; the DIMACS parser wants "p cnf".
-			if strings.HasPrefix(line, "p inccnf") {
-				continue
-			}
-			dimacs.WriteString(line)
-			dimacs.WriteByte('\n')
-			continue
-		}
-		var asms []sat.Lit
-		for _, tok := range strings.Fields(line)[1:] {
-			n, err := strconv.Atoi(tok)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "satsolve: bad assumption literal %q\n", tok)
-				return 2
-			}
-			if n == 0 {
-				break
-			}
-			v := sat.Var(abs(n) - 1)
-			asms = append(asms, sat.MkLit(v, n < 0))
-		}
-		queries = append(queries, asms)
-	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	cnf, err := sat.ParseDIMACS(strings.NewReader(dimacs.String()))
+	// Assumption literals pass the checks clause literals do (range,
+	// variables per byte of input) and may name variables past the
+	// clause section; the parser counts those into the formula, so
+	// LoadInto creates them.
+	cnf, queries, err := sat.ParseICNF(in)
 	if err != nil {
-		// The iCNF body may omit the "p cnf" header entirely when only
-		// assumption lines follow; report the parse error as-is.
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
@@ -230,14 +195,6 @@ func runIncremental(in io.Reader, stdout io.Writer, opts sat.Options, cancelled 
 	}
 	if cancelled != nil {
 		solver.SetCancel(cancelled)
-	}
-	// Assumption literals may name variables past the clause section.
-	for _, q := range queries {
-		for _, l := range q {
-			for solver.NumVars() <= int(l.Var()) {
-				solver.NewVar()
-			}
-		}
 	}
 	code := 0
 	var prev sat.Stats
@@ -256,12 +213,4 @@ func runIncremental(in io.Reader, stdout io.Writer, opts sat.Options, cancelled 
 		code = printVerdict(stdout, status, model, solver.NumVars())
 	}
 	return code
-}
-
-// abs is integer absolute value (DIMACS literals are small).
-func abs(n int) int {
-	if n < 0 {
-		return -n
-	}
-	return n
 }

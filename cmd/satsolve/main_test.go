@@ -136,6 +136,34 @@ func TestRunIncremental(t *testing.T) {
 	}
 }
 
+// Assumption lines are untrusted input like the clauses: a literal no
+// Lit can hold used to wrap onto another variable or overflow abs, and
+// one merely huge used to size the solver. Each is a parse error now;
+// an assumption on a variable just past the clause section still works.
+func TestRunIncrementalAssumptionBounds(t *testing.T) {
+	for _, tc := range []struct {
+		asm  string
+		code int
+	}{
+		{"a 1073741825 0", 2},           // allocated gigabytes
+		{"a 4294967297 0", 2},           // wrapped onto variable 1
+		{"a -9223372036854775808 0", 2}, // overflowed abs
+		{"a 1073741824 0", 2},           // in range, still a billion variables for one literal
+		{"a potato 0", 2},
+		{"a 2 0", 10},
+		{"a -1 0", 20},
+	} {
+		var out bytes.Buffer
+		code := run([]string{"-incremental"}, strings.NewReader("p cnf 1 1\n1 0\n"+tc.asm+"\n"), &out)
+		if code != tc.code {
+			t.Errorf("%q: exit code = %d, want %d:\n%s", tc.asm, code, tc.code, out.String())
+		}
+		if tc.code == 2 && out.Len() != 0 {
+			t.Errorf("%q: rejected input still printed a verdict:\n%s", tc.asm, out.String())
+		}
+	}
+}
+
 func TestRunIncrementalRejectsParallel(t *testing.T) {
 	in := strings.NewReader("p cnf 1 1\n1 0\n")
 	var out bytes.Buffer

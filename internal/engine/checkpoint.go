@@ -70,12 +70,18 @@ func EncodeCheckpoint(c *Checkpoint) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return checkpointEnvelope(payload), nil
+}
+
+// checkpointEnvelope wraps a checkpoint document in its checksum
+// header.
+func checkpointEnvelope(payload []byte) []byte {
 	sum := sha256.Sum256(payload)
 	out := make([]byte, 0, len(checkpointMagic)+hex.EncodedLen(sha256.Size)+1+len(payload))
 	out = append(out, checkpointMagic...)
 	out = append(out, hex.EncodeToString(sum[:])...)
 	out = append(out, '\n')
-	return append(out, payload...), nil
+	return append(out, payload...)
 }
 
 // DecodeCheckpoint parses a checkpoint document strictly, validating
@@ -84,20 +90,22 @@ func EncodeCheckpoint(c *Checkpoint) ([]byte, error) {
 // wrapping ErrCorruptCheckpoint, never a panic and never a checkpoint
 // that would resume into a wrong verdict.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	payload := data
-	if bytes.HasPrefix(data, []byte(checkpointMagic)) {
-		rest := data[len(checkpointMagic):]
-		nl := bytes.IndexByte(rest, '\n')
-		if nl != hex.EncodedLen(sha256.Size) {
-			return nil, fmt.Errorf("engine: checkpoint: damaged checksum header: %w", ErrCorruptCheckpoint)
-		}
-		payload = rest[nl+1:]
-		if sum := sha256.Sum256(payload); hex.EncodeToString(sum[:]) != string(rest[:nl]) {
-			return nil, fmt.Errorf("engine: checkpoint: checksum mismatch (file damaged on disk): %w", ErrCorruptCheckpoint)
-		}
+	// A file without the envelope is damaged like any other: nothing
+	// this program ever wrote lacks it, and decoding one on structural
+	// validation alone would let exactly the bit flips through that the
+	// checksum exists to catch.
+	if !bytes.HasPrefix(data, []byte(checkpointMagic)) {
+		return nil, fmt.Errorf("engine: checkpoint: no checksum envelope (not a checkpoint file): %w", ErrCorruptCheckpoint)
 	}
-	// No magic: a pre-envelope document, decoded on its structural
-	// validation alone.
+	rest := data[len(checkpointMagic):]
+	nl := bytes.IndexByte(rest, '\n')
+	if nl != hex.EncodedLen(sha256.Size) {
+		return nil, fmt.Errorf("engine: checkpoint: damaged checksum header: %w", ErrCorruptCheckpoint)
+	}
+	payload := rest[nl+1:]
+	if sum := sha256.Sum256(payload); hex.EncodeToString(sum[:]) != string(rest[:nl]) {
+		return nil, fmt.Errorf("engine: checkpoint: checksum mismatch (file damaged on disk): %w", ErrCorruptCheckpoint)
+	}
 	var w checkpointJSON
 	if err := strictUnmarshal(payload, &w); err != nil {
 		return nil, fmt.Errorf("engine: checkpoint: %w: %w", ErrCorruptCheckpoint, err)

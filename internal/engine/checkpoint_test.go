@@ -94,11 +94,20 @@ func TestCheckpointCodecRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := DecodeCheckpoint([]byte(`{"version":999}`)); err == nil {
+	if _, err := DecodeCheckpoint(checkpointEnvelope([]byte(`{"version":999}`))); err == nil {
 		t.Fatal("wrong version decoded")
 	}
 	if _, err := DecodeCheckpoint([]byte(`not json`)); err == nil {
 		t.Fatal("non-JSON decoded")
+	}
+	// The envelope is not optional: the same valid document with its
+	// header stripped must not decode on structural validation alone.
+	bare := enc[bytes.IndexByte(enc, '\n')+1:]
+	if _, err := DecodeCheckpoint(checkpointEnvelope(bare)); err != nil {
+		t.Fatalf("re-wrapped payload: %v", err)
+	}
+	if _, err := DecodeCheckpoint(bare); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("checkpoint without its checksum header: err = %v, want ErrCorruptCheckpoint", err)
 	}
 	// Corrupt the base64 run state payload: the decoder must validate
 	// the embedded binary document, not just carry it.
@@ -149,8 +158,8 @@ func TestCorruptCheckpointErrorIsTyped(t *testing.T) {
 			t.Fatalf("flip at %d: untyped error %v", i, err)
 		}
 	}
-	if _, err := DecodeCheckpoint([]byte(`{"version":999}`)); errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatal("version mismatch misclassified as corruption")
+	if _, err := DecodeCheckpoint(checkpointEnvelope([]byte(`{"version":999}`))); err == nil || errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("version mismatch misclassified: %v", err)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // Explicit is the explicit-state backend adapter: the exhaustive
 // bounded model checker over all message interleavings, run either as
-// the serial DFS or as the sharded pipelined parallel frontier.
+// the serial DFS or as the sharded parallel frontier.
 type Explicit struct {
 	// Workers selects the backend: 0 runs the serial DFS; any other
 	// value runs the sharded parallel frontier with that many shards

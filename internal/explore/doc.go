@@ -17,10 +17,10 @@
 //   - a disagreement/conflict violation at quiescence.
 //
 // Key entry points: Check (serial DFS with queue capture/rollback and
-// replay-built counterexample traces), CheckParallel (sharded
-// pipelined parallel frontier: level-ordered exploration with a
-// hash-partitioned seen-set, batched cross-shard routing, and
-// SCC-based oscillation detection), Options (the val bound, state
+// replay-built counterexample traces), CheckParallel (sharded parallel
+// frontier: a level loop of two barrier phases over a hash-partitioned
+// seen-set — expand, then seal and route — with SCC-based oscillation
+// detection), Options (the val bound, state
 // budget, queue depth, duplicate-delivery fault injection, and the
 // cooperative Cancel hook the engine layer drives from contexts), and
 // PolicySweep (the Result 1 policy matrix).

@@ -170,8 +170,9 @@ type Verdict struct {
 	// only prune, never fabricate a counterexample.
 	MissProb float64
 	// Store reports seen-set occupancy and probe statistics. It is
-	// diagnostic only and exempt from the determinism contract: probe
-	// counts vary with worker count and scheduling.
+	// diagnostic only and exempt from the worker-count determinism
+	// contract: table sizes and probe counts follow the shard layout. At
+	// a fixed worker count it repeats exactly.
 	Store StoreStats
 }
 
@@ -303,31 +304,14 @@ func (c *checker) dfs(depth, changes int) bool {
 	}
 	c.verdict.States++
 
-	if c.net.Quiescent() {
-		// Quiescence: the reply-on-disagreement rule guarantees that any
-		// surviving pairwise disagreement would still have a message in
-		// flight, so a quiescent state must satisfy the consensus
-		// predicate and be conflict-free.
-		if !c.agreement() {
-			c.fail(ViolationDisagreement, "quiescent without agreement")
-			return true
-		}
-		if !c.conflictFree() {
-			c.fail(ViolationConflict, "agreement reached but bundles conflict")
-			return true
-		}
+	kind, label, quiescent := classify(c.agents, c.net, c.opts, depth, changes)
+	if kind != ViolationNone {
+		c.fail(kind, label)
+		return true
+	}
+	if quiescent {
 		c.visited.add(key)
 		return false
-	}
-	if depth >= c.opts.hardLimit() {
-		c.fail(ViolationBoundExceeded, fmt.Sprintf("still active after %d deliveries (hard limit)", depth))
-		return true
-	}
-	if changes >= c.opts.Bound && !c.agreement() {
-		// The paper's consensus assertion: after the val message budget,
-		// max-consensus must hold.
-		c.fail(ViolationBoundExceeded, fmt.Sprintf("no consensus after %d effective deliveries (bound)", changes))
-		return true
 	}
 
 	c.onPath[key] = pathMark{step: len(c.path), changes: changes}
@@ -417,6 +401,37 @@ func applyDelivery(agents []*mca.Agent, net *netsim.Network, e netsim.Edge, cons
 	return didChange
 }
 
+// classify checks one newly reached state — the agents and network as
+// they stand, depth deliveries into its path of which changes were
+// effective — against the consensus property. It is the single
+// per-state check shared by the serial DFS and the sharded frontier;
+// quiescent reports a state with nothing left to deliver, which neither
+// explorer expands.
+func classify(agents []*mca.Agent, net *netsim.Network, opts Options, depth, changes int) (kind ViolationKind, label string, quiescent bool) {
+	if net.Quiescent() {
+		// Quiescence: the reply-on-disagreement rule guarantees that any
+		// surviving pairwise disagreement would still have a message in
+		// flight, so a quiescent state must satisfy the consensus
+		// predicate and be conflict-free.
+		if !agreementOf(agents) {
+			return ViolationDisagreement, "quiescent without agreement", true
+		}
+		if !conflictFreeOf(agents) {
+			return ViolationConflict, "agreement reached but bundles conflict", true
+		}
+		return ViolationNone, "", true
+	}
+	if depth >= opts.hardLimit() {
+		return ViolationBoundExceeded, fmt.Sprintf("still active after %d deliveries (hard limit)", depth), false
+	}
+	if changes >= opts.Bound && !agreementOf(agents) {
+		// The paper's consensus assertion: after the val message budget,
+		// max-consensus must hold.
+		return ViolationBoundExceeded, fmt.Sprintf("no consensus after %d effective deliveries (bound)", changes), false
+	}
+	return ViolationNone, "", false
+}
+
 // agreementOf reports whether all agents pairwise agree on winners and
 // winning bids.
 func agreementOf(agents []*mca.Agent) bool {
@@ -441,10 +456,6 @@ func conflictFreeOf(agents []*mca.Agent) bool {
 	}
 	return true
 }
-
-func (c *checker) agreement() bool { return agreementOf(c.agents) }
-
-func (c *checker) conflictFree() bool { return conflictFreeOf(c.agents) }
 
 func (c *checker) fail(kind ViolationKind, label string) {
 	if c.verdict.Violation != ViolationNone {

@@ -20,17 +20,18 @@ import (
 // shard of states whose key hashes to it, keeps that shard's seen-set
 // without locking, and expands only states it owns.
 //
-// The frontier is pipelined: there is no central coordinator
-// gathering and redistributing each level. Shard workers are
-// persistent goroutines that stream successor batches directly to
-// their owners' inboxes while still expanding, stamped with the level
-// they belong to; a shard merges its next-level bucket as batches
-// arrive and starts the level as soon as every peer has signalled
-// end-of-level. Stop decisions (violation, budget, cancellation,
-// completion) are made exactly once per level by whichever shard
-// finishes it last, from that level's complete results — so the
-// decision point, and with it the set of explored states, is
-// worker-count independent.
+// The frontier is a level loop the calling goroutine drives in two
+// barrier phases. Expand: every shard sorts and deduplicates its own
+// bucket, checks and expands the new states, and appends each successor
+// to a plain slice for the shard that owns it. The driver then folds
+// the level's results and makes the stop decision (violation, budget,
+// cancellation, completion) — exactly once per level, from that level's
+// complete results, so the decision point, and with it the set of
+// explored states, is worker-count independent. Merge: every shard
+// seals the level's states into its seen-set and collects the slices
+// addressed to it into its next bucket. One shard runs both phases
+// inline on the caller's goroutine; several run each phase on one
+// goroutine apiece, joined before the next phase starts.
 //
 // The verdict is deterministic in the worker count:
 //
@@ -119,18 +120,15 @@ func CheckParallelFrom(agents []*mca.Agent, g *graph.Graph, opts Options, worker
 	}
 	states0 := saveStates(agents)
 
-	ps := &pipeline{workers: workers, opts: opts}
-	ps.shards = make([]*shardWorker, workers)
-	for i := range ps.shards {
-		ps.shards[i] = &shardWorker{
+	fr := &frontier{opts: opts, shards: make([]*shardWorker, workers)}
+	for i := range fr.shards {
+		fr.shards[i] = &shardWorker{
 			self:     i,
 			replicas: cloneAgents(agents),
+			scratch:  net0.Clone(),
+			out:      make([][]workItem, workers),
 		}
-		ps.shards[i].keys.interval = crosscheckInterval
-	}
-
-	for _, s := range ps.shards {
-		s.scratch = net0.Clone()
+		fr.shards[i].keys.interval = crosscheckInterval
 	}
 
 	// Disk spill is best-effort: if the per-run temp directory cannot
@@ -140,59 +138,49 @@ func CheckParallelFrom(agents []*mca.Agent, g *graph.Graph, opts Options, worker
 	if opts.SpillDir != "" {
 		if runDir, err := os.MkdirTemp(opts.SpillDir, "mcaspill-"); err == nil {
 			defer os.RemoveAll(runDir)
-			for _, s := range ps.shards {
+			for _, s := range fr.shards {
 				s.spill = &spillStore{dir: runDir, shard: s.self, threshold: opts.SpillStates}
 			}
 		}
 	}
 
+	// A resumed run starts at the prior run's cut: its next level, its
+	// state count for the budget math, and its deepest productive level
+	// for the final verdict.
+	level, states, maxDepth := 0, 0, 0
 	if prior != nil {
-		if err := ps.restore(prior, workers); err != nil {
+		if err := fr.restore(prior); err != nil {
 			return Verdict{}, nil, err
 		}
+		level, states, maxDepth = prior.NextLevel, prior.States, prior.MaxDepth
 	} else {
-		rootKey := ps.shards[0].keys.key(ps.shards[0].replicas, net0)
-		rootNode := ps.shards[0].arena.alloc()
+		rootKey := fr.shards[0].keys.key(fr.shards[0].replicas, net0)
+		rootNode := fr.shards[0].arena.alloc()
 		rootNode.key = rootKey
-		root := workItem{
+		owner := fr.shards[shardOf(rootKey, workers)]
+		owner.bucket = append(owner.bucket, workItem{
 			node:   rootNode,
 			buf:    net0.AppendState(encodeStates(agents, nil)),
 			routeH: routeSeed,
-		}
-		owner := shardOf(rootKey, workers)
-		ps.shards[owner].bucketInto(0, []workItem{root})
-		ps.level(0).routed = 1
+		})
 	}
 
-	var wg sync.WaitGroup
-	for _, s := range ps.shards {
-		wg.Add(1)
-		go func(w *shardWorker) {
-			defer wg.Done()
-			w.run(ps)
-		}(s)
-	}
-	wg.Wait()
-
-	verdict := ps.assemble(agents, states0, net0)
+	stop := fr.run(level, states, maxDepth)
+	verdict := fr.assemble(stop, agents, states0, net0)
 	var next *RunState
 	if capture && verdict.Capped {
-		next = ps.captureRunState(&verdict)
+		next = fr.captureRunState(stop.level+1, &verdict)
 	}
-	if err := ps.spillError(); err != nil {
+	if fr.err != nil {
 		// Exact dedup was compromised mid-run (spill segment unreadable
-		// or torn); nothing derived from this pipeline can be trusted.
-		return Verdict{}, nil, err
+		// or torn); nothing derived from this frontier can be trusted.
+		return Verdict{}, nil, fr.err
 	}
 	return verdict, next, nil
 }
 
 // routeSeed is the FNV-1a offset basis used for route fingerprints.
 const routeSeed = 14695981039346656037
-
-// streamBatchSize is how many successors a shard accumulates per
-// destination before streaming the batch to the owner's inbox.
-const streamBatchSize = 128
 
 // pathNode is one node of the breadth-first exploration tree: the state
 // reached, the delivery that reached it, and its parent. Paths share
@@ -244,84 +232,113 @@ type violationRec struct {
 	routeH uint64
 }
 
-// levelDecision is the per-level verdict of the pipeline: what the last
-// shard to finish a level decided the fleet should do next.
-type levelDecision int8
-
-const (
-	decisionPending  levelDecision = iota // level not fully merged yet
-	decisionContinue                      // proceed to the next level
-	decisionStop                          // stop: violation, budget, cancel, or drained frontier
-)
-
-// levelStat accumulates one level's results. routed is written by the
-// producers of the level (all shards processing the previous level)
-// and read only after every producer has finished; the remaining
-// fields are written under mu by the shards finishing the level and
-// read only after the level's decision is published (which
-// happens-before any later read via the done-marker channel edges).
+// levelStat is the driver's fold of one level: the shards' results
+// summed after the expand phase, the running totals carried from level
+// to level, and — on the level the run stops at — why it stopped.
 type levelStat struct {
-	routed     int // items routed into this level's buckets
-	finished   int // shards that completed processing this level
+	level      int
 	newStates  int
 	cumStates  int // total distinct states through this level
+	maxDepth   int // deepest level so far that held a new distinct state
+	routed     int // successors routed into the next level's buckets
 	violations []violationRec
-	decision   levelDecision
 	chosen     *violationRec
 	cancelled  bool
 	capped     bool
 	completed  bool
 }
 
-// pipeline is the shared state of one CheckParallel run.
-type pipeline struct {
-	workers int
-	opts    Options
-	shards  []*shardWorker
-	// startLevel and baseMaxDepth are non-zero only on resumed runs:
-	// exploration begins at startLevel, and baseMaxDepth carries the
-	// prior run's deepest productive level into the final verdict.
-	startLevel   int
-	baseMaxDepth int
-	mu           sync.Mutex // guards levels growth and per-level merging
-	levels       []*levelStat
-
-	// spillMu guards spillErr: the first spill-segment read failure any
-	// shard hits. Segment loss breaks exact dedup, so the run must end
-	// in a hard error — never a wrong verdict, never a panic.
-	spillMu  sync.Mutex
-	spillErr error
+// frontier is the state of one CheckParallel run, owned by the driver
+// (the goroutine that called CheckParallelFrom); shards see only each
+// other and the options, and only inside a phase.
+type frontier struct {
+	opts   Options
+	shards []*shardWorker
+	// err is the first spill-segment read failure of the run, folded
+	// from the shards after each expand phase. Segment loss breaks exact
+	// dedup, so the run must end in a hard error — never a wrong
+	// verdict, never a panic.
+	err error
 }
 
-// failSpill records the first spill-segment failure; decide() turns it
-// into a stop and CheckParallelFrom surfaces it as the run's error.
-func (ps *pipeline) failSpill(err error) {
-	ps.spillMu.Lock()
-	if ps.spillErr == nil {
-		ps.spillErr = err
+// fail records the first spill-segment failure (a nil err is none);
+// decide turns it into a stop and CheckParallelFrom surfaces it as the
+// run's error.
+func (fr *frontier) fail(err error) {
+	if fr.err == nil {
+		fr.err = err
 	}
-	ps.spillMu.Unlock()
 }
 
-// spillError returns the recorded spill failure, if any.
-func (ps *pipeline) spillError() error {
-	ps.spillMu.Lock()
-	defer ps.spillMu.Unlock()
-	return ps.spillErr
+// each runs one phase: f on every shard, returning once all are done.
+// One shard runs inline; with more, the go statements and the Wait are
+// the only synchronisation the frontier has — everything a phase writes
+// happens-before everything the next phase reads.
+func (fr *frontier) each(f func(w *shardWorker)) {
+	if len(fr.shards) == 1 {
+		f(fr.shards[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for _, s := range fr.shards {
+		wg.Add(1)
+		go func(w *shardWorker) {
+			defer wg.Done()
+			f(w)
+		}(s)
+	}
+	wg.Wait()
+}
+
+// run is the level loop: expand, fold, decide, merge, starting at level
+// with the given running totals, until a level stops the run; it
+// returns that level. The merge phase runs on the stop level too, so
+// whatever stopped the run, every processed state is sealed and the
+// shards' buckets hold the complete routed frontier — the cut
+// captureRunState serializes.
+func (fr *frontier) run(level, states, maxDepth int) levelStat {
+	for ; ; level++ {
+		fr.each(func(w *shardWorker) { w.expand(fr.shards, fr.opts) })
+		ls := levelStat{level: level, cumStates: states, maxDepth: maxDepth}
+		for _, s := range fr.shards {
+			ls.newStates += s.newStates
+			ls.violations = append(ls.violations, s.viols...)
+			for _, out := range s.out {
+				ls.routed += len(out)
+			}
+			fr.fail(s.err)
+		}
+		ls.cumStates += ls.newStates
+		// MaxDepth counts the deepest level that processed a new distinct
+		// state. Routed-item counts would be one alternative, but they
+		// vary with the worker count (a shard prunes successors against
+		// the current level's states only when it owns them), while the
+		// level at which each distinct state is first processed is its
+		// BFS distance — a pure function of the scenario.
+		if ls.newStates > 0 {
+			ls.maxDepth = level
+		}
+		stop := fr.decide(&ls)
+		fr.each(func(w *shardWorker) { w.merge(fr.shards) })
+		if stop {
+			return ls
+		}
+		states, maxDepth = ls.cumStates, ls.maxDepth
+	}
 }
 
 // restore rebuilds the shards from a prior run state: tree nodes are
 // resurrected into one backing slice (kept alive by the sealed tables'
 // pointers into it), the seen set is re-routed to its owning shards'
 // sealed tables by key — so restoration works at any worker count —
-// the frontier is re-bucketed for the start level, the transition log
-// lands in shard 0 (the oscillation analysis concatenates all logs
-// anyway), and the completed-level ladder is prefilled so the workers'
-// decision reads and the budget math see the prior run's cut.
-func (ps *pipeline) restore(prior *RunState, workers int) error {
+// the frontier is re-bucketed for the start level, and the transition
+// log lands in shard 0 (the oscillation analysis concatenates all logs
+// anyway).
+func (fr *frontier) restore(prior *RunState) error {
 	if err := prior.validate(); err != nil {
 		return err
 	}
+	workers := len(fr.shards)
 	nodes := make([]pathNode, len(prior.Nodes))
 	for i := range prior.Nodes {
 		rn := &prior.Nodes[i]
@@ -337,24 +354,21 @@ func (ps *pipeline) restore(prior *RunState, workers int) error {
 	}
 	for i := 0; i < prior.SeenCount; i++ {
 		n := &nodes[i]
-		ps.shards[shardOf(n.key, workers)].sealed.insert(n.key, n)
+		fr.shards[shardOf(n.key, workers)].sealed.insert(n.key, n)
 	}
-	ps.startLevel = prior.NextLevel
-	ps.baseMaxDepth = prior.MaxDepth
 	for i := range prior.Frontier {
 		it := &prior.Frontier[i]
 		n := &nodes[it.Node]
-		w := ps.shards[shardOf(n.key, workers)]
-		w.bucketInto(ps.startLevel, []workItem{{
+		w := fr.shards[shardOf(n.key, workers)]
+		w.bucket = append(w.bucket, workItem{
 			node:   n,
 			buf:    append([]byte(nil), it.State...),
 			routeH: it.RouteH,
-		}})
+		})
 	}
-	ps.level(ps.startLevel).routed = len(prior.Frontier)
 	for i := range prior.Edges {
 		e := &prior.Edges[i]
-		ps.shards[0].edges.append(edgeRec{
+		fr.shards[0].edges.append(edgeRec{
 			from: e.From, to: e.To,
 			step: stepRec{
 				edge:    netsim.Edge{From: mca.AgentID(e.EdgeFrom), To: mca.AgentID(e.EdgeTo)},
@@ -363,54 +377,36 @@ func (ps *pipeline) restore(prior *RunState, workers int) error {
 			didChange: e.DidChange,
 		})
 	}
-	for l := 0; l < ps.startLevel; l++ {
-		ls := ps.level(l)
-		ls.decision = decisionContinue
-		ls.finished = ps.workers
-	}
-	ps.level(ps.startLevel - 1).cumStates = prior.States
 	return nil
 }
 
 // captureRunState snapshots a budget-capped run at its level-boundary
-// cut, after the worker fleet has joined. The cut is exact: every
-// worker exits only after draining all end-of-level markers for the
-// stop level, and each peer's streamed batches precede its marker in
-// the FIFO inboxes, so the stop+1 buckets hold the complete routed
-// frontier and every processed state has been sealed. The seen set is
-// serialized sorted by canonical key and the frontier and edge log in
-// fixed orders, so the snapshot itself is deterministic up to the
-// producer-side pruning races CheckParallel already tolerates (a racy
-// unpruned duplicate is discarded by arrival dedup on resume exactly
-// as it would have been in the uninterrupted run).
-func (ps *pipeline) captureRunState(v *Verdict) *RunState {
-	stop := -1
-	for l := range ps.levels {
-		if ps.levels[l].decision == decisionStop {
-			stop = l
-			break
-		}
-	}
-	if stop < 0 {
-		return nil
-	}
-	rs := &RunState{NextLevel: stop + 1, States: v.States, MaxDepth: v.MaxDepth}
+// cut, after the level loop has returned. The cut is exact: the stop
+// level was merged like any other, so the shards' buckets hold the
+// complete routed frontier for nextLevel and every processed state has
+// been sealed. The seen set is serialized sorted by canonical key and
+// the frontier and edge log in fixed orders, so at a fixed worker count
+// the snapshot is a pure function of the run's inputs. Across worker
+// counts the frontier differs in the duplicates producer-side pruning
+// let through; a resumed run discards them by arrival dedup exactly as
+// the uninterrupted run would have.
+func (fr *frontier) captureRunState(nextLevel int, v *Verdict) *RunState {
+	rs := &RunState{NextLevel: nextLevel, States: v.States, MaxDepth: v.MaxDepth}
 
 	type seenEnt struct {
 		key  [2]uint64
 		node *pathNode
 	}
 	var seen []seenEnt
-	for _, s := range ps.shards {
+	for _, s := range fr.shards {
 		if err := s.spill.forEach(func(k [2]uint64, n *pathNode) { seen = append(seen, seenEnt{k, n}) }); err != nil {
 			// An unreadable segment means the seen set cannot be
 			// reconstructed; the checkpoint would resume wrong, so none
 			// is produced and the run reports the failure instead.
-			ps.failSpill(err)
+			fr.fail(err)
 			return nil
 		}
 		s.sealed.forEach(func(k [2]uint64, n *pathNode) { seen = append(seen, seenEnt{k, n}) })
-		s.fresh.forEach(func(k [2]uint64, n *pathNode) { seen = append(seen, seenEnt{k, n}) })
 	}
 	sort.Slice(seen, func(i, j int) bool { return keyLess(seen[i].key, seen[j].key) })
 
@@ -431,10 +427,8 @@ func (ps *pipeline) captureRunState(v *Verdict) *RunState {
 	rs.SeenCount = len(rs.Nodes)
 
 	var items []workItem
-	for _, s := range ps.shards {
-		if stop+1 < len(s.buckets) {
-			items = append(items, s.buckets[stop+1]...)
-		}
+	for _, s := range fr.shards {
+		items = append(items, s.bucket...)
 	}
 	sort.Slice(items, func(i, j int) bool {
 		a, b := &items[i], &items[j]
@@ -466,11 +460,11 @@ func (ps *pipeline) captureRunState(v *Verdict) *RunState {
 	}
 
 	total := 0
-	for _, s := range ps.shards {
+	for _, s := range fr.shards {
 		total += s.edges.total
 	}
 	rs.Edges = make([]RunEdge, 0, total)
-	for _, s := range ps.shards {
+	for _, s := range fr.shards {
 		for _, b := range s.edges.blocks {
 			for i := range b {
 				e := &b[i]
@@ -514,64 +508,20 @@ func runNodeOf(n *pathNode, parent int32) RunNode {
 	}
 }
 
-// level returns the stat record for a level, growing the ladder on
-// demand.
-func (ps *pipeline) level(l int) *levelStat {
-	ps.mu.Lock()
-	for len(ps.levels) <= l {
-		ps.levels = append(ps.levels, &levelStat{})
-	}
-	ls := ps.levels[l]
-	ps.mu.Unlock()
-	return ls
-}
-
-// addRouted credits n items routed into level l.
-func (ps *pipeline) addRouted(l, n int) {
-	ls := ps.level(l)
-	ps.mu.Lock()
-	ls.routed += n
-	ps.mu.Unlock()
-}
-
-// finishLevel merges one shard's level results; the last shard to
-// finish the level makes the level's stop/continue decision from the
-// complete data. The decision is published before the caller sends its
-// done markers, so every peer observes it once it holds all markers.
-func (ps *pipeline) finishLevel(l int, newStates int, viols []violationRec) {
-	ls := ps.level(l)
-	ps.mu.Lock()
-	ls.newStates += newStates
-	ls.violations = append(ls.violations, viols...)
-	ls.finished++
-	last := ls.finished == ps.workers
-	ps.mu.Unlock()
-	if last {
-		ps.decide(l)
-	}
-}
-
-// decide makes the stop/continue decision for a fully merged level.
-// All of the level's processing — including every routed count for the
-// next level — is complete, so the decision is a pure function of
-// worker-count-independent data. Precedence mirrors the
-// level-synchronous loop this replaced: violations first, then
-// cancellation, then the state budget, then frontier exhaustion.
-func (ps *pipeline) decide(l int) {
-	ls, next := ps.level(l), ps.level(l+1)
-	prevCum := 0
-	if l > 0 {
-		prevCum = ps.level(l - 1).cumStates
-	}
-	ls.cumStates = prevCum + ls.newStates
+// decide makes the stop/continue decision for a fully folded level and
+// reports whether the run stops here. All of the level's processing —
+// including every successor routed for the next level — is complete, so
+// the decision is a pure function of worker-count-independent data.
+// Precedence: violations first, then cancellation, then the state
+// budget, then frontier exhaustion.
+func (fr *frontier) decide(ls *levelStat) bool {
 	switch {
-	case ps.spillError() != nil:
+	case fr.err != nil:
 		// A lost spill segment invalidates the level's dedup, and with
 		// it every count and violation derived this level; stop as a
 		// cancelled run — the verdict is discarded for the recorded
 		// error either way.
 		ls.cancelled = true
-		ls.decision = decisionStop
 	case len(ls.violations) > 0:
 		// All violations in a level sit at the same depth; break ties
 		// deterministically so the counterexample is stable across
@@ -587,78 +537,48 @@ func (ps *pipeline) decide(l int) {
 			return a.routeH < b.routeH
 		})
 		ls.chosen = &ls.violations[0]
-		ls.decision = decisionStop
-	case ps.opts.Cancel != nil && ps.opts.Cancel():
+	case fr.opts.Cancel != nil && fr.opts.Cancel():
 		ls.cancelled = true
-		ls.decision = decisionStop
-	case ls.cumStates >= ps.opts.MaxStates:
+	case ls.cumStates >= fr.opts.MaxStates:
 		ls.capped = true
-		ls.decision = decisionStop
-	case next.routed == 0:
+	case ls.routed == 0:
 		ls.completed = true
-		ls.decision = decisionStop
 	default:
-		ls.decision = decisionContinue
+		return false
 	}
+	return true
 }
 
-// assemble builds the final Verdict after every worker has exited.
-func (ps *pipeline) assemble(agents []*mca.Agent, states0 []mca.AgentState, net0 *netsim.Network) Verdict {
-	verdict := &Verdict{MaxDepth: ps.baseMaxDepth}
-	var stop *levelStat
-	for l := 0; l < len(ps.levels); l++ {
-		ls := ps.levels[l]
-		if ls.decision == decisionPending {
-			break
-		}
-		// MaxDepth counts the deepest level that processed a new distinct
-		// state. Routed-item counts would be one alternative, but they
-		// are racy by design (producer-side pruning may or may not see a
-		// peer's freshly sealed states), while the level at which each
-		// distinct state is first processed is its BFS distance — a pure
-		// function of the scenario.
-		if ls.newStates > 0 {
-			verdict.MaxDepth = l
-		}
-		verdict.States = ls.cumStates
-		if ls.decision == decisionStop {
-			stop = ls
-			break
-		}
-	}
-	cancelled, capped, completed := false, false, false
-	var chosen *violationRec
-	if stop != nil {
-		cancelled, capped, completed = stop.cancelled, stop.capped, stop.completed
-		chosen = stop.chosen
-	}
-	verdict.Exhausted = !cancelled && verdict.States < ps.opts.MaxStates
-	verdict.Capped = capped
-	for _, s := range ps.shards {
+// assemble builds the final Verdict from the level the run stopped at.
+func (fr *frontier) assemble(stop levelStat, agents []*mca.Agent, states0 []mca.AgentState, net0 *netsim.Network) Verdict {
+	verdict := &Verdict{States: stop.cumStates, MaxDepth: stop.maxDepth}
+	verdict.Exhausted = !stop.cancelled && verdict.States < fr.opts.MaxStates
+	verdict.Capped = stop.capped
+	for _, s := range fr.shards {
 		s.sealed.addStats(&verdict.Store)
 		s.fresh.addStats(&verdict.Store)
 		s.spill.addToStats(&verdict.Store)
 	}
-	if chosen != nil {
-		verdict.Violation = chosen.kind
-		verdict.Trace = replayTrace(cloneAgents(agents), states0, net0, treeSteps(chosen.node), chosen.label)
-	} else if completed && verdict.Exhausted {
+	if stop.chosen != nil {
+		verdict.Violation = stop.chosen.kind
+		verdict.Trace = replayTrace(cloneAgents(agents), states0, net0, treeSteps(stop.chosen.node), stop.chosen.label)
+	} else if stop.completed && verdict.Exhausted {
 		total := 0
-		for _, s := range ps.shards {
+		for _, s := range fr.shards {
 			total += s.edges.total
 		}
 		allEdges := make([]edgeRec, 0, total)
-		for _, s := range ps.shards {
+		for _, s := range fr.shards {
 			for _, b := range s.edges.blocks {
 				allEdges = append(allEdges, b...)
 			}
 		}
-		nodes, err := mergeNodes(ps.shards)
+		nodes, err := mergeNodes(fr.shards)
 		if err != nil {
 			// The oscillation pass needs the complete seen set; with a
 			// segment unreadable the verdict is voided by the recorded
 			// error, so skip the analysis.
-			ps.failSpill(err)
+			fr.fail(err)
 		} else if osc := findOscillation(allEdges, nodes); osc != nil {
 			verdict.Violation = ViolationOscillation
 			verdict.Trace = replayTrace(cloneAgents(agents), states0, net0, osc.steps, osc.label)
@@ -668,65 +588,18 @@ func (ps *pipeline) assemble(agents []*mca.Agent, states0 []mca.AgentState, net0
 	return *verdict
 }
 
-// pipeMsg is one inbox message: a batch of frontier items for a level,
-// or an end-of-level marker.
-type pipeMsg struct {
-	level int
-	items []workItem // nil for markers
-	done  bool       // sender finished processing `level`
-}
-
-// inbox is an unbounded multi-producer single-consumer queue. Pushes
-// never block, which is what makes the pipeline deadlock-free: a shard
-// deep in its level can keep streaming batches to a peer that is also
-// mid-level and not yet draining.
-type inbox struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	msgs []pipeMsg
-	head int
-}
-
-func (ib *inbox) push(m pipeMsg) {
-	ib.mu.Lock()
-	if ib.cond == nil {
-		ib.cond = sync.NewCond(&ib.mu)
-	}
-	ib.msgs = append(ib.msgs, m)
-	ib.mu.Unlock()
-	ib.cond.Signal()
-}
-
-func (ib *inbox) pop() pipeMsg {
-	ib.mu.Lock()
-	if ib.cond == nil {
-		ib.cond = sync.NewCond(&ib.mu)
-	}
-	for ib.head == len(ib.msgs) {
-		ib.cond.Wait()
-	}
-	m := ib.msgs[ib.head]
-	ib.msgs[ib.head] = pipeMsg{} // release references
-	ib.head++
-	if ib.head == len(ib.msgs) {
-		ib.msgs = ib.msgs[:0]
-		ib.head = 0
-	}
-	ib.mu.Unlock()
-	return m
-}
-
 // shardWorker owns one hash shard of the canonical-state space. The
-// seen-set is split in two to allow lock-free cross-shard reads:
-// `sealed` holds states processed in *earlier* levels and is only
-// merged once every peer has finished the previous level, so any
-// worker may consult any shard's sealed set while generating
-// successors (pruning most already-known states at the producer,
-// before allocating a frontier item); `fresh` collects the states
-// processed in the current level and is touched only by the owning
-// worker. Everything else (replicas, scratch buffers, arenas, pools)
-// is worker-private, so level processing needs no locks — only the
-// inbox handoffs and the per-level merge in the shared pipeline.
+// seen-set is split in two so peers can read it without locks:
+// `sealed` holds states processed in *earlier* levels and is written
+// only in the merge phase, so during the expand phase any worker may
+// consult any shard's sealed set while generating successors (pruning
+// most already-known states at the producer, before allocating a
+// frontier item); `fresh` collects the states processed in the current
+// level and is touched only by the owning worker. Everything else
+// (replicas, scratch buffers, arenas, pools) is worker-private, so
+// neither phase needs a lock: in expand a shard appends to its own
+// `out` slices, in merge it drains the slot addressed to it in every
+// shard's `out`.
 type shardWorker struct {
 	self     int // this worker's shard index
 	replicas []*mca.Agent
@@ -737,10 +610,9 @@ type shardWorker struct {
 	snap    netsim.QueueSnapshot
 	edgeBuf []netsim.Edge
 	pendBuf []netsim.Edge
-	sealed  sealedTable
+	sealed  stateTable
 	fresh   stateTable
 	arena   nodeArena
-	inbox   inbox
 	// scratch is the shard's single live network: every frontier item's
 	// queue state is decoded into it for expansion and re-encoded for
 	// the item's successors. saveSlot holds the delivery receiver's
@@ -750,19 +622,20 @@ type shardWorker struct {
 	// cache hot.
 	scratch  *netsim.Network
 	saveSlot mca.AgentState
-	// buckets[l] collects the shard's frontier items for level l as
-	// batches stream in; markers[l] counts end-of-level markers.
-	buckets [][]workItem
-	markers []int
-	// out accumulates successors per destination shard between batch
-	// flushes.
-	out [][]workItem
-	// bufPool recycles the state buffers of consumed frontier items,
-	// and slicePool the workItem slices cycling through buckets and
-	// stream batches, so steady-state expansion allocates only when the
-	// frontier grows past its high-water mark.
-	bufPool   [][]byte
-	slicePool [][]workItem
+	// bucket holds the shard's frontier items for the level about to be
+	// expanded; out[d] the successors this shard produced for shard d's
+	// next bucket. Both keep their capacity from level to level, so
+	// steady-state expansion allocates only when the frontier grows past
+	// its high-water mark.
+	bucket []workItem
+	out    [][]workItem
+	// newStates, viols and err are the shard's results of the last expand
+	// phase, read by the driver once the phase has joined.
+	newStates int
+	viols     []violationRec
+	err       error
+	// bufPool recycles the state buffers of consumed frontier items.
+	bufPool [][]byte
 	// edges accumulates every explored transition for the end-of-run
 	// oscillation analysis, in fixed-size blocks so the log never pays
 	// append-doubling copy churn. This is the memory cost of detecting
@@ -790,101 +663,22 @@ func (l *edgeLog) append(e edgeRec) {
 	l.total++
 }
 
-// seal merges the previous level's states into the sealed set. It runs
-// once every peer's end-of-level marker has arrived — but that does NOT
-// make the table quiescent: a peer that collected its own marker set
-// first may already be processing the next level and peeking this
-// table mid-merge. That concurrency is exactly what sealedTable's
-// per-slot atomic publication protocol exists for (readers tolerate
-// missing the newest entries; the owner re-deduplicates arrivals), so
-// seal must only ever target a sealedTable, never a plain stateTable.
-func (w *shardWorker) seal() {
+// merge is a shard's half of the barrier between two levels: seal the
+// level's states into the sealed set (spilling it if due), then collect
+// the successors every shard addressed to this one into the next
+// bucket. No peer reads a sealed table during this phase, and each
+// shard writes only its own slot of its peers' out slices, so the
+// tables and slices are plain memory.
+func (w *shardWorker) merge(shards []*shardWorker) {
 	w.fresh.forEach(func(k [2]uint64, n *pathNode) {
 		w.sealed.insert(k, n)
 	})
 	w.fresh.clear()
 	w.spill.maybeSpill(&w.sealed)
-}
-
-// bucketInto appends items to the shard's bucket for a level, seeding
-// empty buckets from the slice pool.
-func (w *shardWorker) bucketInto(level int, items []workItem) {
-	for len(w.buckets) <= level {
-		w.buckets = append(w.buckets, nil)
-	}
-	if w.buckets[level] == nil {
-		if n := len(w.slicePool); n > 0 {
-			w.buckets[level] = w.slicePool[n-1][:0]
-			w.slicePool = w.slicePool[:n-1]
-		}
-	}
-	w.buckets[level] = append(w.buckets[level], items...)
-}
-
-// markerCount returns how many end-of-level markers have arrived for a
-// level.
-func (w *shardWorker) markerCount(level int) int {
-	if level < len(w.markers) {
-		return w.markers[level]
-	}
-	return 0
-}
-
-// absorb files one inbox message, recycling drained batch slices.
-func (w *shardWorker) absorb(m pipeMsg) {
-	if m.done {
-		for len(w.markers) <= m.level {
-			w.markers = append(w.markers, 0)
-		}
-		w.markers[m.level]++
-		return
-	}
-	w.bucketInto(m.level, m.items)
-	w.slicePool = append(w.slicePool, m.items)
-}
-
-// run is the persistent worker loop: wait for the previous level to be
-// globally complete (draining streamed batches the whole time),
-// process this shard's bucket, merge results, and signal end-of-level.
-func (w *shardWorker) run(ps *pipeline) {
-	workers := len(ps.shards)
-	for level := ps.startLevel; ; level++ {
-		if level > ps.startLevel {
-			// Drain the inbox until every peer has finished the previous
-			// level. Batches for this level (from peers still finishing
-			// it... impossible — they'd be for level+1) and for the next
-			// level (from peers already past the barrier) are filed into
-			// their buckets.
-			for w.markerCount(level-1) < workers {
-				w.absorb(w.inbox.pop())
-			}
-			// Every peer is past level-1, so our fresh set is final and
-			// safe to merge. Peers that reached this point before us may
-			// already be expanding the next level and peeking our sealed
-			// table while we merge — tolerated by sealedTable's
-			// publication protocol (they merely miss the newest entries
-			// and route items we deduplicate on arrival).
-			w.seal()
-			if ps.level(level-1).decision != decisionContinue {
-				return
-			}
-		}
-		var items []workItem
-		if level < len(w.buckets) {
-			items = w.buckets[level]
-			w.buckets[level] = nil
-		}
-		newStates, viols := w.processLevel(items, ps, level)
-		if items != nil {
-			w.slicePool = append(w.slicePool, items)
-		}
-		ps.finishLevel(level, newStates, viols)
-		// Publish end-of-level after the merge (and a possible stop
-		// decision), so a peer holding all markers always sees the
-		// decision.
-		for _, s := range ps.shards {
-			s.inbox.push(pipeMsg{level: level, done: true})
-		}
+	w.bucket = w.bucket[:0]
+	for _, s := range shards {
+		w.bucket = append(w.bucket, s.out[w.self]...)
+		s.out[w.self] = s.out[w.self][:0]
 	}
 }
 
@@ -906,40 +700,17 @@ func (w *shardWorker) recycle(it *workItem) {
 	}
 }
 
-// flush streams the accumulated batch for destination shard d, crediting
-// the routed count for the items' level. Batch slice ownership moves to
-// the destination shard (which recycles it into its own pools); the
-// next batch draws from this shard's pool.
-func (w *shardWorker) flush(ps *pipeline, d, level int) {
-	batch := w.out[d]
-	if len(batch) == 0 {
-		return
-	}
-	if n := len(w.slicePool); n > 0 {
-		w.out[d] = w.slicePool[n-1][:0]
-		w.slicePool = w.slicePool[:n-1]
-	} else {
-		w.out[d] = nil
-	}
-	ps.addRouted(level, len(batch))
-	ps.shards[d].inbox.push(pipeMsg{level: level, items: batch})
-}
-
-// processLevel runs one shard's slice of a BFS level: deduplicate
+// expand runs one shard's slice of a BFS level: deduplicate its bucket
 // against the shard's seen-set, check each new state for violations,
-// expand its successors, and stream them to their owning shards in
-// batches. Other shards' sealed sets are consulted to prune successors
-// already processed in earlier levels before allocating a frontier
-// item for them; the pipeline's marker protocol guarantees those
-// tables are quiescent while any producer can read them.
-func (w *shardWorker) processLevel(items []workItem, ps *pipeline, level int) (int, []violationRec) {
-	workers := len(ps.shards)
-	if len(w.out) < workers {
-		w.out = make([][]workItem, workers)
-	}
-	opts := ps.opts
-	newStates := 0
-	var viols []violationRec
+// expand its successors, and append them to the out slice of the shard
+// that owns them. Other shards' sealed sets are consulted to prune
+// successors already processed in earlier levels before allocating a
+// frontier item for them; nobody writes a sealed table during this
+// phase, so those reads need no synchronisation.
+func (w *shardWorker) expand(shards []*shardWorker, opts Options) {
+	workers := len(shards)
+	items := w.bucket
+	w.newStates, w.viols = 0, nil
 	// Multiple paths can reach the same state within one level; process
 	// them in a fixed order so the surviving representative — and with
 	// it the recorded changes count and tree path — is deterministic.
@@ -962,13 +733,11 @@ func (w *shardWorker) processLevel(items []workItem, ps *pipeline, level int) (i
 	// the items were just sorted key-ascending and the segment is key
 	// sorted, so one pass of the cursor covers the whole level. Losing
 	// the segment (open or read failure) breaks exact dedup, so it is
-	// recorded on the pipeline and ends the run in a hard error; the
-	// remainder of the level runs on for the marker protocol's sake but
-	// its output is discarded.
-	spillCur, spillErr := w.spill.openCursor()
-	if spillErr != nil {
-		ps.failSpill(spillErr)
-	}
+	// recorded on the shard and ends the run in a hard error; the
+	// remainder of the level runs on but its output is discarded. (w.err
+	// is nil on entry: a failure stops the run at this level's decide.)
+	spillCur, err := w.spill.openCursor()
+	w.err = err
 	if spillCur != nil {
 		defer spillCur.close()
 	}
@@ -980,49 +749,19 @@ func (w *shardWorker) processLevel(items []workItem, ps *pipeline, level int) (i
 			continue
 		}
 		if spillCur != nil && spillCur.err != nil {
-			ps.failSpill(spillCur.err)
+			w.err = spillCur.err
 			spillCur.close()
 			spillCur = nil
 		}
 		w.fresh.insert(it.node.key, it.node)
-		newStates++
+		w.newStates++
 
 		w.scratch.DecodeState(w.restoreAgents(it.buf))
-		if w.scratch.Quiescent() {
-			// Quiescence: the reply-on-disagreement rule guarantees any
-			// surviving disagreement still has a message in flight, so a
-			// quiescent state must agree and be conflict-free.
-			if !agreementOf(w.replicas) {
-				viols = append(viols, violationRec{
-					kind: ViolationDisagreement, label: "quiescent without agreement",
-					node: it.node, routeH: it.routeH,
-				})
-			} else if !conflictFreeOf(w.replicas) {
-				viols = append(viols, violationRec{
-					kind: ViolationConflict, label: "agreement reached but bundles conflict",
-					node: it.node, routeH: it.routeH,
-				})
-			}
-			w.recycle(it)
-			continue
+		kind, label, quiescent := classify(w.replicas, w.scratch, opts, it.node.depth, it.node.changes)
+		if kind != ViolationNone {
+			w.viols = append(w.viols, violationRec{kind: kind, label: label, node: it.node, routeH: it.routeH})
 		}
-		if it.node.depth >= opts.hardLimit() {
-			viols = append(viols, violationRec{
-				kind:  ViolationBoundExceeded,
-				label: fmt.Sprintf("still active after %d deliveries (hard limit)", it.node.depth),
-				node:  it.node, routeH: it.routeH,
-			})
-			w.recycle(it)
-			continue
-		}
-		if it.node.changes >= opts.Bound && !agreementOf(w.replicas) {
-			// The paper's consensus assertion: after the val message
-			// budget, max-consensus must hold.
-			viols = append(viols, violationRec{
-				kind:  ViolationBoundExceeded,
-				label: fmt.Sprintf("no consensus after %d effective deliveries (bound)", it.node.changes),
-				node:  it.node, routeH: it.routeH,
-			})
+		if kind != ViolationNone || quiescent {
 			w.recycle(it)
 			continue
 		}
@@ -1050,7 +789,7 @@ func (w *shardWorker) processLevel(items []workItem, ps *pipeline, level int) (i
 				// states — this one) would be discarded on arrival;
 				// skip building the frontier item. The edge above is
 				// still recorded for the oscillation analysis.
-				dup := ps.shards[d].sealed.peek(key) != nil
+				dup := shards[d].sealed.peek(key) != nil
 				if !dup && d == w.self {
 					dup = w.fresh.peek(key) != nil
 				}
@@ -1064,15 +803,11 @@ func (w *shardWorker) processLevel(items []workItem, ps *pipeline, level int) (i
 						parent: it.node, edge: e, consume: consume,
 						depth: it.node.depth + 1, changes: changes, key: key,
 					}
-					succ := workItem{
+					w.out[d] = append(w.out[d], workItem{
 						node:   node,
 						buf:    w.scratch.AppendState(encodeStates(w.replicas, w.getBuf())),
 						routeH: routeHash(it.routeH, e, consume),
-					}
-					w.out[d] = append(w.out[d], succ)
-					if len(w.out[d]) >= streamBatchSize {
-						w.flush(ps, d, level+1)
-					}
+					})
 				}
 				w.scratch.Rollback(&w.snap)
 				receiver.RestoreState(w.saveSlot)
@@ -1080,10 +815,6 @@ func (w *shardWorker) processLevel(items []workItem, ps *pipeline, level int) (i
 		}
 		w.recycle(it)
 	}
-	for d := range w.out {
-		w.flush(ps, d, level+1)
-	}
-	return newStates, viols
 }
 
 func shardOf(key [2]uint64, workers int) int {
@@ -1155,6 +886,9 @@ func treeSteps(n *pathNode) []stepRec {
 	return steps
 }
 
+// mergeNodes indexes the complete seen set by key. The stop level was
+// merged like any other, so every state sits in a sealed table or its
+// spill segment and the fresh tables are empty.
 func mergeNodes(shards []*shardWorker) (map[[2]uint64]*pathNode, error) {
 	out := make(map[[2]uint64]*pathNode)
 	for _, s := range shards {
@@ -1162,7 +896,6 @@ func mergeNodes(shards []*shardWorker) (map[[2]uint64]*pathNode, error) {
 			return nil, err
 		}
 		s.sealed.forEach(func(k [2]uint64, n *pathNode) { out[k] = n })
-		s.fresh.forEach(func(k [2]uint64, n *pathNode) { out[k] = n })
 	}
 	return out, nil
 }

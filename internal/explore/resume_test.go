@@ -3,6 +3,7 @@ package explore
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -266,4 +267,67 @@ func TestRunStateValidation(t *testing.T) {
 			}
 		}
 	}, "non-increasing depth")
+}
+
+// star4Agents is the flat star-4 instance (35,899 states uncapped):
+// wide enough that three shards route thousands of cross-shard
+// successors per level.
+func star4Agents() []*mca.Agent {
+	return agentsWithBases([][]int64{{12, 8}, {8, 12}, {4, 8}, {6, 6}}, honestPolicy(2, mca.FlatUtility{}, false))
+}
+
+// At a fixed worker count a capped run is a pure function of its
+// inputs: the run state's bytes and the store statistics repeat
+// exactly. Producer-side pruning reads peers' sealed tables only during
+// the expand phase, when nobody writes them, so which duplicates get
+// routed — and with it the captured frontier and every probe count —
+// does not depend on scheduling. One shard runs the same two phases
+// inline and is held to the same assertion.
+func TestFrontierRunStateDeterministic(t *testing.T) {
+	t.Parallel()
+	for _, workers := range []int{3, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			t.Parallel()
+			run := func(label string, opts Options) ([]byte, StoreStats) {
+				t.Helper()
+				opts.MaxStates = 15000
+				v, rs, err := CheckParallelFrom(star4Agents(), graph.Star(4), opts, workers, nil, true)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !v.Capped || rs == nil {
+					t.Fatalf("%s: expected a capped run with state: %+v", label, v)
+				}
+				return EncodeRunState(rs), v.Store
+			}
+			same := func(label string, enc, refEnc []byte, store, refStore StoreStats) {
+				t.Helper()
+				if !bytes.Equal(enc, refEnc) {
+					t.Fatalf("%s: run state bytes differ from the reference run (%d vs %d bytes)", label, len(enc), len(refEnc))
+				}
+				if store != refStore {
+					t.Fatalf("%s: store stats %+v, reference run had %+v", label, store, refStore)
+				}
+			}
+			refEnc, refStore := run("run 0", Options{})
+			for i := 1; i < 20; i++ {
+				label := fmt.Sprintf("run %d", i)
+				enc, store := run(label, Options{})
+				same(label, enc, refEnc, store, refStore)
+			}
+			// A spill store that is wired in but never crosses its
+			// threshold changes nothing.
+			enc, store := run("idle spill", Options{SpillDir: t.TempDir()})
+			same("idle spill", enc, refEnc, store, refStore)
+			// One that engages routes more (peers cannot prune against
+			// what was spilled), and repeats just as exactly.
+			spilling := Options{SpillDir: t.TempDir(), SpillStates: 1 << 10}
+			encA, storeA := run("spilling", spilling)
+			if storeA.Spilled == 0 {
+				t.Fatal("spilling: spill never engaged")
+			}
+			encB, storeB := run("spilling again", spilling)
+			same("spilling again", encB, encA, storeB, storeA)
+		})
+	}
 }

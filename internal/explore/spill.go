@@ -45,11 +45,11 @@ type spillStore struct {
 const spillRecordSize = 16
 
 // maybeSpill merges the sealed table into the segment and drops it,
-// when the threshold is crossed. Runs on the owner's seal path; peers
-// concurrently peeking the sealed table either see the old snapshot
-// (stale but valid) or the new empty one (they route items the owner
-// deduplicates against the segment on arrival).
-func (s *spillStore) maybeSpill(t *sealedTable) {
+// when the threshold is crossed. Runs in the owner's merge phase, when
+// no peer reads the table; from the next expand phase on peers find it
+// empty and route items the owner deduplicates against the segment on
+// arrival.
+func (s *spillStore) maybeSpill(t *stateTable) {
 	if s == nil || s.disabled || t.n < s.threshold {
 		return
 	}
@@ -148,7 +148,7 @@ func (s *spillStore) maybeSpill(t *sealedTable) {
 }
 
 // forEach streams every spilled (key, node) pair in key order. Callers
-// run it only when the worker fleet is quiescent. A segment read
+// run it only after the level loop has returned. A segment read
 // failure aborts the stream and is returned — the caller's view is
 // incomplete and must not be trusted.
 func (s *spillStore) forEach(f func(k [2]uint64, n *pathNode)) error {

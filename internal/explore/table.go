@@ -1,7 +1,5 @@
 package explore
 
-import "sync/atomic"
-
 // stateTable is the explorers' compact seen-set: an open-addressing
 // hash table from 128-bit canonical state keys to exploration-tree
 // nodes. Compared with the Go map it replaced, it probes flat parallel
@@ -59,7 +57,8 @@ func (t *stateTable) get(k [2]uint64) *pathNode {
 
 // peek is get without the stats updates: safe for concurrent readers
 // while no writer is active — the parallel frontier's producer-side
-// pruning reads peer shards' sealed tables this way.
+// pruning reads peer shards' sealed tables this way during the expand
+// phase, and sealed tables are written only in the merge phase.
 func (t *stateTable) peek(k [2]uint64) *pathNode {
 	if t.nodes == nil {
 		return nil
@@ -132,6 +131,14 @@ func (t *stateTable) clear() {
 	t.n = 0
 }
 
+// reset drops every entry and the table's capacity with them — the
+// disk-spill path has just moved the entries into a segment file, and
+// shedding the slots is the point of spilling. The stats counters keep
+// running.
+func (t *stateTable) reset() {
+	t.init(stateTableMinSlots)
+}
+
 // forEach visits every entry in unspecified order.
 func (t *stateTable) forEach(f func(k [2]uint64, n *pathNode)) {
 	for i, n := range t.nodes {
@@ -166,166 +173,6 @@ type StoreStats struct {
 	// files rather than memory when the run finished (disk-spill mode
 	// only; these are also counted in Entries).
 	Spilled int
-}
-
-// sealedTable is the cross-shard variant of stateTable: exactly one
-// owner inserts (the shard sealing its finished levels), while any
-// number of peers concurrently probe it for producer-side pruning. It
-// is safe without locks because entries are never deleted and readers
-// tolerate missing the newest entries — a missed prune just routes an
-// item its owner discards on arrival, and a successful match is always
-// a state genuinely processed in a finished level, so raciness never
-// changes which representative survives.
-//
-// Publication protocol: the owner writes the slot key first, then
-// publishes the node with an atomic (release) store; readers load the
-// node (acquire) before touching the key, so a non-nil node guarantees
-// a valid key. Growth builds a fresh snapshot off-line and swaps it in
-// with one atomic pointer store; late readers keep probing the old
-// snapshot, which remains valid and merely stale.
-type sealedTable struct {
-	snap atomic.Pointer[sealedSnap]
-	n    int
-	// Owner-side stats (never touched by peer readers).
-	lookups uint64
-	probes  uint64
-}
-
-type sealedSnap struct {
-	keys  [][2]uint64
-	nodes []atomic.Pointer[pathNode]
-	mask  uint64
-}
-
-func newSealedSnap(slots int) *sealedSnap {
-	c := stateTableMinSlots
-	for c < slots {
-		c <<= 1
-	}
-	return &sealedSnap{
-		keys:  make([][2]uint64, c),
-		nodes: make([]atomic.Pointer[pathNode], c),
-		mask:  uint64(c - 1),
-	}
-}
-
-// insert stores node under k; the caller (the owning shard) guarantees
-// k is absent — sealing only moves each state into the table once.
-func (t *sealedTable) insert(k [2]uint64, node *pathNode) {
-	s := t.snap.Load()
-	if s == nil {
-		s = newSealedSnap(stateTableMinSlots)
-		t.snap.Store(s)
-	} else if uint64(t.n)*4 >= uint64(len(s.nodes))*3 {
-		s = t.grow(s)
-	}
-	t.lookups++
-	i := k[1] & s.mask
-	for {
-		t.probes++
-		if s.nodes[i].Load() == nil {
-			s.keys[i] = k
-			s.nodes[i].Store(node)
-			t.n++
-			return
-		}
-		i = (i + 1) & s.mask
-	}
-}
-
-// grow builds a doubled snapshot off-line and publishes it atomically.
-func (t *sealedTable) grow(old *sealedSnap) *sealedSnap {
-	s := newSealedSnap(len(old.nodes) * 2)
-	for i := range old.nodes {
-		n := old.nodes[i].Load()
-		if n == nil {
-			continue
-		}
-		k := old.keys[i]
-		j := k[1] & s.mask
-		for s.nodes[j].Load() != nil {
-			j = (j + 1) & s.mask
-		}
-		s.keys[j] = k
-		s.nodes[j].Store(n)
-	}
-	t.snap.Store(s)
-	return s
-}
-
-// reset drops every entry by publishing a fresh empty snapshot — the
-// disk-spill path has just moved the entries into a segment file.
-// Peers probing concurrently either keep the old snapshot (stale but
-// valid) or see the empty one and route items the owner deduplicates
-// against the segment on arrival — the same tolerance the growth swap
-// relies on.
-func (t *sealedTable) reset() {
-	t.snap.Store(newSealedSnap(stateTableMinSlots))
-	t.n = 0
-}
-
-// get probes with owner-side stats accounting.
-func (t *sealedTable) get(k [2]uint64) *pathNode {
-	t.lookups++
-	s := t.snap.Load()
-	if s == nil {
-		return nil
-	}
-	i := k[1] & s.mask
-	for {
-		t.probes++
-		n := s.nodes[i].Load()
-		if n == nil {
-			return nil
-		}
-		if s.keys[i] == k {
-			return n
-		}
-		i = (i + 1) & s.mask
-	}
-}
-
-// peek probes without stats — the concurrent-reader entry point.
-func (t *sealedTable) peek(k [2]uint64) *pathNode {
-	s := t.snap.Load()
-	if s == nil {
-		return nil
-	}
-	i := k[1] & s.mask
-	for {
-		n := s.nodes[i].Load()
-		if n == nil {
-			return nil
-		}
-		if s.keys[i] == k {
-			return n
-		}
-		i = (i + 1) & s.mask
-	}
-}
-
-// forEach visits every entry; callers run it only when the table is
-// quiescent (after the worker fleet has joined).
-func (t *sealedTable) forEach(f func(k [2]uint64, n *pathNode)) {
-	s := t.snap.Load()
-	if s == nil {
-		return
-	}
-	for i := range s.nodes {
-		if n := s.nodes[i].Load(); n != nil {
-			f(s.keys[i], n)
-		}
-	}
-}
-
-// addStats accumulates this table's counters into st.
-func (t *sealedTable) addStats(st *StoreStats) {
-	st.Entries += t.n
-	if s := t.snap.Load(); s != nil {
-		st.Slots += len(s.nodes)
-	}
-	st.Lookups += t.lookups
-	st.Probes += t.probes
 }
 
 // nodeArena allocates pathNodes in fixed-size blocks: node pointers are

@@ -24,7 +24,9 @@ const breakerMaxCooldown = maxDelay
 // failures open it, a cooldown (doubled per consecutive open, capped)
 // must elapse before a single half-open probe dispatch is admitted,
 // and that probe's outcome closes it or reopens it. Admission
-// rejections (429) are not failures and never move it.
+// rejections (429) are not failures and never open it; a probe that
+// ends without telling the worker healthy from sick hands the probe
+// role on instead of keeping it (onRejected, onAbandoned).
 //
 // The breaker only decides *fast-fail versus real dispatch*; it never
 // blocks batch progress. A fast-failed unit still consumes an attempt,
@@ -68,9 +70,40 @@ func (b *breaker) allow(now time.Time) bool {
 // onSuccess closes the breaker and clears all streaks.
 func (b *breaker) onSuccess() {
 	b.mu.Lock()
+	b.close()
+	b.mu.Unlock()
+}
+
+// close (callers hold b.mu) closes the breaker with clean streaks.
+func (b *breaker) close() {
 	b.state = breakerClosed
 	b.failures = 0
 	b.opens = 0
+}
+
+// onRejected records a 429. Admission is not failure, so under closed
+// or open it moves nothing; as the answer to the half-open probe it
+// proves the worker alive, which is all the probe was asking.
+func (b *breaker) onRejected() {
+	b.mu.Lock()
+	if b.state == breakerHalfOpen {
+		b.close()
+	}
+	b.mu.Unlock()
+}
+
+// onAbandoned records a dispatch that ended without a verdict on the
+// worker — its batch was cancelled under it. If that was the half-open
+// probe, nobody else will report for it and allow would answer false
+// for good, so the breaker goes back to open with its cooldown already
+// expired: the next caller is elected probe, and the streak of opens
+// stands because nothing was learned.
+func (b *breaker) onAbandoned() {
+	b.mu.Lock()
+	if b.state == breakerHalfOpen {
+		b.state = breakerOpen
+		b.openUntil = time.Time{}
+	}
 	b.mu.Unlock()
 }
 

@@ -92,6 +92,66 @@ func TestBreakerIgnoresFailuresWhileOpen(t *testing.T) {
 	}
 }
 
+// TestBreakerProbeWithoutVerdict: a half-open probe that comes back
+// with neither a result nor a failure must not keep the probe role —
+// allow answers false to everyone else while it is held. A cancelled
+// probe hands the role to the next caller without doubling the
+// cooldown; a 429 on the probe closes the breaker, and only there.
+func TestBreakerProbeWithoutVerdict(t *testing.T) {
+	t.Parallel()
+	t0 := time.Unix(0, 0)
+	halfOpen := func() (*breaker, time.Time) {
+		b := newBreaker(1, 100*time.Millisecond)
+		b.onFailure(t0)
+		probeAt := t0.Add(150 * time.Millisecond)
+		if !b.allow(probeAt) || b.label() != "half_open" {
+			t.Fatalf("setup: probe not elected, state %s", b.label())
+		}
+		return b, probeAt
+	}
+
+	b, probeAt := halfOpen()
+	b.onAbandoned()
+	if b.label() != "open" {
+		t.Fatalf("abandoned probe left state %s, want open", b.label())
+	}
+	if !b.allow(probeAt) || b.label() != "half_open" {
+		t.Fatalf("abandoned probe did not hand the role on at once: state %s", b.label())
+	}
+	// Nothing was learned, so the next failed probe reopens for the
+	// second interval (200ms), not the third.
+	b.onFailure(probeAt)
+	if b.allow(probeAt.Add(150 * time.Millisecond)) {
+		t.Fatal("reopen after an abandoned probe used the base cooldown")
+	}
+	if !b.allow(probeAt.Add(250 * time.Millisecond)) {
+		t.Fatal("abandoned probe doubled the cooldown")
+	}
+
+	b, probeAt = halfOpen()
+	b.onRejected()
+	if b.label() != "closed" || !b.allow(probeAt) {
+		t.Fatalf("429 on the probe left state %s, want closed", b.label())
+	}
+
+	// Outside half-open neither moves anything: a 429 does not clear a
+	// failure streak, and a cancelled straggler does not reopen or
+	// shorten an open interval.
+	b = newBreaker(2, 100*time.Millisecond)
+	b.onFailure(t0)
+	b.onRejected()
+	b.onAbandoned()
+	b.onFailure(t0)
+	if b.label() != "open" {
+		t.Fatalf("429 or cancel between two failures reset the streak: state %s", b.label())
+	}
+	b.onRejected()
+	b.onAbandoned()
+	if b.allow(t0.Add(50 * time.Millisecond)) {
+		t.Fatal("429 or cancel while open cut the cooldown short")
+	}
+}
+
 // TestParseRetryAfterClamps: the worker hint stretches a retry but can
 // never park a unit past the backoff cap.
 func TestParseRetryAfterClamps(t *testing.T) {

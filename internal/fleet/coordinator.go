@@ -411,9 +411,11 @@ func (c *Coordinator) try(ctx context.Context, ws *workerState, index int, unit 
 	case ctx.Err() != nil:
 		// The dispatch failed because the batch is over, not because
 		// the worker is sick.
+		ws.br.onAbandoned()
 	case rejected:
 		// Admission, not failure: a 429 proves the worker is alive, so
 		// it does not dent health or the breaker.
+		ws.br.onRejected()
 		c.rejections.Add(1)
 	default:
 		c.failed(ws)

@@ -85,10 +85,26 @@ const maxUnusedVars = 1 << 20
 // range, or a variable count far beyond the literals present, is an
 // error, never a wrapped index or an allocation.
 func ParseDIMACS(r io.Reader) (*CNF, error) {
+	f, _, err := parseDIMACS(r, false)
+	return f, err
+}
+
+// ParseICNF reads the iCNF dialect incremental solving takes: whatever
+// ParseDIMACS reads, plus a "p inccnf" header (skipped) and assumption
+// lines "a <lit> ... 0", returned in input order as one literal set
+// per line. Assumption literals are held to the bounds clause literals
+// are and may name variables no clause does; those count in NumVars,
+// so LoadInto creates them.
+func ParseICNF(r io.Reader) (*CNF, [][]Lit, error) {
+	return parseDIMACS(r, true)
+}
+
+func parseDIMACS(r io.Reader, icnf bool) (*CNF, [][]Lit, error) {
 	f := &CNF{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	var cur []Lit
+	var assumptions [][]Lit
 	declaredVars := -1
 	numLits := 0
 	for sc.Scan() {
@@ -96,56 +112,90 @@ func ParseDIMACS(r io.Reader) (*CNF, error) {
 		if line == "" || strings.HasPrefix(line, "c") {
 			continue
 		}
+		if icnf && strings.HasPrefix(line, "p inccnf") {
+			continue
+		}
+		if icnf && (line == "a" || strings.HasPrefix(line, "a ")) {
+			// The first 0 ends the set; what follows it is ignored.
+			var set []Lit
+			for _, tok := range strings.Fields(line)[1:] {
+				l, zero, err := parseLit(tok)
+				if err != nil {
+					return nil, nil, err
+				}
+				if zero {
+					break
+				}
+				set = append(set, l)
+				f.NumVars = max(f.NumVars, int(l.Var())+1)
+				numLits++
+			}
+			assumptions = append(assumptions, set)
+			continue
+		}
 		if strings.HasPrefix(line, "p") {
 			fields := strings.Fields(line)
 			if len(fields) != 4 || fields[1] != "cnf" {
-				return nil, fmt.Errorf("sat: malformed problem line %q", line)
+				return nil, nil, fmt.Errorf("sat: malformed problem line %q", line)
 			}
 			v, err := strconv.Atoi(fields[2])
 			if err != nil {
-				return nil, fmt.Errorf("sat: bad var count in %q: %w", line, err)
+				return nil, nil, fmt.Errorf("sat: bad var count in %q: %w", line, err)
 			}
 			if v < 0 || v > maxDIMACSVar {
-				return nil, fmt.Errorf("sat: var count %d outside [0, %d]", v, maxDIMACSVar)
+				return nil, nil, fmt.Errorf("sat: var count %d outside [0, %d]", v, maxDIMACSVar)
 			}
 			declaredVars = v
 			continue
 		}
 		for _, tok := range strings.Fields(line) {
-			n, err := strconv.Atoi(tok)
+			l, zero, err := parseLit(tok)
 			if err != nil {
-				return nil, fmt.Errorf("sat: bad literal %q: %w", tok, err)
+				return nil, nil, err
 			}
-			if n == 0 {
+			if zero {
 				f.AddClause(cur...)
 				cur = cur[:0]
 				continue
 			}
-			if n < -maxDIMACSVar || n > maxDIMACSVar {
-				return nil, fmt.Errorf("sat: literal %s names a variable above %d", tok, maxDIMACSVar)
-			}
-			v := n
-			if v < 0 {
-				v = -v
-			}
-			cur = append(cur, MkLit(Var(v-1), n < 0))
+			cur = append(cur, l)
 			numLits++
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("sat: reading DIMACS: %w", err)
+		return nil, nil, fmt.Errorf("sat: reading DIMACS: %w", err)
 	}
 	if len(cur) > 0 {
-		return nil, fmt.Errorf("sat: unterminated clause %v", cur)
+		return nil, nil, fmt.Errorf("sat: unterminated clause %v", cur)
 	}
 	if declaredVars > f.NumVars {
 		f.NumVars = declaredVars
 	}
 	if f.NumVars-numLits > maxUnusedVars {
-		return nil, fmt.Errorf("sat: %d variables but only %d literals: more than %d variables occur nowhere",
+		return nil, nil, fmt.Errorf("sat: %d variables but only %d literals: more than %d variables occur nowhere",
 			f.NumVars, numLits, maxUnusedVars)
 	}
-	return f, nil
+	return f, assumptions, nil
+}
+
+// parseLit converts one DIMACS token: the terminator 0, or the literal
+// ±v of the 1-based variable v, which must fit a Lit.
+func parseLit(tok string) (l Lit, zero bool, err error) {
+	n, err := strconv.Atoi(tok)
+	if err != nil {
+		return 0, false, fmt.Errorf("sat: bad literal %q: %w", tok, err)
+	}
+	if n == 0 {
+		return 0, true, nil
+	}
+	if n < -maxDIMACSVar || n > maxDIMACSVar {
+		return 0, false, fmt.Errorf("sat: literal %s names a variable above %d", tok, maxDIMACSVar)
+	}
+	v := n
+	if v < 0 {
+		v = -v
+	}
+	return MkLit(Var(v-1), n < 0), false, nil
 }
 
 // WriteDIMACS emits the formula in DIMACS format.

@@ -75,10 +75,43 @@ func TestParseDIMACSLimits(t *testing.T) {
 	}
 }
 
+// ParseICNF hands back one literal set per assumption line, in order,
+// holds those literals to the clause literals' bounds, and counts the
+// variables they name into the formula.
+func TestParseICNF(t *testing.T) {
+	f, sets, err := ParseICNF(strings.NewReader("p inccnf\np cnf 2 1\n1 2 0\na -1 3 0 2 0\na 0\na\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]Lit{{MkLit(0, true), MkLit(2, false)}, nil, nil}
+	if !reflect.DeepEqual(sets, want) {
+		t.Fatalf("assumption sets %v, want %v", sets, want)
+	}
+	if f.NumVars != 3 || f.NumClauses() != 1 {
+		t.Fatalf("formula has %d vars, %d clauses; want 3 (one from an assumption), 1", f.NumVars, f.NumClauses())
+	}
+	for _, in := range []string{
+		"p cnf 1 1\n1 0\na 1073741825 0\n",           // past the largest variable a Lit holds
+		"p cnf 1 1\n1 0\na 4294967297 0\n",           // would wrap onto variable 1
+		"p cnf 1 1\n1 0\na -9223372036854775808 0\n", // has no absolute value
+		"p cnf 1 1\n1 0\na 1073741824 0\n",           // in range, a billion variables for one literal
+		"p cnf 1 1\n1 0\na x 0\n",
+	} {
+		if _, _, err := ParseICNF(strings.NewReader(in)); err == nil {
+			t.Errorf("input %q: expected error", in)
+		}
+	}
+	// Plain DIMACS has no assumption lines.
+	if _, err := ParseDIMACS(strings.NewReader("p cnf 1 1\n1 0\na 1 0\n")); err == nil {
+		t.Error("ParseDIMACS accepted an assumption line")
+	}
+}
+
 // FuzzParseDIMACS: arbitrary input either fails to parse or round-trips
 // through WriteDIMACS to an equal formula, and a formula of modest size
-// loads into a solver — never a panic. The seed corpus runs under plain
-// go test.
+// loads into a solver — never a panic. Read as iCNF, the same input
+// either fails or yields assumptions over the formula's own variables.
+// The seed corpus runs under plain go test.
 func FuzzParseDIMACS(f *testing.F) {
 	var php bytes.Buffer
 	if err := PigeonholeCNF(3).WriteDIMACS(&php); err != nil {
@@ -92,10 +125,20 @@ func FuzzParseDIMACS(f *testing.F) {
 		php.String(),
 		"p cnf 2 1\n1 -2\n", // unterminated clause
 		"p cnf 3 2\n1 -2 0\n0\n",
+		"p inccnf\np cnf 2 1\n1 2 0\na -1 3 0\na 4294967297 0\n",
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if icnf, sets, err := ParseICNF(bytes.NewReader(data)); err == nil {
+			for _, set := range sets {
+				for _, l := range set {
+					if l < 0 || int(l.Var()) >= icnf.NumVars {
+						t.Fatalf("assumption literal %d outside the formula's %d variables", l, icnf.NumVars)
+					}
+				}
+			}
+		}
 		cnf, err := ParseDIMACS(bytes.NewReader(data))
 		if err != nil {
 			return
