@@ -609,7 +609,9 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, bodyErrorStatus(err), err)
 		return
 	}
-	scenarios, err := engine.ExpandSweep(body)
+	// The whole grid is decoded and validated before the first byte of
+	// the reply: a bad cell is a 400, never a truncated stream.
+	sweep, err := engine.DecodeSweep(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -653,28 +655,27 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// NDJSON: one result per line as soon as it completes, then one
-	// summary line.
+	// summary line. The lines arrive encoded by the pool workers.
 	stream := startNDJSON(w, cancel, "sweep")
-	results := make([]engine.Result, len(scenarios))
+	results := make([]engine.Result, sweep.Len())
 	start := time.Now()
-	for res := range runner.Stream(ctx, scenarios) {
-		results[res.Index] = res
-		data, err := engine.EncodeResult(&res)
-		stream.line(res.Scenario, data, err)
-	}
+	streamLines(stream, runner.StreamSweep(ctx, sweep), func(l engine.ResultLine) (string, []byte, error) {
+		results[l.Result.Index] = l.Result
+		return l.Result.Scenario, l.Data, l.Err
+	})
 	sum := engine.Summarize(results)
 	sum.Wall = time.Since(start)
 	stream.summary(engine.EncodeSummary(&sum))
 }
 
 // ndjsonStream is the shared scaffolding of the streaming endpoints:
-// set the content type, write one line per completed unit of work with
-// a flush after each, and finish with one {"summary": ...} line.
-// Failures after the first byte can only be reported by truncating the
-// stream, so on a write or encode error the stream aborts the batch
-// (cancelling its context) but keeps consuming lines silently — the
-// producer's worker pool must be drained to exit — and the missing
-// summary line tells the client the request did not complete.
+// set the content type, write one line per completed unit of work, and
+// finish with one {"summary": ...} line. Failures after the first byte
+// can only be reported by truncating the stream, so on a write or
+// encode error the stream aborts the batch (cancelling its context) but
+// keeps consuming lines silently — the producer's worker pool must be
+// drained to exit — and the missing summary line tells the client the
+// request did not complete.
 type ndjsonStream struct {
 	w       http.ResponseWriter
 	flusher http.Flusher
@@ -689,9 +690,9 @@ func startNDJSON(w http.ResponseWriter, cancel context.CancelFunc, name string) 
 	return &ndjsonStream{w: w, flusher: flusher, cancel: cancel, name: name}
 }
 
-// line writes one NDJSON line; label identifies the unit of work in
+// write buffers one NDJSON line; label identifies the unit of work in
 // the abort log. A nil data with non-nil err aborts the stream.
-func (s *ndjsonStream) line(label string, data []byte, err error) {
+func (s *ndjsonStream) write(label string, data []byte, err error) {
 	if s.aborted {
 		return // draining
 	}
@@ -702,10 +703,35 @@ func (s *ndjsonStream) line(label string, data []byte, err error) {
 		log.Printf("%s: aborting stream at %q: %v", s.name, label, err)
 		s.aborted = true
 		s.cancel()
-		return
 	}
-	if s.flusher != nil {
+}
+
+// flush sends what write has buffered to the client.
+func (s *ndjsonStream) flush() {
+	if s.flusher != nil && !s.aborted {
 		s.flusher.Flush()
+	}
+}
+
+// line writes one line and flushes it: for a producer with no channel
+// to look ahead in.
+func (s *ndjsonStream) line(label string, data []byte, err error) {
+	s.write(label, data, err)
+	s.flush()
+}
+
+// streamLines writes one line per item of a batch's result channel, in
+// arrival order, flushing whenever no further item is already waiting:
+// a slow batch still delivers every line the moment it exists, a fast
+// one (a sweep of cache hits) pays one write syscall per burst instead
+// of one per line. encode runs here, on the single consumer, so it may
+// also collect the items.
+func streamLines[T any](s *ndjsonStream, items <-chan T, encode func(T) (label string, data []byte, err error)) {
+	for item := range items {
+		s.write(encode(item))
+		if len(items) == 0 {
+			s.flush()
+		}
 	}
 }
 
@@ -846,15 +872,15 @@ func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 
 	stream := startNDJSON(w, cancel, "generate")
 	results := make([]gen.DiffResult, len(scenarios))
-	for res := range gen.DiffStream(ctx, scenarios, gen.DiffOptions{
+	streamLines(stream, gen.DiffStream(ctx, scenarios, gen.DiffOptions{
 		Engines: engines,
 		Cache:   resultCache(s.cfg.Cache),
 		Workers: poolWorkers,
-	}) {
+	}), func(res gen.DiffResult) (string, []byte, error) {
 		results[res.Index] = res
 		data, err := encodeDiffLine(&res)
-		stream.line(res.Scenario.Name, data, err)
-	}
+		return res.Scenario.Name, data, err
+	})
 	sum := gen.SummarizeDiff(results)
 	stream.summary(json.Marshal(sum2wire(sum)))
 }

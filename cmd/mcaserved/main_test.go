@@ -192,6 +192,11 @@ func TestVerifyRejectsBadInput(t *testing.T) {
 		"bad-workers":    {"/verify?workers=lots", scenarioDoc},
 		"bad-timeout":    {"/verify?timeout=-3", scenarioDoc},
 		"sweep-bad-base": {"/sweep", `{"version":1}`},
+		// Sizes a document states are bounded at decode: the first of these
+		// used to reach make() on a pool goroutine and end the process.
+		"sweep-store-bits":  {"/sweep?engine=explicit", `{"version":1,"name":"s","base":{"agents":[{"id":0,"items":1,"base":[1],"policy":{"target":1}}],"graph":{"nodes":1},"explore":{"store":"bitstate","store_bits":62}}}`},
+		"verify-graph-size": {"/verify", `{"version":1,"graph":{"nodes":20000000}}`},
+		"sweep-null-patch":  {"/sweep", `{"version":1,"base":{},"axes":[{"axis":"a","variants":[{"name":"v","scenario":null}]}]}`},
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp := postJSON(t, srv.URL+tc.path, tc.body)
@@ -556,4 +561,58 @@ func TestGenerateEndpointValidation(t *testing.T) {
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Fatalf("inverted range: status %d", bad.StatusCode)
 	}
+}
+
+// flushCounter is a ResponseWriter that counts lines and flushes.
+type flushCounter struct {
+	httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() { f.flushes++ }
+
+// TestStreamLinesFlushesWhenIdle pins the flush rule both ways: lines
+// that are already waiting go out in one flush, and a line with nothing
+// behind it is flushed at once, not held for company.
+func TestStreamLinesFlushesWhenIdle(t *testing.T) {
+	encode := func(i int) (string, []byte, error) { return "", []byte{'0' + byte(i)}, nil }
+
+	burst := make(chan int, 8)
+	for i := 0; i < 8; i++ {
+		burst <- i
+	}
+	close(burst)
+	w := &flushCounter{ResponseRecorder: *httptest.NewRecorder()}
+	streamLines(startNDJSON(w, func() {}, "test"), burst, encode)
+	if got := w.Body.String(); got != "0\n1\n2\n3\n4\n5\n6\n7\n" || w.flushes != 1 {
+		t.Fatalf("burst: %d flushes, body %q", w.flushes, got)
+	}
+
+	// One at a time: the producer waits until the consumer has flushed
+	// line i before it sends line i+1.
+	trickle := make(chan int, 8)
+	flushed := make(chan struct{})
+	w = &flushCounter{ResponseRecorder: *httptest.NewRecorder()}
+	go func() {
+		defer close(trickle)
+		for i := 0; i < 5; i++ {
+			trickle <- i
+			<-flushed
+		}
+	}()
+	streamLines(startNDJSON(notifyFlush{w, flushed}, func() {}, "test"), trickle, encode)
+	if w.flushes != 5 {
+		t.Fatalf("trickle: %d flushes for 5 lines", w.flushes)
+	}
+}
+
+// notifyFlush signals each flush to the producer.
+type notifyFlush struct {
+	*flushCounter
+	flushed chan struct{}
+}
+
+func (n notifyFlush) Flush() {
+	n.flushCounter.Flush()
+	n.flushed <- struct{}{}
 }

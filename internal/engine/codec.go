@@ -217,6 +217,9 @@ func encodeModel(m RelationalModel) (*modelJSON, error) {
 }
 
 func decodeModel(w *modelJSON) (RelationalModel, error) {
+	if w == nil {
+		return nil, nil
+	}
 	modelCodecsMu.RLock()
 	c, ok := modelCodecs[w.Kind]
 	modelCodecsMu.RUnlock()
@@ -553,18 +556,49 @@ func DecodeScenario(data []byte) (Scenario, error) {
 	return scenarioFromWire(&w)
 }
 
+// MaxGraphNodes bounds graph.nodes in a scenario document. graph.New
+// allocates per node, so without a bound a 41-byte document asks for
+// gigabytes; the bound sits far above anything an engine can run.
+const MaxGraphNodes = 1 << 16
+
+// scenarioFromWire converts a decoded document section by section. The
+// converters are separate functions because a sweep expansion calls each
+// one once per distinct section value instead of once per cell; w.Name
+// only labels their errors.
 func scenarioFromWire(w *scenarioJSON) (Scenario, error) {
 	s := Scenario{Name: w.Name}
-	for _, aw := range w.Agents {
+	var err error
+	if s.AgentSpecs, err = agentsFromWire(w.Name, w.Agents); err != nil {
+		return Scenario{}, err
+	}
+	if s.Graph, err = graphFromWire(w.Name, w.Graph); err != nil {
+		return Scenario{}, err
+	}
+	if s.Explore, err = exploreFromWire(w.Name, w.Explore); err != nil {
+		return Scenario{}, err
+	}
+	if s.Faults, err = faultsFromWire(w.Name, w.Faults, s.Graph); err != nil {
+		return Scenario{}, err
+	}
+	if s.Model, err = decodeModel(w.Model); err != nil {
+		return Scenario{}, err
+	}
+	s.Solver = solverFromWire(w.Solver)
+	return s, nil
+}
+
+func agentsFromWire(name string, agents []agentJSON) ([]mca.Config, error) {
+	var specs []mca.Config
+	for _, aw := range agents {
 		util, err := decodeUtility(aw.Policy.Utility)
 		if err != nil {
-			return Scenario{}, fmt.Errorf("engine: scenario %q agent %d: %w", w.Name, aw.ID, err)
+			return nil, fmt.Errorf("engine: scenario %q agent %d: %w", name, aw.ID, err)
 		}
 		rebid, err := decodeRebid(aw.Policy.Rebid)
 		if err != nil {
-			return Scenario{}, fmt.Errorf("engine: scenario %q agent %d: %w", w.Name, aw.ID, err)
+			return nil, fmt.Errorf("engine: scenario %q agent %d: %w", name, aw.ID, err)
 		}
-		s.AgentSpecs = append(s.AgentSpecs, mca.Config{
+		specs = append(specs, mca.Config{
 			ID:       mca.AgentID(aw.ID),
 			Items:    aw.Items,
 			Base:     aw.Base,
@@ -579,82 +613,89 @@ func scenarioFromWire(w *scenarioJSON) (Scenario, error) {
 			},
 		})
 	}
-	if w.Graph != nil {
-		if w.Graph.Nodes < 0 {
-			return Scenario{}, fmt.Errorf("engine: scenario %q: negative graph size %d", w.Name, w.Graph.Nodes)
-		}
-		g := graph.New(w.Graph.Nodes)
-		for _, e := range w.Graph.Edges {
-			if e.U < 0 || e.U >= w.Graph.Nodes || e.V < 0 || e.V >= w.Graph.Nodes || e.U == e.V {
-				return Scenario{}, fmt.Errorf("engine: scenario %q: bad edge {%d,%d} in %d-node graph", w.Name, e.U, e.V, w.Graph.Nodes)
-			}
-			wgt := 1.0
-			if e.W != nil {
-				wgt = *e.W
-			}
-			g.AddWeightedEdge(e.U, e.V, wgt)
-		}
-		s.Graph = g
+	return specs, nil
+}
+
+func graphFromWire(name string, gw *graphJSON) (*graph.Graph, error) {
+	if gw == nil {
+		return nil, nil
 	}
-	if w.Explore != nil {
-		store, err := decodeStoreKind(w.Explore.Store)
-		if err != nil {
-			return Scenario{}, fmt.Errorf("engine: scenario %q: %w", w.Name, err)
-		}
-		s.Explore = explore.Options{
-			Bound:               w.Explore.Bound,
-			BoundSlack:          w.Explore.BoundSlack,
-			HardLimitFactor:     w.Explore.HardLimitFactor,
-			MaxStates:           w.Explore.MaxStates,
-			QueueDepth:          w.Explore.QueueDepth,
-			DisableVisitedSet:   w.Explore.DisableVisitedSet,
-			DuplicateDeliveries: w.Explore.DuplicateDeliveries,
-			Store:               store,
-			StoreBits:           w.Explore.StoreBits,
-		}
+	if gw.Nodes < 0 || gw.Nodes > MaxGraphNodes {
+		return nil, fmt.Errorf("engine: scenario %q: graph size %d outside [0,%d]", name, gw.Nodes, MaxGraphNodes)
 	}
-	if w.Faults != nil {
-		f, err := faultsFromWire(w)
-		if err != nil {
-			return Scenario{}, err
+	g := graph.New(gw.Nodes)
+	for _, e := range gw.Edges {
+		if e.U < 0 || e.U >= gw.Nodes || e.V < 0 || e.V >= gw.Nodes || e.U == e.V {
+			return nil, fmt.Errorf("engine: scenario %q: bad edge {%d,%d} in %d-node graph", name, e.U, e.V, gw.Nodes)
 		}
-		s.Faults = f
-	}
-	if w.Model != nil {
-		m, err := decodeModel(w.Model)
-		if err != nil {
-			return Scenario{}, err
+		wgt := 1.0
+		if e.W != nil {
+			wgt = *e.W
 		}
-		s.Model = m
+		g.AddWeightedEdge(e.U, e.V, wgt)
 	}
-	if w.Solver != nil {
-		s.Solver = sat.Options{
-			DisableVSIDS:       w.Solver.DisableVSIDS,
-			DisableRestarts:    w.Solver.DisableRestarts,
-			DisablePhaseSaving: w.Solver.DisablePhaseSaving,
-			MaxConflicts:       w.Solver.MaxConflicts,
-			InvertPhase:        w.Solver.InvertPhase,
-			RestartBase:        w.Solver.RestartBase,
-			RandSeed:           w.Solver.RandSeed,
-			RandomPolarityFreq: w.Solver.RandomPolarityFreq,
-		}
+	return g, nil
+}
+
+func exploreFromWire(name string, ew *exploreJSON) (explore.Options, error) {
+	if ew == nil {
+		return explore.Options{}, nil
 	}
-	return s, nil
+	store, err := decodeStoreKind(ew.Store)
+	if err != nil {
+		return explore.Options{}, fmt.Errorf("engine: scenario %q: %w", name, err)
+	}
+	// A lossy store is one make() of 2^store_bits slots: unbounded, a
+	// request can ask for more memory than the address space holds.
+	if limit := explore.MaxStoreBits(store); ew.StoreBits < 0 || ew.StoreBits > limit {
+		return explore.Options{}, fmt.Errorf("engine: scenario %q: store_bits %d outside [0,%d] for the %s store", name, ew.StoreBits, limit, store)
+	}
+	return explore.Options{
+		Bound:               ew.Bound,
+		BoundSlack:          ew.BoundSlack,
+		HardLimitFactor:     ew.HardLimitFactor,
+		MaxStates:           ew.MaxStates,
+		QueueDepth:          ew.QueueDepth,
+		DisableVisitedSet:   ew.DisableVisitedSet,
+		DuplicateDeliveries: ew.DuplicateDeliveries,
+		Store:               store,
+		StoreBits:           ew.StoreBits,
+	}, nil
+}
+
+func solverFromWire(sw *solverJSON) sat.Options {
+	if sw == nil {
+		return sat.Options{}
+	}
+	return sat.Options{
+		DisableVSIDS:       sw.DisableVSIDS,
+		DisableRestarts:    sw.DisableRestarts,
+		DisablePhaseSaving: sw.DisablePhaseSaving,
+		MaxConflicts:       sw.MaxConflicts,
+		InvertPhase:        sw.InvertPhase,
+		RestartBase:        sw.RestartBase,
+		RandSeed:           sw.RandSeed,
+		RandomPolarityFreq: sw.RandomPolarityFreq,
+	}
 }
 
 // faultsFromWire rebuilds and validates the fault model. Strictness
 // matters here: an out-of-range probability or a fault edge naming a
 // node outside the graph would be silently inert at run time, letting a
-// typo turn a lossy scenario into a reliable one.
-func faultsFromWire(w *scenarioJSON) (netsim.Faults, error) {
-	fw := w.Faults
+// typo turn a lossy scenario into a reliable one. The node range comes
+// from the scenario's graph, which is why a sweep memoises faults
+// together with graph.
+func faultsFromWire(name string, fw *faultsJSON, g *graph.Graph) (netsim.Faults, error) {
+	if fw == nil {
+		return netsim.Faults{}, nil
+	}
 	nodes := -1 // no graph: SAT-only scenarios carry no node range to check
-	if w.Graph != nil {
-		nodes = w.Graph.Nodes
+	if g != nil {
+		nodes = g.N()
 	}
 	badNode := func(n int) bool { return n < 0 || (nodes >= 0 && n >= nodes) }
 	fail := func(format string, args ...any) (netsim.Faults, error) {
-		return netsim.Faults{}, fmt.Errorf("engine: scenario %q faults: %s", w.Name, fmt.Sprintf(format, args...))
+		return netsim.Faults{}, fmt.Errorf("engine: scenario %q faults: %s", name, fmt.Sprintf(format, args...))
 	}
 	if fw.Drop < 0 || fw.Drop > 1 {
 		return fail("drop probability %v outside [0,1]", fw.Drop)
@@ -1030,12 +1071,25 @@ func DecodeSummary(data []byte) (Summary, error) {
 // computed. Scenarios the codec cannot encode are not addressable and
 // return an error (callers then simply skip caching).
 func CacheKey(s *Scenario, e Engine) (string, error) {
-	unnamed := *s
-	unnamed.Name = ""
-	data, err := EncodeScenario(&unnamed)
+	canonical, err := encodeUnnamed(s)
 	if err != nil {
 		return "", err
 	}
+	return contentAddress(canonical, s, e), nil
+}
+
+// encodeUnnamed is the canonical encoding CacheKey hashes: the scenario
+// with its display name blanked.
+func encodeUnnamed(s *Scenario) ([]byte, error) {
+	unnamed := *s
+	unnamed.Name = ""
+	return EncodeScenario(&unnamed)
+}
+
+// contentAddress hashes the engine descriptor and canonical, which must
+// be encodeUnnamed(s) — CacheKey computes it, a decoded sweep carries
+// it. s itself is read only to resolve Auto.
+func contentAddress(canonical []byte, s *Scenario, e Engine) string {
 	for {
 		w, ok := e.(interface{ Unwrap() Engine })
 		if !ok {
@@ -1066,8 +1120,8 @@ func CacheKey(s *Scenario, e Engine) (string, error) {
 	// %T pins the adapter type, %+v its configuration in declared field
 	// order — deterministic for the flat engine structs.
 	fmt.Fprintf(h, "epoch%d %T%+v\n", CacheEpoch, e, e)
-	h.Write(data)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	h.Write(canonical)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // VerifyCached verifies one scenario through a result cache: a
@@ -1079,10 +1133,22 @@ func CacheKey(s *Scenario, e Engine) (string, error) {
 // implementation of the cache protocol: the Runner's pool (and so the
 // fleet coordinator), cmd/mcaserved and fleet workers all call it.
 func VerifyCached(ctx context.Context, eng Engine, s Scenario, c ResultCache) Result {
+	return verifyCached(ctx, eng, s, nil, c)
+}
+
+// verifyCached is VerifyCached for a caller that may already hold
+// encodeUnnamed(&s): a decoded sweep's cells do, and are addressed from
+// those bytes instead of re-encoding the scenario they were decoded
+// from. A nil canonical is computed here.
+func verifyCached(ctx context.Context, eng Engine, s Scenario, canonical []byte, c ResultCache) Result {
 	var key string
 	if c != nil {
-		if k, err := CacheKey(&s, eng); err == nil {
-			key = k
+		if canonical == nil {
+			// Not encodable means not addressable: verify uncached.
+			canonical, _ = encodeUnnamed(&s)
+		}
+		if canonical != nil {
+			key = contentAddress(canonical, &s, eng)
 			if res, ok := c.Get(key); ok {
 				res.Index = -1
 				res.Scenario = s.Name

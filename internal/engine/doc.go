@@ -23,14 +23,23 @@
 //
 // Scenarios are also first-class data. EncodeScenario/DecodeScenario
 // round-trip a Scenario through a canonical, versioned, strictly
-// validated JSON document (docs/SCENARIO_FORMAT.md); ExpandSweep turns
+// validated JSON document (docs/SCENARIO_FORMAT.md); DecodeSweep turns
 // a sweep document — a base scenario plus axes of named variants — into
-// the cartesian scenario grid; EncodeResult/DecodeResult do the same
-// for Results. Canonical encoding gives every scenario a content
-// address (CacheKey), which RunnerOptions.Cache uses to skip
-// already-verified scenarios: repeated sweeps only pay for cells whose
-// content changed. internal/cache provides the standard ResultCache;
-// cmd/mcaserved serves the whole layer over HTTP.
+// a Sweep, the cartesian scenario grid (ExpandSweep returns just its
+// scenarios); EncodeResult/DecodeResult do the same for Results.
+// Canonical encoding gives every scenario a content address (CacheKey),
+// which RunnerOptions.Cache uses to skip already-verified scenarios:
+// repeated sweeps only pay for cells whose content changed.
+// internal/cache provides the standard ResultCache; cmd/mcaserved
+// serves the whole layer over HTTP.
+//
+// A Sweep decodes each distinct section value of the grid once and
+// carries, beside every cell's Scenario, the canonical bytes its
+// content address hashes; Runner.StreamSweep addresses cells from those
+// bytes and returns each Result already encoded by the worker that
+// produced it. The bytes live in the Sweep, never in the Scenario: a
+// Scenario is a value to copy and vary, and a varied copy must not
+// carry the encoding of the original.
 //
 // Determinism contract: a Result depends only on (Scenario, Engine
 // value) — never on worker counts, scheduling, or cache state. The

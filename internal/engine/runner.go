@@ -2,6 +2,9 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"log"
+	"runtime/debug"
 	"sort"
 	"time"
 
@@ -87,21 +90,56 @@ func (r *Runner) Stream(ctx context.Context, scenarios []Scenario) <-chan Result
 		ctx = context.Background()
 	}
 	return Pool(r.opts.Workers, len(scenarios), func(i int) Result {
-		res := r.runOne(ctx, scenarios[i])
-		res.Index = i
-		return res
+		return r.runOne(ctx, i, scenarios[i], nil)
 	})
 }
 
-// runOne verifies a single scenario, consulting the result cache when
-// one is configured.
-func (r *Runner) runOne(ctx context.Context, s Scenario) Result {
+// ResultLine is a Result with its wire form: Data is EncodeResult of
+// Result, or nil with Err set.
+type ResultLine struct {
+	Result Result
+	Data   []byte
+	Err    error
+}
+
+// StreamSweep is Stream over a decoded sweep, for a caller that writes
+// the results out: every cell is addressed in the cache by the canonical
+// bytes the sweep carries for it instead of a re-encoding of its
+// scenario, and each result arrives already encoded — by the pool
+// worker that produced it, so a single consumer only has to write.
+func (r *Runner) StreamSweep(ctx context.Context, sw *Sweep) <-chan ResultLine {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return Pool(r.opts.Workers, sw.Len(), func(i int) ResultLine {
+		c := &sw.cells[i]
+		line := ResultLine{Result: r.runOne(ctx, i, c.scenario, c.canonical)}
+		line.Data, line.Err = EncodeResult(&line.Result)
+		return line
+	})
+}
+
+// runOne verifies scenario i of a batch, consulting the result cache
+// when one is configured; canonical is encodeUnnamed(&s) when the caller
+// holds it, else nil. A panic inside the engine is contained here: it
+// becomes this scenario's error result instead of ending the process
+// from a pool goroutine, the way net/http contains a panicking handler.
+func (r *Runner) runOne(ctx context.Context, i int, s Scenario, canonical []byte) (res Result) {
+	eng := r.opts.Engine
+	defer func() {
+		if p := recover(); p != nil {
+			err := fmt.Errorf("engine: scenario %q: panic in %s: %v", s.Name, eng.Name(), p)
+			log.Printf("%v\n%s", err, debug.Stack())
+			res = errorResult(&s, eng.Name(), err)
+		}
+		res.Index = i
+	}()
 	if ctx.Err() != nil {
 		// The batch was cancelled before this scenario started:
 		// report it inconclusive instead of running it.
 		return Result{Scenario: s.Name, Engine: "runner", Status: StatusInconclusive, Err: ctx.Err()}
 	}
-	eng := r.opts.engineFor(s)
+	eng = r.opts.engineFor(s)
 	if r.pool != nil {
 		// Resolve Auto here so the pool reaches the SAT adapter it would
 		// delegate to; CacheKey performs the same resolution, so content
@@ -114,7 +152,7 @@ func (r *Runner) runOne(ctx context.Context, s Scenario) Result {
 			eng = se
 		}
 	}
-	return VerifyCached(ctx, eng, s, r.opts.Cache)
+	return verifyCached(ctx, eng, s, canonical, r.opts.Cache)
 }
 
 // Run verifies the scenarios and returns the results indexed by

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -166,5 +167,95 @@ func TestRunnerCacheBypassesUnencodable(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatalf("unencodable scenario cached: %d entries", c.Len())
+	}
+}
+
+// sweepOf wraps scenarios as a sweep document: one axis, one variant
+// per scenario, each patch the scenario's own sections.
+func sweepOf(t *testing.T, scenarios []engine.Scenario) []byte {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(`{"version":1,"name":"wrapped","base":{},"axes":[{"axis":"cell","variants":[`)
+	for i := range scenarios {
+		s := scenarios[i]
+		s.Name = ""
+		doc, err := engine.EncodeScenario(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		// A patch carries no version: drop the document's leading member.
+		patch := "{" + strings.TrimPrefix(strings.TrimPrefix(string(doc), `{"version":1`), ",")
+		fmt.Fprintf(&b, `{"name":"c%d","scenario":%s}`, i, patch)
+	}
+	b.WriteString(`]}]}`)
+	return []byte(b.String())
+}
+
+// TestStreamSweepSharesTheCacheWithRun: content addresses computed from
+// a sweep's carried bytes are the ones Run computes by encoding each
+// scenario, in both directions — a cache filled by either path is a
+// full set of hits for the other — and the encoded lines are the
+// results.
+func TestStreamSweepSharesTheCacheWithRun(t *testing.T) {
+	scenarios := cachedSweepScenarios()
+	sw, err := engine.DecodeSweep(sweepOf(t, scenarios))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.Len() != len(scenarios) {
+		t.Fatalf("%d cells for %d scenarios", sw.Len(), len(scenarios))
+	}
+	collect := func(r *engine.Runner) []engine.Result {
+		t.Helper()
+		results := make([]engine.Result, sw.Len())
+		for line := range r.StreamSweep(context.Background(), sw) {
+			if line.Err != nil {
+				t.Fatal(line.Err)
+			}
+			decoded, err := engine.DecodeResult(line.Data)
+			if err != nil {
+				t.Fatalf("line does not decode: %v\n%s", err, line.Data)
+			}
+			res := line.Result
+			if decoded.Index != res.Index || decoded.Scenario != res.Scenario || decoded.Status != res.Status ||
+				decoded.Cached != res.Cached || decoded.Stats.States != res.Stats.States {
+				t.Fatalf("line %s is not result %+v", line.Data, res)
+			}
+			results[res.Index] = res
+		}
+		return results
+	}
+
+	for _, order := range []string{"run-fills", "sweep-fills"} {
+		c, err := cache.New(cache.Options{Capacity: 4 * len(scenarios)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := engine.NewRunner(engine.RunnerOptions{Workers: 4, Cache: c})
+		var cold, warm []engine.Result
+		if order == "run-fills" {
+			cold, _ = r.Run(context.Background(), scenarios)
+			warm = collect(r)
+		} else {
+			cold = collect(r)
+			warm, _ = r.Run(context.Background(), scenarios)
+		}
+		for i := range cold {
+			if cold[i].Cached {
+				t.Fatalf("%s: cold scenario %d served from an empty cache", order, i)
+			}
+			if !warm[i].Cached {
+				t.Fatalf("%s: scenario %d missed the cache the other path filled", order, i)
+			}
+			if warm[i].Status != cold[i].Status || warm[i].Stats.States != cold[i].Stats.States || warm[i].Index != i {
+				t.Fatalf("%s: scenario %d: warm %+v, cold %+v", order, i, warm[i], cold[i])
+			}
+		}
+		if st := c.Stats(); st.Puts != uint64(len(scenarios)) || st.Hits != uint64(len(scenarios)) {
+			t.Fatalf("%s: cache stats %+v, want %d puts and hits", order, st, len(scenarios))
+		}
 	}
 }

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -210,5 +211,49 @@ func TestRunnerCancelledBatch(t *testing.T) {
 	}
 	if count != len(scenarios) {
 		t.Fatalf("cancelled stream delivered %d of %d results", count, len(scenarios))
+	}
+}
+
+// panicky is an engine that panics on the scenarios named in it and
+// runs the rest on Auto.
+type panicky map[string]bool
+
+func (panicky) Name() string { return "panicky" }
+func (p panicky) Verify(ctx context.Context, s engine.Scenario) engine.Result {
+	if p[s.Name] {
+		var none []int
+		_ = none[len(s.Name)] // index out of range
+	}
+	return engine.Auto{}.Verify(ctx, s)
+}
+
+// TestRunnerContainsEnginePanic: a panic inside one scenario's Verify —
+// on a pool goroutine, where nothing else would recover it — is that
+// scenario's error result; every other scenario still reports.
+func TestRunnerContainsEnginePanic(t *testing.T) {
+	scenarios := sweepScenarios(t)[:12]
+	bad := scenarios[5].Name
+	want, _ := engine.NewRunner(engine.RunnerOptions{Workers: 3}).Run(context.Background(), scenarios)
+
+	results, sum := engine.NewRunner(engine.RunnerOptions{Workers: 3, Engine: panicky{bad: true}}).
+		Run(context.Background(), scenarios)
+	if sum.Total != len(scenarios) || sum.Errors != 1 {
+		t.Fatalf("summary %+v, want one error in %d", sum, len(scenarios))
+	}
+	for i, res := range results {
+		if res.Index != i {
+			t.Fatalf("result %d has index %d", i, res.Index)
+		}
+		if res.Scenario == bad {
+			if res.Status != engine.StatusError || res.Engine != "panicky" || res.Err == nil ||
+				!strings.Contains(res.Err.Error(), "panic") || !strings.Contains(res.Err.Error(), "index out of range") {
+				t.Fatalf("panicking scenario reported %+v", res)
+			}
+			continue
+		}
+		if res.Status != want[i].Status || res.Stats.States != want[i].Stats.States {
+			t.Fatalf("scenario %q: %v/%d states beside the panic, %v/%d without", res.Scenario,
+				res.Status, res.Stats.States, want[i].Status, want[i].Stats.States)
+		}
 	}
 }

@@ -1,0 +1,483 @@
+package engine
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/relalg"
+)
+
+// specModel is a relational-model stand-in whose spec document has
+// nested object members, so the sweep tests can merge into model.spec
+// without importing a real model package (mcamodel imports engine).
+type specModel struct {
+	A     int `json:"a,omitempty"`
+	Scope struct {
+		C int `json:"c,omitempty"`
+		D int `json:"d,omitempty"`
+	} `json:"scope"`
+}
+
+func (specModel) ModelName() string { return "test-spec" }
+func (specModel) RelationalProblem() (*relalg.Bounds, relalg.Formula, relalg.Formula) {
+	return nil, nil, nil
+}
+
+func init() {
+	RegisterModelCodec(ModelCodec{
+		Kind: "test-spec",
+		Encode: func(m RelationalModel) (json.RawMessage, bool, error) {
+			sm, ok := m.(*specModel)
+			if !ok {
+				return nil, false, nil
+			}
+			spec, err := json.Marshal(sm)
+			return spec, true, err
+		},
+		Decode: func(spec json.RawMessage) (RelationalModel, error) {
+			sm := new(specModel)
+			if err := strictUnmarshal(spec, sm); err != nil {
+				return nil, err
+			}
+			if sm.A < 0 {
+				return nil, errors.New("negative a")
+			}
+			return sm, nil
+		},
+	})
+}
+
+// benchShapedGrid is a sweep document of the shape bench/gen.go posts:
+// n agent-list variants on the first axis, three networks on the
+// second, graph and explore in the base only.
+func benchShapedGrid(n int) []byte {
+	var b strings.Builder
+	b.WriteString(`{"version":1,"name":"grid","base":{"name":"mca","graph":{"nodes":2,"edges":[{"u":0,"v":1}]},"explore":{"max_states":100000}},"axes":[{"axis":"agents","variants":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		kind, scale := "submodular-residual", int64(4*(1+i/2))*1000003
+		if i%2 == 1 {
+			kind = "non-submodular-synergy"
+		}
+		fmt.Fprintf(&b, `{"name":"%s-x%d","scenario":{"agents":[`, kind, scale)
+		for id, base := range [][2]int64{{10, 15}, {15, 10}} {
+			if id > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `{"id":%d,"items":2,"base":[%d,%d],"policy":{"target":2,"utility":{"kind":"%s"},"release_outbid":true,"rebid":"on-change"}}`,
+				id, base[0]*scale, base[1]*scale, kind)
+		}
+		b.WriteString(`]}}`)
+	}
+	b.WriteString(`]},{"axis":"network","variants":[{"name":"reliable","scenario":{}},{"name":"drop25","scenario":{"faults":{"drop":0.25}}},{"name":"delay3","scenario":{"faults":{"delay":3}}}]}]}`)
+	return []byte(b.String())
+}
+
+// sweepCorpus is the differential corpus: every document of
+// sweepfile_test.go, a bench-shaped grid, and documents that exercise
+// each way a section value is put together.
+func sweepCorpus() map[string][]byte {
+	corpus := map[string][]byte{
+		"three-axis": []byte(sweepDoc),
+		"leak":       []byte(sweepLeakDoc),
+		"null":       []byte(sweepNullDoc),
+		"no-axes":    []byte(sweepNoAxesDoc),
+		"bench-grid": benchShapedGrid(200),
+		// Object sections patched on two axes: each distinct value is a
+		// merge of up to three objects.
+		"two-axis-objects": []byte(`{"version":1,"name":"objs",
+			"base":{"graph":{"nodes":3,"edges":[{"u":0,"v":1}]},"explore":{"max_states":500,"queue_depth":2},"faults":{"drop":0.1},"solver":{"rand_seed":7}},
+			"axes":[
+			 {"axis":"a","variants":[{"name":"a0","scenario":{}},{"name":"a1","scenario":{"explore":{"bound":9},"faults":{"delay":2,"drop_edge":[{"from":0,"to":1,"drop":0.5}]},"graph":{"edges":[{"u":1,"v":2,"w":2.5}]}}}]},
+			 {"axis":"b","variants":[{"name":"b0","scenario":{"explore":{"max_states":7,"store":"bitstate","store_bits":10}}},{"name":"b1","scenario":{"faults":{"drop":0.3,"partitions":[[2,0],[1]]},"solver":{"max_conflicts":100}}},{"name":"b2","scenario":{}}]}]}`),
+		// null at section level (delete, then set again on a later axis)
+		// and at field level (inside a merged object, and inside an object
+		// with nothing under it, where the null is simply inert).
+		"null-levels": []byte(`{"version":1,"name":"nulls",
+			"base":{"name":"b","faults":{"drop":0.5,"delay":1},"explore":{"max_states":99,"queue_depth":3},"agents":null,"solver":null},
+			"axes":[
+			 {"axis":"a","variants":[{"name":"del","scenario":{"faults":null,"explore":{"queue_depth":null}}},{"name":"keep","scenario":{"graph":{"nodes":2,"edges":null}}}]},
+			 {"axis":"b","variants":[{"name":"set","scenario":{"faults":{"delay":4,"drop":null}}},{"name":"nop","scenario":{"solver":{"rand_seed":null}}},{"name":"gone","scenario":{"explore":null,"graph":null}}]}]}`),
+		// model.spec is free-form JSON to the engine: patches merge into it
+		// recursively, and the model is decoded per cell.
+		"model-spec-merge": []byte(`{"version":1,"name":"spec",
+			"base":{"model":{"kind":"test-spec","spec":{"a":1,"scope":{"c":2,"d":3}}}},
+			"axes":[
+			 {"axis":"a","variants":[{"name":"a0","scenario":{}},{"name":"a1","scenario":{"model":{"spec":{"scope":{"c":5}}}}},{"name":"a2","scenario":{"model":{"spec":{"scope":{"d":null},"a":4}}}}]},
+			 {"axis":"b","variants":[{"name":"b0","scenario":{}},{"name":"b1","scenario":{"model":{"spec":{"a":null}}}},{"name":"b2","scenario":{"model":null}}]}]}`),
+		// An early axis's value that every cell overrides is never
+		// converted, so its bad utility kind is no error.
+		"overridden": []byte(`{"version":1,"name":"over","base":{},
+			"axes":[
+			 {"axis":"a","variants":[{"name":"bad","scenario":{"agents":[{"id":0,"items":1,"base":[1],"policy":{"target":1,"utility":{"kind":"nope"}}}]}}]},
+			 {"axis":"b","variants":[{"name":"good","scenario":{"agents":[{"id":0,"items":1,"base":[1],"policy":{"target":1,"utility":{"kind":"flat"}}}]}}]}]}`),
+	}
+	for name, doc := range sweepErrorDocs {
+		corpus["error/"+name] = []byte(doc)
+	}
+	return corpus
+}
+
+// nonObjectPatch reports whether some variant's patch is present and
+// not a JSON object: the one kind of document the reference accepts
+// (when the patch is null) and DecodeSweep rejects.
+func nonObjectPatch(doc []byte) bool {
+	var w sweepJSON
+	if strictUnmarshal(doc, &w) != nil {
+		return false
+	}
+	for _, ax := range w.Axes {
+		for _, v := range ax.Variants {
+			if len(v.Scenario) > 0 && v.Scenario[0] != '{' {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// ambiguousKeys reports whether any object in doc has a member name
+// that is not plain lower case, or the same name twice. On those the
+// reference's answer is an artefact of its round trip through a generic
+// tree — re-marshalling sorts the members, so which of "Agents" and
+// "agents" wins depends on their spelling, and a repeated nested object
+// loses the members only its first copy had — where DecodeSweep keeps
+// encoding/json's usual reading (names match ignoring case, a repeated
+// member decodes over the earlier one), the same as DecodeScenario on a
+// standalone document. The fuzz oracle does not compare them.
+func ambiguousKeys(doc []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	var stack []map[string]bool // one per open object; nil for an array
+	key := false                // the next token is a member name
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return false // end of input, or malformed: both sides reject that
+		}
+		switch tok := tok.(type) {
+		case json.Delim:
+			switch tok {
+			case '{':
+				stack, key = append(stack, map[string]bool{}), true
+				continue
+			case '[':
+				stack, key = append(stack, nil), false
+				continue
+			}
+			stack = stack[:len(stack)-1]
+		case string:
+			if key {
+				seen := stack[len(stack)-1]
+				if seen[tok] || strings.IndexFunc(tok, func(r rune) bool { return (r < 'a' || r > 'z') && r != '_' }) >= 0 {
+					return true
+				}
+				seen[tok], key = true, false
+				continue
+			}
+		}
+		// A value just ended; inside an object a member name comes next.
+		key = len(stack) > 0 && stack[len(stack)-1] != nil
+	}
+}
+
+// checkAgainstReference holds DecodeSweep to expandSweepReference on
+// one document: reject where it rejects; where it accepts, the same
+// cells under the same names with byte-equal encodings, carried
+// canonical bytes equal to the unnamed encoding, and content addresses
+// from carried bytes equal to the public CacheKey's.
+func checkAgainstReference(t *testing.T, doc []byte) {
+	t.Helper()
+	want, refErr := expandSweepReference(doc)
+	sw, err := DecodeSweep(doc)
+	if refErr != nil {
+		if err == nil {
+			t.Fatalf("reference rejects (%v), DecodeSweep accepts", refErr)
+		}
+		return
+	}
+	if err != nil {
+		if nonObjectPatch(doc) {
+			return
+		}
+		t.Fatalf("reference accepts, DecodeSweep rejects: %v", err)
+	}
+	got := sw.Scenarios()
+	if len(got) != len(want) {
+		t.Fatalf("%d cells, reference has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Name != want[i].Name {
+			t.Fatalf("cell %d named %q, reference %q", i, got[i].Name, want[i].Name)
+		}
+		wantDoc, wantErr := EncodeScenario(&want[i])
+		gotDoc, gotErr := EncodeScenario(&got[i])
+		if (wantErr == nil) != (gotErr == nil) || !bytes.Equal(gotDoc, wantDoc) {
+			t.Fatalf("cell %q encodes differently:\n got %s (%v)\nwant %s (%v)", want[i].Name, gotDoc, gotErr, wantDoc, wantErr)
+		}
+		unnamed, _ := encodeUnnamed(&want[i])
+		carried := sw.cells[i].canonical
+		if !bytes.Equal(carried, unnamed) {
+			t.Fatalf("cell %q carries\n     %s\nwant %s", want[i].Name, carried, unnamed)
+		}
+		if carried == nil {
+			continue
+		}
+		for _, eng := range []Engine{Auto{}, Simulation{Runs: 3, Seed: 9}} {
+			key, err := CacheKey(&want[i], eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fromCarried := contentAddress(carried, &got[i], eng); fromCarried != key {
+				t.Fatalf("cell %q under %s: address %s from carried bytes, CacheKey %s", want[i].Name, eng.Name(), fromCarried, key)
+			}
+		}
+	}
+}
+
+// TestDecodeSweepMatchesReference runs the differential over the corpus
+// and checks the corpus covers what it says: both accepted and rejected
+// documents, and no skipped comparison but the null patch's.
+func TestDecodeSweepMatchesReference(t *testing.T) {
+	accepted := 0
+	for name, doc := range sweepCorpus() {
+		t.Run(name, func(t *testing.T) {
+			if ambiguousKeys(doc) {
+				t.Fatal("corpus document has ambiguous member names; the fuzz oracle would skip it")
+			}
+			checkAgainstReference(t, doc)
+			_, err := DecodeSweep(doc)
+			if rejected := strings.HasPrefix(name, "error/"); rejected != (err != nil) {
+				t.Fatalf("DecodeSweep error = %v", err)
+			}
+			if err == nil {
+				accepted++
+			}
+		})
+	}
+	if accepted < 9 {
+		t.Fatalf("only %d accepted documents compared", accepted)
+	}
+}
+
+// TestSweepCellsShareSections pins the memo rule on the bench-shaped
+// grid: 600 cells, 200 agent lists, one graph.
+func TestSweepCellsShareSections(t *testing.T) {
+	scenarios, err := ExpandSweep(benchShapedGrid(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scenarios) != 600 {
+		t.Fatalf("%d cells", len(scenarios))
+	}
+	for i, s := range scenarios {
+		if s.Graph != scenarios[0].Graph {
+			t.Fatalf("cell %d has its own graph", i)
+		}
+		if first := scenarios[i-i%3]; &s.AgentSpecs[0] != &first.AgentSpecs[0] {
+			t.Fatalf("cell %d does not share its row's agent specs", i)
+		}
+	}
+	if &scenarios[0].AgentSpecs[0] == &scenarios[3].AgentSpecs[0] {
+		t.Fatal("different variants share agent specs")
+	}
+}
+
+// TestSweepModelsAreDecodedPerCell: cells never share a model value.
+func TestSweepModelsAreDecodedPerCell(t *testing.T) {
+	scenarios, err := ExpandSweep(sweepCorpus()["model-spec-merge"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[*specModel]string{}
+	for _, s := range scenarios {
+		if s.Model == nil {
+			continue
+		}
+		m := s.Model.(*specModel)
+		if other, dup := seen[m]; dup {
+			t.Fatalf("cells %q and %q share one model value", other, s.Name)
+		}
+		seen[m] = s.Name
+	}
+	if len(seen) != 6 {
+		t.Fatalf("%d cells carry a model, want 6", len(seen))
+	}
+}
+
+// TestNullPatchIsRejectedWithItsVariant: the error names the axis and
+// the variant, like every other patch error.
+func TestNullPatchIsRejectedWithItsVariant(t *testing.T) {
+	_, err := ExpandSweep([]byte(sweepErrorDocs["null-patch"]))
+	if err == nil || !strings.Contains(err.Error(), `axis "a" variant "v"`) || !strings.Contains(err.Error(), "JSON object") {
+		t.Fatalf("error = %v", err)
+	}
+	// The reference shows what the rejection prevents: the base erased.
+	cells, refErr := expandSweepReference([]byte(sweepErrorDocs["null-patch"]))
+	if refErr != nil || cells[0].Explore.MaxStates != 0 || cells[0].Faults.Drop != 0 {
+		t.Fatalf("reference: %+v, %v", cells, refErr)
+	}
+}
+
+// TestSweepErrorNamesFirstCell: a value shared by several cells is
+// validated once, and the error names the first cell, in grid order,
+// that uses it — here the fault model that fits the three-node graph
+// and not the two-node one.
+func TestSweepErrorNamesFirstCell(t *testing.T) {
+	_, err := DecodeSweep([]byte(sweepErrorDocs["fault-fits-one-graph"]))
+	if err == nil || !strings.Contains(err.Error(), `cell "/g2/cut"`) || !strings.Contains(err.Error(), "2-node graph") {
+		t.Fatalf("error = %v", err)
+	}
+}
+
+// sweepDocKeys are the content addresses of sweepDoc's twelve cells
+// under Auto{}, computed at the commit before expansion was rebuilt
+// (2123da5). They must never move: a persistent cache filled by an
+// older build keeps answering.
+var sweepDocKeys = []string{
+	"aa5057de53a673416c989d2e8a979234bb3bda26fdd628e1a187e40948ed8e99", // base/n2/reliable/default
+	"f22a884097886700ce064454b2f2e637a1fa9e3fa55699f9815e794b50f6f632", // base/n2/reliable/dup
+	"fd500a6d4d31747dfec96c8a98a50a175f70da4fca1fc19384d22f0612d2d231", // base/n2/drop20/default
+	"e837cc0bc6e48bd22129b7ec0b0acbd837cc49db0a12084fcc0a53bb8edd63ce", // base/n2/drop20/dup
+	"0db583fd864715676193c94910b0d5bdf6200d5a9a7caee01180d180d613dd9c", // base/n2/delay2/default
+	"f988827c29b0f18c16f24562455b953b6cefc8b07ad6f4fceefcdaaa2b661068", // base/n2/delay2/dup
+	"6b43169ad2f96db5388e73c3c6612f5a2742e4dcc54e77aae0c4169d58791ce5", // base/n3/reliable/default
+	"6b09764c2c9c6923df4b7471db1e417d12181d067c6330f54ca008d2a6209888", // base/n3/reliable/dup
+	"4beeb64e4959daa08be7cc28e36dbdf1da62d3afc37cff49485b9e41f1f2d11f", // base/n3/drop20/default
+	"364802ee231f24fccce7650188c384003fcf094458e7177b78d1c55af1527956", // base/n3/drop20/dup
+	"e4f1717c95fdee635a1e0de5c66da9497aad392f7673bf567b300758818a956c", // base/n3/delay2/default
+	"df2ee1ffe2d5d2519f28bebfa21bd4d8d426744c62f5d44c0318127072395153", // base/n3/delay2/dup
+}
+
+func TestSweepContentAddressesAreGolden(t *testing.T) {
+	sw, err := DecodeSweep([]byte(sweepDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.Len() != len(sweepDocKeys) {
+		t.Fatalf("%d cells", sw.Len())
+	}
+	for i, want := range sweepDocKeys {
+		c := &sw.cells[i]
+		if key, err := CacheKey(&c.scenario, Auto{}); err != nil || key != want {
+			t.Errorf("cell %q: CacheKey %s (%v), want %s", c.scenario.Name, key, err, want)
+		}
+		if key := contentAddress(c.canonical, &c.scenario, Auto{}); key != want {
+			t.Errorf("cell %q: address from carried bytes %s, want %s", c.scenario.Name, key, want)
+		}
+	}
+}
+
+// TestCanonicalHead: the frame canonicalFragment cuts away is the one
+// the encoder writes.
+func TestCanonicalHead(t *testing.T) {
+	data, err := EncodeScenario(&Scenario{})
+	if err != nil || string(data) != canonicalHead+"}" {
+		t.Fatalf("empty scenario encodes as %s (%v)", data, err)
+	}
+}
+
+func FuzzExpandSweep(f *testing.F) {
+	for _, doc := range sweepCorpus() {
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		if ambiguousKeys(doc) {
+			DecodeSweep(doc) // must still not panic
+			return
+		}
+		checkAgainstReference(t, doc)
+	})
+}
+
+func FuzzDecodeScenario(f *testing.F) {
+	f.Add([]byte(`{"version":1,"graph":{"nodes":20000000},"explore":{"store":"bitstate","store_bits":62}}`))
+	f.Add([]byte(`{"version":1,"name":"x","agents":[{"id":0,"items":2,"base":[10,15],"demands":[1,2],"capacity":3,"policy":{"target":2,"utility":{"kind":"escalating-attack","step":2,"cap":64},"release_outbid":true,"rebid":"always","bids_per_round":1}}],"graph":{"nodes":2,"edges":[{"u":0,"v":1,"w":0}]},"explore":{"bound":5,"max_states":10,"store":"hash-compact","store_bits":12},"faults":{"drop":0.5,"drop_edge":[{"from":0,"to":1,"drop":1}],"delay_edge":[{"from":1,"to":0,"delay":2}],"duplicate":0.1,"reorder":2,"partitions":[[1],[0]],"heal_after":3},"model":{"kind":"test-spec","spec":{"a":1,"scope":{"c":2}}},"solver":{"rand_seed":7,"random_polarity_freq":0.25}}`))
+	if sw, err := DecodeSweep([]byte(sweepDoc)); err == nil {
+		for i := range sw.cells {
+			doc, _ := EncodeScenario(&sw.cells[i].scenario)
+			f.Add(doc)
+		}
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		s, err := DecodeScenario(doc)
+		if err != nil {
+			return
+		}
+		first, err := EncodeScenario(&s)
+		if err != nil {
+			t.Fatalf("decoded scenario does not encode: %v", err)
+		}
+		again, err := DecodeScenario(first)
+		if err != nil {
+			t.Fatalf("canonical encoding does not decode: %v\n%s", err, first)
+		}
+		if second, err := EncodeScenario(&again); err != nil || !bytes.Equal(first, second) {
+			t.Fatalf("round trip moved the bytes (%v):\n%s\n%s", err, first, second)
+		}
+	})
+}
+
+// TestDecodeScenarioBounds: sizes a document states are bounded before
+// anything is allocated from them.
+func TestDecodeScenarioBounds(t *testing.T) {
+	for name, doc := range map[string]string{
+		"graph-nodes":       `{"version":1,"graph":{"nodes":20000000}}`,
+		"graph-nodes-max+1": fmt.Sprintf(`{"version":1,"graph":{"nodes":%d}}`, MaxGraphNodes+1),
+		"bitstate-62":       `{"version":1,"explore":{"store":"bitstate","store_bits":62}}`,
+		"bitstate-40":       `{"version":1,"explore":{"store":"bitstate","store_bits":40}}`,
+		"hash-compact-30":   `{"version":1,"explore":{"store":"hash-compact","store_bits":30}}`,
+		"negative-bits":     `{"version":1,"explore":{"store":"bitstate","store_bits":-1}}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := DecodeScenario([]byte(doc))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("accepted %s", doc)
+			}
+			// The parent allocated 1,068 MB for the first document.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("rejecting %s allocated %d bytes", doc, grew)
+			}
+		})
+	}
+	for _, doc := range []string{
+		fmt.Sprintf(`{"version":1,"graph":{"nodes":%d}}`, 1024),
+		`{"version":1,"explore":{"store":"bitstate","store_bits":34}}`,
+		`{"version":1,"explore":{"store":"hash-compact","store_bits":29}}`,
+	} {
+		if _, err := DecodeScenario([]byte(doc)); err != nil {
+			t.Fatalf("rejected %s: %v", doc, err)
+		}
+	}
+}
+
+func BenchmarkDecodeSweep(b *testing.B) {
+	doc := benchShapedGrid(200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeSweep(doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkExpandSweepReference(b *testing.B) {
+	doc := benchShapedGrid(200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := expandSweepReference(doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

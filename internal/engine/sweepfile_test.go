@@ -126,30 +126,7 @@ func TestExpandSweepRuns(t *testing.T) {
 // merge-patch semantics: a variant that replaces an array must not
 // inherit omitted fields from the base elements it displaces.
 func TestExpandSweepArrayReplaceDoesNotLeak(t *testing.T) {
-	doc := `{
-  "version": 1,
-  "name": "leak",
-  "base": {
-    "agents": [
-      {"id": 0, "items": 2, "base": [10, 15],
-       "policy": {"target": 2, "utility": {"kind": "submodular-residual"}, "release_outbid": true, "rebid": "on-change", "bids_per_round": 1}},
-      {"id": 1, "items": 2, "base": [15, 10],
-       "policy": {"target": 2, "utility": {"kind": "submodular-residual"}, "release_outbid": true, "rebid": "on-change", "bids_per_round": 1}}
-    ],
-    "graph": {"nodes": 2, "edges": [{"u": 0, "v": 1}]}
-  },
-  "axes": [
-    {"axis": "policy", "variants": [
-      {"name": "attack", "scenario": {"agents": [
-        {"id": 0, "items": 2, "base": [10, 15],
-         "policy": {"target": 2, "utility": {"kind": "submodular-residual"}, "release_outbid": true, "rebid": "on-change"}},
-        {"id": 1, "items": 2, "base": [15, 10],
-         "policy": {"target": 2, "utility": {"kind": "escalating-attack", "cap": 1024}, "rebid": "always"}}
-      ]}}
-    ]}
-  ]
-}`
-	scenarios, err := ExpandSweep([]byte(doc))
+	scenarios, err := ExpandSweep([]byte(sweepLeakDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +160,31 @@ func TestExpandSweepArrayReplaceDoesNotLeak(t *testing.T) {
 	}
 }
 
-// TestExpandSweepNullDeletes: an explicit null removes the base value.
-func TestExpandSweepNullDeletes(t *testing.T) {
-	doc := `{
+const sweepLeakDoc = `{
+  "version": 1,
+  "name": "leak",
+  "base": {
+    "agents": [
+      {"id": 0, "items": 2, "base": [10, 15],
+       "policy": {"target": 2, "utility": {"kind": "submodular-residual"}, "release_outbid": true, "rebid": "on-change", "bids_per_round": 1}},
+      {"id": 1, "items": 2, "base": [15, 10],
+       "policy": {"target": 2, "utility": {"kind": "submodular-residual"}, "release_outbid": true, "rebid": "on-change", "bids_per_round": 1}}
+    ],
+    "graph": {"nodes": 2, "edges": [{"u": 0, "v": 1}]}
+  },
+  "axes": [
+    {"axis": "policy", "variants": [
+      {"name": "attack", "scenario": {"agents": [
+        {"id": 0, "items": 2, "base": [10, 15],
+         "policy": {"target": 2, "utility": {"kind": "submodular-residual"}, "release_outbid": true, "rebid": "on-change"}},
+        {"id": 1, "items": 2, "base": [15, 10],
+         "policy": {"target": 2, "utility": {"kind": "escalating-attack", "cap": 1024}, "rebid": "always"}}
+      ]}}
+    ]}
+  ]
+}`
+
+const sweepNullDoc = `{
   "version": 1,
   "name": "null",
   "base": {"faults": {"drop": 0.5}, "explore": {"max_states": 99}},
@@ -196,7 +195,10 @@ func TestExpandSweepNullDeletes(t *testing.T) {
     ]}
   ]
 }`
-	scenarios, err := ExpandSweep([]byte(doc))
+
+// TestExpandSweepNullDeletes: an explicit null removes the base value.
+func TestExpandSweepNullDeletes(t *testing.T) {
+	scenarios, err := ExpandSweep([]byte(sweepNullDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,9 +213,10 @@ func TestExpandSweepNullDeletes(t *testing.T) {
 	}
 }
 
+const sweepNoAxesDoc = `{"version": 1, "name": "single", "base": {"name": "only"}}`
+
 func TestExpandSweepNoAxes(t *testing.T) {
-	doc := `{"version": 1, "name": "single", "base": {"name": "only"}}`
-	scenarios, err := ExpandSweep([]byte(doc))
+	scenarios, err := ExpandSweep([]byte(sweepNoAxesDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,20 +225,34 @@ func TestExpandSweepNoAxes(t *testing.T) {
 	}
 }
 
+// sweepErrorDocs are sweep documents expansion must reject.
+var sweepErrorDocs = map[string]string{
+	"missing-base":     `{"version": 1, "name": "x"}`,
+	"wrong-version":    `{"version": 2, "base": {}}`,
+	"base-has-version": `{"version": 1, "base": {"version": 1}}`,
+	"unnamed-axis":     `{"version": 1, "base": {}, "axes": [{"axis": "", "variants": [{"name": "a", "scenario": {}}]}]}`,
+	"empty-axis":       `{"version": 1, "base": {}, "axes": [{"axis": "a", "variants": []}]}`,
+	"unnamed-variant":  `{"version": 1, "base": {}, "axes": [{"axis": "a", "variants": [{"name": "", "scenario": {}}]}]}`,
+	"dup-variant":      `{"version": 1, "base": {}, "axes": [{"axis": "a", "variants": [{"name": "v", "scenario": {}}, {"name": "v", "scenario": {}}]}]}`,
+	"unknown-field":    `{"version": 1, "base": {}, "bonus": true}`,
+	"bad-patch":        `{"version": 1, "base": {}, "axes": [{"axis": "a", "variants": [{"name": "v", "scenario": {"nope": 1}}]}]}`,
+	"patch-sets-name":  `{"version": 1, "base": {}, "axes": [{"axis": "a", "variants": [{"name": "v", "scenario": {"name": "sneaky"}}]}]}`,
+	"patch-version":    `{"version": 1, "base": {}, "axes": [{"axis": "a", "variants": [{"name": "v", "scenario": {"version": 1}}]}]}`,
+	// A null patch strict-decodes into a struct and, merged, replaces
+	// the whole base: it used to erase max_states and drop silently.
+	"null-patch":  `{"version": 1, "base": {"explore": {"max_states": 99}, "faults": {"drop": 0.5}}, "axes": [{"axis": "a", "variants": [{"name": "v", "scenario": null}]}]}`,
+	"array-patch": `{"version": 1, "base": {}, "axes": [{"axis": "a", "variants": [{"name": "v", "scenario": []}]}]}`,
+	// Conversion errors surface per cell, after every patch has decoded.
+	"bad-utility":     `{"version": 1, "base": {}, "axes": [{"axis": "a", "variants": [{"name": "v", "scenario": {"agents": [{"id": 0, "items": 1, "policy": {"target": 1, "utility": {"kind": "nope"}}}]}}]}]}`,
+	"fault-off-graph": `{"version": 1, "base": {"graph": {"nodes": 2}}, "axes": [{"axis": "a", "variants": [{"name": "v", "scenario": {"faults": {"partitions": [[0], [2]]}}}]}]}`,
+	// The same fault patch fits one variant's graph and not the other's:
+	// faults are validated per (faults, graph) pair, not per patch.
+	"fault-fits-one-graph": `{"version": 1, "base": {}, "axes": [{"axis": "g", "variants": [{"name": "g3", "scenario": {"graph": {"nodes": 3}}}, {"name": "g2", "scenario": {"graph": {"nodes": 2}}}]}, {"axis": "f", "variants": [{"name": "none", "scenario": {}}, {"name": "cut", "scenario": {"faults": {"partitions": [[0, 1], [2]]}}}]}]}`,
+	"merged-bad-type":      `{"version": 1, "base": {"model": {"kind": "test-spec", "spec": {"a": 1}}}, "axes": [{"axis": "a", "variants": [{"name": "v", "scenario": {"model": {"spec": {"a": "one"}}}}]}]}`,
+}
+
 func TestExpandSweepErrors(t *testing.T) {
-	for name, doc := range map[string]string{
-		"missing-base":     `{"version": 1, "name": "x"}`,
-		"wrong-version":    `{"version": 2, "base": {}}`,
-		"base-has-version": `{"version": 1, "base": {"version": 1}}`,
-		"unnamed-axis":     `{"version": 1, "base": {}, "axes": [{"axis": "", "variants": [{"name": "a", "scenario": {}}]}]}`,
-		"empty-axis":       `{"version": 1, "base": {}, "axes": [{"axis": "a", "variants": []}]}`,
-		"unnamed-variant":  `{"version": 1, "base": {}, "axes": [{"axis": "a", "variants": [{"name": "", "scenario": {}}]}]}`,
-		"dup-variant":      `{"version": 1, "base": {}, "axes": [{"axis": "a", "variants": [{"name": "v", "scenario": {}}, {"name": "v", "scenario": {}}]}]}`,
-		"unknown-field":    `{"version": 1, "base": {}, "bonus": true}`,
-		"bad-patch":        `{"version": 1, "base": {}, "axes": [{"axis": "a", "variants": [{"name": "v", "scenario": {"nope": 1}}]}]}`,
-		"patch-sets-name":  `{"version": 1, "base": {}, "axes": [{"axis": "a", "variants": [{"name": "v", "scenario": {"name": "sneaky"}}]}]}`,
-		"patch-version":    `{"version": 1, "base": {}, "axes": [{"axis": "a", "variants": [{"name": "v", "scenario": {"version": 1}}]}]}`,
-	} {
+	for name, doc := range sweepErrorDocs {
 		t.Run(name, func(t *testing.T) {
 			if _, err := ExpandSweep([]byte(doc)); err == nil {
 				t.Fatalf("accepted %s", doc)

@@ -56,6 +56,27 @@ const (
 	storeMinBits = 6
 )
 
+// Largest accepted Options.StoreBits per lossy store, each a 2 GiB
+// allocation: 2^34 bits for bitstate, 2^29 four-byte fingerprints for
+// hash compaction. StoreBits goes straight into make, so without a
+// ceiling 62 panics (makeslice: len out of range) and 40 asks for
+// 128 GiB. The scenario decoder rejects larger values; newSeenSet
+// clamps, so no caller can reach make with more.
+const (
+	MaxBitstateBits    = 34
+	MaxHashCompactBits = 29
+)
+
+// MaxStoreBits returns the largest accepted Options.StoreBits for the
+// store kind. The exact store ignores StoreBits; it gets the larger
+// ceiling so that an inert value is still a bounded one.
+func MaxStoreBits(k StoreKind) int {
+	if k == StoreHashCompact {
+		return MaxHashCompactBits
+	}
+	return MaxBitstateBits
+}
+
 // seenSet is the serial checker's membership interface: the exact
 // store and both lossy stores implement it, so the DFS hot loop is
 // representation-blind.
@@ -75,27 +96,25 @@ type seenSet interface {
 
 // newSeenSet builds the seen-set selected by opts (post-defaults).
 func newSeenSet(opts Options) seenSet {
-	bits := opts.StoreBits
 	switch opts.Store {
 	case StoreBitstate:
-		if bits <= 0 {
-			bits = defaultBitstateBits
-		}
-		if bits < storeMinBits {
-			bits = storeMinBits
-		}
-		return newBitstateSeen(bits)
+		return newBitstateSeen(storeBits(opts, defaultBitstateBits))
 	case StoreHashCompact:
-		if bits <= 0 {
-			bits = defaultHashCompactBits
-		}
-		if bits < storeMinBits {
-			bits = storeMinBits
-		}
-		return newHashCompactSeen(bits)
+		return newHashCompactSeen(storeBits(opts, defaultHashCompactBits))
 	default:
 		return &exactSeen{}
 	}
+}
+
+// storeBits resolves Options.StoreBits for a lossy store: 0 or less is
+// the store's default, anything else is clamped into
+// [storeMinBits, MaxStoreBits].
+func storeBits(opts Options, def int) int {
+	bits := opts.StoreBits
+	if bits <= 0 {
+		bits = def
+	}
+	return min(max(bits, storeMinBits), MaxStoreBits(opts.Store))
 }
 
 // exactSeen adapts stateTable to the seenSet interface (presence-only:

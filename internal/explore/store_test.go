@@ -229,3 +229,38 @@ func TestNewSeenSetClampsBits(t *testing.T) {
 		t.Fatal("default store is not exact")
 	}
 }
+
+// TestStoreBitsCeiling: StoreBits goes into make, so it is clamped from
+// above as well — 62 used to panic (makeslice: len out of range), 40 to
+// ask for 128 GiB. The ceilings are checked on storeBits, not by
+// allocating 2 GiB stores.
+func TestStoreBitsCeiling(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		store     StoreKind
+		bits, def int
+		want      int
+	}{
+		{StoreBitstate, 62, defaultBitstateBits, MaxBitstateBits},
+		{StoreBitstate, 40, defaultBitstateBits, MaxBitstateBits},
+		{StoreBitstate, MaxBitstateBits, defaultBitstateBits, MaxBitstateBits},
+		{StoreBitstate, 24, defaultBitstateBits, 24},
+		{StoreBitstate, 0, defaultBitstateBits, defaultBitstateBits},
+		{StoreBitstate, 1, defaultBitstateBits, storeMinBits},
+		{StoreHashCompact, 62, defaultHashCompactBits, MaxHashCompactBits},
+		{StoreHashCompact, MaxHashCompactBits + 1, defaultHashCompactBits, MaxHashCompactBits},
+		{StoreHashCompact, 12, defaultHashCompactBits, 12},
+		{StoreHashCompact, -1, defaultHashCompactBits, defaultHashCompactBits},
+	} {
+		if got := storeBits(Options{Store: tc.store, StoreBits: tc.bits}, tc.def); got != tc.want {
+			t.Errorf("%s store_bits %d resolves to %d, want %d", tc.store, tc.bits, got, tc.want)
+		}
+	}
+	// Neither ceiling is more than a 2 GiB allocation.
+	if bytes := (uint64(1) << MaxBitstateBits) / 8; bytes > 2<<30 {
+		t.Errorf("bitstate ceiling is %d bytes", bytes)
+	}
+	if bytes := (uint64(1) << MaxHashCompactBits) * 4; bytes > 2<<30 {
+		t.Errorf("hash-compact ceiling is %d bytes", bytes)
+	}
+}
