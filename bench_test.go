@@ -1,27 +1,24 @@
-// Benchmark harness: one bench per figure/result in the paper's
-// evaluation, plus ablations for the design choices DESIGN.md calls out.
-// Each bench regenerates the corresponding artifact; EXPERIMENTS.md
-// records paper-vs-measured. Run with:
+// Paper-artifact and ablation benches: one bench per figure/result in
+// the paper's evaluation, plus ablations and the fuzzing layer. Each
+// bench regenerates and validates the corresponding artifact. What the
+// product's layers cost is measured by the repo benchmark instead
+// (go run ./bench, BENCHMARK.json; docs/PERFORMANCE.md). Run with:
 //
 //	go test -bench=. -benchmem .
 package mcaverify_test
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 
 	mcaverify "repro"
-	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/mca"
 	"repro/internal/mcamodel"
-	"repro/internal/netsim"
 	"repro/internal/portfolio"
-	"repro/internal/relalg"
 	"repro/internal/sat"
 )
 
@@ -121,69 +118,6 @@ func BenchmarkResult2RebidAttack(b *testing.B) {
 		v := explore.Check(attackAgents(), graph.Complete(2), explore.Options{})
 		if v.OK {
 			b.Fatal("attack should break consensus")
-		}
-	}
-}
-
-// ---- E5: abstraction efficiency (naive vs optimized encodings) ----
-
-// BenchmarkEncodingNaive translates the pre-optimization model at the
-// paper's scope (3 pnodes, 2 vnodes) and reports clause counts.
-func BenchmarkEncodingNaive(b *testing.B) {
-	var clauses, vars int
-	for i := 0; i < b.N; i++ {
-		e, err := mcamodel.BuildNaive(mcamodel.PaperScope())
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := mcamodel.MeasureTranslation(e)
-		clauses, vars = m.Clauses, m.PrimaryVars+m.AuxVars
-	}
-	b.ReportMetric(float64(clauses), "clauses")
-	b.ReportMetric(float64(vars), "vars")
-}
-
-// BenchmarkEncodingOptimized translates the optimized model at the same
-// scope; the clause metric should come out well below the naive one.
-func BenchmarkEncodingOptimized(b *testing.B) {
-	var clauses, vars int
-	for i := 0; i < b.N; i++ {
-		e, err := mcamodel.BuildOptimized(mcamodel.PaperScope())
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := mcamodel.MeasureTranslation(e)
-		clauses, vars = m.Clauses, m.PrimaryVars+m.AuxVars
-	}
-	b.ReportMetric(float64(clauses), "clauses")
-	b.ReportMetric(float64(vars), "vars")
-}
-
-// BenchmarkEncodingCheckNaive/Optimized run the full consensus check
-// (translate + SAT solve) on both encodings, the end-to-end time the
-// paper's "a day vs under two hours" comparison is about.
-func BenchmarkEncodingCheckNaive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e, err := mcamodel.BuildNaive(mcamodel.PaperScope())
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := mcamodel.CheckConsensus(e, sat.Options{})
-		if m.CheckStatus == sat.StatusUnknown {
-			b.Fatal("check inconclusive")
-		}
-	}
-}
-
-func BenchmarkEncodingCheckOptimized(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e, err := mcamodel.BuildOptimized(mcamodel.PaperScope())
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := mcamodel.CheckConsensus(e, sat.Options{})
-		if m.CheckStatus == sat.StatusUnknown {
-			b.Fatal("check inconclusive")
 		}
 	}
 }
@@ -333,62 +267,7 @@ func benchSATOptions(b *testing.B, opts sat.Options) {
 	}
 }
 
-// ---- Protocol-scale benches ----
-
-// BenchmarkSyncAuction measures the synchronous protocol across network
-// sizes.
-func BenchmarkSyncAuction(b *testing.B) {
-	for _, n := range []int{4, 8, 16} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				items := 4
-				g := graph.RandomConnected(n, 0.3, int64(n))
-				agents := make([]*mca.Agent, n)
-				for ai := range agents {
-					base := make([]int64, items)
-					for j := range base {
-						base[j] = int64(1 + (ai*11+j*7)%23)
-					}
-					agents[ai] = mca.MustNewAgent(mca.Config{
-						ID: mca.AgentID(ai), Items: items, Base: base,
-						Policy: mca.Policy{Target: 2, Utility: mca.SubmodularResidual{}, ReleaseOutbid: true, Rebid: mca.RebidOnChange},
-					})
-				}
-				r, err := mca.NewSyncRunner(agents, g)
-				if err != nil {
-					b.Fatal(err)
-				}
-				out := r.Run(4*mca.MessageBound(g, items) + 8)
-				if !out.Converged {
-					b.Fatalf("n=%d did not converge", n)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAsyncAuction measures the randomized asynchronous runner.
-func BenchmarkAsyncAuction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		n, items := 6, 3
-		g := graph.RandomConnected(n, 0.4, 11)
-		agents := make([]*mca.Agent, n)
-		for ai := range agents {
-			base := make([]int64, items)
-			for j := range base {
-				base[j] = int64(1 + (ai*13+j*5)%19)
-			}
-			agents[ai] = mca.MustNewAgent(mca.Config{
-				ID: mca.AgentID(ai), Items: items, Base: base,
-				Policy: mca.Policy{Target: items, Utility: mca.SubmodularResidual{}, ReleaseOutbid: true, Rebid: mca.RebidOnChange},
-			})
-		}
-		out := netsim.RunAsync(agents, g, int64(i), 100000)
-		if !out.Converged {
-			b.Fatal("async auction did not converge")
-		}
-	}
-}
+// ---- Case study, fault injection, cube-and-conquer ----
 
 // BenchmarkEmbedding measures end-to-end virtual network embedding.
 func BenchmarkEmbedding(b *testing.B) {
@@ -416,40 +295,6 @@ func BenchmarkEmbedding(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodingScalingSeries regenerates the E5 scope series
-// (2..4 agents), reporting the clause ratio at the largest scope.
-func BenchmarkEncodingScalingSeries(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		ms, err := mcamodel.ScalingSeries([]int{2, 3, 4}, mcamodel.PaperScope())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := ms[len(ms)-2:]
-		ratio = float64(last[1].Clauses) / float64(last[0].Clauses)
-	}
-	b.ReportMetric(ratio, "opt/naive-clauses")
-}
-
-// BenchmarkResult1SweepAPI exercises the library-level policy sweep.
-func BenchmarkResult1SweepAPI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := explore.PolicySweep(explore.DefaultCombos(), explore.SweepConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fails := 0
-		for _, r := range rows {
-			if !r.Verdict.OK {
-				fails++
-			}
-		}
-		if fails != 1 {
-			b.Fatalf("sweep fails = %d, want exactly 1", fails)
-		}
-	}
-}
-
 // BenchmarkDuplicateDeliveryCheck measures verification under
 // at-least-once channel fault injection.
 func BenchmarkDuplicateDeliveryCheck(b *testing.B) {
@@ -462,481 +307,14 @@ func BenchmarkDuplicateDeliveryCheck(b *testing.B) {
 	}
 }
 
-// ---- E8/E9: the parallel engines ----
-
-// BenchmarkEncodingCheckPortfolio runs the paper-scope optimized
-// consensus check through the SAT portfolio. Member 0 of the portfolio
-// is the reference configuration, so on any machine this is within
-// scheduling noise of BenchmarkEncodingCheckOptimized, and on a
-// multi-core machine the diversified racers can only win earlier.
-func BenchmarkEncodingCheckPortfolio(b *testing.B) {
-	benchParallelCheck(b, relalg.ParallelOptions{Workers: runtime.GOMAXPROCS(0)})
-}
-
-// BenchmarkEncodingCheckCube runs the same check through
-// cube-and-conquer with a 2^4 split.
-func BenchmarkEncodingCheckCube(b *testing.B) {
-	benchParallelCheck(b, relalg.ParallelOptions{Workers: runtime.GOMAXPROCS(0), CubeVars: 4})
-}
-
-func benchParallelCheck(b *testing.B, par relalg.ParallelOptions) {
-	for i := 0; i < b.N; i++ {
-		e, err := mcamodel.BuildOptimized(mcamodel.PaperScope())
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := mcamodel.CheckConsensusParallel(e, sat.Options{}, par)
-		if m.CheckStatus == sat.StatusUnknown {
-			b.Fatal("check inconclusive")
-		}
-	}
-}
-
-// BenchmarkConsensusSolve* isolates the SAT-solving phase of the
-// consensus query at a scope above the paper's (4 pnodes, 3 vnodes):
-// the CNF is translated once, then each backend solves it from scratch
-// per iteration. Serial pays the same clause load as the parallel
-// backends, so this is the apples-to-apples "solving the query"
-// comparison; with one worker the portfolio degenerates to the serial
-// reference configuration plus scheduling noise.
-func consensusQueryCNF(b *testing.B) *sat.CNF {
-	b.Helper()
-	sc := mcamodel.Scope{PNodes: 4, VNodes: 3, Values: 4, States: 3, Msgs: 2, IntBitwidth: 4}
-	e, err := mcamodel.BuildOptimized(sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cnf, _ := relalg.TranslateToCNF(e.Bounds, relalg.And(e.Background, relalg.Not(e.Consensus)))
-	return cnf
-}
-
-func BenchmarkConsensusSolveSerial(b *testing.B) {
-	cnf := consensusQueryCNF(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := sat.NewSolver()
-		if err := cnf.LoadInto(s); err != nil {
-			b.Fatal(err)
-		}
-		if s.Solve() == sat.StatusUnknown {
-			b.Fatal("inconclusive")
-		}
-	}
-}
-
-func BenchmarkConsensusSolvePortfolio(b *testing.B) {
-	cnf := consensusQueryCNF(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := portfolio.SolvePortfolio(cnf, portfolio.Options{Workers: runtime.GOMAXPROCS(0)})
-		if res.Status == sat.StatusUnknown {
-			b.Fatal("inconclusive")
-		}
-	}
-}
-
-func BenchmarkConsensusSolveCube(b *testing.B) {
-	cnf := consensusQueryCNF(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := portfolio.SolveCube(cnf, portfolio.Options{Workers: runtime.GOMAXPROCS(0), CubeVars: 4})
-		if res.Status == sat.StatusUnknown {
-			b.Fatal("inconclusive")
-		}
-	}
-}
-
-// BenchmarkPortfolioRaceUnsat races the portfolio on a hard UNSAT
-// instance (pigeonhole), where diversified restart schedules genuinely
-// diverge in runtime.
-func BenchmarkPortfolioRaceUnsat(b *testing.B) {
-	f := sat.PigeonholeCNF(7)
-	for i := 0; i < b.N; i++ {
-		res := portfolio.SolvePortfolio(f, portfolio.Options{Workers: runtime.GOMAXPROCS(0)})
-		if res.Status != sat.StatusUnsat {
-			b.Fatalf("PHP = %v", res.Status)
-		}
-	}
-}
-
-// BenchmarkCubeAndConquerUnsat splits the same instance into 2^5 cubes.
+// BenchmarkCubeAndConquerUnsat splits a hard UNSAT instance
+// (pigeonhole) into 2^5 cubes.
 func BenchmarkCubeAndConquerUnsat(b *testing.B) {
 	f := sat.PigeonholeCNF(7)
 	for i := 0; i < b.N; i++ {
 		res := portfolio.SolveCube(f, portfolio.Options{Workers: runtime.GOMAXPROCS(0), CubeVars: 5})
 		if res.Status != sat.StatusUnsat {
 			b.Fatalf("PHP = %v", res.Status)
-		}
-	}
-}
-
-// ---- SAT hot path: propagation and conflict-bound solving ----
-
-// propagationChainCNF builds a propagation-bound instance: a long
-// binary implication chain x0 → x1 → ... → x_{n-1} plus wider implied
-// clauses that generate watch-list traffic without changing the
-// semantics. A single assumption at either end forces the whole chain
-// by unit propagation with essentially no decisions or conflicts, so
-// ns/op isolates the propagation loop and watch scheme.
-func propagationChainCNF(n int) *sat.CNF {
-	f := &sat.CNF{NumVars: n}
-	for i := 0; i+1 < n; i++ {
-		f.AddClause(sat.NegLit(sat.Var(i)), sat.PosLit(sat.Var(i+1)))
-	}
-	for i := 0; i+3 < n; i += 3 {
-		// Implied by the chain, but the solver still has to watch and
-		// walk them: long-clause traffic with frequent blocker hits.
-		f.AddClause(sat.NegLit(sat.Var(i)), sat.PosLit(sat.Var(i+1)),
-			sat.PosLit(sat.Var(i+2)), sat.PosLit(sat.Var(i+3)))
-	}
-	return f
-}
-
-// BenchmarkSATPropagation repeatedly re-propagates a 4000-variable
-// implication chain through SolveAssuming from both ends. Tracked in
-// the benchmark trajectory (props/s, allocs/op).
-func BenchmarkSATPropagation(b *testing.B) {
-	const n = 4000
-	cnf := propagationChainCNF(n)
-	s := sat.NewSolver()
-	if err := cnf.LoadInto(s); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s.SolveAssuming(sat.PosLit(sat.Var(0))) != sat.StatusSat {
-			b.Fatal("chain head assumption must be sat")
-		}
-		if s.SolveAssuming(sat.NegLit(sat.Var(n-1))) != sat.StatusSat {
-			b.Fatal("chain tail assumption must be sat")
-		}
-	}
-	b.StopTimer()
-	props := float64(s.Stats().Propagations)
-	b.ReportMetric(props/b.Elapsed().Seconds(), "props/s")
-}
-
-// BenchmarkSolvePigeonhole solves PHP(8,7) from scratch — an UNSAT
-// family whose refutation is dominated by propagation and conflict
-// analysis, so it tracks the whole CDCL hot path (clause layout, learnt
-// management, backtracking), not just the watch walk.
-func BenchmarkSolvePigeonhole(b *testing.B) {
-	f := sat.PigeonholeCNF(7)
-	b.ReportAllocs()
-	var props int64
-	for i := 0; i < b.N; i++ {
-		s := sat.NewSolver()
-		if err := f.LoadInto(s); err != nil {
-			b.Fatal(err)
-		}
-		if s.Solve() != sat.StatusUnsat {
-			b.Fatal("pigeonhole must be unsat")
-		}
-		props += s.Stats().Propagations
-	}
-	b.ReportMetric(float64(props)/b.Elapsed().Seconds(), "props/s")
-}
-
-// BenchmarkIncrementalSweep compares the two ways of deciding an
-// assert-state sweep grid (all variants of one encoding share bounds
-// and axioms): "oneshot" re-translates and re-solves every variant
-// from scratch, "incremental" keeps one persistent session per base
-// family, so later variants reuse the translation and every learnt
-// clause. The /incremental ÷ /oneshot ns/op ratio is the tracked
-// speedup of incremental sweep solving (BENCH_7.json).
-func BenchmarkIncrementalSweep(b *testing.B) {
-	sc := mcamodel.Scope{PNodes: 3, VNodes: 2, Values: 3, States: 3, Msgs: 2, IntBitwidth: 3}
-	enc, err := mcamodel.BuildOptimized(sc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var scenarios []engine.Scenario
-	for k := 0; k <= sc.States; k++ {
-		variant := enc
-		if k > 0 {
-			if variant, err = enc.WithAssertState(k); err != nil {
-				b.Fatal(err)
-			}
-		}
-		scenarios = append(scenarios, engine.Scenario{
-			Name:  fmt.Sprintf("optimized/assert_state=%d", k),
-			Model: variant,
-		})
-	}
-	run := func(b *testing.B, incremental bool) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r := engine.NewRunner(engine.RunnerOptions{
-				Workers:        1,
-				Engine:         engine.SAT{},
-				IncrementalSAT: incremental,
-			})
-			results, sum := r.Run(context.Background(), scenarios)
-			if sum.Errors+sum.Inconclusive > 0 {
-				b.Fatalf("sweep failed: %+v", sum)
-			}
-			_ = results
-		}
-	}
-	b.Run("oneshot", func(b *testing.B) { run(b, false) })
-	b.Run("incremental", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkExploreSerial/ParallelExplore* explore the same ~100K-state
-// three-agent instance with the serial DFS and the sharded frontier at
-// increasing worker counts. Worker counts beyond GOMAXPROCS only add
-// scheduling overhead, so the interesting rows are the ones up to the
-// machine's core count; verdict and state count are asserted identical
-// across all rows.
-func exploreBenchAgents() []*mca.Agent {
-	pol := mca.Policy{Target: 2, Utility: mca.FlatUtility{}, Rebid: mca.RebidOnChange}
-	bases := [][]int64{{12, 8}, {8, 12}, {4, 8}}
-	agents := make([]*mca.Agent, len(bases))
-	for i, bb := range bases {
-		agents[i] = mca.MustNewAgent(mca.Config{ID: mca.AgentID(i), Items: 2, Base: bb, Policy: pol})
-	}
-	return agents
-}
-
-func BenchmarkExploreSerial(b *testing.B) {
-	b.ReportAllocs() // allocs/op is a tracked metric of the hot-path work (BENCH_5.json)
-	states := 0
-	for i := 0; i < b.N; i++ {
-		v := explore.Check(exploreBenchAgents(), graph.Ring(3), explore.Options{MaxStates: 2000000})
-		if !v.OK {
-			b.Fatalf("bench instance failed: %v", v.Violation)
-		}
-		states = v.States
-	}
-	b.ReportMetric(float64(states), "states")
-}
-
-func BenchmarkParallelExplore(b *testing.B) {
-	var refStates int
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs() // allocs/op is a tracked metric of the hot-path work (BENCH_5.json)
-			states := 0
-			for i := 0; i < b.N; i++ {
-				v := explore.CheckParallel(exploreBenchAgents(), graph.Ring(3), explore.Options{MaxStates: 2000000}, workers)
-				if !v.OK {
-					b.Fatalf("workers=%d failed: %v", workers, v.Violation)
-				}
-				states = v.States
-			}
-			if refStates == 0 {
-				refStates = states
-			} else if states != refStates {
-				b.Fatalf("workers=%d explored %d states, want %d", workers, states, refStates)
-			}
-			b.ReportMetric(float64(states), "states")
-		})
-	}
-}
-
-// BenchmarkOutOfCoreExplore measures the out-of-core mechanisms on the
-// same ~100K-state instance: the serial lossy stores (bitstate sized
-// comfortably, so the run stays effectively exhaustive), the sharded
-// frontier with disk spill forced on, and a full checkpoint+resume
-// cycle (cap midway, serialize, resume to completion).
-func BenchmarkOutOfCoreExplore(b *testing.B) {
-	opts := explore.Options{MaxStates: 2000000}
-	b.Run("serial-bitstate", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			o := opts
-			o.Store, o.StoreBits = explore.StoreBitstate, 24
-			v := explore.Check(exploreBenchAgents(), graph.Ring(3), o)
-			if !v.OK || v.MissProb <= 0 {
-				b.Fatalf("bitstate run: OK=%v missprob=%v", v.OK, v.MissProb)
-			}
-		}
-	})
-	b.Run("serial-hashcompact", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			o := opts
-			o.Store, o.StoreBits = explore.StoreHashCompact, 18
-			v := explore.Check(exploreBenchAgents(), graph.Ring(3), o)
-			if !v.OK {
-				b.Fatalf("hash-compact run failed: %v", v.Violation)
-			}
-		}
-	})
-	b.Run("parallel-spill", func(b *testing.B) {
-		b.ReportAllocs()
-		dir := b.TempDir()
-		for i := 0; i < b.N; i++ {
-			o := opts
-			o.SpillDir, o.SpillStates = dir, 1<<13
-			v := explore.CheckParallel(exploreBenchAgents(), graph.Ring(3), o, 4)
-			if !v.OK {
-				b.Fatalf("spill run failed: %v", v.Violation)
-			}
-			if v.Store.Spilled == 0 {
-				b.Fatal("spill never engaged")
-			}
-		}
-	})
-	b.Run("checkpoint-resume", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			o := opts
-			o.MaxStates = 50000
-			_, rs, err := explore.CheckParallelFrom(exploreBenchAgents(), graph.Ring(3), o, 4, nil, true)
-			if err != nil || rs == nil {
-				b.Fatalf("cap leg: rs=%v err=%v", rs != nil, err)
-			}
-			rs2, err := explore.DecodeRunState(explore.EncodeRunState(rs))
-			if err != nil {
-				b.Fatal(err)
-			}
-			v, _, err := explore.CheckParallelFrom(exploreBenchAgents(), graph.Ring(3), opts, 4, rs2, true)
-			if err != nil || !v.OK {
-				b.Fatalf("resume leg: OK=%v err=%v", v.OK, err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationSymmetryOn/Off: instance enumeration with and without
-// lex-leader symmetry breaking on a symmetric relational problem.
-func BenchmarkAblationSymmetryOff(b *testing.B) {
-	benchSymmetry(b, false)
-}
-
-func BenchmarkAblationSymmetryOn(b *testing.B) {
-	benchSymmetry(b, true)
-}
-
-func benchSymmetry(b *testing.B, breakSym bool) {
-	count := 0
-	for i := 0; i < b.N; i++ {
-		u := relalg.NewUniverse("a", "b", "c", "d", "e")
-		bounds := relalg.NewBounds(u)
-		r := relalg.NewRelation("r", 1)
-		bounds.BoundUpper(r, relalg.AllTuples(u, 1))
-		p := &relalg.Problem{Bounds: bounds, Formula: relalg.AtMost(relalg.R(r), 2)}
-		var classes []relalg.SymmetryClass
-		if breakSym {
-			classes = []relalg.SymmetryClass{{Atoms: []int{0, 1, 2, 3, 4}}}
-		}
-		count = relalg.CountInstances(p, classes)
-	}
-	b.ReportMetric(float64(count), "instances")
-}
-
-// ---- Engine layer: batch runner throughput ----
-
-// benchSweepScenarios builds a mixed sweep (policies × faults) of
-// simulation-checked scenarios, sized for throughput measurement.
-func benchSweepScenarios(n int) []engine.Scenario {
-	utilities := []mca.Utility{mca.SubmodularResidual{}, mca.NonSubmodularSynergy{}}
-	faults := []netsim.Faults{
-		{Drop: 0.2},
-		{Delay: 2},
-		{Partitions: [][]int{{0}, {1}}, HealAfter: 2},
-	}
-	g := graph.Complete(2)
-	out := make([]engine.Scenario, 0, n)
-	for i := 0; len(out) < n; i++ {
-		u := utilities[i%len(utilities)]
-		pol := mca.Policy{Target: 2, Utility: u, ReleaseOutbid: i%2 == 0, Rebid: mca.RebidOnChange}
-		out = append(out, engine.Scenario{
-			Name: fmt.Sprintf("bench-%d", i),
-			AgentSpecs: []mca.Config{
-				{ID: 0, Items: 2, Base: []int64{10, 15}, Policy: pol},
-				{ID: 1, Items: 2, Base: []int64{15, 10}, Policy: pol},
-			},
-			Graph:  g,
-			Faults: faults[i%len(faults)],
-		})
-	}
-	return out
-}
-
-// BenchmarkRunnerSweep measures batch-runner throughput
-// (scenarios/sec) by worker count on a 96-scenario fault-model sweep —
-// the tracking metric for sweep-scaling work.
-func BenchmarkRunnerSweep(b *testing.B) {
-	scenarios := benchSweepScenarios(96)
-	eng := engine.Simulation{Runs: 4}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			r := engine.NewRunner(engine.RunnerOptions{Workers: workers, Engine: eng})
-			var sum engine.Summary
-			for i := 0; i < b.N; i++ {
-				_, sum = r.Run(context.Background(), scenarios)
-				if sum.Total != len(scenarios) || sum.Errors != 0 {
-					b.Fatalf("sweep broken: %+v", sum)
-				}
-			}
-			perSec := float64(len(scenarios)) * float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(perSec, "scenarios/s")
-		})
-	}
-}
-
-// BenchmarkRunnerSweepCached contrasts a cold sweep (every scenario
-// verified) with a warm sweep over the content-addressed result cache
-// (every scenario a cache hit) — the speedup repeated production sweeps
-// get from skipping already-verified scenarios.
-func BenchmarkRunnerSweepCached(b *testing.B) {
-	scenarios := benchSweepScenarios(96)
-	// Distinct content per scenario: the cache is content-addressed, so
-	// identical cells would collide and turn the cold pass warm.
-	for i := range scenarios {
-		scenarios[i].AgentSpecs[0].Base = []int64{int64(10 + i), 15}
-		scenarios[i].AgentSpecs[1].Base = []int64{15, int64(10 + i)}
-	}
-	eng := engine.Simulation{Runs: 4}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c, err := cache.New(cache.Options{Capacity: len(scenarios)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := engine.NewRunner(engine.RunnerOptions{Workers: 4, Engine: eng, Cache: c})
-			if _, sum := r.Run(context.Background(), scenarios); sum.CacheHits != 0 {
-				b.Fatalf("cold pass hit the cache: %+v", sum)
-			}
-		}
-		b.ReportMetric(float64(len(scenarios))*float64(b.N)/b.Elapsed().Seconds(), "scenarios/s")
-	})
-	b.Run("warm", func(b *testing.B) {
-		c, err := cache.New(cache.Options{Capacity: len(scenarios)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := engine.NewRunner(engine.RunnerOptions{Workers: 4, Engine: eng, Cache: c})
-		r.Run(context.Background(), scenarios) // warm the cache
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, sum := r.Run(context.Background(), scenarios); sum.CacheHits != sum.Total {
-				b.Fatalf("warm pass missed the cache: %+v", sum)
-			}
-		}
-		b.ReportMetric(float64(len(scenarios))*float64(b.N)/b.Elapsed().Seconds(), "scenarios/s")
-	})
-}
-
-// BenchmarkVerifyExplicit measures single-scenario engine overhead
-// against the direct explore.Check call it wraps.
-func BenchmarkVerifyExplicit(b *testing.B) {
-	pol := mca.Policy{Target: 2, Utility: mca.SubmodularResidual{}, Rebid: mca.RebidOnChange}
-	s := engine.Scenario{
-		Name: "bench",
-		AgentSpecs: []mca.Config{
-			{ID: 0, Items: 2, Base: []int64{10, 15}, Policy: pol},
-			{ID: 1, Items: 2, Base: []int64{15, 10}, Policy: pol},
-		},
-		Graph: graph.Complete(2),
-	}
-	for i := 0; i < b.N; i++ {
-		res := engine.Explicit{}.Verify(context.Background(), s)
-		if res.Status != engine.StatusHolds {
-			b.Fatalf("bench scenario failed: %v", res.Status)
 		}
 	}
 }

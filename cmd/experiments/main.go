@@ -1,7 +1,7 @@
 // Command experiments regenerates every evaluation artifact of the
 // paper in one run and prints them in the same structure as the paper's
-// figures and results. See EXPERIMENTS.md for the paper-vs-measured
-// discussion.
+// figures and results. README.md ("Running the experiments") lists them;
+// docs/PERFORMANCE.md discusses the measured E5 numbers.
 //
 // Usage:
 //
@@ -273,22 +273,19 @@ func e6Bound() error {
 
 func e8ParallelExplore() error {
 	header("E8 — sharded parallel exploration vs serial DFS")
-	mk := func() []*mca.Agent {
-		bases := [][]int64{{12, 8}, {8, 12}, {4, 8}}
-		agents := make([]*mca.Agent, len(bases))
-		for i, b := range bases {
-			agents[i] = mca.MustNewAgent(mca.Config{
-				ID: mca.AgentID(i), Items: len(b), Base: b,
-				Policy: mca.Policy{Target: 2, Utility: mca.FlatUtility{}, Rebid: mca.RebidOnChange},
-			})
+	bases := [][]int64{{12, 8}, {8, 12}, {4, 8}}
+	specs := make([]mca.Config, len(bases))
+	for i, b := range bases {
+		specs[i] = mca.Config{
+			ID: mca.AgentID(i), Items: len(b), Base: b,
+			Policy: mca.Policy{Target: 2, Utility: mca.FlatUtility{}, Rebid: mca.RebidOnChange},
 		}
-		return agents
 	}
 	scenario := engine.Scenario{
-		Name:    "e8",
-		Agents:  mk(),
-		Graph:   graph.Ring(3),
-		Explore: explore.Options{MaxStates: 2000000},
+		Name:       "e8",
+		AgentSpecs: specs,
+		Graph:      graph.Ring(3),
+		Explore:    explore.Options{MaxStates: 2000000},
 	}
 	workers := runtime.GOMAXPROCS(0)
 	serial := engine.Explicit{}.Verify(context.Background(), scenario)

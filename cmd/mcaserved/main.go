@@ -406,37 +406,28 @@ func intParam(q url.Values, name string) (int, error) {
 // engineFromQuery builds the engine the request asked for. engineWorkers
 // is the per-engine parallelism (frontier shards, portfolio members):
 // /verify takes it from ?workers=, while /sweep pins it to 0 because
-// there ?workers= sizes the scenario pool instead.
+// there ?workers= sizes the scenario pool instead. A parameter that does
+// not belong to the chosen engine is an error, by the same check a
+// fleet work unit's engine spec goes through.
 func engineFromQuery(r *http.Request, engineWorkers int) (engine.Engine, error) {
 	q := r.URL.Query()
-	workers := engineWorkers
-	cube, err := intParam(q, "cube")
-	if err != nil {
+	spec := engine.EngineSpec{Kind: q.Get("engine"), Workers: engineWorkers}
+	if spec.Kind == "" {
+		spec.Kind = "auto"
+	}
+	var err error
+	if spec.Cube, err = intParam(q, "cube"); err != nil {
 		return nil, err
 	}
-	runs, err := intParam(q, "runs")
-	if err != nil {
+	if spec.Runs, err = intParam(q, "runs"); err != nil {
 		return nil, err
 	}
-	var seed int64
 	if v := q.Get("seed"); v != "" {
-		seed, err = strconv.ParseInt(v, 10, 64)
-		if err != nil {
+		if spec.Seed, err = strconv.ParseInt(v, 10, 64); err != nil {
 			return nil, fmt.Errorf("bad seed %q", v)
 		}
 	}
-	switch kind := q.Get("engine"); kind {
-	case "", "auto":
-		return engine.Auto{Workers: workers}, nil
-	case "explicit":
-		return engine.Explicit{Workers: workers}, nil
-	case "simulation":
-		return engine.Simulation{Runs: runs, Seed: seed}, nil
-	case "sat":
-		return engine.SAT{Workers: workers, CubeVars: cube}, nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want auto|explicit|simulation|sat)", kind)
-	}
+	return spec.Engine()
 }
 
 // requestContext applies the effective verification timeout: the
@@ -542,6 +533,19 @@ func (s *server) handleResume(w http.ResponseWriter, r *http.Request, body []byt
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	// Query parameters are checked before the single-use token is spent.
+	q := r.URL.Query()
+	workers, err := intParam(q, "workers")
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	ctx, cancel, err := s.requestContext(r)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	defer cancel()
 	cp, ok := s.resumes.take(req.Resume)
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown or expired resume token %q (tokens are single use and the table is bounded; re-verify from scratch)", req.Resume))
@@ -551,16 +555,9 @@ func (s *server) handleResume(w http.ResponseWriter, r *http.Request, body []byt
 	if req.MaxStates > 0 {
 		scenario.Explore.MaxStates = req.MaxStates
 	}
-	workers := cp.Workers
-	if r.URL.Query().Get("workers") != "" {
-		workers, _ = intParam(r.URL.Query(), "workers")
+	if q.Get("workers") == "" {
+		workers = cp.Workers
 	}
-	ctx, cancel, err := s.requestContext(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
 	res, next := engine.Explicit{Workers: workers}.VerifyResumable(ctx, scenario, cp)
 	s.writeResumable(w, res, next)
 }

@@ -219,6 +219,57 @@ func TestVerifyRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestEngineFromQueryChecksKindAndFields: a parameter that does not
+// belong to the chosen engine is an error, exactly as on the fleet wire
+// (both go through engine.EngineSpec.Engine), and every path the
+// benchmark and the docs use stays valid.
+func TestEngineFromQueryChecksKindAndFields(t *testing.T) {
+	for _, tc := range []struct {
+		query   string
+		workers int // what the handler passes: ?workers= on /verify, 0 on /sweep
+		want    engine.Engine
+	}{
+		{"", 0, engine.Auto{}},
+		{"engine=auto", 4, engine.Auto{Workers: 4}},
+		{"engine=explicit", 0, engine.Explicit{}},
+		{"engine=explicit&workers=2", 2, engine.Explicit{Workers: 2}},
+		{"engine=sat", 0, engine.SAT{}},
+		{"engine=sat&workers=2&cube=3", 2, engine.SAT{Workers: 2, CubeVars: 3}},
+		{"engine=simulation&runs=8&seed=-5", 0, engine.Simulation{Runs: 8, Seed: -5}},
+		{"engine=simulation&workers=4", 0, engine.Simulation{}}, // /sweep: workers sizes the pool
+		{"engine=explicit&cube=3", 0, nil},
+		{"engine=explicit&runs=8", 0, nil},
+		{"engine=sat&runs=8", 0, nil},
+		{"engine=sat&seed=1", 0, nil},
+		{"engine=simulation&workers=4", 4, nil}, // /verify: workers is engine parallelism
+		{"engine=simulation&cube=2", 0, nil},
+		{"runs=8", 0, nil},
+		{"engine=auto&cube=2", 0, nil},
+		{"engine=quantum", 0, nil},
+		{"engine=sat&cube=many", 0, nil},
+		{"engine=simulation&seed=soon", 0, nil},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/verify?"+tc.query, nil)
+		got, err := engineFromQuery(r, tc.workers)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("%q (workers %d): accepted as %#v, want an error", tc.query, tc.workers, got)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("%q (workers %d): got %#v, %v; want %#v", tc.query, tc.workers, got, err, tc.want)
+		}
+	}
+	// Over the socket the rejection is a 400.
+	srv, _ := testServer(t)
+	resp := postJSON(t, srv.URL+"/verify?engine=explicit&cube=3", scenarioDoc)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("engine=explicit&cube=3: status %d, want 400", resp.StatusCode)
+	}
+}
+
 func TestOversizedBodyIs413(t *testing.T) {
 	c, err := cache.New(cache.Options{Capacity: 8})
 	if err != nil {

@@ -104,6 +104,31 @@ func TestVerifyCheckpointResumeRoundTrip(t *testing.T) {
 	}
 }
 
+// A malformed ?workers= on a resume request is a 400 like on any other
+// /verify, not a silent workers=0 — and it is checked before the
+// single-use token is spent, so the corrected request still resumes.
+func TestVerifyResumeRejectsBadWorkers(t *testing.T) {
+	srv, _ := testServer(t)
+	capped := decodeEnvelope(t, postJSON(t, srv.URL+"/verify?checkpoint=1&workers=2", cappableDoc(100)))
+	if capped.Resume == "" {
+		t.Fatal("capped run returned no resume token")
+	}
+	body := fmt.Sprintf(`{"resume": %q, "max_states": 30000}`, capped.Resume)
+	resp := postJSON(t, srv.URL+"/verify?workers=abc", body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("workers=abc: status %d, want 400", resp.StatusCode)
+	}
+	resumed := decodeEnvelope(t, postJSON(t, srv.URL+"/verify?workers=2", body))
+	res, err := engine.DecodeResult(resumed.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != engine.StatusHolds {
+		t.Fatalf("resume after the rejected request: status=%v err=%v", res.Status, res.Err)
+	}
+}
+
 func TestVerifyResumeUnknownToken(t *testing.T) {
 	srv, _ := testServer(t)
 	resp := postJSON(t, srv.URL+"/verify", `{"resume": "deadbeef", "max_states": 1000}`)

@@ -24,11 +24,10 @@
 //     already-verified scenarios (cmd/mcaserved serves all of this
 //     over HTTP);
 //   - scenarios as manufactured workloads: Generate derives seeded
-//     random corpora from a FuzzProfile, DiffVerify/DiffSweep
-//     cross-check the engine adapters' verdicts on them, and
-//     Shrink/ShrinkFailure minimize failing scenarios by delta
-//     debugging (cmd/mcafuzz drives the pipeline; docs/FUZZING.md
-//     specifies it);
+//     random corpora from a FuzzProfile, DiffSweep cross-checks the
+//     engine adapters' verdicts on them, and ShrinkFailure minimizes
+//     failing scenarios by delta debugging (cmd/mcafuzz drives the
+//     pipeline; docs/FUZZING.md specifies it);
 //   - the virtual network mapping case study (MCA node auction plus
 //     k-shortest-path link mapping).
 //

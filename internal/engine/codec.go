@@ -46,11 +46,10 @@ const CacheEpoch = 1
 //   - Round trips are exact: DecodeScenario(EncodeScenario(s)) yields a
 //     scenario that re-encodes to byte-identical JSON.
 //
-// Scenarios carrying non-data values cannot be encoded: pre-built
-// *mca.Agent values (use AgentSpecs), a custom mca.Resolver, a
-// FuncUtility, or a RelationalModel whose package has not registered a
-// ModelCodec. Explore.Cancel is owned by the engine layer and is never
-// serialized.
+// Scenarios carrying non-data values cannot be encoded: a custom
+// mca.Resolver, a FuncUtility, or a RelationalModel whose package has
+// not registered a ModelCodec. Explore.Cancel is owned by the engine
+// layer and is never serialized.
 
 // ---- wire types ----
 //
@@ -398,9 +397,6 @@ func EncodeScenario(s *Scenario) ([]byte, error) {
 }
 
 func scenarioToWire(s *Scenario) (*scenarioJSON, error) {
-	if len(s.Agents) > 0 && len(s.AgentSpecs) == 0 {
-		return nil, fmt.Errorf("engine: scenario %q holds pre-built agents; only AgentSpecs scenarios are serializable", s.Name)
-	}
 	if s.Explore.Cancel != nil {
 		// Cancel is a runtime hook, never data; encoding proceeds without it.
 		s2 := *s

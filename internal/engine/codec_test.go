@@ -282,17 +282,7 @@ func TestDecodeScenarioStrict(t *testing.T) {
 }
 
 func TestEncodeScenarioErrors(t *testing.T) {
-	pol := submodPolicy(2)
-	agents := make([]*mca.Agent, 2)
-	for i := range agents {
-		a, err := mca.NewAgent(mca.Config{ID: mca.AgentID(i), Items: 2, Base: []int64{1, 2}, Policy: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		agents[i] = a
-	}
 	for name, s := range map[string]Scenario{
-		"prebuilt-agents": {Name: "x", Agents: agents, Graph: graph.Complete(2)},
 		"func-utility": {Name: "x", Graph: graph.Complete(2), AgentSpecs: []mca.Config{{
 			ID: 0, Items: 2, Base: []int64{1, 2},
 			Policy: mca.Policy{Target: 2, Utility: mca.FuncUtility{F: func([]int64, mca.ItemID, []mca.ItemID, mca.BidInfo) int64 { return 1 }}, Rebid: mca.RebidOnChange},
@@ -493,7 +483,7 @@ func TestCacheKey(t *testing.T) {
 	if kAuto != k1 || kNil != k1 {
 		t.Fatalf("Auto/nil keys differ from the delegate's: auto=%s nil=%s explicit=%s", kAuto, kNil, k1)
 	}
-	if _, err := CacheKey(&Scenario{Agents: make([]*mca.Agent, 1)}, Explicit{}); err == nil {
+	if _, err := CacheKey(&Scenario{AgentSpecs: []mca.Config{{Resolver: mca.Resolve}}}, Explicit{}); err == nil {
 		t.Fatalf("cache key for an unencodable scenario should error")
 	}
 	// An engine that only decides where another runs (Unwrap) is

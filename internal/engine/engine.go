@@ -17,8 +17,8 @@ import (
 // RelationalModel is a bounded relational verification problem: axioms
 // (the model's facts and transition system) and an assertion to check
 // within bounds. mcamodel.Encoding implements it; engine deliberately
-// does not import mcamodel so that mcamodel's legacy entry points can
-// route through this package.
+// does not import mcamodel so that mcamodel.CheckConsensus can route
+// through this package.
 type RelationalModel interface {
 	// ModelName names the encoding (e.g. "naive", "optimized").
 	ModelName() string
@@ -56,12 +56,8 @@ type Scenario struct {
 	Name string
 
 	// AgentSpecs describes the protocol agents; each Verify builds fresh
-	// agents from the specs. Preferred over Agents for batch workloads.
+	// agents from the specs.
 	AgentSpecs []mca.Config
-	// Agents optionally provides pre-built (freshly constructed) agents
-	// instead of specs; Verify clones them so the originals stay pristine.
-	// Ignored when AgentSpecs is non-empty.
-	Agents []*mca.Agent
 	// Graph is the agent network topology.
 	Graph *graph.Graph
 
@@ -86,20 +82,13 @@ type Scenario struct {
 
 // agents materializes fresh protocol agents for one Verify call.
 func (s *Scenario) agents() ([]*mca.Agent, error) {
-	if len(s.AgentSpecs) > 0 {
-		out := make([]*mca.Agent, len(s.AgentSpecs))
-		for i, cfg := range s.AgentSpecs {
-			a, err := mca.NewAgent(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("engine: scenario %q agent %d: %w", s.Name, i, err)
-			}
-			out[i] = a
+	out := make([]*mca.Agent, len(s.AgentSpecs))
+	for i, cfg := range s.AgentSpecs {
+		a, err := mca.NewAgent(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("engine: scenario %q agent %d: %w", s.Name, i, err)
 		}
-		return out, nil
-	}
-	out := make([]*mca.Agent, len(s.Agents))
-	for i, a := range s.Agents {
-		out[i] = a.Clone()
+		out[i] = a
 	}
 	return out, nil
 }

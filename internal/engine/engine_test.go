@@ -136,20 +136,6 @@ func TestParallelExplicitEngineMatchesLegacyCheckParallel(t *testing.T) {
 	}
 }
 
-// TestExplicitEngineAcceptsPrebuiltAgents verifies the Agents form of a
-// scenario clones rather than consumes the originals.
-func TestExplicitEngineAcceptsPrebuiltAgents(t *testing.T) {
-	f := dynFixtures()[0]
-	agents := f.legacyAgents(t)
-	s := engine.Scenario{Name: "prebuilt", Agents: agents, Graph: f.graph}
-	first := engine.Explicit{}.Verify(context.Background(), s)
-	second := engine.Explicit{}.Verify(context.Background(), s)
-	if first.Status != second.Status || first.Stats.States != second.Stats.States {
-		t.Fatalf("prebuilt agents were mutated: %v/%d vs %v/%d",
-			first.Status, first.Stats.States, second.Status, second.Stats.States)
-	}
-}
-
 // satFixtures builds both encodings at a small scope.
 func satFixtures(t *testing.T) []*mcamodel.Encoding {
 	t.Helper()

@@ -142,18 +142,16 @@ func TestRunnerCacheSkipsInconclusive(t *testing.T) {
 }
 
 // TestRunnerCacheBypassesUnencodable: scenarios the codec cannot
-// address (pre-built agents) run normally, just without caching.
+// address (a custom utility function) run normally, just without
+// caching.
 func TestRunnerCacheBypassesUnencodable(t *testing.T) {
-	pol := mca.Policy{Target: 2, Utility: mca.SubmodularResidual{}, ReleaseOutbid: true, Rebid: mca.RebidOnChange}
-	agents := make([]*mca.Agent, 2)
-	for i := range agents {
-		a, err := mca.NewAgent(mca.Config{ID: mca.AgentID(i), Items: 2, Base: []int64{10, 15}, Policy: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		agents[i] = a
+	flat := mca.FuncUtility{IsSub: true, F: func(base []int64, j mca.ItemID, _ []mca.ItemID, _ mca.BidInfo) int64 { return base[j] }}
+	pol := mca.Policy{Target: 2, Utility: flat, ReleaseOutbid: true, Rebid: mca.RebidOnChange}
+	specs := make([]mca.Config, 2)
+	for i := range specs {
+		specs[i] = mca.Config{ID: mca.AgentID(i), Items: 2, Base: []int64{10, 15}, Policy: pol}
 	}
-	s := engine.Scenario{Name: "prebuilt", Agents: agents, Graph: graph.Complete(2)}
+	s := engine.Scenario{Name: "custom-utility", AgentSpecs: specs, Graph: graph.Complete(2)}
 	c, err := cache.New(cache.Options{})
 	if err != nil {
 		t.Fatal(err)

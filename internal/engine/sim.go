@@ -69,8 +69,6 @@ func (e Simulation) Verify(ctx context.Context, s Scenario) Result {
 		items := 0
 		if len(s.AgentSpecs) > 0 {
 			items = s.AgentSpecs[0].Items
-		} else if len(s.Agents) > 0 {
-			items = s.Agents[0].Items()
 		}
 		maxDeliveries = e.BudgetFactor * (mca.MessageBound(s.Graph, items) + 1)
 	}

@@ -17,10 +17,10 @@ import (
 // same (scenario, engine) pair computes the same cache key on every
 // node of a fleet.
 
-// engineSpecJSON is the wire struct. Kind selects the adapter; the
+// EngineSpec is the wire struct. Kind selects the adapter; the
 // remaining fields mirror the adapter configuration fields and are
 // omitted at their zero values, so the encoding is canonical.
-type engineSpecJSON struct {
+type EngineSpec struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
 	// Workers: Auto/Explicit/SAT parallelism (shards, portfolio members).
@@ -40,7 +40,7 @@ type engineSpecJSON struct {
 // rejected — they cannot be rebuilt on a remote node. A nil engine
 // encodes as Auto{}.
 func EncodeEngineSpec(e Engine) ([]byte, error) {
-	w := engineSpecJSON{Version: SchemaVersion}
+	w := EngineSpec{Version: SchemaVersion}
 	switch v := e.(type) {
 	case nil:
 		w.Kind = "auto"
@@ -71,13 +71,21 @@ func EncodeEngineSpec(e Engine) ([]byte, error) {
 // unknown kinds, a missing or wrong version, and fields that do not
 // belong to the kind (e.g. runs on an explicit spec) are errors.
 func DecodeEngineSpec(data []byte) (Engine, error) {
-	var w engineSpecJSON
+	var w EngineSpec
 	if err := strictUnmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("engine: spec: %w", err)
 	}
 	if w.Version != SchemaVersion {
 		return nil, fmt.Errorf("engine: spec: unsupported schema version %d (want %d)", w.Version, SchemaVersion)
 	}
+	return w.Engine()
+}
+
+// Engine builds the adapter value the spec names, rejecting unknown
+// kinds and fields that do not belong to the kind. It is the one
+// kind/field check: the wire decoder and mcaserved's query parameters
+// both go through it. Version is the decoder's concern, not checked here.
+func (w EngineSpec) Engine() (Engine, error) {
 	simOnly := w.Runs != 0 || w.Seed != 0 || w.MaxDeliveries != 0 || w.BudgetFactor != 0
 	switch w.Kind {
 	case "auto":

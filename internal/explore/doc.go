@@ -20,10 +20,9 @@
 // replay-built counterexample traces), CheckParallel (sharded parallel
 // frontier: a level loop of two barrier phases over a hash-partitioned
 // seen-set — expand, then seal and route — with SCC-based oscillation
-// detection), Options (the val bound, state
+// detection), and Options (the val bound, state
 // budget, queue depth, duplicate-delivery fault injection, and the
-// cooperative Cancel hook the engine layer drives from contexts), and
-// PolicySweep (the Result 1 policy matrix).
+// cooperative Cancel hook the engine layer drives from contexts).
 //
 // Hot-path engineering — incremental canonical hashing with a
 // reference-serializer crosscheck, compact open-addressing state

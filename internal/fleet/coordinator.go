@@ -314,7 +314,7 @@ func (r remote) Verify(ctx context.Context, s engine.Scenario) engine.Result {
 	index := int(c.units.Add(1))
 	unit, err := EncodeWorkUnit(index, r.local, &s)
 	if err != nil {
-		// Not dispatchable (pre-built agents, custom utilities): verify
+		// Not dispatchable (custom resolvers, custom utilities): verify
 		// on the coordinator, like the Runner would.
 		c.localFallbacks.Add(1)
 		return r.local.Verify(ctx, s)

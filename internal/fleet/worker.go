@@ -31,7 +31,7 @@ type unitJSON struct {
 }
 
 // EncodeWorkUnit renders one dispatchable unit. Scenarios the codec
-// cannot encode (pre-built agents, custom utilities, unregistered
+// cannot encode (custom resolvers, custom utilities, unregistered
 // models) are not dispatchable; the coordinator runs those locally.
 func EncodeWorkUnit(index int, eng engine.Engine, s *engine.Scenario) ([]byte, error) {
 	spec, err := engine.EncodeEngineSpec(eng)

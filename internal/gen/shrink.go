@@ -101,8 +101,7 @@ func (o ShrinkOptions) withDefaults() ShrinkOptions {
 // than the input, and Shrink is deterministic: same scenario and
 // predicate behaviour, same minimized scenario.
 //
-// Only AgentSpecs scenarios shrink; scenarios holding pre-built agents
-// are returned unchanged (their agents cannot be re-sliced).
+// A scenario without agents (model-only) is returned unchanged.
 func Shrink(s engine.Scenario, keep func(engine.Scenario) bool, opts ShrinkOptions) (engine.Scenario, ShrinkStats) {
 	opts = opts.withDefaults()
 	stats := ShrinkStats{From: Size(&s), To: Size(&s)}

@@ -83,30 +83,6 @@ func checkVia(e *Encoding, opts sat.Options, eng engine.Engine) Measurement {
 	}
 }
 
-// ScalingSeries measures both encodings across a series of scopes with
-// growing agent counts — the series form of the E5 experiment, showing
-// how the encoding gap evolves with scope.
-func ScalingSeries(pnodes []int, base Scope) ([]Measurement, error) {
-	var out []Measurement
-	for _, p := range pnodes {
-		sc := base
-		sc.PNodes = p
-		// Reset derived pools so withDefaults rescales them per scope.
-		sc.Triples = 0
-		sc.BidVectors = 0
-		n, err := BuildNaive(sc)
-		if err != nil {
-			return nil, err
-		}
-		o, err := BuildOptimized(sc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, MeasureTranslation(n), MeasureTranslation(o))
-	}
-	return out, nil
-}
-
 // RunSatisfiable checks that the background itself is satisfiable — a
 // sanity run ("run {} for scope") validating that the model admits
 // executions at all.

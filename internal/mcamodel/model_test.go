@@ -153,21 +153,23 @@ func TestConsensusCheckAgreesAcrossEncodings(t *testing.T) {
 // The encoding gap holds across a scope series (2..4 agents), and clause
 // counts grow monotonically with scope within each encoding.
 func TestScalingSeriesShape(t *testing.T) {
-	base := PaperScope()
-	ms, err := ScalingSeries([]int{2, 3, 4}, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 6 {
-		t.Fatalf("measurements = %d, want 6", len(ms))
-	}
 	var naive, opt []Measurement
-	for _, m := range ms {
-		if m.Encoding == "naive" {
-			naive = append(naive, m)
-		} else {
-			opt = append(opt, m)
+	for _, p := range []int{2, 3, 4} {
+		sc := PaperScope()
+		sc.PNodes = p
+		// Reset derived pools so withDefaults rescales them per scope.
+		sc.Triples = 0
+		sc.BidVectors = 0
+		n, err := BuildNaive(sc)
+		if err != nil {
+			t.Fatal(err)
 		}
+		o, err := BuildOptimized(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive = append(naive, MeasureTranslation(n))
+		opt = append(opt, MeasureTranslation(o))
 	}
 	for i := range naive {
 		if opt[i].Clauses >= naive[i].Clauses {

@@ -7,13 +7,13 @@
 // Tseitin encoding, and delegates satisfiability to internal/sat.
 //
 // The paper's Alloy model (signatures, facts, predicates, assertions)
-// compiles onto this kernel through internal/spec.
+// is built directly on this kernel's bounds by internal/mcamodel.
 //
 // Key entry points: Universe/Bounds/Relation (the bounded vocabulary),
 // the Formula and Expr constructors (And, Or, Not, Forall, Exists,
 // Join, Product, In, ...), Problem and Solve (with TranslateOnly and
-// TranslateToCNF for measurement and export), symmetry breaking over
-// atom interchangeability classes, and Instance for reading models back.
+// TranslateToCNF for measurement and export), and Instance for reading
+// models back.
 // Problem.Parallel routes solving through the portfolio engine
 // (portfolio race or cube-and-conquer); Problem.Cancel is the
 // cooperative cancellation hook the engine layer drives from contexts.

@@ -28,15 +28,9 @@ type matrix struct {
 func cellKeyCmp(c cell, k uint64) int { return cmp.Compare(c.key, k) }
 func cellCmp(a, b cell) int           { return cmp.Compare(a.key, b.key) }
 
-func (m *matrix) get(k uint64) Node {
-	if i, ok := slices.BinarySearchFunc(m.cells, k, cellKeyCmp); ok {
-		return m.cells[i].node
-	}
-	return FalseNode
-}
-
-// at is get for callers that ask for ascending keys: it scans forward
-// from *i, the position the previous call left behind.
+// at returns the node at key k (FalseNode when absent) for callers that
+// ask for ascending keys: it scans forward from *i, the position the
+// previous call left behind.
 func (m *matrix) at(i *int, k uint64) Node {
 	for *i < len(m.cells) && m.cells[*i].key < k {
 		*i++

@@ -143,39 +143,14 @@ const (
 	ViolationConflict = explore.ViolationConflict
 )
 
-// CheckConvergence exhaustively explores all asynchronous message
-// interleavings and verifies the consensus property — the push-button
-// analysis of the paper applied through the explicit-state checker.
-// Agents must be freshly constructed. It is a thin compatibility
-// wrapper over the engine layer's Explicit adapter; prefer Verify for
-// new code.
-func CheckConvergence(agents []*Agent, g *Graph, opts CheckOptions) Verdict {
-	res := engine.Explicit{}.Verify(context.Background(),
-		Scenario{Agents: agents, Graph: g, Explore: opts})
-	return *res.ExplicitVerdict
-}
-
-// CheckConvergenceParallel is CheckConvergence on the sharded parallel
-// frontier: the same verdict and a deterministic counterexample at any
-// worker count, with the state space partitioned across workers.
-// workers <= 0 uses one worker per CPU.
-func CheckConvergenceParallel(agents []*Agent, g *Graph, opts CheckOptions, workers int) Verdict {
-	if workers <= 0 {
-		workers = -1 // the parallel frontier, sized one shard per CPU
-	}
-	res := engine.Explicit{Workers: workers}.Verify(context.Background(),
-		Scenario{Agents: agents, Graph: g, Explore: opts})
-	return *res.ExplicitVerdict
-}
-
 // ---- Engine layer (internal/engine) ----
 
 // Engine layer types: one Scenario, many checkers, one Result shape.
 type (
 	// Scenario describes one verification scenario: agents (as
-	// rebuildable specs or pre-built values), topology, network
-	// semantics and fault model, property bounds, and optionally a
-	// bounded relational model for the SAT backends.
+	// rebuildable specs), topology, network semantics and fault model,
+	// property bounds, and optionally a bounded relational model for
+	// the SAT backends.
 	Scenario = engine.Scenario
 	// Result is the unified verdict every engine returns.
 	Result = engine.Result
@@ -249,34 +224,17 @@ const ScenarioSchemaVersion = engine.SchemaVersion
 
 // EncodeScenario renders a scenario as canonical versioned JSON —
 // deterministic bytes suitable for files, the wire, and content
-// addressing. Scenarios built from AgentSpecs with the named utilities
-// serialize; pre-built agents, custom resolvers, and FuncUtility do not.
+// addressing. Scenarios whose agents use the named utilities serialize;
+// custom resolvers and FuncUtility do not.
 func EncodeScenario(s *Scenario) ([]byte, error) { return engine.EncodeScenario(s) }
 
 // DecodeScenario strictly parses a scenario document: unknown fields,
 // wrong versions, and unknown enum tokens are errors.
 func DecodeScenario(data []byte) (Scenario, error) { return engine.DecodeScenario(data) }
 
-// EncodeResult renders a unified result as canonical versioned JSON.
-func EncodeResult(r *Result) ([]byte, error) { return engine.EncodeResult(r) }
-
-// DecodeResult strictly parses a result document.
-func DecodeResult(data []byte) (Result, error) { return engine.DecodeResult(data) }
-
-// EncodeSummary renders a sweep summary as versioned JSON.
-func EncodeSummary(s *SweepSummary) ([]byte, error) { return engine.EncodeSummary(s) }
-
 // ExpandSweep expands a sweep document — a base scenario plus axes of
 // named variants — into the full cartesian scenario set.
 func ExpandSweep(data []byte) ([]Scenario, error) { return engine.ExpandSweep(data) }
-
-// ScenarioCacheKey is the content address of (scenario, engine): the
-// SHA-256 of the engine's full configuration and the canonical scenario
-// encoding with the display name blanked. A nil engine means the
-// natural backend (AutoEngine), which resolves to its delegate.
-func ScenarioCacheKey(s *Scenario, e Engine) (string, error) {
-	return engine.CacheKey(s, e)
-}
 
 // Result cache types (internal/cache).
 type (
@@ -351,34 +309,11 @@ func Generate(p FuzzProfile, seed int64, n int) ([]Scenario, error) {
 	return gen.Generate(p, seed, n)
 }
 
-// EncodeFuzzProfile renders a generator profile in the strict JSON
-// format of docs/FUZZING.md.
-func EncodeFuzzProfile(p *FuzzProfile) ([]byte, error) { return gen.EncodeProfile(p) }
-
-// DecodeFuzzProfile strictly parses a generator profile document.
-func DecodeFuzzProfile(data []byte) (FuzzProfile, error) { return gen.DecodeProfile(data) }
-
-// Shrink greedily minimizes a scenario while keep stays true — greedy
-// delta debugging over agents, items, edges, faults, exploration
-// options, and the relational model. The result is never larger than
-// the input.
-func Shrink(s Scenario, keep func(Scenario) bool, opts ShrinkOptions) (Scenario, ShrinkStats) {
-	return gen.Shrink(s, keep, opts)
-}
-
 // ShrinkFailure minimizes a failing scenario while it keeps producing
 // the same Status and violation kind on the engine (nil means the
 // natural backend).
 func ShrinkFailure(ctx context.Context, s Scenario, e Engine, opts ShrinkOptions) (Scenario, ShrinkStats, error) {
 	return gen.ShrinkFailure(ctx, s, e, opts)
-}
-
-// DiffVerify runs one scenario through a panel of engines (nil panel
-// means serial explicit + generously budgeted simulation + SAT, with
-// the sibling naive/optimized encoding cross-checked) and reports
-// whether the verdicts are mutually consistent.
-func DiffVerify(ctx context.Context, s Scenario, opts DiffOptions) DiffResult {
-	return gen.DiffVerify(ctx, s, opts)
 }
 
 // DiffSweep runs the differential oracle over a scenario set on a
@@ -408,9 +343,6 @@ type (
 	FuzzRoundStats = gen.RoundStats
 )
 
-// StoreSignatureOf extracts a verdict's coverage coordinate.
-func StoreSignatureOf(v *Verdict) StoreSignature { return explore.SignatureOf(v) }
-
 // FuzzCoverage runs the coverage-guided fuzzing loop: a blind seed
 // round from the profile, then mutation rounds whose inputs are drawn
 // from the corpus of scenarios that discovered new store-signature
@@ -420,28 +352,6 @@ func StoreSignatureOf(v *Verdict) StoreSignature { return explore.SignatureOf(v)
 func FuzzCoverage(ctx context.Context, opts FuzzCoverageOptions, onRound func(FuzzRoundStats)) (FuzzCoverageResult, error) {
 	return gen.FuzzCoverage(ctx, opts, onRound)
 }
-
-// Policy sweep (Result 1) types.
-type (
-	// PolicyCombo is one cell of the Result 1 policy matrix.
-	PolicyCombo = explore.PolicyCombo
-	// SweepRow is one verified matrix cell.
-	SweepRow = explore.SweepRow
-	// SweepConfig scopes the sweep scenario.
-	SweepConfig = explore.SweepConfig
-)
-
-// DefaultPolicyCombos returns the paper's Result 1 matrix.
-func DefaultPolicyCombos() []PolicyCombo { return explore.DefaultCombos() }
-
-// PolicySweep verifies the consensus property for every policy
-// combination — the paper's Result 1 experiment as a library call.
-func PolicySweep(combos []PolicyCombo, cfg SweepConfig) ([]SweepRow, error) {
-	return explore.PolicySweep(combos, cfg)
-}
-
-// FormatSweep renders sweep rows as the Result 1 table.
-func FormatSweep(rows []SweepRow) string { return explore.FormatSweep(rows) }
 
 // RunAsync simulates one seeded random asynchronous execution.
 func RunAsync(agents []*Agent, g *Graph, seed int64, maxDeliveries int) netsim.AsyncOutcome {

@@ -10,17 +10,17 @@ import (
 // The quickstart flow from the package documentation must work verbatim.
 func TestQuickstartFlow(t *testing.T) {
 	pol := mcaverify.Policy{Target: 2, Utility: mcaverify.SubmodularResidual{}, Rebid: mcaverify.RebidOnChange}
-	a0, err := mcaverify.NewAgent(mcaverify.AgentConfig{ID: 0, Items: 3, Base: []int64{10, 2, 30}, Policy: pol})
-	if err != nil {
-		t.Fatal(err)
+	s := mcaverify.Scenario{
+		Name: "demo",
+		AgentSpecs: []mcaverify.AgentConfig{
+			{ID: 0, Items: 2, Base: []int64{10, 15}, Policy: pol},
+			{ID: 1, Items: 2, Base: []int64{15, 10}, Policy: pol},
+		},
+		Graph: mcaverify.CompleteGraph(2),
 	}
-	a1, err := mcaverify.NewAgent(mcaverify.AgentConfig{ID: 1, Items: 3, Base: []int64{20, 15, 2}, Policy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	verdict := mcaverify.CheckConvergence([]*mcaverify.Agent{a0, a1}, mcaverify.CompleteGraph(2), mcaverify.CheckOptions{})
-	if !verdict.OK {
-		t.Fatalf("quickstart check failed: %v", verdict.Violation)
+	res := mcaverify.Verify(context.Background(), s, nil)
+	if res.Status != mcaverify.ResultHolds {
+		t.Fatalf("quickstart check failed: %v (%v)", res.Status, res.Violation)
 	}
 }
 
@@ -137,24 +137,24 @@ func TestViolationConstantsDistinct(t *testing.T) {
 	}
 }
 
-// The parallel facade must agree with the serial one.
+// The parallel explicit engine must agree with the serial one.
 func TestFacadeParallelConvergence(t *testing.T) {
-	mk := func() []*mcaverify.Agent {
-		pol := mcaverify.Policy{Target: 2, Utility: mcaverify.SubmodularResidual{}, Rebid: mcaverify.RebidOnChange}
-		a0, err := mcaverify.NewAgent(mcaverify.AgentConfig{ID: 0, Items: 3, Base: []int64{10, 2, 30}, Policy: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a1, err := mcaverify.NewAgent(mcaverify.AgentConfig{ID: 1, Items: 3, Base: []int64{20, 15, 2}, Policy: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []*mcaverify.Agent{a0, a1}
+	pol := mcaverify.Policy{Target: 2, Utility: mcaverify.SubmodularResidual{}, Rebid: mcaverify.RebidOnChange}
+	s := mcaverify.Scenario{
+		Name: "parallel",
+		AgentSpecs: []mcaverify.AgentConfig{
+			{ID: 0, Items: 3, Base: []int64{10, 2, 30}, Policy: pol},
+			{ID: 1, Items: 3, Base: []int64{20, 15, 2}, Policy: pol},
+		},
+		Graph: mcaverify.CompleteGraph(2),
 	}
-	serial := mcaverify.CheckConvergence(mk(), mcaverify.CompleteGraph(2), mcaverify.CheckOptions{})
-	par := mcaverify.CheckConvergenceParallel(mk(), mcaverify.CompleteGraph(2), mcaverify.CheckOptions{}, 3)
-	if par.OK != serial.OK || !par.OK {
-		t.Fatalf("facade parallel OK=%v, serial OK=%v", par.OK, serial.OK)
+	serial := mcaverify.Verify(context.Background(), s, mcaverify.ExplicitEngine{})
+	par := mcaverify.Verify(context.Background(), s, mcaverify.ExplicitEngine{Workers: 3})
+	if par.Status != serial.Status || par.Status != mcaverify.ResultHolds {
+		t.Fatalf("facade parallel %v, serial %v", par.Status, serial.Status)
+	}
+	if par.Stats.States != serial.Stats.States {
+		t.Fatalf("facade parallel explored %d states, serial %d", par.Stats.States, serial.Stats.States)
 	}
 }
 
