@@ -6,11 +6,10 @@
 // Usage:
 //
 //	experiments            # all experiments
-//	experiments -only e5   # a single experiment (e1..e9)
+//	experiments -only e5   # a single experiment (e1..e7)
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -18,12 +17,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/mca"
 	"repro/internal/mcamodel"
-	"repro/internal/netsim"
 	"repro/internal/relalg"
 	"repro/internal/sat"
 )
@@ -41,10 +38,8 @@ func run(args []string) int {
 		"e5": e5Encodings,
 		"e6": e6Bound,
 		"e7": e7Static,
-		"e8": e8ParallelExplore,
-		"e9": e9EngineSweep,
 	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"}
+	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7"}
 	// The -only vocabulary is derived from the registry, so adding an
 	// experiment can never leave the help text or the error message
 	// describing a stale range.
@@ -268,102 +263,6 @@ func e6Bound() error {
 		}
 		fmt.Printf("%-10s %-6d %-6d %-8d %-8d\n", tp, g.Diameter(), items, bound, out.Rounds)
 	}
-	return nil
-}
-
-func e8ParallelExplore() error {
-	header("E8 — sharded parallel exploration vs serial DFS")
-	bases := [][]int64{{12, 8}, {8, 12}, {4, 8}}
-	specs := make([]mca.Config, len(bases))
-	for i, b := range bases {
-		specs[i] = mca.Config{
-			ID: mca.AgentID(i), Items: len(b), Base: b,
-			Policy: mca.Policy{Target: 2, Utility: mca.FlatUtility{}, Rebid: mca.RebidOnChange},
-		}
-	}
-	scenario := engine.Scenario{
-		Name:       "e8",
-		AgentSpecs: specs,
-		Graph:      graph.Ring(3),
-		Explore:    explore.Options{MaxStates: 2000000},
-	}
-	workers := runtime.GOMAXPROCS(0)
-	serial := engine.Explicit{}.Verify(context.Background(), scenario)
-	par := engine.Explicit{Workers: workers}.Verify(context.Background(), scenario)
-
-	fmt.Printf("3-agent ring, 2 items, flat utility (~100K states):\n")
-	fmt.Printf("  %-28s states=%-8d %8s %s\n", serial.Engine, serial.Stats.States,
-		serial.Stats.Wall.Round(time.Millisecond), serial.Status)
-	fmt.Printf("  %-28s states=%-8d %8s %s\n", par.Engine, par.Stats.States,
-		par.Stats.Wall.Round(time.Millisecond), par.Status)
-	if par.Status != serial.Status {
-		return fmt.Errorf("parallel explorer disagrees with serial: %v vs %v", par.Status, serial.Status)
-	}
-	return nil
-}
-
-// e9EngineSweep exercises the engine layer's batch runner: one sweep
-// mixing policy, topology, and network fault dimensions, scheduled over
-// a worker pool, with a deterministic aggregate summary. This is the
-// production workload the paper's one-model-many-checks methodology
-// scales into.
-func e9EngineSweep() error {
-	header("E9 — engine-layer scenario sweep (policies x topologies x network faults)")
-	utilities := []mca.Utility{mca.SubmodularResidual{}, mca.NonSubmodularSynergy{}}
-	graphs := map[string]*graph.Graph{"complete2": graph.Complete(2), "star3": graph.Star(3)}
-	faults := map[string]netsim.Faults{
-		"reliable":  {},
-		"drop25":    {Drop: 0.25},
-		"delay3":    {Delay: 3},
-		"partition": {Partitions: [][]int{{0}, {1, 2}}, HealAfter: 2},
-	}
-	var scenarios []engine.Scenario
-	for _, u := range utilities {
-		for _, rel := range []bool{false, true} {
-			for gname, g := range graphs {
-				specs := make([]mca.Config, g.N())
-				for i := range specs {
-					specs[i] = mca.Config{
-						ID: mca.AgentID(i), Items: 2,
-						Base:   []int64{int64(10 + 5*(i%2)), int64(15 - 5*(i%2))},
-						Policy: mca.Policy{Target: 2, Utility: u, ReleaseOutbid: rel, Rebid: mca.RebidOnChange},
-					}
-				}
-				for fname, f := range faults {
-					if fname == "partition" && g.N() < 3 {
-						continue
-					}
-					scenarios = append(scenarios, engine.Scenario{
-						Name:       fmt.Sprintf("%s/p_RO=%v/%s/%s", u.Name(), rel, gname, fname),
-						AgentSpecs: specs,
-						Graph:      g,
-						Explore:    explore.Options{MaxStates: 50000},
-						Faults:     f,
-					})
-				}
-			}
-		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	results, sum := engine.NewRunner(engine.RunnerOptions{Workers: workers}).Run(context.Background(), scenarios)
-	for _, res := range results {
-		if res.Status == engine.StatusError {
-			return fmt.Errorf("scenario %q: %v", res.Scenario, res.Err)
-		}
-	}
-	fmt.Printf("%d scenarios on %d workers in %s\n", sum.Total, workers, sum.Wall.Round(time.Millisecond))
-	fmt.Printf("  holds=%d violated=%d inconclusive=%d errors=%d\n",
-		sum.Holds, sum.Violated, sum.Inconclusive, sum.Errors)
-	if sum.Holds == 0 || sum.Violated == 0 {
-		return fmt.Errorf("sweep degenerate: %+v", sum)
-	}
-	// Re-run at one worker: the aggregate must be bit-identical.
-	_, again := engine.NewRunner(engine.RunnerOptions{Workers: 1}).Run(context.Background(), scenarios)
-	again.Wall, sum.Wall = 0, 0
-	if fmt.Sprintf("%+v", again) != fmt.Sprintf("%+v", sum) {
-		return fmt.Errorf("summary depends on worker count:\n  %+v\n  %+v", sum, again)
-	}
-	fmt.Println("aggregate identical at any worker count — deterministic sweep")
 	return nil
 }
 

@@ -400,7 +400,7 @@ func buildSpecs(n, items int, pol mca.Policy, seed int64) ([]mca.Config, error) 
 			base[j] = int64(10 + 5*((i+j)%items) + int(seed%3))
 		}
 		cfg := mca.Config{ID: mca.AgentID(i), Items: items, Base: base, Policy: pol}
-		if _, err := mca.NewAgent(cfg); err != nil {
+		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
 		out[i] = cfg
@@ -449,19 +449,9 @@ func parseRebid(s string) (mca.RebidMode, error) {
 	}
 }
 
+// parseTopology reads -topology, whose spellings are graph's own tokens.
 func parseTopology(s string) (graph.Topology, error) {
-	switch s {
-	case "line":
-		return graph.TopologyLine, nil
-	case "ring":
-		return graph.TopologyRing, nil
-	case "star":
-		return graph.TopologyStar, nil
-	case "complete":
-		return graph.TopologyComplete, nil
-	case "random":
-		return graph.TopologyRandomConnected, nil
-	default:
-		return 0, fmt.Errorf("unknown topology %q", s)
-	}
+	var t graph.Topology
+	err := t.UnmarshalText([]byte(s))
+	return t, err
 }

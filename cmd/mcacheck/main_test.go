@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -152,6 +153,36 @@ func TestRunScenarioFileErrors(t *testing.T) {
 	}
 	if code := run([]string{"-scenario", writeScenario(t, `{"version": 42}`)}); code != 2 {
 		t.Fatalf("bad version exit = %d, want 2", code)
+	}
+}
+
+// TestRunScenarioFileMalformed: each document of
+// internal/engine/testdata/malformed.json (line3.json with one edit)
+// exits 2 with one line naming the broken rule, at any -workers — where
+// the parent exited 0, 1 (an invented violation) or 2 under a goroutine
+// stack, depending on the row.
+func TestRunScenarioFileMalformed(t *testing.T) {
+	sample, err := os.ReadFile("../../examples/scenarios/line3.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := os.ReadFile("../../internal/engine/testdata/malformed.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []struct{ Name, Old, New, Rule string }
+	if err := json.Unmarshal(table, &rows); err != nil || len(rows) == 0 {
+		t.Fatalf("malformed.json: %d rows, %v", len(rows), err)
+	}
+	for _, row := range rows {
+		path := writeScenario(t, strings.Replace(string(sample), row.Old, row.New, 1))
+		for _, workers := range []string{"0", "2"} {
+			var code int
+			out := captureStderr(t, func() { code = run([]string{"-scenario", path, "-workers", workers}) })
+			if code != 2 || strings.Count(out, "\n") != 1 || !strings.Contains(out, row.Rule) {
+				t.Errorf("%s at -workers %s: exit %d, stderr %q; want 2 and one line naming %q", row.Name, workers, code, out, row.Rule)
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -194,7 +195,7 @@ func TestVerifyRejectsBadInput(t *testing.T) {
 		"sweep-bad-base": {"/sweep", `{"version":1}`},
 		// Sizes a document states are bounded at decode: the first of these
 		// used to reach make() on a pool goroutine and end the process.
-		"sweep-store-bits":  {"/sweep?engine=explicit", `{"version":1,"name":"s","base":{"agents":[{"id":0,"items":1,"base":[1],"policy":{"target":1}}],"graph":{"nodes":1},"explore":{"store":"bitstate","store_bits":62}}}`},
+		"sweep-store-bits":  {"/sweep?engine=explicit", `{"version":1,"name":"s","base":{"agents":[{"id":0,"items":1,"base":[1],"policy":{"target":1,"utility":{"kind":"flat"},"rebid":"never"}}],"graph":{"nodes":1},"explore":{"store":"bitstate","store_bits":62}}}`},
 		"verify-graph-size": {"/verify", `{"version":1,"graph":{"nodes":20000000}}`},
 		"sweep-null-patch":  {"/sweep", `{"version":1,"base":{},"axes":[{"axis":"a","variants":[{"name":"v","scenario":null}]}]}`},
 	} {
@@ -216,6 +217,60 @@ func TestVerifyRejectsBadInput(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /verify: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestMalformedScenariosAre400s takes the documents of
+// internal/engine/testdata/malformed.json — line3.json with one edit
+// each, breaking one well-formedness rule each — through every endpoint
+// that accepts a scenario, on one worker-role server: each answer is a
+// 400 naming the rule, and the server still answers /healthz afterwards.
+// On the parent the documents decoded; for the five that then panic
+// inside an engine, /verify dropped the connection and
+// /verify?engine=explicit&workers=2 and /fleet/work ended the process
+// from a shard goroutine.
+func TestMalformedScenariosAre400s(t *testing.T) {
+	sample, err := os.ReadFile("../../examples/scenarios/line3.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := os.ReadFile("../../internal/engine/testdata/malformed.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []struct{ Name, Old, New, Rule string }
+	if err := json.Unmarshal(table, &rows); err != nil || len(rows) == 0 {
+		t.Fatalf("malformed.json: %d rows, %v", len(rows), err)
+	}
+	srv, _ := startRole(t, serverConfig{Role: "worker", Workers: 2, DefaultTimeout: 30 * time.Second})
+	for _, row := range rows {
+		doc := strings.Replace(string(sample), row.Old, row.New, 1)
+		if doc == string(sample) {
+			t.Fatalf("%s: edit did not apply", row.Name)
+		}
+		base := strings.Replace(doc, `"version": 1,`, "", 1)
+		for path, body := range map[string]string{
+			"/verify":                           doc,
+			"/verify?engine=explicit&workers=2": doc,
+			"/verify?checkpoint=1":              doc,
+			"/sweep":                            `{"version":1,"name":"sw","base":` + base + `}`,
+			"/fleet/work":                       `{"version":1,"index":0,"engine":{"version":1,"kind":"explicit","workers":2},"scenario":` + doc + `}`,
+		} {
+			resp := postJSON(t, srv.URL+path, body)
+			var e map[string]string
+			if err := json.NewDecoder(resp.Body).Decode(&e); resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(e["error"], row.Rule) {
+				t.Errorf("%s on %s: status %d, error %q (%v), want 400 naming %q", row.Name, path, resp.StatusCode, e["error"], err, row.Rule)
+			}
+		}
+	}
+	if code, body := getBody(t, srv.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz after the malformed requests: %d %s", code, body)
+	}
+	// The sample itself still verifies through the same doors.
+	resp := postJSON(t, srv.URL+"/verify?engine=explicit&workers=2", string(sample))
+	data, _ := io.ReadAll(resp.Body)
+	if res, err := engine.DecodeResult(bytes.TrimSpace(data)); err != nil || res.Status != engine.StatusHolds || res.Stats.States != 454 {
+		t.Fatalf("line3.json: %s (%v)", data, err)
 	}
 }
 

@@ -109,3 +109,127 @@ func TestFacadeIsWhatExamplesUse(t *testing.T) {
 		}
 	}
 }
+
+// testSeams are the options only tests set, each with why it stays: the
+// only way a test can make the thing happen quickly. They wait for the
+// injected clock of ROADMAP's "Close the trust boundaries".
+var testSeams = map[string]string{
+	"fleet.CoordinatorOptions.MaxAttempts":     "retry tests exhaust the attempts in two or four dispatches",
+	"fleet.CoordinatorOptions.RetryBackoff":    "retry tests back off for milliseconds, the overflow test for an hour",
+	"fleet.CoordinatorOptions.HealthThreshold": "breaker tests open the breaker on the first failure",
+	"fleet.CoordinatorOptions.BreakerCooldown": "breaker tests re-probe within the test's lifetime",
+	"sat.Options.DisableLBD":                   "the solver property tests run with and without LBD tiers",
+	"sat.Options.CoreLBD":                      "the solver property tests move the core tier to both extremes",
+	"sat.Options.GCFrac":                       "arena tests force a compaction on a small formula",
+}
+
+// TestOptionsAreSet pins the options count: every exported field of
+// every exported ...Options struct under internal/ is set — as a key in
+// a composite literal of that struct or as the target of an assignment —
+// by some non-test .go file other than the one declaring it. A field
+// only its own package's defaults and tests touch is a constant with
+// extra steps: make it one, or add the caller that needs the choice.
+func TestOptionsAreSet(t *testing.T) {
+	fset := token.NewFileSet()
+	type field struct{ owner, declaredIn string } // owner is pkg.Struct
+	fields := map[string][]field{}                // by field name
+	var files []*ast.File
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		if !strings.HasPrefix(path, "internal/") {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			st, isStruct := (*ast.StructType)(nil), false
+			if ok {
+				st, isStruct = ts.Type.(*ast.StructType)
+			}
+			if !isStruct || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Options") {
+				return true
+			}
+			for _, fl := range st.Fields.List {
+				for _, name := range fl.Names {
+					if name.IsExported() {
+						fields[name.Name] = append(fields[name.Name], field{f.Name.Name + "." + ts.Name.Name, path})
+					}
+				}
+			}
+			return false
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// set[file][field name] → the struct names it was set on ("" when the
+	// syntax does not say: an assignment through a variable).
+	set := map[string]map[string][]string{}
+	for _, f := range files {
+		path := fset.Position(f.Pos()).Filename
+		set[path] = map[string][]string{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				name := ""
+				switch typ := n.Type.(type) {
+				case *ast.Ident:
+					name = typ.Name
+				case *ast.SelectorExpr:
+					name = typ.Sel.Name
+				}
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							set[path][key.Name] = append(set[path][key.Name], name)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set[path][sel.Sel.Name] = append(set[path][sel.Sel.Name], "")
+					}
+				}
+			}
+			return true
+		})
+	}
+	for name, owners := range fields {
+		for _, fd := range owners {
+			structName := fd.owner[strings.IndexByte(fd.owner, '.')+1:]
+			found := false
+			for path, names := range set {
+				for _, on := range names[name] {
+					found = found || (path != fd.declaredIn && (on == "" || on == structName))
+				}
+			}
+			id := fd.owner + "." + name
+			switch reason, seam := testSeams[id]; {
+			case found && seam:
+				t.Errorf("%s is set outside its tests now; drop it from testSeams", id)
+			case !found && !seam:
+				t.Errorf("%s is set by no non-test file other than %s: make it a constant, or add the caller that needs it", id, fd.declaredIn)
+			case !found:
+				t.Logf("%s: test seam (%s)", id, reason)
+			}
+		}
+	}
+	for id := range testSeams {
+		name := id[strings.LastIndexByte(id, '.')+1:]
+		known := false
+		for _, fd := range fields[name] {
+			known = known || fd.owner+"."+name == id
+		}
+		if !known {
+			t.Errorf("testSeams lists %s, which no longer exists", id)
+		}
+	}
+}

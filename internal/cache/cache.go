@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/engine"
@@ -37,15 +36,6 @@ type Options struct {
 	// the X-Cache-Auth header; it must match the secret the peer's
 	// HTTPHandler was built with.
 	RemoteSecret string
-	// RemoteClient overrides the HTTP client for the remote tier
-	// (default: a client with a 10-second timeout).
-	RemoteClient *http.Client
-	// RemoteTimeout bounds each individual peer round trip — Get
-	// fetches and Put propagations alike — via a per-request context
-	// deadline, independent of the client's own timeout, so a wedged
-	// peer degrades to a counted miss instead of holding a fetch for
-	// the client default. 0 defaults to 5 seconds.
-	RemoteTimeout time.Duration
 	// Chaos, when non-nil, arms deterministic fault injection on the
 	// cache's infrastructure edges: disk-tier writes pass through
 	// Injector.Mangle (site "cache.disk") and peer round trips through
@@ -88,13 +78,12 @@ type Stats struct {
 // Cache is a content-addressed Result store implementing
 // engine.ResultCache.
 type Cache struct {
-	capacity      int
-	dir           string
-	remoteURL     string
-	remoteSecret  string
-	remoteClient  *http.Client
-	remoteTimeout time.Duration
-	chaos         *chaos.Injector
+	capacity     int
+	dir          string
+	remoteURL    string
+	remoteSecret string
+	remoteClient *http.Client
+	chaos        *chaos.Injector
 
 	mu    sync.Mutex
 	ll    *list.List // most recent at front; values are *entry
@@ -128,34 +117,18 @@ func New(o Options) (*Cache, error) {
 			return nil, fmt.Errorf("cache: %w", err)
 		}
 	}
-	client := o.RemoteClient
-	if client == nil {
-		client = defaultRemoteClient()
-	}
-	if o.Chaos != nil {
-		// Wrap a copy: the caller's client must not inherit the fault
-		// injection.
-		client = &http.Client{
-			Transport:     o.Chaos.Transport("cache.peer", client.Transport),
-			CheckRedirect: client.CheckRedirect,
-			Jar:           client.Jar,
-			Timeout:       client.Timeout,
-		}
-	}
-	if o.RemoteTimeout <= 0 {
-		o.RemoteTimeout = 5 * time.Second
-	}
+	client := defaultRemoteClient()
+	client.Transport = o.Chaos.Transport("cache.peer", nil) // the plain transport without an injector
 	c := &Cache{
-		capacity:      o.Capacity,
-		dir:           o.Dir,
-		remoteURL:     strings.TrimSuffix(o.RemoteURL, "/"),
-		remoteSecret:  o.RemoteSecret,
-		remoteClient:  client,
-		remoteTimeout: o.RemoteTimeout,
-		chaos:         o.Chaos,
-		ll:            list.New(),
-		idx:           map[string]*list.Element{},
-		flights:       map[string]*flight{},
+		capacity:     o.Capacity,
+		dir:          o.Dir,
+		remoteURL:    strings.TrimSuffix(o.RemoteURL, "/"),
+		remoteSecret: o.RemoteSecret,
+		remoteClient: client,
+		chaos:        o.Chaos,
+		ll:           list.New(),
+		idx:          map[string]*list.Element{},
+		flights:      map[string]*flight{},
 	}
 	if c.remoteURL != "" {
 		c.putCh = make(chan remotePut, remotePutQueue)

@@ -124,7 +124,7 @@ func (c *Cache) getRemote(key string) (engine.Result, bool) {
 // and malformed bodies all degrade to a miss (counted in
 // RemoteErrors); the entry is simply recomputed locally.
 func (c *Cache) fetchRemote(key string) (engine.Result, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.remoteTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), remoteTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.remoteURL+"/"+key, nil)
 	if err != nil {
@@ -213,7 +213,7 @@ func (c *Cache) storeRemote(key string, res engine.Result) {
 		c.countRemoteError()
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.remoteTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), remoteTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.remoteURL+"/"+key, bytes.NewReader(data))
 	if err != nil {
@@ -321,6 +321,12 @@ func HTTPHandler(c *Cache, secret string) http.Handler {
 		}
 	})
 }
+
+// remoteTimeout bounds each individual peer round trip — Get fetches
+// and Put propagations alike — via a per-request context deadline,
+// independent of the client's own timeout, so a wedged peer degrades to
+// a counted miss instead of holding a fetch for the client default.
+const remoteTimeout = 5 * time.Second
 
 // defaultRemoteClient bounds every peer round trip: a slow or wedged
 // peer must degrade to a local miss, not stall verification.

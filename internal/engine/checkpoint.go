@@ -135,7 +135,6 @@ func (c *Checkpoint) Matches(s Scenario) error {
 	for _, sc := range []*Scenario{&a, &b} {
 		sc.Name = ""
 		sc.Explore.MaxStates = 0
-		sc.Explore.Cancel = nil
 	}
 	ea, err := EncodeScenario(&a)
 	if err != nil {

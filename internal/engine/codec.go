@@ -8,7 +8,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
+	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -77,11 +80,11 @@ type agentJSON struct {
 }
 
 type policyJSON struct {
-	Target        int          `json:"target"`
-	Utility       *utilityJSON `json:"utility,omitempty"`
-	ReleaseOutbid bool         `json:"release_outbid,omitempty"`
-	Rebid         string       `json:"rebid,omitempty"`
-	BidsPerRound  int          `json:"bids_per_round,omitempty"`
+	Target        int           `json:"target"`
+	Utility       *utilityJSON  `json:"utility,omitempty"`
+	ReleaseOutbid bool          `json:"release_outbid,omitempty"`
+	Rebid         mca.RebidMode `json:"rebid,omitempty"`
+	BidsPerRound  int           `json:"bids_per_round,omitempty"`
 }
 
 type utilityJSON struct {
@@ -110,15 +113,15 @@ type edgeJSON struct {
 }
 
 type exploreJSON struct {
-	Bound               int    `json:"bound,omitempty"`
-	BoundSlack          int    `json:"bound_slack,omitempty"`
-	HardLimitFactor     int    `json:"hard_limit_factor,omitempty"`
-	MaxStates           int    `json:"max_states,omitempty"`
-	QueueDepth          int    `json:"queue_depth,omitempty"`
-	DisableVisitedSet   bool   `json:"disable_visited_set,omitempty"`
-	DuplicateDeliveries bool   `json:"duplicate_deliveries,omitempty"`
-	Store               string `json:"store,omitempty"`
-	StoreBits           int    `json:"store_bits,omitempty"`
+	Bound               int               `json:"bound,omitempty"`
+	BoundSlack          int               `json:"bound_slack,omitempty"`
+	HardLimitFactor     int               `json:"hard_limit_factor,omitempty"`
+	MaxStates           int               `json:"max_states,omitempty"`
+	QueueDepth          int               `json:"queue_depth,omitempty"`
+	DisableVisitedSet   bool              `json:"disable_visited_set,omitempty"`
+	DuplicateDeliveries bool              `json:"duplicate_deliveries,omitempty"`
+	Store               explore.StoreKind `json:"store,omitempty"`
+	StoreBits           int               `json:"store_bits,omitempty"`
 }
 
 type faultsJSON struct {
@@ -232,48 +235,26 @@ func decodeModel(w *modelJSON) (RelationalModel, error) {
 	return m, nil
 }
 
-// ---- enum codecs ----
-
-func encodeRebid(m mca.RebidMode) (string, error) {
-	switch m {
-	case 0:
-		return "", nil
-	case mca.RebidOnChange:
-		return "on-change", nil
-	case mca.RebidNever:
-		return "never", nil
-	case mca.RebidAlways:
-		return "always", nil
-	}
-	return "", fmt.Errorf("engine: unencodable rebid mode %d", int(m))
-}
-
-func decodeRebid(s string) (mca.RebidMode, error) {
-	switch s {
-	case "":
-		return 0, nil
-	case "on-change":
-		return mca.RebidOnChange, nil
-	case "never":
-		return mca.RebidNever, nil
-	case "always":
-		return mca.RebidAlways, nil
-	}
-	return 0, fmt.Errorf("engine: unknown rebid mode %q (want on-change|never|always)", s)
-}
+// ---- utility codec ----
+//
+// Every other enum of the format marshals itself: its token table sits
+// beside the type (mca.RebidMode, explore.StoreKind and ViolationKind,
+// sat.Status, Status) and the wire structs hold the typed values. A
+// utility is a kind plus parameters, so it is mapped here, keyed by the
+// kinds mca names.
 
 func encodeUtility(u mca.Utility) (*utilityJSON, error) {
 	switch u := u.(type) {
 	case nil:
 		return nil, nil
 	case mca.SubmodularResidual:
-		return &utilityJSON{Kind: "submodular-residual", Decay: u.Decay}, nil
+		return &utilityJSON{Kind: mca.KindSubmodularResidual, Decay: u.Decay}, nil
 	case mca.NonSubmodularSynergy:
-		return &utilityJSON{Kind: "non-submodular-synergy", SynergyNum: u.SynergyNum, SynergyDen: u.SynergyDen}, nil
+		return &utilityJSON{Kind: mca.KindNonSubmodularSynergy, SynergyNum: u.SynergyNum, SynergyDen: u.SynergyDen}, nil
 	case mca.FlatUtility:
-		return &utilityJSON{Kind: "flat"}, nil
+		return &utilityJSON{Kind: mca.KindFlat}, nil
 	case mca.EscalatingUtility:
-		return &utilityJSON{Kind: "escalating-attack", Step: u.Step, Cap: u.Cap}, nil
+		return &utilityJSON{Kind: mca.KindEscalatingAttack, Step: u.Step, Cap: u.Cap}, nil
 	}
 	return nil, fmt.Errorf("engine: utility %q (%T) is not serializable; use one of the named mca utilities", u.Name(), u)
 }
@@ -283,103 +264,16 @@ func decodeUtility(w *utilityJSON) (mca.Utility, error) {
 		return nil, nil
 	}
 	switch w.Kind {
-	case "submodular-residual":
+	case mca.KindSubmodularResidual:
 		return mca.SubmodularResidual{Decay: w.Decay}, nil
-	case "non-submodular-synergy":
+	case mca.KindNonSubmodularSynergy:
 		return mca.NonSubmodularSynergy{SynergyNum: w.SynergyNum, SynergyDen: w.SynergyDen}, nil
-	case "flat":
+	case mca.KindFlat:
 		return mca.FlatUtility{}, nil
-	case "escalating-attack":
+	case mca.KindEscalatingAttack:
 		return mca.EscalatingUtility{Step: w.Step, Cap: w.Cap}, nil
 	}
-	return nil, fmt.Errorf("engine: unknown utility kind %q", w.Kind)
-}
-
-func encodeStatus(s Status) (string, error) {
-	switch s {
-	case StatusHolds, StatusViolated, StatusInconclusive, StatusError:
-		return s.String(), nil
-	}
-	return "", fmt.Errorf("engine: unencodable status %d", int(s))
-}
-
-func decodeStatus(s string) (Status, error) {
-	for _, v := range []Status{StatusHolds, StatusViolated, StatusInconclusive, StatusError} {
-		if s == v.String() {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("engine: unknown status %q", s)
-}
-
-func encodeViolation(v explore.ViolationKind) (string, error) {
-	switch v {
-	case explore.ViolationNone:
-		return "", nil
-	case explore.ViolationOscillation, explore.ViolationBoundExceeded,
-		explore.ViolationDisagreement, explore.ViolationConflict:
-		return v.String(), nil
-	}
-	return "", fmt.Errorf("engine: unencodable violation kind %d", int(v))
-}
-
-func decodeViolation(s string) (explore.ViolationKind, error) {
-	if s == "" {
-		return explore.ViolationNone, nil
-	}
-	for _, v := range []explore.ViolationKind{explore.ViolationOscillation,
-		explore.ViolationBoundExceeded, explore.ViolationDisagreement, explore.ViolationConflict} {
-		if s == v.String() {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("engine: unknown violation kind %q", s)
-}
-
-func encodeStoreKind(k explore.StoreKind) (string, error) {
-	switch k {
-	case explore.StoreExact:
-		return "", nil
-	case explore.StoreBitstate, explore.StoreHashCompact:
-		return k.String(), nil
-	}
-	return "", fmt.Errorf("engine: unencodable store kind %d", int(k))
-}
-
-func decodeStoreKind(s string) (explore.StoreKind, error) {
-	switch s {
-	case "":
-		return explore.StoreExact, nil
-	case explore.StoreBitstate.String():
-		return explore.StoreBitstate, nil
-	case explore.StoreHashCompact.String():
-		return explore.StoreHashCompact, nil
-	}
-	return 0, fmt.Errorf("engine: unknown store kind %q (want bitstate|hash-compact)", s)
-}
-
-func encodeSATStatus(s sat.Status) (string, error) {
-	switch s {
-	case sat.StatusUnknown:
-		return "", nil
-	case sat.StatusSat:
-		return "sat", nil
-	case sat.StatusUnsat:
-		return "unsat", nil
-	}
-	return "", fmt.Errorf("engine: unencodable SAT status %d", int(s))
-}
-
-func decodeSATStatus(s string) (sat.Status, error) {
-	switch s {
-	case "":
-		return sat.StatusUnknown, nil
-	case "sat":
-		return sat.StatusSat, nil
-	case "unsat":
-		return sat.StatusUnsat, nil
-	}
-	return 0, fmt.Errorf("engine: unknown SAT status %q", s)
+	return nil, fmt.Errorf("engine: unknown utility kind %q (want %s)", w.Kind, strings.Join(mca.UtilityKinds, "|"))
 }
 
 // ---- scenario encode ----
@@ -397,22 +291,12 @@ func EncodeScenario(s *Scenario) ([]byte, error) {
 }
 
 func scenarioToWire(s *Scenario) (*scenarioJSON, error) {
-	if s.Explore.Cancel != nil {
-		// Cancel is a runtime hook, never data; encoding proceeds without it.
-		s2 := *s
-		s2.Explore.Cancel = nil
-		s = &s2
-	}
 	w := &scenarioJSON{Version: SchemaVersion, Name: s.Name}
 	for _, cfg := range s.AgentSpecs {
 		if cfg.Resolver != nil {
 			return nil, fmt.Errorf("engine: scenario %q agent %d has a custom resolver; only the default conflict table is serializable", s.Name, cfg.ID)
 		}
 		util, err := encodeUtility(cfg.Policy.Utility)
-		if err != nil {
-			return nil, fmt.Errorf("engine: scenario %q agent %d: %w", s.Name, cfg.ID, err)
-		}
-		rebid, err := encodeRebid(cfg.Policy.Rebid)
 		if err != nil {
 			return nil, fmt.Errorf("engine: scenario %q agent %d: %w", s.Name, cfg.ID, err)
 		}
@@ -426,7 +310,7 @@ func scenarioToWire(s *Scenario) (*scenarioJSON, error) {
 				Target:        cfg.Policy.Target,
 				Utility:       util,
 				ReleaseOutbid: cfg.Policy.ReleaseOutbid,
-				Rebid:         rebid,
+				Rebid:         cfg.Policy.Rebid,
 				BidsPerRound:  cfg.Policy.BidsPerRound,
 			},
 		})
@@ -443,10 +327,6 @@ func scenarioToWire(s *Scenario) (*scenarioJSON, error) {
 		}
 		w.Graph = gw
 	}
-	store, err := encodeStoreKind(s.Explore.Store)
-	if err != nil {
-		return nil, fmt.Errorf("engine: scenario %q: %w", s.Name, err)
-	}
 	// SpillDir and SpillStates are deliberately absent: spill is a
 	// verdict-neutral runtime resource (like Cancel), so it must not
 	// split the content-addressed result cache.
@@ -458,16 +338,12 @@ func scenarioToWire(s *Scenario) (*scenarioJSON, error) {
 		QueueDepth:          s.Explore.QueueDepth,
 		DisableVisitedSet:   s.Explore.DisableVisitedSet,
 		DuplicateDeliveries: s.Explore.DuplicateDeliveries,
-		Store:               store,
+		Store:               s.Explore.Store,
 		StoreBits:           s.Explore.StoreBits,
 	}); ex != (exploreJSON{}) {
 		w.Explore = &ex
 	}
-	fw, err := faultsToWire(s.Faults)
-	if err != nil {
-		return nil, fmt.Errorf("engine: scenario %q: %w", s.Name, err)
-	}
-	w.Faults = fw
+	w.Faults = faultsToWire(s.Faults)
 	if s.Model != nil {
 		mw, err := encodeModel(s.Model)
 		if err != nil {
@@ -490,9 +366,9 @@ func scenarioToWire(s *Scenario) (*scenarioJSON, error) {
 	return w, nil
 }
 
-func faultsToWire(f netsim.Faults) (*faultsJSON, error) {
+func faultsToWire(f netsim.Faults) *faultsJSON {
 	if f.None() && f.HealAfter == 0 {
-		return nil, nil
+		return nil
 	}
 	// Duplicate and Reorder are verdict-affecting and omitempty: a
 	// scenario that leaves them zero encodes to the exact bytes it did
@@ -515,7 +391,7 @@ func faultsToWire(f netsim.Faults) (*faultsJSON, error) {
 	sort.Slice(w.Partitions, func(i, j int) bool {
 		return lessIntSlice(w.Partitions[i], w.Partitions[j])
 	})
-	return w, nil
+	return w
 }
 
 func sortEdgeFaults(s []edgeFaultJSON) {
@@ -539,8 +415,9 @@ func lessIntSlice(a, b []int) bool {
 // ---- scenario decode ----
 
 // DecodeScenario parses a canonical scenario document. The decode is
-// strict: unknown fields, a missing or wrong version, and unknown enum
-// tokens are errors.
+// strict — unknown fields, a missing or wrong version, and unknown enum
+// tokens are errors — and ends in Scenario.Validate: what it returns is
+// well formed.
 func DecodeScenario(data []byte) (Scenario, error) {
 	var w scenarioJSON
 	if err := strictUnmarshal(data, &w); err != nil {
@@ -557,10 +434,12 @@ func DecodeScenario(data []byte) (Scenario, error) {
 // gigabytes; the bound sits far above anything an engine can run.
 const MaxGraphNodes = 1 << 16
 
-// scenarioFromWire converts a decoded document section by section. The
-// converters are separate functions because a sweep expansion calls each
-// one once per distinct section value instead of once per cell; w.Name
-// only labels their errors.
+// scenarioFromWire converts a decoded document section by section and
+// validates the result. The converters are separate functions because a
+// sweep expansion calls each one once per distinct section value
+// instead of once per cell. They only convert: every rule on the values
+// is Scenario.Validate's, except the two graphFromWire cannot build a
+// graph without.
 func scenarioFromWire(w *scenarioJSON) (Scenario, error) {
 	s := Scenario{Name: w.Name}
 	var err error
@@ -570,27 +449,19 @@ func scenarioFromWire(w *scenarioJSON) (Scenario, error) {
 	if s.Graph, err = graphFromWire(w.Name, w.Graph); err != nil {
 		return Scenario{}, err
 	}
-	if s.Explore, err = exploreFromWire(w.Name, w.Explore); err != nil {
-		return Scenario{}, err
-	}
-	if s.Faults, err = faultsFromWire(w.Name, w.Faults, s.Graph); err != nil {
-		return Scenario{}, err
-	}
+	s.Explore = exploreFromWire(w.Explore)
+	s.Faults = faultsFromWire(w.Faults)
 	if s.Model, err = decodeModel(w.Model); err != nil {
 		return Scenario{}, err
 	}
 	s.Solver = solverFromWire(w.Solver)
-	return s, nil
+	return s, s.Validate()
 }
 
 func agentsFromWire(name string, agents []agentJSON) ([]mca.Config, error) {
 	var specs []mca.Config
 	for _, aw := range agents {
 		util, err := decodeUtility(aw.Policy.Utility)
-		if err != nil {
-			return nil, fmt.Errorf("engine: scenario %q agent %d: %w", name, aw.ID, err)
-		}
-		rebid, err := decodeRebid(aw.Policy.Rebid)
 		if err != nil {
 			return nil, fmt.Errorf("engine: scenario %q agent %d: %w", name, aw.ID, err)
 		}
@@ -604,7 +475,7 @@ func agentsFromWire(name string, agents []agentJSON) ([]mca.Config, error) {
 				Target:        aw.Policy.Target,
 				Utility:       util,
 				ReleaseOutbid: aw.Policy.ReleaseOutbid,
-				Rebid:         rebid,
+				Rebid:         aw.Policy.Rebid,
 				BidsPerRound:  aw.Policy.BidsPerRound,
 			},
 		})
@@ -612,6 +483,9 @@ func agentsFromWire(name string, agents []agentJSON) ([]mca.Config, error) {
 	return specs, nil
 }
 
+// graphFromWire builds the graph. Its two checks are the ones it cannot
+// run without: the node ceiling before graph.New allocates, the
+// endpoints before AddWeightedEdge panics.
 func graphFromWire(name string, gw *graphJSON) (*graph.Graph, error) {
 	if gw == nil {
 		return nil, nil
@@ -633,18 +507,9 @@ func graphFromWire(name string, gw *graphJSON) (*graph.Graph, error) {
 	return g, nil
 }
 
-func exploreFromWire(name string, ew *exploreJSON) (explore.Options, error) {
+func exploreFromWire(ew *exploreJSON) explore.Options {
 	if ew == nil {
-		return explore.Options{}, nil
-	}
-	store, err := decodeStoreKind(ew.Store)
-	if err != nil {
-		return explore.Options{}, fmt.Errorf("engine: scenario %q: %w", name, err)
-	}
-	// A lossy store is one make() of 2^store_bits slots: unbounded, a
-	// request can ask for more memory than the address space holds.
-	if limit := explore.MaxStoreBits(store); ew.StoreBits < 0 || ew.StoreBits > limit {
-		return explore.Options{}, fmt.Errorf("engine: scenario %q: store_bits %d outside [0,%d] for the %s store", name, ew.StoreBits, limit, store)
+		return explore.Options{}
 	}
 	return explore.Options{
 		Bound:               ew.Bound,
@@ -654,9 +519,9 @@ func exploreFromWire(name string, ew *exploreJSON) (explore.Options, error) {
 		QueueDepth:          ew.QueueDepth,
 		DisableVisitedSet:   ew.DisableVisitedSet,
 		DuplicateDeliveries: ew.DuplicateDeliveries,
-		Store:               store,
+		Store:               ew.Store,
 		StoreBits:           ew.StoreBits,
-	}, nil
+	}
 }
 
 func solverFromWire(sw *solverJSON) sat.Options {
@@ -675,70 +540,27 @@ func solverFromWire(sw *solverJSON) sat.Options {
 	}
 }
 
-// faultsFromWire rebuilds and validates the fault model. Strictness
-// matters here: an out-of-range probability or a fault edge naming a
-// node outside the graph would be silently inert at run time, letting a
-// typo turn a lossy scenario into a reliable one. The node range comes
-// from the scenario's graph, which is why a sweep memoises faults
-// together with graph.
-func faultsFromWire(name string, fw *faultsJSON, g *graph.Graph) (netsim.Faults, error) {
+func faultsFromWire(fw *faultsJSON) netsim.Faults {
 	if fw == nil {
-		return netsim.Faults{}, nil
-	}
-	nodes := -1 // no graph: SAT-only scenarios carry no node range to check
-	if g != nil {
-		nodes = g.N()
-	}
-	badNode := func(n int) bool { return n < 0 || (nodes >= 0 && n >= nodes) }
-	fail := func(format string, args ...any) (netsim.Faults, error) {
-		return netsim.Faults{}, fmt.Errorf("engine: scenario %q faults: %s", name, fmt.Sprintf(format, args...))
-	}
-	if fw.Drop < 0 || fw.Drop > 1 {
-		return fail("drop probability %v outside [0,1]", fw.Drop)
-	}
-	if fw.Delay < 0 || fw.HealAfter < 0 {
-		return fail("negative delay %d or heal_after %d", fw.Delay, fw.HealAfter)
-	}
-	if fw.Duplicate < 0 || fw.Duplicate > 1 {
-		return fail("duplicate probability %v outside [0,1]", fw.Duplicate)
-	}
-	if fw.Reorder < 0 {
-		return fail("negative reorder window %d", fw.Reorder)
+		return netsim.Faults{}
 	}
 	f := netsim.Faults{Drop: fw.Drop, Delay: fw.Delay, Duplicate: fw.Duplicate, Reorder: fw.Reorder, HealAfter: fw.HealAfter}
 	for _, e := range fw.DropEdge {
-		if e.Drop < 0 || e.Drop > 1 {
-			return fail("drop_edge {%d,%d} probability %v outside [0,1]", e.From, e.To, e.Drop)
-		}
-		if badNode(e.From) || badNode(e.To) {
-			return fail("drop_edge {%d,%d} outside the %d-node graph", e.From, e.To, nodes)
-		}
 		if f.DropEdge == nil {
 			f.DropEdge = map[netsim.Edge]float64{}
 		}
 		f.DropEdge[netsim.Edge{From: mca.AgentID(e.From), To: mca.AgentID(e.To)}] = e.Drop
 	}
 	for _, e := range fw.DelayEdge {
-		if e.Delay < 0 {
-			return fail("delay_edge {%d,%d} negative delay %d", e.From, e.To, e.Delay)
-		}
-		if badNode(e.From) || badNode(e.To) {
-			return fail("delay_edge {%d,%d} outside the %d-node graph", e.From, e.To, nodes)
-		}
 		if f.DelayEdge == nil {
 			f.DelayEdge = map[netsim.Edge]int{}
 		}
 		f.DelayEdge[netsim.Edge{From: mca.AgentID(e.From), To: mca.AgentID(e.To)}] = e.Delay
 	}
-	for bi, block := range fw.Partitions {
-		for _, n := range block {
-			if badNode(n) {
-				return fail("partition block %d names node %d outside the %d-node graph", bi, n, nodes)
-			}
-		}
+	for _, block := range fw.Partitions {
 		f.Partitions = append(f.Partitions, append([]int(nil), block...))
 	}
-	return f, nil
+	return f
 }
 
 // strictUnmarshal is json.Unmarshal with unknown fields rejected and
@@ -758,18 +580,18 @@ func strictUnmarshal(data []byte, v any) error {
 // ---- result codec ----
 
 type resultJSON struct {
-	Version   int        `json:"version"`
-	Scenario  string     `json:"scenario,omitempty"`
-	Engine    string     `json:"engine,omitempty"`
-	Index     int        `json:"index"`
-	Status    string     `json:"status"`
-	Violation string     `json:"violation,omitempty"`
-	SATStatus string     `json:"sat_status,omitempty"`
-	Cached    bool       `json:"cached,omitempty"`
-	Explicit  bool       `json:"explicit,omitempty"`
-	Stats     *statsJSON `json:"stats,omitempty"`
-	Trace     *traceJSON `json:"trace,omitempty"`
-	Err       string     `json:"error,omitempty"`
+	Version   int                   `json:"version"`
+	Scenario  string                `json:"scenario,omitempty"`
+	Engine    string                `json:"engine,omitempty"`
+	Index     int                   `json:"index"`
+	Status    Status                `json:"status"`
+	Violation explore.ViolationKind `json:"violation,omitempty"`
+	SATStatus sat.Status            `json:"sat_status,omitempty"`
+	Cached    bool                  `json:"cached,omitempty"`
+	Explicit  bool                  `json:"explicit,omitempty"`
+	Stats     *statsJSON            `json:"stats,omitempty"`
+	Trace     *traceJSON            `json:"trace,omitempty"`
+	Err       string                `json:"error,omitempty"`
 }
 
 type statsJSON struct {
@@ -819,26 +641,14 @@ type traceAgentJSON struct {
 // other fields on decode rather than stored, so the wire form carries
 // no redundancy.
 func EncodeResult(r *Result) ([]byte, error) {
-	status, err := encodeStatus(r.Status)
-	if err != nil {
-		return nil, err
-	}
-	violation, err := encodeViolation(r.Violation)
-	if err != nil {
-		return nil, err
-	}
-	satStatus, err := encodeSATStatus(r.SATStatus)
-	if err != nil {
-		return nil, err
-	}
 	w := resultJSON{
 		Version:   SchemaVersion,
 		Scenario:  r.Scenario,
 		Engine:    r.Engine,
 		Index:     r.Index,
-		Status:    status,
-		Violation: violation,
-		SATStatus: satStatus,
+		Status:    r.Status,
+		Violation: r.Violation,
+		SATStatus: r.SATStatus,
 		Cached:    r.Cached,
 		Explicit:  r.ExplicitVerdict != nil,
 	}
@@ -897,25 +707,13 @@ func DecodeResult(data []byte) (Result, error) {
 	if w.Version != SchemaVersion {
 		return Result{}, fmt.Errorf("engine: result: unsupported schema version %d (want %d)", w.Version, SchemaVersion)
 	}
-	status, err := decodeStatus(w.Status)
-	if err != nil {
-		return Result{}, err
-	}
-	violation, err := decodeViolation(w.Violation)
-	if err != nil {
-		return Result{}, err
-	}
-	satStatus, err := decodeSATStatus(w.SATStatus)
-	if err != nil {
-		return Result{}, err
-	}
 	r := Result{
 		Scenario:  w.Scenario,
 		Engine:    w.Engine,
 		Index:     w.Index,
-		Status:    status,
-		Violation: violation,
-		SATStatus: satStatus,
+		Status:    w.Status,
+		Violation: w.Violation,
+		SATStatus: w.SATStatus,
 		Cached:    w.Cached,
 	}
 	if w.Stats != nil {
@@ -963,8 +761,8 @@ func DecodeResult(data []byte) (Result, error) {
 	}
 	if w.Explicit {
 		r.ExplicitVerdict = &explore.Verdict{
-			OK:        status == StatusHolds,
-			Violation: violation,
+			OK:        w.Status == StatusHolds,
+			Violation: w.Violation,
 			Trace:     r.Trace,
 			States:    r.Stats.States,
 			MaxDepth:  r.Stats.MaxDepth,
@@ -979,17 +777,17 @@ func DecodeResult(data []byte) (Result, error) {
 // ---- summary codec ----
 
 type summaryJSON struct {
-	Version      int            `json:"version"`
-	Total        int            `json:"total"`
-	Holds        int            `json:"holds,omitempty"`
-	Violated     int            `json:"violated,omitempty"`
-	Inconclusive int            `json:"inconclusive,omitempty"`
-	Errors       int            `json:"errors,omitempty"`
-	Capped       int            `json:"capped,omitempty"`
-	CacheHits    int            `json:"cache_hits,omitempty"`
-	Violations   map[string]int `json:"violations,omitempty"`
-	Scenarios    []string       `json:"scenarios,omitempty"`
-	WallNS       int64          `json:"wall_ns,omitempty"`
+	Version      int                           `json:"version"`
+	Total        int                           `json:"total"`
+	Holds        int                           `json:"holds,omitempty"`
+	Violated     int                           `json:"violated,omitempty"`
+	Inconclusive int                           `json:"inconclusive,omitempty"`
+	Errors       int                           `json:"errors,omitempty"`
+	Capped       int                           `json:"capped,omitempty"`
+	CacheHits    int                           `json:"cache_hits,omitempty"`
+	Violations   map[explore.ViolationKind]int `json:"violations,omitempty"`
+	Scenarios    []string                      `json:"scenarios,omitempty"`
+	WallNS       int64                         `json:"wall_ns,omitempty"`
 }
 
 // EncodeSummary renders a batch summary as versioned JSON (violation
@@ -1004,18 +802,9 @@ func EncodeSummary(s *Summary) ([]byte, error) {
 		Errors:       s.Errors,
 		Capped:       s.Capped,
 		CacheHits:    s.CacheHits,
+		Violations:   s.Violations,
 		Scenarios:    s.Scenarios,
 		WallNS:       int64(s.Wall),
-	}
-	for k, n := range s.Violations {
-		name, err := encodeViolation(k)
-		if err != nil {
-			return nil, err
-		}
-		if w.Violations == nil {
-			w.Violations = map[string]int{}
-		}
-		w.Violations[name] = n
 	}
 	return json.Marshal(w)
 }
@@ -1037,16 +826,12 @@ func DecodeSummary(data []byte) (Summary, error) {
 		Errors:       w.Errors,
 		Capped:       w.Capped,
 		CacheHits:    w.CacheHits,
-		Violations:   map[explore.ViolationKind]int{},
+		Violations:   w.Violations,
 		Scenarios:    w.Scenarios,
 		Wall:         time.Duration(w.WallNS),
 	}
-	for name, n := range w.Violations {
-		k, err := decodeViolation(name)
-		if err != nil {
-			return Summary{}, err
-		}
-		s.Violations[k] = n
+	if s.Violations == nil {
+		s.Violations = map[explore.ViolationKind]int{}
 	}
 	return s, nil
 }
@@ -1086,19 +871,7 @@ func encodeUnnamed(s *Scenario) ([]byte, error) {
 // be encodeUnnamed(s) — CacheKey computes it, a decoded sweep carries
 // it. s itself is read only to resolve Auto.
 func contentAddress(canonical []byte, s *Scenario, e Engine) string {
-	for {
-		w, ok := e.(interface{ Unwrap() Engine })
-		if !ok {
-			break
-		}
-		e = w.Unwrap()
-	}
-	if e == nil {
-		e = Auto{}
-	}
-	if auto, ok := e.(Auto); ok {
-		e = auto.EngineFor(*s)
-	}
+	e = resolveEngine(e, s)
 	// Normalize defaulted fields so Simulation{} and Simulation{Runs:16}
 	// — the same verification — share one address.
 	if sim, ok := e.(Simulation); ok {
@@ -1136,7 +909,22 @@ func VerifyCached(ctx context.Context, eng Engine, s Scenario, c ResultCache) Re
 // encodeUnnamed(&s): a decoded sweep's cells do, and are addressed from
 // those bytes instead of re-encoding the scenario they were decoded
 // from. A nil canonical is computed here.
-func verifyCached(ctx context.Context, eng Engine, s Scenario, canonical []byte, c ResultCache) Result {
+//
+// This is also where a panic inside an engine is contained, once, for
+// every caller — the Runner's pool goroutines, mcaserved's /verify, a
+// fleet worker's /fleet/work, the differential oracle's legs: it becomes
+// this scenario's error result (logged with its stack) instead of
+// ending the process, the way net/http contains a panicking handler.
+// Engines that start goroutines re-raise a goroutine's panic on the one
+// that called them, so it arrives here too.
+func verifyCached(ctx context.Context, eng Engine, s Scenario, canonical []byte, c ResultCache) (res Result) {
+	defer func() {
+		if p := recover(); p != nil {
+			err := fmt.Errorf("engine: scenario %q: panic in %s: %v", s.Name, eng.Name(), p)
+			log.Printf("%v\n%s", err, debug.Stack())
+			res = errorResult(&s, eng.Name(), err)
+		}
+	}()
 	var key string
 	if c != nil {
 		if canonical == nil {
@@ -1153,7 +941,7 @@ func verifyCached(ctx context.Context, eng Engine, s Scenario, canonical []byte,
 			}
 		}
 	}
-	res := eng.Verify(ctx, s)
+	res = eng.Verify(ctx, s)
 	if key != "" && (res.Status == StatusHolds || res.Status == StatusViolated) {
 		// eng may have answered from a cache of its own (a fleet
 		// worker's): the entry is stored in the shape a computed one has.

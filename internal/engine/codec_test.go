@@ -159,15 +159,7 @@ func TestScenarioRoundTrip(t *testing.T) {
 			}
 			// Encode canonicalizes partition blocks, so compare the
 			// fault models through the normalizing wire conversion.
-			fw1, err := faultsToWire(s.Faults)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fw2, err := faultsToWire(s2.Faults)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fw1, fw2) {
+			if fw1, fw2 := faultsToWire(s.Faults), faultsToWire(s2.Faults); !reflect.DeepEqual(fw1, fw2) {
 				t.Fatalf("faults differ: got %+v want %+v", fw2, fw1)
 			}
 			if s2.Solver != s.Solver {

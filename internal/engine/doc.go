@@ -41,6 +41,16 @@
 // Scenario is a value to copy and vary, and a varied copy must not
 // carry the encoding of the original.
 //
+// The scenario contract lives here, once. Scenario.Validate is every
+// well-formedness rule: the decoders only convert and end in it, and
+// Applicable — which every adapter's Verify starts with, Auto routes by
+// and gen's oracle skips by — calls it before answering whether the
+// engine can run the scenario. Enum tokens are not here: each enum's
+// table sits beside its type (mca, explore, sat, graph; Status in this
+// package) and the wire structs hold the typed values. A panic inside
+// an engine is contained in VerifyCached as that scenario's error
+// Result, for every caller alike.
+//
 // Determinism contract: a Result depends only on (Scenario, Engine
 // value) — never on worker counts, scheduling, or cache state. The
 // Runner's Summary depends only on the multiset of Results, and cached

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -80,17 +81,14 @@ type Scenario struct {
 	Solver sat.Options
 }
 
-// agents materializes fresh protocol agents for one Verify call.
-func (s *Scenario) agents() ([]*mca.Agent, error) {
+// agents materializes fresh protocol agents for one Verify call, of a
+// scenario Applicable has let through: every spec constructs.
+func (s *Scenario) agents() []*mca.Agent {
 	out := make([]*mca.Agent, len(s.AgentSpecs))
 	for i, cfg := range s.AgentSpecs {
-		a, err := mca.NewAgent(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("engine: scenario %q agent %d: %w", s.Name, i, err)
-		}
-		out[i] = a
+		out[i] = mca.MustNewAgent(cfg)
 	}
-	return out, nil
+	return out
 }
 
 // Status classifies a Result.
@@ -110,20 +108,40 @@ const (
 	StatusError
 )
 
+// statusTokens is the result-document vocabulary of Status, indexed by
+// status; String prints the same spelling.
+var statusTokens = [...]string{
+	StatusHolds:        "holds",
+	StatusViolated:     "violated",
+	StatusInconclusive: "inconclusive",
+	StatusError:        "error",
+}
+
 // String names the status.
 func (s Status) String() string {
-	switch s {
-	case StatusHolds:
-		return "holds"
-	case StatusViolated:
-		return "violated"
-	case StatusInconclusive:
-		return "inconclusive"
-	case StatusError:
-		return "error"
-	default:
+	if s < 0 || int(s) >= len(statusTokens) {
 		return fmt.Sprintf("status(%d)", int(s))
 	}
+	return statusTokens[s]
+}
+
+// MarshalText renders the status as its document token.
+func (s Status) MarshalText() ([]byte, error) {
+	if s < 0 || int(s) >= len(statusTokens) {
+		return nil, fmt.Errorf("engine: unencodable status %d", int(s))
+	}
+	return []byte(statusTokens[s]), nil
+}
+
+// UnmarshalText parses a document token.
+func (s *Status) UnmarshalText(text []byte) error {
+	for v, tok := range statusTokens {
+		if tok == string(text) {
+			*s = Status(v)
+			return nil
+		}
+	}
+	return fmt.Errorf("engine: unknown status %q", text)
 }
 
 // Stats aggregates the per-engine effort counters into one shape.
@@ -251,18 +269,92 @@ type Auto struct {
 // Name identifies the adapter.
 func (a Auto) Name() string { return "auto" }
 
-// EngineFor returns the engine Auto would use for the scenario.
+// EngineFor returns the engine Auto would use for the scenario: it
+// routes by what unmet says of the candidates.
 func (a Auto) EngineFor(s Scenario) Engine {
-	if s.Model != nil {
+	exhaustive := Explicit{Workers: a.Workers}
+	switch {
+	case unmet(SAT{}, &s) == nil:
 		return SAT{Workers: a.Workers}
-	}
-	if !s.Faults.None() && !s.Faults.StaticPartitionOnly() {
+	case unmet(exhaustive, &s) == errSampledFaults:
 		return Simulation{}
+	default:
+		return exhaustive
 	}
-	return Explicit{Workers: a.Workers}
 }
 
 // Verify dispatches to the selected engine.
 func (a Auto) Verify(ctx context.Context, s Scenario) Result {
 	return a.EngineFor(s).Verify(ctx, s)
+}
+
+// resolveEngine strips the layers that only decide where or how another
+// engine runs — Unwrap() Engine wrappers (the fleet's remote executor),
+// nil, Auto — down to the adapter that verifies s.
+func resolveEngine(e Engine, s *Scenario) Engine {
+	for {
+		w, ok := e.(interface{ Unwrap() Engine })
+		if !ok {
+			break
+		}
+		e = w.Unwrap()
+	}
+	if e == nil {
+		e = Auto{}
+	}
+	if auto, ok := e.(Auto); ok {
+		e = auto.EngineFor(*s)
+	}
+	return e
+}
+
+// What an adapter can require of a scenario; Applicable prefixes the
+// scenario's name.
+var (
+	errNoGraph       = errors.New("has no agent graph")
+	errSampledFaults = errors.New("has probabilistic or timed faults; exhaustive checking supports only permanent partitions (use the Simulation engine)")
+	errNoModel       = errors.New("has no relational model for the SAT backend")
+)
+
+// unmet returns the requirement of adapter e that scenario s does not
+// meet, or nil. It is the one statement of which engine runs which
+// scenario; engines it does not know require nothing.
+func unmet(e Engine, s *Scenario) error {
+	switch e := e.(type) {
+	case Explicit:
+		switch { // the fault model first: Auto routes on it, graph or no graph
+		case !s.Faults.None() && !s.Faults.StaticPartitionOnly():
+			return errSampledFaults
+		case s.Graph == nil:
+			return errNoGraph
+		case !e.serial() && s.Explore.Store != explore.StoreExact:
+			return fmt.Errorf("uses the lossy %s store, which is serial-only (the sharded frontier partitions the state space by its exact seen-set)", s.Explore.Store)
+		}
+	case Simulation:
+		switch {
+		case s.Graph == nil:
+			return errNoGraph
+		case e.BudgetFactor > MaxBudgetFactor:
+			return fmt.Errorf("cannot run with simulation budget factor %d (at most %d)", e.BudgetFactor, MaxBudgetFactor)
+		}
+	case SAT:
+		if s.Model == nil {
+			return errNoModel
+		}
+	}
+	return nil
+}
+
+// Applicable reports whether engine e can run scenario s, and if not
+// why: the scenario is not well formed (Validate), or the adapter e
+// resolves to — through Unwrap and Auto — requires something it lacks.
+// Every adapter's Verify starts here and keeps no check of its own.
+func Applicable(e Engine, s *Scenario) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	if err := unmet(resolveEngine(e, s), s); err != nil {
+		return fmt.Errorf("engine: scenario %q %w", s.Name, err)
+	}
+	return nil
 }

@@ -57,35 +57,24 @@ func (e Explicit) VerifyResumable(ctx context.Context, s Scenario, prior *Checkp
 
 func (e Explicit) verify(ctx context.Context, s Scenario, prior *Checkpoint, capture bool) (Result, *Checkpoint) {
 	start := time.Now()
-	if s.Graph == nil {
-		return errorResult(&s, e.Name(), fmt.Errorf("engine: scenario %q has no agent graph", s.Name)), nil
-	}
-	if !s.Faults.None() && !s.Faults.StaticPartitionOnly() {
-		return errorResult(&s, e.Name(), fmt.Errorf(
-			"engine: scenario %q has probabilistic or timed faults; exhaustive checking supports only permanent partitions (use the Simulation engine)", s.Name)), nil
-	}
-	if !e.serial() && s.Explore.Store != explore.StoreExact {
-		return errorResult(&s, e.Name(), fmt.Errorf(
-			"engine: scenario %q uses the lossy %s store, which is serial-only (the sharded frontier partitions the state space by its exact seen-set)", s.Name, s.Explore.Store)), nil
+	if err := Applicable(e, &s); err != nil {
+		return errorResult(&s, e.Name(), err), nil
 	}
 	if capture && e.serial() {
 		return errorResult(&s, e.Name(), fmt.Errorf(
 			"engine: scenario %q: checkpoint/resume requires the parallel frontier (workers != 0); the serial DFS stops mid-path and has no checkpointable cut", s.Name)), nil
-	}
-	agents, err := s.agents()
-	if err != nil {
-		return errorResult(&s, e.Name(), err), nil
 	}
 	g := s.Faults.ApplyPartitions(s.Graph)
 	opts := s.Explore
 	opts.Cancel = combineCancel(opts.Cancel, cancelHook(ctx))
 
 	var rs *explore.RunState
+	var err error
 	if prior != nil {
-		if err := prior.Matches(s); err != nil {
-			return errorResult(&s, e.Name(), err), nil
+		if err = prior.Matches(s); err == nil {
+			rs, err = explore.DecodeRunState(prior.State)
 		}
-		if rs, err = explore.DecodeRunState(prior.State); err != nil {
+		if err != nil {
 			return errorResult(&s, e.Name(), err), nil
 		}
 	}
@@ -93,9 +82,9 @@ func (e Explicit) verify(ctx context.Context, s Scenario, prior *Checkpoint, cap
 	var v explore.Verdict
 	var next *explore.RunState
 	if e.serial() {
-		v = explore.Check(agents, g, opts)
+		v = explore.Check(s.agents(), g, opts)
 	} else {
-		v, next, err = explore.CheckParallelFrom(agents, g, opts, e.Workers, rs, capture)
+		v, next, err = explore.CheckParallelFrom(s.agents(), g, opts, e.Workers, rs, capture)
 		if err != nil {
 			return errorResult(&s, e.Name(), err), nil
 		}

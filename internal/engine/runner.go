@@ -2,9 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
-	"log"
-	"runtime/debug"
 	"sort"
 	"time"
 
@@ -20,8 +17,6 @@ type RunnerOptions struct {
 	// Engine runs every scenario; nil defaults to Auto{}, which picks
 	// the natural backend per scenario.
 	Engine Engine
-	// EngineFor, when non-nil, overrides Engine per scenario.
-	EngineFor func(Scenario) Engine
 	// Cache, when non-nil, short-circuits scenarios whose content
 	// address (CacheKey of the canonical scenario encoding plus the
 	// engine name) already has a conclusive result: the cached Result is
@@ -46,15 +41,6 @@ type RunnerOptions struct {
 type ResultCache interface {
 	Get(key string) (Result, bool)
 	Put(key string, res Result)
-}
-
-func (o RunnerOptions) engineFor(s Scenario) Engine {
-	if o.EngineFor != nil {
-		if e := o.EngineFor(s); e != nil {
-			return e
-		}
-	}
-	return o.Engine
 }
 
 // Runner schedules verification scenarios over a worker pool. Results
@@ -121,25 +107,14 @@ func (r *Runner) StreamSweep(ctx context.Context, sw *Sweep) <-chan ResultLine {
 
 // runOne verifies scenario i of a batch, consulting the result cache
 // when one is configured; canonical is encodeUnnamed(&s) when the caller
-// holds it, else nil. A panic inside the engine is contained here: it
-// becomes this scenario's error result instead of ending the process
-// from a pool goroutine, the way net/http contains a panicking handler.
-func (r *Runner) runOne(ctx context.Context, i int, s Scenario, canonical []byte) (res Result) {
-	eng := r.opts.Engine
-	defer func() {
-		if p := recover(); p != nil {
-			err := fmt.Errorf("engine: scenario %q: panic in %s: %v", s.Name, eng.Name(), p)
-			log.Printf("%v\n%s", err, debug.Stack())
-			res = errorResult(&s, eng.Name(), err)
-		}
-		res.Index = i
-	}()
+// holds it, else nil.
+func (r *Runner) runOne(ctx context.Context, i int, s Scenario, canonical []byte) Result {
 	if ctx.Err() != nil {
 		// The batch was cancelled before this scenario started:
 		// report it inconclusive instead of running it.
-		return Result{Scenario: s.Name, Engine: "runner", Status: StatusInconclusive, Err: ctx.Err()}
+		return Result{Index: i, Scenario: s.Name, Engine: "runner", Status: StatusInconclusive, Err: ctx.Err()}
 	}
-	eng = r.opts.engineFor(s)
+	eng := r.opts.Engine
 	if r.pool != nil {
 		// Resolve Auto here so the pool reaches the SAT adapter it would
 		// delegate to; CacheKey performs the same resolution, so content
@@ -152,7 +127,9 @@ func (r *Runner) runOne(ctx context.Context, i int, s Scenario, canonical []byte
 			eng = se
 		}
 	}
-	return verifyCached(ctx, eng, s, canonical, r.opts.Cache)
+	res := verifyCached(ctx, eng, s, canonical, r.opts.Cache)
+	res.Index = i
+	return res
 }
 
 // Run verifies the scenarios and returns the results indexed by

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/explore"
 	"repro/internal/graph"
@@ -176,24 +177,6 @@ func TestRunnerStreamDeliversEveryIndex(t *testing.T) {
 	}
 }
 
-// TestRunnerEngineForOverride routes chosen scenarios to a different
-// engine.
-func TestRunnerEngineForOverride(t *testing.T) {
-	scenarios := sweepScenarios(t)[:8]
-	r := engine.NewRunner(engine.RunnerOptions{
-		Workers: 2,
-		EngineFor: func(s engine.Scenario) engine.Engine {
-			return engine.Simulation{Runs: 2}
-		},
-	})
-	results, _ := r.Run(context.Background(), scenarios)
-	for _, res := range results {
-		if res.Engine != "simulation" {
-			t.Fatalf("scenario %q ran on %s", res.Scenario, res.Engine)
-		}
-	}
-}
-
 // TestRunnerCancelledBatch: cancelling mid-batch still delivers one
 // result per scenario, with unstarted work marked inconclusive.
 func TestRunnerCancelledBatch(t *testing.T) {
@@ -255,5 +238,28 @@ func TestRunnerContainsEnginePanic(t *testing.T) {
 			t.Fatalf("scenario %q: %v/%d states beside the panic, %v/%d without", res.Scenario,
 				res.Status, res.Stats.States, want[i].Status, want[i].Stats.States)
 		}
+	}
+}
+
+// TestVerifyCachedContainsEnginePanic: the containment is in
+// VerifyCached, so the callers that are not a Runner — mcaserved's
+// /verify, a fleet worker's /fleet/work, every leg of gen.DiffVerify —
+// get an error result too, with or without a cache. On the parent the
+// panic left VerifyCached and took the calling goroutine with it.
+func TestVerifyCachedContainsEnginePanic(t *testing.T) {
+	s := sweepScenarios(t)[0]
+	c, err := cache.New(cache.Options{Capacity: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rc := range []engine.ResultCache{nil, c} {
+		res := engine.VerifyCached(context.Background(), panicky{s.Name: true}, s, rc)
+		if res.Status != engine.StatusError || res.Engine != "panicky" || res.Scenario != s.Name || res.Err == nil ||
+			!strings.Contains(res.Err.Error(), "panic in panicky") || !strings.Contains(res.Err.Error(), "index out of range") {
+			t.Fatalf("panicking engine reported %+v", res)
+		}
+	}
+	if c.Len() != 0 {
+		t.Fatalf("%d error results cached", c.Len())
 	}
 }

@@ -99,8 +99,8 @@ func (e SAT) serial() bool { return e.Workers == 0 && e.CubeVars == 0 }
 // cancellation) is inconclusive.
 func (e SAT) Verify(ctx context.Context, s Scenario) Result {
 	start := time.Now()
-	if s.Model == nil {
-		return errorResult(&s, e.Name(), fmt.Errorf("engine: scenario %q has no relational model for the SAT backend", s.Name))
+	if err := Applicable(e, &s); err != nil {
+		return errorResult(&s, e.Name(), err)
 	}
 	if im, ok := s.Model.(IncrementalRelationalModel); ok && e.Sessions != nil && e.CubeVars == 0 {
 		return e.verifyIncremental(ctx, s, im, start)

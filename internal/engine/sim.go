@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"time"
 
@@ -59,8 +58,8 @@ func (e Simulation) withDefaults() Simulation {
 func (e Simulation) Verify(ctx context.Context, s Scenario) Result {
 	start := time.Now()
 	e = e.withDefaults()
-	if s.Graph == nil {
-		return errorResult(&s, e.Name(), fmt.Errorf("engine: scenario %q has no agent graph", s.Name))
+	if err := Applicable(e, &s); err != nil {
+		return errorResult(&s, e.Name(), err)
 	}
 	maxDeliveries := e.MaxDeliveries
 	if maxDeliveries <= 0 {
@@ -79,11 +78,7 @@ func (e Simulation) Verify(ctx context.Context, s Scenario) Result {
 			res.Err = ctx.Err()
 			break
 		}
-		agents, err := s.agents()
-		if err != nil {
-			return errorResult(&s, e.Name(), err)
-		}
-		out := netsim.RunAsyncWith(agents, s.Graph, netsim.AsyncConfig{
+		out := netsim.RunAsyncWith(s.agents(), s.Graph, netsim.AsyncConfig{
 			Seed:          e.Seed + int64(i),
 			MaxDeliveries: maxDeliveries,
 			Faults:        s.Faults,

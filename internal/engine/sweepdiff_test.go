@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -117,7 +118,7 @@ func sweepCorpus() map[string][]byte {
 		"overridden": []byte(`{"version":1,"name":"over","base":{},
 			"axes":[
 			 {"axis":"a","variants":[{"name":"bad","scenario":{"agents":[{"id":0,"items":1,"base":[1],"policy":{"target":1,"utility":{"kind":"nope"}}}]}}]},
-			 {"axis":"b","variants":[{"name":"good","scenario":{"agents":[{"id":0,"items":1,"base":[1],"policy":{"target":1,"utility":{"kind":"flat"}}}]}}]}]}`),
+			 {"axis":"b","variants":[{"name":"good","scenario":{"agents":[{"id":0,"items":1,"base":[1],"policy":{"target":1,"utility":{"kind":"flat"},"rebid":"never"}}]}}]}]}`),
 	}
 	for name, doc := range sweepErrorDocs {
 		corpus["error/"+name] = []byte(doc)
@@ -405,6 +406,14 @@ func FuzzDecodeScenario(f *testing.F) {
 			f.Add(doc)
 		}
 	}
+	// The second seed as a well-formed scenario (an agent per node), the
+	// sample file, and the shapes of testdata/malformed.json.
+	f.Add([]byte(`{"version":1,"name":"x","agents":[{"id":0,"items":2,"base":[10,15],"demands":[1,2],"capacity":3,"policy":{"target":2,"utility":{"kind":"escalating-attack","step":2,"cap":64},"release_outbid":true,"rebid":"always","bids_per_round":1}},{"id":1,"items":2,"base":[7,3],"policy":{"target":1,"utility":{"kind":"flat"},"rebid":"never"}}],"graph":{"nodes":2,"edges":[{"u":0,"v":1,"w":0}]},"explore":{"bound":5,"max_states":10,"store":"hash-compact","store_bits":12},"faults":{"partitions":[[1],[0]]}}`))
+	valid, rows := malformedDocs(f)
+	f.Add([]byte(valid))
+	for _, row := range rows {
+		f.Add([]byte(row.New))
+	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		s, err := DecodeScenario(doc)
 		if err != nil {
@@ -420,6 +429,23 @@ func FuzzDecodeScenario(f *testing.F) {
 		}
 		if second, err := EncodeScenario(&again); err != nil || !bytes.Equal(first, second) {
 			t.Fatalf("round trip moved the bytes (%v):\n%s\n%s", err, first, second)
+		}
+		// What decodes verifies: an engine may refuse the scenario or run
+		// out of budget, but a panic — here, or re-raised from a shard —
+		// fails the target. Small scenarios only, on a small budget.
+		if len(s.AgentSpecs) > 6 || (len(s.AgentSpecs) > 0 && s.AgentSpecs[0].Items > 3) {
+			return
+		}
+		if s.Explore.MaxStates <= 0 || s.Explore.MaxStates > 2000 {
+			s.Explore.MaxStates = 2000
+		}
+		if s.Explore.StoreBits == 0 || s.Explore.StoreBits > 12 {
+			s.Explore.StoreBits = 12 // the lossy stores' default sizes are 8 and 16 MiB
+		}
+		for _, eng := range []Engine{Explicit{}, Explicit{Workers: 2}} {
+			if res := eng.Verify(context.Background(), s); res.Status == StatusError && Applicable(eng, &s) == nil {
+				t.Fatalf("%s: error result for an applicable scenario: %v\n%s", eng.Name(), res.Err, first)
+			}
 		}
 	})
 }

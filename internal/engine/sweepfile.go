@@ -175,8 +175,7 @@ type sweepExpansion struct {
 	base    *sweepSource
 	patches [][]*sweepSource // [axis][variant]
 	// touch lists, per section, the axes with a variant that mentions
-	// it: the only picks its value depends on. Faults are validated
-	// against graph.nodes, so their list includes the graph's axes.
+	// it: the only picks its value depends on.
 	touch [numSections][]int
 	// memo holds the section's values, indexed by the touching axes'
 	// picks in mixed radix.
@@ -238,9 +237,10 @@ func (x *sweepExpansion) resolve(sec int, pick []int) (*scenarioJSON, error) {
 }
 
 // value returns the section's memoised value for the picks, resolving,
-// converting and encoding it on first use. name is the cell asking: it
-// labels the errors, so a bad value is reported against the first cell
-// that uses it.
+// converting, validating (the rules that read this section alone) and
+// encoding it on first use. name is the cell asking: it labels the
+// errors, so a bad value is reported against the first cell that uses
+// it.
 func (x *sweepExpansion) value(sec int, pick []int, name string) (*sectionValue, error) {
 	idx := 0
 	for _, ai := range x.touch[sec] {
@@ -260,17 +260,17 @@ func (x *sweepExpansion) value(sec int, pick []int, name string) (*sectionValue,
 	case secGraph:
 		v.s.Graph, err = graphFromWire(name, w.Graph)
 	case secExplore:
-		v.s.Explore, err = exploreFromWire(name, w.Explore)
+		v.s.Explore = exploreFromWire(w.Explore)
 	case secFaults:
-		var g *sectionValue
-		if g, err = x.value(secGraph, pick, name); err == nil {
-			v.s.Faults, err = faultsFromWire(name, w.Faults, g.s.Graph)
-		}
+		v.s.Faults = faultsFromWire(w.Faults)
 	case secModel:
 		v.model = w.Model
 		v.s.Model, err = decodeModel(w.Model)
 	case secSolver:
 		v.s.Solver = solverFromWire(w.Solver)
+	}
+	if err == nil {
+		err = v.s.validateSections(name)
 	}
 	if err != nil {
 		return nil, err
@@ -310,6 +310,11 @@ func (x *sweepExpansion) cell(name string, pick []int) (sweepCell, error) {
 		if c.scenario.Model, err = decodeModel(m.model); err != nil {
 			return sweepCell{}, err
 		}
+	}
+	// A grid cell is a scenario, the base need not be: the rules that
+	// read two sections are checked here, once per cell.
+	if err := c.scenario.validateCross(); err != nil {
+		return sweepCell{}, err
 	}
 	if encodable { // otherwise the cell is verified uncached, as CacheKey's error would have it
 		c.canonical = append(make([]byte, 0, size), canonicalHead...)
@@ -442,7 +447,7 @@ func DecodeSweep(data []byte) (*Sweep, error) {
 		distinct := 1
 		for ai, variants := range x.patches {
 			for _, p := range variants {
-				if p.mentions(sec) || (sec == secFaults && p.mentions(secGraph)) {
+				if p.mentions(sec) {
 					x.touch[sec] = append(x.touch[sec], ai)
 					distinct *= len(variants)
 					break

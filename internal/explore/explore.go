@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/mca"
@@ -30,22 +31,56 @@ const (
 	ViolationConflict
 )
 
+// violationTokens is the result-document vocabulary of ViolationKind,
+// indexed by kind; ViolationNone is the omitted field.
+var violationTokens = [...]string{
+	ViolationNone:          "",
+	ViolationOscillation:   "oscillation",
+	ViolationBoundExceeded: "bound-exceeded",
+	ViolationDisagreement:  "disagreement",
+	ViolationConflict:      "conflict",
+}
+
 // String names the violation.
 func (v ViolationKind) String() string {
-	switch v {
-	case ViolationNone:
+	switch {
+	case v == ViolationNone:
 		return "none"
-	case ViolationOscillation:
-		return "oscillation"
-	case ViolationBoundExceeded:
-		return "bound-exceeded"
-	case ViolationDisagreement:
-		return "disagreement"
-	case ViolationConflict:
-		return "conflict"
+	case v > 0 && int(v) < len(violationTokens):
+		return violationTokens[v]
 	default:
 		return fmt.Sprintf("violation(%d)", int(v))
 	}
+}
+
+// MarshalText renders the kind as its document token.
+func (v ViolationKind) MarshalText() ([]byte, error) {
+	return tokenOf(violationTokens[:], int(v), "violation kind")
+}
+
+// UnmarshalText parses a document token.
+func (v *ViolationKind) UnmarshalText(text []byte) error {
+	k, err := parseToken(violationTokens[:], text, "violation kind")
+	*v = ViolationKind(k)
+	return err
+}
+
+// tokenOf and parseToken are the two directions of an enum's token
+// table, which is indexed by the enum's values from 0.
+func tokenOf(table []string, v int, what string) ([]byte, error) {
+	if v < 0 || v >= len(table) {
+		return nil, fmt.Errorf("explore: unencodable %s %d", what, v)
+	}
+	return []byte(table[v]), nil
+}
+
+func parseToken(table []string, text []byte, what string) (int, error) {
+	for v, tok := range table {
+		if tok == string(text) {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("explore: unknown %s %q (want %s)", what, text, strings.Join(table[1:], "|"))
 }
 
 // Options tunes a check.
@@ -113,6 +148,15 @@ type Options struct {
 	// layer drives from context cancellation and deadlines.
 	Cancel func() bool
 }
+
+// Largest Bound, and largest BoundSlack and HardLimitFactor, a scenario
+// may state (engine.Scenario.Validate enforces them): withDefaults and
+// hardLimit multiply these, and a product that wraps turns the hard
+// limit into 0 — every state a bound-exceeded violation.
+const (
+	MaxBound       = 1 << 30
+	MaxBoundFactor = 1 << 10
+)
 
 func (o Options) withDefaults(g *graph.Graph, items int) Options {
 	if o.BoundSlack <= 0 {
@@ -231,7 +275,7 @@ func Check(agents []*mca.Agent, g *graph.Graph, opts Options) Verdict {
 		return Verdict{OK: true, Exhausted: true}
 	}
 	opts = opts.withDefaults(g, agents[0].Items())
-	net := netsim.New(g, false)
+	net := netsim.New(g)
 	if opts.QueueDepth > 0 {
 		net.LimitQueueDepth(opts.QueueDepth)
 	}

@@ -216,12 +216,3 @@ func (ks *keyScratch) crosscheck(agents []*mca.Agent, net *netsim.Network, k [2]
 	ks.incToRef[k] = ref
 	ks.refToInc[ref] = k
 }
-
-// setCrosscheck arms (interval > 0) or disarms (0) the periodic
-// crosscheck on this scratch. Tests use it directly; the explorecheck
-// build tag arms every explorer by default via defaultCrosscheck.
-func (ks *keyScratch) setCrosscheck(interval uint64) {
-	ks.interval = interval
-	ks.incToRef = nil
-	ks.refToInc = nil
-}

@@ -109,7 +109,7 @@ func CheckParallelFrom(agents []*mca.Agent, g *graph.Graph, opts Options, worker
 	}
 
 	// Initial transition: all agents bid and broadcast.
-	net0 := netsim.New(g, false)
+	net0 := netsim.New(g)
 	if opts.QueueDepth > 0 {
 		net0.LimitQueueDepth(opts.QueueDepth)
 	}
@@ -273,21 +273,31 @@ func (fr *frontier) fail(err error) {
 // each runs one phase: f on every shard, returning once all are done.
 // One shard runs inline; with more, the go statements and the Wait are
 // the only synchronisation the frontier has — everything a phase writes
-// happens-before everything the next phase reads.
+// happens-before everything the next phase reads. A shard that panics
+// does so on a goroutine nobody can recover from, which would end the
+// process: its panic is kept, the join finishes, and the panic is
+// raised again here, on the goroutine that called the explorer.
 func (fr *frontier) each(f func(w *shardWorker)) {
 	if len(fr.shards) == 1 {
 		f(fr.shards[0])
 		return
 	}
 	var wg sync.WaitGroup
-	for _, s := range fr.shards {
+	panics := make([]any, len(fr.shards))
+	for i, s := range fr.shards {
 		wg.Add(1)
 		go func(w *shardWorker) {
 			defer wg.Done()
+			defer func() { panics[i] = recover() }()
 			f(w)
 		}(s)
 	}
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // run is the level loop: expand, fold, decide, merge, starting at level

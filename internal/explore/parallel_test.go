@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -241,5 +242,31 @@ func TestParallelTraceReplaysConsistently(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("trace missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestEachRaisesShardPanicOnCaller: a panic on a shard goroutine — where
+// no caller's recover can reach it, so it would end the process (on the
+// parent it ended this test binary) — is raised again on the goroutine
+// that called each, after every shard has returned.
+func TestEachRaisesShardPanicOnCaller(t *testing.T) {
+	fr := &frontier{shards: []*shardWorker{{self: 0}, {self: 1}}}
+	finished := make([]bool, len(fr.shards))
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		fr.each(func(w *shardWorker) {
+			defer func() { finished[w.self] = true }()
+			if w.self == 1 {
+				var none []int
+				_ = none[w.self] // index out of range
+			}
+		})
+	}()
+	if got == nil || !strings.Contains(fmt.Sprint(got), "index out of range") {
+		t.Fatalf("caller recovered %v, want the shard's index-out-of-range panic", got)
+	}
+	if !finished[0] || !finished[1] {
+		t.Fatalf("each returned before the join finished: %v", finished)
 	}
 }

@@ -32,18 +32,32 @@ const (
 	StoreHashCompact
 )
 
-// String names the store kind (the scenario codec's enum tokens).
+// storeTokens is the scenario-document vocabulary of StoreKind, indexed
+// by kind; the exact store is the omitted field.
+var storeTokens = [...]string{StoreExact: "", StoreBitstate: "bitstate", StoreHashCompact: "hash-compact"}
+
+// String names the store kind.
 func (k StoreKind) String() string {
-	switch k {
-	case StoreExact:
+	switch {
+	case k == StoreExact:
 		return "exact"
-	case StoreBitstate:
-		return "bitstate"
-	case StoreHashCompact:
-		return "hash-compact"
+	case k > 0 && int(k) < len(storeTokens):
+		return storeTokens[k]
 	default:
 		return "store(?)"
 	}
+}
+
+// MarshalText renders the kind as its document token.
+func (k StoreKind) MarshalText() ([]byte, error) {
+	return tokenOf(storeTokens[:], int(k), "store kind")
+}
+
+// UnmarshalText parses a document token.
+func (k *StoreKind) UnmarshalText(text []byte) error {
+	v, err := parseToken(storeTokens[:], text, "store kind")
+	*k = StoreKind(v)
+	return err
 }
 
 // Default log2 sizes when Options.StoreBits is zero: 2^26 bits (8 MiB)

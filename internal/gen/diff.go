@@ -122,24 +122,13 @@ func (o DiffOptions) withDefaults() DiffOptions {
 	return o
 }
 
-// Applicable reports whether an engine can verify the scenario at all:
-// SAT needs a relational model, the dynamic engines need an agent
-// graph, and Explicit additionally rejects fault models with no
-// exhaustive semantics. The oracle skips inapplicable engines instead
-// of collecting their StatusError results.
+// Applicable reports whether an engine can verify the scenario at all
+// (engine.Applicable: SAT needs a relational model, the dynamic engines
+// an agent graph, Explicit a fault model with exhaustive semantics).
+// The oracle skips inapplicable engines instead of collecting their
+// StatusError results.
 func Applicable(e engine.Engine, s *engine.Scenario) bool {
-	switch e := e.(type) {
-	case engine.Explicit:
-		return s.Graph != nil && (s.Faults.None() || s.Faults.StaticPartitionOnly())
-	case engine.Simulation:
-		return s.Graph != nil
-	case engine.SAT:
-		return s.Model != nil
-	case engine.Auto:
-		return Applicable(e.EngineFor(*s), s)
-	default:
-		return true
-	}
+	return engine.Applicable(e, s) == nil
 }
 
 // classOf assigns the comparability class, resolving Auto to its

@@ -113,19 +113,16 @@ func generateOne(p Profile, seed int64, i int) (engine.Scenario, error) {
 	return s, nil
 }
 
+// The gen* helpers map profile tokens through the enums' own tables;
+// Profile.Validate has already rejected tokens those tables do not hold.
+
 func genGraph(rng *rand.Rand, p Profile, agents int) *graph.Graph {
-	switch choice(rng, p.Topologies) {
-	case "line":
-		return graph.Line(agents)
-	case "ring":
-		return graph.Ring(agents)
-	case "star":
-		return graph.Star(agents)
-	case "complete":
-		return graph.Complete(agents)
-	default: // "random"; Validate already rejected unknown tokens
+	var t graph.Topology
+	_ = t.UnmarshalText([]byte(choice(rng, p.Topologies)))
+	if t == graph.TopologyRandomConnected {
 		return graph.RandomConnected(agents, randFloatIn(rng, p.EdgeProb), rng.Int63())
 	}
+	return graph.Build(t, agents, 0)
 }
 
 func genAgent(rng *rand.Rand, p Profile, id, items int) (mca.Config, error) {
@@ -153,34 +150,28 @@ func genAgent(rng *rand.Rand, p Profile, id, items int) (mca.Config, error) {
 			BidsPerRound:  bidsPerRound,
 		},
 	}
-	if _, err := mca.NewAgent(cfg); err != nil {
-		return mca.Config{}, err
-	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 func genUtility(rng *rand.Rand, p Profile) mca.Utility {
-	switch choice(rng, p.Utilities) {
-	case "submodular-residual":
+	switch kind := choice(rng, p.Utilities); kind {
+	case mca.KindSubmodularResidual:
 		return mca.SubmodularResidual{Decay: 2 + rng.Int63n(5)}
-	case "flat":
+	case mca.KindFlat:
 		return mca.FlatUtility{}
-	case "non-submodular-synergy":
+	case mca.KindNonSubmodularSynergy:
 		return mca.NonSubmodularSynergy{SynergyNum: 1 + rng.Int63n(2), SynergyDen: 2}
-	default: // "escalating-attack"
+	case mca.KindEscalatingAttack:
 		return mca.EscalatingUtility{Step: 1 + rng.Int63n(3), Cap: 100 + rng.Int63n(400)}
+	default:
+		panic("gen: no parameter draw for utility kind " + kind)
 	}
 }
 
 func genRebid(rng *rand.Rand, p Profile) mca.RebidMode {
-	switch choice(rng, p.RebidModes) {
-	case "never":
-		return mca.RebidNever
-	case "always":
-		return mca.RebidAlways
-	default:
-		return mca.RebidOnChange
-	}
+	var m mca.RebidMode
+	_ = m.UnmarshalText([]byte(choice(rng, p.RebidModes)))
+	return m
 }
 
 // genFaults draws a fault model. Probabilistic and timed components
@@ -230,8 +221,5 @@ func genModel(rng *rand.Rand, p Profile, agents, items int) (engine.RelationalMo
 		States: randIn(rng, p.ModelStates),
 		Msgs:   randIn(rng, p.ModelMsgs),
 	}
-	if choice(rng, p.ModelEncodings) == "naive" {
-		return mcamodel.BuildNaive(sc)
-	}
-	return mcamodel.BuildOptimized(sc)
+	return mcamodel.Encodings[choice(rng, p.ModelEncodings)](sc)
 }

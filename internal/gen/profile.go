@@ -2,9 +2,15 @@ package gen
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+
+	"repro/internal/graph"
+	"repro/internal/mca"
+	"repro/internal/mcamodel"
 )
 
 // IntRange is an inclusive integer interval sampled uniformly.
@@ -187,15 +193,6 @@ func (p Profile) withDefaults() Profile {
 	return p
 }
 
-// knownTopologies, knownUtilities, knownRebids, knownEncodings are the
-// vocabularies Validate checks list fields against.
-var (
-	knownTopologies = map[string]bool{"line": true, "ring": true, "star": true, "complete": true, "random": true}
-	knownUtilities  = map[string]bool{"submodular-residual": true, "flat": true, "non-submodular-synergy": true, "escalating-attack": true}
-	knownRebids     = map[string]bool{"on-change": true, "never": true, "always": true}
-	knownEncodings  = map[string]bool{"naive": true, "optimized": true}
-)
-
 // Validate rejects malformed profiles: inverted or out-of-bounds
 // ranges, unknown list tokens, probabilities outside [0, 1]. Unset
 // fields (zero ranges, empty lists, zero BaseMax) are valid — they mean
@@ -226,13 +223,18 @@ func (p Profile) Validate() error {
 		}
 		return nil
 	}
-	checkList := func(name string, vs []string, known map[string]bool) error {
+	// Tokens are whatever the enum's own table parses: mca's rebid modes
+	// and utility kinds, graph's topologies, mcamodel's encodings.
+	checkList := func(name string, vs []string, known func(tok string) bool) error {
 		for _, v := range vs {
-			if !known[v] {
+			if !known(v) {
 				return fmt.Errorf("gen: profile %s token %q unknown", name, v)
 			}
 		}
 		return nil
+	}
+	parses := func(into encoding.TextUnmarshaler) func(string) bool {
+		return func(tok string) bool { return into.UnmarshalText([]byte(tok)) == nil }
 	}
 	for _, err := range []error{
 		checkRange("agents", p.Agents, 1, 64),
@@ -248,10 +250,10 @@ func (p Profile) Validate() error {
 		checkProb("dup_max", p.DupMax),
 		checkProb("partition_prob", p.PartitionProb),
 		checkProb("model_prob", p.ModelProb),
-		checkList("topologies", p.Topologies, knownTopologies),
-		checkList("utilities", p.Utilities, knownUtilities),
-		checkList("rebid_modes", p.RebidModes, knownRebids),
-		checkList("model_encodings", p.ModelEncodings, knownEncodings),
+		checkList("topologies", p.Topologies, parses(new(graph.Topology))),
+		checkList("utilities", p.Utilities, func(tok string) bool { return slices.Contains(mca.UtilityKinds, tok) }),
+		checkList("rebid_modes", p.RebidModes, parses(new(mca.RebidMode))),
+		checkList("model_encodings", p.ModelEncodings, func(tok string) bool { return mcamodel.Encodings[tok] != nil }),
 	} {
 		if err != nil {
 			return err

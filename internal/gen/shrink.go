@@ -101,11 +101,13 @@ func (o ShrinkOptions) withDefaults() ShrinkOptions {
 // than the input, and Shrink is deterministic: same scenario and
 // predicate behaviour, same minimized scenario.
 //
-// A scenario without agents (model-only) is returned unchanged.
+// A scenario without agents (model-only), or one that is not well
+// formed (the reductions rely on engine.Scenario.Validate's rules), is
+// returned unchanged.
 func Shrink(s engine.Scenario, keep func(engine.Scenario) bool, opts ShrinkOptions) (engine.Scenario, ShrinkStats) {
 	opts = opts.withDefaults()
 	stats := ShrinkStats{From: Size(&s), To: Size(&s)}
-	if len(s.AgentSpecs) == 0 {
+	if len(s.AgentSpecs) == 0 || s.Validate() != nil {
 		return s, stats
 	}
 	cur := copyScenario(s)
@@ -164,10 +166,9 @@ func candidates(s engine.Scenario) []engine.Scenario {
 			out = append(out, dropAgent(s, i))
 		}
 	}
-	// Drop one auctioned item everywhere. Only uniform item counts can
-	// be re-sliced consistently; ragged scenarios (legal, if unusual)
-	// simply skip this reduction.
-	if items := uniformItems(s.AgentSpecs); items > 1 {
+	// Drop one auctioned item everywhere (every agent has the same
+	// item count: engine.Scenario.Validate).
+	if items := s.AgentSpecs[0].Items; items > 1 {
 		for j := 0; j < items; j++ {
 			out = append(out, dropItem(s, j))
 		}
@@ -376,21 +377,6 @@ func remapFaults(f netsim.Faults, remap func(int) (int, bool)) netsim.Faults {
 		}
 	}
 	return f
-}
-
-// uniformItems returns the agents' shared item count, or 0 when the
-// specs are empty or disagree on it.
-func uniformItems(specs []mca.Config) int {
-	if len(specs) == 0 {
-		return 0
-	}
-	items := specs[0].Items
-	for _, cfg := range specs[1:] {
-		if cfg.Items != items {
-			return 0
-		}
-	}
-	return items
 }
 
 // dropItem removes item j from every agent's valuation (and demand)

@@ -166,8 +166,9 @@ func TestShrinkBudgetAndMonotonicity(t *testing.T) {
 	}
 }
 
-// Ragged item counts (legal, if unusual) must not panic the shrinker;
-// the item-drop reduction is simply skipped for them.
+// Ragged item counts are not well formed (engine.Scenario.Validate):
+// the shrinker, whose item-drop reduction re-slices every agent alike,
+// returns such a scenario as it came instead of panicking.
 func TestShrinkRaggedItemCounts(t *testing.T) {
 	pol := mca.Policy{Target: 1, Utility: mca.FlatUtility{}, Rebid: mca.RebidOnChange}
 	s := engine.Scenario{

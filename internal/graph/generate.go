@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 )
 
 // Topology names a canned agent-network shape used by the benchmark
@@ -18,22 +19,39 @@ const (
 	TopologyRandomConnected
 )
 
-// String returns the topology name.
+// topologyTokens is the vocabulary of Topology in generator profiles
+// and on mcacheck's command line, indexed by topology. The zero value
+// is not a topology and has no token.
+var topologyTokens = [...]string{
+	TopologyLine:            "line",
+	TopologyRing:            "ring",
+	TopologyStar:            "star",
+	TopologyComplete:        "complete",
+	TopologyRandomConnected: "random",
+}
+
+// String returns the topology's display name: its token, except that
+// the random topology prints as "random-connected".
 func (t Topology) String() string {
-	switch t {
-	case TopologyLine:
-		return "line"
-	case TopologyRing:
-		return "ring"
-	case TopologyStar:
-		return "star"
-	case TopologyComplete:
-		return "complete"
-	case TopologyRandomConnected:
+	switch {
+	case t == TopologyRandomConnected:
 		return "random-connected"
+	case t > 0 && int(t) < len(topologyTokens):
+		return topologyTokens[t]
 	default:
 		return fmt.Sprintf("topology(%d)", int(t))
 	}
+}
+
+// UnmarshalText parses a topology token.
+func (t *Topology) UnmarshalText(text []byte) error {
+	for v := TopologyLine; int(v) < len(topologyTokens); v++ {
+		if topologyTokens[v] == string(text) {
+			*t = v
+			return nil
+		}
+	}
+	return fmt.Errorf("graph: unknown topology %q (want %s)", text, strings.Join(topologyTokens[TopologyLine:], "|"))
 }
 
 // Line returns the n-node path graph 0-1-...-(n-1).

@@ -92,12 +92,6 @@ func (g *Graph) Neighbors(u int) []int {
 	return out
 }
 
-// Degree returns the number of neighbors of u.
-func (g *Graph) Degree(u int) int {
-	g.check(u)
-	return len(g.adj[u])
-}
-
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)

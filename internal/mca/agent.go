@@ -68,22 +68,31 @@ type Agent struct {
 	rev uint64
 }
 
-// NewAgent validates the configuration and builds the agent.
-func NewAgent(cfg Config) (*Agent, error) {
+// Validate checks that the configuration describes an agent: it is
+// everything NewAgent requires, without building one.
+func (cfg Config) Validate() error {
 	if cfg.Items <= 0 {
-		return nil, fmt.Errorf("mca: agent %d: item count %d must be positive", cfg.ID, cfg.Items)
+		return fmt.Errorf("mca: agent %d: item count %d must be positive", cfg.ID, cfg.Items)
 	}
 	if cfg.ID < 0 {
-		return nil, fmt.Errorf("mca: negative agent id %d", cfg.ID)
+		return fmt.Errorf("mca: negative agent id %d", cfg.ID)
 	}
 	if len(cfg.Base) != cfg.Items {
-		return nil, fmt.Errorf("mca: agent %d: %d base valuations for %d items", cfg.ID, len(cfg.Base), cfg.Items)
+		return fmt.Errorf("mca: agent %d: %d base valuations for %d items", cfg.ID, len(cfg.Base), cfg.Items)
 	}
 	if err := cfg.Policy.Validate(); err != nil {
-		return nil, fmt.Errorf("mca: agent %d: %w", cfg.ID, err)
+		return fmt.Errorf("mca: agent %d: %w", cfg.ID, err)
 	}
 	if cfg.Demands != nil && len(cfg.Demands) != cfg.Items {
-		return nil, fmt.Errorf("mca: agent %d: %d demands for %d items", cfg.ID, len(cfg.Demands), cfg.Items)
+		return fmt.Errorf("mca: agent %d: %d demands for %d items", cfg.ID, len(cfg.Demands), cfg.Items)
+	}
+	return nil
+}
+
+// NewAgent validates the configuration and builds the agent.
+func NewAgent(cfg Config) (*Agent, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	a := &Agent{
 		id:       cfg.ID,

@@ -1,6 +1,9 @@
 package mca
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // RebidMode instantiates the Remark 1 condition: whether an agent may bid
 // again on an item it was previously outbid on.
@@ -23,18 +26,35 @@ const (
 	RebidAlways
 )
 
-// String names the mode.
+// rebidTokens is the scenario-document vocabulary of RebidMode, indexed
+// by mode. The zero mode is not a mode and has no token.
+var rebidTokens = [...]string{RebidOnChange: "on-change", RebidNever: "never", RebidAlways: "always"}
+
+// String names the mode for display: "rebid-" and its token.
 func (m RebidMode) String() string {
-	switch m {
-	case RebidOnChange:
-		return "rebid-on-change"
-	case RebidNever:
-		return "rebid-never"
-	case RebidAlways:
-		return "rebid-always"
-	default:
+	if m < RebidOnChange || m > RebidAlways {
 		return fmt.Sprintf("rebid(%d)", int(m))
 	}
+	return "rebid-" + rebidTokens[m]
+}
+
+// MarshalText renders the mode as its document token.
+func (m RebidMode) MarshalText() ([]byte, error) {
+	if m < RebidOnChange || m > RebidAlways {
+		return nil, fmt.Errorf("mca: unencodable rebid mode %d", int(m))
+	}
+	return []byte(rebidTokens[m]), nil
+}
+
+// UnmarshalText parses a document token.
+func (m *RebidMode) UnmarshalText(text []byte) error {
+	for v := RebidOnChange; v <= RebidAlways; v++ {
+		if rebidTokens[v] == string(text) {
+			*m = v
+			return nil
+		}
+	}
+	return fmt.Errorf("mca: unknown rebid mode %q (want %s)", text, strings.Join(rebidTokens[RebidOnChange:], "|"))
 }
 
 // Policy bundles the variant aspects of the two MCA mechanisms for one
@@ -92,6 +112,18 @@ type Utility interface {
 	Name() string
 }
 
+// The serializable utilities' kinds: what each one's Name returns, and
+// its token in scenario documents and generator profiles.
+const (
+	KindSubmodularResidual   = "submodular-residual"
+	KindNonSubmodularSynergy = "non-submodular-synergy"
+	KindFlat                 = "flat"
+	KindEscalatingAttack     = "escalating-attack"
+)
+
+// UtilityKinds lists the serializable utility kinds.
+var UtilityKinds = []string{KindSubmodularResidual, KindNonSubmodularSynergy, KindFlat, KindEscalatingAttack}
+
 // SubmodularResidual is the paper's canonical sub-modular example: the
 // marginal utility is the base valuation scaled by the residual capacity
 // fraction, so it strictly decreases as items are added — like the
@@ -121,7 +153,7 @@ func (u SubmodularResidual) Marginal(base []int64, item ItemID, bundle []ItemID,
 func (u SubmodularResidual) Submodular() bool { return true }
 
 // Name implements Utility.
-func (u SubmodularResidual) Name() string { return "submodular-residual" }
+func (u SubmodularResidual) Name() string { return KindSubmodularResidual }
 
 // NonSubmodularSynergy violates Definition 2: items are worth more the
 // larger the bundle already is (complementarities/synergies), so bids on
@@ -152,7 +184,7 @@ func (u NonSubmodularSynergy) Marginal(base []int64, item ItemID, bundle []ItemI
 func (u NonSubmodularSynergy) Submodular() bool { return false }
 
 // Name implements Utility.
-func (u NonSubmodularSynergy) Name() string { return "non-submodular-synergy" }
+func (u NonSubmodularSynergy) Name() string { return KindNonSubmodularSynergy }
 
 // FlatUtility bids the base valuation regardless of bundle contents.
 // Constant marginals are (weakly) sub-modular.
@@ -167,7 +199,7 @@ func (FlatUtility) Marginal(base []int64, item ItemID, bundle []ItemID, _ BidInf
 func (FlatUtility) Submodular() bool { return true }
 
 // Name implements Utility.
-func (FlatUtility) Name() string { return "flat" }
+func (FlatUtility) Name() string { return KindFlat }
 
 // EscalatingUtility is the Result 2 attacker's bid generator: it always
 // offers one more than the highest bid it knows, up to Cap. Paired with
@@ -203,7 +235,7 @@ func (u EscalatingUtility) Marginal(base []int64, item ItemID, bundle []ItemID, 
 func (u EscalatingUtility) Submodular() bool { return false }
 
 // Name implements Utility.
-func (u EscalatingUtility) Name() string { return "escalating-attack" }
+func (u EscalatingUtility) Name() string { return KindEscalatingAttack }
 
 // FuncUtility wraps an arbitrary marginal function for tests and custom
 // applications.

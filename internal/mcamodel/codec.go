@@ -42,6 +42,13 @@ type scopeJSON struct {
 	BidVectors  int `json:"bid_vectors,omitempty"`
 }
 
+// Encodings is the encoding vocabulary of the model spec and of
+// generator profiles: each token with the constructor it names.
+var Encodings = map[string]func(Scope) (*Encoding, error){
+	"naive":     BuildNaive,
+	"optimized": BuildOptimized,
+}
+
 func init() {
 	engine.RegisterModelCodec(engine.ModelCodec{
 		Kind:   "mca-model",
@@ -55,9 +62,7 @@ func encodeModelSpec(m engine.RelationalModel) (json.RawMessage, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	switch e.Name {
-	case "naive", "optimized":
-	default:
+	if Encodings[e.Name] == nil {
 		return nil, false, fmt.Errorf("mcamodel: encoding %q is not a buildable variant (want naive|optimized)", e.Name)
 	}
 	spec, err := json.Marshal(modelSpecJSON{
@@ -100,18 +105,11 @@ func decodeModelSpec(spec json.RawMessage) (engine.RelationalModel, error) {
 		Triples:     w.Scope.Triples,
 		BidVectors:  w.Scope.BidVectors,
 	}
-	var (
-		e   *Encoding
-		err error
-	)
-	switch w.Encoding {
-	case "naive":
-		e, err = BuildNaive(sc)
-	case "optimized":
-		e, err = BuildOptimized(sc)
-	default:
+	build := Encodings[w.Encoding]
+	if build == nil {
 		return nil, fmt.Errorf("mcamodel: unknown encoding %q (want naive|optimized)", w.Encoding)
 	}
+	e, err := build(sc)
 	if err != nil {
 		return nil, err
 	}

@@ -142,7 +142,7 @@ type AsyncConfig struct {
 // delivery tick (the channel did work; the receiver saw nothing), so a
 // lossy run terminates on the same budget as a reliable one.
 func RunAsyncWith(agents []*mca.Agent, g *graph.Graph, cfg AsyncConfig) AsyncOutcome {
-	n := New(g, false)
+	n := New(g)
 	fr := &faultRun{net: n, faults: cfg.Faults}
 	if len(cfg.Faults.Partitions) > 0 {
 		fr.block = cfg.Faults.blockOf(g.N())

@@ -242,7 +242,7 @@ func TestReorderWithDelayIsDeterministic(t *testing.T) {
 
 func TestDeliverAtPopsMiddleSlot(t *testing.T) {
 	g := graph.Line(2)
-	n := New(g, false)
+	n := New(g)
 	for i := 0; i < 3; i++ {
 		n.Send(mca.Message{Sender: 0, Receiver: 1, InfoTimes: []int{i}})
 	}
@@ -254,7 +254,7 @@ func TestDeliverAtPopsMiddleSlot(t *testing.T) {
 	if m.InfoTimes[0] != 1 {
 		t.Fatalf("DeliverAt(1) popped message %d", m.InfoTimes[0])
 	}
-	if got := n.Queue(e); len(got) != 2 || got[0].InfoTimes[0] != 0 || got[1].InfoTimes[0] != 2 {
+	if got := queued(n, e); len(got) != 2 || got[0].InfoTimes[0] != 0 || got[1].InfoTimes[0] != 2 {
 		t.Fatalf("queue after middle pop: %+v", got)
 	}
 }

@@ -28,11 +28,10 @@ type qcell struct {
 	timesBuf []int
 }
 
-// Network holds the in-transit messages. With Coalesce (the default used
-// by verification), each directed edge carries at most the latest
-// snapshot from its sender — the standard gossip abstraction for
-// max-consensus protocols, which keeps the reachable state space finite.
-// Without it, each edge is an unbounded FIFO queue.
+// Network holds the in-transit messages: each directed edge is a FIFO
+// queue, unbounded unless LimitQueueDepth bounds it (depth 1 is the
+// gossip abstraction for max-consensus protocols — an edge carries at
+// most the latest snapshot from its sender).
 //
 // The agent graph is static, so channels live in dense edge-indexed
 // arrays rather than a map: the explorers hit Send/Deliver/Pending
@@ -41,7 +40,6 @@ type qcell struct {
 // allocation.
 type Network struct {
 	g        *graph.Graph
-	coalesce bool
 	maxDepth int // per-edge queue bound (0 = unbounded); tail coalesces when full
 	n        int
 	eids     []int32   // n*n dense lookup: from*n+to -> edge id, -1 if absent
@@ -51,9 +49,8 @@ type Network struct {
 	nbrs     [][]int   // sorted neighbor lists; immutable, shared by clones
 }
 
-// New creates an empty network over the agent graph. coalesce selects
-// latest-snapshot semantics per edge.
-func New(g *graph.Graph, coalesce bool) *Network {
+// New creates an empty network over the agent graph.
+func New(g *graph.Graph) *Network {
 	n := g.N()
 	nbrs := make([][]int, n)
 	eids := make([]int32, n*n)
@@ -69,7 +66,7 @@ func New(g *graph.Graph, coalesce bool) *Network {
 		}
 	}
 	return &Network{
-		g: g, coalesce: coalesce, n: n,
+		g: g, n: n,
 		eids: eids, edges: edges,
 		queues: make([][]qcell, len(edges)),
 		nbrs:   nbrs,
@@ -103,17 +100,11 @@ func (n *Network) Graph() *graph.Graph { return n.g }
 // space finite. k <= 0 restores unbounded queues.
 func (n *Network) LimitQueueDepth(k int) { n.maxDepth = k }
 
-// Coalesce reports the channel semantics.
-func (n *Network) Coalesce() bool { return n.coalesce }
-
 // enqueue applies the channel semantics for one message on edge id.
 func (n *Network) enqueue(id int32, m mca.Message, h [2]uint64) {
 	q := n.queues[id]
 	if len(q) == 0 {
 		n.nonEmpty++
-	} else if n.coalesce {
-		n.queues[id] = append(q[:0], qcell{msg: m, h: h})
-		return
 	} else if n.maxDepth > 0 && len(q) >= n.maxDepth {
 		q[len(q)-1] = qcell{msg: m, h: h}
 		return
@@ -126,14 +117,6 @@ func (n *Network) enqueue(id int32, m mca.Message, h [2]uint64) {
 func (n *Network) Send(m mca.Message) {
 	id := n.eid(Edge{From: m.Sender, To: m.Receiver})
 	n.enqueue(id, m, mca.MessageContentHash(m))
-}
-
-// Broadcast sends the snapshot function's output to every neighbor of
-// agent from.
-func (n *Network) Broadcast(from mca.AgentID, snapshot func(to mca.AgentID) mca.Message) {
-	for _, nb := range n.nbrs[from] {
-		n.Send(snapshot(mca.AgentID(nb)))
-	}
 }
 
 // BroadcastAgent broadcasts the agent's current snapshot to every
@@ -155,15 +138,9 @@ func (n *Network) BroadcastAgent(a *mca.Agent) {
 	}
 }
 
-// Pending returns the edges that currently carry at least one message,
-// in deterministic sorted order.
-func (n *Network) Pending() []Edge {
-	return n.PendingInto(make([]Edge, 0, n.nonEmpty))
-}
-
-// PendingInto appends the pending edges to buf (normally buf[:0] of a
-// reused buffer) in the same deterministic sorted order as Pending,
-// without allocating in steady state.
+// PendingInto appends the edges that currently carry at least one
+// message to buf (normally buf[:0] of a reused buffer), in deterministic
+// sorted order, without allocating in steady state.
 func (n *Network) PendingInto(buf []Edge) []Edge {
 	for i, q := range n.queues {
 		if len(q) > 0 {
@@ -212,23 +189,8 @@ func (n *Network) DeliverAt(e Edge, i int) mca.Message {
 	return m
 }
 
-// QueueLen returns the number of messages queued on the edge without
-// allocating (Queue copies; the fault runner only needs the count).
+// QueueLen returns the number of messages queued on the edge.
 func (n *Network) QueueLen(e Edge) int { return len(n.queues[n.eid(e)]) }
-
-// Queue returns the in-order messages currently queued on the edge.
-// It allocates; the hot paths use ForEachQueued or the cell digests.
-func (n *Network) Queue(e Edge) []mca.Message {
-	q := n.queues[n.eid(e)]
-	if len(q) == 0 {
-		return nil
-	}
-	out := make([]mca.Message, len(q))
-	for i, c := range q {
-		out[i] = c.msg
-	}
-	return out
-}
 
 // Peek returns the head message of the edge without removing it.
 func (n *Network) Peek(e Edge) (mca.Message, bool) {

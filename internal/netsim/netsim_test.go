@@ -25,7 +25,7 @@ func mkMsg(from, to mca.AgentID, bid int64) mca.Message {
 }
 
 func TestSendDeliverFIFO(t *testing.T) {
-	n := New(graph.Complete(2), false)
+	n := New(graph.Complete(2))
 	n.Send(mkMsg(0, 1, 5))
 	n.Send(mkMsg(0, 1, 7))
 	if n.InFlight() != 2 {
@@ -44,7 +44,8 @@ func TestSendDeliverFIFO(t *testing.T) {
 }
 
 func TestCoalesceKeepsLatest(t *testing.T) {
-	n := New(graph.Complete(2), true)
+	n := New(graph.Complete(2))
+	n.LimitQueueDepth(1)
 	n.Send(mkMsg(0, 1, 5))
 	n.Send(mkMsg(0, 1, 7))
 	if n.InFlight() != 1 {
@@ -56,7 +57,8 @@ func TestCoalesceKeepsLatest(t *testing.T) {
 }
 
 func TestSendNoEdgePanics(t *testing.T) {
-	n := New(graph.Line(3), true) // no edge 0-2
+	n := New(graph.Line(3)) // no edge 0-2
+	n.LimitQueueDepth(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for missing edge")
@@ -66,7 +68,8 @@ func TestSendNoEdgePanics(t *testing.T) {
 }
 
 func TestDeliverEmptyPanics(t *testing.T) {
-	n := New(graph.Complete(2), true)
+	n := New(graph.Complete(2))
+	n.LimitQueueDepth(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on empty deliver")
@@ -76,18 +79,20 @@ func TestDeliverEmptyPanics(t *testing.T) {
 }
 
 func TestPendingSortedDeterministic(t *testing.T) {
-	n := New(graph.Complete(3), true)
+	n := New(graph.Complete(3))
+	n.LimitQueueDepth(1)
 	n.Send(mkMsg(2, 0, 1))
 	n.Send(mkMsg(0, 1, 1))
 	n.Send(mkMsg(1, 2, 1))
-	p := n.Pending()
+	p := n.PendingInto(nil)
 	if len(p) != 3 || p[0].From != 0 || p[1].From != 1 || p[2].From != 2 {
 		t.Fatalf("pending = %v", p)
 	}
 }
 
 func TestPeek(t *testing.T) {
-	n := New(graph.Complete(2), true)
+	n := New(graph.Complete(2))
+	n.LimitQueueDepth(1)
 	if _, ok := n.Peek(Edge{From: 0, To: 1}); ok {
 		t.Fatal("peek on empty edge")
 	}
@@ -102,7 +107,8 @@ func TestPeek(t *testing.T) {
 }
 
 func TestCloneIndependent(t *testing.T) {
-	n := New(graph.Complete(2), true)
+	n := New(graph.Complete(2))
+	n.LimitQueueDepth(1)
 	n.Send(mkMsg(0, 1, 9))
 	c := n.Clone()
 	c.Deliver(Edge{From: 0, To: 1})
@@ -113,11 +119,12 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestBroadcast(t *testing.T) {
 	g := graph.Star(4)
-	n := New(g, true)
+	n := New(g)
+	n.LimitQueueDepth(1)
 	a := mca.MustNewAgent(mca.Config{ID: 0, Items: 1, Base: []int64{5},
 		Policy: mca.Policy{Target: 1, Utility: mca.FlatUtility{}, Rebid: mca.RebidOnChange}})
 	a.BidPhase()
-	n.Broadcast(0, a.Snapshot)
+	n.BroadcastAgent(a)
 	if n.InFlight() != 3 {
 		t.Fatalf("hub broadcast should hit 3 spokes, got %d", n.InFlight())
 	}
@@ -190,14 +197,25 @@ func TestRunAsyncBudgetStopsOscillation(t *testing.T) {
 	}
 }
 
+// queued returns the in-order messages currently queued on the edge.
+func queued(n *Network, e Edge) []mca.Message {
+	var out []mca.Message
+	n.ForEachQueued(func(at Edge, m mca.Message) {
+		if at == e {
+			out = append(out, m)
+		}
+	})
+	return out
+}
+
 func TestLimitQueueDepthCoalescesTail(t *testing.T) {
-	n := New(graph.Complete(2), false)
+	n := New(graph.Complete(2))
 	n.LimitQueueDepth(2)
 	n.Send(mkMsg(0, 1, 1))
 	n.Send(mkMsg(0, 1, 2))
 	n.Send(mkMsg(0, 1, 3)) // replaces the tail (2), keeps the head (1)
 	e := Edge{From: 0, To: 1}
-	q := n.Queue(e)
+	q := queued(n, e)
 	if len(q) != 2 {
 		t.Fatalf("queue depth = %d, want 2", len(q))
 	}
@@ -207,7 +225,7 @@ func TestLimitQueueDepthCoalescesTail(t *testing.T) {
 }
 
 func TestLimitQueueDepthUnboundedWhenZero(t *testing.T) {
-	n := New(graph.Complete(2), false)
+	n := New(graph.Complete(2))
 	for i := int64(0); i < 5; i++ {
 		n.Send(mkMsg(0, 1, i))
 	}
@@ -217,7 +235,7 @@ func TestLimitQueueDepthUnboundedWhenZero(t *testing.T) {
 }
 
 func TestCloneKeepsDepthLimit(t *testing.T) {
-	n := New(graph.Complete(2), false)
+	n := New(graph.Complete(2))
 	n.LimitQueueDepth(1)
 	c := n.Clone()
 	c.Send(mkMsg(0, 1, 1))
@@ -229,8 +247,11 @@ func TestCloneKeepsDepthLimit(t *testing.T) {
 
 func TestGraphAndCoalesceAccessors(t *testing.T) {
 	g := graph.Complete(2)
-	n := New(g, true)
-	if n.Graph() != g || !n.Coalesce() {
+	n := New(g)
+	n.LimitQueueDepth(1)
+	n.Send(mkMsg(0, 1, 1))
+	n.Send(mkMsg(0, 1, 2))
+	if n.Graph() != g || n.InFlight() != 1 {
 		t.Fatal("accessors broken")
 	}
 }

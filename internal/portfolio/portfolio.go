@@ -27,6 +27,29 @@ type Options struct {
 	Cancel func() bool
 }
 
+// fanOut runs member(0..n-1) on n goroutines and returns once all have
+// returned. A member that panics does so where nobody can recover, which
+// would end the process: its panic is kept, the join finishes, and the
+// panic is raised again here, on the goroutine that asked for the solve.
+func fanOut(n int, member func(i int)) {
+	var wg sync.WaitGroup
+	panics := make([]any, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[i] = recover() }()
+			member(i)
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+}
+
 // memberCancel combines the race's internal done flag with the caller's
 // external cancellation hook.
 func memberCancel(done *atomic.Bool, external func() bool) func() bool {
@@ -120,52 +143,44 @@ func DiversifiedOptions(base sat.Options, n int) []sat.Options {
 // SAT/UNSAT answer wins and cancels the rest.
 func SolvePortfolio(f *sat.CNF, opts Options) Result {
 	opts = opts.withDefaults()
-	start := time.Now()
 	configs := DiversifiedOptions(opts.Base, opts.Workers)
-
-	var done atomic.Bool
-	type answer struct {
-		status sat.Status
-		model  []bool
-		stats  sat.Stats
-		member int
-	}
-	answers := make(chan answer, len(configs))
-	var wg sync.WaitGroup
-	for i, cfg := range configs {
-		wg.Add(1)
-		go func(member int, cfg sat.Options) {
-			defer wg.Done()
-			s := sat.NewSolverWithOptions(cfg)
-			if err := f.LoadInto(s); err != nil {
-				return
-			}
-			s.SetCancel(memberCancel(&done, opts.Cancel))
-			status := s.Solve()
-			if status == sat.StatusUnknown {
-				return // cancelled or conflict budget exhausted
-			}
-			a := answer{status: status, stats: s.Stats(), member: member}
-			if status == sat.StatusSat {
-				a.model = s.Model()
-			}
-			answers <- a
-			done.Store(true)
-		}(i, cfg)
-	}
-	go func() { wg.Wait(); close(answers) }()
-
-	res := Result{Status: sat.StatusUnknown, Winner: -1}
-	for a := range answers {
-		if res.Status == sat.StatusUnknown {
-			res.Status = a.status
-			res.Model = a.model
-			res.Stats = a.stats
-			res.Winner = a.member
-			done.Store(true) // redundant but keeps the fast path obvious
+	return race(len(configs), opts.Cancel, func(member int, cancel func() bool) (sat.Status, *sat.Solver) {
+		s := sat.NewSolverWithOptions(configs[member])
+		if err := f.LoadInto(s); err != nil {
+			return sat.StatusUnknown, s
 		}
-		// Later answers are necessarily consistent (both solvers decided
-		// the same formula); drain them so the goroutines can exit.
+		s.SetCancel(cancel)
+		return s.Solve(), s
+	})
+}
+
+// race is the one portfolio race, behind SolvePortfolio and
+// Session.SolveAssuming: n members solve concurrently, each polling the
+// cancel hook it is handed, and the first definite answer wins and
+// cancels the rest. A member reports StatusUnknown when it was cancelled
+// or ran out of conflict budget.
+func race(n int, external func() bool, solve func(member int, cancel func() bool) (sat.Status, *sat.Solver)) Result {
+	start := time.Now()
+	var done atomic.Bool
+	// One slot per member: nobody blocks on the send, and the first
+	// result in the channel is the winner's. Later answers are
+	// necessarily consistent (the solvers decided the same formula).
+	answers := make(chan Result, n)
+	fanOut(n, func(member int) {
+		status, s := solve(member, memberCancel(&done, external))
+		if status == sat.StatusUnknown {
+			return
+		}
+		a := Result{Status: status, Stats: s.Stats(), Winner: member}
+		if status == sat.StatusSat {
+			a.Model = s.Model()
+		}
+		answers <- a
+		done.Store(true)
+	})
+	res := Result{Status: sat.StatusUnknown, Winner: -1}
+	if len(answers) > 0 {
+		res = <-answers
 	}
 	res.Wall = time.Since(start)
 	return res
@@ -230,61 +245,46 @@ func SolveCube(f *sat.CNF, opts Options) Result {
 
 	var done atomic.Bool
 	var unsatCubes atomic.Int64
-	type answer struct {
-		status sat.Status
-		model  []bool
-		stats  sat.Stats
-		cube   int
-	}
-	answers := make(chan answer, opts.Workers)
-	var wg sync.WaitGroup
 	workers := opts.Workers
 	if workers > numCubes {
 		workers = numCubes
 	}
+	// One slot per worker: a worker answers at most once, then returns.
+	answers := make(chan Result, workers)
 	workerStats := make([]sat.Stats, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := sat.NewSolverWithOptions(opts.Base)
-			defer func() { workerStats[w] = s.Stats() }()
-			if err := f.LoadInto(s); err != nil {
+	fanOut(workers, func(w int) {
+		s := sat.NewSolverWithOptions(opts.Base)
+		defer func() { workerStats[w] = s.Stats() }()
+		if err := f.LoadInto(s); err != nil {
+			return
+		}
+		s.SetCancel(memberCancel(&done, opts.Cancel))
+		assumptions := make([]sat.Lit, k)
+		for cube := range cubes {
+			if done.Load() {
 				return
 			}
-			s.SetCancel(memberCancel(&done, opts.Cancel))
-			assumptions := make([]sat.Lit, k)
-			for cube := range cubes {
-				if done.Load() {
-					return
-				}
-				for bit := 0; bit < k; bit++ {
-					assumptions[bit] = sat.MkLit(vars[bit], cube&(1<<uint(bit)) != 0)
-				}
-				switch s.SolveAssuming(assumptions...) {
-				case sat.StatusSat:
-					answers <- answer{status: sat.StatusSat, model: s.Model(), stats: s.Stats(), cube: cube}
-					done.Store(true)
-					return
-				case sat.StatusUnsat:
-					unsatCubes.Add(1)
-				case sat.StatusUnknown:
-					return // cancelled mid-cube
-				}
+			for bit := 0; bit < k; bit++ {
+				assumptions[bit] = sat.MkLit(vars[bit], cube&(1<<uint(bit)) != 0)
 			}
-		}(w)
-	}
-	go func() { wg.Wait(); close(answers) }()
-
-	res := Result{Status: sat.StatusUnknown, Winner: -1, Cubes: numCubes}
-	for a := range answers {
-		if res.Status == sat.StatusUnknown {
-			res.Status = a.status
-			res.Model = a.model
-			res.Stats = a.stats
-			res.Winner = a.cube
+			switch s.SolveAssuming(assumptions...) {
+			case sat.StatusSat:
+				answers <- Result{Status: sat.StatusSat, Model: s.Model(), Stats: s.Stats(), Winner: cube}
+				done.Store(true)
+				return
+			case sat.StatusUnsat:
+				unsatCubes.Add(1)
+			case sat.StatusUnknown:
+				return // cancelled mid-cube
+			}
 		}
+	})
+
+	res := Result{Status: sat.StatusUnknown, Winner: -1}
+	if len(answers) > 0 {
+		res = <-answers
 	}
+	res.Cubes = numCubes
 	res.UnsatCubes = int(unsatCubes.Load())
 	if res.Status == sat.StatusUnknown && res.UnsatCubes == numCubes {
 		// Every cube refuted: the disjunction of the cubes is a
@@ -293,8 +293,6 @@ func SolveCube(f *sat.CNF, opts Options) Result {
 	}
 	if res.Winner == -1 {
 		// No single winner: report the aggregate effort of the proof.
-		// workerStats is safe to read here — the answers channel only
-		// closes after every worker goroutine has returned.
 		for _, st := range workerStats {
 			res.Stats.Add(st)
 		}

@@ -209,3 +209,26 @@ func TestDiversifiedOptionsKeepReferenceMember(t *testing.T) {
 		}
 	}
 }
+
+// TestFanOutRaisesMemberPanicOnCaller: the three solve paths start their
+// members through fanOut, so a member's panic fails the solve that asked
+// for it — recoverable by that caller — instead of ending the process.
+func TestFanOutRaisesMemberPanicOnCaller(t *testing.T) {
+	var finished [3]bool
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		fanOut(len(finished), func(i int) {
+			defer func() { finished[i] = true }()
+			if i == 1 {
+				panic("member 1")
+			}
+		})
+	}()
+	if got != "member 1" {
+		t.Fatalf("caller recovered %v, want member 1's panic", got)
+	}
+	if finished != [3]bool{true, true, true} {
+		t.Fatalf("fanOut returned before the join finished: %v", finished)
+	}
+}

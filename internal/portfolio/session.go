@@ -1,12 +1,6 @@
 package portfolio
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/sat"
-)
+import "repro/internal/sat"
 
 // Session is a persistent portfolio: diversified solver members loaded
 // with one base formula that race repeated SolveAssuming calls. Unlike
@@ -35,9 +29,6 @@ func NewSession(f *sat.CNF, opts Options) *Session {
 	return se
 }
 
-// NumMembers returns the portfolio width.
-func (se *Session) NumMembers() int { return len(se.members) }
-
 // Extend grows every member to numVars variables and adds the given
 // clauses — the increment sat.Solver.ExportSince produces when more of
 // the formula was translated since the last call. Learnt clauses are
@@ -61,44 +52,9 @@ func (se *Session) Extend(numVars int, clauses [][]sat.Lit) {
 // Losing members return to an idle, reusable state with their clause
 // databases intact.
 func (se *Session) SolveAssuming(assumptions ...sat.Lit) Result {
-	start := time.Now()
-	var done atomic.Bool
-	type answer struct {
-		status sat.Status
-		model  []bool
-		stats  sat.Stats
-		member int
-	}
-	answers := make(chan answer, len(se.members))
-	var wg sync.WaitGroup
-	for i, s := range se.members {
-		wg.Add(1)
-		go func(member int, s *sat.Solver) {
-			defer wg.Done()
-			s.SetCancel(memberCancel(&done, se.opts.Cancel))
-			status := s.SolveAssuming(assumptions...)
-			if status == sat.StatusUnknown {
-				return // cancelled or conflict budget exhausted
-			}
-			a := answer{status: status, stats: s.Stats(), member: member}
-			if status == sat.StatusSat {
-				a.model = s.Model()
-			}
-			answers <- a
-			done.Store(true)
-		}(i, s)
-	}
-	go func() { wg.Wait(); close(answers) }()
-
-	res := Result{Status: sat.StatusUnknown, Winner: -1}
-	for a := range answers {
-		if res.Status == sat.StatusUnknown {
-			res.Status = a.status
-			res.Model = a.model
-			res.Stats = a.stats
-			res.Winner = a.member
-		}
-	}
-	res.Wall = time.Since(start)
-	return res
+	return race(len(se.members), se.opts.Cancel, func(member int, cancel func() bool) (sat.Status, *sat.Solver) {
+		s := se.members[member]
+		s.SetCancel(cancel)
+		return s.SolveAssuming(assumptions...), s
+	})
 }

@@ -1,7 +1,6 @@
 package relalg
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/portfolio"
@@ -28,7 +27,6 @@ import (
 //
 // A session is not safe for concurrent use; serialize calls externally.
 type Incremental struct {
-	bounds  *Bounds
 	solver  *sat.Solver
 	circuit *Circuit
 	tr      *Translator
@@ -61,7 +59,6 @@ func NewIncremental(b *Bounds, base Formula, opts IncrementalOptions) *Increment
 	tr, stats := translate(b, base, opts.Solver)
 	solver := tr.circuit.solver
 	inc := &Incremental{
-		bounds:    b,
 		solver:    solver,
 		circuit:   tr.circuit,
 		tr:        tr,
@@ -85,15 +82,14 @@ func NewIncremental(b *Bounds, base Formula, opts IncrementalOptions) *Increment
 // SetCancel replaces the session's cooperative cancellation hook.
 func (inc *Incremental) SetCancel(cancel func() bool) { inc.cancel = cancel }
 
-// Solve decides base ∧ variant under the extra assumption literals and
-// returns the verdict with per-solve (not cumulative) solver counters.
-// Equivalent to one-shot solving the conjunction: the variant is
-// activated by its gate literal, so UNSAT means "unsat together with
-// the base", not unsat absolutely.
-func (inc *Incremental) Solve(variant Formula, extra ...sat.Lit) Result {
+// Solve decides base ∧ variant and returns the verdict with per-solve
+// (not cumulative) solver counters. Equivalent to one-shot solving the
+// conjunction: the variant is activated by its gate literal, so UNSAT
+// means "unsat together with the base", not unsat absolutely.
+func (inc *Incremental) Solve(variant Formula) Result {
 	start := time.Now()
 	root := inc.tr.TranslateFormula(variant)
-	assumptions := append([]sat.Lit(nil), extra...)
+	var assumptions []sat.Lit
 	unsatNow := false
 	switch root {
 	case TrueNode:
@@ -156,71 +152,4 @@ func (inc *Incremental) Stats() TranslationStats {
 	s := inc.translationStats()
 	s.TranslateTime = inc.baseStats.TranslateTime
 	return s
-}
-
-// BoundAssumptions encodes a variant's narrower bounds as assumption
-// literals over the base translation's primary variables: a tuple
-// outside the variant's upper bound is assumed absent, a tuple inside
-// the variant's lower bound (but undetermined in the base) is assumed
-// present. The variant must stay within the base envelope — same
-// universe, relations matched by name and arity, with
-// base.lower ⊆ variant.lower ⊆ variant.upper ⊆ base.upper — otherwise
-// an error describes the violation. Solving under the returned literals
-// is equivalent to re-translating the problem with the variant bounds,
-// minus the clause-count reduction a narrower translation would enjoy.
-func (inc *Incremental) BoundAssumptions(vb *Bounds) ([]sat.Lit, error) {
-	bu, vu := inc.bounds.Universe(), vb.Universe()
-	if bu.Size() != vu.Size() {
-		return nil, fmt.Errorf("relalg: variant universe size %d != base %d", vu.Size(), bu.Size())
-	}
-	for i := 0; i < bu.Size(); i++ {
-		if bu.Atom(i) != vu.Atom(i) {
-			return nil, fmt.Errorf("relalg: variant atom %d is %q, base has %q", i, vu.Atom(i), bu.Atom(i))
-		}
-	}
-	byName := make(map[string]*Relation, len(inc.bounds.Relations()))
-	for _, r := range inc.bounds.Relations() {
-		byName[fmt.Sprintf("%s/%d", r.Name, r.Arity)] = r
-	}
-	var out []sat.Lit
-	usize := bu.Size()
-	for _, vr := range vb.Relations() {
-		br, ok := byName[fmt.Sprintf("%s/%d", vr.Name, vr.Arity)]
-		if !ok {
-			return nil, fmt.Errorf("relalg: variant relation %s/%d not in base bounds", vr.Name, vr.Arity)
-		}
-		baseLower, baseUpper := inc.bounds.Lower(br), inc.bounds.Upper(br)
-		vLower, vUpper := vb.Lower(vr), vb.Upper(vr)
-		if !vUpper.ContainsAll(vLower) {
-			return nil, fmt.Errorf("relalg: variant bounds for %s are inconsistent", vr.Name)
-		}
-		if !baseUpper.ContainsAll(vUpper) {
-			return nil, fmt.Errorf("relalg: variant upper bound for %s exceeds the base envelope", vr.Name)
-		}
-		if !vLower.ContainsAll(baseLower) {
-			return nil, fmt.Errorf("relalg: variant lower bound for %s drops base-certain tuples", vr.Name)
-		}
-		for k, v := range inc.tr.PrimaryVars(br) {
-			t := keyToTuple(k, usize, br.Arity)
-			switch {
-			case !vUpper.Contains(t):
-				out = append(out, sat.NegLit(v))
-			case vLower.Contains(t):
-				out = append(out, sat.PosLit(v))
-			}
-		}
-	}
-	// Deterministic assumption order regardless of map iteration.
-	sortLits(out)
-	return out, nil
-}
-
-// sortLits orders literals ascending (insertion sort: assumption sets
-// are small).
-func sortLits(ls []sat.Lit) {
-	for i := 1; i < len(ls); i++ {
-		for j := i; j > 0 && ls[j] < ls[j-1]; j-- {
-			ls[j], ls[j-1] = ls[j-1], ls[j]
-		}
-	}
 }

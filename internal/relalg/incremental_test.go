@@ -157,98 +157,3 @@ func TestIncrementalFalseVariantDoesNotPoisonSession(t *testing.T) {
 		t.Fatalf("TRUE variant: %v", got.Status)
 	}
 }
-
-// BoundAssumptions: solving under the assumption literals of narrower
-// variant bounds must agree with re-translating under those bounds.
-func TestBoundAssumptionsMatchRetranslation(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed ^ 0x77aa))
-		b, s1, s2, e := incrementalFixture()
-		base := randomFormula(rng, s1, s2, e, 3)
-		inc := NewIncremental(b, base, IncrementalOptions{})
-
-		// A narrower variant: drop a random atom from s1's upper bound,
-		// optionally pin a tuple of s2 into the lower bound.
-		u := b.Universe()
-		vb := NewBounds(u)
-		up1 := NewTupleSet(u, 1)
-		drop := rng.Intn(u.Size())
-		for i := 0; i < u.Size(); i++ {
-			if i != drop {
-				up1.Add(Tuple{i})
-			}
-		}
-		vb.BoundUpper(s1, up1)
-		lo2 := NewTupleSet(u, 1)
-		if rng.Intn(2) == 0 {
-			lo2.Add(Tuple{rng.Intn(u.Size())})
-		}
-		vb.Bound(s2, lo2, AllTuples(u, 1))
-		vb.BoundUpper(e, AllTuples(u, 2))
-
-		asms, err := inc.BoundAssumptions(vb)
-		if err != nil {
-			t.Logf("seed %d: BoundAssumptions: %v", seed, err)
-			return false
-		}
-		got := inc.Solve(TrueF(), asms...)
-
-		b2, s1b, s2b, eb := incrementalFixture()
-		_ = b2
-		vb2 := NewBounds(u)
-		vb2.BoundUpper(s1b, up1)
-		vb2.Bound(s2b, lo2, AllTuples(u, 1))
-		vb2.BoundUpper(eb, AllTuples(u, 2))
-		remap := map[*Relation]*Relation{s1: s1b, s2: s2b, e: eb}
-		want := Solve(&Problem{Bounds: vb2, Formula: remapFormula(base, remap)})
-		if got.Status != want.Status {
-			t.Logf("seed %d: assumed %v, re-translated %v", seed, got.Status, want.Status)
-			return false
-		}
-		if got.Status == sat.StatusSat {
-			// The model must respect the narrowed bounds.
-			if got.Instance.Get(s1).Contains(Tuple{drop}) {
-				t.Logf("seed %d: model keeps the dropped tuple", seed)
-				return false
-			}
-			if !got.Instance.Get(s2).ContainsAll(lo2) {
-				t.Logf("seed %d: model misses the pinned lower bound", seed)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Envelope violations must be rejected with errors, not mis-assumed.
-func TestBoundAssumptionsRejectsEnvelopeViolations(t *testing.T) {
-	b, s1, _, _ := incrementalFixture()
-	u := b.Universe()
-	inc := NewIncremental(b, TrueF(), IncrementalOptions{})
-
-	// Different universe.
-	u2 := NewUniverse("a", "b")
-	if _, err := inc.BoundAssumptions(NewBounds(u2)); err == nil {
-		t.Fatal("smaller universe accepted")
-	}
-	// Unknown relation.
-	vb := NewBounds(u)
-	other := NewRelation("other", 1)
-	vb.BoundUpper(other, AllTuples(u, 1))
-	if _, err := inc.BoundAssumptions(vb); err == nil {
-		t.Fatal("unknown relation accepted")
-	}
-	// Lower bound dropping below the base lower bound.
-	b2 := NewBounds(u)
-	lo := SingleTuples(u, "a")
-	b2.Bound(s1, lo, AllTuples(u, 1))
-	inc2 := NewIncremental(b2, TrueF(), IncrementalOptions{})
-	vb2 := NewBounds(u)
-	vb2.BoundUpper(s1, AllTuples(u, 1)) // empty lower: drops base-certain "a"
-	if _, err := inc2.BoundAssumptions(vb2); err == nil {
-		t.Fatal("dropped base-certain tuple accepted")
-	}
-}

@@ -109,8 +109,6 @@ type Solver struct {
 	watches    [][]watcher
 	binWatches [][]Lit
 
-	numBinLearnt int // learnt binaries live only in binWatches
-
 	assigns  []LBool // indexed by Var
 	level    []int32
 	reason   []reasonT
@@ -204,9 +202,6 @@ func (s *Solver) NumVars() int { return len(s.assigns) }
 // NumClauses returns the number of problem (non-learnt) clauses.
 func (s *Solver) NumClauses() int { return len(s.clauses) + len(s.bins) }
 
-// NumLearnts returns the current number of learnt clauses.
-func (s *Solver) NumLearnts() int { return len(s.learnts) + s.numBinLearnt }
-
 // Stats returns a copy of the solver counters.
 func (s *Solver) Stats() Stats { return s.stats }
 
@@ -247,9 +242,6 @@ func (s *Solver) valueLit(l Lit) LBool {
 // variable was never assigned, which can happen for variables not
 // occurring in any clause).
 func (s *Solver) Value(v Var) LBool { return s.assigns[v] }
-
-// ValueLit returns the model value of a literal after a SAT answer.
-func (s *Solver) ValueLit(l Lit) LBool { return s.valueLit(l) }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
@@ -944,7 +936,6 @@ func (s *Solver) search(floorLevel int) Status {
 				s.uncheckedEnqueue(learnt[0], reasonNone)
 			case len(learnt) == 2:
 				s.attachBin(learnt[0], learnt[1])
-				s.numBinLearnt++
 				s.recordLBD(lbd)
 				s.uncheckedEnqueue(learnt[0], reasonBin|reasonT(learnt[1]))
 			default:
@@ -1010,10 +1001,6 @@ func (s *Solver) Model() []bool {
 	}
 	return m
 }
-
-// ResetSearch backtracks to level 0 so more clauses can be added after a
-// SAT answer (model enumeration).
-func (s *Solver) ResetSearch() { s.backtrack(0) }
 
 // ExportCNF snapshots the solver's problem (non-learnt) clauses and
 // root-level units as a standalone CNF over the same variable indexing.

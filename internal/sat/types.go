@@ -98,6 +98,30 @@ func (s Status) String() string {
 	}
 }
 
+// statusTokens is the result-document vocabulary of Status, indexed by
+// status (String's upper-case names are the display spelling);
+// StatusUnknown is the omitted field.
+var statusTokens = [...]string{StatusUnknown: "", StatusSat: "sat", StatusUnsat: "unsat"}
+
+// MarshalText renders the status as its document token.
+func (s Status) MarshalText() ([]byte, error) {
+	if s < 0 || int(s) >= len(statusTokens) {
+		return nil, fmt.Errorf("sat: unencodable status %d", int(s))
+	}
+	return []byte(statusTokens[s]), nil
+}
+
+// UnmarshalText parses a document token.
+func (s *Status) UnmarshalText(text []byte) error {
+	for v, tok := range statusTokens {
+		if tok == string(text) {
+			*s = Status(v)
+			return nil
+		}
+	}
+	return fmt.Errorf("sat: unknown status %q", text)
+}
+
 // Stats aggregates solver counters, reported by Solver.Stats.
 type Stats struct {
 	Conflicts    int64

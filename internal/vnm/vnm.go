@@ -74,8 +74,6 @@ type Options struct {
 	// Policy overrides the default agent policy (sub-modular residual
 	// capacity utility, release-outbid, honest rebidding).
 	Policy *mca.Policy
-	// MaxRounds bounds the synchronous auction (default 4·D·|V_H|+8).
-	MaxRounds int
 }
 
 // Embedder runs MCA-based virtual network embedding.
@@ -151,10 +149,7 @@ func (e *Embedder) Embed(vnet *VirtualNetwork) (*Mapping, mca.Outcome, error) {
 	if err != nil {
 		return nil, out, err
 	}
-	maxRounds := e.opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 4*mca.MessageBound(e.phys.Graph, items) + 8
-	}
+	maxRounds := 4*mca.MessageBound(e.phys.Graph, items) + 8
 	out = runner.Run(maxRounds)
 	if !out.Converged {
 		return nil, out, fmt.Errorf("%w: auction did not converge in %d rounds", ErrNoMapping, maxRounds)
