@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // captureStderr runs fn with os.Stderr redirected to a pipe and
@@ -65,6 +68,47 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 	})
 	if code != 2 {
 		t.Fatalf("corrupt resume exit = %d, want 2", code)
+	}
+	if !strings.Contains(out, "corrupt or truncated") || !strings.Contains(out, "delete it and re-verify") {
+		t.Fatalf("missing clean re-verify hint, stderr:\n%s", out)
+	}
+}
+
+// TestResumeRefusesCheckpointOfOlderBinary: a checkpoint whose run
+// state predates the current canonical key function (magic MCARS1) is
+// intact and checksummed, yet its keys belong to another key space;
+// -resume must refuse it with the delete-and-re-verify hint instead of
+// continuing the run against it.
+func TestResumeRefusesCheckpointOfOlderBinary(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	if code := run(cappedRunArgs(path)); code != 3 {
+		t.Fatalf("capped run exit = %d, want 3 (inconclusive)", code)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := engine.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(cp.State, []byte("MCARS2\n")) {
+		t.Fatalf("run state starts %q, want the MCARS2 magic", cp.State[:7])
+	}
+	copy(cp.State, "MCARS1\n")
+	old, err := engine.EncodeCheckpoint(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var code int
+	out := captureStderr(t, func() {
+		code = run([]string{"-resume", path, "-maxstates", "500000", "-trace=false"})
+	})
+	if code != 2 {
+		t.Fatalf("resume from an older binary's checkpoint exit = %d, want 2", code)
 	}
 	if !strings.Contains(out, "corrupt or truncated") || !strings.Contains(out, "delete it and re-verify") {
 		t.Fatalf("missing clean re-verify hint, stderr:\n%s", out)

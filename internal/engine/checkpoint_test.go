@@ -134,10 +134,20 @@ func TestCorruptCheckpointErrorIsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A checkpoint written before the canonical key function changed
+	// (run-state magic MCARS1): sound envelope, foreign key space.
+	old := *cp
+	old.State = append([]byte("MCARS1\n"), cp.State[len("MCARS2\n"):]...)
+	oldEnc, err := EncodeCheckpoint(&old)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	docs := map[string][]byte{
-		"not-json": []byte("not json"),
-		"truncate": enc[:len(enc)/2],
-		"runstate": []byte(strings.Replace(string(enc), `"run_state":"`, `"run_state":"AAAA`, 1)),
+		"not-json":   []byte("not json"),
+		"truncate":   enc[:len(enc)/2],
+		"runstate":   []byte(strings.Replace(string(enc), `"run_state":"`, `"run_state":"AAAA`, 1)),
+		"old-binary": oldEnc,
 	}
 	for name, doc := range docs {
 		_, err := DecodeCheckpoint(doc)

@@ -307,6 +307,7 @@ func Check(agents []*mca.Agent, g *graph.Graph, opts Options) Verdict {
 	c.verdict.OK = c.verdict.Violation == ViolationNone && c.verdict.Exhausted
 	c.verdict.MissProb = c.visited.missProb()
 	c.visited.addStats(&c.verdict.Store)
+	c.keys.addStats(&c.verdict.Store)
 	return *c.verdict
 }
 
@@ -489,13 +490,11 @@ func agreementOf(agents []*mca.Agent) bool {
 
 // conflictFreeOf reports whether no item is held by two bundles.
 func conflictFreeOf(agents []*mca.Agent) bool {
-	holder := make(map[mca.ItemID]mca.AgentID)
-	for _, a := range agents {
-		for _, j := range a.Bundle() {
-			if prev, taken := holder[j]; taken && prev != a.ID() {
+	for i, a := range agents {
+		for _, b := range agents[i+1:] {
+			if a.BundleOverlaps(b) {
 				return false
 			}
-			holder[j] = a.ID()
 		}
 	}
 	return true

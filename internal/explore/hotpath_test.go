@@ -63,10 +63,16 @@ func TestIncrementalKeysMatchSerializer(t *testing.T) {
 		if i%4 == 3 {
 			opts.DuplicateDeliveries = true
 		}
+		var v Verdict
 		if i%2 == 0 {
-			Check(agents, g, opts)
+			v = Check(agents, g, opts)
 		} else {
-			CheckParallel(agents, g, opts, 1+i%3)
+			v = CheckParallel(agents, g, opts, 1+i%3)
+		}
+		// The measurement behind the one-word ranker, as a pin: no state
+		// of the corpus has timestamps 64 apart.
+		if v.Store.Keys == 0 || v.Store.WideKeys != 0 {
+			t.Fatalf("scenario %d: keys=%d wide=%d, want some and 0", i, v.Store.Keys, v.Store.WideKeys)
 		}
 	}
 }
@@ -161,11 +167,11 @@ func TestStoreStatsPopulated(t *testing.T) {
 	if v.Store.Entries != v.States {
 		t.Fatalf("serial store entries = %d, want States = %d", v.Store.Entries, v.States)
 	}
-	if v.Store.Slots == 0 || v.Store.Lookups == 0 || v.Store.Probes == 0 {
+	if v.Store.Slots == 0 || v.Store.Lookups == 0 || v.Store.Probes == 0 || v.Store.Keys == 0 {
 		t.Fatalf("serial store stats incomplete: %+v", v.Store)
 	}
 	p := CheckParallel(mk(), graph.Complete(2), Options{}, 3)
-	if p.Store.Entries == 0 || p.Store.Slots == 0 || p.Store.Lookups == 0 {
+	if p.Store.Entries == 0 || p.Store.Slots == 0 || p.Store.Lookups == 0 || p.Store.Keys == 0 {
 		t.Fatalf("parallel store stats incomplete: %+v", p.Store)
 	}
 }

@@ -3,7 +3,6 @@ package explore
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"repro/internal/mca"
 	"repro/internal/netsim"
@@ -13,33 +12,46 @@ import (
 // key splits into two parts:
 //
 //   - a content part — everything except logical times — assembled by
-//     XOR from per-component digests: per-agent hashes cached against
-//     Agent.Rev (a delivery mutates one receiver, so at most one agent
-//     is re-digested per transition) and per-message hashes computed
-//     once at send time by the network (messages are immutable);
+//     XOR from per-component digests: per-agent hashes each agent caches
+//     and carries through save and restore (a delivery mutates one
+//     receiver, so at most one agent is re-digested per transition, and
+//     none when a delivery is rolled back) and per-message hashes
+//     computed once at send time by the network (messages are
+//     immutable);
 //   - a time part — the dense rank of every logical timestamp in the
 //     state — which is irreducibly global (one new timestamp can shift
-//     every rank) but cheap: collect times from flat slices, sort a
-//     reused buffer, fold the per-slot ranks.
+//     every rank) but cheap: one pass collects the timestamps and folds
+//     them into a 64-bit set, a second ranks every slot against that
+//     word and packs the ranks eight to a fold. A state whose timestamps
+//     span 64 values or more is ranked against the sorted universe
+//     instead (wideKeys counts them; none occurs on the scenarios the
+//     suite explores).
 //
 // Full state re-serialization is gone from the hot path entirely. The
 // reference semantics live in referenceKey (the serializer form built
-// on AppendCanonical); SetCrosscheck arms a periodic self-check that
-// pins the incremental computation to it.
+// on AppendCanonical); crosscheckInterval (the explorecheck build tag)
+// arms a periodic self-check that pins the incremental computation to
+// it.
 type keyScratch struct {
-	times []int
+	times []int  // the state's timestamps, then the ranker's if it is wide
+	ranks []byte // packed rank slots of the state being keyed
 	buf   []byte // reference-serializer scratch
-	// Per-agent content-digest cache, validated by Agent.Rev.
-	agentHash [][2]uint64
-	agentRev  []uint64
+	// keys counts key computations and wideKeys those that fell back to
+	// the sorted universe; both surface in StoreStats.
+	keys, wideKeys uint64
 	// Crosscheck state (zero-cost when disabled): every interval-th key
 	// computation recomputes the key with cold caches and the reference
 	// serializer, and checks both the cache coherence and the
 	// incremental/reference key bijection seen so far this run.
 	interval uint64
-	calls    uint64
 	incToRef map[[2]uint64][2]uint64
 	refToInc map[[2]uint64][2]uint64
+}
+
+// addStats accumulates the scratch's key counters into s.
+func (ks *keyScratch) addStats(s *StoreStats) {
+	s.Keys += ks.keys
+	s.WideKeys += ks.wideKeys
 }
 
 // mix128 finishes the key: each lane avalanches the combined content
@@ -66,30 +78,21 @@ func mix64(a, b uint64) uint64 {
 // them, deterministically). Never set outside tests.
 var testKeyOverride func([2]uint64) [2]uint64
 
-// key computes the canonical state key with per-agent digest caching.
+// key computes the canonical state key from the agents' cached digests.
 func (ks *keyScratch) key(agents []*mca.Agent, net *netsim.Network) [2]uint64 {
-	n := len(agents)
-	for len(ks.agentHash) < n {
-		ks.agentHash = append(ks.agentHash, [2]uint64{})
-		ks.agentRev = append(ks.agentRev, 0)
-	}
 	var c [2]uint64
-	for i, a := range agents {
-		// Rev starts at 1 and only grows, so a zeroed cache entry can
-		// never validate spuriously.
-		if ks.agentRev[i] != a.Rev() {
-			ks.agentHash[i] = a.ContentHash()
-			ks.agentRev[i] = a.Rev()
-		}
-		c[0] ^= ks.agentHash[i][0]
-		c[1] ^= ks.agentHash[i][1]
+	for _, a := range agents {
+		h := a.ContentHash()
+		c[0] ^= h[0]
+		c[1] ^= h[1]
 	}
-	k := ks.finish(c, agents, net)
-	if ks.interval > 0 {
-		ks.calls++
-		if ks.calls%ks.interval == 0 {
-			ks.crosscheck(agents, net, k)
-		}
+	k, wide := ks.finish(c, agents, net)
+	ks.keys++
+	if wide {
+		ks.wideKeys++
+	}
+	if ks.interval > 0 && ks.keys%ks.interval == 0 {
+		ks.crosscheck(agents, net, k)
 	}
 	if testKeyOverride != nil {
 		k = testKeyOverride(k)
@@ -102,64 +105,42 @@ func (ks *keyScratch) key(agents []*mca.Agent, net *netsim.Network) [2]uint64 {
 func (ks *keyScratch) keyCold(agents []*mca.Agent, net *netsim.Network) [2]uint64 {
 	var c [2]uint64
 	for _, a := range agents {
-		h := a.ContentHash()
+		h := a.ContentHashUncached()
 		c[0] ^= h[0]
 		c[1] ^= h[1]
 	}
-	return ks.finish(c, agents, net)
+	k, _ := ks.finish(c, agents, net)
+	return k
 }
 
 // finish folds the network content digest and the global time-rank part
-// into the combined content hash c.
-func (ks *keyScratch) finish(c [2]uint64, agents []*mca.Agent, net *netsim.Network) [2]uint64 {
+// into the combined content hash c; wide reports that the timestamps
+// did not fit the one-word ranker.
+func (ks *keyScratch) finish(c [2]uint64, agents []*mca.Agent, net *netsim.Network) (k [2]uint64, wide bool) {
 	nh := net.ContentHash()
 	c[0] ^= nh[0]
 	c[1] ^= nh[1]
 
-	r := mca.Ranker{Uniq: ks.rankUniverse(agents, net)}
+	r := mca.NewRanker(ks.collectTimes(agents, net))
 	n := len(agents)
-	t := [2]uint64{0x452821e638d01377, 0xbe5466cf34e90c6c}
+	ks.ranks = ks.ranks[:0]
 	for _, a := range agents {
-		t = a.FoldTimeRanks(t, r, n)
+		ks.ranks = a.AppendTimeRanks(ks.ranks, &r, n)
 	}
-	t = net.FoldTimeRanks(t, r, n)
-	return mix128(c, t)
+	ks.ranks = net.AppendTimeRanks(ks.ranks, &r, n)
+	t := mca.FoldPacked([2]uint64{0x452821e638d01377, 0xbe5466cf34e90c6c}, ks.ranks)
+	return mix128(c, t), r.Wide()
 }
 
-// rankUniverse collects, sorts, and deduplicates every logical time in
-// the state into a reused buffer. States carry a few dozen timestamps,
-// so a branch-light insertion sort beats the general sorter's dispatch
-// overhead on the common case.
-func (ks *keyScratch) rankUniverse(agents []*mca.Agent, net *netsim.Network) []int {
+// collectTimes gathers every logical time in the state into a reused
+// buffer, for a ranker to be built over.
+func (ks *keyScratch) collectTimes(agents []*mca.Agent, net *netsim.Network) []int {
 	ks.times = ks.times[:0]
 	for _, a := range agents {
 		ks.times = a.AppendTimes(ks.times)
 	}
 	ks.times = net.AppendTimes(ks.times)
-	if len(ks.times) <= 64 {
-		insertionSortInts(ks.times)
-	} else {
-		sort.Ints(ks.times)
-	}
-	uniq := ks.times[:0]
-	for i, t := range ks.times {
-		if i == 0 || t != uniq[len(uniq)-1] {
-			uniq = append(uniq, t)
-		}
-	}
-	return uniq
-}
-
-func insertionSortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
+	return ks.times
 }
 
 // referenceKey is the serializer form of the canonical key: encode the
@@ -169,7 +150,7 @@ func insertionSortInts(a []int) {
 // is what the crosscheck and the key-equivalence fuzz test pin — and
 // survives as the slow-path oracle.
 func (ks *keyScratch) referenceKey(agents []*mca.Agent, net *netsim.Network) [2]uint64 {
-	r := mca.Ranker{Uniq: ks.rankUniverse(agents, net)}
+	r := mca.SortedRanker(ks.collectTimes(agents, net))
 	n := len(agents)
 	ks.buf = ks.buf[:0]
 	for _, a := range agents {

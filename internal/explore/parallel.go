@@ -568,6 +568,7 @@ func (fr *frontier) assemble(stop levelStat, agents []*mca.Agent, states0 []mca.
 		s.sealed.addStats(&verdict.Store)
 		s.fresh.addStats(&verdict.Store)
 		s.spill.addToStats(&verdict.Store)
+		s.keys.addStats(&verdict.Store)
 	}
 	if stop.chosen != nil {
 		verdict.Violation = stop.chosen.kind
@@ -627,9 +628,9 @@ type shardWorker struct {
 	// queue state is decoded into it for expansion and re-encoded for
 	// the item's successors. saveSlot holds the delivery receiver's
 	// pre-transition state — only the receiver mutates, so restoring it
-	// (instead of re-decoding every agent from the item buffer) keeps
-	// the other replicas' Rev counters stable and the per-agent digest
-	// cache hot.
+	// (instead of re-decoding every agent from the item buffer) leaves
+	// the other replicas' content digests in place and hands the
+	// receiver's back.
 	scratch  *netsim.Network
 	saveSlot mca.AgentState
 	// bucket holds the shard's frontier items for the level about to be

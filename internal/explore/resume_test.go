@@ -3,6 +3,7 @@ package explore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -231,6 +232,12 @@ func TestDecodeRunStateRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeRunState([]byte("XXARS1\nrest")); err == nil {
 		t.Fatal("bad magic decoded")
+	}
+	// A document from before the canonical key function changed (PR 24)
+	// holds keys of another key space; intact otherwise, it is refused.
+	old := append([]byte("MCARS1\n"), enc[len(runStateMagic):]...)
+	if _, err := DecodeRunState(old); !errors.Is(err, ErrCorruptRunState) {
+		t.Fatalf("MCARS1 document: err = %v, want ErrCorruptRunState", err)
 	}
 	if _, err := DecodeRunState(enc[:len(enc)/2]); err == nil {
 		t.Fatal("truncated document decoded")

@@ -95,8 +95,11 @@ type RunEdge struct {
 	DidChange bool
 }
 
-// runStateMagic versions the binary run-state format.
-const runStateMagic = "MCARS1\n"
+// runStateMagic versions the binary run-state format, canonical key
+// values included: a run state stores keys, so a change to the key
+// function (MCARS1 to MCARS2: time ranks folded packed) bumps it, and
+// a document from the other side of the change is corrupt, not resumed.
+const runStateMagic = "MCARS2\n"
 
 // EncodeRunState renders a run state in its compact binary format
 // (fixed-width canonical keys, varint-packed tree and counters,

@@ -173,6 +173,14 @@ type StoreStats struct {
 	// files rather than memory when the run finished (disk-spill mode
 	// only; these are also counted in Entries).
 	Spilled int
+	// Keys counts canonical-key computations: one per state the serial
+	// DFS enters, one per transition the frontier generates. Diagnostic
+	// like Probes.
+	Keys uint64
+	// WideKeys counts the key computations whose timestamps spanned 64
+	// values or more and were ranked against the sorted universe instead
+	// of one 64-bit word (docs/PERFORMANCE.md, "Time part").
+	WideKeys uint64
 }
 
 // nodeArena allocates pathNodes in fixed-size blocks: node pointers are

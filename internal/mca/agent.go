@@ -60,12 +60,10 @@ type Agent struct {
 	// records times that beat the current (non-negative) value.
 	infoTime []int
 
-	// rev counts state mutations. Every entry point that can modify the
-	// agent (HandleMessage, BidPhase, RestoreState, DecodeState) bumps
-	// it, so incremental hashers can cache per-agent digests and
-	// revalidate with a single integer compare — the change-notification
-	// hook of the explorers' incremental canonical keys.
-	rev uint64
+	// digest caches ContentHash; zero means not computed. Every entry
+	// point that can modify the agent drops it (HandleMessage, BidPhase,
+	// DecodeState) or replaces it with the saved state's (RestoreState).
+	digest [2]uint64
 }
 
 // Validate checks that the configuration describes an agent: it is
@@ -104,7 +102,6 @@ func NewAgent(cfg Config) (*Agent, error) {
 		view:     make([]BidInfo, cfg.Items),
 		blocked:  make([]bool, cfg.Items),
 		block:    make([]BidInfo, cfg.Items),
-		rev:      1,
 	}
 	if cfg.Demands != nil {
 		a.demands = append([]int64(nil), cfg.Demands...)
@@ -136,7 +133,7 @@ func (a *Agent) Clone() *Agent {
 		blocked:  append([]bool(nil), a.blocked...),
 		block:    append([]BidInfo(nil), a.block...),
 		infoTime: append([]int(nil), a.infoTime...),
-		rev:      a.rev,
+		digest:   a.digest,
 	}
 	if a.demands != nil {
 		c.demands = append([]int64(nil), a.demands...)
@@ -203,11 +200,6 @@ func (a *Agent) InfoTime(m AgentID) int {
 	}
 	return infoAt(a.infoTime, m)
 }
-
-// Rev returns the agent's mutation counter; it increases on every state
-// mutation entry point, never repeats, and lets cached digests of the
-// agent's state be revalidated with one compare.
-func (a *Agent) Rev() uint64 { return a.rev }
 
 // infoAt reads a dense information-timestamp vector: indices beyond the
 // slice mean "no information" (time 0), mirroring the absent-key reads
@@ -284,7 +276,7 @@ func (a *Agent) eligible(j ItemID) (int64, bool) {
 // ID) until none qualifies, or until the BidsPerRound policy cap is
 // reached. It returns true if the view changed.
 func (a *Agent) BidPhase() bool {
-	a.rev++
+	a.digest = [2]uint64{}
 	changed := false
 	added := 0
 	for {
@@ -321,7 +313,7 @@ func (a *Agent) HandleMessage(m Message) bool {
 	if len(m.View) != a.items {
 		panic(fmt.Sprintf("mca: agent %d received view of length %d, want %d", a.id, len(m.View), a.items))
 	}
-	a.rev++
+	a.digest = [2]uint64{}
 	fr := Freshness{SenderTimes: m.InfoTimes, Receiver: a.id}
 	changed := false
 	for j := 0; j < a.items; j++ {
@@ -465,6 +457,17 @@ func (a *Agent) Won() []ItemID {
 // their delivery hot path (the reply-on-disagreement rule).
 func (a *Agent) ViewAgrees(v []BidInfo) bool {
 	return ViewsAgree(a.view, v)
+}
+
+// BundleOverlaps reports whether a and b both hold some item — the
+// allocation-free pairwise form of the explorers' conflict check.
+func (a *Agent) BundleOverlaps(b *Agent) bool {
+	for _, j := range a.bundle {
+		if b.inBundle(j) {
+			return true
+		}
+	}
+	return false
 }
 
 // AgreesWith reports whether two agents' views agree on winners and

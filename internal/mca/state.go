@@ -1,6 +1,7 @@
 package mca
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"sort"
 )
@@ -20,7 +21,7 @@ func appendVarint(buf []byte, v int64) []byte {
 // agent state with every timestamp passed through rank, for a system of
 // n agents (the information-timestamp vector is encoded as n fixed
 // slots). This is the reference serializer for the explorer's canonical
-// keys: the incremental hasher (ContentHash + FoldTimeRanks) must
+// keys: the incremental hasher (ContentHash + AppendTimeRanks) must
 // distinguish exactly the states this encoding distinguishes, and the
 // explore package pins that equivalence with a cross-check flag and a
 // fuzz test.
@@ -92,6 +93,11 @@ type AgentState struct {
 	// InfoTime is the dense information-timestamp vector (indexed by
 	// AgentID; missing tail entries mean 0).
 	InfoTime []int
+	// Digest is the agent's ContentHash if it had one when it was saved,
+	// else zero; RestoreState hands it back with the state. It covers
+	// every field above except the times, so a caller that edits a saved
+	// bid, winner, bundle or block mark must zero it.
+	Digest [2]uint64
 }
 
 // SaveState captures the agent's mutable state.
@@ -111,13 +117,14 @@ func (a *Agent) SaveStateInto(s *AgentState) {
 	s.Block = append(s.Block[:0], a.block...)
 	s.Clock = a.clock
 	s.InfoTime = append(s.InfoTime[:0], a.infoTime...)
+	s.Digest = a.digest
 }
 
 // RestoreState reinstates a previously saved state. The agent's own
 // storage is reused (the explorers restore millions of times on their
 // hot path); the AgentState is not aliased afterwards.
 func (a *Agent) RestoreState(s AgentState) {
-	a.rev++
+	a.digest = s.Digest
 	copy(a.view, s.View)
 	a.bundle = append(a.bundle[:0], s.Bundle...)
 	copy(a.blocked, s.Blocked)
@@ -176,7 +183,7 @@ func readVarint(buf []byte) (int64, []byte) {
 // DecodeState restores the agent's mutable state from an AppendState
 // encoding, returning the unconsumed remainder of buf.
 func (a *Agent) DecodeState(buf []byte) []byte {
-	a.rev++
+	a.digest = [2]uint64{}
 	var v int64
 	for j := range a.view {
 		bi := &a.view[j]
@@ -246,10 +253,10 @@ func (a *Agent) AppendTimes(ts []int) []int {
 	return append(ts, a.clock)
 }
 
-// AppendMessageTimes appends every timestamp in a message to ts.
-func AppendMessageTimes(ts []int, m Message) []int {
-	for _, bi := range m.View {
-		ts = append(ts, bi.Time)
+// AppendTimes appends every timestamp in the message to ts.
+func (m *Message) AppendTimes(ts []int) []int {
+	for j := range m.View {
+		ts = append(ts, m.View[j].Time)
 	}
 	for _, t := range m.InfoTimes {
 		if t != 0 {
@@ -259,19 +266,85 @@ func AppendMessageTimes(ts []int, m Message) []int {
 	return ts
 }
 
-// Ranker maps absolute logical times to their dense rank in a state's
-// deduplicated sorted time universe — the canonical quotient of the
-// explorers' state keys. The concrete struct (instead of a closure)
-// keeps the per-slot calls on the key hot path allocation-free and
-// inlinable.
+// Ranker maps absolute logical times to their dense rank among the
+// distinct timestamps of a state — the canonical quotient of the
+// explorers' state keys. It has two forms that return the same rank
+// numbers. The one-word form holds a 64-bit set of the timestamps and
+// ranks by a shift and a population count; it serves while the
+// timestamps span fewer than 64 values, which Lamport clocks in one
+// global state do (docs/PERFORMANCE.md has the measured spreads). The
+// sorted form holds the sorted, deduplicated universe and ranks by
+// binary search; it serves any set of times, and is the reference
+// serializer's ranker. The concrete struct (instead of a closure) keeps
+// the per-slot calls on the key hot path allocation-free and inlinable;
+// the slot walks take it by pointer because an inlined call on a
+// five-word value copies it per slot.
 type Ranker struct {
-	// Uniq is the sorted, deduplicated list of every timestamp occurring
-	// in the state (AppendTimes / AppendMessageTimes output).
-	Uniq []int
+	// One-word form: bit t-min of word is set for every timestamp t,
+	// and top is min+64. The smallest timestamp sets bit 0, so a zero
+	// word marks the sorted form.
+	word uint64
+	top  int
+	uniq []int
 }
 
-// Rank returns the dense rank of t.
-func (r Ranker) Rank(t int) int { return sort.SearchInts(r.Uniq, t) }
+// NewRanker returns the ranker over times, every timestamp of one state
+// in any order (AppendTimes output): the one-word form if it can hold
+// them, else the sorted form, which reorders times and keeps it. One
+// pass finds the minimum and the maximum and sets bit t mod 64 for each
+// t; while max-min is under 64 no two timestamps share a bit, and
+// rotating the set right by min mod 64 puts bit t-min where t is. The
+// spread is compared unsigned so that no pair of times, however far
+// apart, wraps into the one-word form: a decoded state is outside input.
+func NewRanker(times []int) Ranker {
+	if len(times) == 0 {
+		return Ranker{}
+	}
+	lo, hi, set := times[0], times[0], uint64(0)
+	for _, t := range times {
+		if t < lo {
+			lo = t
+		}
+		if t > hi {
+			hi = t
+		}
+		set |= 1 << (uint(t) & 63)
+	}
+	if uint64(hi)-uint64(lo) >= 64 {
+		return SortedRanker(times)
+	}
+	return Ranker{top: lo + 64, word: bits.RotateLeft64(set, -(lo & 63))}
+}
+
+// SortedRanker returns the sorted form of the ranker over times, which
+// it sorts and deduplicates in place and keeps.
+func SortedRanker(times []int) Ranker {
+	sort.Ints(times)
+	uniq := times[:0]
+	for i, t := range times {
+		if i == 0 || t != uniq[len(uniq)-1] {
+			uniq = append(uniq, t)
+		}
+	}
+	return Ranker{uniq: uniq}
+}
+
+// Wide reports the sorted form.
+func (r *Ranker) Wide() bool { return r.word == 0 }
+
+// Rank returns the dense rank of t, which must be a member: the number
+// of members below it. In the one-word form those are the t-min low
+// bits of word, and a left shift by top-t = 64-(t-min) drops every
+// other bit. The sorted search sits in its own function so that this
+// one stays within the inlining budget.
+func (r *Ranker) Rank(t int) int {
+	if r.word == 0 {
+		return rankSorted(r.uniq, t)
+	}
+	return bits.OnesCount64(r.word << uint(r.top-t))
+}
+
+func rankSorted(uniq []int, t int) int { return sort.SearchInts(uniq, t) }
 
 // Canonical-key hashing: 128 bits as two independently seeded 64-bit
 // lanes, folded one word at a time. Agent and message content hashes
@@ -283,38 +356,51 @@ const (
 	hashMul2 = 0xc2b2ae3d27d4eb4f // xxhash PRIME64_2, odd
 )
 
-// FoldHash mixes one 64-bit word into a two-lane hash state.
-func FoldHash(h [2]uint64, v uint64) [2]uint64 {
-	h[0] = bits.RotateLeft64(h[0]^v, 27) * hashMul1
-	h[1] = bits.RotateLeft64(h[1]^v, 31) * hashMul2
-	return h
+// FoldHash mixes one 64-bit word into a two-lane hash state. The lanes
+// are two scalars, not a [2]uint64, so that a fold loop keeps them in
+// registers: the compiler leaves an array of two words in memory, and
+// every fold then waits on a store and a load.
+func FoldHash(h0, h1, v uint64) (uint64, uint64) {
+	return bits.RotateLeft64(h0^v, 27) * hashMul1, bits.RotateLeft64(h1^v, 31) * hashMul2
 }
 
 // ContentHash digests the agent's timestamp-free content: identity,
 // view bids and winners, bundle, and outbid bookkeeping. Together with
-// FoldTimeRanks this carries exactly the information AppendCanonical
-// serializes, split so the explorers can cache it per agent (validated
-// by Rev) and recompute only the delivery's receiver.
+// AppendTimeRanks this carries exactly the information AppendCanonical
+// serializes, split so that the content half can travel with the agent:
+// the digest is computed on first use, dropped by every entry point
+// that mutates the agent, and copied by SaveStateInto, RestoreState and
+// Clone — so an explorer that rolls a delivery back gets the receiver's
+// digest back with its state, and re-digests only what a delivery
+// actually changed.
 func (a *Agent) ContentHash() [2]uint64 {
-	h := [2]uint64{uint64(a.id) + 1, ^uint64(a.id)}
-	for _, bi := range a.view {
-		h = FoldHash(h, uint64(bi.Bid))
-		h = FoldHash(h, uint64(bi.Winner))
+	if a.digest == ([2]uint64{}) {
+		a.digest = a.ContentHashUncached()
 	}
-	h = FoldHash(h, uint64(len(a.bundle)))
+	return a.digest
+}
+
+// ContentHashUncached recomputes the digest ContentHash caches — the
+// explorers' crosscheck compares the two to catch a stale cache.
+func (a *Agent) ContentHashUncached() [2]uint64 {
+	h0, h1 := uint64(a.id)+1, ^uint64(a.id)
+	for j := range a.view {
+		h0, h1 = FoldHash(h0, h1, uint64(a.view[j].Bid))
+		h0, h1 = FoldHash(h0, h1, uint64(a.view[j].Winner))
+	}
+	h0, h1 = FoldHash(h0, h1, uint64(len(a.bundle)))
 	for _, j := range a.bundle {
-		h = FoldHash(h, uint64(j))
+		h0, h1 = FoldHash(h0, h1, uint64(j))
 	}
 	for j, bl := range a.blocked {
 		if bl {
-			bi := a.block[j]
-			h = FoldHash(h, uint64(bi.Bid))
-			h = FoldHash(h, uint64(bi.Winner)+3)
+			h0, h1 = FoldHash(h0, h1, uint64(a.block[j].Bid))
+			h0, h1 = FoldHash(h0, h1, uint64(a.block[j].Winner)+3)
 		} else {
-			h = FoldHash(h, 1)
+			h0, h1 = FoldHash(h0, h1, 1)
 		}
 	}
-	return h
+	return [2]uint64{h0, h1}
 }
 
 // MessageContentHash digests a message's timestamp-free payload. The
@@ -325,52 +411,82 @@ func (a *Agent) ContentHash() [2]uint64 {
 // network computes it once at send time (messages are immutable), so
 // canonical keys never re-serialize queue contents.
 func MessageContentHash(m Message) [2]uint64 {
-	h := [2]uint64{0x9e3779b97f4a7c15, 0x2545f4914f6cdd1d}
+	h0, h1 := uint64(0x9e3779b97f4a7c15), uint64(0x2545f4914f6cdd1d)
 	for _, bi := range m.View {
-		h = FoldHash(h, uint64(bi.Bid))
-		h = FoldHash(h, uint64(bi.Winner))
+		h0, h1 = FoldHash(h0, h1, uint64(bi.Bid))
+		h0, h1 = FoldHash(h0, h1, uint64(bi.Winner))
 	}
-	return h
+	return [2]uint64{h0, h1}
 }
 
-// FoldTimeRanks folds the agent's timestamp slots, ranked by r, into h
-// in a fixed slot order, for a system of n agents. Presence-marking
-// slots (block entries, information times) fold 0 when absent and
-// 1+rank when present, mirroring AppendCanonical.
-func (a *Agent) FoldTimeRanks(h [2]uint64, r Ranker, n int) [2]uint64 {
-	for _, bi := range a.view {
-		h = FoldHash(h, uint64(r.Rank(bi.Time)))
+// appendRankSlot appends one time-rank slot: a byte, or 0xff and eight
+// bytes for the values a byte cannot hold (a state with 255 or more
+// distinct timestamps), so the encoding stays prefix-free whatever the
+// size of the universe.
+func appendRankSlot(buf []byte, v int) []byte {
+	if v < 0xff {
+		return append(buf, byte(v))
+	}
+	return binary.LittleEndian.AppendUint64(append(buf, 0xff), uint64(v))
+}
+
+// AppendTimeRanks appends the agent's timestamp slots, ranked by r, in
+// a fixed slot order, for a system of n agents. Presence-marking slots
+// (block entries, information times) hold 0 when absent and 1+rank when
+// present — the values AppendCanonical serializes, packed so that
+// FoldPacked consumes eight slots per multiply.
+func (a *Agent) AppendTimeRanks(buf []byte, r *Ranker, n int) []byte {
+	for j := range a.view {
+		buf = appendRankSlot(buf, r.Rank(a.view[j].Time))
 	}
 	for j, bl := range a.blocked {
 		if bl {
-			h = FoldHash(h, uint64(1+r.Rank(a.block[j].Time)))
+			buf = appendRankSlot(buf, 1+r.Rank(a.block[j].Time))
 		} else {
-			h = FoldHash(h, 0)
+			buf = append(buf, 0)
 		}
 	}
-	h = FoldHash(h, uint64(r.Rank(a.clock)))
-	for k := 0; k < n; k++ {
-		if t := infoAt(a.infoTime, AgentID(k)); t != 0 {
-			h = FoldHash(h, uint64(1+r.Rank(t)))
-		} else {
-			h = FoldHash(h, 0)
-		}
-	}
-	return h
+	buf = appendRankSlot(buf, r.Rank(a.clock))
+	return appendInfoRanks(buf, a.infoTime, r, n)
 }
 
-// FoldMessageTimeRanks folds a message's timestamp slots, ranked by r,
-// into h in a fixed slot order, for a system of n agents.
-func FoldMessageTimeRanks(h [2]uint64, m Message, r Ranker, n int) [2]uint64 {
-	for _, bi := range m.View {
-		h = FoldHash(h, uint64(r.Rank(bi.Time)))
+// AppendTimeRanks appends the message's timestamp slots, ranked by r,
+// in a fixed slot order, for a system of n agents.
+func (m *Message) AppendTimeRanks(buf []byte, r *Ranker, n int) []byte {
+	for j := range m.View {
+		buf = appendRankSlot(buf, r.Rank(m.View[j].Time))
 	}
+	return appendInfoRanks(buf, m.InfoTimes, r, n)
+}
+
+// appendInfoRanks appends the n slots of an information-time vector.
+func appendInfoRanks(buf []byte, times []int, r *Ranker, n int) []byte {
 	for k := 0; k < n; k++ {
-		if t := infoAt(m.InfoTimes, AgentID(k)); t != 0 {
-			h = FoldHash(h, uint64(1+r.Rank(t)))
+		if t := infoAt(times, AgentID(k)); t != 0 {
+			buf = appendRankSlot(buf, 1+r.Rank(t))
 		} else {
-			h = FoldHash(h, 0)
+			buf = append(buf, 0)
 		}
 	}
-	return h
+	return buf
+}
+
+// FoldPacked folds packed rank slots into h eight bytes to the word,
+// and then their count: the last word is zero-padded, which the count
+// tells apart from slots that are zero.
+func FoldPacked(h [2]uint64, packed []byte) [2]uint64 {
+	h0, h1 := h[0], h[1]
+	b := packed
+	for ; len(b) >= 8; b = b[8:] {
+		h0, h1 = FoldHash(h0, h1, binary.LittleEndian.Uint64(b))
+	}
+	if len(b) > 0 {
+		var last uint64
+		for i, c := range b {
+			last |= uint64(c) << (8 * i)
+		}
+		h0, h1 = FoldHash(h0, h1, last)
+	}
+	h0, h1 = FoldHash(h0, h1, uint64(len(packed)))
+	return [2]uint64{h0, h1}
 }

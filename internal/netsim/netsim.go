@@ -214,50 +214,52 @@ func (n *Network) ForEachQueued(f func(e Edge, m mca.Message)) {
 
 // ContentHash folds the timestamp-free content of every queued message
 // — edge identity, queue position, and the per-cell digests cached at
-// send time — into one 128-bit digest. Together with FoldTimeRanks it
+// send time — into one 128-bit digest. Together with AppendTimeRanks it
 // carries exactly the queue information the reference serializer
 // encodes, at the cost of a few cached-word folds per in-flight
 // message.
+//
+// This and the two walks below sit inside every canonical key, so they
+// index the queues and hand *Message down: ranging over qcell values or
+// passing a Message by value copies 150 and 64 bytes per message.
 func (n *Network) ContentHash() [2]uint64 {
-	h := [2]uint64{0x243f6a8885a308d3, 0x13198a2e03707344}
+	h0, h1 := uint64(0x243f6a8885a308d3), uint64(0x13198a2e03707344)
 	for i, q := range n.queues {
 		if len(q) == 0 {
 			continue
 		}
-		h = mca.FoldHash(h, uint64(i)<<16|uint64(len(q)))
-		for _, c := range q {
-			h = mca.FoldHash(h, c.h[0])
-			h = mca.FoldHash(h, c.h[1])
+		h0, h1 = mca.FoldHash(h0, h1, uint64(i)<<16|uint64(len(q)))
+		for k := range q {
+			h0, h1 = mca.FoldHash(h0, h1, q[k].h[0])
+			h0, h1 = mca.FoldHash(h0, h1, q[k].h[1])
 		}
 	}
-	return h
+	return [2]uint64{h0, h1}
 }
 
 // AppendTimes appends every timestamp occurring in queued messages to
 // ts, for the explorers' dense time ranking.
 func (n *Network) AppendTimes(ts []int) []int {
 	for _, q := range n.queues {
-		for _, c := range q {
-			ts = mca.AppendMessageTimes(ts, c.msg)
+		for k := range q {
+			ts = q[k].msg.AppendTimes(ts)
 		}
 	}
 	return ts
 }
 
-// FoldTimeRanks folds the ranked timestamp slots of every queued
-// message into h, in the same deterministic order as ContentHash, for a
-// system of nAgents agents.
-func (n *Network) FoldTimeRanks(h [2]uint64, r mca.Ranker, nAgents int) [2]uint64 {
-	for i, q := range n.queues {
-		if len(q) == 0 {
-			continue
-		}
-		h = mca.FoldHash(h, uint64(i))
-		for _, c := range q {
-			h = mca.FoldMessageTimeRanks(h, c.msg, r, nAgents)
+// AppendTimeRanks appends the ranked timestamp slots of every queued
+// message, in the same deterministic order as ContentHash, for a
+// system of nAgents agents. The slots carry no edge or position marker:
+// ContentHash binds which edges hold how many messages, and the key
+// mixes both digests.
+func (n *Network) AppendTimeRanks(buf []byte, r *mca.Ranker, nAgents int) []byte {
+	for _, q := range n.queues {
+		for k := range q {
+			buf = q[k].msg.AppendTimeRanks(buf, r, nAgents)
 		}
 	}
-	return h
+	return buf
 }
 
 // Clone copies the network (used by the exhaustive explorers). Queue
