@@ -9,7 +9,6 @@ package mcaverify_test
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	mcaverify "repro"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mca"
 	"repro/internal/mcamodel"
-	"repro/internal/portfolio"
 	"repro/internal/sat"
 )
 
@@ -267,7 +265,7 @@ func benchSATOptions(b *testing.B, opts sat.Options) {
 	}
 }
 
-// ---- Case study, fault injection, cube-and-conquer ----
+// ---- Case study, fault injection ----
 
 // BenchmarkEmbedding measures end-to-end virtual network embedding.
 func BenchmarkEmbedding(b *testing.B) {
@@ -303,18 +301,6 @@ func BenchmarkDuplicateDeliveryCheck(b *testing.B) {
 			explore.Options{DuplicateDeliveries: true, MaxStates: 500000})
 		if !v.OK {
 			b.Fatalf("duplicates broke Fig.1: %v", v.Violation)
-		}
-	}
-}
-
-// BenchmarkCubeAndConquerUnsat splits a hard UNSAT instance
-// (pigeonhole) into 2^5 cubes.
-func BenchmarkCubeAndConquerUnsat(b *testing.B) {
-	f := sat.PigeonholeCNF(7)
-	for i := 0; i < b.N; i++ {
-		res := portfolio.SolveCube(f, portfolio.Options{Workers: runtime.GOMAXPROCS(0), CubeVars: 5})
-		if res.Status != sat.StatusUnsat {
-			b.Fatalf("PHP = %v", res.Status)
 		}
 	}
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -17,11 +18,11 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/mca"
 	"repro/internal/mcamodel"
-	"repro/internal/relalg"
 	"repro/internal/sat"
 )
 
@@ -219,20 +220,17 @@ func e5Encodings() error {
 		float64(mo.Translate)/float64(mn.Translate),
 		mo.Translate.Round(10*time.Microsecond), mn.Translate.Round(10*time.Microsecond))
 
-	// Parallel-vs-serial: the same consensus check on the optimized
-	// encoding, solved sequentially, by the solver portfolio, and by
-	// cube-and-conquer. All three must agree on the verdict.
+	// Portfolio-vs-serial: the same consensus check on the optimized
+	// encoding, solved sequentially and by the solver portfolio. Both
+	// must agree on the verdict.
 	workers := runtime.GOMAXPROCS(0)
 	serial := mcamodel.CheckConsensus(o, sat.Options{})
-	pf := mcamodel.CheckConsensusParallel(o, sat.Options{}, relalg.ParallelOptions{Workers: workers})
-	cc := mcamodel.CheckConsensusParallel(o, sat.Options{}, relalg.ParallelOptions{Workers: workers, CubeVars: 4})
+	pf := engine.SAT{Workers: workers}.Verify(context.Background(), engine.Scenario{Name: o.Name, Model: o})
 	fmt.Printf("consensus check, optimized encoding (workers=%d):\n", workers)
 	fmt.Printf("  %-22s solve=%8s %s\n", "serial", serial.Solve.Round(time.Millisecond), serial.CheckStatus)
-	fmt.Printf("  %-22s solve=%8s %s\n", "portfolio", pf.Solve.Round(time.Millisecond), pf.CheckStatus)
-	fmt.Printf("  %-22s solve=%8s %s\n", "cube-and-conquer (2^4)", cc.Solve.Round(time.Millisecond), cc.CheckStatus)
-	if pf.CheckStatus != serial.CheckStatus || cc.CheckStatus != serial.CheckStatus {
-		return fmt.Errorf("parallel backends disagree with serial: serial=%v portfolio=%v cube=%v",
-			serial.CheckStatus, pf.CheckStatus, cc.CheckStatus)
+	fmt.Printf("  %-22s solve=%8s %s\n", "portfolio", pf.Stats.SolveTime.Round(time.Millisecond), pf.SATStatus)
+	if pf.SATStatus != serial.CheckStatus {
+		return fmt.Errorf("portfolio disagrees with serial: serial=%v portfolio=%v", serial.CheckStatus, pf.SATStatus)
 	}
 	return nil
 }

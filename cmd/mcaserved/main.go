@@ -61,17 +61,18 @@
 // in-flight cap and the worker's own slot admission still bound it.
 //
 // Engine selection is per request via query parameters:
-// ?engine=auto|explicit|simulation|sat (default auto), &cube=K (SAT
-// cube-and-conquer), &runs=N and &seed=S (simulation), and &timeout=30s
-// within the server's -maxtimeout. &workers=N means per-engine
-// parallelism on /verify (frontier shards, portfolio members) and the
-// scenario pool size on /sweep and /generate (per-scenario engines stay
-// serial there, so sweep cache keys are independent of pool size).
-// /generate instead takes &seed=S, &n=N (scenarios to generate) and
-// &engines=a,b,c (an oracle panel, default explicit,simulation,sat),
-// plus &coverage=1 and &rounds=R for the coverage-guided loop (the n
-// budget splits evenly across rounds; worker count never changes the
-// corpus).
+// ?engine=auto|explicit|simulation|sat (default auto), &runs=N and
+// &seed=S (simulation), and &timeout=30s within the server's
+// -maxtimeout. &workers=N means per-engine parallelism on /verify
+// (frontier shards, portfolio members) and the scenario pool size on
+// /sweep and /generate (per-scenario engines stay serial there, so
+// sweep cache keys are independent of pool size). /generate instead
+// takes &seed=S, &n=N (scenarios to generate) and &engines=a,b,c (an
+// oracle panel, default explicit,simulation,sat), plus &coverage=1 and
+// &rounds=R for the coverage-guided loop (the n budget splits evenly
+// across rounds; worker count never changes the corpus). A query
+// parameter the endpoint does not read — a typo like ?worker=2, or a
+// retired one — is a 400 naming it, never a silently ignored option.
 // Shutdown is graceful:
 // SIGINT/SIGTERM stops accepting connections and lets in-flight
 // verifications finish (their contexts are cancelled after the
@@ -106,6 +107,8 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -403,22 +406,39 @@ func intParam(q url.Values, name string) (int, error) {
 	return n, nil
 }
 
+// onlyParams rejects the first query parameter, in name order, that is
+// not one of read — the parameters the handler actually reads.
+func onlyParams(q url.Values, read ...string) error {
+	names := make([]string, 0, len(q))
+	for name := range q {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if !slices.Contains(read, name) {
+			return fmt.Errorf("unknown query parameter %q (this request reads %s)", name, strings.Join(read, ", "))
+		}
+	}
+	return nil
+}
+
 // engineFromQuery builds the engine the request asked for. engineWorkers
 // is the per-engine parallelism (frontier shards, portfolio members):
 // /verify takes it from ?workers=, while /sweep pins it to 0 because
-// there ?workers= sizes the scenario pool instead. A parameter that does
-// not belong to the chosen engine is an error, by the same check a
-// fleet work unit's engine spec goes through.
+// there ?workers= sizes the scenario pool instead. Both endpoints read
+// the same parameters, so the check for a stray one is made here. A
+// parameter that does not belong to the chosen engine is an error, by
+// the same check a fleet work unit's engine spec goes through.
 func engineFromQuery(r *http.Request, engineWorkers int) (engine.Engine, error) {
 	q := r.URL.Query()
+	if err := onlyParams(q, "engine", "workers", "runs", "seed", "timeout"); err != nil {
+		return nil, err
+	}
 	spec := engine.EngineSpec{Kind: q.Get("engine"), Workers: engineWorkers}
 	if spec.Kind == "" {
 		spec.Kind = "auto"
 	}
 	var err error
-	if spec.Cube, err = intParam(q, "cube"); err != nil {
-		return nil, err
-	}
 	if spec.Runs, err = intParam(q, "runs"); err != nil {
 		return nil, err
 	}
@@ -480,6 +500,10 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	if r.URL.Query().Get("checkpoint") != "" {
+		if err := onlyParams(r.URL.Query(), "checkpoint", "engine", "workers", "timeout"); err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
 		if kind := r.URL.Query().Get("engine"); kind != "" && kind != "auto" && kind != "explicit" {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("?checkpoint=1 requires the explicit engine, not %q", kind))
 			return
@@ -535,6 +559,10 @@ func (s *server) handleResume(w http.ResponseWriter, r *http.Request, body []byt
 	}
 	// Query parameters are checked before the single-use token is spent.
 	q := r.URL.Query()
+	if err := onlyParams(q, "workers", "timeout"); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	workers, err := intParam(q, "workers")
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -781,6 +809,10 @@ func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	q := r.URL.Query()
+	if err := onlyParams(q, "seed", "n", "engines", "workers", "coverage", "rounds", "timeout"); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	var seed int64 = 1
 	if v := q.Get("seed"); v != "" {
 		seed, err = strconv.ParseInt(v, 10, 64)

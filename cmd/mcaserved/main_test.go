@@ -276,8 +276,9 @@ func TestMalformedScenariosAre400s(t *testing.T) {
 
 // TestEngineFromQueryChecksKindAndFields: a parameter that does not
 // belong to the chosen engine is an error, exactly as on the fleet wire
-// (both go through engine.EngineSpec.Engine), and every path the
-// benchmark and the docs use stays valid.
+// (both go through engine.EngineSpec.Engine), a parameter no endpoint
+// reads is an error too (a typo, or the retired cube), and every path
+// the benchmark and the docs use stays valid.
 func TestEngineFromQueryChecksKindAndFields(t *testing.T) {
 	for _, tc := range []struct {
 		query   string
@@ -289,7 +290,8 @@ func TestEngineFromQueryChecksKindAndFields(t *testing.T) {
 		{"engine=explicit", 0, engine.Explicit{}},
 		{"engine=explicit&workers=2", 2, engine.Explicit{Workers: 2}},
 		{"engine=sat", 0, engine.SAT{}},
-		{"engine=sat&workers=2&cube=3", 2, engine.SAT{Workers: 2, CubeVars: 3}},
+		{"engine=sat&workers=2", 2, engine.SAT{Workers: 2}},
+		{"engine=sat&timeout=30s", 0, engine.SAT{}},
 		{"engine=simulation&runs=8&seed=-5", 0, engine.Simulation{Runs: 8, Seed: -5}},
 		{"engine=simulation&workers=4", 0, engine.Simulation{}}, // /sweep: workers sizes the pool
 		{"engine=explicit&cube=3", 0, nil},
@@ -303,6 +305,10 @@ func TestEngineFromQueryChecksKindAndFields(t *testing.T) {
 		{"engine=quantum", 0, nil},
 		{"engine=sat&cube=many", 0, nil},
 		{"engine=simulation&seed=soon", 0, nil},
+		{"engine=sat&cube=3", 0, nil},
+		{"engine=sat&workers=2&cube=3", 2, nil},
+		{"engine=sat&worker=2", 0, nil},
+		{"cube=3", 0, nil},
 	} {
 		r := httptest.NewRequest(http.MethodPost, "/verify?"+tc.query, nil)
 		got, err := engineFromQuery(r, tc.workers)
@@ -316,12 +322,24 @@ func TestEngineFromQueryChecksKindAndFields(t *testing.T) {
 			t.Errorf("%q (workers %d): got %#v, %v; want %#v", tc.query, tc.workers, got, err, tc.want)
 		}
 	}
-	// Over the socket the rejection is a 400.
+	// Over the socket the rejection is a 400 that names the stray
+	// parameter, on every endpoint and on both /verify side paths.
 	srv, _ := testServer(t)
-	resp := postJSON(t, srv.URL+"/verify?engine=explicit&cube=3", scenarioDoc)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("engine=explicit&cube=3: status %d, want 400", resp.StatusCode)
+	for _, tc := range []struct{ path, body, stray string }{
+		{"/verify?engine=explicit&cube=3", scenarioDoc, "cube"},
+		{"/verify?engine=sat&worker=2", scenarioDoc, "worker"},
+		{"/verify?checkpoint=1&runs=3", scenarioDoc, "runs"},
+		{"/verify?engine=sat", `{"resume":"deadbeef"}`, "engine"},
+		{"/sweep?cube=3", `{"version":1,"name":"sw","base":{}}`, "cube"},
+		{"/generate?n=2&worker=2", "", "worker"},
+	} {
+		resp := postJSON(t, srv.URL+tc.path, tc.body)
+		var reply struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(reply.Error, `"`+tc.stray+`"`) {
+			t.Errorf("%s: status %d %q, want a 400 naming %q", tc.path, resp.StatusCode, reply.Error, tc.stray)
+		}
 	}
 }
 

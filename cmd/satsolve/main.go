@@ -3,13 +3,12 @@
 //
 // Usage:
 //
-//	satsolve [-stats] [-maxconflicts N] [-workers N] [-cube K] [-timeout D] file.cnf
+//	satsolve [-stats] [-maxconflicts N] [-workers N] [-timeout D] file.cnf
 //	cat file.cnf | satsolve
 //
-// -workers races a portfolio of N diversified solvers; -cube splits the
-// formula into 2^K cubes solved concurrently (cube-and-conquer);
-// -timeout aborts the search after a wall-clock deadline through the
-// engine layer's cooperative cancellation (exit "s UNKNOWN"). Output
+// -workers races a portfolio of N diversified solvers; -timeout aborts
+// the search after a wall-clock deadline through the engine layer's
+// cooperative cancellation (exit "s UNKNOWN"). Output
 // follows the SAT-competition convention: an "s" status line and, for
 // satisfiable instances, a "v" model line.
 //
@@ -41,15 +40,14 @@ func run(args []string, stdin io.Reader, stdout io.Writer) int {
 	fs := flag.NewFlagSet("satsolve", flag.ContinueOnError)
 	stats := fs.Bool("stats", false, "print solver statistics")
 	maxConflicts := fs.Int64("maxconflicts", 0, "conflict budget (0 = unlimited)")
-	workers := fs.Int("workers", 1, "parallel solvers: >1 races a portfolio, 0 means one per core; with -cube, sizes the cube worker pool")
-	cube := fs.Int("cube", 0, "cube-and-conquer on 2^K cubes (0 = off); workers default to one per core")
+	workers := fs.Int("workers", 1, "parallel solvers: >1 races a portfolio, 0 means one per core")
 	timeout := fs.Duration("timeout", 0, "wall-clock deadline for the search (0 = none)")
 	incremental := fs.Bool("incremental", false, "solve each 'a <lits> 0' assumption line in turn on one persistent solver")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *incremental && (*workers != 1 || *cube > 0) {
-		fmt.Fprintln(os.Stderr, "satsolve: -incremental is serial; drop -workers/-cube")
+	if *incremental && *workers != 1 {
+		fmt.Fprintln(os.Stderr, "satsolve: -incremental is serial; drop -workers")
 		return 2
 	}
 
@@ -86,20 +84,15 @@ func run(args []string, stdin io.Reader, stdout io.Writer) int {
 	var status sat.Status
 	var model []bool
 	var st sat.Stats
-	if *workers != 1 || *cube > 0 {
+	if *workers != 1 {
 		pw := *workers
-		if pw == 0 || (*cube > 0 && pw == 1) {
+		if pw == 0 {
 			pw = runtime.GOMAXPROCS(0) // default: one worker per core
 		}
-		res := portfolio.Solve(cnf, portfolio.Options{Workers: pw, CubeVars: *cube, Base: opts, Cancel: cancelled})
+		res := portfolio.SolvePortfolio(cnf, portfolio.Options{Workers: pw, Base: opts, Cancel: cancelled})
 		status, model, st = res.Status, res.Model, res.Stats
 		if *stats {
-			if *cube > 0 {
-				fmt.Fprintf(stdout, "c cube-and-conquer cubes=%d unsat-cubes=%d workers=%d\n",
-					res.Cubes, res.UnsatCubes, pw)
-			} else {
-				fmt.Fprintf(stdout, "c portfolio workers=%d winner=%d\n", pw, res.Winner)
-			}
+			fmt.Fprintf(stdout, "c portfolio workers=%d winner=%d\n", pw, res.Winner)
 		}
 	} else {
 		solver := sat.NewSolverWithOptions(opts)

@@ -78,22 +78,6 @@ func TestRunPortfolioWorkers(t *testing.T) {
 	}
 }
 
-func TestRunCubeUnsat(t *testing.T) {
-	in := strings.NewReader("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
-	var out bytes.Buffer
-	code := run([]string{"-stats", "-cube", "2", "-workers", "2"}, in, &out)
-	if code != 20 {
-		t.Fatalf("exit code = %d, want 20\n%s", code, out.String())
-	}
-	s := out.String()
-	if !strings.Contains(s, "s UNSATISFIABLE") {
-		t.Fatalf("missing unsat line:\n%s", s)
-	}
-	if !strings.Contains(s, "c cube-and-conquer cubes=4 unsat-cubes=4") {
-		t.Fatalf("cube stats missing:\n%s", s)
-	}
-}
-
 // TestRunTimeout: a pigeonhole instance far beyond the 1ns deadline
 // must come back UNKNOWN through the cooperative cancellation, for both
 // the serial and the portfolio paths.

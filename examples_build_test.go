@@ -118,9 +118,6 @@ var testSeams = map[string]string{
 	"fleet.CoordinatorOptions.RetryBackoff":    "retry tests back off for milliseconds, the overflow test for an hour",
 	"fleet.CoordinatorOptions.HealthThreshold": "breaker tests open the breaker on the first failure",
 	"fleet.CoordinatorOptions.BreakerCooldown": "breaker tests re-probe within the test's lifetime",
-	"sat.Options.DisableLBD":                   "the solver property tests run with and without LBD tiers",
-	"sat.Options.CoreLBD":                      "the solver property tests move the core tier to both extremes",
-	"sat.Options.GCFrac":                       "arena tests force a compaction on a small formula",
 }
 
 // TestOptionsAreSet pins the options count: every exported field of

@@ -481,7 +481,7 @@ func TestCacheKey(t *testing.T) {
 	// An engine that only decides where another runs (Unwrap) is
 	// addressed as that engine, however deep the wrapping: the fleet's
 	// remote executor must not move a content address.
-	for _, e := range []Engine{Auto{}, Explicit{Workers: 2}, SAT{CubeVars: 2}, Simulation{Runs: 4, Seed: 1}} {
+	for _, e := range []Engine{Auto{}, Explicit{Workers: 2}, SAT{Workers: 2}, Simulation{Runs: 4, Seed: 1}} {
 		want, err := CacheKey(&base, e)
 		if err != nil {
 			t.Fatal(err)

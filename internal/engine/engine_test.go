@@ -152,8 +152,8 @@ func satFixtures(t *testing.T) []*mcamodel.Encoding {
 }
 
 // TestSATEngineMatchesLegacyCheck pins the SAT adapter to the
-// pre-refactor relalg.Check path on both encodings, and the parallel
-// modes to the serial answer.
+// pre-refactor relalg.Check path on both encodings, and the portfolio
+// to the serial answer.
 func TestSATEngineMatchesLegacyCheck(t *testing.T) {
 	for _, e := range satFixtures(t) {
 		e := e
@@ -167,7 +167,7 @@ func TestSATEngineMatchesLegacyCheck(t *testing.T) {
 			if got.Stats.Clauses != want.Stats.Clauses || got.Stats.PrimaryVars != want.Stats.PrimaryVars {
 				t.Fatalf("translation stats diverged: %+v vs %+v", got.Stats, want.Stats)
 			}
-			for _, eng := range []engine.Engine{engine.SAT{Workers: 3}, engine.SAT{Workers: 2, CubeVars: 3}} {
+			for _, eng := range []engine.Engine{engine.SAT{Workers: 3}, engine.SAT{Workers: -1}} {
 				pr := eng.Verify(context.Background(), engine.Scenario{Name: e.Name, Model: e})
 				if pr.SATStatus != want.Status {
 					t.Fatalf("%s: engine %v, legacy %v", eng.Name(), pr.SATStatus, want.Status)
@@ -186,10 +186,6 @@ func TestLegacyCheckConsensusRoutesThroughEngine(t *testing.T) {
 		if m.CheckStatus != want.Status || m.Clauses != want.Stats.Clauses {
 			t.Fatalf("%s: wrapper %v/%d, legacy %v/%d",
 				e.Name, m.CheckStatus, m.Clauses, want.Status, want.Stats.Clauses)
-		}
-		mp := mcamodel.CheckConsensusParallel(e, sat.Options{}, relalg.ParallelOptions{Workers: 2})
-		if mp.CheckStatus != want.Status {
-			t.Fatalf("%s: parallel wrapper %v, legacy %v", e.Name, mp.CheckStatus, want.Status)
 		}
 	}
 }

@@ -161,3 +161,20 @@ func TestAssertStateScenarioRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// satScenarioKey is the content address of assertStateSweep's first
+// scenario (the naive encoding, assert_state=0) under Auto{}, which
+// resolves to SAT{}. Like sweepDocKeys (sweepdiff_test.go), it moves
+// only on purpose: a field added to or removed from engine.SAT, or a
+// change to the mca-model codec, changes it, and a persistent cache
+// filled by an older build then misses every SAT entry.
+const satScenarioKey = "e1eefd6bb41ef602541fb8aaf98143aa0f3881756c6fbc4be759212c60a64c0a"
+
+func TestSATContentAddressIsGolden(t *testing.T) {
+	s := assertStateSweep(t)[0]
+	for _, e := range []engine.Engine{engine.Auto{}, engine.SAT{}} {
+		if key, err := engine.CacheKey(&s, e); err != nil || key != satScenarioKey {
+			t.Errorf("%s: CacheKey %s (%v), want %s", e.Name(), key, err, satScenarioKey)
+		}
+	}
+}

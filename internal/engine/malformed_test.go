@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/netsim"
 )
 
 // malformedDoc is one row of testdata/malformed.json: the sample
@@ -52,8 +53,9 @@ func malformedDocs(t testing.TB) (valid string, rows map[string]malformedDoc) {
 // DecodeSweep naming the first cell. On the parent every one decoded:
 // graph-nodes-4 then "verified" on a graph with a node no agent sits on,
 // the next five panicked inside an engine — on a shard goroutine at
-// workers=2, ending the process — and the last two made the exact
-// engine answer violated (bound-exceeded) at states=1.
+// workers=2, ending the process — the next two made the exact engine
+// answer violated (bound-exceeded) at states=1, and the four fault rows
+// carried tick counts the simulator's clock arithmetic overflows.
 func TestMalformedScenariosAreDecodeErrors(t *testing.T) {
 	valid, rows := malformedDocs(t)
 	if _, err := DecodeScenario([]byte(valid)); err != nil {
@@ -72,6 +74,28 @@ func TestMalformedScenariosAreDecodeErrors(t *testing.T) {
 				t.Fatalf("DecodeSweep error = %v, want the first cell and the rule %q", err, row.Rule)
 			}
 		})
+	}
+}
+
+// TestFaultTicksAtTheCeilingAreWellFormed: the fault rows of
+// malformed.json sit past MaxFaultTicks; the ceiling itself is allowed.
+func TestFaultTicksAtTheCeilingAreWellFormed(t *testing.T) {
+	valid, _ := malformedDocs(t)
+	s, err := DecodeScenario([]byte(valid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Faults = netsim.Faults{
+		Delay: MaxFaultTicks, Reorder: MaxFaultTicks,
+		DelayEdge:  map[netsim.Edge]int{{From: 0, To: 1}: MaxFaultTicks},
+		Partitions: [][]int{{0}, {1, 2}}, HealAfter: MaxFaultTicks,
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("faults at the ceiling: %v", err)
+	}
+	s.Faults.Delay++
+	if err := s.Validate(); err == nil {
+		t.Fatal("delay one past the ceiling validated")
 	}
 }
 

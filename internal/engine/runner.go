@@ -28,9 +28,10 @@ type RunnerOptions struct {
 	// IncrementalSAT shares one SAT session pool across the batch: SAT
 	// scenarios whose models implement IncrementalRelationalModel and
 	// share a base (same encoding and scope, differing only in their
-	// assertion variant) reuse one persistent translation and solver,
-	// keeping learnt clauses warm across the sweep grid. Verdicts are
-	// unchanged; only the effort per variant shrinks.
+	// assertion variant) reuse one persistent translation and sequential
+	// solver, keeping learnt clauses warm across the sweep grid. A
+	// portfolio SAT engine solves each scenario one-shot regardless.
+	// Verdicts are unchanged; only the effort per variant shrinks.
 	IncrementalSAT bool
 }
 

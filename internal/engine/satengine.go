@@ -12,22 +12,20 @@ import (
 
 // SAT is the relational/SAT backend adapter: it translates the
 // scenario's bounded relational model to CNF (axioms ∧ ¬assertion, the
-// Alloy "check" form) and decides it serially, with a diversified
-// solver portfolio, or with cube-and-conquer.
+// Alloy "check" form) and decides it with one sequential solver or
+// with a race of diversified solvers.
 type SAT struct {
 	// Workers selects the solving strategy: 0 runs one sequential
 	// solver; any other value races a portfolio of that many members
 	// (negative means one per CPU).
 	Workers int
-	// CubeVars switches the parallel path to cube-and-conquer on
-	// 2^CubeVars cubes; it implies the parallel path even when Workers
-	// is unset.
-	CubeVars int
-	// Sessions, when non-nil, turns on incremental sweep solving for
-	// models implementing IncrementalRelationalModel (cube mode excepted
-	// — cube splitting is per-solve): variants sharing a base key reuse
-	// one persistent translation and solver, keeping learnt clauses,
-	// activities, and phases warm across the sweep. Sessions is a
+	// Sessions, when non-nil, turns on incremental sweep solving on the
+	// sequential solver for models implementing
+	// IncrementalRelationalModel: variants sharing a base key reuse one
+	// persistent translation and solver, keeping learnt clauses,
+	// activities, and phases warm across the sweep. A portfolio engine
+	// (Workers ≠ 0) ignores it and solves each scenario one-shot, with
+	// fresh members, so no clause crosses between solvers. Sessions is a
 	// runtime handle, never serialized: engine specs omit it and
 	// CacheKey normalizes it away, so incremental and one-shot runs of
 	// the same scenario share one content address — which is sound
@@ -37,9 +35,9 @@ type SAT struct {
 }
 
 // SessionPool holds the live incremental sessions of a sweep, keyed by
-// the model's base key plus the solver and engine configuration (two
-// scenarios share a solver only when nothing that could change the
-// search differs). Safe for concurrent use by Runner workers; each
+// the model's base key plus the solver configuration (two scenarios
+// share a solver only when nothing that could change the search
+// differs). Safe for concurrent use by Runner workers; each
 // session serializes its own solves.
 type SessionPool struct {
 	mu       sync.Mutex
@@ -51,8 +49,8 @@ func NewSessionPool() *SessionPool {
 	return &SessionPool{sessions: map[string]*satSession{}}
 }
 
-// satSession is one persistent translation + solver, seeded by the
-// first scenario of its base family.
+// satSession is one persistent translation + serial solver, seeded by
+// the first scenario of its base family.
 type satSession struct {
 	mu   sync.Mutex
 	inc  *relalg.Incremental
@@ -80,9 +78,7 @@ func (p *SessionPool) Len() int {
 // Name identifies the adapter.
 func (e SAT) Name() string {
 	switch {
-	case e.CubeVars > 0:
-		return fmt.Sprintf("sat-cube(2^%d)", e.CubeVars)
-	case e.serial():
+	case e.Workers == 0:
 		return "sat"
 	case e.Workers < 0:
 		return "sat-portfolio"
@@ -90,8 +86,6 @@ func (e SAT) Name() string {
 		return fmt.Sprintf("sat-portfolio(%d)", e.Workers)
 	}
 }
-
-func (e SAT) serial() bool { return e.Workers == 0 && e.CubeVars == 0 }
 
 // Verify decides the scenario's relational assertion within bounds. An
 // UNSAT answer verifies the assertion for every instance in scope; a
@@ -102,26 +96,19 @@ func (e SAT) Verify(ctx context.Context, s Scenario) Result {
 	if err := Applicable(e, &s); err != nil {
 		return errorResult(&s, e.Name(), err)
 	}
-	if im, ok := s.Model.(IncrementalRelationalModel); ok && e.Sessions != nil && e.CubeVars == 0 {
+	if im, ok := s.Model.(IncrementalRelationalModel); ok && e.Sessions != nil && e.Workers == 0 {
 		return e.verifyIncremental(ctx, s, im, start)
 	}
 	bounds, axioms, assertion := s.Model.RelationalProblem()
-	p := &relalg.Problem{
+	r := relalg.Solve(&relalg.Problem{
 		Bounds: bounds,
 		// Alloy's check command: a model of axioms ∧ ¬assertion is a
 		// counterexample to the assertion.
 		Formula:       relalg.And(axioms, relalg.Not(assertion)),
 		SolverOptions: s.Solver,
+		Workers:       e.Workers,
 		Cancel:        cancelHook(ctx),
-	}
-	if !e.serial() {
-		workers := e.Workers
-		if workers < 0 {
-			workers = 0 // portfolio default: one member per CPU
-		}
-		p.Parallel = &relalg.ParallelOptions{Workers: workers, CubeVars: e.CubeVars}
-	}
-	r := relalg.Solve(p)
+	})
 	return e.satResult(ctx, &s, r, start)
 }
 
@@ -132,23 +119,12 @@ func (e SAT) Verify(ctx context.Context, s Scenario) Result {
 // literal, inheriting every learnt clause of the sweep so far.
 func (e SAT) verifyIncremental(ctx context.Context, s Scenario, im IncrementalRelationalModel, start time.Time) Result {
 	baseKey, variantKey := im.IncrementalKeys()
-	sess := e.Sessions.get(fmt.Sprintf("%s|solver=%+v|workers=%d", baseKey, s.Solver, e.Workers))
+	sess := e.Sessions.get(fmt.Sprintf("%s|solver=%+v", baseKey, s.Solver))
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.inc == nil {
 		bounds, axioms, _ := im.RelationalProblem()
-		var par *relalg.ParallelOptions
-		if !e.serial() {
-			workers := e.Workers
-			if workers < 0 {
-				workers = 0 // portfolio default: one member per CPU
-			}
-			par = &relalg.ParallelOptions{Workers: workers}
-		}
-		sess.inc = relalg.NewIncremental(bounds, axioms, relalg.IncrementalOptions{
-			Solver:   s.Solver,
-			Parallel: par,
-		})
+		sess.inc = relalg.NewIncremental(bounds, axioms, s.Solver)
 		sess.seed = im
 	}
 	// Rebuild the variant's assertion over the SEED model's relations:

@@ -25,8 +25,6 @@ type EngineSpec struct {
 	Kind    string `json:"kind"`
 	// Workers: Auto/Explicit/SAT parallelism (shards, portfolio members).
 	Workers int `json:"workers,omitempty"`
-	// Cube: SAT cube-and-conquer split variables.
-	Cube int `json:"cube,omitempty"`
 	// Runs, Seed, MaxDeliveries, BudgetFactor: Simulation sampling.
 	Runs          int   `json:"runs,omitempty"`
 	Seed          int64 `json:"seed,omitempty"`
@@ -59,7 +57,6 @@ func EncodeEngineSpec(e Engine) ([]byte, error) {
 	case SAT:
 		w.Kind = "sat"
 		w.Workers = v.Workers
-		w.Cube = v.CubeVars
 	default:
 		return nil, fmt.Errorf("engine: spec: %T is not a serializable engine", e)
 	}
@@ -89,25 +86,25 @@ func (w EngineSpec) Engine() (Engine, error) {
 	simOnly := w.Runs != 0 || w.Seed != 0 || w.MaxDeliveries != 0 || w.BudgetFactor != 0
 	switch w.Kind {
 	case "auto":
-		if w.Cube != 0 || simOnly {
+		if simOnly {
 			return nil, fmt.Errorf("engine: spec: auto takes only workers")
 		}
 		return Auto{Workers: w.Workers}, nil
 	case "explicit":
-		if w.Cube != 0 || simOnly {
+		if simOnly {
 			return nil, fmt.Errorf("engine: spec: explicit takes only workers")
 		}
 		return Explicit{Workers: w.Workers}, nil
 	case "simulation":
-		if w.Workers != 0 || w.Cube != 0 {
-			return nil, fmt.Errorf("engine: spec: simulation takes no workers or cube")
+		if w.Workers != 0 {
+			return nil, fmt.Errorf("engine: spec: simulation takes no workers")
 		}
 		return Simulation{Runs: w.Runs, Seed: w.Seed, MaxDeliveries: w.MaxDeliveries, BudgetFactor: w.BudgetFactor}, nil
 	case "sat":
 		if simOnly {
-			return nil, fmt.Errorf("engine: spec: sat takes only workers and cube")
+			return nil, fmt.Errorf("engine: spec: sat takes only workers")
 		}
-		return SAT{Workers: w.Workers, CubeVars: w.Cube}, nil
+		return SAT{Workers: w.Workers}, nil
 	default:
 		return nil, fmt.Errorf("engine: spec: unknown kind %q (want auto|explicit|simulation|sat)", w.Kind)
 	}

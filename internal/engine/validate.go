@@ -19,6 +19,11 @@ const (
 	MaxItems = 1 << 16
 	// MaxBudgetFactor bounds Simulation.BudgetFactor.
 	MaxBudgetFactor = 1 << 20
+	// MaxFaultTicks bounds the fault fields counted in delivery ticks —
+	// delay, delay_edge, reorder and heal_after. The simulator adds a
+	// delay to its clock and widens the reorder window by one; near
+	// MaxInt either would wrap and leave the fault silently inert.
+	MaxFaultTicks = 1 << 30
 )
 
 // Validate reports the first well-formedness rule the scenario breaks,
@@ -82,19 +87,23 @@ func (s *Scenario) validateSections(name string) error {
 		}
 	}
 
-	// Faults: an out-of-range probability or delay would be silently
-	// inert at run time, letting a typo turn a lossy scenario into a
-	// reliable one.
+	// Faults: an out-of-range probability or tick count would be
+	// silently inert at run time, letting a typo turn a lossy scenario
+	// into a reliable one.
 	f := &s.Faults
 	switch {
 	case f.Drop < 0 || f.Drop > 1:
 		return illFormed(name, " faults: drop probability %v outside [0,1]", f.Drop)
-	case f.Delay < 0 || f.HealAfter < 0:
-		return illFormed(name, " faults: negative delay %d or heal_after %d", f.Delay, f.HealAfter)
 	case f.Duplicate < 0 || f.Duplicate > 1:
 		return illFormed(name, " faults: duplicate probability %v outside [0,1]", f.Duplicate)
-	case f.Reorder < 0:
-		return illFormed(name, " faults: negative reorder window %d", f.Reorder)
+	}
+	for _, c := range []struct {
+		field string
+		value int
+	}{{"delay", f.Delay}, {"reorder", f.Reorder}, {"heal_after", f.HealAfter}} {
+		if c.value < 0 || c.value > MaxFaultTicks {
+			return illFormed(name, " faults: %s %d outside [0,%d]", c.field, c.value, MaxFaultTicks)
+		}
 	}
 	for e, p := range f.DropEdge {
 		if p < 0 || p > 1 {
@@ -102,8 +111,8 @@ func (s *Scenario) validateSections(name string) error {
 		}
 	}
 	for e, d := range f.DelayEdge {
-		if d < 0 {
-			return illFormed(name, " faults: delay_edge {%d,%d} negative delay %d", e.From, e.To, d)
+		if d < 0 || d > MaxFaultTicks {
+			return illFormed(name, " faults: delay_edge {%d,%d} delay %d outside [0,%d]", e.From, e.To, d, MaxFaultTicks)
 		}
 	}
 	return nil

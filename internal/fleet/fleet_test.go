@@ -436,6 +436,51 @@ func TestWorkUnitCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeWorkUnit: a work unit is what a fleet worker reads off the
+// network. It either fails to decode, or its re-encoding decodes to the
+// same index, engine and scenario; it never panics.
+func FuzzDecodeWorkUnit(f *testing.F) {
+	s := fleetScenarios()[0]
+	for i, eng := range []engine.Engine{
+		engine.Auto{}, engine.Explicit{Workers: 2}, engine.Simulation{Runs: 4, Seed: 9},
+		engine.SAT{}, engine.SAT{Workers: -1},
+	} {
+		data, err := fleet.EncodeWorkUnit(i, eng, &s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, spec := range []string{
+		`{"version":1,"kind":"sat","cube":3}`, // the retired cube-and-conquer field
+		`{"version":1,"kind":"simulation","workers":2}`,
+		`{"version":9,"kind":"auto"}`,
+	} {
+		f.Add([]byte(`{"version":1,"index":0,"engine":` + spec + `,"scenario":{"version":1}}`))
+	}
+	f.Add([]byte(`{"version":1,"index":-2,"engine":{"version":1,"kind":"auto"},"scenario":{"version":1}}`))
+	f.Add([]byte(`{"version":9,"index":0,"engine":{},"scenario":{}}`))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		index, eng, s, err := fleet.DecodeWorkUnit(doc)
+		if err != nil {
+			return
+		}
+		data, err := fleet.EncodeWorkUnit(index, eng, &s)
+		if err != nil {
+			t.Fatalf("decoded unit does not encode: %v", err)
+		}
+		index2, eng2, s2, err := fleet.DecodeWorkUnit(data)
+		if err != nil || index2 != index || eng2 != eng {
+			t.Fatalf("re-encoding %s decodes to %d %#v (%v), want %d %#v", data, index2, eng2, err, index, eng)
+		}
+		want, _ := engine.EncodeScenario(&s)
+		got, _ := engine.EncodeScenario(&s2)
+		if string(got) != string(want) {
+			t.Fatalf("scenario moved across the round trip:\n got %s\nwant %s", got, want)
+		}
+	})
+}
+
 // TestCoordinatorHealth probes a live and a dead worker.
 func TestCoordinatorHealth(t *testing.T) {
 	urls := startWorkers(t, 1, func(int) *fleet.Worker {

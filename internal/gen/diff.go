@@ -342,7 +342,7 @@ func SummarizeDiff(results []DiffResult) DiffSummary {
 // ParseEngines turns a comma-separated engine list — the -engines flag
 // of cmd/mcafuzz and the ?engines= parameter of POST /generate — into
 // adapters. Tokens: auto, explicit, explicit-parallel, simulation, sat,
-// sat-portfolio, sat-cube. "simulation" carries the oracle's generous
+// sat-portfolio. "simulation" carries the oracle's generous
 // delivery budget (BudgetFactor 64), so a sampled non-convergence
 // verdict in a fuzzing run is a real schedule, not a budget artifact.
 func ParseEngines(spec string) ([]engine.Engine, error) {
@@ -363,10 +363,8 @@ func ParseEngines(spec string) ([]engine.Engine, error) {
 			out = append(out, engine.SAT{})
 		case "sat-portfolio":
 			out = append(out, engine.SAT{Workers: -1})
-		case "sat-cube":
-			out = append(out, engine.SAT{CubeVars: 3})
 		default:
-			return nil, fmt.Errorf("gen: unknown engine %q (want auto|explicit|explicit-parallel|simulation|sat|sat-portfolio|sat-cube)", strings.TrimSpace(tok))
+			return nil, fmt.Errorf("gen: unknown engine %q (want auto|explicit|explicit-parallel|simulation|sat|sat-portfolio)", strings.TrimSpace(tok))
 		}
 	}
 	if len(out) == 0 {

@@ -224,8 +224,10 @@ func TestParseEngines(t *testing.T) {
 	if engines[2].Name() != "sat-portfolio" {
 		t.Fatalf("unexpected engine %q", engines[2].Name())
 	}
-	if _, err := ParseEngines("warp-drive"); err == nil {
-		t.Fatal("unknown engine accepted")
+	for _, tok := range []string{"warp-drive", "sat-cube"} {
+		if _, err := ParseEngines(tok); err == nil {
+			t.Fatalf("unknown engine %q accepted", tok)
+		}
 	}
 	if _, err := ParseEngines(""); err == nil {
 		t.Fatal("empty list accepted")

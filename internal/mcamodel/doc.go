@@ -27,6 +27,6 @@
 // efficiency experiment. Importing this package also registers the
 // "mca-model" codec with the engine layer, making SAT scenarios
 // serializable as JSON. Checks route through the engine layer
-// (CheckConsensus, CheckConsensusParallel); building and measuring are
-// deterministic in the Scope.
+// (CheckConsensus; a portfolio check is engine.SAT{Workers: n} on the
+// Encoding); building and measuring are deterministic in the Scope.
 package mcamodel

@@ -55,18 +55,6 @@ func CheckConsensus(e *Encoding, opts sat.Options) Measurement {
 	return checkVia(e, opts, engine.SAT{})
 }
 
-// CheckConsensusParallel is CheckConsensus on the parallel SAT backend:
-// the same translation, solved by a solver portfolio or — with
-// par.CubeVars > 0 — cube-and-conquer. The E5 experiment runs it next
-// to the serial check to report the parallel-vs-serial comparison.
-func CheckConsensusParallel(e *Encoding, opts sat.Options, par relalg.ParallelOptions) Measurement {
-	workers := par.Workers
-	if workers == 0 {
-		workers = -1 // parallel default: one member per CPU
-	}
-	return checkVia(e, opts, engine.SAT{Workers: workers, CubeVars: par.CubeVars})
-}
-
 // checkVia routes a consensus check through an engine adapter and
 // repackages the unified Result as the legacy Measurement row.
 func checkVia(e *Encoding, opts sat.Options, eng engine.Engine) Measurement {

@@ -3,6 +3,7 @@ package mcamodel
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/relalg"
 	"repro/internal/sat"
 )
@@ -187,8 +188,8 @@ func TestScalingSeriesShape(t *testing.T) {
 	}
 }
 
-// The parallel backends must reach the same consensus-check verdict as
-// the serial solver on both encodings.
+// The portfolio must reach the same consensus-check verdict as the
+// serial solver on both encodings.
 func TestConsensusCheckParallelAgreesWithSerial(t *testing.T) {
 	for _, build := range []func(Scope) (*Encoding, error){BuildNaive, BuildOptimized} {
 		e, err := build(tinyScope())
@@ -196,13 +197,9 @@ func TestConsensusCheckParallelAgreesWithSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		serial := CheckConsensus(e, sat.Options{})
-		portfolio := CheckConsensusParallel(e, sat.Options{}, relalg.ParallelOptions{Workers: 3})
-		cube := CheckConsensusParallel(e, sat.Options{}, relalg.ParallelOptions{Workers: 3, CubeVars: 3})
+		portfolio := checkVia(e, sat.Options{}, engine.SAT{Workers: 3})
 		if portfolio.CheckStatus != serial.CheckStatus {
 			t.Fatalf("%s: portfolio=%v serial=%v", e.Name, portfolio.CheckStatus, serial.CheckStatus)
-		}
-		if cube.CheckStatus != serial.CheckStatus {
-			t.Fatalf("%s: cube=%v serial=%v", e.Name, cube.CheckStatus, serial.CheckStatus)
 		}
 		if portfolio.Clauses != serial.Clauses {
 			t.Fatalf("%s: translation size changed under parallel solve: %d vs %d",

@@ -142,17 +142,8 @@ type AsyncConfig struct {
 // delivery tick (the channel did work; the receiver saw nothing), so a
 // lossy run terminates on the same budget as a reliable one.
 func RunAsyncWith(agents []*mca.Agent, g *graph.Graph, cfg AsyncConfig) AsyncOutcome {
-	n := New(g)
-	fr := &faultRun{net: n, faults: cfg.Faults}
-	if len(cfg.Faults.Partitions) > 0 {
-		fr.block = cfg.Faults.blockOf(g.N())
-	}
-	if cfg.Faults.Delay > 0 || len(cfg.Faults.DelayEdge) > 0 ||
-		(len(cfg.Faults.Partitions) > 0 && cfg.Faults.HealAfter > 0) {
-		// Stamp every send from the start so the delay line stays aligned
-		// with the FIFO queues (healing partitions hold messages on it).
-		fr.readyAt = make(map[Edge][]int)
-	}
+	fr := newFaultRun(g, cfg.Faults)
+	n := fr.net
 	for _, a := range agents {
 		if a.BidPhase() {
 			fr.broadcast(a)
@@ -225,6 +216,21 @@ type faultRun struct {
 	readyAt map[Edge][]int
 	// pendBuf is reused across deliverable calls (one per delivery tick).
 	pendBuf []Edge
+}
+
+// newFaultRun starts the fault bookkeeping of a run on a fresh network
+// over g, at tick 0.
+func newFaultRun(g *graph.Graph, f Faults) *faultRun {
+	fr := &faultRun{net: New(g), faults: f}
+	if len(f.Partitions) > 0 {
+		fr.block = f.blockOf(g.N())
+	}
+	if f.Delay > 0 || len(f.DelayEdge) > 0 || (len(f.Partitions) > 0 && f.HealAfter > 0) {
+		// Stamp every send from the start so the delay line stays aligned
+		// with the FIFO queues (healing partitions hold messages on it).
+		fr.readyAt = make(map[Edge][]int)
+	}
+	return fr
 }
 
 // partitioned reports whether the edge crosses an active partition cut.

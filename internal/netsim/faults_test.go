@@ -258,3 +258,34 @@ func TestDeliverAtPopsMiddleSlot(t *testing.T) {
 		t.Fatalf("queue after middle pop: %+v", got)
 	}
 }
+
+// TestDelayAtCeilingStillDelays: the largest delay, delay_edge and
+// heal_after a scenario may carry (engine.MaxFaultTicks, 2^30) hold a
+// message for the full count, even one sent after the clock has already
+// advanced that far. Near MaxInt, tick+delay wrapped negative and the
+// message was deliverable at once: a silently reliable channel.
+func TestDelayAtCeilingStillDelays(t *testing.T) {
+	const ceiling = 1 << 30
+	e := Edge{From: 0, To: 1}
+	for _, tc := range []struct {
+		name      string
+		faults    Faults
+		tick      int // when the message is sent
+		wantReady int
+	}{
+		{"delay", Faults{Delay: ceiling}, ceiling, 2 * ceiling},
+		{"delay_edge", Faults{DelayEdge: map[Edge]int{e: ceiling}}, ceiling, 2 * ceiling},
+		{"heal_after", Faults{Partitions: [][]int{{0}, {1}}, HealAfter: ceiling}, 0, ceiling},
+		{"heal_after+delay", Faults{Partitions: [][]int{{0}, {1}}, HealAfter: ceiling, Delay: ceiling}, ceiling - 1, 2*ceiling - 1},
+	} {
+		fr := newFaultRun(graph.Complete(2), tc.faults)
+		fr.tick = tc.tick
+		fr.send(mca.Message{Sender: 0, Receiver: 1})
+		if d := fr.deliverable(); len(d) != 0 {
+			t.Errorf("%s: deliverable at once: %v", tc.name, d)
+		}
+		if got := fr.minReady(); got != tc.wantReady {
+			t.Errorf("%s: ready at tick %d, want %d", tc.name, got, tc.wantReady)
+		}
+	}
+}

@@ -56,65 +56,6 @@ func TestPortfolioAgreesWithBrute(t *testing.T) {
 	}
 }
 
-// Property: cube-and-conquer agrees with the oracle for every split
-// width, short-circuits on SAT, and accounts refuted cubes on UNSAT.
-func TestCubeAgreesWithBrute(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed ^ 0xc0de))
-		vars := 5 + rng.Intn(9)
-		cnf := randomCNF(vars, vars*4, 3, seed)
-		want, _ := sat.SolveBrute(cnf)
-		for _, k := range []int{1, 2, 4} {
-			res := SolveCube(cnf, Options{Workers: 3, CubeVars: k})
-			if res.Status != want {
-				return false
-			}
-			if res.Cubes != 1<<uint(k) {
-				return false
-			}
-			switch res.Status {
-			case sat.StatusSat:
-				if res.Model == nil || !cnf.Eval(res.Model) {
-					return false
-				}
-			case sat.StatusUnsat:
-				if res.UnsatCubes != res.Cubes {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSolveDispatch(t *testing.T) {
-	cnf := randomCNF(10, 30, 3, 7)
-	want, _ := sat.SolveBrute(cnf)
-	if res := Solve(cnf, Options{Workers: 2}); res.Status != want || res.Cubes != 0 {
-		t.Fatalf("portfolio dispatch: %+v", res)
-	}
-	if res := Solve(cnf, Options{Workers: 2, CubeVars: 3}); res.Status != want || res.Cubes != 8 {
-		t.Fatalf("cube dispatch: %+v", res)
-	}
-}
-
-func TestCubeUnsatAccounting(t *testing.T) {
-	cnf := sat.PigeonholeCNF(5)
-	res := SolveCube(cnf, Options{Workers: 4, CubeVars: 3})
-	if res.Status != sat.StatusUnsat {
-		t.Fatalf("PHP(6,5) = %v, want UNSAT", res.Status)
-	}
-	if res.Cubes != 8 || res.UnsatCubes != 8 {
-		t.Fatalf("cubes = %d/%d, want 8/8", res.UnsatCubes, res.Cubes)
-	}
-	if res.Winner != -1 {
-		t.Fatalf("collective UNSAT should have no single winner, got %d", res.Winner)
-	}
-}
-
 func TestPortfolioUnsat(t *testing.T) {
 	cnf := sat.PigeonholeCNF(5)
 	res := SolvePortfolio(cnf, Options{Workers: 3})
@@ -133,9 +74,6 @@ func TestRootLevelUnsatFormula(t *testing.T) {
 	if res := SolvePortfolio(f, Options{Workers: 2}); res.Status != sat.StatusUnsat {
 		t.Fatalf("portfolio: %v", res.Status)
 	}
-	if res := SolveCube(f, Options{Workers: 2, CubeVars: 2}); res.Status != sat.StatusUnsat {
-		t.Fatalf("cube: %v", res.Status)
-	}
 }
 
 func TestEmptyFormula(t *testing.T) {
@@ -143,39 +81,11 @@ func TestEmptyFormula(t *testing.T) {
 	if res := SolvePortfolio(f, Options{Workers: 2}); res.Status != sat.StatusSat {
 		t.Fatalf("portfolio on empty formula: %v", res.Status)
 	}
-	if res := SolveCube(f, Options{Workers: 2, CubeVars: 3}); res.Status != sat.StatusSat {
-		t.Fatalf("cube on empty formula: %v", res.Status)
-	}
-}
-
-func TestPickCubeVarsDeterministicAndDistinct(t *testing.T) {
-	cnf := randomCNF(20, 80, 3, 3)
-	a := PickCubeVars(cnf, 5)
-	b := PickCubeVars(cnf, 5)
-	if len(a) != 5 {
-		t.Fatalf("got %d vars", len(a))
-	}
-	seen := map[sat.Var]bool{}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("nondeterministic pick: %v vs %v", a, b)
-		}
-		if seen[a[i]] {
-			t.Fatalf("duplicate split variable %v", a[i])
-		}
-		seen[a[i]] = true
-	}
-	// k larger than the variable count degrades gracefully.
-	small := &sat.CNF{}
-	small.AddClause(sat.PosLit(0), sat.PosLit(1))
-	if got := PickCubeVars(small, 10); len(got) != 2 {
-		t.Fatalf("oversized k: got %d vars, want 2", len(got))
-	}
 }
 
 func TestDiversifiedOptionsKeepReferenceMember(t *testing.T) {
 	base := sat.Options{MaxConflicts: 123}
-	cfgs := DiversifiedOptions(base, 6)
+	cfgs := diversifiedOptions(base, 6)
 	if len(cfgs) != 6 {
 		t.Fatalf("got %d configs", len(cfgs))
 	}
@@ -197,7 +107,7 @@ func TestDiversifiedOptionsKeepReferenceMember(t *testing.T) {
 			}
 		}
 	}
-	wide := DiversifiedOptions(sat.Options{}, 16)
+	wide := diversifiedOptions(sat.Options{}, 16)
 	for i := 4; i < len(wide); i++ {
 		if wide[i].RandSeed != 0 && wide[i].RandomPolarityFreq == 0 {
 			t.Fatalf("member %d varies only a dead seed: %+v", i, wide[i])
@@ -210,8 +120,8 @@ func TestDiversifiedOptionsKeepReferenceMember(t *testing.T) {
 	}
 }
 
-// TestFanOutRaisesMemberPanicOnCaller: the three solve paths start their
-// members through fanOut, so a member's panic fails the solve that asked
+// TestFanOutRaisesMemberPanicOnCaller: the race starts its members
+// through fanOut, so a member's panic fails the solve that asked
 // for it — recoverable by that caller — instead of ending the process.
 func TestFanOutRaisesMemberPanicOnCaller(t *testing.T) {
 	var finished [3]bool

@@ -13,16 +13,17 @@
 // the Formula and Expr constructors (And, Or, Not, Forall, Exists,
 // Join, Product, In, ...), Problem and Solve (with TranslateOnly and
 // TranslateToCNF for measurement and export), and Instance for reading
-// models back.
-// Problem.Parallel routes solving through the portfolio engine
-// (portfolio race or cube-and-conquer); Problem.Cancel is the
-// cooperative cancellation hook the engine layer drives from contexts.
+// models back. Problem.Workers races a solver portfolio
+// (internal/portfolio) instead of one sequential solver; Incremental
+// answers a sweep of variants over one translation on one serial solver;
+// Problem.Cancel and Incremental.SetCancel are the cooperative
+// cancellation hooks the engine layer drives from contexts.
 //
 // Determinism: translation is deterministic in (bounds, formula) —
 // variable numbering, Tseitin auxiliaries, and clause order are
 // reproducible, and internal/mcamodel pins the consensus check's CNF
 // byte for byte — and solve answers are deterministic in the problem
-// (parallel solving changes wall-clock, never the verdict). The
+// (the portfolio changes wall-clock, never the verdict). The
 // translator's data structures (sorted sparse matrices, integer-interned
 // gates, a cache keyed by node and free-variable binding) are described
 // in docs/PERFORMANCE.md, "The SAT path: translation".

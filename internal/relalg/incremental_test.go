@@ -35,7 +35,7 @@ func TestIncrementalMatchesOneShotProperty(t *testing.T) {
 		// cache is hit across Solve calls.
 		g := newFormulaGen(rng, s1, s2, e)
 		base := g.formula(3)
-		inc := NewIncremental(b, base, IncrementalOptions{})
+		inc := NewIncremental(b, base, sat.Options{})
 		for i := 0; i < 6; i++ {
 			variant := g.formula(3)
 			got := inc.Solve(variant)
@@ -112,41 +112,11 @@ func remapExpr(e Expr, m map[*Relation]*Relation) Expr {
 	panic("remapExpr: unhandled expr")
 }
 
-// The parallel-session leg must agree with the serial session (and thus
-// with one-shot solving) on every variant.
-func TestIncrementalParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(424242))
-	b1, s1a, s2a, ea := incrementalFixture()
-	b2, s1b, s2b, eb := incrementalFixture()
-	remap := map[*Relation]*Relation{s1a: s1b, s2a: s2b, ea: eb}
-
-	g := newFormulaGen(rng, s1a, s2a, ea)
-	base := g.formula(3)
-	serial := NewIncremental(b1, base, IncrementalOptions{})
-	par := NewIncremental(b2, remapFormula(base, remap), IncrementalOptions{
-		Parallel: &ParallelOptions{Workers: 2},
-	})
-	for i := 0; i < 6; i++ {
-		variant := g.formula(3)
-		gs := serial.Solve(variant)
-		gp := par.Solve(remapFormula(variant, remap))
-		if gs.Status != gp.Status {
-			t.Fatalf("variant %d: serial %v, parallel %v", i, gs.Status, gp.Status)
-		}
-		if gp.Status == sat.StatusSat {
-			ev := NewEvaluator(gp.Instance)
-			if !ev.EvalFormula(remapFormula(variant, remap)) {
-				t.Fatalf("variant %d: parallel model violates the variant", i)
-			}
-		}
-	}
-}
-
 // A variant that simplifies to FALSE must answer UNSAT without
 // poisoning the session for later variants.
 func TestIncrementalFalseVariantDoesNotPoisonSession(t *testing.T) {
 	b, s1, _, _ := incrementalFixture()
-	inc := NewIncremental(b, TrueF(), IncrementalOptions{})
+	inc := NewIncremental(b, TrueF(), sat.Options{})
 	if got := inc.Solve(FalseF()); got.Status != sat.StatusUnsat {
 		t.Fatalf("FALSE variant: %v", got.Status)
 	}

@@ -8,14 +8,10 @@ import (
 	"repro/internal/sat"
 )
 
-// Property: the parallel backend (portfolio and cube-and-conquer) agrees
-// with the sequential solve on random relational problems, and its SAT
+// Property: the portfolio backend agrees with the sequential solve on
+// random relational problems at several member counts, and its SAT
 // instances re-evaluate to true.
 func TestParallelSolveAgreesWithSerialProperty(t *testing.T) {
-	backends := []ParallelOptions{
-		{Workers: 2},
-		{Workers: 3, CubeVars: 2},
-	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed ^ 0x9a7a11e1))
 		u := NewUniverse("a", "b", "c")
@@ -28,9 +24,8 @@ func TestParallelSolveAgreesWithSerialProperty(t *testing.T) {
 		b.BoundUpper(e, AllTuples(u, 2))
 		formula := randomFormula(rng, s1, s2, e, 3)
 		serial := Solve(&Problem{Bounds: b, Formula: formula})
-		for _, par := range backends {
-			p := par
-			res := Solve(&Problem{Bounds: b, Formula: formula, Parallel: &p})
+		for _, workers := range []int{2, 3} {
+			res := Solve(&Problem{Bounds: b, Formula: formula, Workers: workers})
 			if res.Status != serial.Status {
 				return false
 			}
@@ -45,6 +40,11 @@ func TestParallelSolveAgreesWithSerialProperty(t *testing.T) {
 	}
 }
 
+// checkPortfolio is Check on the portfolio backend.
+func checkPortfolio(b *Bounds, axioms, assertion Formula) Result {
+	return Solve(&Problem{Bounds: b, Formula: And(axioms, Not(assertion)), Workers: 2})
+}
+
 func TestCheckParallelUnsat(t *testing.T) {
 	// Some(r) with r bounded above by all tuples: asserting Some(r) under
 	// the axiom Some(r) has no counterexample.
@@ -52,7 +52,7 @@ func TestCheckParallelUnsat(t *testing.T) {
 	b := NewBounds(u)
 	r := NewRelation("r", 1)
 	b.BoundUpper(r, AllTuples(u, 1))
-	res := CheckParallel(b, Some(R(r)), Some(R(r)), sat.Options{}, ParallelOptions{Workers: 2})
+	res := checkPortfolio(b, Some(R(r)), Some(R(r)))
 	if res.Status != sat.StatusUnsat {
 		t.Fatalf("assertion implied by axiom must verify, got %v", res.Status)
 	}
@@ -69,7 +69,7 @@ func TestCheckParallelCounterexample(t *testing.T) {
 	b := NewBounds(u)
 	r := NewRelation("r", 1)
 	b.BoundUpper(r, AllTuples(u, 1))
-	res := CheckParallel(b, TrueF(), No(R(r)), sat.Options{}, ParallelOptions{Workers: 2, CubeVars: 1})
+	res := checkPortfolio(b, TrueF(), No(R(r)))
 	if res.Status != sat.StatusSat {
 		t.Fatalf("No(r) is not a theorem, got %v", res.Status)
 	}

@@ -21,29 +21,18 @@ type TranslationStats struct {
 // TotalVars is the complete SAT variable count.
 func (s TranslationStats) TotalVars() int { return s.PrimaryVars + s.AuxVars }
 
-// ParallelOptions selects the parallel SAT backend for a problem: a
-// portfolio of diversified solvers racing on the CNF, or — with
-// CubeVars > 0 — a cube-and-conquer split into 2^CubeVars concurrently
-// solved cubes. See internal/portfolio.
-type ParallelOptions struct {
-	// Workers is the number of concurrent solvers (0 = GOMAXPROCS).
-	Workers int
-	// CubeVars switches to cube-and-conquer on that many split
-	// variables; 0 keeps the pure portfolio race.
-	CubeVars int
-}
-
 // Problem is a bounded relational satisfiability problem.
 type Problem struct {
 	Bounds  *Bounds
 	Formula Formula
 	// SolverOptions tunes the underlying SAT solver.
 	SolverOptions sat.Options
-	// Parallel, when non-nil, solves the translated CNF with the
-	// parallel engine instead of a single sequential solver.
-	Parallel *ParallelOptions
+	// Workers, when non-zero, races a portfolio of that many
+	// diversified solvers on the translated CNF (negative: one per CPU)
+	// instead of running one sequential solver. See internal/portfolio.
+	Workers int
 	// Cancel, when non-nil, is polled cooperatively during the SAT
-	// search (serial or parallel); once it returns true the solve stops
+	// search (serial or portfolio); once it returns true the solve stops
 	// with StatusUnknown. Driven by the engine layer from
 	// context.Context cancellation and deadlines.
 	Cancel func() bool
@@ -81,17 +70,16 @@ func Solve(p *Problem) Result {
 	tr, stats := translate(p.Bounds, p.Formula, p.SolverOptions)
 	solver := tr.circuit.solver
 
-	if p.Parallel != nil {
-		// Hand the translated formula to the parallel engine: export the
-		// CNF the circuit emitted into the translation solver and race
-		// fresh solvers on it.
+	if p.Workers != 0 {
+		// Hand the translated formula to the portfolio: export the CNF
+		// the circuit emitted into the translation solver and race fresh
+		// solvers on it.
 		cnf := solver.ExportCNF()
 		start := time.Now()
-		pres := portfolio.Solve(cnf, portfolio.Options{
-			Workers:  p.Parallel.Workers,
-			CubeVars: p.Parallel.CubeVars,
-			Base:     p.SolverOptions,
-			Cancel:   p.Cancel,
+		pres := portfolio.SolvePortfolio(cnf, portfolio.Options{
+			Workers: p.Workers,
+			Base:    p.SolverOptions,
+			Cancel:  p.Cancel,
 		})
 		stats.SolveTime = time.Since(start)
 		res := Result{Status: pres.Status, Stats: stats, SolverStats: pres.Stats}
@@ -127,16 +115,6 @@ func Check(b *Bounds, axioms, assertion Formula, opts sat.Options) Result {
 	})
 }
 
-// CheckParallel is Check with the parallel SAT backend.
-func CheckParallel(b *Bounds, axioms, assertion Formula, opts sat.Options, par ParallelOptions) Result {
-	return Solve(&Problem{
-		Bounds:        b,
-		Formula:       And(axioms, Not(assertion)),
-		SolverOptions: opts,
-		Parallel:      &par,
-	})
-}
-
 // TranslateToCNF builds the CNF for a bounded formula and returns it as
 // a standalone formula together with the translation stats — the bridge
 // for callers that want to drive the SAT backend themselves (solver
@@ -158,7 +136,7 @@ func decode(tr *Translator, solver *sat.Solver) *Instance {
 }
 
 // decodeModel decodes an instance from a plain model vector (the
-// parallel engine's output).
+// portfolio's output).
 func decodeModel(tr *Translator, model []bool) *Instance {
 	return decodeWith(tr, func(v sat.Var) bool { return int(v) < len(model) && model[v] })
 }

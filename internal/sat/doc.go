@@ -15,9 +15,9 @@
 // references (MiniSat's ClauseAllocator design): a problem clause is a
 // header word plus its literal run, a learnt clause carries two extra
 // prefix words (LBD and a float32 activity). The arena is compacted by
-// a relocating garbage collector once the deleted fraction crosses
-// Options.GCFrac, so long sweeps cannot fragment memory; Stats.ArenaGCs
-// counts compactions. Binary clauses never touch the arena at all: each
+// a relocating garbage collector once a quarter of it is dead words, so
+// long sweeps cannot fragment memory; Stats.ArenaGCs counts
+// compactions. Binary clauses never touch the arena at all: each
 // literal keeps an inline list of its binary implications, propagated
 // in a dedicated pass before the long-clause walk. Long-clause watchers
 // carry a blocker literal whose satisfaction skips the clause without
@@ -27,28 +27,26 @@
 // # Learnt-clause management
 //
 // Learnt clauses are ranked by literal-block distance (LBD, the glue
-// metric of Glucose): clauses at or below Options.CoreLBD (default 3)
-// are never deleted, the rest are sorted worst-first by saturated LBD,
-// then activity, and the worst half is dropped at each reduction. LBD
+// metric of Glucose): clauses at LBD 3 or below are never deleted, the
+// rest are sorted worst-first by saturated LBD, then activity, and the
+// worst half is dropped at each reduction. LBD
 // is recomputed when a learnt clause participates in conflict analysis
-// and kept if lower. Options.DisableLBD reverts to pure
-// activity-ordered deletion for ablation.
+// and kept if lower. The thresholds are constants to callers; the
+// package's own tests move them through unexported Options fields.
 //
 // # Incremental solving
 //
 // SolveAssuming decides the formula under assumption literals without
 // destroying learnt state, so one Solver answers a sequence of related
-// queries ever faster; Mark/ExportSince expose the clause stream added
-// after a point (root units, binaries, problem clauses) for mirroring
-// into other solvers, which is how portfolio sessions keep diversified
-// members in sync across an incremental sweep.
+// queries ever faster. This is how relalg.Incremental answers a sweep
+// of assertion variants over one translation; no clause ever leaves the
+// solver that learnt it.
 //
 // Key types: Solver (NewVar/AddClause/Solve/Value, incremental across
 // Solve calls so blocking clauses support model enumeration), Options
 // (heuristic ablations plus the diversification knobs the portfolio
-// engine uses: phase inversion, restart base, seeded random polarity,
-// and the storage knobs CoreLBD/GCFrac/DisableLBD), Status
-// (SAT/UNSAT/Unknown), DIMACS I/O, and a brute-force oracle for
+// engine uses: phase inversion, restart base, seeded random polarity),
+// Status (SAT/UNSAT/Unknown), DIMACS I/O, and a brute-force oracle for
 // differential testing.
 //
 // Determinism and concurrency: a solve is fully deterministic in

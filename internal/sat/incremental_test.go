@@ -11,14 +11,14 @@ import (
 func TestOptionsAblationLBDAndArenaGC(t *testing.T) {
 	variants := []Options{
 		{},
-		{DisableLBD: true},
-		{CoreLBD: 2},
-		{CoreLBD: 5},
-		{GCFrac: 0.01}, // compact aggressively
-		{GCFrac: 0.9},  // compact almost never
-		{DisableLBD: true, GCFrac: 0.01},
-		{CoreLBD: 2, GCFrac: 0.05, DisableRestarts: true},
-		{DisableVSIDS: true, GCFrac: 0.01},
+		{disableLBD: true},
+		{coreLBD: 2},
+		{coreLBD: 5},
+		{gcFrac: 0.01}, // compact aggressively
+		{gcFrac: 0.9},  // compact almost never
+		{disableLBD: true, gcFrac: 0.01},
+		{coreLBD: 2, gcFrac: 0.05, DisableRestarts: true},
+		{DisableVSIDS: true, gcFrac: 0.01},
 	}
 	for seed := int64(0); seed < 6; seed++ {
 		f := randomCNF(18, 80, 3, seed+900)
@@ -41,7 +41,7 @@ func TestOptionsAblationLBDAndArenaGC(t *testing.T) {
 func TestModelValidAfterArenaCompaction(t *testing.T) {
 	for seed := int64(0); seed < 2; seed++ {
 		f := randomCNF(100, 400, 3, seed+3100) // under the 4.26 threshold: mostly SAT
-		s := NewSolverWithOptions(Options{GCFrac: 0.01})
+		s := NewSolverWithOptions(Options{gcFrac: 0.01})
 		if err := f.LoadInto(s); err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestModelValidAfterArenaCompaction(t *testing.T) {
 	}
 	// Dedicated check that the tiny threshold actually triggers GCs on a
 	// conflict-heavy instance, so the relocation path is exercised.
-	s := NewSolverWithOptions(Options{GCFrac: 0.01})
+	s := NewSolverWithOptions(Options{gcFrac: 0.01})
 	if err := PigeonholeCNF(7).LoadInto(s); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestModelValidAfterArenaCompaction(t *testing.T) {
 		t.Fatalf("PHP(8,7) = %v, want UNSAT", got)
 	}
 	if st := s.Stats(); st.ArenaGCs == 0 {
-		t.Fatalf("GCFrac=0.01 never compacted (deleted %d clauses)", st.Deleted)
+		t.Fatalf("gcFrac=0.01 never compacted (deleted %d clauses)", st.Deleted)
 	}
 }
 
@@ -124,71 +124,5 @@ func TestRandomAssumptionSequencesIncrementalVsFresh(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Every clause ExportSince hands out must be implied by the original
-// formula: root units, root binaries, and problem clauses alike (learnt
-// clauses are not exported — they are derived, so exporting them would
-// also be sound, but the contract is "clauses added since the mark").
-func TestExportSinceClausesImplied(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		cnf := randomCNF(14, 56, 3, seed+7000)
-		s := NewSolver()
-		m := s.Mark()
-		if err := cnf.LoadInto(s); err != nil {
-			t.Fatal(err)
-		}
-		s.Solve() // root-level propagation may add units since the mark
-		exported := s.ExportSince(m)
-		for ci, c := range exported {
-			if len(c) == 0 {
-				// The UNSAT marker: the formula itself must be UNSAT.
-				if want, _ := SolveBrute(cnf); want != StatusUnsat {
-					t.Fatalf("seed %d: empty export from a satisfiable formula", seed)
-				}
-				continue
-			}
-			// F ∧ ¬C must be UNSAT for an implied clause C.
-			ref := &CNF{NumVars: cnf.NumVars}
-			for _, orig := range cnf.Clauses {
-				ref.AddClause(orig...)
-			}
-			for _, l := range c {
-				ref.AddClause(l.Not())
-			}
-			if want, _ := SolveBrute(ref); want != StatusUnsat {
-				t.Fatalf("seed %d: exported clause %d (%v) is not implied", seed, ci, c)
-			}
-		}
-	}
-}
-
-// Mark/ExportSince: loading the exported suffix into a second solver
-// must reproduce the first solver's verdicts under shared assumptions.
-func TestExportSinceFeedsSecondSolver(t *testing.T) {
-	cnf := randomCNF(12, 44, 3, 5150)
-	a := NewSolver()
-	m := a.Mark()
-	if err := cnf.LoadInto(a); err != nil {
-		t.Fatal(err)
-	}
-	b := NewSolver()
-	for b.NumVars() < a.NumVars() {
-		b.NewVar()
-	}
-	for _, c := range a.ExportSince(m) {
-		if err := b.AddClause(c...); err != nil {
-			if want, _ := SolveBrute(cnf); want != StatusUnsat {
-				t.Fatal("export made the mirror UNSAT but the formula is SAT")
-			}
-			return
-		}
-	}
-	for v := 0; v < cnf.NumVars; v++ {
-		asm := PosLit(Var(v))
-		if ga, gb := a.SolveAssuming(asm), b.SolveAssuming(asm); ga != gb {
-			t.Fatalf("var %d: original %v, mirror %v", v, ga, gb)
-		}
 	}
 }

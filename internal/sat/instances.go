@@ -3,7 +3,7 @@ package sat
 // PigeonholeCNF builds PHP(n+1, n): n+1 pigeons into n holes. The
 // family is unsatisfiable and exponentially hard for resolution-based
 // solvers, which makes it the standard calibrated-difficulty instance
-// for the cancellation tests and the portfolio/cube benchmarks.
+// for the cancellation tests and the solver and portfolio benchmarks.
 func PigeonholeCNF(n int) *CNF {
 	f := &CNF{NumVars: (n + 1) * n}
 	v := func(i, j int) Var { return Var(i*n + j) }

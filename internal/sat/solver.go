@@ -54,11 +54,6 @@ type Options struct {
 	DisableRestarts bool
 	// DisablePhaseSaving always decides the negative polarity first.
 	DisablePhaseSaving bool
-	// DisableLBD falls back to pure activity ordering when halving the
-	// learnt database, the pre-arena policy. The default keeps a core
-	// tier of low-LBD ("glue") clauses forever and deletes worst-glue
-	// first. Used by the heuristic ablation bench.
-	DisableLBD bool
 	// MaxConflicts aborts the search with StatusUnknown after this many
 	// conflicts (0 = unlimited).
 	MaxConflicts int64
@@ -68,13 +63,6 @@ type Options struct {
 	// RestartBase scales the Luby restart sequence (conflicts before the
 	// first restart). 0 means the default of 100.
 	RestartBase int64
-	// CoreLBD is the glue threshold: learnt clauses with LBD at or below
-	// it are never deleted. 0 means the default of 3.
-	CoreLBD int
-	// GCFrac is the fraction of the clause arena that may be wasted by
-	// deleted clauses before a compacting GC runs. 0 means the default
-	// of 0.25; values >= 1 effectively disable compaction.
-	GCFrac float64
 	// RandSeed seeds the solver's deterministic pseudo-random stream
 	// (used only when RandomPolarityFreq > 0). 0 selects a fixed seed,
 	// so equal Options always reproduce the same search.
@@ -82,6 +70,23 @@ type Options struct {
 	// RandomPolarityFreq is the probability (0..1) that a decision uses
 	// a random polarity instead of the saved phase.
 	RandomPolarityFreq float64
+
+	// The clause-database knobs below are test seams, not product
+	// options: only this package's tests set them, to drive deletion
+	// and compaction to both extremes on small formulas.
+
+	// disableLBD falls back to pure activity ordering when halving the
+	// learnt database, the pre-arena policy. The default keeps a core
+	// tier of low-LBD ("glue") clauses forever and deletes worst-glue
+	// first.
+	disableLBD bool
+	// coreLBD is the glue threshold: learnt clauses with LBD at or below
+	// it are never deleted. 0 means the default of 3.
+	coreLBD int
+	// gcFrac is the fraction of the clause arena that may be wasted by
+	// deleted clauses before a compacting GC runs. 0 means the default
+	// of 0.25; values >= 1 effectively disable compaction.
+	gcFrac float64
 }
 
 // Solver is a CDCL SAT solver. Create with NewSolver, add variables with
@@ -93,8 +98,8 @@ type Options struct {
 // arena addressed by 32-bit crefs; binary clauses are inlined into
 // dedicated watch lists (binWatches) and never touch the arena; units
 // become root-level trail assignments. Deleted learnts leave dead words
-// behind that a compacting GC reclaims once Options.GCFrac of the arena
-// is waste.
+// behind that a compacting GC reclaims once a quarter of the arena is
+// waste.
 type Solver struct {
 	opts Options
 
@@ -182,16 +187,16 @@ func (s *Solver) nextRand() uint64 {
 
 // coreLBD returns the glue tier threshold.
 func (s *Solver) coreLBD() uint32 {
-	if s.opts.CoreLBD > 0 {
-		return uint32(s.opts.CoreLBD)
+	if s.opts.coreLBD > 0 {
+		return uint32(s.opts.coreLBD)
 	}
 	return 3
 }
 
 // gcFrac returns the arena waste fraction that triggers compaction.
 func (s *Solver) gcFrac() float64 {
-	if s.opts.GCFrac > 0 {
-		return s.opts.GCFrac
+	if s.opts.gcFrac > 0 {
+		return s.opts.gcFrac
 	}
 	return 0.25
 }
@@ -728,13 +733,14 @@ func (s *Solver) pickBranchVar() Var {
 }
 
 // reduceDB halves the learnt database. The core tier — clauses with
-// LBD at or below Options.CoreLBD — is exempt, as are clauses locked as
+// LBD at or below the core threshold (3) — is exempt, as are clauses locked as
 // the reason of a current assignment (learnt binaries never enter the
 // arena and are never deleted). The rest is deleted worst-first: highest
 // LBD, then lowest activity, with the cref as a deterministic tiebreak.
-// With DisableLBD the ordering is pure activity, the pre-arena policy.
+// With the disableLBD seam the ordering is pure activity, the pre-arena
+// policy.
 // Deletion only marks arena words dead; compaction runs once the waste
-// crosses Options.GCFrac.
+// crosses Options.gcFrac.
 func (s *Solver) reduceDB() {
 	locked := make(map[cref]bool, len(s.trail)/4+1)
 	for _, l := range s.trail {
@@ -747,13 +753,13 @@ func (s *Solver) reduceDB() {
 	kept := s.learnts[:0]
 	cands := s.reduceCl[:0]
 	for _, c := range s.learnts {
-		if locked[c] || (!s.opts.DisableLBD && s.ca.lbd(c) <= core) {
+		if locked[c] || (!s.opts.disableLBD && s.ca.lbd(c) <= core) {
 			kept = append(kept, c)
 		} else {
 			cands = append(cands, c)
 		}
 	}
-	if s.opts.DisableLBD {
+	if s.opts.disableLBD {
 		sort.Slice(cands, func(i, j int) bool {
 			ai, aj := s.ca.activity(cands[i]), s.ca.activity(cands[j])
 			if ai != aj {

@@ -143,23 +143,6 @@ type Stats struct {
 	ArenaGCs int64
 }
 
-// Add accumulates other into s, field by field — the aggregation the
-// cube-and-conquer path uses to report collective effort.
-func (s *Stats) Add(other Stats) {
-	s.Conflicts += other.Conflicts
-	s.Decisions += other.Decisions
-	s.Propagations += other.Propagations
-	s.Restarts += other.Restarts
-	s.Learnt += other.Learnt
-	s.Deleted += other.Deleted
-	s.GlueLearnt += other.GlueLearnt
-	s.LBDSum += other.LBDSum
-	for i := range s.LBDHist {
-		s.LBDHist[i] += other.LBDHist[i]
-	}
-	s.ArenaGCs += other.ArenaGCs
-}
-
 // Sub returns the field-by-field difference s - prev: the per-solve
 // counters of an incremental session whose solver reports cumulative
 // totals.

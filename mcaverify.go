@@ -162,8 +162,9 @@ type (
 	// ExplicitEngine is the exhaustive explicit-state backend (serial
 	// DFS or sharded parallel frontier).
 	ExplicitEngine = engine.Explicit
-	// SATEngine is the relational/SAT backend (serial, portfolio, or
-	// cube-and-conquer).
+	// SATEngine is the relational/SAT backend: one serial solver
+	// (Workers 0, incremental across a sweep's assertion variants) or a
+	// race of diversified solvers (Workers ≠ 0).
 	SATEngine = engine.SAT
 	// SimulationEngine samples seeded executions under network fault
 	// models.
