@@ -258,8 +258,8 @@ func benchSATOptions(b *testing.B, opts sat.Options) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m := mcamodel.CheckConsensus(e, opts)
-		if m.CheckStatus == sat.StatusUnknown {
+		res := engine.SAT{}.Verify(context.Background(), engine.Scenario{Model: e, Solver: opts})
+		if res.SATStatus == sat.StatusUnknown {
 			b.Fatal("inconclusive")
 		}
 	}

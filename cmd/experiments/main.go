@@ -224,13 +224,14 @@ func e5Encodings() error {
 	// encoding, solved sequentially and by the solver portfolio. Both
 	// must agree on the verdict.
 	workers := runtime.GOMAXPROCS(0)
-	serial := mcamodel.CheckConsensus(o, sat.Options{})
-	pf := engine.SAT{Workers: workers}.Verify(context.Background(), engine.Scenario{Name: o.Name, Model: o})
+	check := engine.Scenario{Name: o.Name, Model: o}
+	serial := engine.SAT{}.Verify(context.Background(), check)
+	pf := engine.SAT{Workers: workers}.Verify(context.Background(), check)
 	fmt.Printf("consensus check, optimized encoding (workers=%d):\n", workers)
-	fmt.Printf("  %-22s solve=%8s %s\n", "serial", serial.Solve.Round(time.Millisecond), serial.CheckStatus)
+	fmt.Printf("  %-22s solve=%8s %s\n", "serial", serial.Stats.SolveTime.Round(time.Millisecond), serial.SATStatus)
 	fmt.Printf("  %-22s solve=%8s %s\n", "portfolio", pf.Stats.SolveTime.Round(time.Millisecond), pf.SATStatus)
-	if pf.SATStatus != serial.CheckStatus {
-		return fmt.Errorf("portfolio disagrees with serial: serial=%v portfolio=%v", serial.CheckStatus, pf.SATStatus)
+	if pf.SATStatus != serial.SATStatus {
+		return fmt.Errorf("portfolio disagrees with serial: serial=%v portfolio=%v", serial.SATStatus, pf.SATStatus)
 	}
 	return nil
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -109,6 +111,52 @@ func TestResumeRefusesCheckpointOfOlderBinary(t *testing.T) {
 	})
 	if code != 2 {
 		t.Fatalf("resume from an older binary's checkpoint exit = %d, want 2", code)
+	}
+	if !strings.Contains(out, "corrupt or truncated") || !strings.Contains(out, "delete it and re-verify") {
+		t.Fatalf("missing clean re-verify hint, stderr:\n%s", out)
+	}
+}
+
+// TestResumeRefusesCraftedRunState: the checksum envelope is no secret,
+// so a checkpoint can carry a valid envelope around a run state whose
+// frontier item declares a packed state of MaxInt64-10 bytes. -resume
+// must refuse it with the delete-and-re-verify hint; the run-state
+// decoder once sliced past its buffer on it and panicked.
+func TestResumeRefusesCraftedRunState(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "crafted.ckpt")
+	if code := run(cappedRunArgs(path)); code != 3 {
+		t.Fatalf("capped run exit = %d, want 3 (inconclusive)", code)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := engine.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crafted := []byte("MCARS2\n")
+	for _, v := range []uint64{1, 1, 0, 1, 1} { // next level, states, max depth, nodes, seen
+		crafted = binary.AppendUvarint(crafted, v)
+	}
+	crafted = append(crafted, make([]byte, 16+6)...) // one root node
+	crafted = append(crafted, 1, 0)                  // one frontier item, on node 0,
+	crafted = append(crafted, make([]byte, 8)...)    // with a route fingerprint
+	crafted = binary.AppendUvarint(crafted, math.MaxInt64-10)
+	cp.State = append(crafted, "state"...)
+	enc, err := engine.EncodeCheckpoint(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var code int
+	out := captureStderr(t, func() {
+		code = run([]string{"-resume", path, "-maxstates", "500000", "-trace=false"})
+	})
+	if code != 2 {
+		t.Fatalf("resume from a crafted run state exit = %d, want 2", code)
 	}
 	if !strings.Contains(out, "corrupt or truncated") || !strings.Contains(out, "delete it and re-verify") {
 		t.Fatalf("missing clean re-verify hint, stderr:\n%s", out)

@@ -36,10 +36,6 @@ import (
 	"repro/internal/mca"
 	"repro/internal/netsim"
 	"repro/internal/profiling"
-
-	// Register the mca-model codec so -scenario files with relational
-	// models decode.
-	_ "repro/internal/mcamodel"
 )
 
 func main() {

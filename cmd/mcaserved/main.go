@@ -119,9 +119,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/gen"
-
-	// Register the mca-model codec so SAT scenarios decode.
-	_ "repro/internal/mcamodel"
 )
 
 func main() {

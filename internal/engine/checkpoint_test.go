@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -171,6 +172,61 @@ func TestCorruptCheckpointErrorIsTyped(t *testing.T) {
 	if _, err := DecodeCheckpoint(checkpointEnvelope([]byte(`{"version":999}`))); err == nil || errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("version mismatch misclassified: %v", err)
 	}
+}
+
+// FuzzDecodeCheckpoint: a checkpoint file is untrusted bytes, and its
+// checksum envelope is no secret, so the target decodes each input both
+// as written and as the payload of a valid envelope. Either is an
+// ErrCorruptCheckpoint (or, deliberately not corruption, a schema
+// version mismatch), or a checkpoint whose encoding decodes and
+// re-encodes byte-identically — never a panic. Allocation is bounded by
+// the input plus what the embedded scenario's ceilings allow (a graph
+// of MaxGraphNodes nodes, a model at the mcamodel scope ceilings).
+func FuzzDecodeCheckpoint(f *testing.F) {
+	// Star-4 capped after its first level, on two shards.
+	pol := mca.Policy{Target: 2, Utility: mca.FlatUtility{}, Rebid: mca.RebidOnChange}
+	star4 := Scenario{Name: "star4", Graph: graph.Star(4), Explore: explore.Options{MaxStates: 1}}
+	for i, base := range [][]int64{{12, 8}, {8, 12}, {4, 8}, {6, 6}} {
+		star4.AgentSpecs = append(star4.AgentSpecs, mca.Config{ID: mca.AgentID(i), Items: 2, Base: base, Policy: pol})
+	}
+	_, cp := Explicit{Workers: 2}.VerifyResumable(context.Background(), star4, nil)
+	if cp == nil {
+		f.Fatal("star-4 seed run did not cap")
+	}
+	enc, err := EncodeCheckpoint(cp)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	f.Add(enc[bytes.IndexByte(enc, '\n')+1:]) // the payload
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, doc := range [][]byte{data, checkpointEnvelope(data)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			cp, err := DecodeCheckpoint(doc)
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 128<<20+64*uint64(len(doc)) {
+				t.Fatalf("decoding %d bytes allocated %d", len(doc), grew)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrCorruptCheckpoint) && !strings.Contains(err.Error(), "unsupported schema version") {
+					t.Fatalf("untyped error %v", err)
+				}
+				continue
+			}
+			first, err := EncodeCheckpoint(cp)
+			if err != nil {
+				t.Fatalf("decoded checkpoint does not encode: %v", err)
+			}
+			again, err := DecodeCheckpoint(first)
+			if err != nil {
+				t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+			}
+			if second, err := EncodeCheckpoint(again); err != nil || !bytes.Equal(first, second) {
+				t.Fatalf("round trip moved the bytes (%v):\n%s\n%s", err, first, second)
+			}
+		}
+	})
 }
 
 // Matches: renaming and raising the budget are the two legal deltas on

@@ -12,12 +12,12 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/mca"
+	"repro/internal/mcamodel"
 	"repro/internal/netsim"
 	"repro/internal/sat"
 	"repro/internal/trace"
@@ -48,11 +48,11 @@ const CacheEpoch = 1
 //     and unknown enum tokens are errors, never silently ignored.
 //   - Round trips are exact: DecodeScenario(EncodeScenario(s)) yields a
 //     scenario that re-encodes to byte-identical JSON.
-//
-// Scenarios carrying non-data values cannot be encoded: a custom
-// mca.Resolver, a FuncUtility, or a RelationalModel whose package has
-// not registered a ModelCodec. Explore.Cancel is owned by the engine
-// layer and is never serialized.
+//   - A scenario is data: every scenario Scenario.Validate accepts
+//     encodes. EncodeScenario still refuses what it cannot write — a
+//     custom mca.Resolver or utility, a non-finite float — so an invalid
+//     scenario is never addressed as some valid one. Explore.Cancel is
+//     owned by the engine layer and is never serialized.
 
 // ---- wire types ----
 //
@@ -142,9 +142,39 @@ type edgeFaultJSON struct {
 	Delay int     `json:"delay,omitempty"`
 }
 
+// modelJSON is a relational model: an mcamodel encoding, written as the
+// builder's name and the scope it was built at,
+//
+//	{"kind": "mca-model", "spec": {"encoding": "optimized",
+//	  "scope": {"pnodes": 3, "vnodes": 2, "values": 4, "states": 3, "msgs": 2}}}
+//
+// The scope written is the built model's, defaults filled in; builders
+// fill them idempotently, so decode-then-re-encode reproduces the bytes.
 type modelJSON struct {
-	Kind string          `json:"kind"`
-	Spec json.RawMessage `json:"spec"`
+	Kind string        `json:"kind"`
+	Spec modelSpecJSON `json:"spec"`
+}
+
+// modelKind is the one kind the format has.
+const modelKind = "mca-model"
+
+type modelSpecJSON struct {
+	Encoding string    `json:"encoding"`
+	Scope    scopeJSON `json:"scope"`
+	// AssertState selects the trace state the consensus assertion ranges
+	// over: 0 (omitted) is the final state, k > 0 the 1-based state k.
+	AssertState int `json:"assert_state,omitempty"`
+}
+
+type scopeJSON struct {
+	PNodes      int `json:"pnodes"`
+	VNodes      int `json:"vnodes"`
+	Values      int `json:"values"`
+	States      int `json:"states"`
+	Msgs        int `json:"msgs"`
+	IntBitwidth int `json:"int_bitwidth,omitempty"`
+	Triples     int `json:"triples,omitempty"`
+	BidVectors  int `json:"bid_vectors,omitempty"`
 }
 
 type solverJSON struct {
@@ -158,79 +188,50 @@ type solverJSON struct {
 	RandomPolarityFreq float64 `json:"random_polarity_freq,omitempty"`
 }
 
-// ---- model codec registry ----
+// ---- model codec ----
 
-// ModelCodec serializes one family of RelationalModel implementations.
-// Packages that provide models register a codec (typically from init),
-// the way image formats register decoders: importing the package makes
-// its scenarios serializable.
-type ModelCodec struct {
-	// Kind tags the family in the wire format ({"kind": ..., "spec": ...}).
-	Kind string
-	// Encode returns the spec document for a model of this family, or
-	// ok=false when the model belongs to a different codec.
-	Encode func(m RelationalModel) (spec json.RawMessage, ok bool, err error)
-	// Decode rebuilds a model from its spec document. It must decode
-	// strictly and reject unknown fields.
-	Decode func(spec json.RawMessage) (RelationalModel, error)
+func modelToWire(m *mcamodel.Encoding) (*modelJSON, error) {
+	if m == nil {
+		return nil, nil
+	}
+	if mcamodel.Encodings[m.Name] == nil {
+		return nil, fmt.Errorf("engine: model encoding %q is not buildable (want naive|optimized)", m.Name)
+	}
+	sc := m.Scope
+	return &modelJSON{Kind: modelKind, Spec: modelSpecJSON{
+		Encoding: m.Name,
+		Scope: scopeJSON{
+			PNodes: sc.PNodes, VNodes: sc.VNodes, Values: sc.Values, States: sc.States, Msgs: sc.Msgs,
+			IntBitwidth: sc.IntBitwidth, Triples: sc.Triples, BidVectors: sc.BidVectors,
+		},
+		AssertState: m.AssertState,
+	}}, nil
 }
 
-var (
-	modelCodecsMu sync.RWMutex
-	modelCodecs   = map[string]ModelCodec{}
-)
-
-// RegisterModelCodec installs a model codec; registering two codecs
-// with the same kind panics, mirroring http.Handle and gob.Register.
-func RegisterModelCodec(c ModelCodec) {
-	if c.Kind == "" || c.Encode == nil || c.Decode == nil {
-		panic("engine: RegisterModelCodec requires Kind, Encode, and Decode")
-	}
-	modelCodecsMu.Lock()
-	defer modelCodecsMu.Unlock()
-	if _, dup := modelCodecs[c.Kind]; dup {
-		panic(fmt.Sprintf("engine: model codec %q registered twice", c.Kind))
-	}
-	modelCodecs[c.Kind] = c
-}
-
-func encodeModel(m RelationalModel) (*modelJSON, error) {
-	modelCodecsMu.RLock()
-	kinds := make([]string, 0, len(modelCodecs))
-	for k := range modelCodecs {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	codecs := make([]ModelCodec, len(kinds))
-	for i, k := range kinds {
-		codecs[i] = modelCodecs[k]
-	}
-	modelCodecsMu.RUnlock()
-	for _, c := range codecs {
-		spec, ok, err := c.Encode(m)
-		if err != nil {
-			return nil, fmt.Errorf("engine: model codec %q: %w", c.Kind, err)
-		}
-		if ok {
-			return &modelJSON{Kind: c.Kind, Spec: spec}, nil
-		}
-	}
-	return nil, fmt.Errorf("engine: no registered model codec accepts %q (%T); import the model package so its codec registers", m.ModelName(), m)
-}
-
-func decodeModel(w *modelJSON) (RelationalModel, error) {
+// modelFromWire builds the model. Like graphFromWire it checks what it
+// cannot build without — the kind and the encoding name; the builders
+// bound the scope (mcamodel.Scope.Validate) before they allocate.
+func modelFromWire(name string, w *modelJSON) (*mcamodel.Encoding, error) {
 	if w == nil {
 		return nil, nil
 	}
-	modelCodecsMu.RLock()
-	c, ok := modelCodecs[w.Kind]
-	modelCodecsMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown model kind %q; import the package that registers it", w.Kind)
+	if w.Kind != modelKind {
+		return nil, fmt.Errorf("engine: scenario %q: unknown model kind %q (want %s)", name, w.Kind, modelKind)
 	}
-	m, err := c.Decode(w.Spec)
+	build := mcamodel.Encodings[w.Spec.Encoding]
+	if build == nil {
+		return nil, fmt.Errorf("engine: scenario %q: unknown model encoding %q (want naive|optimized)", name, w.Spec.Encoding)
+	}
+	sc := w.Spec.Scope
+	m, err := build(mcamodel.Scope{
+		PNodes: sc.PNodes, VNodes: sc.VNodes, Values: sc.Values, States: sc.States, Msgs: sc.Msgs,
+		IntBitwidth: sc.IntBitwidth, Triples: sc.Triples, BidVectors: sc.BidVectors,
+	})
+	if err == nil && w.Spec.AssertState != 0 {
+		m, err = m.WithAssertState(w.Spec.AssertState)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("engine: model kind %q: %w", w.Kind, err)
+		return nil, fmt.Errorf("engine: scenario %q model: %w", name, err)
 	}
 	return m, nil
 }
@@ -256,7 +257,7 @@ func encodeUtility(u mca.Utility) (*utilityJSON, error) {
 	case mca.EscalatingUtility:
 		return &utilityJSON{Kind: mca.KindEscalatingAttack, Step: u.Step, Cap: u.Cap}, nil
 	}
-	return nil, fmt.Errorf("engine: utility %q (%T) is not serializable; use one of the named mca utilities", u.Name(), u)
+	return nil, fmt.Errorf("custom utility %q (%T); use one of the named mca utilities", u.Name(), u)
 }
 
 func decodeUtility(w *utilityJSON) (mca.Utility, error) {
@@ -344,12 +345,9 @@ func scenarioToWire(s *Scenario) (*scenarioJSON, error) {
 		w.Explore = &ex
 	}
 	w.Faults = faultsToWire(s.Faults)
-	if s.Model != nil {
-		mw, err := encodeModel(s.Model)
-		if err != nil {
-			return nil, err
-		}
-		w.Model = mw
+	var err error
+	if w.Model, err = modelToWire(s.Model); err != nil {
+		return nil, err
 	}
 	if sv := (solverJSON{
 		DisableVSIDS:       s.Solver.DisableVSIDS,
@@ -438,8 +436,8 @@ const MaxGraphNodes = 1 << 16
 // validates the result. The converters are separate functions because a
 // sweep expansion calls each one once per distinct section value
 // instead of once per cell. They only convert: every rule on the values
-// is Scenario.Validate's, except the two graphFromWire cannot build a
-// graph without.
+// is Scenario.Validate's, except the ones graphFromWire and
+// modelFromWire cannot build without.
 func scenarioFromWire(w *scenarioJSON) (Scenario, error) {
 	s := Scenario{Name: w.Name}
 	var err error
@@ -451,7 +449,7 @@ func scenarioFromWire(w *scenarioJSON) (Scenario, error) {
 	}
 	s.Explore = exploreFromWire(w.Explore)
 	s.Faults = faultsFromWire(w.Faults)
-	if s.Model, err = decodeModel(w.Model); err != nil {
+	if s.Model, err = modelFromWire(w.Name, w.Model); err != nil {
 		return Scenario{}, err
 	}
 	s.Solver = solverFromWire(w.Solver)
@@ -849,8 +847,8 @@ func DecodeSummary(data []byte) (Summary, error) {
 // means Auto. An engine that only decides where another runs (the
 // fleet's remote executor) exposes it through Unwrap() Engine and is
 // addressed as that engine: one verdict, one address, wherever it was
-// computed. Scenarios the codec cannot encode are not addressable and
-// return an error (callers then simply skip caching).
+// computed. It returns EncodeScenario's error for a scenario the codec
+// cannot encode, which Validate would have rejected.
 func CacheKey(s *Scenario, e Engine) (string, error) {
 	canonical, err := encodeUnnamed(s)
 	if err != nil {
@@ -896,9 +894,9 @@ func contentAddress(canonical []byte, s *Scenario, e Engine) string {
 // VerifyCached verifies one scenario through a result cache: a
 // conclusive cached result comes back immediately with Cached set (and
 // the scenario's own display name restored — the cache is addressed on
-// content, not labels), a miss verifies on eng and stores conclusive
-// verdicts back, and scenarios the codec cannot address just verify. A
-// nil cache makes this plain eng.Verify. This is the only
+// content, not labels), and a miss verifies on eng and stores
+// conclusive verdicts back. A nil cache makes this plain eng.Verify.
+// This is the only
 // implementation of the cache protocol: the Runner's pool (and so the
 // fleet coordinator), cmd/mcaserved and fleet workers all call it.
 func VerifyCached(ctx context.Context, eng Engine, s Scenario, c ResultCache) Result {
@@ -928,7 +926,9 @@ func verifyCached(ctx context.Context, eng Engine, s Scenario, canonical []byte,
 	var key string
 	if c != nil {
 		if canonical == nil {
-			// Not encodable means not addressable: verify uncached.
+			// Only a scenario Validate rejects fails to encode: it goes to
+			// eng unaddressed, and every built-in adapter's Applicable
+			// reports why.
 			canonical, _ = encodeUnnamed(&s)
 		}
 		if canonical != nil {

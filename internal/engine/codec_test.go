@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -13,8 +12,8 @@ import (
 	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/mca"
+	"repro/internal/mcamodel"
 	"repro/internal/netsim"
-	"repro/internal/relalg"
 	"repro/internal/sat"
 	"repro/internal/trace"
 )
@@ -33,6 +32,19 @@ func specs(n, items int, pol mca.Policy) []mca.Config {
 
 func submodPolicy(items int) mca.Policy {
 	return mca.Policy{Target: items, Utility: mca.SubmodularResidual{}, ReleaseOutbid: true, Rebid: mca.RebidOnChange}
+}
+
+// smallModel builds an mca-model encoding at a small scope, asserting
+// consensus on state k (0 is the final state).
+func smallModel(encoding string, k int) *mcamodel.Encoding {
+	m, err := mcamodel.Encodings[encoding](mcamodel.Scope{PNodes: 2, VNodes: 1, Values: 2, States: 3, Msgs: 1, IntBitwidth: 2})
+	if err == nil && k != 0 {
+		m, err = m.WithAssertState(k)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 // codecScenarios is the table the round-trip tests sweep: it varies
@@ -116,6 +128,7 @@ func codecScenarios() map[string]Scenario {
 				RandSeed: 7, RandomPolarityFreq: 0.02,
 			},
 		},
+		"relational-model": {Name: "model", Model: smallModel("optimized", 2)},
 	}
 }
 
@@ -164,6 +177,10 @@ func TestScenarioRoundTrip(t *testing.T) {
 			}
 			if s2.Solver != s.Solver {
 				t.Fatalf("solver options differ: got %+v want %+v", s2.Solver, s.Solver)
+			}
+			if (s2.Model == nil) != (s.Model == nil) || s.Model != nil && (s2.Model.Name != s.Model.Name ||
+				s2.Model.Scope != s.Model.Scope || s2.Model.AssertState != s.Model.AssertState) {
+				t.Fatalf("models differ: got %+v want %+v", s2.Model, s.Model)
 			}
 		})
 	}
@@ -275,10 +292,6 @@ func TestDecodeScenarioStrict(t *testing.T) {
 
 func TestEncodeScenarioErrors(t *testing.T) {
 	for name, s := range map[string]Scenario{
-		"func-utility": {Name: "x", Graph: graph.Complete(2), AgentSpecs: []mca.Config{{
-			ID: 0, Items: 2, Base: []int64{1, 2},
-			Policy: mca.Policy{Target: 2, Utility: mca.FuncUtility{F: func([]int64, mca.ItemID, []mca.ItemID, mca.BidInfo) int64 { return 1 }}, Rebid: mca.RebidOnChange},
-		}}},
 		"custom-resolver": {Name: "x", Graph: graph.Complete(2), AgentSpecs: []mca.Config{{
 			ID: 0, Items: 2, Base: []int64{1, 2}, Resolver: mca.Resolve,
 			Policy: submodPolicy(2),
@@ -501,38 +514,6 @@ type placed struct{ Engine }
 
 func (p placed) Unwrap() Engine { return p.Engine }
 
-// TestModelCodecRegistry exercises the registry plumbing with a local
-// fake; the real mca-model codec is covered in mcamodel's tests.
-func TestModelCodecRegistry(t *testing.T) {
-	RegisterModelCodec(ModelCodec{
-		Kind: "test-fake",
-		Encode: func(m RelationalModel) (json.RawMessage, bool, error) {
-			if _, ok := m.(stubModel); !ok {
-				return nil, false, nil
-			}
-			return json.RawMessage(`{"x":1}`), true, nil
-		},
-		Decode: func(spec json.RawMessage) (RelationalModel, error) {
-			return stubModel{}, nil
-		},
-	})
-	s := Scenario{Name: "m", Model: stubModel{}}
-	data, err := EncodeScenario(&s)
-	if err != nil {
-		t.Fatalf("encode with registered codec: %v", err)
-	}
-	s2, err := DecodeScenario(data)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if _, ok := s2.Model.(stubModel); !ok {
-		t.Fatalf("model decoded as %T", s2.Model)
-	}
-	if _, err := DecodeScenario([]byte(`{"version":1,"model":{"kind":"nobody-home","spec":{}}}`)); err == nil {
-		t.Fatalf("unknown model kind accepted")
-	}
-}
-
 // TestDecodeFaultsValidation: fault models that would be silently inert
 // or meaningless at run time are decode errors.
 func TestDecodeFaultsValidation(t *testing.T) {
@@ -617,11 +598,4 @@ func TestCacheKeySplitsOnNewFaults(t *testing.T) {
 			t.Fatalf("zero %s field leaked into the canonical encoding: %s", field, enc)
 		}
 	}
-}
-
-type stubModel struct{}
-
-func (stubModel) ModelName() string { return "stub" }
-func (stubModel) RelationalProblem() (*relalg.Bounds, relalg.Formula, relalg.Formula) {
-	panic("unused in codec tests")
 }

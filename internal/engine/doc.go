@@ -7,14 +7,14 @@
 //
 //   - a Scenario is a plain value describing what to verify: the agents
 //     (as rebuildable configs), the agent graph, the network semantics
-//     and fault model, the property bounds, and optionally a bounded
-//     relational model for the SAT backends;
+//     and fault model, the property bounds, and optionally the bounded
+//     relational model for the SAT backends (an mcamodel.Encoding);
 //   - an Engine turns a Scenario into a unified Result under a
 //     context.Context (cancellation and deadlines are plumbed down to
 //     the DFS, the sharded frontier, and the SAT search loops). Three
 //     adapters cover the verification stack: Explicit (serial DFS or
 //     sharded parallel frontier), SAT (naive/optimized encoding ×
-//     serial/portfolio/cube solving), and Simulation (seeded randomized
+//     serial/portfolio solving), and Simulation (seeded randomized
 //     runs under network fault models the Alloy model cannot express);
 //   - a Runner streams Results from a worker pool over scenario sets,
 //     making policy sweeps, substrate sweeps, scale sweeps, and
@@ -23,7 +23,9 @@
 //
 // Scenarios are also first-class data. EncodeScenario/DecodeScenario
 // round-trip a Scenario through a canonical, versioned, strictly
-// validated JSON document (docs/SCENARIO_FORMAT.md); DecodeSweep turns
+// validated JSON document (docs/SCENARIO_FORMAT.md), the model's
+// "mca-model" section included, and every scenario Validate accepts
+// encodes; DecodeSweep turns
 // a sweep document — a base scenario plus axes of named variants — into
 // a Sweep, the cartesian scenario grid (ExpandSweep returns just its
 // scenarios); EncodeResult/DecodeResult do the same for Results.

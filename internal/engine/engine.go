@@ -9,49 +9,18 @@ import (
 	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/mca"
+	"repro/internal/mcamodel"
 	"repro/internal/netsim"
-	"repro/internal/relalg"
 	"repro/internal/sat"
 	"repro/internal/trace"
 )
 
-// RelationalModel is a bounded relational verification problem: axioms
-// (the model's facts and transition system) and an assertion to check
-// within bounds. mcamodel.Encoding implements it; engine deliberately
-// does not import mcamodel so that mcamodel.CheckConsensus can route
-// through this package.
-type RelationalModel interface {
-	// ModelName names the encoding (e.g. "naive", "optimized").
-	ModelName() string
-	// RelationalProblem returns the bounds, the axioms, and the
-	// assertion whose violation the SAT engine searches for.
-	RelationalProblem() (b *relalg.Bounds, axioms, assertion relalg.Formula)
-}
-
-// IncrementalRelationalModel is the optional extension a RelationalModel
-// implements to opt into shared incremental SAT sessions. Models whose
-// BaseKeys match share one persistent solver: the session is seeded by
-// the first such model seen (bounds + axioms translated once), and every
-// later variant is activated by an assumption literal over the seed's
-// translation, retaining learnt clauses across the sweep. Because each
-// decode of a model spec builds fresh relation pointers, a variant's own
-// assertion formula is useless to the seed's translator — AssertionFor
-// rebuilds it over the callee's relations from the variant key alone.
-type IncrementalRelationalModel interface {
-	RelationalModel
-	// IncrementalKeys returns (baseKey, variantKey): models with equal
-	// baseKeys share bounds and axioms and may share a session; the
-	// variantKey names this model's assertion within that family.
-	IncrementalKeys() (baseKey, variantKey string)
-	// AssertionFor rebuilds the assertion named by variantKey over THIS
-	// model's bounds and relations.
-	AssertionFor(variantKey string) (relalg.Formula, error)
-}
-
 // Scenario is one verification scenario: everything an Engine needs to
-// check the MCA consensus property one way. It is a value — agents are
-// described by configs and rebuilt fresh for every Verify call — so a
-// Scenario can be copied, varied, and scheduled thousands of times.
+// check the MCA consensus property one way. It is data — agents are
+// described by configs and rebuilt fresh for every Verify call, and a
+// scenario that passes Validate encodes (EncodeScenario) — so a
+// Scenario can be copied, varied, stored, and scheduled thousands of
+// times.
 type Scenario struct {
 	// Name labels the scenario in results and sweep reports.
 	Name string
@@ -74,9 +43,10 @@ type Scenario struct {
 	// probabilistic or timed faults, which have no exhaustive semantics.
 	Faults netsim.Faults
 
-	// Model, when non-nil, is the bounded relational model for the SAT
-	// backends; scenarios without it are dynamic-only.
-	Model RelationalModel
+	// Model, when non-nil, is the bounded relational model of the MCA
+	// protocol the SAT backends check: the assertion is its Consensus
+	// under its Background facts. Scenarios without it are dynamic-only.
+	Model *mcamodel.Encoding
 	// Solver tunes the underlying SAT solver for the SAT backends.
 	Solver sat.Options
 }

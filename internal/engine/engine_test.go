@@ -177,19 +177,6 @@ func TestSATEngineMatchesLegacyCheck(t *testing.T) {
 	}
 }
 
-// TestLegacyCheckConsensusRoutesThroughEngine pins the mcamodel
-// compatibility wrappers (now engine-routed) to the raw relalg path.
-func TestLegacyCheckConsensusRoutesThroughEngine(t *testing.T) {
-	for _, e := range satFixtures(t) {
-		want := relalg.Check(e.Bounds, e.Background, e.Consensus, sat.Options{})
-		m := mcamodel.CheckConsensus(e, sat.Options{})
-		if m.CheckStatus != want.Status || m.Clauses != want.Stats.Clauses {
-			t.Fatalf("%s: wrapper %v/%d, legacy %v/%d",
-				e.Name, m.CheckStatus, m.Clauses, want.Status, want.Stats.Clauses)
-		}
-	}
-}
-
 // TestSimulationEngineConvergesOnReliableNetwork checks the sampled
 // engine agrees with the exhaustive one on a fault-free verified
 // scenario.

@@ -131,7 +131,8 @@ func TestSessionsExcludedFromCacheKeyAndSpec(t *testing.T) {
 
 // Assert-state variants must round-trip through the scenario codec:
 // the wire form carries assert_state, and the decoded model rebuilds
-// the same variant (same keys, same verdict).
+// the same variant (same encoding, scope and assert state, so the same
+// session family).
 func TestAssertStateScenarioRoundTrip(t *testing.T) {
 	scenarios := assertStateSweep(t)
 	for _, s := range scenarios {
@@ -150,14 +151,10 @@ func TestAssertStateScenarioRoundTrip(t *testing.T) {
 		if !bytes.Equal(data, re) {
 			t.Fatalf("%s: round trip not byte-identical:\n%s\n%s", s.Name, data, re)
 		}
-		im, ok := dec.Model.(engine.IncrementalRelationalModel)
-		if !ok {
-			t.Fatalf("%s: decoded model lost incrementality", s.Name)
-		}
-		wb, wv := s.Model.(engine.IncrementalRelationalModel).IncrementalKeys()
-		gb, gv := im.IncrementalKeys()
-		if wb != gb || wv != gv {
-			t.Fatalf("%s: keys changed across the wire: (%s,%s) vs (%s,%s)", s.Name, wb, wv, gb, gv)
+		w, g := s.Model, dec.Model
+		if w.Name != g.Name || w.Scope != g.Scope || w.AssertState != g.AssertState {
+			t.Fatalf("%s: model changed across the wire: %s %v %d vs %s %v %d",
+				s.Name, w.Name, w.Scope, w.AssertState, g.Name, g.Scope, g.AssertState)
 		}
 	}
 }

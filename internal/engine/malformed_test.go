@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -109,11 +110,13 @@ func TestMalformedScenarioBuiltInGoMeetsTheSameCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, overflow := s, s
+	wide, overflow, nanDrop := s, s, s
 	wide.Graph = graph.Line(4)
 	overflow.Explore.Bound, overflow.Explore.HardLimitFactor = 1<<62, 4
+	// No document carries a NaN; the simulator would silently never drop.
+	nanDrop.Faults.Drop = math.NaN()
 	for _, eng := range []Engine{Explicit{}, Explicit{Workers: 2}, Simulation{Runs: 2}, Auto{Workers: 2}} {
-		for rule, bad := range map[string]Scenario{"3 agents on a 4-node graph": wide, "explore bound": overflow} {
+		for rule, bad := range map[string]Scenario{"3 agents on a 4-node graph": wide, "explore bound": overflow, "drop probability NaN": nanDrop} {
 			res := eng.Verify(context.Background(), bad)
 			if res.Status != StatusError || res.Err == nil || !strings.Contains(res.Err.Error(), rule) {
 				t.Errorf("%s: %v (%v), want an error result naming %q", eng.Name(), res.Status, res.Err, rule)

@@ -22,14 +22,13 @@ type RunnerOptions struct {
 	// engine name) already has a conclusive result: the cached Result is
 	// returned with Cached set instead of re-verifying. Fresh conclusive
 	// results (holds/violated) are stored back; inconclusive and error
-	// results are never cached, and scenarios the codec cannot encode
-	// simply bypass the cache.
+	// results are never cached.
 	Cache ResultCache
 	// IncrementalSAT shares one SAT session pool across the batch: SAT
-	// scenarios whose models implement IncrementalRelationalModel and
-	// share a base (same encoding and scope, differing only in their
-	// assertion variant) reuse one persistent translation and sequential
-	// solver, keeping learnt clauses warm across the sweep grid. A
+	// scenarios whose models share a base (same encoding and scope,
+	// differing only in their assert state) reuse one persistent
+	// translation and sequential solver, keeping learnt clauses warm
+	// across the sweep grid. A
 	// portfolio SAT engine solves each scenario one-shot regardless.
 	// Verdicts are unchanged; only the effort per variant shrinks.
 	IncrementalSAT bool

@@ -141,33 +141,6 @@ func TestRunnerCacheSkipsInconclusive(t *testing.T) {
 	}
 }
 
-// TestRunnerCacheBypassesUnencodable: scenarios the codec cannot
-// address (a custom utility function) run normally, just without
-// caching.
-func TestRunnerCacheBypassesUnencodable(t *testing.T) {
-	flat := mca.FuncUtility{IsSub: true, F: func(base []int64, j mca.ItemID, _ []mca.ItemID, _ mca.BidInfo) int64 { return base[j] }}
-	pol := mca.Policy{Target: 2, Utility: flat, ReleaseOutbid: true, Rebid: mca.RebidOnChange}
-	specs := make([]mca.Config, 2)
-	for i := range specs {
-		specs[i] = mca.Config{ID: mca.AgentID(i), Items: 2, Base: []int64{10, 15}, Policy: pol}
-	}
-	s := engine.Scenario{Name: "custom-utility", AgentSpecs: specs, Graph: graph.Complete(2)}
-	c, err := cache.New(cache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := engine.NewRunner(engine.RunnerOptions{Workers: 1, Cache: c})
-	for pass := 0; pass < 2; pass++ {
-		results, sum := r.Run(context.Background(), []engine.Scenario{s})
-		if results[0].Status != engine.StatusHolds || results[0].Cached || sum.CacheHits != 0 {
-			t.Fatalf("pass %d: %+v (sum %+v)", pass, results[0], sum)
-		}
-	}
-	if c.Len() != 0 {
-		t.Fatalf("unencodable scenario cached: %d entries", c.Len())
-	}
-}
-
 // sweepOf wraps scenarios as a sweep document: one axis, one variant
 // per scenario, each patch the scenario's own sections.
 func sweepOf(t *testing.T, scenarios []engine.Scenario) []byte {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/mcamodel"
 	"repro/internal/relalg"
 	"repro/internal/sat"
 )
@@ -20,10 +21,10 @@ type SAT struct {
 	// (negative means one per CPU).
 	Workers int
 	// Sessions, when non-nil, turns on incremental sweep solving on the
-	// sequential solver for models implementing
-	// IncrementalRelationalModel: variants sharing a base key reuse one
-	// persistent translation and solver, keeping learnt clauses,
-	// activities, and phases warm across the sweep. A portfolio engine
+	// sequential solver: models of one encoding and scope, differing only
+	// in their assert state, reuse one persistent translation and solver,
+	// keeping learnt clauses, activities, and phases warm across the
+	// sweep. A portfolio engine
 	// (Workers ≠ 0) ignores it and solves each scenario one-shot, with
 	// fresh members, so no clause crosses between solvers. Sessions is a
 	// runtime handle, never serialized: engine specs omit it and
@@ -35,18 +36,26 @@ type SAT struct {
 }
 
 // SessionPool holds the live incremental sessions of a sweep, keyed by
-// the model's base key plus the solver configuration (two scenarios
+// the model's base family plus the solver configuration (two scenarios
 // share a solver only when nothing that could change the search
 // differs). Safe for concurrent use by Runner workers; each
 // session serializes its own solves.
 type SessionPool struct {
 	mu       sync.Mutex
-	sessions map[string]*satSession
+	sessions map[sessionKey]*satSession
+}
+
+// sessionKey names a base family: models built by one encoding at one
+// scope share bounds and background, and differ only in the assertion.
+type sessionKey struct {
+	encoding string
+	scope    mcamodel.Scope
+	solver   sat.Options
 }
 
 // NewSessionPool creates an empty pool, typically one per sweep.
 func NewSessionPool() *SessionPool {
-	return &SessionPool{sessions: map[string]*satSession{}}
+	return &SessionPool{sessions: map[sessionKey]*satSession{}}
 }
 
 // satSession is one persistent translation + serial solver, seeded by
@@ -54,10 +63,10 @@ func NewSessionPool() *SessionPool {
 type satSession struct {
 	mu   sync.Mutex
 	inc  *relalg.Incremental
-	seed IncrementalRelationalModel
+	seed *mcamodel.Encoding
 }
 
-func (p *SessionPool) get(key string) *satSession {
+func (p *SessionPool) get(key sessionKey) *satSession {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s, ok := p.sessions[key]
@@ -96,15 +105,15 @@ func (e SAT) Verify(ctx context.Context, s Scenario) Result {
 	if err := Applicable(e, &s); err != nil {
 		return errorResult(&s, e.Name(), err)
 	}
-	if im, ok := s.Model.(IncrementalRelationalModel); ok && e.Sessions != nil && e.Workers == 0 {
-		return e.verifyIncremental(ctx, s, im, start)
+	if e.Sessions != nil && e.Workers == 0 {
+		return e.verifyIncremental(ctx, s, start)
 	}
-	bounds, axioms, assertion := s.Model.RelationalProblem()
+	m := s.Model
 	r := relalg.Solve(&relalg.Problem{
-		Bounds: bounds,
-		// Alloy's check command: a model of axioms ∧ ¬assertion is a
+		Bounds: m.Bounds,
+		// Alloy's check command: a model of facts ∧ ¬assertion is a
 		// counterexample to the assertion.
-		Formula:       relalg.And(axioms, relalg.Not(assertion)),
+		Formula:       relalg.And(m.Background, relalg.Not(m.Consensus)),
 		SolverOptions: s.Solver,
 		Workers:       e.Workers,
 		Cancel:        cancelHook(ctx),
@@ -117,26 +126,25 @@ func (e SAT) Verify(ctx context.Context, s Scenario) Result {
 // (translating bounds and axioms once), later ones only translate their
 // assertion into the shared circuit and solve under its activation
 // literal, inheriting every learnt clause of the sweep so far.
-func (e SAT) verifyIncremental(ctx context.Context, s Scenario, im IncrementalRelationalModel, start time.Time) Result {
-	baseKey, variantKey := im.IncrementalKeys()
-	sess := e.Sessions.get(fmt.Sprintf("%s|solver=%+v", baseKey, s.Solver))
+func (e SAT) verifyIncremental(ctx context.Context, s Scenario, start time.Time) Result {
+	m := s.Model
+	sess := e.Sessions.get(sessionKey{m.Name, m.Scope, s.Solver})
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.inc == nil {
-		bounds, axioms, _ := im.RelationalProblem()
-		sess.inc = relalg.NewIncremental(bounds, axioms, s.Solver)
-		sess.seed = im
+		sess.inc = relalg.NewIncremental(m.Bounds, m.Background, s.Solver)
+		sess.seed = m
 	}
 	// Rebuild the variant's assertion over the SEED model's relations:
 	// this scenario's own formula points at different relation values
 	// (each decode mints fresh ones), which the seed's translator would
 	// treat as brand-new relations.
-	assertion, err := sess.seed.AssertionFor(variantKey)
+	variant, err := sess.seed.WithAssertState(m.AssertState)
 	if err != nil {
 		return errorResult(&s, e.Name(), err)
 	}
 	sess.inc.SetCancel(cancelHook(ctx))
-	r := sess.inc.Solve(relalg.Not(assertion))
+	r := sess.inc.Solve(relalg.Not(variant.Consensus))
 	return e.satResult(ctx, &s, r, start)
 }
 

@@ -4,54 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
-	"repro/internal/relalg"
+	"repro/internal/mcamodel"
 )
-
-// specModel is a relational-model stand-in whose spec document has
-// nested object members, so the sweep tests can merge into model.spec
-// without importing a real model package (mcamodel imports engine).
-type specModel struct {
-	A     int `json:"a,omitempty"`
-	Scope struct {
-		C int `json:"c,omitempty"`
-		D int `json:"d,omitempty"`
-	} `json:"scope"`
-}
-
-func (specModel) ModelName() string { return "test-spec" }
-func (specModel) RelationalProblem() (*relalg.Bounds, relalg.Formula, relalg.Formula) {
-	return nil, nil, nil
-}
-
-func init() {
-	RegisterModelCodec(ModelCodec{
-		Kind: "test-spec",
-		Encode: func(m RelationalModel) (json.RawMessage, bool, error) {
-			sm, ok := m.(*specModel)
-			if !ok {
-				return nil, false, nil
-			}
-			spec, err := json.Marshal(sm)
-			return spec, true, err
-		},
-		Decode: func(spec json.RawMessage) (RelationalModel, error) {
-			sm := new(specModel)
-			if err := strictUnmarshal(spec, sm); err != nil {
-				return nil, err
-			}
-			if sm.A < 0 {
-				return nil, errors.New("negative a")
-			}
-			return sm, nil
-		},
-	})
-}
 
 // benchShapedGrid is a sweep document of the shape bench/gen.go posts:
 // n agent-list variants on the first axis, three networks on the
@@ -106,13 +65,14 @@ func sweepCorpus() map[string][]byte {
 			"axes":[
 			 {"axis":"a","variants":[{"name":"del","scenario":{"faults":null,"explore":{"queue_depth":null}}},{"name":"keep","scenario":{"graph":{"nodes":2,"edges":null}}}]},
 			 {"axis":"b","variants":[{"name":"set","scenario":{"faults":{"delay":4,"drop":null}}},{"name":"nop","scenario":{"solver":{"rand_seed":null}}},{"name":"gone","scenario":{"explore":null,"graph":null}}]}]}`),
-		// model.spec is free-form JSON to the engine: patches merge into it
-		// recursively, and the model is decoded per cell.
+		// Patches merge into model.spec and model.spec.scope recursively
+		// (a null deletes a scope field, which then takes its default),
+		// and the model is built per cell.
 		"model-spec-merge": []byte(`{"version":1,"name":"spec",
-			"base":{"model":{"kind":"test-spec","spec":{"a":1,"scope":{"c":2,"d":3}}}},
+			"base":{"model":{"kind":"mca-model","spec":{"encoding":"naive","scope":{"pnodes":2,"vnodes":1,"values":2,"states":2,"msgs":1,"int_bitwidth":2}}}},
 			"axes":[
-			 {"axis":"a","variants":[{"name":"a0","scenario":{}},{"name":"a1","scenario":{"model":{"spec":{"scope":{"c":5}}}}},{"name":"a2","scenario":{"model":{"spec":{"scope":{"d":null},"a":4}}}}]},
-			 {"axis":"b","variants":[{"name":"b0","scenario":{}},{"name":"b1","scenario":{"model":{"spec":{"a":null}}}},{"name":"b2","scenario":{"model":null}}]}]}`),
+			 {"axis":"a","variants":[{"name":"a0","scenario":{}},{"name":"a1","scenario":{"model":{"spec":{"scope":{"states":3}}}}},{"name":"a2","scenario":{"model":{"spec":{"scope":{"int_bitwidth":null},"encoding":"optimized"}}}}]},
+			 {"axis":"b","variants":[{"name":"b0","scenario":{}},{"name":"b1","scenario":{"model":{"spec":{"assert_state":2}}}},{"name":"b2","scenario":{"model":null}}]}]}`),
 		// An early axis's value that every cell overrides is never
 		// converted, so its bad utility kind is no error.
 		"overridden": []byte(`{"version":1,"name":"over","base":{},
@@ -224,11 +184,8 @@ func checkAgainstReference(t *testing.T, doc []byte) {
 		}
 		unnamed, _ := encodeUnnamed(&want[i])
 		carried := sw.cells[i].canonical
-		if !bytes.Equal(carried, unnamed) {
+		if carried == nil || !bytes.Equal(carried, unnamed) {
 			t.Fatalf("cell %q carries\n     %s\nwant %s", want[i].Name, carried, unnamed)
-		}
-		if carried == nil {
-			continue
 		}
 		for _, eng := range []Engine{Auto{}, Simulation{Runs: 3, Seed: 9}} {
 			key, err := CacheKey(&want[i], eng)
@@ -290,25 +247,38 @@ func TestSweepCellsShareSections(t *testing.T) {
 	}
 }
 
-// TestSweepModelsAreDecodedPerCell: cells never share a model value.
+// TestSweepModelsAreDecodedPerCell: cells never share a model value,
+// and each cell's model is the merge of its picks.
 func TestSweepModelsAreDecodedPerCell(t *testing.T) {
 	scenarios, err := ExpandSweep(sweepCorpus()["model-spec-merge"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[*specModel]string{}
+	seen := map[*mcamodel.Encoding]string{}
 	for _, s := range scenarios {
 		if s.Model == nil {
 			continue
 		}
-		m := s.Model.(*specModel)
-		if other, dup := seen[m]; dup {
+		if other, dup := seen[s.Model]; dup {
 			t.Fatalf("cells %q and %q share one model value", other, s.Name)
 		}
-		seen[m] = s.Name
+		seen[s.Model] = s.Name
 	}
 	if len(seen) != 6 {
 		t.Fatalf("%d cells carry a model, want 6", len(seen))
+	}
+	want := map[string]string{
+		"spec/a0/b0": "naive 2p/1v/2val/2st/1msg bw2 assert0",
+		"spec/a1/b1": "naive 2p/1v/2val/3st/1msg bw2 assert2",
+		"spec/a2/b0": "optimized 2p/1v/2val/2st/1msg bw4 assert0",
+	}
+	for _, s := range scenarios {
+		if w, ok := want[s.Name]; ok {
+			m := s.Model
+			if got := fmt.Sprintf("%s %s bw%d assert%d", m.Name, m.Scope, m.Scope.IntBitwidth, m.AssertState); got != w {
+				t.Errorf("%s: model %s, want %s", s.Name, got, w)
+			}
+		}
 	}
 }
 
@@ -399,7 +369,7 @@ func FuzzExpandSweep(f *testing.F) {
 
 func FuzzDecodeScenario(f *testing.F) {
 	f.Add([]byte(`{"version":1,"graph":{"nodes":20000000},"explore":{"store":"bitstate","store_bits":62}}`))
-	f.Add([]byte(`{"version":1,"name":"x","agents":[{"id":0,"items":2,"base":[10,15],"demands":[1,2],"capacity":3,"policy":{"target":2,"utility":{"kind":"escalating-attack","step":2,"cap":64},"release_outbid":true,"rebid":"always","bids_per_round":1}}],"graph":{"nodes":2,"edges":[{"u":0,"v":1,"w":0}]},"explore":{"bound":5,"max_states":10,"store":"hash-compact","store_bits":12},"faults":{"drop":0.5,"drop_edge":[{"from":0,"to":1,"drop":1}],"delay_edge":[{"from":1,"to":0,"delay":2}],"duplicate":0.1,"reorder":2,"partitions":[[1],[0]],"heal_after":3},"model":{"kind":"test-spec","spec":{"a":1,"scope":{"c":2}}},"solver":{"rand_seed":7,"random_polarity_freq":0.25}}`))
+	f.Add([]byte(`{"version":1,"name":"x","agents":[{"id":0,"items":2,"base":[10,15],"demands":[1,2],"capacity":3,"policy":{"target":2,"utility":{"kind":"escalating-attack","step":2,"cap":64},"release_outbid":true,"rebid":"always","bids_per_round":1}}],"graph":{"nodes":2,"edges":[{"u":0,"v":1,"w":0}]},"explore":{"bound":5,"max_states":10,"store":"hash-compact","store_bits":12},"faults":{"drop":0.5,"drop_edge":[{"from":0,"to":1,"drop":1}],"delay_edge":[{"from":1,"to":0,"delay":2}],"duplicate":0.1,"reorder":2,"partitions":[[1],[0]],"heal_after":3},"model":{"kind":"mca-model","spec":{"encoding":"optimized","scope":{"pnodes":2,"vnodes":1,"values":2,"states":3,"msgs":1},"assert_state":2}},"solver":{"rand_seed":7,"random_polarity_freq":0.25}}`))
 	if sw, err := DecodeSweep([]byte(sweepDoc)); err == nil {
 		for i := range sw.cells {
 			doc, _ := EncodeScenario(&sw.cells[i].scenario)

@@ -161,9 +161,8 @@ func (src *sweepSource) tree(sec int) (any, error) {
 // sectionValue is one distinct resolved value of one section: the
 // decoded form as a Scenario holding that section only, and its
 // canonical fragment (`,"agents":[...]`, empty when the encoding omits
-// the section, nil when the value cannot be encoded). Cells share s by
-// reference except the model, which every cell after the first decodes
-// afresh from model.
+// the section). Cells share s by reference except the model, which
+// every cell after the first decodes afresh from model.
 type sectionValue struct {
 	s     Scenario
 	model *modelJSON
@@ -265,17 +264,21 @@ func (x *sweepExpansion) value(sec int, pick []int, name string) (*sectionValue,
 		v.s.Faults = faultsFromWire(w.Faults)
 	case secModel:
 		v.model = w.Model
-		v.s.Model, err = decodeModel(w.Model)
+		v.s.Model, err = modelFromWire(name, w.Model)
 	case secSolver:
 		v.s.Solver = solverFromWire(w.Solver)
 	}
 	if err == nil {
 		err = v.s.validateSections(name)
 	}
+	if err == nil {
+		// A validated value encodes; were it ever not to, the cell would
+		// fail here rather than run unaddressed.
+		v.frag, err = canonicalFragment(&v.s)
+	}
 	if err != nil {
 		return nil, err
 	}
-	v.frag = canonicalFragment(&v.s)
 	x.memo[sec][idx] = v
 	return v, nil
 }
@@ -283,7 +286,7 @@ func (x *sweepExpansion) value(sec int, pick []int, name string) (*sectionValue,
 // cell assembles one grid cell from the memoised section values.
 func (x *sweepExpansion) cell(name string, pick []int) (sweepCell, error) {
 	var vals [numSections]*sectionValue
-	size, encodable := len(canonicalHead)+1, true
+	size := len(canonicalHead) + 1
 	for sec := range vals {
 		v, err := x.value(sec, pick, name)
 		if err != nil {
@@ -291,7 +294,6 @@ func (x *sweepExpansion) cell(name string, pick []int) (sweepCell, error) {
 		}
 		vals[sec] = v
 		size += len(v.frag)
-		encodable = encodable && v.frag != nil
 	}
 	c := sweepCell{scenario: Scenario{
 		Name:       name,
@@ -307,7 +309,7 @@ func (x *sweepExpansion) cell(name string, pick []int) (sweepCell, error) {
 	m := vals[secModel]
 	if c.scenario.Model, m.s.Model = m.s.Model, nil; c.scenario.Model == nil {
 		var err error
-		if c.scenario.Model, err = decodeModel(m.model); err != nil {
+		if c.scenario.Model, err = modelFromWire(name, m.model); err != nil {
 			return sweepCell{}, err
 		}
 	}
@@ -316,13 +318,11 @@ func (x *sweepExpansion) cell(name string, pick []int) (sweepCell, error) {
 	if err := c.scenario.validateCross(); err != nil {
 		return sweepCell{}, err
 	}
-	if encodable { // otherwise the cell is verified uncached, as CacheKey's error would have it
-		c.canonical = append(make([]byte, 0, size), canonicalHead...)
-		for _, v := range vals {
-			c.canonical = append(c.canonical, v.frag...)
-		}
-		c.canonical = append(c.canonical, '}')
+	c.canonical = append(make([]byte, 0, size), canonicalHead...)
+	for _, v := range vals {
+		c.canonical = append(c.canonical, v.frag...)
 	}
+	c.canonical = append(c.canonical, '}')
 	return c, nil
 }
 
@@ -333,14 +333,13 @@ var canonicalHead = fmt.Sprintf(`{"version":%d`, SchemaVersion)
 // canonicalFragment is the canonical encoding of a scenario that holds
 // one section, minus the document frame: what that section contributes
 // to any unnamed scenario's encoding. It is cut out of EncodeScenario's
-// own output, so there is no second encoder to keep in step. A scenario
-// the codec cannot encode has no fragment (nil).
-func canonicalFragment(s *Scenario) []byte {
+// own output, so there is no second encoder to keep in step.
+func canonicalFragment(s *Scenario) ([]byte, error) {
 	data, err := EncodeScenario(s)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return data[len(canonicalHead) : len(data)-1]
+	return data[len(canonicalHead) : len(data)-1], nil
 }
 
 // Sweep is a decoded sweep document: the grid's scenarios in
@@ -358,7 +357,7 @@ type Sweep struct {
 
 type sweepCell struct {
 	scenario Scenario
-	// canonical is encodeUnnamed(&scenario); nil if that fails.
+	// canonical is encodeUnnamed(&scenario).
 	canonical []byte
 }
 

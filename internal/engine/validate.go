@@ -2,8 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/explore"
+	"repro/internal/mcamodel"
 )
 
 // Ceilings on what the engines multiply: a derived message budget is
@@ -30,7 +32,8 @@ const (
 // or nil. Every rule on a scenario value is here — the decoders only
 // convert — and DecodeScenario, every cell of DecodeSweep and Applicable
 // (so every engine's Verify) end in it, whether the value came from a
-// document or was built in Go. A graph without agents, agents without a
+// document or was built in Go. What it accepts is data: it encodes, and
+// so has a content address. A graph without agents, agents without a
 // graph and neither (SAT-only) are all well formed.
 // docs/SCENARIO_FORMAT.md §Well-formedness is this list.
 func (s *Scenario) Validate() error {
@@ -45,13 +48,19 @@ func illFormed(name, format string, args ...any) error {
 	return fmt.Errorf("engine: scenario %q"+format, append([]any{name}, args...)...)
 }
 
+// IsProbability reports whether p lies in [0,1]; NaN does not. It is the
+// one range test of every probability a scenario or a generator profile
+// carries: a NaN passes a test written as p < 0 || p > 1, and then
+// silently never fires.
+func IsProbability(p float64) bool { return p >= 0 && p <= 1 }
+
 // validateSections checks the rules that read one section each. A sweep
 // expansion runs it once per distinct section value — on a scenario
 // holding that section only, under the name of the first cell using it.
 func (s *Scenario) validateSections(name string) error {
-	// Agents: each constructs, sits at the position its id names — the
-	// engines index agents, graph nodes and fault references by it — and
-	// bids on the same item set as the others.
+	// Agents: each constructs from data alone, sits at the position its
+	// id names — the engines index agents, graph nodes and fault
+	// references by it — and bids on the same item set as the others.
 	if len(s.AgentSpecs) > MaxAgents {
 		return illFormed(name, ": %d agents (at most %d)", len(s.AgentSpecs), MaxAgents)
 	}
@@ -65,6 +74,20 @@ func (s *Scenario) validateSections(name string) error {
 			return illFormed(name, ": agent %d has %d items, agent 0 has %d (all agents bid on one item set)", i, cfg.Items, s.AgentSpecs[0].Items)
 		case cfg.Items > MaxItems:
 			return illFormed(name, ": agent %d has %d items (at most %d)", i, cfg.Items, MaxItems)
+		case cfg.Resolver != nil:
+			return illFormed(name, " agent %d: custom resolver (a scenario uses the default conflict table)", i)
+		}
+		if _, err := encodeUtility(cfg.Policy.Utility); err != nil {
+			return illFormed(name, " agent %d: %w", i, err)
+		}
+	}
+
+	// Graph: edge weights are finite, as a document's numbers are.
+	if s.Graph != nil {
+		for _, e := range s.Graph.Edges() {
+			if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) {
+				return illFormed(name, ": graph edge {%d,%d} weight %v is not finite", e.U, e.V, e.Weight)
+			}
 		}
 	}
 
@@ -92,9 +115,9 @@ func (s *Scenario) validateSections(name string) error {
 	// into a reliable one.
 	f := &s.Faults
 	switch {
-	case f.Drop < 0 || f.Drop > 1:
+	case !IsProbability(f.Drop):
 		return illFormed(name, " faults: drop probability %v outside [0,1]", f.Drop)
-	case f.Duplicate < 0 || f.Duplicate > 1:
+	case !IsProbability(f.Duplicate):
 		return illFormed(name, " faults: duplicate probability %v outside [0,1]", f.Duplicate)
 	}
 	for _, c := range []struct {
@@ -106,7 +129,7 @@ func (s *Scenario) validateSections(name string) error {
 		}
 	}
 	for e, p := range f.DropEdge {
-		if p < 0 || p > 1 {
+		if !IsProbability(p) {
 			return illFormed(name, " faults: drop_edge {%d,%d} probability %v outside [0,1]", e.From, e.To, p)
 		}
 	}
@@ -114,6 +137,15 @@ func (s *Scenario) validateSections(name string) error {
 		if d < 0 || d > MaxFaultTicks {
 			return illFormed(name, " faults: delay_edge {%d,%d} delay %d outside [0,%d]", e.From, e.To, d, MaxFaultTicks)
 		}
+	}
+
+	// Model: one the codec can name, so one a document can rebuild.
+	if m := s.Model; m != nil && mcamodel.Encodings[m.Name] == nil {
+		return illFormed(name, " model: encoding %q is not buildable (want naive|optimized)", m.Name)
+	}
+
+	if p := s.Solver.RandomPolarityFreq; !IsProbability(p) {
+		return illFormed(name, " solver: random_polarity_freq %v outside [0,1]", p)
 	}
 	return nil
 }

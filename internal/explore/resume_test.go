@@ -3,8 +3,11 @@ package explore
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -245,6 +248,67 @@ func TestDecodeRunStateRejectsCorruption(t *testing.T) {
 	if _, err := DecodeRunState(append(append([]byte{}, enc...), 0x01)); err == nil {
 		t.Fatal("trailing garbage decoded")
 	}
+}
+
+// overflowingRunState is a well-framed run state whose one frontier item
+// declares a packed state of MaxInt64-10 bytes: offset plus length
+// wraps on it, which once sliced past the buffer and panicked.
+func overflowingRunState() []byte {
+	buf := []byte(runStateMagic)
+	for _, v := range []uint64{1, 1, 0, 1, 1} { // next level, states, max depth, nodes, seen
+		buf = binary.AppendUvarint(buf, v)
+	}
+	buf = append(buf, make([]byte, 16)...) // the node's key
+	buf = append(buf, 0, 0, 0, 0, 0, 0)    // parent+1, from, to, consume, depth, changes
+	buf = binary.AppendUvarint(buf, 1)     // one frontier item, on node 0,
+	buf = binary.AppendUvarint(buf, 0)
+	buf = append(buf, make([]byte, 8)...) // with a route fingerprint
+	buf = binary.AppendUvarint(buf, math.MaxInt64-10)
+	return append(buf, "state"...)
+}
+
+func TestDecodeRunStateOverflowingLength(t *testing.T) {
+	if _, err := DecodeRunState(overflowingRunState()); !errors.Is(err, ErrCorruptRunState) {
+		t.Fatalf("err = %v, want ErrCorruptRunState", err)
+	}
+}
+
+// FuzzDecodeRunState: a run state is untrusted bytes (a checkpoint file
+// whose checksum anyone can recompute). Decoding one is a typed error or
+// a value whose encoding decodes and re-encodes byte-identically —
+// never a panic — and allocates in proportion to the input.
+func FuzzDecodeRunState(f *testing.F) {
+	// Star-4 capped after its first level: every section of the format
+	// (tree, routed frontier with packed states, edge log) in 2 KB.
+	v, rs, err := CheckParallelFrom(star4Agents(), graph.Star(4), Options{MaxStates: 1}, 2, nil, true)
+	if err != nil || !v.Capped {
+		f.Fatalf("capped star-4 seed: %+v, %v", v, err)
+	}
+	f.Add(EncodeRunState(rs))
+	f.Add(overflowingRunState())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rs, err := DecodeRunState(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+64*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorruptRunState) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		first := EncodeRunState(rs)
+		again, err := DecodeRunState(first)
+		if err != nil {
+			t.Fatalf("re-encoded run state does not decode: %v", err)
+		}
+		if second := EncodeRunState(again); !bytes.Equal(first, second) {
+			t.Fatalf("round trip moved the bytes:\n%x\n%x", first, second)
+		}
+	})
 }
 
 func TestRunStateValidation(t *testing.T) {

@@ -215,7 +215,8 @@ func (r *runStateReader) bytes(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.pos+n > len(r.buf) {
+	// Against the bytes remaining: r.pos+n wraps for n near MaxInt.
+	if n < 0 || n > len(r.buf)-r.pos {
 		r.fail("truncated %d-byte field at offset %d", n, r.pos)
 		return nil
 	}

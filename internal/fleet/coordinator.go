@@ -314,8 +314,9 @@ func (r remote) Verify(ctx context.Context, s engine.Scenario) engine.Result {
 	index := int(c.units.Add(1))
 	unit, err := EncodeWorkUnit(index, r.local, &s)
 	if err != nil {
-		// Not dispatchable (custom resolvers, custom utilities): verify
-		// on the coordinator, like the Runner would.
+		// Not dispatchable — a custom engine has no spec, and an
+		// ill-formed scenario no document: verify on the coordinator,
+		// like the Runner would (local reports the ill-formed one).
 		c.localFallbacks.Add(1)
 		return r.local.Verify(ctx, s)
 	}

@@ -30,9 +30,9 @@ type unitJSON struct {
 	Scenario json.RawMessage `json:"scenario"`
 }
 
-// EncodeWorkUnit renders one dispatchable unit. Scenarios the codec
-// cannot encode (custom resolvers, custom utilities, unregistered
-// models) are not dispatchable; the coordinator runs those locally.
+// EncodeWorkUnit renders one dispatchable unit. A custom engine
+// implementation has no spec, so its units are not dispatchable; the
+// coordinator runs those locally.
 func EncodeWorkUnit(index int, eng engine.Engine, s *engine.Scenario) ([]byte, error) {
 	spec, err := engine.EncodeEngineSpec(eng)
 	if err != nil {

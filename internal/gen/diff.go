@@ -22,9 +22,9 @@ import (
 //   - relational (SAT in any configuration): does the scenario's
 //     bounded relational model admit a consensus counterexample within
 //     its trace scope? Every encoding and solving strategy answers the
-//     same question and must agree exactly; when the scenario's model is
-//     an mcamodel encoding, the oracle additionally verifies the sibling
-//     encoding (naive vs optimized) and requires the same answer.
+//     same question and must agree exactly; the oracle additionally
+//     verifies the model's sibling encoding (naive vs optimized) and
+//     requires the same answer.
 //
 // Inconclusive and error legs never count as agreement or disagreement:
 // they carry no verdict to compare.
@@ -152,12 +152,11 @@ func classOf(e engine.Engine, s *engine.Scenario) LegClass {
 }
 
 // DiffVerify runs the scenario through every applicable engine and
-// compares the verdicts. When the scenario's model is an mcamodel
-// encoding, each SAT engine also verifies the sibling encoding at the
-// same scope (the paper's naive-vs-optimized agreement, E5, as an
-// oracle). Legs are verified sequentially in the fixed engine order;
-// ctx cancellation turns remaining legs inconclusive, which the
-// comparison ignores.
+// compares the verdicts. Each SAT engine also verifies the model's
+// sibling encoding at the same scope (the paper's naive-vs-optimized
+// agreement, E5, as an oracle). Legs are verified sequentially in the
+// fixed engine order; ctx cancellation turns remaining legs
+// inconclusive, which the comparison ignores.
 func DiffVerify(ctx context.Context, s engine.Scenario, opts DiffOptions) DiffResult {
 	opts = opts.withDefaults()
 	out := DiffResult{Index: -1, Scenario: s}
@@ -192,25 +191,21 @@ func DiffVerify(ctx context.Context, s engine.Scenario, opts DiffOptions) DiffRe
 }
 
 // relationalLabel tags a relational leg with the model it checked.
-func relationalLabel(engineName string, m engine.RelationalModel) string {
+func relationalLabel(engineName string, m *mcamodel.Encoding) string {
 	if m == nil {
 		return engineName
 	}
-	return engineName + "@" + m.ModelName()
+	return engineName + "@" + m.Name
 }
 
 // siblingEncoding builds the other mcamodel encoding at the same scope,
-// or nil for models the oracle does not know how to re-encode.
-func siblingEncoding(m engine.RelationalModel) (engine.RelationalModel, error) {
-	enc, ok := m.(*mcamodel.Encoding)
-	if !ok {
-		return nil, nil
-	}
-	switch enc.Name {
+// or nil for a model the oracle does not know how to re-encode.
+func siblingEncoding(m *mcamodel.Encoding) (*mcamodel.Encoding, error) {
+	switch m.Name {
 	case "naive":
-		return mcamodel.BuildOptimized(enc.Scope)
+		return mcamodel.BuildOptimized(m.Scope)
 	case "optimized":
-		return mcamodel.BuildNaive(enc.Scope)
+		return mcamodel.BuildNaive(m.Scope)
 	default:
 		return nil, nil
 	}

@@ -213,7 +213,7 @@ func genFaults(rng *rand.Rand, p Profile, agents int) netsim.Faults {
 // scenario's shape, clamped small enough that the SAT backends answer
 // in tens of milliseconds (the relational trace scope grows the CNF
 // super-linearly).
-func genModel(rng *rand.Rand, p Profile, agents, items int) (engine.RelationalModel, error) {
+func genModel(rng *rand.Rand, p Profile, agents, items int) (*mcamodel.Encoding, error) {
 	sc := mcamodel.Scope{
 		PNodes: min(agents, 3),
 		VNodes: min(items, 2),

@@ -2,6 +2,8 @@ package gen
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -202,7 +204,57 @@ func TestGenerateRejectsBadInput(t *testing.T) {
 	if _, err := Generate(Profile{}, 1, -1); err == nil {
 		t.Fatal("negative count accepted")
 	}
-	if _, err := Generate(Profile{Utilities: []string{"nope"}}, 1, 1); err == nil {
-		t.Fatal("unknown utility accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, p := range map[string]Profile{
+		"unknown-utility": {Utilities: []string{"nope"}},
+		// Built in Go only (JSON has no NaN or Inf): a NaN passed the
+		// range tests written as p < 0 || p > 1.
+		"nan-release-prob":   {ReleaseProb: nan},
+		"inf-drop-max":       {DropMax: inf},
+		"nan-edge-prob-min":  {EdgeProb: FloatRange{Min: nan, Max: 0.5}},
+		"inf-edge-prob-max":  {EdgeProb: FloatRange{Min: 0.1, Max: inf}},
+		"nan-edge-prob-both": {EdgeProb: FloatRange{Min: nan, Max: nan}},
+	} {
+		if _, err := Generate(p, 1, 1); err == nil || !strings.Contains(err.Error(), "gen: profile") {
+			t.Errorf("%s: Generate error = %v, want the profile rule", name, err)
+		}
 	}
+}
+
+// FuzzDecodeProfile: a profile is the network-reachable body of POST
+// /generate. Each input is an error or a profile that validates, and
+// the scenarios generated from one are data — each passes
+// Scenario.Validate and encodes: the generator half of "valid ⇒
+// encodable".
+func FuzzDecodeProfile(f *testing.F) {
+	p := DefaultProfile()
+	def, err := EncodeProfile(&p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(def)
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"agents":{"min":2,"max":5},"topologies":["random"],"edge_prob":{"min":0,"max":1},"utilities":["escalating-attack"],"rebid_modes":["always"],"fault_prob":1,"drop_max":1,"dup_max":1,"reorder_max":3,"partition_prob":1,"heal_after_max":7,"model_prob":1,"model_encodings":["naive"],"model_states":{"min":5,"max":5},"model_msgs":{"min":5,"max":5}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodeProfile(data)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("decoded profile does not validate: %v", err)
+		}
+		scenarios, err := Generate(p, 1, 3)
+		if err != nil {
+			t.Fatalf("valid profile does not generate: %v", err)
+		}
+		for i := range scenarios {
+			s := &scenarios[i]
+			if err := s.Validate(); err != nil {
+				t.Fatalf("generated scenario %d is ill-formed: %v", i, err)
+			}
+			if _, err := engine.EncodeScenario(s); err != nil {
+				t.Fatalf("generated scenario %d does not encode: %v", i, err)
+			}
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/mca"
 	"repro/internal/mcamodel"
@@ -218,7 +219,7 @@ func (p Profile) Validate() error {
 		return nil
 	}
 	checkProb := func(name string, v float64) error {
-		if v < 0 || v > 1 {
+		if !engine.IsProbability(v) {
 			return fmt.Errorf("gen: profile %s %v outside [0,1]", name, v)
 		}
 		return nil
@@ -259,8 +260,8 @@ func (p Profile) Validate() error {
 			return err
 		}
 	}
-	if !p.EdgeProb.zero() && (p.EdgeProb.Min > p.EdgeProb.Max || p.EdgeProb.Min < 0 || p.EdgeProb.Max > 1) {
-		return fmt.Errorf("gen: profile edge_prob range [%v,%v] outside [0,1] or inverted", p.EdgeProb.Min, p.EdgeProb.Max)
+	if r := p.EdgeProb; !r.zero() && (!engine.IsProbability(r.Min) || !engine.IsProbability(r.Max) || r.Min > r.Max) {
+		return fmt.Errorf("gen: profile edge_prob range [%v,%v] outside [0,1] or inverted", r.Min, r.Max)
 	}
 	if p.BidsPerRoundMax < 0 || p.BidsPerRoundMax > 100 {
 		return fmt.Errorf("gen: profile bids_per_round_max %d outside 0..100", p.BidsPerRoundMax)

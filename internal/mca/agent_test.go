@@ -348,17 +348,13 @@ func TestSubmodularityOfUtilities(t *testing.T) {
 	}
 }
 
+// TestUtilityNames: each utility's Name is its kind, the token scenario
+// documents and generator profiles spell it with.
 func TestUtilityNames(t *testing.T) {
-	for _, u := range []Utility{
-		SubmodularResidual{}, NonSubmodularSynergy{}, FlatUtility{},
-		EscalatingUtility{}, FuncUtility{Label: "zzz"}, FuncUtility{},
-	} {
-		if u.Name() == "" {
-			t.Errorf("%T: empty name", u)
+	for i, u := range []Utility{SubmodularResidual{}, NonSubmodularSynergy{}, FlatUtility{}, EscalatingUtility{}} {
+		if u.Name() != UtilityKinds[i] {
+			t.Errorf("%T: name %q, want its kind %q", u, u.Name(), UtilityKinds[i])
 		}
-	}
-	if (FuncUtility{Label: "zzz"}).Name() != "zzz" {
-		t.Error("FuncUtility label not used")
 	}
 }
 

@@ -21,10 +21,11 @@
 //
 // Key types: Agent (one participant, built from a Config), Policy with
 // its Utility implementations (SubmodularResidual, NonSubmodularSynergy,
-// FlatUtility, the Result 2 EscalatingUtility attacker, and FuncUtility
-// for custom functions), Message (a full bid view in transit), Resolver
-// (the conflict table, Resolve), SyncRunner (synchronous rounds), and
-// Detector (the footnote-7 rebid-attack countermeasure).
+// FlatUtility, and the Result 2 EscalatingUtility attacker — the kinds
+// UtilityKinds names), Message (a full bid view in transit), Resolver
+// (the conflict table, Resolve; MaxMergeResolve is the ablation),
+// SyncRunner (synchronous rounds), and Detector (the footnote-7
+// rebid-attack countermeasure).
 //
 // Determinism: an Agent is a pure state machine — BidPhase and
 // HandleMessage depend only on the agent's state and the message, ties

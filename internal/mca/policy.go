@@ -236,27 +236,3 @@ func (u EscalatingUtility) Submodular() bool { return false }
 
 // Name implements Utility.
 func (u EscalatingUtility) Name() string { return KindEscalatingAttack }
-
-// FuncUtility wraps an arbitrary marginal function for tests and custom
-// applications.
-type FuncUtility struct {
-	F     func(base []int64, item ItemID, bundle []ItemID, current BidInfo) int64
-	IsSub bool
-	Label string
-}
-
-// Marginal implements Utility.
-func (u FuncUtility) Marginal(base []int64, item ItemID, bundle []ItemID, current BidInfo) int64 {
-	return u.F(base, item, bundle, current)
-}
-
-// Submodular implements Utility.
-func (u FuncUtility) Submodular() bool { return u.IsSub }
-
-// Name implements Utility.
-func (u FuncUtility) Name() string {
-	if u.Label != "" {
-		return u.Label
-	}
-	return "custom"
-}

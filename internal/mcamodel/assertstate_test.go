@@ -1,7 +1,6 @@
 package mcamodel
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/relalg"
@@ -24,25 +23,25 @@ func TestWithAssertStateVariants(t *testing.T) {
 		if v.Bounds != enc.Bounds || v.Background != enc.Background {
 			t.Fatalf("k=%d: variant does not share bounds/background with the base", k)
 		}
-		base, variant := v.IncrementalKeys()
-		if wantBase, _ := enc.IncrementalKeys(); base != wantBase {
-			t.Fatalf("k=%d: base key %q differs from seed's %q", k, base, wantBase)
-		}
-		// AssertionFor must rebuild the same formula the variant carries
+		// Another encoding of the same builder and scope — a session's
+		// seed — rebuilds the same assertion over its own relations
 		// (identical closure, identical state index ⇒ equal rendering).
-		f, err := enc.AssertionFor(variant)
+		seed, err := BuildOptimized(sc)
 		if err != nil {
-			t.Fatalf("k=%d: AssertionFor: %v", k, err)
+			t.Fatal(err)
 		}
-		if relalg.FormulaString(f) != relalg.FormulaString(v.Consensus) {
-			t.Fatalf("k=%d: AssertionFor disagrees with WithAssertState", k)
+		again, err := seed.WithAssertState(k)
+		if err != nil {
+			t.Fatalf("k=%d: seed: %v", k, err)
+		}
+		if relalg.FormulaString(again.Consensus) != relalg.FormulaString(v.Consensus) {
+			t.Fatalf("k=%d: the seed's assertion disagrees with the variant's", k)
 		}
 	}
-	if _, err := enc.WithAssertState(sc.States + 1); err == nil {
-		t.Fatal("out-of-range assert state accepted")
-	}
-	if _, err := enc.AssertionFor("bogus"); err == nil || !strings.Contains(err.Error(), "malformed") {
-		t.Fatalf("malformed variant key: %v", err)
+	for _, k := range []int{sc.States + 1, -1} {
+		if _, err := enc.WithAssertState(k); err == nil {
+			t.Fatalf("out-of-range assert state %d accepted", k)
+		}
 	}
 	if _, err := (&Encoding{Name: "adhoc", Scope: sc}).ConsensusAt(0); err == nil {
 		t.Fatal("builder-less encoding produced a per-state consensus")

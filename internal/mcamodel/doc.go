@@ -21,12 +21,12 @@
 //
 // Key types: Scope (the "for 3 pnode, 2 vnode, ..." bounds; PaperScope
 // is the paper's), Encoding (a built model: bounds, background facts,
-// consensus assertion — it implements engine.RelationalModel, so an
-// Encoding drops into a Scenario's Model field), BuildNaive and
-// BuildOptimized, plus Measurement/MeasureTranslation for the
-// efficiency experiment. Importing this package also registers the
-// "mca-model" codec with the engine layer, making SAT scenarios
-// serializable as JSON. Checks route through the engine layer
-// (CheckConsensus; a portfolio check is engine.SAT{Workers: n} on the
-// Encoding); building and measuring are deterministic in the Scope.
+// consensus assertion — the type of a Scenario's Model field),
+// BuildNaive and BuildOptimized (the Encodings vocabulary), plus
+// Measurement/MeasureTranslation for the efficiency experiment.
+// Building and measuring are deterministic in the Scope.
+//
+// The package sits below the engine layer and imports only relalg and
+// sat: the engine owns the model's "mca-model" document format and
+// checks an Encoding with engine.SAT.
 package mcamodel

@@ -1,11 +1,9 @@
 package mcamodel
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/relalg"
 	"repro/internal/sat"
 )
@@ -19,8 +17,10 @@ type Measurement struct {
 	Clauses     int
 	Translate   time.Duration
 	Solve       time.Duration
-	// CheckStatus is the consensus check outcome: SAT means a
-	// counterexample to consensus was found within the trace bound.
+	// CheckStatus is the solver's answer on a row that was solved
+	// (RunSatisfiable: SAT means the facts admit an execution); a
+	// translation-only row leaves it unknown. The consensus check itself
+	// is engine.SAT's.
 	CheckStatus sat.Status
 }
 
@@ -43,31 +43,6 @@ func MeasureTranslation(e *Encoding) Measurement {
 		AuxVars:     st.AuxVars,
 		Clauses:     st.Clauses,
 		Translate:   st.TranslateTime,
-	}
-}
-
-// CheckConsensus runs the full check (facts ∧ ¬consensus): a SAT answer
-// is a counterexample trace within the scope; UNSAT verifies consensus
-// for every instance of the bounded model. Solver options allow budget
-// caps for the benchmark harness. It is a thin compatibility wrapper
-// over the engine layer's SAT adapter.
-func CheckConsensus(e *Encoding, opts sat.Options) Measurement {
-	return checkVia(e, opts, engine.SAT{})
-}
-
-// checkVia routes a consensus check through an engine adapter and
-// repackages the unified Result as the legacy Measurement row.
-func checkVia(e *Encoding, opts sat.Options, eng engine.Engine) Measurement {
-	res := eng.Verify(context.Background(), engine.Scenario{Name: e.Name, Model: e, Solver: opts})
-	return Measurement{
-		Encoding:    e.Name,
-		Scope:       e.Scope,
-		PrimaryVars: res.Stats.PrimaryVars,
-		AuxVars:     res.Stats.AuxVars,
-		Clauses:     res.Stats.Clauses,
-		Translate:   res.Stats.TranslateTime,
-		Solve:       res.Stats.SolveTime,
-		CheckStatus: res.SATStatus,
 	}
 }
 

@@ -47,10 +47,30 @@ func (sc Scope) withDefaults() Scope {
 	return sc
 }
 
-// Validate rejects degenerate scopes.
+// Ceilings on a scope. They sit far above anything a SAT check finishes
+// on, and keep the largest build near 55 MB: a scope read from a
+// document must not make a builder allocate without bound (the naive
+// encoding has 2^IntBitwidth integer atoms, and every dimension
+// multiplies into the relations' upper bounds).
+const (
+	// MaxScopeSize bounds PNodes, VNodes, Values, States and Msgs.
+	MaxScopeSize = 8
+	// MaxIntBitwidth bounds IntBitwidth.
+	MaxIntBitwidth = 8
+	// MaxPool bounds Triples and BidVectors.
+	MaxPool = 256
+)
+
+// Validate rejects degenerate scopes and scopes past the ceilings.
 func (sc Scope) Validate() error {
 	if sc.PNodes < 1 || sc.VNodes < 1 || sc.Values < 2 || sc.States < 2 || sc.Msgs < 1 {
 		return fmt.Errorf("mcamodel: degenerate scope %+v", sc)
+	}
+	if max(sc.PNodes, sc.VNodes, sc.Values, sc.States, sc.Msgs) > MaxScopeSize ||
+		sc.IntBitwidth < 0 || sc.IntBitwidth > MaxIntBitwidth ||
+		min(sc.Triples, sc.BidVectors) < 0 || max(sc.Triples, sc.BidVectors) > MaxPool {
+		return fmt.Errorf("mcamodel: scope %+v past the ceilings (sizes at most %d, IntBitwidth at most %d, Triples and BidVectors at most %d)",
+			sc, MaxScopeSize, MaxIntBitwidth, MaxPool)
 	}
 	return nil
 }
@@ -60,8 +80,16 @@ func (sc Scope) String() string {
 	return fmt.Sprintf("%dp/%dv/%dval/%dst/%dmsg", sc.PNodes, sc.VNodes, sc.Values, sc.States, sc.Msgs)
 }
 
+// Encodings is the encoding vocabulary of scenario documents and of
+// generator profiles: each token with the builder it names.
+var Encodings = map[string]func(Scope) (*Encoding, error){
+	"naive":     BuildNaive,
+	"optimized": BuildOptimized,
+}
+
 // Encoding is a fully built model: bounds plus the background (facts and
-// transition system) and the consensus assertion.
+// transition system) and the consensus assertion — the bounded
+// relational problem a Scenario's Model carries to the SAT engine.
 type Encoding struct {
 	Name       string
 	Scope      Scope
@@ -73,23 +101,14 @@ type Encoding struct {
 	Consensus relalg.Formula
 	// AssertState records which trace state Consensus ranges over:
 	// 0 means the final state (the default), k > 0 the 1-based state k.
-	// Variants of one scope that differ only here share bounds and
-	// background — the shape the engine's incremental SAT sessions
-	// solve without re-translating.
+	// Variants of one builder and scope that differ only here share
+	// bounds and background — the shape the engine's incremental SAT
+	// sessions solve without re-translating.
 	AssertState int
 
 	// consensusAt rebuilds the consensus assertion over a 0-based trace
 	// state, closing over the builder's relations.
 	consensusAt func(stateIdx int) relalg.Formula
-}
-
-// ModelName implements engine.RelationalModel.
-func (e *Encoding) ModelName() string { return e.Name }
-
-// RelationalProblem implements engine.RelationalModel: the background
-// facts are the axioms and the consensus predicate is the assertion.
-func (e *Encoding) RelationalProblem() (*relalg.Bounds, relalg.Formula, relalg.Formula) {
-	return e.Bounds, e.Background, e.Consensus
 }
 
 // ConsensusAt returns the consensus assertion over the given 0-based
@@ -108,8 +127,13 @@ func (e *Encoding) ConsensusAt(stateIdx int) (relalg.Formula, error) {
 // assertion ranges over the given trace state: 0 selects the final
 // state (the builder default), k > 0 the 1-based state k. The copy
 // shares bounds and background with the receiver, so a sweep over
-// assert states is an incremental-SAT-friendly variant family.
+// assert states is an incremental-SAT-friendly variant family; on any
+// encoding of the same builder and scope, WithAssertState(k) rebuilds
+// the same assertion over that encoding's own relations.
 func (e *Encoding) WithAssertState(k int) (*Encoding, error) {
+	if k < 0 {
+		return nil, fmt.Errorf("mcamodel: negative assert state %d", k)
+	}
 	out := *e
 	out.AssertState = k
 	idx := e.Scope.States - 1
@@ -122,30 +146,6 @@ func (e *Encoding) WithAssertState(k int) (*Encoding, error) {
 	}
 	out.Consensus = f
 	return &out, nil
-}
-
-// IncrementalKeys implements engine.IncrementalRelationalModel:
-// encodings of one builder and scope share their translation base, and
-// the asserted state distinguishes the variants.
-func (e *Encoding) IncrementalKeys() (string, string) {
-	return fmt.Sprintf("mca-model/%s/%+v", e.Name, e.Scope),
-		fmt.Sprintf("assert_state=%d", e.AssertState)
-}
-
-// AssertionFor implements engine.IncrementalRelationalModel: it
-// rebuilds the assertion named by a variant key over THIS encoding's
-// relations, so a session seeded by one sweep variant can solve the
-// others against its own translation.
-func (e *Encoding) AssertionFor(variantKey string) (relalg.Formula, error) {
-	var k int
-	if _, err := fmt.Sscanf(variantKey, "assert_state=%d", &k); err != nil {
-		return nil, fmt.Errorf("mcamodel: malformed variant key %q: %w", variantKey, err)
-	}
-	idx := e.Scope.States - 1
-	if k > 0 {
-		idx = k - 1
-	}
-	return e.ConsensusAt(idx)
 }
 
 // atomNames generates prefixed atom names.

@@ -55,8 +55,6 @@ type (
 	FlatUtility = mca.FlatUtility
 	// EscalatingUtility is the Result 2 rebidding attacker's generator.
 	EscalatingUtility = mca.EscalatingUtility
-	// FuncUtility wraps a custom marginal function.
-	FuncUtility = mca.FuncUtility
 )
 
 // Rebid modes.
@@ -225,8 +223,7 @@ const ScenarioSchemaVersion = engine.SchemaVersion
 
 // EncodeScenario renders a scenario as canonical versioned JSON —
 // deterministic bytes suitable for files, the wire, and content
-// addressing. Scenarios whose agents use the named utilities serialize;
-// custom resolvers and FuncUtility do not.
+// addressing. Every scenario that Scenario.Validate accepts encodes.
 func EncodeScenario(s *Scenario) ([]byte, error) { return engine.EncodeScenario(s) }
 
 // DecodeScenario strictly parses a scenario document: unknown fields,
