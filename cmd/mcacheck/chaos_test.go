@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/explore"
 )
 
 // captureStderr runs fn with os.Stderr redirected to a pipe and
@@ -118,49 +119,82 @@ func TestResumeRefusesCheckpointOfOlderBinary(t *testing.T) {
 }
 
 // TestResumeRefusesCraftedRunState: the checksum envelope is no secret,
-// so a checkpoint can carry a valid envelope around a run state whose
-// frontier item declares a packed state of MaxInt64-10 bytes. -resume
-// must refuse it with the delete-and-re-verify hint; the run-state
-// decoder once sliced past its buffer on it and panicked.
+// so a checkpoint can carry a valid envelope around a crafted run state.
+// -resume must refuse each with the delete-and-re-verify hint:
+//   - a frontier item declaring a packed state of MaxInt64-10 bytes,
+//     on which the run-state decoder once sliced past its buffer;
+//   - a frontier item whose packed state is cut to one byte, or
+//     overwritten with 0xff: both decode as run states, and resuming
+//     them once panicked inside the agents' state decoder.
 func TestResumeRefusesCraftedRunState(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "crafted.ckpt")
-	if code := run(cappedRunArgs(path)); code != 3 {
-		t.Fatalf("capped run exit = %d, want 3 (inconclusive)", code)
+	for name, craft := range map[string]func(state []byte) []byte{
+		"overflowing-length": func([]byte) []byte {
+			crafted := []byte("MCARS2\n")
+			for _, v := range []uint64{1, 1, 0, 1, 1} { // next level, states, max depth, nodes, seen
+				crafted = binary.AppendUvarint(crafted, v)
+			}
+			crafted = append(crafted, make([]byte, 16+6)...) // one root node
+			crafted = append(crafted, 1, 0)                  // one frontier item, on node 0,
+			crafted = append(crafted, make([]byte, 8)...)    // with a route fingerprint
+			crafted = binary.AppendUvarint(crafted, math.MaxInt64-10)
+			return append(crafted, "state"...)
+		},
+		"truncated-state": func(state []byte) []byte {
+			return withFrontierState(t, state, func(b []byte) []byte { return b[:1] })
+		},
+		"0xff-state": func(state []byte) []byte {
+			return withFrontierState(t, state, func(b []byte) []byte { return bytes.Repeat([]byte{0xff}, len(b)) })
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "crafted.ckpt")
+			if code := run(cappedRunArgs(path)); code != 3 {
+				t.Fatalf("capped run exit = %d, want 3 (inconclusive)", code)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := engine.DecodeCheckpoint(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.State = craft(cp.State)
+			enc, err := engine.EncodeCheckpoint(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, enc, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var code int
+			out := captureStderr(t, func() {
+				code = run([]string{"-resume", path, "-maxstates", "500000", "-trace=false"})
+			})
+			if code != 2 {
+				t.Fatalf("resume from a crafted run state exit = %d, want 2", code)
+			}
+			if !strings.Contains(out, "corrupt or truncated") || !strings.Contains(out, "delete it and re-verify") {
+				t.Fatalf("missing clean re-verify hint, stderr:\n%s", out)
+			}
+		})
 	}
-	data, err := os.ReadFile(path)
+}
+
+// withFrontierState rewrites the packed state of a run state's first
+// frontier item; the result still decodes as a run state.
+func withFrontierState(t *testing.T, state []byte, edit func([]byte) []byte) []byte {
+	t.Helper()
+	rs, err := explore.DecodeRunState(state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := engine.DecodeCheckpoint(data)
-	if err != nil {
-		t.Fatal(err)
+	rs.Frontier[0].State = edit(rs.Frontier[0].State)
+	out := explore.EncodeRunState(rs)
+	if _, err := explore.DecodeRunState(out); err != nil {
+		t.Fatalf("crafted run state no longer decodes: %v", err)
 	}
-	crafted := []byte("MCARS2\n")
-	for _, v := range []uint64{1, 1, 0, 1, 1} { // next level, states, max depth, nodes, seen
-		crafted = binary.AppendUvarint(crafted, v)
-	}
-	crafted = append(crafted, make([]byte, 16+6)...) // one root node
-	crafted = append(crafted, 1, 0)                  // one frontier item, on node 0,
-	crafted = append(crafted, make([]byte, 8)...)    // with a route fingerprint
-	crafted = binary.AppendUvarint(crafted, math.MaxInt64-10)
-	cp.State = append(crafted, "state"...)
-	enc, err := engine.EncodeCheckpoint(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, enc, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var code int
-	out := captureStderr(t, func() {
-		code = run([]string{"-resume", path, "-maxstates", "500000", "-trace=false"})
-	})
-	if code != 2 {
-		t.Fatalf("resume from a crafted run state exit = %d, want 2", code)
-	}
-	if !strings.Contains(out, "corrupt or truncated") || !strings.Contains(out, "delete it and re-verify") {
-		t.Fatalf("missing clean re-verify hint, stderr:\n%s", out)
-	}
+	return out
 }
 
 // TestChaosCheckpointWriteDegradesOnResume is the end-to-end failure

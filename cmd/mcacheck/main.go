@@ -207,13 +207,17 @@ func runResume(ctx context.Context, o resumeOptions) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	cp, err := engine.DecodeCheckpoint(data)
-	if err != nil {
+	// Damage shows at decode, or when the resume restores the run state.
+	refuse := func(err error) int {
 		fmt.Fprintln(os.Stderr, err)
-		if errors.Is(err, engine.ErrCorruptCheckpoint) {
+		if errors.Is(err, engine.ErrCorruptCheckpoint) || errors.Is(err, explore.ErrCorruptRunState) {
 			fmt.Fprintf(os.Stderr, "mcacheck: checkpoint %s is corrupt or truncated; delete it and re-verify from scratch (run without -resume)\n", o.path)
 		}
 		return 2
+	}
+	cp, err := engine.DecodeCheckpoint(data)
+	if err != nil {
+		return refuse(err)
 	}
 	s := cp.Scenario
 	if o.setMaxStates {
@@ -229,6 +233,9 @@ func runResume(ctx context.Context, o resumeOptions) int {
 	fmt.Printf("resuming scenario %q from %s (engine=%s, maxstates=%d)\n",
 		s.Name, o.path, eng.Name(), s.Explore.MaxStates)
 	res, next := eng.VerifyResumable(ctx, s, cp)
+	if errors.Is(res.Err, explore.ErrCorruptRunState) {
+		return refuse(res.Err)
+	}
 	out := o.checkpointFile
 	if out == "" {
 		out = o.path // refresh the checkpoint in place on a re-cap

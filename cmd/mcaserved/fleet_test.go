@@ -254,6 +254,38 @@ func TestQuotaShedding(t *testing.T) {
 	}
 }
 
+// TestWrongVerbIsRefusedBeforeAdmission: every route declares its verb,
+// so a GET on /verify is the mux's 405 carrying Allow, answered before
+// the tenant quota is consulted — it does not spend the one token the
+// POST after it needs.
+func TestWrongVerbIsRefusedBeforeAdmission(t *testing.T) {
+	srv, _ := startRole(t, serverConfig{Role: "worker", QuotaRate: 0.001, QuotaBurst: 1})
+	for path, allow := range map[string]string{
+		"/verify": "POST", "/sweep": "POST", "/generate": "POST", "/fleet/work": "POST",
+		"/metrics": "GET, HEAD", "/cache/stats": "GET, HEAD", "/healthz": "GET, HEAD", "/fleet/health": "GET, HEAD",
+	} {
+		method := http.MethodGet
+		if strings.HasPrefix(allow, "GET") {
+			method = http.MethodPost
+		}
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(scenarioDoc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != allow {
+			t.Fatalf("%s %s: status %d, Allow %q; want 405, Allow %q", method, path, resp.StatusCode, resp.Header.Get("Allow"), allow)
+		}
+	}
+	if resp := postJSON(t, srv.URL+"/verify", scenarioDoc); resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /verify after the refused GET: status %d, want 200 (the GET spent the token)", resp.StatusCode)
+	}
+}
+
 // TestQuotaRefill pins the bucket arithmetic with a fake clock.
 func TestQuotaRefill(t *testing.T) {
 	q := newQuotaTable(2, 2) // 2 tokens/s, burst 2

@@ -293,13 +293,15 @@ func newServer(cfg serverConfig) (*server, error) {
 		s.admit = make(chan struct{}, cfg.MaxInFlight)
 	}
 
+	// Every route declares its verb: another method is the mux's 405 with
+	// Allow, answered before admission spends a quota token on it.
 	mux := http.NewServeMux()
-	mux.HandleFunc("/verify", s.gate(s.handleVerify))
-	mux.HandleFunc("/sweep", s.gate(s.handleSweep))
-	mux.HandleFunc("/generate", s.gate(s.handleGenerate))
-	mux.HandleFunc("/cache/stats", s.handleCacheStats)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /verify", s.gate(s.handleVerify))
+	mux.HandleFunc("POST /sweep", s.gate(s.handleSweep))
+	mux.HandleFunc("POST /generate", s.gate(s.handleGenerate))
+	mux.HandleFunc("GET /cache/stats", s.handleCacheStats)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"ok":true,"role":%q}`+"\n", cfg.Role)
 	})
@@ -322,8 +324,8 @@ func newServer(cfg serverConfig) (*server, error) {
 			Cache:   resultCache(cfg.Cache),
 			MaxBody: cfg.MaxBody,
 		})
-		mux.HandleFunc("/fleet/work", s.fleetGate(s.fleetWorker.HandleWork))
-		mux.HandleFunc("/fleet/health", s.fleetWorker.HandleHealth)
+		mux.HandleFunc("POST /fleet/work", s.fleetGate(s.fleetWorker.HandleWork))
+		mux.HandleFunc("GET /fleet/health", s.fleetWorker.HandleHealth)
 	case "coordinator":
 		var dispatchClient *http.Client
 		if cfg.Chaos != nil {
@@ -342,7 +344,7 @@ func newServer(cfg serverConfig) (*server, error) {
 			return nil, fmt.Errorf("role coordinator: %w (set -peers)", err)
 		}
 		s.coord = coord
-		mux.HandleFunc("/fleet/status", s.handleFleetStatus)
+		mux.HandleFunc("GET /fleet/status", s.handleFleetStatus)
 	default:
 		return nil, fmt.Errorf("unknown role %q (want standalone|coordinator|worker)", cfg.Role)
 	}
@@ -354,10 +356,6 @@ func newServer(cfg serverConfig) (*server, error) {
 // handleFleetStatus reports the coordinator's dispatch counters plus a
 // live health probe of every worker.
 func (s *server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET"))
-		return
-	}
 	st := s.coord.Stats()
 	st.Workers = s.coord.Health(r.Context())
 	w.Header().Set("Content-Type", "application/json")
@@ -466,10 +464,6 @@ func (s *server) requestContext(r *http.Request) (context.Context, context.Cance
 }
 
 func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST a scenario document"))
-		return
-	}
 	body, err := s.readBody(w, r)
 	if err != nil {
 		httpError(w, bodyErrorStatus(err), err)
@@ -622,10 +616,6 @@ func resultCache(c *cache.Cache) engine.ResultCache {
 }
 
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST a sweep document"))
-		return
-	}
 	body, err := s.readBody(w, r)
 	if err != nil {
 		httpError(w, bodyErrorStatus(err), err)
@@ -788,10 +778,6 @@ const maxGenerate = 10000
 // built-in default profile. As with /sweep, a truncated stream (no
 // summary line) means the request did not complete.
 func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("POST a generator profile (or an empty body for the default profile)"))
-		return
-	}
 	body, err := s.readBody(w, r)
 	if err != nil {
 		httpError(w, bodyErrorStatus(err), err)
@@ -1014,10 +1000,6 @@ func sum2wire(s gen.DiffSummary) map[string]int {
 }
 
 func (s *server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET"))
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	if s.cfg.Cache == nil {
 		io.WriteString(w, `{"enabled":false}`+"\n")

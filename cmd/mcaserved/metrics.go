@@ -122,10 +122,6 @@ func (p *promWriter) sample(name, labels string, value interface{}) {
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("GET"))
-		return
-	}
 	var p promWriter
 
 	s.metrics.mu.Lock()

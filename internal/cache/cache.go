@@ -1,10 +1,7 @@
 package cache
 
 import (
-	"bytes"
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"net/http"
 	"os"
@@ -257,46 +254,17 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-// diskMagic opens the checksum envelope of a disk-tier entry:
-// "MCACHK1 " + 64 hex chars of SHA-256(payload) + "\n" + payload. The
+// diskMagic opens the envelope (engine.Seal) of a disk-tier entry. The
 // cache key addresses the *question*, so the payload needs its own
 // digest for the stored answer to be validatable at all.
 const diskMagic = "MCACHK1 "
-
-// diskEnvelope wraps an encoded Result payload in the checksum header.
-func diskEnvelope(payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	header := diskMagic + hex.EncodeToString(sum[:]) + "\n"
-	out := make([]byte, 0, len(header)+len(payload))
-	out = append(out, header...)
-	return append(out, payload...)
-}
-
-// openDiskEnvelope validates a disk file's checksum envelope and
-// returns the payload. A file without the magic is corrupt like any
-// other damaged entry.
-func openDiskEnvelope(data []byte) ([]byte, error) {
-	if !bytes.HasPrefix(data, []byte(diskMagic)) {
-		return nil, fmt.Errorf("cache: disk entry has no envelope")
-	}
-	headerLen := len(diskMagic) + sha256.Size*2 + 1
-	if len(data) < headerLen || data[headerLen-1] != '\n' {
-		return nil, fmt.Errorf("cache: truncated disk envelope header")
-	}
-	payload := data[headerLen:]
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != string(data[len(diskMagic):headerLen-1]) {
-		return nil, fmt.Errorf("cache: disk entry checksum mismatch")
-	}
-	return payload, nil
-}
 
 func (c *Cache) loadDisk(key string) (engine.Result, bool) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return engine.Result{}, false
 	}
-	payload, err := openDiskEnvelope(data)
+	payload, err := engine.Unseal(diskMagic, data)
 	if err == nil {
 		var res engine.Result
 		if res, err = engine.DecodeResult(payload); err == nil {
@@ -320,7 +288,7 @@ func (c *Cache) storeDisk(key string, res engine.Result) error {
 	if err != nil {
 		return err
 	}
-	data := c.chaos.Mangle("cache.disk", diskEnvelope(payload))
+	data := c.chaos.Mangle("cache.disk", engine.Seal(diskMagic, payload))
 	tmp, err := os.CreateTemp(c.dir, "put-*")
 	if err != nil {
 		return err

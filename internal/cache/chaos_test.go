@@ -9,13 +9,13 @@ import (
 	"repro/internal/engine"
 )
 
-// TestDiskEnvelopeRoundTrip pins the checksum envelope format: wrapped
-// payloads open back to themselves, and any flipped bit — header or
-// payload — is detected.
+// TestDiskEnvelopeRoundTrip pins the disk tier's envelope: wrapped
+// payloads open back to themselves, and any flipped bit — magic, header
+// or payload — is detected.
 func TestDiskEnvelopeRoundTrip(t *testing.T) {
 	payload := []byte(`{"version":1,"status":"holds"}`)
-	enveloped := diskEnvelope(payload)
-	got, err := openDiskEnvelope(enveloped)
+	enveloped := engine.Seal(diskMagic, payload)
+	got, err := engine.Unseal(diskMagic, enveloped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,11 +25,11 @@ func TestDiskEnvelopeRoundTrip(t *testing.T) {
 	for bit := 0; bit < len(enveloped)*8; bit += 37 {
 		bad := append([]byte(nil), enveloped...)
 		bad[bit/8] ^= 1 << (bit % 8)
-		if _, err := openDiskEnvelope(bad); err == nil {
+		if _, err := engine.Unseal(diskMagic, bad); err == nil {
 			t.Fatalf("bit %d flip went undetected", bit)
 		}
 	}
-	if _, err := openDiskEnvelope([]byte(diskMagic + "short")); err == nil {
+	if _, err := engine.Unseal(diskMagic, []byte(diskMagic+"short")); err == nil {
 		t.Fatal("truncated header accepted")
 	}
 }

@@ -3,9 +3,7 @@ package cache
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"crypto/subtle"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -41,19 +39,14 @@ import (
 // HTTPHandler on the serving side), carried in the X-Cache-Auth
 // header and compared in constant time.
 
-// remoteBodyLimit caps a served or fetched entry. Results are small
-// (a few KiB with a counterexample trace); anything near the limit is
-// corrupt or hostile.
-const remoteBodyLimit = 16 << 20
-
 // authHeader carries the shared secret of a secured peer protocol.
 const authHeader = "X-Cache-Auth"
 
-// checksumHeader carries the hex SHA-256 of the entry body on both
-// protocol verbs. The dialing side verifies it on GET responses and
-// the serving side on PUT bodies (when present — older peers omit it),
-// so a bit flipped in transit degrades to a counted error and a
-// recompute instead of decoding into a wrong cached verdict.
+// checksumHeader carries the body digest (engine.Digest) of the entry
+// on both protocol verbs. The dialing side checks it on GET responses
+// and the serving side on PUT bodies, so a bit flipped in transit — or
+// a body sent without one — degrades to a counted error and a recompute
+// instead of decoding into a wrong cached verdict.
 const checksumHeader = "X-Cache-Checksum"
 
 // remotePutQueue bounds the async propagation backlog. A healthy peer
@@ -120,8 +113,8 @@ func (c *Cache) getRemote(key string) (engine.Result, bool) {
 
 // fetchRemote is one GET round trip, bounded by the per-request
 // remote timeout so a wedged peer can only ever cost that much before
-// the Get degrades. Network failures, timeouts, checksum mismatches,
-// and malformed bodies all degrade to a miss (counted in
+// the Get degrades. Network failures, timeouts, missing or mismatching
+// checksums, and malformed bodies all degrade to a miss (counted in
 // RemoteErrors); the entry is simply recomputed locally.
 func (c *Cache) fetchRemote(key string) (engine.Result, bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), remoteTimeout)
@@ -140,26 +133,13 @@ func (c *Cache) fetchRemote(key string) (engine.Result, bool) {
 		return engine.Result{}, false
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		return engine.Result{}, false
-	default:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, remoteBodyLimit))
-		c.countRemoteError()
+	if resp.StatusCode == http.StatusNotFound {
 		return engine.Result{}, false
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, remoteBodyLimit))
-	if err != nil {
+	data, err := io.ReadAll(io.LimitReader(resp.Body, engine.MaxResultBytes))
+	if err != nil || resp.StatusCode != http.StatusOK || engine.CheckDigest(resp.Header.Get(checksumHeader), data) != nil {
 		c.countRemoteError()
 		return engine.Result{}, false
-	}
-	if want := resp.Header.Get(checksumHeader); want != "" {
-		sum := sha256.Sum256(data)
-		if hex.EncodeToString(sum[:]) != want {
-			c.countRemoteError()
-			return engine.Result{}, false
-		}
 	}
 	res, err := engine.DecodeResult(data)
 	if err != nil {
@@ -221,8 +201,7 @@ func (c *Cache) storeRemote(key string, res engine.Result) {
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
-	sum := sha256.Sum256(data)
-	req.Header.Set(checksumHeader, hex.EncodeToString(sum[:]))
+	req.Header.Set(checksumHeader, engine.Digest(data))
 	if c.remoteSecret != "" {
 		req.Header.Set(authHeader, c.remoteSecret)
 	}
@@ -231,7 +210,7 @@ func (c *Cache) storeRemote(key string, res engine.Result) {
 		c.countRemoteError()
 		return
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, remoteBodyLimit))
+	io.Copy(io.Discard, io.LimitReader(resp.Body, engine.MaxResultBytes))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
 		c.countRemoteError()
@@ -275,6 +254,8 @@ func HTTPHandler(c *Cache, secret string) http.Handler {
 			http.Error(w, `{"error":"bad cache key"}`, http.StatusBadRequest)
 			return
 		}
+		// Verbs are switched here, not routed by a mux method pattern: a
+		// mux would clean or redirect a crafted path before keyOK sees it.
 		switch r.Method {
 		case http.MethodGet:
 			res, ok := c.getLocal(key)
@@ -287,12 +268,11 @@ func HTTPHandler(c *Cache, secret string) http.Handler {
 				http.Error(w, `{"error":"unencodable entry"}`, http.StatusInternalServerError)
 				return
 			}
-			sum := sha256.Sum256(data)
 			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set(checksumHeader, hex.EncodeToString(sum[:]))
+			w.Header().Set(checksumHeader, engine.Digest(data))
 			w.Write(data)
 		case http.MethodPut:
-			data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, remoteBodyLimit))
+			data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, engine.MaxResultBytes))
 			if err != nil {
 				status := http.StatusBadRequest
 				var tooLarge *http.MaxBytesError
@@ -302,12 +282,9 @@ func HTTPHandler(c *Cache, secret string) http.Handler {
 				http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), status)
 				return
 			}
-			if want := r.Header.Get(checksumHeader); want != "" {
-				sum := sha256.Sum256(data)
-				if hex.EncodeToString(sum[:]) != want {
-					http.Error(w, `{"error":"body checksum mismatch"}`, http.StatusBadRequest)
-					return
-				}
+			if err := engine.CheckDigest(r.Header.Get(checksumHeader), data); err != nil {
+				http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
+				return
 			}
 			res, err := engine.DecodeResult(data)
 			if err != nil {

@@ -176,6 +176,11 @@ func TestHTTPHandlerRejectsBadRequests(t *testing.T) {
 	}
 	srv := httptest.NewServer(HTTPHandler(shared, ""))
 	t.Cleanup(srv.Close)
+	valid := res("unsealed")
+	doc, err := engine.EncodeResult(&valid)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for name, tc := range map[string]struct {
 		method, path, body string
@@ -188,6 +193,9 @@ func TestHTTPHandlerRejectsBadRequests(t *testing.T) {
 		"bad-put-body":   {http.MethodPut, "/" + peerKey(0), "{not a result", http.StatusBadRequest},
 		"delete":         {http.MethodDelete, "/" + peerKey(0), "", http.StatusMethodNotAllowed},
 		"alien-put-body": {http.MethodPut, "/" + peerKey(0), `{"version":9}`, http.StatusBadRequest},
+		// A valid result document sent without X-Cache-Checksum: the
+		// handler cannot tell it from one damaged in transit.
+		"unsealed-put-body": {http.MethodPut, "/" + peerKey(0), string(doc), http.StatusBadRequest},
 	} {
 		t.Run(name, func(t *testing.T) {
 			req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
@@ -206,6 +214,32 @@ func TestHTTPHandlerRejectsBadRequests(t *testing.T) {
 	}
 	if got := shared.Len(); got != 0 {
 		t.Fatalf("rejected requests stored %d entries", got)
+	}
+}
+
+// TestRemoteGetWithoutChecksumIsAMiss: a peer answering 200 with a
+// valid result document but no X-Cache-Checksum is not trusted — the
+// Get is a counted remote error and a miss, never a hit.
+func TestRemoteGetWithoutChecksumIsAMiss(t *testing.T) {
+	unsealed := res("unsealed")
+	doc, err := engine.EncodeResult(&unsealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(doc)
+	}))
+	t.Cleanup(srv.Close)
+	local, err := New(Options{Capacity: 8, RemoteURL: srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := local.Get(peerKey(0)); ok {
+		t.Fatalf("unsealed peer reply served as a hit: %+v", got)
+	}
+	if st := local.Stats(); st.RemoteErrors != 1 || st.RemoteHits != 0 || st.Misses != 1 || st.Entries != 0 {
+		t.Fatalf("stats %+v, want one remote error and one miss", st)
 	}
 }
 

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,19 +41,15 @@ type checkpointJSON struct {
 	RunState []byte          `json:"run_state"` // base64 per encoding/json
 }
 
-// checkpointMagic prefixes the checksum envelope EncodeCheckpoint
-// wraps around the JSON document: the magic, 64 hex characters of
-// SHA-256 over the payload, a newline, then the payload. Checkpoints
-// sit on disk between runs, where a torn write or a decaying sector
-// can damage bytes in ways the structural decoder cannot always catch
-// (a flipped bit inside a packed frontier state is still shaped like a
-// run state); the checksum turns every such case into a deterministic
-// ErrCorruptCheckpoint at decode time.
+// checkpointMagic opens the envelope (Seal) around the JSON document.
+// A torn write or a decaying sector can damage bytes in ways the
+// structural decoder cannot always catch; the checksum turns every such
+// case into ErrCorruptCheckpoint at decode time.
 const checkpointMagic = "MCACKP1 "
 
 // EncodeCheckpoint renders a checkpoint as versioned JSON — the
 // canonical scenario document embedded verbatim, the binary run state
-// as base64 — wrapped in the whole-document checksum envelope.
+// as base64 — sealed in the whole-document checksum envelope.
 func EncodeCheckpoint(c *Checkpoint) ([]byte, error) {
 	sc, err := EncodeScenario(&c.Scenario)
 	if err != nil {
@@ -70,41 +64,18 @@ func EncodeCheckpoint(c *Checkpoint) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return checkpointEnvelope(payload), nil
-}
-
-// checkpointEnvelope wraps a checkpoint document in its checksum
-// header.
-func checkpointEnvelope(payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	out := make([]byte, 0, len(checkpointMagic)+hex.EncodedLen(sha256.Size)+1+len(payload))
-	out = append(out, checkpointMagic...)
-	out = append(out, hex.EncodeToString(sum[:])...)
-	out = append(out, '\n')
-	return append(out, payload...)
+	return Seal(checkpointMagic, payload), nil
 }
 
 // DecodeCheckpoint parses a checkpoint document strictly, validating
 // both the embedded scenario and the run state's structure. Damaged
-// input — truncation, flipped bits, foreign bytes — yields an error
-// wrapping ErrCorruptCheckpoint, never a panic and never a checkpoint
-// that would resume into a wrong verdict.
+// input — truncation, flipped bits, foreign bytes, a missing envelope —
+// yields an error wrapping ErrCorruptCheckpoint, never a panic and
+// never a checkpoint that would resume into a wrong verdict.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
-	// A file without the envelope is damaged like any other: nothing
-	// this program ever wrote lacks it, and decoding one on structural
-	// validation alone would let exactly the bit flips through that the
-	// checksum exists to catch.
-	if !bytes.HasPrefix(data, []byte(checkpointMagic)) {
-		return nil, fmt.Errorf("engine: checkpoint: no checksum envelope (not a checkpoint file): %w", ErrCorruptCheckpoint)
-	}
-	rest := data[len(checkpointMagic):]
-	nl := bytes.IndexByte(rest, '\n')
-	if nl != hex.EncodedLen(sha256.Size) {
-		return nil, fmt.Errorf("engine: checkpoint: damaged checksum header: %w", ErrCorruptCheckpoint)
-	}
-	payload := rest[nl+1:]
-	if sum := sha256.Sum256(payload); hex.EncodeToString(sum[:]) != string(rest[:nl]) {
-		return nil, fmt.Errorf("engine: checkpoint: checksum mismatch (file damaged on disk): %w", ErrCorruptCheckpoint)
+	payload, err := Unseal(checkpointMagic, data)
+	if err != nil {
+		return nil, fmt.Errorf("engine: checkpoint: %w: %w", ErrCorruptCheckpoint, err)
 	}
 	var w checkpointJSON
 	if err := strictUnmarshal(payload, &w); err != nil {

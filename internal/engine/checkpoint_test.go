@@ -95,7 +95,7 @@ func TestCheckpointCodecRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := DecodeCheckpoint(checkpointEnvelope([]byte(`{"version":999}`))); err == nil {
+	if _, err := DecodeCheckpoint(Seal(checkpointMagic, []byte(`{"version":999}`))); err == nil {
 		t.Fatal("wrong version decoded")
 	}
 	if _, err := DecodeCheckpoint([]byte(`not json`)); err == nil {
@@ -104,7 +104,7 @@ func TestCheckpointCodecRejectsCorruption(t *testing.T) {
 	// The envelope is not optional: the same valid document with its
 	// header stripped must not decode on structural validation alone.
 	bare := enc[bytes.IndexByte(enc, '\n')+1:]
-	if _, err := DecodeCheckpoint(checkpointEnvelope(bare)); err != nil {
+	if _, err := DecodeCheckpoint(Seal(checkpointMagic, bare)); err != nil {
 		t.Fatalf("re-wrapped payload: %v", err)
 	}
 	if _, err := DecodeCheckpoint(bare); !errors.Is(err, ErrCorruptCheckpoint) {
@@ -169,7 +169,7 @@ func TestCorruptCheckpointErrorIsTyped(t *testing.T) {
 			t.Fatalf("flip at %d: untyped error %v", i, err)
 		}
 	}
-	if _, err := DecodeCheckpoint(checkpointEnvelope([]byte(`{"version":999}`))); err == nil || errors.Is(err, ErrCorruptCheckpoint) {
+	if _, err := DecodeCheckpoint(Seal(checkpointMagic, []byte(`{"version":999}`))); err == nil || errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("version mismatch misclassified: %v", err)
 	}
 }
@@ -200,7 +200,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(enc)
 	f.Add(enc[bytes.IndexByte(enc, '\n')+1:]) // the payload
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, doc := range [][]byte{data, checkpointEnvelope(data)} {
+		for _, doc := range [][]byte{data, Seal(checkpointMagic, data)} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			cp, err := DecodeCheckpoint(doc)

@@ -505,7 +505,8 @@ func (c *checker) fail(kind ViolationKind, label string) {
 		return // keep the first counterexample
 	}
 	c.verdict.Violation = kind
-	c.verdict.Trace = replayTrace(cloneAgents(c.agents), c.states0, c.net0, c.path, label)
+	// The DFS replays the path it is on, which always replays.
+	c.verdict.Trace, _ = replayTrace(cloneAgents(c.agents), c.states0, c.net0, c.path, label)
 }
 
 // agentSnapshots captures the trace-level view of every agent.

@@ -255,15 +255,14 @@ type frontier struct {
 	opts   Options
 	shards []*shardWorker
 	// err is the first spill-segment read failure of the run, folded
-	// from the shards after each expand phase. Segment loss breaks exact
-	// dedup, so the run must end in a hard error — never a wrong
-	// verdict, never a panic.
+	// from the shards after each expand phase, or a resumed witness that
+	// does not replay. Segment loss breaks exact dedup, so the run must
+	// end in a hard error — never a wrong verdict, never a panic.
 	err error
 }
 
-// fail records the first spill-segment failure (a nil err is none);
-// decide turns it into a stop and CheckParallelFrom surfaces it as the
-// run's error.
+// fail records the first failure (a nil err is none); decide turns it
+// into a stop and CheckParallelFrom surfaces it as the run's error.
 func (fr *frontier) fail(err error) {
 	if fr.err == nil {
 		fr.err = err
@@ -343,9 +342,13 @@ func (fr *frontier) run(level, states, maxDepth int) levelStat {
 // sealed tables by key — so restoration works at any worker count —
 // the frontier is re-bucketed for the start level, and the transition
 // log lands in shard 0 (the oscillation analysis concatenates all logs
-// anyway).
+// anyway). The prior is checked against the scenario first: expansion
+// trusts every item to be a state of these agents.
 func (fr *frontier) restore(prior *RunState) error {
 	if err := prior.validate(); err != nil {
+		return err
+	}
+	if err := prior.check(fr.shards[0].replicas, fr.shards[0].scratch); err != nil {
 		return err
 	}
 	workers := len(fr.shards)
@@ -570,9 +573,10 @@ func (fr *frontier) assemble(stop levelStat, agents []*mca.Agent, states0 []mca.
 		s.spill.addToStats(&verdict.Store)
 		s.keys.addStats(&verdict.Store)
 	}
+	var err error
 	if stop.chosen != nil {
 		verdict.Violation = stop.chosen.kind
-		verdict.Trace = replayTrace(cloneAgents(agents), states0, net0, treeSteps(stop.chosen.node), stop.chosen.label)
+		verdict.Trace, err = replayTrace(cloneAgents(agents), states0, net0, treeSteps(stop.chosen.node), stop.chosen.label)
 	} else if stop.completed && verdict.Exhausted {
 		total := 0
 		for _, s := range fr.shards {
@@ -584,17 +588,18 @@ func (fr *frontier) assemble(stop levelStat, agents []*mca.Agent, states0 []mca.
 				allEdges = append(allEdges, b...)
 			}
 		}
-		nodes, err := mergeNodes(fr.shards)
-		if err != nil {
-			// The oscillation pass needs the complete seen set; with a
-			// segment unreadable the verdict is voided by the recorded
-			// error, so skip the analysis.
-			fr.fail(err)
-		} else if osc := findOscillation(allEdges, nodes); osc != nil {
-			verdict.Violation = ViolationOscillation
-			verdict.Trace = replayTrace(cloneAgents(agents), states0, net0, osc.steps, osc.label)
+		var nodes map[[2]uint64]*pathNode
+		// The oscillation pass needs the complete seen set; with a segment
+		// unreadable the verdict is voided by the recorded error, so the
+		// analysis is skipped.
+		if nodes, err = mergeNodes(fr.shards); err == nil {
+			if osc := findOscillation(allEdges, nodes); osc != nil {
+				verdict.Violation = ViolationOscillation
+				verdict.Trace, err = replayTrace(cloneAgents(agents), states0, net0, osc.steps, osc.label)
+			}
 		}
 	}
+	fr.fail(err) // a lost segment, or a resumed witness that does not replay
 	verdict.OK = verdict.Violation == ViolationNone && verdict.Exhausted
 	return *verdict
 }
@@ -916,7 +921,8 @@ func mergeNodes(shards []*shardWorker) (map[[2]uint64]*pathNode, error) {
 // counterexample trace. Both explorers build their traces this way, so
 // the hot exploration loops never materialize snapshots. replicas are
 // scratch agents (mutated freely); states0/net0 are the initial state.
-func replayTrace(replicas []*mca.Agent, states0 []mca.AgentState, net0 *netsim.Network, steps []stepRec, label string) *trace.Recorder {
+// A step that finds its queue empty comes from a corrupt resumed tree.
+func replayTrace(replicas []*mca.Agent, states0 []mca.AgentState, net0 *netsim.Network, steps []stepRec, label string) (*trace.Recorder, error) {
 	for i, a := range replicas {
 		a.RestoreState(states0[i])
 	}
@@ -924,6 +930,9 @@ func replayTrace(replicas []*mca.Agent, states0 []mca.AgentState, net0 *netsim.N
 	rec := trace.NewRecorder()
 	rec.Record(trace.Step{Label: "initial bids", Agents: agentSnapshots(replicas)})
 	for _, st := range steps {
+		if net.QueueLen(st.edge) == 0 {
+			return nil, corrupt("witness delivery %d->%d finds no message", st.edge.From, st.edge.To)
+		}
 		applyDelivery(replicas, net, st.edge, st.consume)
 		name := "deliver"
 		if !st.consume {
@@ -935,7 +944,7 @@ func replayTrace(replicas []*mca.Agent, states0 []mca.AgentState, net0 *netsim.N
 		})
 	}
 	rec.Record(trace.Step{Label: "VIOLATION: " + label, Agents: agentSnapshots(replicas)})
-	return rec
+	return rec, nil
 }
 
 // oscillation is a deterministic witness for a progress cycle.

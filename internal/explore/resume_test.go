@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mca"
+	"repro/internal/netsim"
 )
 
 // line3Agents is the resume-test workhorse: 503 states, depth 12,
@@ -273,16 +274,87 @@ func TestDecodeRunStateOverflowingLength(t *testing.T) {
 	}
 }
 
+// TestResumeChecksRunStateAgainstScenario: a run state can be well
+// formed and still not be a run of the scenario it is resumed with — a
+// frontier item that does not decode into its agents, or decodes to a
+// state other than its node's, or a delivery over an edge the graph
+// lacks. Resume refuses each with ErrCorruptRunState. The first two
+// rows once panicked inside the agents' state decoder.
+func TestResumeChecksRunStateAgainstScenario(t *testing.T) {
+	t.Parallel()
+	g := graph.Line(3)
+	_, rs := cappedState(t, line3Agents, g, Options{MaxStates: 20}, 2)
+	keyOf := func(i int) [2]uint64 { return rs.Nodes[rs.Frontier[i].Node].Key }
+	other := len(rs.Frontier) - 1 // an item holding another state than item 0
+	if keyOf(other) == keyOf(0) {
+		t.Fatalf("fixture frontier holds one state only")
+	}
+	last := len(rs.Nodes) - 1
+	for name, mut := range map[string]func(r *RunState){
+		"truncated-state": func(r *RunState) { r.Frontier[0].State = r.Frontier[0].State[:1] },
+		"0xff-state":      func(r *RunState) { r.Frontier[0].State = bytes.Repeat([]byte{0xff}, len(r.Frontier[0].State)) },
+		"trailing-byte":   func(r *RunState) { r.Frontier[0].State = append(r.Frontier[0].State, 0) },
+		"another-state":   func(r *RunState) { r.Frontier[0].State = r.Frontier[other].State },
+		"agent-outside":   func(r *RunState) { r.Nodes[last].From = 3 },
+		"not-an-edge":     func(r *RunState) { r.Nodes[last].From, r.Nodes[last].To = 0, 2 },
+		"log-not-an-edge": func(r *RunState) { r.Edges[0].EdgeTo = -1 },
+	} {
+		dec, err := DecodeRunState(EncodeRunState(rs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mut(dec)
+		if _, _, err := CheckParallelFrom(line3Agents(), g, Options{}, 2, dec, false); !errors.Is(err, ErrCorruptRunState) {
+			t.Fatalf("%s: err = %v, want ErrCorruptRunState", name, err)
+		}
+	}
+	// A sound run state of another scenario is foreign to this one.
+	_, star := cappedState(t, star4Agents, graph.Star(4), Options{MaxStates: 1}, 2)
+	if _, _, err := CheckParallelFrom(line3Agents(), g, Options{}, 2, star, false); !errors.Is(err, ErrCorruptRunState) {
+		t.Fatalf("star-4 run state resumed on line-3: err = %v, want ErrCorruptRunState", err)
+	}
+}
+
+// TestReplayRefusesAnEmptyQueue: a counterexample is replayed along the
+// tree path to its state; a resumed tree can name a delivery whose
+// queue is empty at that point, which no run walks. The replay reports
+// the run state corrupt instead of panicking in netsim.
+func TestReplayRefusesAnEmptyQueue(t *testing.T) {
+	t.Parallel()
+	agents := line3Agents()
+	net := netsim.New(graph.Line(3))
+	for _, a := range agents {
+		if a.BidPhase() {
+			net.BroadcastAgent(a)
+		}
+	}
+	once := stepRec{edge: netsim.Edge{From: 0, To: 1}, consume: true}
+	if _, err := replayTrace(cloneAgents(agents), saveStates(agents), net, []stepRec{once}, "x"); err != nil {
+		t.Fatalf("the one queued 0->1 message does not replay: %v", err)
+	}
+	if _, err := replayTrace(cloneAgents(agents), saveStates(agents), net, []stepRec{once, once}, "x"); !errors.Is(err, ErrCorruptRunState) {
+		t.Fatalf("second 0->1 delivery: err = %v, want ErrCorruptRunState", err)
+	}
+}
+
 // FuzzDecodeRunState: a run state is untrusted bytes (a checkpoint file
 // whose checksum anyone can recompute). Decoding one is a typed error or
 // a value whose encoding decodes and re-encodes byte-identically —
-// never a panic — and allocates in proportion to the input.
+// never a panic — and allocates in proportion to the input. Whatever
+// decodes is then resumed on line-3 under a small budget: that is a
+// typed error or a verdict, never a panic.
 func FuzzDecodeRunState(f *testing.F) {
 	// Star-4 capped after its first level: every section of the format
 	// (tree, routed frontier with packed states, edge log) in 2 KB.
 	v, rs, err := CheckParallelFrom(star4Agents(), graph.Star(4), Options{MaxStates: 1}, 2, nil, true)
 	if err != nil || !v.Capped {
 		f.Fatalf("capped star-4 seed: %+v, %v", v, err)
+	}
+	f.Add(EncodeRunState(rs))
+	// Line-3 capped a few levels in, which the resume leg continues.
+	v, rs, err = CheckParallelFrom(line3Agents(), graph.Line(3), Options{MaxStates: 20}, 2, nil, true)
+	if err != nil || !v.Capped {
+		f.Fatalf("capped line-3 seed: %+v, %v", v, err)
 	}
 	f.Add(EncodeRunState(rs))
 	f.Add(overflowingRunState())
@@ -307,6 +379,9 @@ func FuzzDecodeRunState(f *testing.F) {
 		}
 		if second := EncodeRunState(again); !bytes.Equal(first, second) {
 			t.Fatalf("round trip moved the bytes:\n%x\n%x", first, second)
+		}
+		if _, _, err := CheckParallelFrom(line3Agents(), graph.Line(3), Options{MaxStates: 64}, 1, rs, false); err != nil && !errors.Is(err, ErrCorruptRunState) {
+			t.Fatalf("resume: untyped error %v", err)
 		}
 	})
 }

@@ -1,9 +1,14 @@
 package explore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+
+	"repro/internal/mca"
+	"repro/internal/netsim"
 )
 
 // ErrCorruptRunState tags every structural failure DecodeRunState can
@@ -168,8 +173,13 @@ type runStateReader struct {
 
 func (r *runStateReader) fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("explore: run state: %s: %w", fmt.Sprintf(format, args...), ErrCorruptRunState)
+		r.err = corrupt(format, args...)
 	}
+}
+
+// corrupt is an ErrCorruptRunState error.
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("explore: run state: %s: %w", fmt.Sprintf(format, args...), ErrCorruptRunState)
 }
 
 func (r *runStateReader) uvarint() uint64 {
@@ -244,7 +254,7 @@ func (r *runStateReader) count(min int) int {
 // structure (magic, bounds, index ranges, tree shape) strictly.
 func DecodeRunState(data []byte) (*RunState, error) {
 	if len(data) < len(runStateMagic) || string(data[:len(runStateMagic)]) != runStateMagic {
-		return nil, fmt.Errorf("explore: run state: bad magic (not a run-state document): %w", ErrCorruptRunState)
+		return nil, corrupt("bad magic (not a run-state document)")
 	}
 	r := &runStateReader{buf: data, pos: len(runStateMagic)}
 	rs := &RunState{
@@ -290,7 +300,7 @@ func DecodeRunState(data []byte) (*RunState, error) {
 		return nil, r.err
 	}
 	if r.pos != len(data) {
-		return nil, fmt.Errorf("explore: run state: %d bytes of trailing data: %w", len(data)-r.pos, ErrCorruptRunState)
+		return nil, corrupt("%d bytes of trailing data", len(data)-r.pos)
 	}
 	if err := rs.validate(); err != nil {
 		return nil, err
@@ -300,34 +310,76 @@ func DecodeRunState(data []byte) (*RunState, error) {
 
 // validate checks the structural invariants resume relies on.
 func (rs *RunState) validate() error {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("explore: run state: %s: %w", fmt.Sprintf(format, args...), ErrCorruptRunState)
-	}
 	if rs.NextLevel < 1 {
-		return fail("next level %d (capped runs stop after level 0 at the earliest)", rs.NextLevel)
+		return corrupt("next level %d (capped runs stop after level 0 at the earliest)", rs.NextLevel)
 	}
 	if rs.States < 1 {
-		return fail("state count %d", rs.States)
+		return corrupt("state count %d", rs.States)
 	}
 	if rs.SeenCount < 0 || rs.SeenCount > len(rs.Nodes) {
-		return fail("seen count %d outside the %d-node tree", rs.SeenCount, len(rs.Nodes))
+		return corrupt("seen count %d outside the %d-node tree", rs.SeenCount, len(rs.Nodes))
 	}
 	for i := range rs.Nodes {
 		p := rs.Nodes[i].Parent
 		if p < -1 || int(p) >= len(rs.Nodes) || int(p) == i {
-			return fail("node %d has parent index %d", i, p)
+			return corrupt("node %d has parent index %d", i, p)
 		}
 		// Depth strictly increases along parent links (BFS tree), which
 		// also rules out parent cycles that would hang trace replay.
 		if p >= 0 && rs.Nodes[i].Depth <= rs.Nodes[p].Depth {
-			return fail("node %d depth %d not below parent depth %d", i, rs.Nodes[i].Depth, rs.Nodes[p].Depth)
+			return corrupt("node %d depth %d not below parent depth %d", i, rs.Nodes[i].Depth, rs.Nodes[p].Depth)
 		}
 	}
 	for i := range rs.Frontier {
 		n := rs.Frontier[i].Node
 		if n < 0 || int(n) >= len(rs.Nodes) {
-			return fail("frontier item %d references node %d of %d", i, n, len(rs.Nodes))
+			return corrupt("frontier item %d references node %d of %d", i, n, len(rs.Nodes))
 		}
 	}
 	return nil
+}
+
+// check validates what validate cannot without the scenario: every
+// delivery in the tree and the transition log is over an edge of net,
+// and every frontier item is the packed state of its node. Restore
+// calls it once, so expansion never pays for it.
+func (rs *RunState) check(agents []*mca.Agent, net *netsim.Network) error {
+	isEdge := func(from, to int32) bool {
+		return from >= 0 && int(from) < len(agents) && slices.Contains(net.Neighbors(int(from)), int(to))
+	}
+	for i, n := range rs.Nodes {
+		if n.Parent >= 0 && !isEdge(n.From, n.To) {
+			return corrupt("node %d is reached over %d->%d, not an edge of the scenario", i, n.From, n.To)
+		}
+	}
+	for i, e := range rs.Edges {
+		if !isEdge(e.EdgeFrom, e.EdgeTo) {
+			return corrupt("transition %d is over %d->%d, not an edge of the scenario", i, e.EdgeFrom, e.EdgeTo)
+		}
+	}
+	var ks keyScratch
+	for i, it := range rs.Frontier {
+		if !unpackState(agents, net, it.State) || ks.key(agents, net) != rs.Nodes[it.Node].Key {
+			return corrupt("frontier item %d is not the packed state of node %d", i, it.Node)
+		}
+	}
+	return nil
+}
+
+// unpackState decodes buf into agents and net and reports whether buf
+// is exactly the encoding of the state it decoded to. The decoders
+// trust their input (they run on every expansion) and panic on a
+// truncated buffer or an index past the scenario's sizes.
+func unpackState(agents []*mca.Agent, net *netsim.Network, buf []byte) (ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	rest := buf
+	for _, a := range agents {
+		rest = a.DecodeState(rest)
+	}
+	net.DecodeState(rest)
+	return bytes.Equal(net.AppendState(encodeStates(agents, nil)), buf)
 }

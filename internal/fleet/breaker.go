@@ -19,8 +19,8 @@ const (
 // is rediscovered within seconds.
 const breakerMaxCooldown = maxDelay
 
-// breaker is one worker's circuit breaker. It replaces the old
-// probe-before-claim probation: threshold consecutive dispatch
+// breaker is one worker's circuit breaker, and the coordinator's only
+// record of its health: threshold consecutive dispatch
 // failures open it, a cooldown (doubled per consecutive open, capped)
 // must elapse before a single half-open probe dispatch is admitted,
 // and that probe's outcome closes it or reopens it. Admission
@@ -141,6 +141,10 @@ func (b *breaker) reopen(now time.Time) {
 	b.opens++
 	b.openUntil = now.Add(d)
 }
+
+// closed reports the closed state, the coordinator's view of a healthy
+// worker.
+func (b *breaker) closed() bool { return b.label() == "closed" }
 
 // label renders the state for status endpoints and /metrics.
 func (b *breaker) label() string {

@@ -3,8 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -83,15 +81,14 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	return o
 }
 
-// workerState is one worker's live view: health is derived from the
-// consecutive-failure counter, which any dispatch outcome updates, and
-// the circuit breaker decides fast-fail versus real dispatch.
+// workerState is one worker's live view. Its circuit breaker is the one
+// health view: it decides fast-fail versus real dispatch, and a worker
+// is healthy while its breaker is closed.
 type workerState struct {
-	url         string
-	completed   atomic.Uint64
-	failures    atomic.Uint64
-	consecutive atomic.Int64
-	br          *breaker
+	url       string
+	completed atomic.Uint64
+	failures  atomic.Uint64
+	br        *breaker
 	// slots is the admission limit the worker advertised on
 	// /fleet/health, 0 until it has answered. The worker has that many
 	// tokens in the coordinator's pool — one while it is unknown, so the
@@ -104,6 +101,12 @@ func (ws *workerState) status(healthy bool) WorkerStatus {
 		URL: ws.url, Healthy: healthy,
 		Completed: ws.completed.Load(), Failures: ws.failures.Load(), Breaker: ws.br.label(),
 	}
+}
+
+// failed records one failed round trip to the worker.
+func (ws *workerState) failed() {
+	ws.failures.Add(1)
+	ws.br.onFailure(time.Now())
 }
 
 // maxWorkerCredit clamps an advertised slot count: the token pool is
@@ -208,22 +211,9 @@ func (c *Coordinator) Stats() Stats {
 		BreakerFastFails: c.breakerFastFails.Load(),
 	}
 	for _, ws := range c.workers {
-		st.Workers = append(st.Workers, ws.status(c.healthy(ws)))
+		st.Workers = append(st.Workers, ws.status(ws.br.closed()))
 	}
 	return st
-}
-
-// healthy is the dispatch-outcome health view: fewer consecutive
-// failures than open the breaker.
-func (c *Coordinator) healthy(ws *workerState) bool {
-	return ws.consecutive.Load() < int64(c.opts.HealthThreshold)
-}
-
-// failed records one failed round trip to ws in both health views.
-func (c *Coordinator) failed(ws *workerState) {
-	ws.failures.Add(1)
-	ws.consecutive.Add(1)
-	ws.br.onFailure(time.Now())
 }
 
 // ---- scheduling ----
@@ -257,15 +247,15 @@ func (c *Coordinator) Run(ctx context.Context, eng engine.Engine, scenarios []en
 // for its /fleet/health slots — in parallel, so at most one round trip
 // per batch — grows its share of the token pool to match, and returns
 // the fleet's total credit. A worker that does not answer keeps its one
-// token and takes the failure like a failed dispatch; once unhealthy it
-// is not asked again until a dispatch to it succeeds, so a dead worker
-// costs batches no standing timeout.
+// token and takes the failure like a failed dispatch; once its breaker
+// opens it is not asked again until the breaker closes, so a dead
+// worker costs batches no standing timeout.
 func (c *Coordinator) learnCredit(ctx context.Context) int {
 	c.learnMu.Lock()
 	defer c.learnMu.Unlock()
 	var wg sync.WaitGroup
 	for _, ws := range c.workers {
-		if ws.slots.Load() > 0 || !c.healthy(ws) {
+		if ws.slots.Load() > 0 || !ws.br.closed() {
 			continue
 		}
 		wg.Add(1)
@@ -274,7 +264,7 @@ func (c *Coordinator) learnCredit(ctx context.Context) int {
 			st, ok := c.probe(ctx, ws)
 			if !ok {
 				if ctx.Err() == nil {
-					c.failed(ws)
+					ws.failed()
 				}
 				return
 			}
@@ -406,7 +396,6 @@ func (c *Coordinator) try(ctx context.Context, ws *workerState, index int, unit 
 	switch {
 	case err == nil:
 		ws.br.onSuccess()
-		ws.consecutive.Store(0)
 		ws.completed.Add(1)
 		c.completed.Add(1)
 	case ctx.Err() != nil:
@@ -419,7 +408,7 @@ func (c *Coordinator) try(ctx context.Context, ws *workerState, index int, unit 
 		ws.br.onRejected()
 		c.rejections.Add(1)
 	default:
-		c.failed(ws)
+		ws.failed()
 	}
 	return res, retryAfter, err
 }
@@ -444,8 +433,8 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 // retryAfter carries the worker's clamped Retry-After hint with it.
 // The remaining deadline budget travels in X-Fleet-Deadline-Ms so the
 // worker's engine context expires with the coordinator's interest, and
-// the response body is verified against the worker's X-Fleet-Checksum
-// (when present) — a response corrupted in transit could otherwise
+// the response body is checked against the worker's X-Fleet-Checksum —
+// a response corrupted in transit, or sent without one, could otherwise
 // decode into a plausible but wrong Result.
 func (c *Coordinator) dispatch(ctx context.Context, ws *workerState, index int, unit []byte) (res engine.Result, rejected bool, retryAfter time.Duration, err error) {
 	c.dispatches.Add(1)
@@ -470,13 +459,9 @@ func (c *Coordinator) dispatch(ctx context.Context, ws *workerState, index int, 
 	default:
 		return engine.Result{}, false, 0, fmt.Errorf("fleet: worker %s: status %d: %s", ws.url, resp.StatusCode, bytes.TrimSpace(body))
 	}
-	if want := resp.Header.Get(resultChecksumHeader); want != "" {
-		sum := sha256.Sum256(body)
-		if hex.EncodeToString(sum[:]) != want {
-			return engine.Result{}, false, 0, fmt.Errorf("fleet: worker %s: response checksum mismatch", ws.url)
-		}
+	if err = engine.CheckDigest(resp.Header.Get(resultChecksumHeader), body); err == nil {
+		res, err = engine.DecodeResult(body)
 	}
-	res, err = engine.DecodeResult(body)
 	if err != nil {
 		return engine.Result{}, false, 0, fmt.Errorf("fleet: worker %s: %w", ws.url, err)
 	}
@@ -507,12 +492,9 @@ func (c *Coordinator) roundTrip(req *http.Request) (*http.Response, []byte, erro
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, remoteResultLimit))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, engine.MaxResultBytes))
 	return resp, body, err
 }
-
-// remoteResultLimit caps a worker response body; results are small.
-const remoteResultLimit = 64 << 20
 
 // deadlineHeader carries the dispatch's remaining deadline budget in
 // milliseconds; the worker derives its engine context from it so a
@@ -520,9 +502,10 @@ const remoteResultLimit = 64 << 20
 // CPU.
 const deadlineHeader = "X-Fleet-Deadline-Ms"
 
-// resultChecksumHeader carries the hex SHA-256 of the worker's
-// response body; the coordinator rejects mismatches as dispatch
-// failures (and retries) instead of decoding corrupted bytes.
+// resultChecksumHeader carries the body digest (engine.Digest) of the
+// worker's response; the coordinator rejects a missing or mismatching
+// one as a dispatch failure (and retries) instead of decoding the
+// bytes.
 const resultChecksumHeader = "X-Fleet-Checksum"
 
 // probe reads one worker's /fleet/health document; ok is false when

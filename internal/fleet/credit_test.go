@@ -86,6 +86,48 @@ func TestConcurrentBatchesShareWorkerCredit(t *testing.T) {
 	}
 }
 
+// TestProbeAnsweredWith429ReadsHealthy: the breaker is the coordinator's
+// one health view. Two failures open it; the half-open probe after the
+// cooldown is answered 429, which proves the worker alive and closes
+// the breaker — so the worker reads healthy at once. (A failure count
+// kept beside the breaker used to leave it unhealthy until some
+// dispatch succeeded.)
+func TestProbeAnsweredWith429ReadsHealthy(t *testing.T) {
+	inner := fleet.NewWorker(fleet.WorkerOptions{Slots: 1}).Handler()
+	var works atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/fleet/work" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		if works.Add(1) <= 2 {
+			http.Error(w, "sick", http.StatusInternalServerError)
+			return
+		}
+		http.Error(w, "busy", http.StatusTooManyRequests)
+	}))
+	t.Cleanup(srv.Close)
+
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
+		Workers:         []string{srv.URL},
+		MaxAttempts:     3,
+		RetryBackoff:    5 * time.Millisecond, // each retry outlasts the cooldown
+		HealthThreshold: 2,
+		BreakerCooldown: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Run(context.Background(), nil, fleetScenarios()[:1])
+	st := coord.Stats()
+	if works.Load() != 3 || st.Rejections != 1 || st.LocalFallbacks != 1 {
+		t.Fatalf("stats %+v after %d dispatches: want fail, fail, 429 on the probe, local fallback", st, works.Load())
+	}
+	if w := st.Workers[0]; w.Breaker != "closed" || !w.Healthy {
+		t.Fatalf("worker %+v: a probe answered 429 must leave it closed and healthy", w)
+	}
+}
+
 // TestWorkerCachedResultStoredUncached: a worker that answers from its
 // own cache returns "cached":true, but what the coordinator's cache
 // keeps is the verdict as computed — so its next pass is byte-identical

@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -206,6 +207,57 @@ func TestCoordinatorLocalFallbackCompletesSweep(t *testing.T) {
 		if w.Healthy {
 			t.Fatalf("dead worker reported healthy: %+v", w)
 		}
+	}
+}
+
+// TestCoordinatorRefusesUnsealedReply: a worker reply whose body is a
+// valid result document for the unit but carries no X-Fleet-Checksum
+// cannot be told from one damaged in transit. It is a failed dispatch,
+// retried and then verified locally — never returned as the verdict.
+func TestCoordinatorRefusesUnsealedReply(t *testing.T) {
+	scenarios := fleetScenarios()[:1]
+	baseResults, _ := runnerBaseline(t, scenarios)
+	inner := fleet.NewWorker(fleet.WorkerOptions{Slots: 1}).Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/fleet/work" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		index, _, s, err := fleet.DecodeWorkUnit(body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		forged := engine.Result{Index: index, Scenario: s.Name, Engine: "forged", Status: engine.StatusViolated}
+		data, err := engine.EncodeResult(&forged)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(data)
+	}))
+	t.Cleanup(srv.Close)
+
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
+		Workers:      []string{srv.URL},
+		MaxAttempts:  2,
+		RetryBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, _ := coord.Run(context.Background(), nil, scenarios)
+	if got, want := encodeResultNoWall(t, results[0]), encodeResultNoWall(t, baseResults[0]); got != want {
+		t.Fatalf("unsealed reply became the verdict:\n got %s\nwant %s", got, want)
+	}
+	if st := coord.Stats(); st.Dispatches != 2 || st.Retries != 1 || st.LocalFallbacks != 1 || st.Completed != 0 {
+		t.Fatalf("stats %+v: want two failed dispatches, then a local fallback", st)
 	}
 }
 

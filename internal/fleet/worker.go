@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -95,8 +93,8 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 }
 
 // Worker executes work units for a coordinator. It is an http.Handler
-// factory, not a server: mount Handler (or HandleWork/HandleHealth
-// individually) on whatever mux the process serves.
+// factory, not a server: mount Handler (or HandleWork/HandleHealth under
+// its method patterns) on whatever mux the process serves.
 type Worker struct {
 	opts WorkerOptions
 	sem  chan struct{}
@@ -135,11 +133,11 @@ func (w *Worker) Stats() WorkerStats {
 }
 
 // Handler returns the worker's endpoints on a fresh mux:
-// POST /fleet/work and GET /fleet/health.
+// POST /fleet/work and GET /fleet/health (any other method: 405).
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/fleet/work", w.HandleWork)
-	mux.HandleFunc("/fleet/health", w.HandleHealth)
+	mux.HandleFunc("POST /fleet/work", w.HandleWork)
+	mux.HandleFunc("GET /fleet/health", w.HandleHealth)
 	return mux
 }
 
@@ -156,12 +154,8 @@ func writeJSONError(rw http.ResponseWriter, code int, err error) {
 // whose deadline has passed cannot keep burning worker CPU even if the
 // connection lingers. The response carries X-Fleet-Checksum over the
 // exact body bytes so the coordinator can reject in-transit
-// corruption.
+// corruption. Mount it for POST only, as Handler does.
 func (w *Worker) HandleWork(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSONError(rw, http.StatusMethodNotAllowed, errors.New("POST a work unit"))
-		return
-	}
 	select {
 	case w.sem <- struct{}{}:
 	default:
@@ -205,18 +199,13 @@ func (w *Worker) HandleWork(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.units.Add(1)
 	data = append(data, '\n')
-	sum := sha256.Sum256(data)
 	rw.Header().Set("Content-Type", "application/json")
-	rw.Header().Set(resultChecksumHeader, hex.EncodeToString(sum[:]))
+	rw.Header().Set(resultChecksumHeader, engine.Digest(data))
 	rw.Write(data)
 }
 
 // HandleHealth is the heartbeat the coordinator probes.
 func (w *Worker) HandleHealth(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSONError(rw, http.StatusMethodNotAllowed, errors.New("GET"))
-		return
-	}
 	rw.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(rw).Encode(w.Stats())
 }
