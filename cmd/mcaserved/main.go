@@ -327,10 +327,8 @@ func newServer(cfg serverConfig) (*server, error) {
 		mux.HandleFunc("POST /fleet/work", s.fleetGate(s.fleetWorker.HandleWork))
 		mux.HandleFunc("GET /fleet/health", s.fleetWorker.HandleHealth)
 	case "coordinator":
-		var dispatchClient *http.Client
-		if cfg.Chaos != nil {
-			dispatchClient = &http.Client{Transport: cfg.Chaos.Transport("fleet.dispatch", nil)}
-		}
+		// A nil injector returns the base transport unwrapped.
+		dispatchClient := &http.Client{Transport: cfg.Chaos.Transport("fleet.dispatch", fleet.DispatchTransport())}
 		if cfg.FleetSlots != 0 {
 			log.Printf("mcaserved: -fleetslots %d ignored in the coordinator role: dispatch credit comes from each worker's /fleet/health slots", cfg.FleetSlots)
 		}

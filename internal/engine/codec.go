@@ -35,7 +35,7 @@ const SchemaVersion = 1
 // caches (mcaserved -cachedir) stop serving verdicts computed by the
 // old code instead of replaying them forever. SchemaVersion guards only
 // the wire format; this guards the meaning of a cached Result.
-const CacheEpoch = 1
+const CacheEpoch = 2
 
 // Codec invariants:
 //

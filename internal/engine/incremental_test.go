@@ -164,8 +164,9 @@ func TestAssertStateScenarioRoundTrip(t *testing.T) {
 // resolves to SAT{}. Like sweepDocKeys (sweepdiff_test.go), it moves
 // only on purpose: a field added to or removed from engine.SAT, or a
 // change to the mca-model codec, changes it, and a persistent cache
-// filled by an older build then misses every SAT entry.
-const satScenarioKey = "e1eefd6bb41ef602541fb8aaf98143aa0f3881756c6fbc4be759212c60a64c0a"
+// filled by an older build then misses every SAT entry. A CacheEpoch
+// bump moves it too (last: epoch 2, the simulator's new generator).
+const satScenarioKey = "93049ceebf2746503ee761981c04b5a9d52c19d94ab0e885a152162984bae478"
 
 func TestSATContentAddressIsGolden(t *testing.T) {
 	s := assertStateSweep(t)[0]

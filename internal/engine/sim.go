@@ -21,7 +21,10 @@ type Simulation struct {
 	// Runs is the number of seeded executions (default 16).
 	Runs int
 	// Seed offsets the per-run seeds, so distinct Simulation values
-	// sample distinct schedule sets. Run i uses Seed + i.
+	// sample distinct schedule sets. Run i uses Seed + i: its delivery
+	// order and fault coins come from a PCG (math/rand/v2) seeded with
+	// (uint64(Seed+i), 0x9e3779b97f4a7c15), as netsim.AsyncConfig.Seed
+	// describes.
 	Seed int64
 	// MaxDeliveries caps each run's delivery ticks; 0 derives
 	// BudgetFactor × the D·|J| consensus bound from the scenario graph.
@@ -54,7 +57,9 @@ func (e Simulation) withDefaults() Simulation {
 
 // Verify samples seeded executions under the fault model. The verdict
 // is deterministic in (Scenario, Simulation): every run's schedule and
-// fault coin flips derive from its seed.
+// fault coin flips derive from its seed. One netsim.Simulator serves
+// all the runs of a call, so a run costs its deliveries and its fresh
+// agents, not a new network and generator.
 func (e Simulation) Verify(ctx context.Context, s Scenario) Result {
 	start := time.Now()
 	e = e.withDefaults()
@@ -72,17 +77,14 @@ func (e Simulation) Verify(ctx context.Context, s Scenario) Result {
 		maxDeliveries = e.BudgetFactor * (mca.MessageBound(s.Graph, items) + 1)
 	}
 	res := Result{Index: -1, Scenario: s.Name, Engine: e.Name(), Status: StatusHolds}
+	sim := netsim.NewSimulator(s.Graph, s.Faults)
 	for i := 0; i < e.Runs; i++ {
 		if ctx != nil && ctx.Err() != nil {
 			res.Status = StatusInconclusive
 			res.Err = ctx.Err()
 			break
 		}
-		out := netsim.RunAsyncWith(s.agents(), s.Graph, netsim.AsyncConfig{
-			Seed:          e.Seed + int64(i),
-			MaxDeliveries: maxDeliveries,
-			Faults:        s.Faults,
-		})
+		out := sim.Run(s.agents(), e.Seed+int64(i), maxDeliveries)
 		res.Stats.Runs++
 		res.Stats.Deliveries += out.Deliveries
 		res.Stats.Dropped += out.Dropped

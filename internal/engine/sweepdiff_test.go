@@ -308,22 +308,24 @@ func TestSweepErrorNamesFirstCell(t *testing.T) {
 }
 
 // sweepDocKeys are the content addresses of sweepDoc's twelve cells
-// under Auto{}, computed at the commit before expansion was rebuilt
-// (2123da5). They must never move: a persistent cache filled by an
-// older build keeps answering.
+// under Auto{}. Expansion must never move them: a persistent cache
+// filled by an older build keeps answering. They last moved with
+// CacheEpoch 2, when the simulator's generator changed and every
+// sampled verdict became a new sample; before that they had held since
+// the commit before expansion was rebuilt (2123da5).
 var sweepDocKeys = []string{
-	"aa5057de53a673416c989d2e8a979234bb3bda26fdd628e1a187e40948ed8e99", // base/n2/reliable/default
-	"f22a884097886700ce064454b2f2e637a1fa9e3fa55699f9815e794b50f6f632", // base/n2/reliable/dup
-	"fd500a6d4d31747dfec96c8a98a50a175f70da4fca1fc19384d22f0612d2d231", // base/n2/drop20/default
-	"e837cc0bc6e48bd22129b7ec0b0acbd837cc49db0a12084fcc0a53bb8edd63ce", // base/n2/drop20/dup
-	"0db583fd864715676193c94910b0d5bdf6200d5a9a7caee01180d180d613dd9c", // base/n2/delay2/default
-	"f988827c29b0f18c16f24562455b953b6cefc8b07ad6f4fceefcdaaa2b661068", // base/n2/delay2/dup
-	"6b43169ad2f96db5388e73c3c6612f5a2742e4dcc54e77aae0c4169d58791ce5", // base/n3/reliable/default
-	"6b09764c2c9c6923df4b7471db1e417d12181d067c6330f54ca008d2a6209888", // base/n3/reliable/dup
-	"4beeb64e4959daa08be7cc28e36dbdf1da62d3afc37cff49485b9e41f1f2d11f", // base/n3/drop20/default
-	"364802ee231f24fccce7650188c384003fcf094458e7177b78d1c55af1527956", // base/n3/drop20/dup
-	"e4f1717c95fdee635a1e0de5c66da9497aad392f7673bf567b300758818a956c", // base/n3/delay2/default
-	"df2ee1ffe2d5d2519f28bebfa21bd4d8d426744c62f5d44c0318127072395153", // base/n3/delay2/dup
+	"6cca113a1e044d8bce4cf00e8255ff1a7834eb321efc2035746cfce85bf9d0b0", // base/n2/reliable/default
+	"f14aa4dc1f1a55d1c9c2c85eff9c6b21aa010428743396a6394bf7a923c49cc8", // base/n2/reliable/dup
+	"906bb5a59d7ed846fe344c8700c549e43f0c37c93b7969f4e34e41edd31d3dfc", // base/n2/drop20/default
+	"d33e0a297905c23533dba4273603fde237e34e7baffcbd5c3ac3f5ec1153977d", // base/n2/drop20/dup
+	"c3a456d801d82e4b35d61cfef09a05a2174131902ea0bd0e2dca1227d7a0d49f", // base/n2/delay2/default
+	"a3a469c289450c8fd8b3606406780295fc9a437316089cf5e96b6cbdbed2d5c4", // base/n2/delay2/dup
+	"44ba3f63317534f6fbd209390573dce5038f13587ce6884e2c5ea88db8d15e54", // base/n3/reliable/default
+	"b1434e9031351dacae44e6338b4add48ae42e05a247337282c4798bf3772d4f0", // base/n3/reliable/dup
+	"41061027ed0c663ba8144a0f8881bb8561191e305899ecfa2e45232e0dde422d", // base/n3/drop20/default
+	"db07c281a68c11b0f69022c8f329104d9eb5e5b830c51848001ed0322f56bbd9", // base/n3/drop20/dup
+	"0c141e00518741ac8606369198254e7f085684a0117dfba8dafe7e6ed5823ee7", // base/n3/delay2/default
+	"8f1bd13b964c26249b41f1243cb90cafe9562429c15d3d1f761abcf44d37df07", // base/n3/delay2/dup
 }
 
 func TestSweepContentAddressesAreGolden(t *testing.T) {

@@ -26,8 +26,9 @@ type CoordinatorOptions struct {
 	// Workers lists worker base URLs (scheme://host:port); the fleet
 	// endpoints are resolved under each. At least one is required.
 	Workers []string
-	// Client is the dispatch HTTP client (default: a pooled client with
-	// no global timeout — UnitTimeout bounds each dispatch).
+	// Client is the dispatch HTTP client (default: a client over
+	// DispatchTransport with no global timeout — UnitTimeout bounds each
+	// dispatch).
 	Client *http.Client
 	// Cache, when non-nil, is the result cache of the Runner that
 	// schedules the fleet's batches: a unit whose content address is
@@ -61,7 +62,7 @@ type CoordinatorOptions struct {
 
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.Client == nil {
-		o.Client = &http.Client{}
+		o.Client = &http.Client{Transport: DispatchTransport()}
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
@@ -112,6 +113,16 @@ func (ws *workerState) failed() {
 // maxWorkerCredit clamps an advertised slot count: the token pool is
 // allocated up front, and a confused health document must not size it.
 const maxWorkerCredit = 256
+
+// DispatchTransport returns a fresh clone of http.DefaultTransport that
+// keeps up to maxWorkerCredit idle connections per worker. The default
+// keeps two, so a coordinator dispatching at a credit above two would
+// close and re-dial connections on every batch.
+func DispatchTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = maxWorkerCredit
+	return t
+}
 
 // Stats is a point-in-time snapshot of the coordinator's counters.
 type Stats struct {

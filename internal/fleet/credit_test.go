@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -196,5 +197,50 @@ func TestWorkerCachedResultStoredUncached(t *testing.T) {
 	}
 	if extra := coord.Stats().Dispatches - dispatched; extra != uint64(len(scenarios)-conclusive) {
 		t.Fatalf("second pass dispatched %d units, want only the %d inconclusive ones", extra, len(scenarios)-conclusive)
+	}
+}
+
+// TestDispatchReusesConnections: the coordinator's default client keeps
+// as many idle connections per worker as the credit it may dispatch at,
+// so three batches at a credit of 8 never close a connection and dial
+// about one per slot. With Go's default of two idle connections per
+// host, every batch closed and re-dialed most of them.
+//
+// The dial count is bounded loosely: net/http puts a connection back in
+// its idle pool on a goroutine of its own after the body's EOF, so a
+// dispatch that starts in that window dials one more (the pool then
+// keeps it). Closes are the exact signal.
+func TestDispatchReusesConnections(t *testing.T) {
+	scenarios := fleetScenarios()
+	var dials, closes atomic.Int64
+	srv := httptest.NewUnstartedServer(fleet.NewWorker(fleet.WorkerOptions{Slots: 8}).Handler())
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		switch state {
+		case http.StateNew:
+			dials.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			closes.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: []string{srv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 3; b++ {
+		if _, sum := coord.Run(context.Background(), nil, scenarios); sum.Total != len(scenarios) {
+			t.Fatalf("batch %d: summary %+v", b, sum)
+		}
+	}
+	if st := coord.Stats(); st.LocalFallbacks != 0 || st.Retries != 0 {
+		t.Fatalf("stats %+v: a healthy worker must answer every unit", st)
+	}
+	if n := closes.Load(); n != 0 {
+		t.Errorf("three batches of %d units closed %d connections, want 0", len(scenarios), n)
+	}
+	if n := dials.Load(); n > 16 {
+		t.Errorf("three batches of %d units opened %d connections, want about 9", len(scenarios), n)
 	}
 }

@@ -3,9 +3,9 @@
 // holding unprocessed bid messages in transit. It corresponds to the
 // buffMsgs relation of the paper's netState signature.
 //
-// Two layers use it: the randomized asynchronous runner here (RunAsync
-// and RunAsyncWith — seeded, for simulation experiments), and the
-// exhaustive interleaving explorer in internal/explore (which drives
+// Two layers use it: the randomized asynchronous runner here (RunAsync,
+// RunAsyncWith and Simulator — seeded, for simulation experiments), and
+// the exhaustive interleaving explorer in internal/explore (which drives
 // Network directly, snapshotting and rolling back channel queues).
 //
 // Faults models the adversarial networks the paper's Alloy model cannot
@@ -19,7 +19,9 @@
 //
 // Determinism: RunAsyncWith is deterministic in (agents, graph,
 // AsyncConfig) — the delivery schedule and every fault coin flip derive
-// from the seed — so simulation verdicts are reproducible and
-// cacheable. A Network value is single-goroutine state; checkers that
-// parallelize keep one replica per worker.
+// from the seed, through a PCG (math/rand/v2) — so simulation verdicts
+// are reproducible and cacheable. A Simulator reused across runs gives
+// each run exactly what a fresh one would. A Network value is
+// single-goroutine state; checkers that parallelize keep one replica
+// per worker.
 package netsim

@@ -1,7 +1,7 @@
 package netsim
 
 import (
-	"math/rand"
+	"math/rand/v2"
 
 	"repro/internal/graph"
 	"repro/internal/mca"
@@ -126,7 +126,10 @@ func (f Faults) delayOf(e Edge) int {
 
 // AsyncConfig parameterizes a randomized asynchronous run.
 type AsyncConfig struct {
-	// Seed drives the delivery order and the drop coin flips.
+	// Seed drives the delivery order and the fault coins: a run draws
+	// from a PCG (math/rand/v2, O'Neill 2014) seeded with the words
+	// (uint64(Seed), 0x9e3779b97f4a7c15), so every int64 seed, negative
+	// ones included, names its own stream.
 	Seed int64
 	// MaxDeliveries caps the number of delivery ticks (processed plus
 	// dropped messages).
@@ -136,25 +139,57 @@ type AsyncConfig struct {
 	Faults Faults
 }
 
+// pcgStream is the second PCG seed word of every run; the first is the
+// run's seed.
+const pcgStream = 0x9e3779b97f4a7c15
+
 // RunAsyncWith drives the agents with a seeded random delivery order
 // under the configured fault model until quiescence with agreement or
-// until the delivery budget is spent. Dropped messages consume a
-// delivery tick (the channel did work; the receiver saw nothing), so a
-// lossy run terminates on the same budget as a reliable one.
+// until the delivery budget is spent. It is one run of a fresh
+// Simulator.
 func RunAsyncWith(agents []*mca.Agent, g *graph.Graph, cfg AsyncConfig) AsyncOutcome {
-	fr := newFaultRun(g, cfg.Faults)
-	n := fr.net
+	return NewSimulator(g, cfg.Faults).Run(agents, cfg.Seed, cfg.MaxDeliveries)
+}
+
+// Simulator runs seeded asynchronous executions over one graph under one
+// fault model. Its network, delay line and generator are reset in place
+// by every Run, so a batch of runs pays for their deliveries, not for
+// building a network and seeding a generator each time. A Simulator is
+// single-goroutine state.
+type Simulator struct {
+	fr  *faultRun
+	pcg *rand.PCG
+	rng *rand.Rand
+}
+
+// NewSimulator builds the network and fault bookkeeping for runs of g
+// under f.
+func NewSimulator(g *graph.Graph, f Faults) *Simulator {
+	pcg := rand.NewPCG(0, pcgStream)
+	return &Simulator{fr: newFaultRun(g, f), pcg: pcg, rng: rand.New(pcg)}
+}
+
+// Run drives the agents from an empty network at tick 0 with the
+// delivery order and fault coins of seed, until quiescence with
+// agreement or until maxDeliveries ticks are spent. Dropped messages
+// consume a delivery tick (the channel did work; the receiver saw
+// nothing), so a lossy run terminates on the same budget as a reliable
+// one. The outcome depends only on (agents, graph, faults, seed,
+// maxDeliveries), never on earlier runs of the Simulator.
+func (s *Simulator) Run(agents []*mca.Agent, seed int64, maxDeliveries int) AsyncOutcome {
+	fr, rng := s.fr, s.rng
+	fr.reset()
+	s.pcg.Seed(uint64(seed), pcgStream)
 	for _, a := range agents {
 		if a.BidPhase() {
 			fr.broadcast(a)
 		}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	var out AsyncOutcome
-	for out.Deliveries+out.Dropped < cfg.MaxDeliveries {
+	for out.Deliveries+out.Dropped < maxDeliveries {
 		deliverable := fr.deliverable()
 		if len(deliverable) == 0 {
-			if n.Quiescent() {
+			if fr.net.Quiescent() {
 				break
 			}
 			// Everything in flight is still delayed: advance the clock to
@@ -162,20 +197,21 @@ func RunAsyncWith(agents []*mca.Agent, g *graph.Graph, cfg AsyncConfig) AsyncOut
 			fr.tick = fr.minReady()
 			continue
 		}
-		e := deliverable[rng.Intn(len(deliverable))]
-		m := fr.deliverNext(e, rng)
+		id := deliverable[rng.IntN(len(deliverable))]
+		e := fr.net.edges[id]
+		m := fr.deliverNext(id, rng)
 		// Each fault coin is drawn only when its knob is configured, so
 		// a fault-free config replays exactly the same delivery sequence
 		// as RunAsync — and adding a new fault model never perturbs
 		// corpora that leave it zero.
-		if p := cfg.Faults.Duplicate; p > 0 && rng.Float64() < p {
+		if p := fr.faults.Duplicate; p > 0 && rng.Float64() < p {
 			// The duplicate is a fresh send on the same channel: it
 			// re-enters the delay line at the current tick and is
 			// delivered (or dropped) on a later tick of its own.
 			out.Duplicated++
 			fr.send(m)
 		}
-		if p := cfg.Faults.dropProb(e); p > 0 && rng.Float64() < p {
+		if p := fr.faults.dropProb(e); p > 0 && rng.Float64() < p {
 			out.Dropped++
 			continue
 		}
@@ -190,7 +226,7 @@ func RunAsyncWith(agents []*mca.Agent, g *graph.Graph, cfg AsyncConfig) AsyncOut
 			fr.send(receiver.Snapshot(m.Sender))
 		}
 	}
-	if n.Quiescent() {
+	if fr.net.Quiescent() {
 		agree := true
 		for i := 1; i < len(agents); i++ {
 			if !agents[0].AgreesWith(agents[i]) {
@@ -203,7 +239,7 @@ func RunAsyncWith(agents []*mca.Agent, g *graph.Graph, cfg AsyncConfig) AsyncOut
 	return out
 }
 
-// faultRun wraps a Network with the fault bookkeeping of one run: the
+// faultRun wraps a Network with the fault bookkeeping of a run: the
 // delivery clock, a per-edge FIFO of ready times parallel to the queue
 // contents, and the partition block map.
 type faultRun struct {
@@ -211,11 +247,12 @@ type faultRun struct {
 	faults Faults
 	block  []int // node -> partition block; nil when no partition
 	tick   int   // advances once per delivery (processed or dropped)
-	// readyAt[e][i] is the earliest tick the i-th queued message of edge
-	// e may be delivered; aligned with the network's FIFO queue.
-	readyAt map[Edge][]int
+	// readyAt[id][i] is the earliest tick the i-th queued message of
+	// edge id may be delivered: indexed like the network's queues and
+	// aligned with each FIFO. nil when nothing is ever held.
+	readyAt [][]int
 	// pendBuf is reused across deliverable calls (one per delivery tick).
-	pendBuf []Edge
+	pendBuf []int32
 }
 
 // newFaultRun starts the fault bookkeeping of a run on a fresh network
@@ -228,9 +265,19 @@ func newFaultRun(g *graph.Graph, f Faults) *faultRun {
 	if f.Delay > 0 || len(f.DelayEdge) > 0 || (len(f.Partitions) > 0 && f.HealAfter > 0) {
 		// Stamp every send from the start so the delay line stays aligned
 		// with the FIFO queues (healing partitions hold messages on it).
-		fr.readyAt = make(map[Edge][]int)
+		fr.readyAt = make([][]int, len(fr.net.queues))
 	}
 	return fr
+}
+
+// reset empties the network and the delay line and rewinds the clock,
+// keeping every backing array for the next run.
+func (fr *faultRun) reset() {
+	fr.net.reset()
+	for id := range fr.readyAt {
+		fr.readyAt[id] = fr.readyAt[id][:0]
+	}
+	fr.tick = 0
 }
 
 // partitioned reports whether the edge crosses an active partition cut.
@@ -248,23 +295,20 @@ func (fr *faultRun) partitioned(e Edge) bool {
 // delay line.
 func (fr *faultRun) send(m mca.Message) {
 	e := Edge{From: m.Sender, To: m.Receiver}
-	if fr.partitioned(e) {
-		if fr.faults.HealAfter <= 0 {
-			return // permanent cut: the message is lost
-		}
-		// Healing cut: hold the message on the delay line until the
-		// partition ends (plus any configured edge delay).
-		fr.net.Send(m)
-		ready := fr.faults.HealAfter
-		if d := fr.tick + fr.faults.delayOf(e); d > ready {
-			ready = d
-		}
-		fr.readyAt[e] = append(fr.readyAt[e], ready)
-		return
+	cut := fr.partitioned(e)
+	if cut && fr.faults.HealAfter <= 0 {
+		return // permanent cut: the message is lost
 	}
-	fr.net.Send(m)
+	id := fr.net.eid(e)
+	fr.net.enqueue(id, m, mca.MessageContentHash(m))
 	if fr.readyAt != nil {
-		fr.readyAt[e] = append(fr.readyAt[e], fr.tick+fr.faults.delayOf(e))
+		ready := fr.tick + fr.faults.delayOf(e)
+		if cut {
+			// Healing cut: hold the message on the delay line until the
+			// partition ends (plus any configured edge delay).
+			ready = max(ready, fr.faults.HealAfter)
+		}
+		fr.readyAt[id] = append(fr.readyAt[id], ready)
 	}
 }
 
@@ -278,21 +322,21 @@ func (fr *faultRun) broadcast(a *mca.Agent) {
 	}
 }
 
-// deliverable returns the pending edges whose head message is ready at
-// the current tick, in the network's deterministic sorted order. The
-// returned slice is reused across calls.
-func (fr *faultRun) deliverable() []Edge {
-	pending := fr.net.PendingInto(fr.pendBuf[:0])
-	fr.pendBuf = pending
-	if fr.readyAt == nil {
-		return pending
-	}
-	out := pending[:0]
-	for _, e := range pending {
-		if r := fr.readyAt[e]; len(r) == 0 || r[0] <= fr.tick {
-			out = append(out, e)
+// deliverable returns the ids of the pending edges whose head message is
+// ready at the current tick, in the network's deterministic sorted edge
+// order. The returned slice is reused across calls.
+func (fr *faultRun) deliverable() []int32 {
+	out := fr.pendBuf[:0]
+	for id, q := range fr.net.queues {
+		if len(q) == 0 {
+			continue
 		}
+		if fr.readyAt != nil && fr.readyAt[id][0] > fr.tick {
+			continue
+		}
+		out = append(out, int32(id))
 	}
+	fr.pendBuf = out
 	return out
 }
 
@@ -300,9 +344,8 @@ func (fr *faultRun) deliverable() []Edge {
 // only called when every pending head is delayed past the current tick.
 func (fr *faultRun) minReady() int {
 	min := -1
-	fr.pendBuf = fr.net.PendingInto(fr.pendBuf[:0])
-	for _, e := range fr.pendBuf {
-		if r := fr.readyAt[e]; len(r) > 0 && (min == -1 || r[0] < min) {
+	for _, r := range fr.readyAt {
+		if len(r) > 0 && (min == -1 || r[0] < min) {
 			min = r[0]
 		}
 	}
@@ -312,53 +355,42 @@ func (fr *faultRun) minReady() int {
 	return min
 }
 
-// deliverNext pops one message from edge e — the head on FIFO
+// deliverNext pops one message from edge id — the head on FIFO
 // channels, or a seeded pick from the reorder window when the fault
 // model allows overtaking — removes its delay stamp, and advances the
 // clock by one tick. The reorder coin is drawn only when the window
 // genuinely offers a choice, so Reorder=0 configs replay the exact
 // random stream they always did.
-func (fr *faultRun) deliverNext(e Edge, rng *rand.Rand) mca.Message {
+func (fr *faultRun) deliverNext(id int32, rng *rand.Rand) mca.Message {
 	idx := 0
 	if k := fr.faults.Reorder; k > 0 {
-		if w := fr.reorderWindow(e, k+1); w > 1 {
-			idx = rng.Intn(w)
+		if w := fr.reorderWindow(id, k+1); w > 1 {
+			idx = rng.IntN(w)
 		}
 	}
-	m := fr.net.DeliverAt(e, idx)
+	m := fr.net.DeliverAt(fr.net.edges[id], idx)
 	if fr.readyAt != nil {
-		if r := fr.readyAt[e]; idx < len(r) {
-			r = append(r[:idx], r[idx+1:]...)
-			if len(r) == 0 {
-				delete(fr.readyAt, e)
-			} else {
-				fr.readyAt[e] = r
-			}
-		}
+		r := fr.readyAt[id]
+		fr.readyAt[id] = append(r[:idx], r[idx+1:]...)
 	}
 	fr.tick++
 	return m
 }
 
-// reorderWindow returns how many messages at the front of edge e's
-// queue are eligible for this delivery: at most max, clipped to the
+// reorderWindow returns how many messages at the front of edge id's
+// queue are eligible for this delivery: at most limit, clipped to the
 // queue length and — when the delay line is active — to the prefix of
 // messages already past their ready tick (delay stamps are
 // non-decreasing along a queue, so the ready set is always a prefix).
-func (fr *faultRun) reorderWindow(e Edge, max int) int {
-	w := fr.net.QueueLen(e)
-	if w > max {
-		w = max
-	}
+func (fr *faultRun) reorderWindow(id int32, limit int) int {
+	w := min(len(fr.net.queues[id]), limit)
 	if fr.readyAt != nil {
-		r := fr.readyAt[e]
+		r := fr.readyAt[id]
 		ready := 0
-		for ready < len(r) && ready < w && r[ready] <= fr.tick {
+		for ready < w && r[ready] <= fr.tick {
 			ready++
 		}
-		if len(r) > 0 && ready < w {
-			w = ready
-		}
+		w = ready
 	}
 	return w
 }

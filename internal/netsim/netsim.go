@@ -150,6 +150,14 @@ func (n *Network) PendingInto(buf []Edge) []Edge {
 	return buf
 }
 
+// reset empties every queue, keeping the backing arrays.
+func (n *Network) reset() {
+	for i := range n.queues {
+		n.queues[i] = n.queues[i][:0]
+	}
+	n.nonEmpty = 0
+}
+
 // Quiescent reports whether no messages are in transit; the network
 // counts non-empty edges on every queue mutation, so this is one
 // compare on the explorers' per-state hot path.
