@@ -3,15 +3,23 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/engine"
+	"repro/internal/explore"
+	"repro/internal/fleet"
+	"repro/internal/graph"
+	"repro/internal/mca"
 )
 
 // startRole boots one in-process mcaserved in the given role and
@@ -424,6 +432,93 @@ func TestFleetWorkExemptFromTenantQuota(t *testing.T) {
 	}
 	if resp := postJSON(t, srv.URL+"/verify", scenarioDoc); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-burst /verify: status %d, want 429", resp.StatusCode)
+	}
+}
+
+// TestWorkerAdmitsBySlotsAlone: /fleet/work meets one admission
+// decision, the worker's slots — what /fleet/health advertises and the
+// coordinator dispatches against — so a -maxinflight below the slot
+// count sheds none of it.
+func TestWorkerAdmitsBySlotsAlone(t *testing.T) {
+	const slots = 4
+	srv, s := startRole(t, serverConfig{Role: "worker", MaxInFlight: 1, FleetSlots: slots})
+	// Each unit explores until its request is cancelled.
+	specs := make([]mca.Config, 3)
+	for i := range specs {
+		specs[i] = mca.Config{
+			ID: mca.AgentID(i), Items: 3, Base: []int64{9, 7, 5},
+			Policy: mca.Policy{Target: 3, Utility: mca.NonSubmodularSynergy{}, ReleaseOutbid: true, Rebid: mca.RebidAlways},
+		}
+	}
+	heavy := engine.Scenario{Name: "heavy", AgentSpecs: specs, Graph: graph.Complete(3), Explore: explore.Options{MaxStates: 1 << 30}}
+	unit, err := fleet.EncodeWorkUnit(0, engine.Explicit{}, &heavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	answered := make(chan int, slots)
+	var wg sync.WaitGroup
+	for i := 0; i < slots; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, _ := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/fleet/work", bytes.NewReader(unit))
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+				answered <- resp.StatusCode
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer cancel()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.fleetWorker.Stats().Busy < slots {
+		select {
+		case code := <-answered:
+			t.Fatalf("a unit within the %d advertised slots was answered %d", slots, code)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d slots busy after 10 s", s.fleetWorker.Stats().Busy, slots)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestQuotaTableForgetsIdleTenants: a client rotating X-Tenant cannot
+// grow the table without bound. Past the sweep size, buckets that have
+// refilled to burst go, and every decision matches a table that keeps
+// them all.
+func TestQuotaTableForgetsIdleTenants(t *testing.T) {
+	now := time.Unix(0, 0)
+	swept, kept := newQuotaTable(2, 3), newQuotaTable(2, 3) // refill period 1.5 s
+	kept.sweepAbove = math.MaxInt
+	for _, q := range []*quotaTable{swept, kept} {
+		q.now = func() time.Time { return now }
+	}
+	allow := func(tenant string) {
+		t.Helper()
+		ok1, wait1 := swept.allow(tenant)
+		ok2, wait2 := kept.allow(tenant)
+		if ok1 != ok2 || wait1 != wait2 {
+			t.Fatalf("tenant %q: swept table answered %v %v, unswept %v %v", tenant, ok1, wait1, ok2, wait2)
+		}
+	}
+	for i := 0; i < 10000; i++ {
+		allow(fmt.Sprintf("t%d", i))
+		if i%100 == 0 {
+			allow("hot") // a tenant that runs dry between refills
+		}
+	}
+	now = now.Add(2 * time.Second)
+	allow("late")
+	if n := len(swept.buckets); n > quotaSweepAbove {
+		t.Fatalf("%d tenants kept, want at most %d", n, quotaSweepAbove)
+	}
+	for i := 0; i < 10000; i += 97 {
+		allow(fmt.Sprintf("t%d", i))
+		allow("hot")
 	}
 }
 

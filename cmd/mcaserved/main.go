@@ -43,36 +43,36 @@
 // coordinator can dispatch work units to it. "coordinator" requires
 // -peers (comma-separated worker base URLs), runs /sweep's Runner with
 // the fleet as its engine (internal/fleet; the pool is sized by the
-// slots each worker advertises, not by -workers or ?workers=) —
-// byte-identical summaries to standalone, see docs/OPERATIONS.md — and
-// serves GET /fleet/status with dispatch counters and live worker
-// health. Point -remotecache at
-// a peer's /cache/entry to layer that peer behind the local cache
-// tiers on any role; the peer must run -peercache (and the same
-// -cachesecret, if one is set on either side).
+// slots each worker advertises, not by -workers) — byte-identical
+// summaries to standalone, see docs/OPERATIONS.md — and serves GET
+// /fleet/status with dispatch counters and live worker health. Point
+// -remotecache at a peer's /cache/entry to layer that peer behind the
+// local cache tiers on any role; the peer must run -peercache (and the
+// same -cachesecret, if one is set on either side).
 //
-// Admission control is opt-in: -quotarate/-quotaburst throttle the
-// expensive endpoints (/verify, /sweep, /generate) per tenant — the
-// X-Tenant header, with one shared anonymous bucket — and -maxinflight
-// caps concurrently executing expensive requests. Both shed excess
-// load with 429 + Retry-After rather than queueing. /fleet/work is
-// exempt from the tenant quota (coordinator dispatches carry no tenant
-// identity and would collapse into the anonymous bucket); the
-// in-flight cap and the worker's own slot admission still bound it.
+// Admission control is opt-in and covers the client endpoints (/verify,
+// /sweep, /generate): -quotarate/-quotaburst throttle them per tenant —
+// the X-Tenant header, with one shared anonymous bucket — and
+// -maxinflight caps how many execute at once. Both shed excess load
+// with 429 + Retry-After rather than queueing. A worker admits
+// /fleet/work by its -fleetslots alone, the credit it advertises on
+// /fleet/health and the coordinator dispatches against.
 //
 // Engine selection is per request via query parameters:
 // ?engine=auto|explicit|simulation|sat (default auto), &runs=N and
 // &seed=S (simulation), and &timeout=30s within the server's
-// -maxtimeout. &workers=N means per-engine parallelism on /verify
-// (frontier shards, portfolio members) and the scenario pool size on
-// /sweep and /generate (per-scenario engines stay serial there, so
-// sweep cache keys are independent of pool size). /generate instead
-// takes &seed=S, &n=N (scenarios to generate) and &engines=a,b,c (an
-// oracle panel, default explicit,simulation,sat), plus &coverage=1 and
-// &rounds=R for the coverage-guided loop (the n budget splits evenly
-// across rounds; worker count never changes the corpus). A query
-// parameter the endpoint does not read — a typo like ?worker=2, or a
-// retired one — is a 400 naming it, never a silently ignored option.
+// -maxtimeout. On /verify, &workers=N is the engine's parallelism
+// (frontier shards, portfolio members; at most engine.MaxWorkers, past
+// which the result is an error). /sweep and /generate run their
+// scenarios on a pool of -workers with serial engines, so sweep cache
+// keys never depend on a pool size. /generate instead takes &seed=S,
+// &n=N (scenarios to generate) and &engines=a,b,c (an oracle panel,
+// default explicit,simulation,sat), plus &coverage=1 and &rounds=R for
+// the coverage-guided loop (the n budget splits evenly across rounds;
+// the pool size never changes the corpus). A query parameter the
+// endpoint does not read — a typo like ?worker=2, or a retired one such
+// as ?workers= on /sweep — is a 400 naming it, never a silently
+// ignored option.
 // Shutdown is graceful:
 // SIGINT/SIGTERM stops accepting connections and lets in-flight
 // verifications finish (their contexts are cancelled after the
@@ -84,7 +84,7 @@
 //	mcaserved -role worker -addr :8081 -fleetslots 8
 //	mcaserved -role coordinator -peers http://w1:8081,http://w2:8081
 //	curl -d @examples/scenarios/line3.json 'localhost:8080/verify'
-//	curl -d @examples/scenarios/policy-faults-sweep.json 'localhost:8080/sweep?workers=8'
+//	curl -d @examples/scenarios/policy-faults-sweep.json 'localhost:8080/sweep'
 //	curl -X POST 'localhost:8080/generate?seed=7&n=100'
 //	curl -d @examples/scenarios/fuzz-profile.json 'localhost:8080/generate?n=50&engines=explicit,simulation'
 //	curl -X POST 'localhost:8080/generate?coverage=1&seed=1&rounds=5&n=40'
@@ -96,6 +96,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -103,13 +104,10 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
-	"net/url"
 	"os"
 	"os/signal"
-	"slices"
-	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -124,7 +122,7 @@ import (
 func main() {
 	fs := flag.NewFlagSet("mcaserved", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 0, "sweep worker pool size (0 = one per CPU)")
+	workers := fs.Int("workers", 0, "/sweep and /generate scenario pool size (0 = one per CPU)")
 	cacheSize := fs.Int("cachesize", 4096, "in-memory result cache capacity (0 = default, negative = unbounded)")
 	cacheDir := fs.String("cachedir", "", "directory for persistent result cache (empty = memory only; the directory grows unbounded — prune externally)")
 	defTimeout := fs.Duration("timeout", 60*time.Second, "default per-request verification timeout")
@@ -138,7 +136,7 @@ func main() {
 	fleetSlots := fs.Int("fleetslots", 0, "worker role: concurrent work units (0 = one per CPU); a coordinator sizes its dispatch credit from what each worker advertises")
 	quotaRate := fs.Float64("quotarate", 0, "per-tenant requests/second on expensive endpoints (0 = no quota)")
 	quotaBurst := fs.Int("quotaburst", 10, "per-tenant burst size when -quotarate is set")
-	maxInFlight := fs.Int("maxinflight", 0, "cap on concurrently executing expensive requests (0 = unlimited)")
+	maxInFlight := fs.Int("maxinflight", 0, "cap on concurrently executing client requests: /verify, /sweep, /generate (0 = unlimited; a worker admits /fleet/work by -fleetslots alone)")
 	chaosSpec := fs.String("chaos", "", "arm seeded fault injection on fleet dispatch, peer cache, and disk cache writes (internal/chaos spec, e.g. \"seed=1,crash=0.1,corrupt=0.05\"); for failure-semantics testing only")
 	fs.Parse(os.Args[1:])
 
@@ -324,7 +322,10 @@ func newServer(cfg serverConfig) (*server, error) {
 			Cache:   resultCache(cfg.Cache),
 			MaxBody: cfg.MaxBody,
 		})
-		mux.HandleFunc("POST /fleet/work", s.fleetGate(s.fleetWorker.HandleWork))
+		// The worker admits units by its slots alone: the credit the
+		// coordinator dispatches against is exactly what /fleet/health
+		// advertises, so no second gate may shed below it.
+		mux.HandleFunc("POST /fleet/work", s.fleetWorker.HandleWork)
 		mux.HandleFunc("GET /fleet/health", s.fleetWorker.HandleHealth)
 	case "coordinator":
 		// A nil injector returns the base transport unwrapped.
@@ -360,17 +361,6 @@ func (s *server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(st)
 }
 
-// bodyErrorStatus distinguishes an over-limit body (413) from a read
-// failure (400), so clients do not misreport size limits as malformed
-// documents.
-func bodyErrorStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
 // httpError writes a JSON error body with the given status.
 func httpError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
@@ -378,93 +368,25 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// readBody slurps a size-capped request body.
-func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// readBody slurps a size-capped request body. It answers a failure
+// itself: 413 for an over-limit body, so clients do not misreport size
+// limits as malformed documents, and 400 for any other read error.
+func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	if err != nil {
-		return nil, fmt.Errorf("reading body: %w", err)
-	}
-	return data, nil
-}
-
-func intParam(q url.Values, name string) (int, error) {
-	v := q.Get(name)
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, v)
-	}
-	return n, nil
-}
-
-// onlyParams rejects the first query parameter, in name order, that is
-// not one of read — the parameters the handler actually reads.
-func onlyParams(q url.Values, read ...string) error {
-	names := make([]string, 0, len(q))
-	for name := range q {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if !slices.Contains(read, name) {
-			return fmt.Errorf("unknown query parameter %q (this request reads %s)", name, strings.Join(read, ", "))
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
 		}
+		httpError(w, code, fmt.Errorf("reading body: %w", err))
 	}
-	return nil
-}
-
-// engineFromQuery builds the engine the request asked for. engineWorkers
-// is the per-engine parallelism (frontier shards, portfolio members):
-// /verify takes it from ?workers=, while /sweep pins it to 0 because
-// there ?workers= sizes the scenario pool instead. Both endpoints read
-// the same parameters, so the check for a stray one is made here. A
-// parameter that does not belong to the chosen engine is an error, by
-// the same check a fleet work unit's engine spec goes through.
-func engineFromQuery(r *http.Request, engineWorkers int) (engine.Engine, error) {
-	q := r.URL.Query()
-	if err := onlyParams(q, "engine", "workers", "runs", "seed", "timeout"); err != nil {
-		return nil, err
-	}
-	spec := engine.EngineSpec{Kind: q.Get("engine"), Workers: engineWorkers}
-	if spec.Kind == "" {
-		spec.Kind = "auto"
-	}
-	var err error
-	if spec.Runs, err = intParam(q, "runs"); err != nil {
-		return nil, err
-	}
-	if v := q.Get("seed"); v != "" {
-		if spec.Seed, err = strconv.ParseInt(v, 10, 64); err != nil {
-			return nil, fmt.Errorf("bad seed %q", v)
-		}
-	}
-	return spec.Engine()
-}
-
-// requestContext applies the effective verification timeout: the
-// ?timeout= parameter clamped to the server maximum, or the default.
-func (s *server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
-	d := s.cfg.DefaultTimeout
-	if v := r.URL.Query().Get("timeout"); v != "" {
-		parsed, err := time.ParseDuration(v)
-		if err != nil || parsed <= 0 {
-			return nil, nil, fmt.Errorf("bad timeout %q", v)
-		}
-		d = parsed
-	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	return ctx, cancel, nil
+	return data, err == nil
 }
 
 func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		httpError(w, bodyErrorStatus(err), err)
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	if isResumeRequest(body) {
@@ -476,40 +398,16 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	engineWorkers, err := intParam(r.URL.Query(), "workers")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel, err := s.requestContext(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-
 	if r.URL.Query().Get("checkpoint") != "" {
-		if err := onlyParams(r.URL.Query(), "checkpoint", "engine", "workers", "timeout"); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		if kind := r.URL.Query().Get("engine"); kind != "" && kind != "auto" && kind != "explicit" {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("?checkpoint=1 requires the explicit engine, not %q", kind))
-			return
-		}
-		if engineWorkers == 0 {
-			// Checkpoints need the parallel frontier; default to one
-			// shard per CPU rather than rejecting the request.
-			engineWorkers = -1
-		}
-		res, cp := engine.Explicit{Workers: engineWorkers}.VerifyResumable(ctx, scenario, nil)
-		s.writeResumable(w, res, cp)
+		s.handleCheckpoint(w, r, scenario)
 		return
 	}
-
-	eng, err := engineFromQuery(r, engineWorkers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	q := params(r, "engine", "workers", "runs", "seed", "timeout")
+	eng := q.engine(q.workers())
+	ctx, cancel := q.context(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
+	defer cancel()
+	if q.err != nil {
+		httpError(w, http.StatusBadRequest, q.err)
 		return
 	}
 	res := engine.VerifyCached(ctx, eng, scenario, resultCache(s.cfg.Cache))
@@ -547,22 +445,14 @@ func (s *server) handleResume(w http.ResponseWriter, r *http.Request, body []byt
 		return
 	}
 	// Query parameters are checked before the single-use token is spent.
-	q := r.URL.Query()
-	if err := onlyParams(q, "workers", "timeout"); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	workers, err := intParam(q, "workers")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel, err := s.requestContext(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
+	q := params(r, "workers", "timeout")
+	workers := q.workers()
+	ctx, cancel := q.context(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	defer cancel()
+	if q.err != nil {
+		httpError(w, http.StatusBadRequest, q.err)
+		return
+	}
 	cp, ok := s.resumes.take(req.Resume)
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown or expired resume token %q (tokens are single use and the table is bounded; re-verify from scratch)", req.Resume))
@@ -572,11 +462,32 @@ func (s *server) handleResume(w http.ResponseWriter, r *http.Request, body []byt
 	if req.MaxStates > 0 {
 		scenario.Explore.MaxStates = req.MaxStates
 	}
-	if q.Get("workers") == "" {
+	if !q.has("workers") {
 		workers = cp.Workers
 	}
 	res, next := engine.Explicit{Workers: workers}.VerifyResumable(ctx, scenario, cp)
 	s.writeResumable(w, res, next)
+}
+
+// handleCheckpoint serves /verify?checkpoint=1: the explicit engine on
+// the parallel frontier, whose budget-capped run comes back with a
+// resume token.
+func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request, scenario engine.Scenario) {
+	q := params(r, "checkpoint", "engine", "workers", "timeout")
+	if kind := q.str("engine", "auto"); kind != "auto" && kind != "explicit" {
+		q.fail(fmt.Errorf("?checkpoint=1 requires the explicit engine, not %q", kind))
+	}
+	// Checkpoints need the parallel frontier; default to one shard per
+	// CPU rather than rejecting the request.
+	workers := cmp.Or(q.workers(), -1)
+	ctx, cancel := q.context(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
+	defer cancel()
+	if q.err != nil {
+		httpError(w, http.StatusBadRequest, q.err)
+		return
+	}
+	res, cp := engine.Explicit{Workers: workers}.VerifyResumable(ctx, scenario, nil)
+	s.writeResumable(w, res, cp)
 }
 
 // writeResumable writes a checkpoint-aware /verify response: the
@@ -614,9 +525,8 @@ func resultCache(c *cache.Cache) engine.ResultCache {
 }
 
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		httpError(w, bodyErrorStatus(err), err)
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	// The whole grid is decoded and validated before the first byte of
@@ -626,31 +536,19 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// For sweeps ?workers= sizes the scenario pool (falling back to the
-	// -workers server default); per-scenario engines stay serial, which
-	// also keeps sweep cache keys independent of the chosen pool size.
-	poolWorkers, err := intParam(r.URL.Query(), "workers")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if poolWorkers == 0 {
-		poolWorkers = s.cfg.Workers
-	}
-	eng, err := engineFromQuery(r, 0)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel, err := s.requestContext(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
+	// Per-scenario engines stay serial, which keeps sweep cache keys
+	// independent of the pool size.
+	q := params(r, "engine", "runs", "seed", "timeout")
+	eng := q.engine(0)
+	ctx, cancel := q.context(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	defer cancel()
+	if q.err != nil {
+		httpError(w, http.StatusBadRequest, q.err)
+		return
+	}
 
 	// One scheduler serves every role; a coordinator's runs each cell on
-	// a fleet worker (pool sized by the fleet's credit, not ?workers=)
+	// a fleet worker (pool sized by the fleet's credit, not -workers)
 	// instead of in this process. Result and summary bytes are the same
 	// (wall-clock aside), so clients need not know which served them.
 	var runner *engine.Runner
@@ -658,7 +556,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		runner = s.coord.Runner(ctx, eng)
 	} else {
 		runner = engine.NewRunner(engine.RunnerOptions{
-			Workers: poolWorkers,
+			Workers: s.cfg.Workers,
 			Engine:  eng,
 			Cache:   resultCache(s.cfg.Cache),
 		})
@@ -776,102 +674,44 @@ const maxGenerate = 10000
 // built-in default profile. As with /sweep, a truncated stream (no
 // summary line) means the request did not complete.
 func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		httpError(w, bodyErrorStatus(err), err)
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	profile := gen.DefaultProfile()
 	if len(body) > 0 {
-		profile, err = gen.DecodeProfile(body)
-		if err != nil {
+		var err error
+		if profile, err = gen.DecodeProfile(body); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
 	}
-	q := r.URL.Query()
-	if err := onlyParams(q, "seed", "n", "engines", "workers", "coverage", "rounds", "timeout"); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+	// Every parameter — the timeout included — is checked before paying
+	// for corpus generation, so a malformed request is a cheap 400. An
+	// explicit n=0 is refused, not defaulted: only an absent n means 50.
+	q := params(r, "seed", "n", "engines", "coverage", "rounds", "timeout")
+	seed := q.int64("seed", 1, math.MinInt64, math.MaxInt64)
+	n := q.int("n", 50, 1, maxGenerate)
+	engines, err := gen.ParseEngines(q.str("engines", "explicit,simulation,sat"))
+	q.fail(err)
+	coverageMode := q.bool("coverage")
+	if q.has("rounds") && !coverageMode {
+		q.fail(errors.New("rounds requires coverage=1"))
 	}
-	var seed int64 = 1
-	if v := q.Get("seed"); v != "" {
-		seed, err = strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad seed %q", v))
-			return
-		}
-	}
-	n := 50
-	if v := q.Get("n"); v != "" {
-		n, err = strconv.Atoi(v)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad n %q", v))
-			return
-		}
-		// An explicit n=0 is rejected, not silently defaulted: only an
-		// absent parameter means "the default 50".
-		if n < 1 || n > maxGenerate {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("n %d outside 1..%d", n, maxGenerate))
-			return
-		}
-	}
-	enginesSpec := q.Get("engines")
-	if enginesSpec == "" {
-		enginesSpec = "explicit,simulation,sat"
-	}
-	engines, err := gen.ParseEngines(enginesSpec)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	poolWorkers, err := intParam(q, "workers")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if poolWorkers == 0 {
-		poolWorkers = s.cfg.Workers
-	}
-	coverageMode := false
-	switch q.Get("coverage") {
-	case "", "0":
-	case "1", "true":
-		coverageMode = true
-	default:
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad coverage %q (want 1)", q.Get("coverage")))
-		return
-	}
-	rounds := 4
-	if v := q.Get("rounds"); v != "" {
-		if !coverageMode {
-			httpError(w, http.StatusBadRequest, errors.New("rounds requires coverage=1"))
-			return
-		}
-		rounds, err = strconv.Atoi(v)
-		if err != nil || rounds < 1 || rounds > 100 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("rounds %q outside 1..100", v))
-			return
-		}
-	}
-	// Validate every parameter — the timeout included — before paying
-	// for corpus generation, so a malformed request is a cheap 400.
-	ctx, cancel, err := s.requestContext(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
+	rounds := q.int("rounds", 4, 1, 100)
+	ctx, cancel := q.context(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	defer cancel()
+	if q.err != nil {
+		httpError(w, http.StatusBadRequest, q.err)
+		return
+	}
+	diff := gen.DiffOptions{Engines: engines, Cache: resultCache(s.cfg.Cache), Workers: s.cfg.Workers}
 	if coverageMode {
 		if err := profile.Validate(); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		s.generateCoverage(w, cancel, ctx, profile, seed, n, rounds, gen.DiffOptions{
-			Engines: engines,
-			Cache:   resultCache(s.cfg.Cache),
-			Workers: poolWorkers,
-		})
+		s.generateCoverage(w, cancel, ctx, profile, seed, n, rounds, diff)
 		return
 	}
 	scenarios, err := gen.Generate(profile, seed, n)
@@ -882,11 +722,7 @@ func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 
 	stream := startNDJSON(w, cancel, "generate")
 	results := make([]gen.DiffResult, len(scenarios))
-	streamLines(stream, gen.DiffStream(ctx, scenarios, gen.DiffOptions{
-		Engines: engines,
-		Cache:   resultCache(s.cfg.Cache),
-		Workers: poolWorkers,
-	}), func(res gen.DiffResult) (string, []byte, error) {
+	streamLines(stream, gen.DiffStream(ctx, scenarios, diff), func(res gen.DiffResult) (string, []byte, error) {
 		results[res.Index] = res
 		data, err := encodeDiffLine(&res)
 		return res.Scenario.Name, data, err
@@ -910,10 +746,7 @@ type coverageRoundJSON struct {
 // then the run summary. A truncated stream (no summary line) means the
 // loop did not finish inside the request budget.
 func (s *server) generateCoverage(w http.ResponseWriter, cancel context.CancelFunc, ctx context.Context, profile gen.Profile, seed int64, n, rounds int, diff gen.DiffOptions) {
-	perRound := n / rounds
-	if perRound < 1 {
-		perRound = 1
-	}
+	perRound := max(n/rounds, 1)
 	stream := startNDJSON(w, cancel, "generate-coverage")
 	res, err := gen.FuzzCoverage(ctx, gen.CoverageOptions{
 		Profile:  profile,

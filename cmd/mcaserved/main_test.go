@@ -293,12 +293,11 @@ func TestEngineFromQueryChecksKindAndFields(t *testing.T) {
 		{"engine=sat&workers=2", 2, engine.SAT{Workers: 2}},
 		{"engine=sat&timeout=30s", 0, engine.SAT{}},
 		{"engine=simulation&runs=8&seed=-5", 0, engine.Simulation{Runs: 8, Seed: -5}},
-		{"engine=simulation&workers=4", 0, engine.Simulation{}}, // /sweep: workers sizes the pool
 		{"engine=explicit&cube=3", 0, nil},
 		{"engine=explicit&runs=8", 0, nil},
 		{"engine=sat&runs=8", 0, nil},
 		{"engine=sat&seed=1", 0, nil},
-		{"engine=simulation&workers=4", 4, nil}, // /verify: workers is engine parallelism
+		{"engine=simulation&workers=4", 4, nil},
 		{"engine=simulation&cube=2", 0, nil},
 		{"runs=8", 0, nil},
 		{"engine=auto&cube=2", 0, nil},
@@ -311,7 +310,9 @@ func TestEngineFromQueryChecksKindAndFields(t *testing.T) {
 		{"cube=3", 0, nil},
 	} {
 		r := httptest.NewRequest(http.MethodPost, "/verify?"+tc.query, nil)
-		got, err := engineFromQuery(r, tc.workers)
+		q := params(r, "engine", "workers", "runs", "seed", "timeout")
+		got := q.engine(tc.workers)
+		err := q.err
 		if tc.want == nil {
 			if err == nil {
 				t.Errorf("%q (workers %d): accepted as %#v, want an error", tc.query, tc.workers, got)
@@ -332,6 +333,10 @@ func TestEngineFromQueryChecksKindAndFields(t *testing.T) {
 		{"/verify?engine=sat", `{"resume":"deadbeef"}`, "engine"},
 		{"/sweep?cube=3", `{"version":1,"name":"sw","base":{}}`, "cube"},
 		{"/generate?n=2&worker=2", "", "worker"},
+		// Pools are the operator's -workers (or the fleet's credit), never
+		// the request's.
+		{"/sweep?workers=2", `{"version":1,"name":"sw","base":{}}`, "workers"},
+		{"/generate?workers=2", "", "workers"},
 	} {
 		resp := postJSON(t, srv.URL+tc.path, tc.body)
 		var reply struct{ Error string }

@@ -21,8 +21,16 @@ type quotaTable struct {
 	rate    float64 // tokens per second
 	burst   float64
 	buckets map[string]*tokenBucket
-	now     func() time.Time // test hook
+	// sweepAbove is the tenant count from which a new tenant first
+	// sweeps the table; lastSweep is when it last did.
+	sweepAbove int
+	lastSweep  time.Time
+	now        func() time.Time // test hook
 }
+
+// quotaSweepAbove bounds the tenants a quota table keeps between sweeps
+// of idle ones.
+const quotaSweepAbove = 1024
 
 type tokenBucket struct {
 	tokens float64
@@ -34,10 +42,11 @@ func newQuotaTable(rate float64, burst int) *quotaTable {
 		burst = 1
 	}
 	return &quotaTable{
-		rate:    rate,
-		burst:   float64(burst),
-		buckets: map[string]*tokenBucket{},
-		now:     time.Now,
+		rate:       rate,
+		burst:      float64(burst),
+		buckets:    map[string]*tokenBucket{},
+		sweepAbove: quotaSweepAbove,
+		now:        time.Now,
 	}
 }
 
@@ -49,6 +58,7 @@ func (q *quotaTable) allow(tenant string) (ok bool, retryAfter time.Duration) {
 	now := q.now()
 	b := q.buckets[tenant]
 	if b == nil {
+		q.sweep(now)
 		b = &tokenBucket{tokens: q.burst, last: now}
 		q.buckets[tenant] = b
 	}
@@ -62,6 +72,24 @@ func (q *quotaTable) allow(tenant string) (ok bool, retryAfter time.Duration) {
 	return false, wait
 }
 
+// sweep forgets the tenants whose buckets have refilled to burst. Such
+// a bucket answers exactly as a fresh one would, so no allow decision
+// changes. It runs only from sweepAbove tenants on and at most once per
+// refill period (burst/rate), so its cost is one pass over the table per
+// period, and a client rotating X-Tenant grows the table only by the
+// tenants it names within about two periods.
+func (q *quotaTable) sweep(now time.Time) {
+	if len(q.buckets) < q.sweepAbove || now.Sub(q.lastSweep).Seconds()*q.rate < q.burst {
+		return
+	}
+	q.lastSweep = now
+	for tenant, b := range q.buckets {
+		if b.tokens+now.Sub(b.last).Seconds()*q.rate >= q.burst {
+			delete(q.buckets, tenant)
+		}
+	}
+}
+
 // retryAfterHeader rounds a wait up to whole seconds, minimum 1 — the
 // header's unit.
 func retryAfterHeader(d time.Duration) string {
@@ -72,28 +100,16 @@ func retryAfterHeader(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// gate wraps an expensive handler with the admission layer: per-tenant
-// quota first (cheap, rejects abusive tenants before they consume an
-// in-flight slot), then the global in-flight cap. Both shed load with
-// 429 + Retry-After instead of queueing, so under overload the server
-// stays responsive and clients hold the backoff state.
+// gate wraps a client endpoint (/verify, /sweep, /generate) with the
+// admission layer: per-tenant quota first (cheap, rejects abusive
+// tenants before they consume an in-flight slot), then the global
+// in-flight cap. Both shed load with 429 + Retry-After instead of
+// queueing, so under overload the server stays responsive and clients
+// hold the backoff state. /fleet/work is not gated: the worker admits
+// units by the slots it advertises, which is the coordinator's credit.
 func (s *server) gate(h http.HandlerFunc) http.HandlerFunc {
-	return s.admission(true, h)
-}
-
-// fleetGate admits intra-fleet traffic (/fleet/work) with the in-flight
-// cap only. Coordinator dispatches carry no X-Tenant, so the per-tenant
-// quota would fold the whole fleet into the single anonymous bucket and
-// mass-429 it — per-tenant policy is for clients, not for the
-// coordinator; worker capacity is bounded by -maxinflight here plus the
-// worker's own slot admission.
-func (s *server) fleetGate(h http.HandlerFunc) http.HandlerFunc {
-	return s.admission(false, h)
-}
-
-func (s *server) admission(tenantQuota bool, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if tenantQuota && s.quotas != nil {
+		if s.quotas != nil {
 			if ok, retry := s.quotas.allow(r.Header.Get("X-Tenant")); !ok {
 				s.metrics.shedInc("quota")
 				w.Header().Set("Retry-After", retryAfterHeader(retry))

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"crypto/subtle"
+	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -246,12 +246,12 @@ func (c *Cache) countRemoteError() {
 func HTTPHandler(c *Cache, secret string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if secret != "" && subtle.ConstantTimeCompare([]byte(r.Header.Get(authHeader)), []byte(secret)) != 1 {
-			http.Error(w, `{"error":"missing or wrong `+authHeader+`"}`, http.StatusUnauthorized)
+			writeError(w, http.StatusUnauthorized, "missing or wrong "+authHeader)
 			return
 		}
 		key := strings.TrimPrefix(r.URL.Path, "/")
 		if !keyOK(key) {
-			http.Error(w, `{"error":"bad cache key"}`, http.StatusBadRequest)
+			writeError(w, http.StatusBadRequest, "bad cache key")
 			return
 		}
 		// Verbs are switched here, not routed by a mux method pattern: a
@@ -260,12 +260,12 @@ func HTTPHandler(c *Cache, secret string) http.Handler {
 		case http.MethodGet:
 			res, ok := c.getLocal(key)
 			if !ok {
-				http.Error(w, `{"error":"miss"}`, http.StatusNotFound)
+				writeError(w, http.StatusNotFound, "miss")
 				return
 			}
 			data, err := engine.EncodeResult(&res)
 			if err != nil {
-				http.Error(w, `{"error":"unencodable entry"}`, http.StatusInternalServerError)
+				writeError(w, http.StatusInternalServerError, "unencodable entry")
 				return
 			}
 			w.Header().Set("Content-Type", "application/json")
@@ -279,24 +279,33 @@ func HTTPHandler(c *Cache, secret string) http.Handler {
 				if errors.As(err, &tooLarge) {
 					status = http.StatusRequestEntityTooLarge
 				}
-				http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), status)
+				writeError(w, status, err.Error())
 				return
 			}
 			if err := engine.CheckDigest(r.Header.Get(checksumHeader), data); err != nil {
-				http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
+				writeError(w, http.StatusBadRequest, err.Error())
 				return
 			}
 			res, err := engine.DecodeResult(data)
 			if err != nil {
-				http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadRequest)
+				writeError(w, http.StatusBadRequest, err.Error())
 				return
 			}
 			c.putLocal(key, res)
 			w.WriteHeader(http.StatusNoContent)
 		default:
-			http.Error(w, `{"error":"GET or PUT"}`, http.StatusMethodNotAllowed)
+			w.Header().Set("Allow", "GET, PUT")
+			writeError(w, http.StatusMethodNotAllowed, "GET or PUT")
 		}
 	})
+}
+
+// writeError answers with the {"error": msg} envelope every mcaserved
+// endpoint uses, typed as JSON.
+func writeError(w http.ResponseWriter, code int, msg string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
 // remoteTimeout bounds each individual peer round trip — Get fetches

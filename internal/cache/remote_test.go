@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -214,6 +216,41 @@ func TestHTTPHandlerRejectsBadRequests(t *testing.T) {
 	}
 	if got := shared.Len(); got != 0 {
 		t.Fatalf("rejected requests stored %d entries", got)
+	}
+}
+
+// overLimit is a request body that has already run past its byte cap.
+type overLimit struct{}
+
+func (overLimit) Read([]byte) (int, error) {
+	return 0, &http.MaxBytesError{Limit: engine.MaxResultBytes}
+}
+
+// TestHTTPHandlerErrorsAreJSON: every refusal carries the {"error": ...}
+// envelope typed application/json, as every other mcaserved endpoint's.
+func TestHTTPHandlerErrorsAreJSON(t *testing.T) {
+	shared, err := New(Options{Capacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		secret, method, path string
+		body                 io.Reader
+		want                 int
+	}{
+		{"", http.MethodGet, "/abc123", nil, http.StatusBadRequest},
+		{"s3cr3t", http.MethodGet, "/" + peerKey(0), nil, http.StatusUnauthorized},
+		{"", http.MethodGet, "/" + peerKey(0), nil, http.StatusNotFound},
+		{"", http.MethodDelete, "/" + peerKey(0), nil, http.StatusMethodNotAllowed},
+		{"", http.MethodPut, "/" + peerKey(0), overLimit{}, http.StatusRequestEntityTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		HTTPHandler(shared, tc.secret).ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, tc.body))
+		var reply map[string]string
+		err := json.Unmarshal(rec.Body.Bytes(), &reply)
+		if rec.Code != tc.want || rec.Header().Get("Content-Type") != "application/json" || err != nil || reply["error"] == "" {
+			t.Errorf("%s %s: %d %q %q (%v), want %d with a JSON error envelope", tc.method, tc.path, rec.Code, rec.Header().Get("Content-Type"), rec.Body, err, tc.want)
+		}
 	}
 }
 

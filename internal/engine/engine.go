@@ -297,6 +297,8 @@ func unmet(e Engine, s *Scenario) error {
 			return errSampledFaults
 		case s.Graph == nil:
 			return errNoGraph
+		case e.Workers > MaxWorkers:
+			return fmt.Errorf("cannot run with %d workers (at most %d)", e.Workers, MaxWorkers)
 		case !e.serial() && s.Explore.Store != explore.StoreExact:
 			return fmt.Errorf("uses the lossy %s store, which is serial-only (the sharded frontier partitions the state space by its exact seen-set)", s.Explore.Store)
 		}
@@ -308,8 +310,11 @@ func unmet(e Engine, s *Scenario) error {
 			return fmt.Errorf("cannot run with simulation budget factor %d (at most %d)", e.BudgetFactor, MaxBudgetFactor)
 		}
 	case SAT:
-		if s.Model == nil {
+		switch {
+		case s.Model == nil:
 			return errNoModel
+		case e.Workers > MaxWorkers:
+			return fmt.Errorf("cannot run with %d workers (at most %d)", e.Workers, MaxWorkers)
 		}
 	}
 	return nil

@@ -2,6 +2,8 @@ package engine_test
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,6 +176,44 @@ func TestSATEngineMatchesLegacyCheck(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWorkersAreBounded: Explicit and SAT refuse more than MaxWorkers
+// workers at Applicable, naming the bound, before a shard or portfolio
+// member exists; Auto meets the same check through the engine it picks.
+// -1 (one per CPU) and MaxWorkers itself still run.
+func TestWorkersAreBounded(t *testing.T) {
+	f := dynFixtures()[0]
+	dyn := engine.Scenario{Name: f.name, AgentSpecs: f.specs(), Graph: f.graph}
+	model := engine.Scenario{Name: "model", Model: satFixtures(t)[1]}
+	bound := fmt.Sprintf("at most %d", engine.MaxWorkers)
+	over := engine.MaxWorkers + 1
+	for _, tc := range []struct {
+		eng engine.Engine
+		s   engine.Scenario
+	}{
+		{engine.Explicit{Workers: over}, dyn},
+		{engine.SAT{Workers: over}, model},
+		{engine.Auto{Workers: over}, dyn},
+		{engine.Auto{Workers: over}, model},
+	} {
+		if err := engine.Applicable(tc.eng, &tc.s); err == nil || !strings.Contains(err.Error(), bound) {
+			t.Errorf("Applicable(%s, %s) = %v, want an error naming %q", tc.eng.Name(), tc.s.Name, err, bound)
+		}
+		if res := tc.eng.Verify(context.Background(), tc.s); res.Status != engine.StatusError {
+			t.Errorf("%s on %s: %v, want an error result", tc.eng.Name(), tc.s.Name, res.Status)
+		}
+	}
+	for _, w := range []int{-1, engine.MaxWorkers} {
+		for _, res := range []engine.Result{
+			engine.Explicit{Workers: w}.Verify(context.Background(), dyn),
+			engine.SAT{Workers: w}.Verify(context.Background(), model),
+		} {
+			if res.Status == engine.StatusError {
+				t.Errorf("%s: %v", res.Engine, res.Err)
+			}
+		}
 	}
 }
 

@@ -16,10 +16,8 @@ func Pool[T any](workers, n int, fn func(i int) T) <-chan T {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// More workers than items is pure goroutine overhead — and the pool
-	// size can come straight from a request parameter (mcaserved
-	// ?workers=), so the clamp also keeps an absurd value from exhausting
-	// memory. Results never depend on the pool size.
+	// More workers than items is pure goroutine overhead. Results never
+	// depend on the pool size.
 	if workers > n {
 		workers = n
 	}

@@ -21,6 +21,9 @@ const (
 	MaxItems = 1 << 16
 	// MaxBudgetFactor bounds Simulation.BudgetFactor.
 	MaxBudgetFactor = 1 << 20
+	// MaxWorkers bounds Explicit.Workers and SAT.Workers: frontier memory
+	// grows with the square of its shard count, a portfolio's with its size.
+	MaxWorkers = 64
 	// MaxFaultTicks bounds the fault fields counted in delivery ticks —
 	// delay, delay_edge, reorder and heal_after. The simulator adds a
 	// delay to its clock and widens the reorder window by one; near
