@@ -110,16 +110,6 @@ func TestFacadeIsWhatExamplesUse(t *testing.T) {
 	}
 }
 
-// testSeams are the options only tests set, each with why it stays: the
-// only way a test can make the thing happen quickly. They wait for the
-// injected clock of ROADMAP's "Close the trust boundaries".
-var testSeams = map[string]string{
-	"fleet.CoordinatorOptions.MaxAttempts":     "retry tests exhaust the attempts in two or four dispatches",
-	"fleet.CoordinatorOptions.RetryBackoff":    "retry tests back off for milliseconds, the overflow test for an hour",
-	"fleet.CoordinatorOptions.HealthThreshold": "breaker tests open the breaker on the first failure",
-	"fleet.CoordinatorOptions.BreakerCooldown": "breaker tests re-probe within the test's lifetime",
-}
-
 // TestOptionsAreSet pins the options count: every exported field of
 // every exported ...Options struct under internal/ is set — as a key in
 // a composite literal of that struct or as the target of an assignment —
@@ -208,25 +198,9 @@ func TestOptionsAreSet(t *testing.T) {
 					found = found || (path != fd.declaredIn && (on == "" || on == structName))
 				}
 			}
-			id := fd.owner + "." + name
-			switch reason, seam := testSeams[id]; {
-			case found && seam:
-				t.Errorf("%s is set outside its tests now; drop it from testSeams", id)
-			case !found && !seam:
-				t.Errorf("%s is set by no non-test file other than %s: make it a constant, or add the caller that needs it", id, fd.declaredIn)
-			case !found:
-				t.Logf("%s: test seam (%s)", id, reason)
+			if !found {
+				t.Errorf("%s.%s is set by no non-test file other than %s: make it a constant, or add the caller that needs it", fd.owner, name, fd.declaredIn)
 			}
-		}
-	}
-	for id := range testSeams {
-		name := id[strings.LastIndexByte(id, '.')+1:]
-		known := false
-		for _, fd := range fields[name] {
-			known = known || fd.owner+"."+name == id
-		}
-		if !known {
-			t.Errorf("testSeams lists %s, which no longer exists", id)
 		}
 	}
 }

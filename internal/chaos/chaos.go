@@ -132,7 +132,7 @@ func parseProb(val string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // NaN fails both, and would disarm the fault
 		return 0, fmt.Errorf("probability out of [0, 1]")
 	}
 	return p, nil

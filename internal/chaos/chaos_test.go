@@ -13,11 +13,26 @@ import (
 	"repro/internal/chaos"
 )
 
+// fullSpec sets every key of the spec grammar.
+const fullSpec = "seed=7,crash=0.1,hang=0.02,slow=0.2,slowmax=40ms,truncate=0.05,corrupt=0.06,storm=0.03,stormlen=4,partial=0.25,flip=1"
+
+// badSpecs are specs ParseSpec must refuse.
+var badSpecs = []string{
+	"crush=0.1",       // unknown key
+	"crash=1.5",       // probability > 1
+	"crash=-0.1",      // probability < 0
+	"crash=NaN",       // not a probability at all
+	"crash",           // not key=value
+	"stormlen=0",      // burst length < 1
+	"slowmax=-5ms",    // negative duration
+	"seed=notanumber", // unparsable value
+}
+
 // TestParseSpecRoundTrip pins the spec grammar: every key parses into
 // its Config field.
 func TestParseSpecRoundTrip(t *testing.T) {
 	t.Parallel()
-	cfg, err := chaos.ParseSpec("seed=7,crash=0.1,hang=0.02,slow=0.2,slowmax=40ms,truncate=0.05,corrupt=0.06,storm=0.03,stormlen=4,partial=0.25,flip=1")
+	cfg, err := chaos.ParseSpec(fullSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,19 +59,34 @@ func TestParseSpecRoundTrip(t *testing.T) {
 // loud, never a silently-disarmed fault model.
 func TestParseSpecRejectsBadInput(t *testing.T) {
 	t.Parallel()
-	for _, spec := range []string{
-		"crush=0.1",       // unknown key
-		"crash=1.5",       // probability > 1
-		"crash=-0.1",      // probability < 0
-		"crash",           // not key=value
-		"stormlen=0",      // burst length < 1
-		"slowmax=-5ms",    // negative duration
-		"seed=notanumber", // unparsable value
-	} {
+	for _, spec := range badSpecs {
 		if _, err := chaos.ParseSpec(spec); err == nil {
 			t.Errorf("spec %q parsed without error", spec)
 		}
 	}
+}
+
+// FuzzParseSpec: whatever the spec, ParseSpec does not panic, and every
+// probability of a Config it accepts is in [0, 1] — a value outside,
+// NaN included, would arm or disarm a fault model behind the operator's
+// back.
+func FuzzParseSpec(f *testing.F) {
+	f.Add(fullSpec)
+	f.Add("")
+	for _, spec := range badSpecs {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := chaos.ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		for _, p := range []float64{cfg.Crash, cfg.Hang, cfg.Slow, cfg.Truncate, cfg.Corrupt, cfg.Storm, cfg.Partial, cfg.Flip} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("spec %q accepted with probability %v: %+v", spec, p, cfg)
+			}
+		}
+	})
 }
 
 // TestSeededStreamsAreDeterministic: two injectors with the same Config

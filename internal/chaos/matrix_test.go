@@ -117,13 +117,9 @@ func TestChaosMatrixCoordinatorMatchesRunner(t *testing.T) {
 				}
 				in := chaos.New(fullFaultMix(seed))
 				coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
-					Workers:         urls,
-					Client:          &http.Client{Transport: in.Transport("fleet.dispatch", nil)},
-					MaxAttempts:     4,
-					RetryBackoff:    2 * time.Millisecond,
-					UnitTimeout:     time.Second,
-					HealthThreshold: 2,
-					BreakerCooldown: 10 * time.Millisecond,
+					Workers:     urls,
+					Client:      &http.Client{Transport: in.Transport("fleet.dispatch", nil)},
+					UnitTimeout: time.Second,
 				})
 				if err != nil {
 					t.Fatal(err)

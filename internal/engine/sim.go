@@ -23,7 +23,7 @@ type Simulation struct {
 	// Seed offsets the per-run seeds, so distinct Simulation values
 	// sample distinct schedule sets. Run i uses Seed + i: its delivery
 	// order and fault coins come from a PCG (math/rand/v2) seeded with
-	// (uint64(Seed+i), 0x9e3779b97f4a7c15), as netsim.AsyncConfig.Seed
+	// (uint64(Seed+i), 0x9e3779b97f4a7c15), as netsim.Simulator.Run
 	// describes.
 	Seed int64
 	// MaxDeliveries caps each run's delivery ticks; 0 derives

@@ -5,44 +5,37 @@ import (
 	"time"
 )
 
-// TestBackoffClamped pins the re-dispatch delay against shift overflow:
-// probe feeds backoff the unbounded consecutive-failure counter, so a
-// long-dead worker reaches attempt counts where an unclamped
-// RetryBackoff << (attempt-1) wraps int64 to zero or negative — which
-// would turn the anti-spin sleep into no sleep at all.
+// TestBackoffClamped pins the capped doubling behind both the
+// re-dispatch delay and the breaker cooldown against shift overflow: a
+// long-dead worker reaches attempt and reopen counts where an unclamped
+// base << n wraps int64 to zero or negative — which would turn the
+// anti-spin sleep into no sleep at all.
 func TestBackoffClamped(t *testing.T) {
-	c, err := NewCoordinator(CoordinatorOptions{Workers: []string{"http://127.0.0.1:1"}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const cap = 2 * time.Second
-	if got := c.backoff(1); got != 50*time.Millisecond {
-		t.Fatalf("backoff(1) = %v, want the 50ms base", got)
+	if got := capped(backoffBase, 0); got != 50*time.Millisecond {
+		t.Fatalf("capped(backoffBase, 0) = %v, want the 50ms base", got)
 	}
-	if got := c.backoff(2); got != 100*time.Millisecond {
-		t.Fatalf("backoff(2) = %v, want one doubling", got)
+	if got := capped(backoffBase, 1); got != 100*time.Millisecond {
+		t.Fatalf("capped(backoffBase, 1) = %v, want one doubling", got)
 	}
-	if got := c.backoff(0); got != 50*time.Millisecond {
-		t.Fatalf("backoff(0) = %v, want clamped to the base", got)
+	if got := capped(backoffBase, -1); got != 50*time.Millisecond {
+		t.Fatalf("capped(backoffBase, -1) = %v, want clamped to the base", got)
 	}
-	// Every attempt count — including ones far past the overflow point
-	// (base 50ms wraps the shift around attempt 39) — lands in (0, cap].
-	for _, attempt := range []int{7, 39, 64, 1000, 1 << 30} {
-		if got := c.backoff(attempt); got <= 0 || got > cap {
-			t.Fatalf("backoff(%d) = %v, want within (0, %v]", attempt, got, cap)
+	// Every count — including ones far past the overflow point (base
+	// 50ms wraps the shift around n = 38) — lands in (0, cap].
+	for _, n := range []int{6, 38, 63, 1000, 1 << 30} {
+		for _, base := range []time.Duration{backoffBase, breakerCooldown} {
+			if got := capped(base, n); got <= 0 || got > cap {
+				t.Fatalf("capped(%v, %d) = %v, want within (0, %v]", base, n, got, cap)
+			}
 		}
 	}
 	// A base at or above the cap is pinned to the cap, not doubled.
-	big, err := NewCoordinator(CoordinatorOptions{
-		Workers:      []string{"http://127.0.0.1:1"},
-		RetryBackoff: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, attempt := range []int{1, 5, 100} {
-		if got := big.backoff(attempt); got != cap {
-			t.Fatalf("backoff(%d) with 1h base = %v, want %v", attempt, got, cap)
+	for _, base := range []time.Duration{cap, time.Hour} {
+		for _, n := range []int{0, 4, 99} {
+			if got := capped(base, n); got != cap {
+				t.Fatalf("capped(%v, %d) = %v, want %v", base, n, got, cap)
+			}
 		}
 	}
 }

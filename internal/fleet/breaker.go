@@ -14,13 +14,8 @@ const (
 	breakerHalfOpen
 )
 
-// breakerMaxCooldown caps the open interval no matter how many times a
-// worker reopens — the dispatch backoff cap, so a worker that recovers
-// is rediscovered within seconds.
-const breakerMaxCooldown = maxDelay
-
 // breaker is one worker's circuit breaker, and the coordinator's only
-// record of its health: threshold consecutive dispatch
+// record of its health: breakerThreshold consecutive dispatch
 // failures open it, a cooldown (doubled per consecutive open, capped)
 // must elapse before a single half-open probe dispatch is admitted,
 // and that probe's outcome closes it or reopens it. Admission
@@ -34,17 +29,13 @@ const breakerMaxCooldown = maxDelay
 // coordinator-local fallback exactly as a dead fleet does.
 type breaker struct {
 	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
 	state     int
 	failures  int // consecutive failures while closed
 	opens     int // consecutive opens without an intervening success
 	openUntil time.Time
 }
 
-func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown}
-}
+func newBreaker() *breaker { return &breaker{} }
 
 // allow reports whether a dispatch may go to the worker now. The call
 // that first finds an expired cooldown flips open to half-open and is
@@ -120,7 +111,7 @@ func (b *breaker) onFailure(now time.Time) {
 		b.reopen(now)
 	case breakerClosed:
 		b.failures++
-		if b.failures >= b.threshold {
+		if b.failures >= breakerThreshold {
 			b.reopen(now)
 		}
 	}
@@ -131,15 +122,8 @@ func (b *breaker) onFailure(now time.Time) {
 func (b *breaker) reopen(now time.Time) {
 	b.state = breakerOpen
 	b.failures = 0
-	d := b.cooldown
-	if b.opens > 0 && b.opens < 32 {
-		d <<= b.opens
-	}
-	if b.opens >= 32 || d <= 0 || d > breakerMaxCooldown {
-		d = breakerMaxCooldown
-	}
+	b.openUntil = now.Add(capped(breakerCooldown, b.opens))
 	b.opens++
-	b.openUntil = now.Add(d)
 }
 
 // closed reports the closed state, the coordinator's view of a healthy

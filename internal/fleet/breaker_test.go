@@ -11,25 +11,25 @@ import (
 func TestBreakerLifecycle(t *testing.T) {
 	t.Parallel()
 	t0 := time.Unix(0, 0)
-	b := newBreaker(2, 100*time.Millisecond)
+	b := newBreaker()
 
 	if !b.allow(t0) || b.label() != "closed" {
 		t.Fatalf("fresh breaker: allow=%v label=%s", b.allow(t0), b.label())
 	}
 	b.onFailure(t0)
 	if !b.allow(t0) {
-		t.Fatal("one failure under threshold 2 opened the breaker")
+		t.Fatal("one failure under the threshold of 2 opened the breaker")
 	}
 	b.onFailure(t0)
 	if b.label() != "open" {
 		t.Fatalf("threshold failures left state %s", b.label())
 	}
-	if b.allow(t0.Add(50 * time.Millisecond)) {
+	if b.allow(t0.Add(breakerCooldown / 2)) {
 		t.Fatal("open breaker admitted a dispatch inside the cooldown")
 	}
 
 	// Cooldown expiry elects exactly one half-open probe.
-	probeAt := t0.Add(150 * time.Millisecond)
+	probeAt := t0.Add(breakerCooldown * 3 / 2)
 	if !b.allow(probeAt) {
 		t.Fatal("expired cooldown refused the probe")
 	}
@@ -50,31 +50,33 @@ func TestBreakerLifecycle(t *testing.T) {
 func TestBreakerReopenDoublesCooldown(t *testing.T) {
 	t.Parallel()
 	t0 := time.Unix(0, 0)
-	b := newBreaker(1, 100*time.Millisecond)
+	const cd = breakerCooldown
+	b := newBreaker()
 
-	b.onFailure(t0) // open #1: 100ms
-	if b.allow(t0.Add(50 * time.Millisecond)) {
+	b.onFailure(t0)
+	b.onFailure(t0) // open #1: one cooldown
+	if b.allow(t0.Add(cd / 2)) {
 		t.Fatal("inside first cooldown")
 	}
-	if !b.allow(t0.Add(150 * time.Millisecond)) {
+	if !b.allow(t0.Add(cd * 3 / 2)) {
 		t.Fatal("first cooldown never expired")
 	}
-	b.onFailure(t0.Add(150 * time.Millisecond)) // failed probe, open #2: 200ms
-	if b.allow(t0.Add(300 * time.Millisecond)) {
+	b.onFailure(t0.Add(cd * 3 / 2)) // failed probe, open #2: two cooldowns
+	if b.allow(t0.Add(cd * 3)) {
 		t.Fatal("second cooldown was not doubled")
 	}
-	if !b.allow(t0.Add(400 * time.Millisecond)) {
+	if !b.allow(t0.Add(cd * 4)) {
 		t.Fatal("second cooldown never expired")
 	}
 
 	// Pile on failures: the interval must stay at the cap, not overflow.
-	now := t0.Add(400 * time.Millisecond)
+	now := t0.Add(cd * 4)
 	for i := 0; i < 40; i++ {
 		b.onFailure(now)
-		if !b.allow(now.Add(breakerMaxCooldown + time.Millisecond)) {
-			t.Fatalf("reopen %d: cooldown exceeded the %v cap", i, breakerMaxCooldown)
+		if !b.allow(now.Add(maxDelay + time.Millisecond)) {
+			t.Fatalf("reopen %d: cooldown exceeded the %v cap", i, maxDelay)
 		}
-		now = now.Add(breakerMaxCooldown + time.Millisecond)
+		now = now.Add(maxDelay + time.Millisecond)
 	}
 }
 
@@ -83,9 +85,10 @@ func TestBreakerReopenDoublesCooldown(t *testing.T) {
 func TestBreakerIgnoresFailuresWhileOpen(t *testing.T) {
 	t.Parallel()
 	t0 := time.Unix(0, 0)
-	b := newBreaker(1, 100*time.Millisecond)
+	b := newBreaker()
 	b.onFailure(t0)
-	deadline := t0.Add(100 * time.Millisecond)
+	b.onFailure(t0)
+	deadline := t0.Add(breakerCooldown)
 	b.onFailure(t0.Add(10 * time.Millisecond)) // straggler must not extend the window
 	if !b.allow(deadline.Add(time.Millisecond)) {
 		t.Fatal("straggler failure extended the open interval")
@@ -101,9 +104,10 @@ func TestBreakerProbeWithoutVerdict(t *testing.T) {
 	t.Parallel()
 	t0 := time.Unix(0, 0)
 	halfOpen := func() (*breaker, time.Time) {
-		b := newBreaker(1, 100*time.Millisecond)
+		b := newBreaker()
 		b.onFailure(t0)
-		probeAt := t0.Add(150 * time.Millisecond)
+		b.onFailure(t0)
+		probeAt := t0.Add(breakerCooldown * 3 / 2)
 		if !b.allow(probeAt) || b.label() != "half_open" {
 			t.Fatalf("setup: probe not elected, state %s", b.label())
 		}
@@ -119,12 +123,12 @@ func TestBreakerProbeWithoutVerdict(t *testing.T) {
 		t.Fatalf("abandoned probe did not hand the role on at once: state %s", b.label())
 	}
 	// Nothing was learned, so the next failed probe reopens for the
-	// second interval (200ms), not the third.
+	// second interval (two cooldowns), not the third.
 	b.onFailure(probeAt)
-	if b.allow(probeAt.Add(150 * time.Millisecond)) {
+	if b.allow(probeAt.Add(breakerCooldown * 3 / 2)) {
 		t.Fatal("reopen after an abandoned probe used the base cooldown")
 	}
-	if !b.allow(probeAt.Add(250 * time.Millisecond)) {
+	if !b.allow(probeAt.Add(breakerCooldown * 5 / 2)) {
 		t.Fatal("abandoned probe doubled the cooldown")
 	}
 
@@ -137,7 +141,7 @@ func TestBreakerProbeWithoutVerdict(t *testing.T) {
 	// Outside half-open neither moves anything: a 429 does not clear a
 	// failure streak, and a cancelled straggler does not reopen or
 	// shorten an open interval.
-	b = newBreaker(2, 100*time.Millisecond)
+	b = newBreaker()
 	b.onFailure(t0)
 	b.onRejected()
 	b.onAbandoned()
@@ -147,7 +151,7 @@ func TestBreakerProbeWithoutVerdict(t *testing.T) {
 	}
 	b.onRejected()
 	b.onAbandoned()
-	if b.allow(t0.Add(50 * time.Millisecond)) {
+	if b.allow(t0.Add(breakerCooldown / 2)) {
 		t.Fatal("429 or cancel while open cut the cooldown short")
 	}
 }

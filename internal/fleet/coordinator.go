@@ -35,51 +35,62 @@ type CoordinatorOptions struct {
 	// already conclusive never leaves the coordinator, and conclusive
 	// verdicts that come back from workers are stored.
 	Cache engine.ResultCache
-	// MaxAttempts is the number of remote attempts per unit before the
-	// coordinator verifies it locally (default 3). Local fallback keeps
-	// a sweep completing — with identical verdicts — even when every
-	// worker is dead.
-	MaxAttempts int
-	// RetryBackoff is the base re-dispatch delay, doubled per attempt
-	// and capped at 2s (default 50ms).
-	RetryBackoff time.Duration
 	// UnitTimeout bounds one dispatch round trip including the remote
 	// verification (default 2m). The remaining budget travels with the
 	// request (X-Fleet-Deadline-Ms), so the worker's engine context
 	// expires with the coordinator's interest in the answer. A unit
 	// that times out is re-dispatched.
 	UnitTimeout time.Duration
-	// HealthThreshold is the consecutive-failure count that opens a
-	// worker's circuit breaker (default 2). An open breaker fails
-	// dispatches fast — without an HTTP round trip — until
-	// BreakerCooldown elapses and a half-open probe dispatch decides.
-	HealthThreshold int
-	// BreakerCooldown is the base open interval of the per-worker
-	// circuit breaker (default 500ms), doubled per consecutive reopen
-	// and capped at 2s.
-	BreakerCooldown time.Duration
 }
 
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.Client == nil {
 		o.Client = &http.Client{Transport: DispatchTransport()}
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50 * time.Millisecond
-	}
 	if o.UnitTimeout <= 0 {
 		o.UnitTimeout = 2 * time.Minute
 	}
-	if o.HealthThreshold <= 0 {
-		o.HealthThreshold = 2
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 500 * time.Millisecond
-	}
 	return o
+}
+
+// The retry policy is fixed in code. A unit gets maxAttempts remote
+// attempts, backing off backoffBase before the first retry and twice as
+// long before each next one, and is then verified locally, so a sweep
+// completes with identical verdicts even when every worker is dead. A
+// worker's breaker opens after breakerThreshold consecutive failures
+// and fails dispatches fast for breakerCooldown, doubled per
+// consecutive reopen, until a half-open probe dispatch decides. Every
+// delay is capped at maxDelay.
+const (
+	maxAttempts      = 3
+	backoffBase      = 50 * time.Millisecond
+	breakerThreshold = 2
+	breakerCooldown  = 500 * time.Millisecond
+)
+
+// maxDelay caps every retry delay and breaker cooldown, backoff and
+// Retry-After alike: a unit is stretched, never parked, while local
+// fallback could finish it, and a worker that recovers is rediscovered
+// within seconds.
+const maxDelay = 2 * time.Second
+
+// capped is base doubled n times, at most maxDelay. Doubling stops at
+// the cap, so no n, however large, can overflow it into a zero or
+// negative delay.
+func capped(base time.Duration, n int) time.Duration {
+	d := base
+	for i := 0; i < n && d < maxDelay; i++ {
+		d *= 2
+	}
+	return min(d, maxDelay)
+}
+
+// clock is the coordinator's time source: breakers read now, retry
+// waits use after. NewCoordinator sets the real clock; tests step a
+// fake one.
+type clock struct {
+	now   func() time.Time
+	after func(time.Duration) <-chan time.Time
 }
 
 // workerState is one worker's live view. Its circuit breaker is the one
@@ -105,9 +116,9 @@ func (ws *workerState) status(healthy bool) WorkerStatus {
 }
 
 // failed records one failed round trip to the worker.
-func (ws *workerState) failed() {
+func (ws *workerState) failed(now time.Time) {
 	ws.failures.Add(1)
-	ws.br.onFailure(time.Now())
+	ws.br.onFailure(now)
 }
 
 // maxWorkerCredit clamps an advertised slot count: the token pool is
@@ -161,6 +172,7 @@ type WorkerStatus struct {
 // engine.Runner, and all of them draw dispatch credit from one pool.
 type Coordinator struct {
 	opts    CoordinatorOptions
+	clock   clock
 	workers []*workerState
 
 	// tokens is the fleet's dispatch credit: one per unit a worker admits
@@ -190,11 +202,12 @@ func NewCoordinator(o CoordinatorOptions) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		opts:    o,
+		clock:   clock{now: time.Now, after: time.After},
 		quiesce: make(chan struct{}),
 		tokens:  make(chan *workerState, len(o.Workers)*maxWorkerCredit),
 	}
 	for _, u := range o.Workers {
-		ws := &workerState{url: u, br: newBreaker(o.HealthThreshold, o.BreakerCooldown)}
+		ws := &workerState{url: u, br: newBreaker()}
 		c.workers = append(c.workers, ws)
 		c.tokens <- ws
 	}
@@ -275,7 +288,7 @@ func (c *Coordinator) learnCredit(ctx context.Context) int {
 			st, ok := c.probe(ctx, ws)
 			if !ok {
 				if ctx.Err() == nil {
-					ws.failed()
+					ws.failed(c.clock.now())
 				}
 				return
 			}
@@ -334,14 +347,14 @@ func (r remote) Verify(ctx context.Context, s engine.Scenario) engine.Result {
 		if ctx.Err() != nil {
 			return c.unrun(&s, ctx.Err())
 		}
-		if attempt >= c.opts.MaxAttempts {
+		if attempt >= maxAttempts {
 			c.localFallbacks.Add(1)
 			return r.local.Verify(ctx, s)
 		}
 		c.retries.Add(1)
 		// A worker's Retry-After can stretch the backoff, never past
 		// the same cap.
-		if err := c.sleep(ctx, max(c.backoff(attempt), retryAfter)); err != nil {
+		if err := c.sleep(ctx, max(capped(backoffBase, attempt-1), retryAfter)); err != nil {
 			return c.unrun(&s, err)
 		}
 	}
@@ -375,7 +388,7 @@ func (c *Coordinator) sleep(ctx context.Context, d time.Duration) error {
 		return ErrDraining
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-time.After(d):
+	case <-c.clock.after(d):
 		return nil
 	}
 }
@@ -395,7 +408,7 @@ var errBreakerOpen = errors.New("fleet: circuit breaker open")
 // try makes one attempt on ws and folds its outcome into the worker's
 // health: a result, or an error with the worker's Retry-After hint.
 func (c *Coordinator) try(ctx context.Context, ws *workerState, index int, unit []byte) (engine.Result, time.Duration, error) {
-	if !ws.br.allow(time.Now()) {
+	if !ws.br.allow(c.clock.now()) {
 		// Open breaker: fail fast without an HTTP round trip. The
 		// fast-fail still consumes an attempt — the attempt cap (local
 		// fallback), not the breaker, is what guarantees progress when
@@ -419,24 +432,9 @@ func (c *Coordinator) try(ctx context.Context, ws *workerState, index int, unit 
 		ws.br.onRejected()
 		c.rejections.Add(1)
 	default:
-		ws.failed()
+		ws.failed(c.clock.now())
 	}
 	return res, retryAfter, err
-}
-
-// maxDelay caps every retry delay, backoff and Retry-After alike: a
-// unit is stretched, never parked, while local fallback could finish it.
-const maxDelay = 2 * time.Second
-
-// backoff is the exponential re-dispatch delay: the base doubled per
-// attempt, capped at maxDelay. Doubling stops at the cap, so no attempt
-// count, however large, can overflow it into a zero or negative sleep.
-func (c *Coordinator) backoff(attempt int) time.Duration {
-	d := c.opts.RetryBackoff
-	for i := 1; i < attempt && d < maxDelay; i++ {
-		d *= 2
-	}
-	return min(d, maxDelay)
 }
 
 // dispatch posts one unit to one worker. rejected reports a 429 —

@@ -88,7 +88,8 @@ func TestConcurrentBatchesShareWorkerCredit(t *testing.T) {
 }
 
 // TestProbeAnsweredWith429ReadsHealthy: the breaker is the coordinator's
-// one health view. Two failures open it; the half-open probe after the
+// one health view. Two failures open it, so the first batch's third
+// attempt fails fast; the half-open probe the next batch makes after the
 // cooldown is answered 429, which proves the worker alive and closes
 // the breaker — so the worker reads healthy at once. (A failure count
 // kept beside the breaker used to leave it unhealthy until some
@@ -109,20 +110,21 @@ func TestProbeAnsweredWith429ReadsHealthy(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
-		Workers:         []string{srv.URL},
-		MaxAttempts:     3,
-		RetryBackoff:    5 * time.Millisecond, // each retry outlasts the cooldown
-		HealthThreshold: 2,
-		BreakerCooldown: time.Millisecond,
-	})
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: []string{srv.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	clock := fleet.UseFakeClock(coord)
 	coord.Run(context.Background(), nil, fleetScenarios()[:1])
 	st := coord.Stats()
-	if works.Load() != 3 || st.Rejections != 1 || st.LocalFallbacks != 1 {
-		t.Fatalf("stats %+v after %d dispatches: want fail, fail, 429 on the probe, local fallback", st, works.Load())
+	if works.Load() != 2 || st.BreakerFastFails != 1 || st.LocalFallbacks != 1 || st.Workers[0].Breaker != "open" {
+		t.Fatalf("stats %+v after %d dispatches: want fail, fail, fast-fail, local fallback", st, works.Load())
+	}
+	clock.Advance(fleet.Cooldown)
+	coord.Run(context.Background(), nil, fleetScenarios()[:1])
+	st = coord.Stats()
+	if works.Load() != 5 || st.Rejections != 3 || st.LocalFallbacks != 2 {
+		t.Fatalf("stats %+v after %d dispatches: want 429 on the probe, two more 429s, local fallback", st, works.Load())
 	}
 	if w := st.Workers[0]; w.Breaker != "closed" || !w.Healthy {
 		t.Fatalf("worker %+v: a probe answered 429 must leave it closed and healthy", w)

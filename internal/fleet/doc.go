@@ -33,7 +33,10 @@
 //     a unit that exhausts its remote attempts (or cannot be encoded)
 //     is verified locally, so a sweep always completes even with every
 //     worker dead. Quiesce stops new dispatches (for connection
-//     draining) while letting in-flight units finish.
+//     draining) while letting in-flight units finish. The retry policy
+//     — 3 attempts, a 50ms backoff base, a breaker that opens after 2
+//     consecutive failures with a 500ms cooldown, every delay doubled
+//     and capped at 2s — is fixed in code, not an option.
 //
 // Determinism: verdicts are produced by the same engines from the same
 // canonical scenario bytes on every node, results are reassembled by

@@ -1,0 +1,58 @@
+package fleet
+
+import (
+	"sync"
+	"time"
+)
+
+// Cooldown is the breaker's first open interval, for tests that step
+// the clock past it.
+const Cooldown = breakerCooldown
+
+// FakeClock is a coordinator clock that tests step by hand. A wait
+// never blocks: it records the delay asked for and moves the clock past
+// it at once, so retry paths run at CPU speed and every delay the
+// coordinator chose can be asserted.
+type FakeClock struct {
+	mu    sync.Mutex
+	t     time.Time
+	waits []time.Duration
+}
+
+// UseFakeClock replaces c's clock with a fake one; call it before c
+// runs anything.
+func UseFakeClock(c *Coordinator) *FakeClock {
+	f := &FakeClock{t: time.Unix(0, 0)}
+	c.clock = clock{now: f.now, after: f.after}
+	return f
+}
+
+// Advance moves the clock forward by d.
+func (f *FakeClock) Advance(d time.Duration) {
+	f.mu.Lock()
+	f.t = f.t.Add(d)
+	f.mu.Unlock()
+}
+
+// Waits returns every delay the coordinator has waited out, in order.
+func (f *FakeClock) Waits() []time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]time.Duration(nil), f.waits...)
+}
+
+func (f *FakeClock) now() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.t
+}
+
+func (f *FakeClock) after(d time.Duration) <-chan time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.waits = append(f.waits, d)
+	f.t = f.t.Add(d)
+	ch := make(chan time.Time, 1)
+	ch <- f.t
+	return ch
+}

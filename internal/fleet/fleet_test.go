@@ -160,13 +160,11 @@ func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 		return fleet.NewWorker(fleet.WorkerOptions{Slots: 2})
 	})...)
 
-	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
-		Workers:      urls,
-		RetryBackoff: 5 * time.Millisecond,
-	})
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fleet.UseFakeClock(coord)
 	_, sum := coord.Run(context.Background(), nil, scenarios)
 	if got := encodeSummary(t, sum); got != want {
 		t.Fatalf("summary diverged after worker death:\n got %s\nwant %s", got, want)
@@ -187,14 +185,11 @@ func TestCoordinatorLocalFallbackCompletesSweep(t *testing.T) {
 	scenarios := fleetScenarios()[:4]
 	_, baseSum := runnerBaseline(t, scenarios)
 
-	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
-		Workers:      []string{"http://127.0.0.1:1"},
-		MaxAttempts:  2,
-		RetryBackoff: time.Millisecond,
-	})
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: []string{"http://127.0.0.1:1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fleet.UseFakeClock(coord)
 	_, sum := coord.Run(context.Background(), nil, scenarios)
 	if got, want := encodeSummary(t, sum), encodeSummary(t, baseSum); got != want {
 		t.Fatalf("summary diverged with a dead fleet:\n got %s\nwant %s", got, want)
@@ -244,20 +239,18 @@ func TestCoordinatorRefusesUnsealedReply(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
-		Workers:      []string{srv.URL},
-		MaxAttempts:  2,
-		RetryBackoff: time.Millisecond,
-	})
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: []string{srv.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fleet.UseFakeClock(coord)
 	results, _ := coord.Run(context.Background(), nil, scenarios)
 	if got, want := encodeResultNoWall(t, results[0]), encodeResultNoWall(t, baseResults[0]); got != want {
 		t.Fatalf("unsealed reply became the verdict:\n got %s\nwant %s", got, want)
 	}
-	if st := coord.Stats(); st.Dispatches != 2 || st.Retries != 1 || st.LocalFallbacks != 1 || st.Completed != 0 {
-		t.Fatalf("stats %+v: want two failed dispatches, then a local fallback", st)
+	// Two failures open the breaker, so the third attempt fails fast.
+	if st := coord.Stats(); st.Dispatches != 2 || st.BreakerFastFails != 1 || st.Retries != 2 || st.LocalFallbacks != 1 || st.Completed != 0 {
+		t.Fatalf("stats %+v: want two failed dispatches, a fast-fail, then a local fallback", st)
 	}
 }
 

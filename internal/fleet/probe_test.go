@@ -6,14 +6,13 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/fleet"
 )
 
 // TestCancelledProbeDoesNotWedgeBreaker: a sweep cancelled while its
 // dispatch is the half-open probe must leave the breaker electable. The
-// worker fails once (breaker opens), then holds the probe until its
+// worker fails twice (breaker opens), then holds the probe until its
 // batch is cancelled, then serves normally — and the next batch has to
 // reach it. A breaker left half-open answers every later dispatch with
 // a fast-fail, so the healthy worker would never see another unit.
@@ -44,25 +43,20 @@ func TestCancelledProbeDoesNotWedgeBreaker(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	const cooldown = 10 * time.Millisecond
-	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
-		Workers:         []string{srv.URL},
-		MaxAttempts:     1,
-		HealthThreshold: 1,
-		BreakerCooldown: cooldown,
-	})
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: []string{srv.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	clock := fleet.UseFakeClock(coord)
 	breakerState := func() string { return coord.Stats().Workers[0].Breaker }
 
 	coord.Run(context.Background(), nil, scenarios)
 	if got := breakerState(); got != "open" {
-		t.Fatalf("after the failed dispatch the breaker is %s, want open", got)
+		t.Fatalf("after the failed dispatches the breaker is %s, want open", got)
 	}
 
 	mode.Store(holding)
-	time.Sleep(2 * cooldown) // the breaker reads the wall clock
+	clock.Advance(fleet.Cooldown)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

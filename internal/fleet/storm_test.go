@@ -15,9 +15,9 @@ import (
 // an admission storm: the worker 429s its first several requests with a
 // hostile Retry-After of 9999 seconds. The pin is threefold — the sweep
 // still completes byte-identically to the Runner, the hint is honored
-// only up to the 2s backoff clamp (the test would time out otherwise),
-// and 429s count as rejections, never as worker failures that would
-// trip the breaker.
+// only up to the 2s backoff clamp (every wait the coordinator asks its
+// clock for is exactly 2s), and 429s count as rejections, never as
+// worker failures that would trip the breaker.
 func TestCoordinatorSurvivesRetryAfterStorm(t *testing.T) {
 	scenarios := fleetScenarios()[:4]
 	_, baseSum := runnerBaseline(t, scenarios)
@@ -38,29 +38,32 @@ func TestCoordinatorSurvivesRetryAfterStorm(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
-		Workers:      []string{srv.URL},
-		MaxAttempts:  4,
-		RetryBackoff: time.Millisecond,
-	})
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: []string{srv.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
+	clock := fleet.UseFakeClock(coord)
 	_, sum := coord.Run(context.Background(), nil, scenarios)
-	elapsed := time.Since(start)
 
 	if got := encodeSummary(t, sum); got != want {
 		t.Fatalf("summary diverged after the storm:\n got %s\nwant %s", got, want)
 	}
-	// An honored-but-unclamped 9999s hint would park each stormed unit
-	// for hours; the 2s clamp bounds the whole sweep to a few retries.
-	if elapsed > 30*time.Second {
-		t.Fatalf("sweep took %v: Retry-After clamp is not working", elapsed)
-	}
 	st := coord.Stats()
-	if st.Rejections < stormLen {
-		t.Fatalf("stats %+v: want >= %d rejections", st, stormLen)
+	if st.Rejections != stormLen {
+		t.Fatalf("stats %+v: want %d rejections", st, stormLen)
+	}
+	// Every retry follows a stormed 429, so every wait is its hint: an
+	// unclamped 9999s would park the unit for hours, and the 50ms
+	// backoff must not win over it either. A unit whose last attempt
+	// was stormed goes local instead of waiting.
+	waits := clock.Waits()
+	for i, d := range waits {
+		if d != 2*time.Second {
+			t.Fatalf("wait %d is %v: Retry-After 9999 must wait exactly the 2s cap, never more", i, d)
+		}
+	}
+	if uint64(len(waits)) != st.Retries || st.Retries+st.LocalFallbacks != stormLen {
+		t.Fatalf("stats %+v with %d waits: want one wait per retried 429, a local fallback per other", st, len(waits))
 	}
 	if st.Drained != 0 {
 		t.Fatalf("stats %+v: storm dropped units", st)

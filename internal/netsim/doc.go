@@ -3,10 +3,11 @@
 // holding unprocessed bid messages in transit. It corresponds to the
 // buffMsgs relation of the paper's netState signature.
 //
-// Two layers use it: the randomized asynchronous runner here (RunAsync,
-// RunAsyncWith and Simulator — seeded, for simulation experiments), and
-// the exhaustive interleaving explorer in internal/explore (which drives
-// Network directly, snapshotting and rolling back channel queues).
+// Two layers use it: the randomized asynchronous runner here (Simulator,
+// and RunAsync, one run of it on a reliable network — seeded, for
+// simulation experiments), and the exhaustive interleaving explorer in
+// internal/explore (which drives Network directly, snapshotting and
+// rolling back channel queues).
 //
 // Faults models the adversarial networks the paper's Alloy model cannot
 // express: global and per-edge message drop probabilities, fixed and
@@ -17,11 +18,11 @@
 // them exactly on the partition-masked graph, while probabilistic and
 // timed faults belong to the seeded simulation.
 //
-// Determinism: RunAsyncWith is deterministic in (agents, graph,
-// AsyncConfig) — the delivery schedule and every fault coin flip derive
-// from the seed, through a PCG (math/rand/v2) — so simulation verdicts
-// are reproducible and cacheable. A Simulator reused across runs gives
-// each run exactly what a fresh one would. A Network value is
+// Determinism: a Simulator run is deterministic in (agents, graph,
+// faults, seed, delivery budget) — the delivery schedule and every fault
+// coin flip derive from the seed, through a PCG (math/rand/v2) — so
+// simulation verdicts are reproducible and cacheable. A Simulator reused
+// across runs gives each run exactly what a fresh one would. A Network value is
 // single-goroutine state; checkers that parallelize keep one replica
 // per worker.
 package netsim

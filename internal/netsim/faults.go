@@ -124,32 +124,9 @@ func (f Faults) delayOf(e Edge) int {
 	return f.Delay
 }
 
-// AsyncConfig parameterizes a randomized asynchronous run.
-type AsyncConfig struct {
-	// Seed drives the delivery order and the fault coins: a run draws
-	// from a PCG (math/rand/v2, O'Neill 2014) seeded with the words
-	// (uint64(Seed), 0x9e3779b97f4a7c15), so every int64 seed, negative
-	// ones included, names its own stream.
-	Seed int64
-	// MaxDeliveries caps the number of delivery ticks (processed plus
-	// dropped messages).
-	MaxDeliveries int
-	// Faults is the network fault model; the zero value is a reliable
-	// network, making RunAsyncWith a superset of RunAsync.
-	Faults Faults
-}
-
 // pcgStream is the second PCG seed word of every run; the first is the
 // run's seed.
 const pcgStream = 0x9e3779b97f4a7c15
-
-// RunAsyncWith drives the agents with a seeded random delivery order
-// under the configured fault model until quiescence with agreement or
-// until the delivery budget is spent. It is one run of a fresh
-// Simulator.
-func RunAsyncWith(agents []*mca.Agent, g *graph.Graph, cfg AsyncConfig) AsyncOutcome {
-	return NewSimulator(g, cfg.Faults).Run(agents, cfg.Seed, cfg.MaxDeliveries)
-}
 
 // Simulator runs seeded asynchronous executions over one graph under one
 // fault model. Its network, delay line and generator are reset in place
@@ -171,7 +148,10 @@ func NewSimulator(g *graph.Graph, f Faults) *Simulator {
 
 // Run drives the agents from an empty network at tick 0 with the
 // delivery order and fault coins of seed, until quiescence with
-// agreement or until maxDeliveries ticks are spent. Dropped messages
+// agreement or until maxDeliveries ticks are spent. The run draws from a
+// PCG (math/rand/v2, O'Neill 2014) seeded with the words
+// (uint64(seed), 0x9e3779b97f4a7c15), so every int64 seed, negative
+// ones included, names its own stream. Dropped messages
 // consume a delivery tick (the channel did work; the receiver saw
 // nothing), so a lossy run terminates on the same budget as a reliable
 // one. The outcome depends only on (agents, graph, faults, seed,

@@ -27,26 +27,12 @@ func faultAgents(t *testing.T, n, items int) []*mca.Agent {
 	return out
 }
 
-func TestRunAsyncWithNoFaultsMatchesRunAsync(t *testing.T) {
-	g := graph.Ring(4)
-	for seed := int64(1); seed <= 5; seed++ {
-		a := RunAsync(faultAgents(t, 4, 3), g, seed, 500)
-		b := RunAsyncWith(faultAgents(t, 4, 3), g, AsyncConfig{Seed: seed, MaxDeliveries: 500})
-		if a != b {
-			t.Fatalf("seed %d: RunAsync=%+v RunAsyncWith=%+v", seed, a, b)
-		}
-		if !a.Converged {
-			t.Fatalf("seed %d: reliable run did not converge", seed)
-		}
-	}
-}
-
-func TestRunAsyncWithIsDeterministic(t *testing.T) {
+func TestSimulatorIsDeterministic(t *testing.T) {
 	g := graph.Complete(3)
-	cfg := AsyncConfig{Seed: 42, MaxDeliveries: 300, Faults: Faults{Drop: 0.3, Delay: 2}}
-	first := RunAsyncWith(faultAgents(t, 3, 2), g, cfg)
+	f := Faults{Drop: 0.3, Delay: 2}
+	first := NewSimulator(g, f).Run(faultAgents(t, 3, 2), 42, 300)
 	for i := 0; i < 3; i++ {
-		again := RunAsyncWith(faultAgents(t, 3, 2), g, cfg)
+		again := NewSimulator(g, f).Run(faultAgents(t, 3, 2), 42, 300)
 		if again != first {
 			t.Fatalf("run %d diverged: %+v vs %+v", i, again, first)
 		}
@@ -55,9 +41,7 @@ func TestRunAsyncWithIsDeterministic(t *testing.T) {
 
 func TestDropFaultLosesMessages(t *testing.T) {
 	g := graph.Complete(3)
-	out := RunAsyncWith(faultAgents(t, 3, 2), g, AsyncConfig{
-		Seed: 7, MaxDeliveries: 400, Faults: Faults{Drop: 0.5},
-	})
+	out := NewSimulator(g, Faults{Drop: 0.5}).Run(faultAgents(t, 3, 2), 7, 400)
 	if out.Dropped == 0 {
 		t.Fatalf("drop=0.5 run dropped nothing: %+v", out)
 	}
@@ -65,9 +49,7 @@ func TestDropFaultLosesMessages(t *testing.T) {
 
 func TestCertainDropNeverConverges(t *testing.T) {
 	g := graph.Complete(2)
-	out := RunAsyncWith(faultAgents(t, 2, 2), g, AsyncConfig{
-		Seed: 1, MaxDeliveries: 200, Faults: Faults{Drop: 1},
-	})
+	out := NewSimulator(g, Faults{Drop: 1}).Run(faultAgents(t, 2, 2), 1, 200)
 	if out.Deliveries != 0 {
 		t.Fatalf("drop=1 processed %d messages", out.Deliveries)
 	}
@@ -78,9 +60,7 @@ func TestCertainDropNeverConverges(t *testing.T) {
 
 func TestDelayPreservesConvergence(t *testing.T) {
 	g := graph.Ring(4)
-	out := RunAsyncWith(faultAgents(t, 4, 3), g, AsyncConfig{
-		Seed: 3, MaxDeliveries: 2000, Faults: Faults{Delay: 5},
-	})
+	out := NewSimulator(g, Faults{Delay: 5}).Run(faultAgents(t, 4, 3), 3, 2000)
 	if !out.Converged {
 		t.Fatalf("delayed but reliable run did not converge: %+v", out)
 	}
@@ -88,10 +68,7 @@ func TestDelayPreservesConvergence(t *testing.T) {
 
 func TestPerEdgeDelayOverride(t *testing.T) {
 	g := graph.Complete(2)
-	out := RunAsyncWith(faultAgents(t, 2, 2), g, AsyncConfig{
-		Seed: 5, MaxDeliveries: 500,
-		Faults: Faults{DelayEdge: map[Edge]int{{From: 0, To: 1}: 10}},
-	})
+	out := NewSimulator(g, Faults{DelayEdge: map[Edge]int{{From: 0, To: 1}: 10}}).Run(faultAgents(t, 2, 2), 5, 500)
 	if !out.Converged {
 		t.Fatalf("asymmetric delay broke convergence: %+v", out)
 	}
@@ -99,10 +76,7 @@ func TestPerEdgeDelayOverride(t *testing.T) {
 
 func TestPermanentPartitionBlocksAgreement(t *testing.T) {
 	g := graph.Complete(4)
-	out := RunAsyncWith(faultAgents(t, 4, 2), g, AsyncConfig{
-		Seed: 9, MaxDeliveries: 1000,
-		Faults: Faults{Partitions: [][]int{{0, 1}, {2, 3}}},
-	})
+	out := NewSimulator(g, Faults{Partitions: [][]int{{0, 1}, {2, 3}}}).Run(faultAgents(t, 4, 2), 9, 1000)
 	if out.Converged {
 		t.Fatal("agents agreed across a permanent partition")
 	}
@@ -112,10 +86,7 @@ func TestHealedPartitionRecovers(t *testing.T) {
 	g := graph.Complete(3)
 	// Messages crossing a healing cut are held, not lost, so consensus
 	// must complete once the partition ends.
-	out := RunAsyncWith(faultAgents(t, 3, 2), g, AsyncConfig{
-		Seed: 11, MaxDeliveries: 2000,
-		Faults: Faults{Partitions: [][]int{{0}, {1, 2}}, HealAfter: 6},
-	})
+	out := NewSimulator(g, Faults{Partitions: [][]int{{0}, {1, 2}}, HealAfter: 6}).Run(faultAgents(t, 3, 2), 11, 2000)
 	if !out.Converged {
 		t.Fatalf("partition healed but no convergence: %+v", out)
 	}
@@ -126,10 +97,7 @@ func TestHealedTotalCutRecovers(t *testing.T) {
 	// deliverable while the partition is active, the clock must advance
 	// to the heal tick, and the held messages then complete consensus.
 	g := graph.Star(3)
-	out := RunAsyncWith(faultAgents(t, 3, 2), g, AsyncConfig{
-		Seed: 13, MaxDeliveries: 2000,
-		Faults: Faults{Partitions: [][]int{{0}, {1, 2}}, HealAfter: 5},
-	})
+	out := NewSimulator(g, Faults{Partitions: [][]int{{0}, {1, 2}}, HealAfter: 5}).Run(faultAgents(t, 3, 2), 13, 2000)
 	if !out.Converged {
 		t.Fatalf("total cut healed but no convergence: %+v", out)
 	}
@@ -183,9 +151,7 @@ func TestFaultsClassification(t *testing.T) {
 
 func TestDuplicateFaultForksDeliveries(t *testing.T) {
 	g := graph.Complete(3)
-	out := RunAsyncWith(faultAgents(t, 3, 2), g, AsyncConfig{
-		Seed: 17, MaxDeliveries: 2000, Faults: Faults{Duplicate: 0.5},
-	})
+	out := NewSimulator(g, Faults{Duplicate: 0.5}).Run(faultAgents(t, 3, 2), 17, 2000)
 	if out.Duplicated == 0 {
 		t.Fatalf("duplicate=0.5 run forked nothing: %+v", out)
 	}
@@ -198,9 +164,7 @@ func TestDuplicateFaultForksDeliveries(t *testing.T) {
 
 func TestCertainDuplicationStillTerminates(t *testing.T) {
 	g := graph.Ring(4)
-	out := RunAsyncWith(faultAgents(t, 4, 3), g, AsyncConfig{
-		Seed: 19, MaxDeliveries: 300, Faults: Faults{Duplicate: 1},
-	})
+	out := NewSimulator(g, Faults{Duplicate: 1}).Run(faultAgents(t, 4, 3), 19, 300)
 	// Every delivery forks a copy, so the channel never drains; the run
 	// must stop on its delivery budget instead of spinning.
 	if out.Duplicated == 0 || out.Deliveries+out.Dropped > 300 {
@@ -213,9 +177,7 @@ func TestReorderPreservesConvergence(t *testing.T) {
 	// snapshots carry full views, so processing them out of order must
 	// not lose information.
 	for _, g := range []*graphCase{{graph.Ring(4), 4}, {graph.Star(4), 4}, {graph.Complete(3), 3}} {
-		out := RunAsyncWith(faultAgents(t, g.n, 2), g.g, AsyncConfig{
-			Seed: 23, MaxDeliveries: 4000, Faults: Faults{Reorder: 8},
-		})
+		out := NewSimulator(g.g, Faults{Reorder: 8}).Run(faultAgents(t, g.n, 2), 23, 4000)
 		if !out.Converged {
 			t.Fatalf("reordered run on %d-node graph did not converge: %+v", g.n, out)
 		}
@@ -229,11 +191,10 @@ type graphCase struct {
 
 func TestReorderWithDelayIsDeterministic(t *testing.T) {
 	g := graph.Complete(3)
-	cfg := AsyncConfig{Seed: 29, MaxDeliveries: 1500,
-		Faults: Faults{Reorder: 3, Delay: 2, Duplicate: 0.3, Drop: 0.1}}
-	first := RunAsyncWith(faultAgents(t, 3, 2), g, cfg)
+	f := Faults{Reorder: 3, Delay: 2, Duplicate: 0.3, Drop: 0.1}
+	first := NewSimulator(g, f).Run(faultAgents(t, 3, 2), 29, 1500)
 	for i := 0; i < 3; i++ {
-		again := RunAsyncWith(faultAgents(t, 3, 2), g, cfg)
+		again := NewSimulator(g, f).Run(faultAgents(t, 3, 2), 29, 1500)
 		if again != first {
 			t.Fatalf("run %d diverged: %+v vs %+v", i, again, first)
 		}

@@ -492,7 +492,8 @@ type AsyncOutcome struct {
 // quiescence with agreement or until maxDeliveries messages have been
 // processed. It is the simulation counterpart of the explorer: the same
 // per-edge FIFO semantics and reply-on-disagreement rule, one random
-// path instead of all paths. It is RunAsyncWith on a reliable network.
+// path instead of all paths. It is one run of a Simulator on a reliable
+// network.
 func RunAsync(agents []*mca.Agent, g *graph.Graph, seed int64, maxDeliveries int) AsyncOutcome {
-	return RunAsyncWith(agents, g, AsyncConfig{Seed: seed, MaxDeliveries: maxDeliveries})
+	return NewSimulator(g, Faults{}).Run(agents, seed, maxDeliveries)
 }

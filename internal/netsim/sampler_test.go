@@ -55,7 +55,7 @@ func formatOutcome(out AsyncOutcome) string {
 // just their determinism: a different generator or seeding that keeps
 // every run reproducible still fails here. It also pins that a
 // Simulator reused across seeds, in any order, runs exactly what a
-// fresh RunAsyncWith per seed runs.
+// fresh Simulator per seed runs.
 func TestSamplerStreamIsPinned(t *testing.T) {
 	const maxDeliveries = 300
 	graphs := []struct {
@@ -68,9 +68,7 @@ func TestSamplerStreamIsPinned(t *testing.T) {
 			var fresh [4]AsyncOutcome
 			got := make([]string, len(fresh))
 			for seed := range fresh {
-				fresh[seed] = RunAsyncWith(faultAgents(t, 3, 2), gc.g, AsyncConfig{
-					Seed: int64(seed), MaxDeliveries: maxDeliveries, Faults: fc.faults,
-				})
+				fresh[seed] = NewSimulator(gc.g, fc.faults).Run(faultAgents(t, 3, 2), int64(seed), maxDeliveries)
 				got[seed] = formatOutcome(fresh[seed])
 			}
 			if line := strings.Join(got, " "); line != samplerPins[key] {
