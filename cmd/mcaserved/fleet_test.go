@@ -269,7 +269,7 @@ func TestQuotaShedding(t *testing.T) {
 func TestWrongVerbIsRefusedBeforeAdmission(t *testing.T) {
 	srv, _ := startRole(t, serverConfig{Role: "worker", QuotaRate: 0.001, QuotaBurst: 1})
 	for path, allow := range map[string]string{
-		"/verify": "POST", "/sweep": "POST", "/generate": "POST", "/fleet/work": "POST",
+		"/verify": "POST", "/sweep": "POST", "/fleet/work": "POST",
 		"/metrics": "GET, HEAD", "/cache/stats": "GET, HEAD", "/healthz": "GET, HEAD", "/fleet/health": "GET, HEAD",
 	} {
 		method := http.MethodGet
@@ -542,5 +542,21 @@ func TestMetricsRequestAccounting(t *testing.T) {
 		if !strings.Contains(body, line) {
 			t.Fatalf("/metrics missing %q:\n%s", line, body)
 		}
+	}
+}
+
+// TestGenerateIsNotServed: differential fuzzing lives in cmd/mcafuzz
+// alone. POST /generate is an unknown path, a 404 that /metrics counts
+// under "other" rather than as a route of its own.
+func TestGenerateIsNotServed(t *testing.T) {
+	srv, _ := testServer(t)
+	resp := postJSON(t, srv.URL+"/generate?seed=1&n=5", "")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /generate: status %d, want 404", resp.StatusCode)
+	}
+	_, body := getBody(t, srv.URL+"/metrics")
+	if !strings.Contains(body, `mcaserved_requests_total{path="other",code="404"} 1`) || strings.Contains(body, `path="/generate"`) {
+		t.Fatalf("/metrics does not count POST /generate under other:\n%s", body)
 	}
 }

@@ -17,14 +17,6 @@
 //	                   single use and held in a small in-memory table
 //	POST /sweep        one sweep document -> NDJSON result stream,
 //	                   one result per line, then a summary line
-//	POST /generate     one generator profile (or empty body for the
-//	                   default profile) -> NDJSON stream of generated
-//	                   scenarios with their differential-oracle
-//	                   verdicts, then a summary line. With
-//	                   ?coverage=1&rounds=R the generator runs the
-//	                   coverage-guided loop instead and streams one
-//	                   corpus-stats line per round, then any oracle
-//	                   disagreements, then a summary line
 //	GET  /cache/stats  cache effectiveness counters
 //	GET  /cache/entry/{key}  peer cache protocol (GET/PUT by content
 //	                   address) — this is what other nodes' -remotecache
@@ -51,9 +43,9 @@
 // same -cachesecret, if one is set on either side).
 //
 // Admission control is opt-in and covers the client endpoints (/verify,
-// /sweep, /generate): -quotarate/-quotaburst throttle them per tenant —
-// the X-Tenant header, with one shared anonymous bucket — and
-// -maxinflight caps how many execute at once. Both shed excess load
+// /sweep): -quotarate/-quotaburst throttle them per tenant — the
+// X-Tenant header, with one shared anonymous bucket — and -maxinflight
+// caps how many execute at once. Both shed excess load
 // with 429 + Retry-After rather than queueing. A worker admits
 // /fleet/work by its -fleetslots alone, the credit it advertises on
 // /fleet/health and the coordinator dispatches against.
@@ -63,16 +55,11 @@
 // &seed=S (simulation), and &timeout=30s within the server's
 // -maxtimeout. On /verify, &workers=N is the engine's parallelism
 // (frontier shards, portfolio members; at most engine.MaxWorkers, past
-// which the result is an error). /sweep and /generate run their
-// scenarios on a pool of -workers with serial engines, so sweep cache
-// keys never depend on a pool size. /generate instead takes &seed=S,
-// &n=N (scenarios to generate) and &engines=a,b,c (an oracle panel,
-// default explicit,simulation,sat), plus &coverage=1 and &rounds=R for
-// the coverage-guided loop (the n budget splits evenly across rounds;
-// the pool size never changes the corpus). A query parameter the
-// endpoint does not read — a typo like ?worker=2, or a retired one such
-// as ?workers= on /sweep — is a 400 naming it, never a silently
-// ignored option.
+// which the result is an error). /sweep runs its scenarios on a pool
+// of -workers with serial engines, so sweep cache keys never depend on
+// a pool size. A query parameter the endpoint does not read — a typo
+// like ?worker=2, or a retired one such as ?workers= on /sweep — is a
+// 400 naming it, never a silently ignored option.
 // Shutdown is graceful:
 // SIGINT/SIGTERM stops accepting connections and lets in-flight
 // verifications finish (their contexts are cancelled after the
@@ -85,11 +72,12 @@
 //	mcaserved -role coordinator -peers http://w1:8081,http://w2:8081
 //	curl -d @examples/scenarios/line3.json 'localhost:8080/verify'
 //	curl -d @examples/scenarios/policy-faults-sweep.json 'localhost:8080/sweep'
-//	curl -X POST 'localhost:8080/generate?seed=7&n=100'
-//	curl -d @examples/scenarios/fuzz-profile.json 'localhost:8080/generate?n=50&engines=explicit,simulation'
-//	curl -X POST 'localhost:8080/generate?coverage=1&seed=1&rounds=5&n=40'
 //	curl localhost:8080/cache/stats
 //	curl localhost:8080/metrics
+//
+// Differential fuzzing is not served: cmd/mcafuzz runs the generator
+// and its oracle panel offline, so a fuzz corpus never passes through
+// this service's result cache.
 //
 // See docs/OPERATIONS.md for production guidance (cache sizing, epoch
 // bumps, drain behaviour, timeout tuning).
@@ -104,7 +92,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -116,13 +103,12 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/engine"
 	"repro/internal/fleet"
-	"repro/internal/gen"
 )
 
 func main() {
 	fs := flag.NewFlagSet("mcaserved", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 0, "/sweep and /generate scenario pool size (0 = one per CPU)")
+	workers := fs.Int("workers", 0, "/sweep scenario pool size (0 = one per CPU)")
 	cacheSize := fs.Int("cachesize", 4096, "in-memory result cache capacity (0 = default, negative = unbounded)")
 	cacheDir := fs.String("cachedir", "", "directory for persistent result cache (empty = memory only; the directory grows unbounded — prune externally)")
 	defTimeout := fs.Duration("timeout", 60*time.Second, "default per-request verification timeout")
@@ -136,7 +122,7 @@ func main() {
 	fleetSlots := fs.Int("fleetslots", 0, "worker role: concurrent work units (0 = one per CPU); a coordinator sizes its dispatch credit from what each worker advertises")
 	quotaRate := fs.Float64("quotarate", 0, "per-tenant requests/second on expensive endpoints (0 = no quota)")
 	quotaBurst := fs.Int("quotaburst", 10, "per-tenant burst size when -quotarate is set")
-	maxInFlight := fs.Int("maxinflight", 0, "cap on concurrently executing client requests: /verify, /sweep, /generate (0 = unlimited; a worker admits /fleet/work by -fleetslots alone)")
+	maxInFlight := fs.Int("maxinflight", 0, "cap on concurrently executing client requests: /verify, /sweep (0 = unlimited; a worker admits /fleet/work by -fleetslots alone)")
 	chaosSpec := fs.String("chaos", "", "arm seeded fault injection on fleet dispatch, peer cache, and disk cache writes (internal/chaos spec, e.g. \"seed=1,crash=0.1,corrupt=0.05\"); for failure-semantics testing only")
 	fs.Parse(os.Args[1:])
 
@@ -296,7 +282,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /verify", s.gate(s.handleVerify))
 	mux.HandleFunc("POST /sweep", s.gate(s.handleSweep))
-	mux.HandleFunc("POST /generate", s.gate(s.handleGenerate))
 	mux.HandleFunc("GET /cache/stats", s.handleCacheStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -398,11 +383,11 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if r.URL.Query().Get("checkpoint") != "" {
+	q := params(r, "checkpoint", "engine", "workers", "runs", "seed", "timeout")
+	if q.bool("checkpoint") {
 		s.handleCheckpoint(w, r, scenario)
 		return
 	}
-	q := params(r, "engine", "workers", "runs", "seed", "timeout")
 	eng := q.engine(q.workers())
 	ctx, cancel := q.context(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	defer cancel()
@@ -576,8 +561,8 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	stream.summary(engine.EncodeSummary(&sum))
 }
 
-// ndjsonStream is the shared scaffolding of the streaming endpoints:
-// set the content type, write one line per completed unit of work, and
+// ndjsonStream is the scaffolding of /sweep's NDJSON reply: set the
+// content type, write one line per completed unit of work, and
 // finish with one {"summary": ...} line. Failures after the first byte
 // can only be reported by truncating the stream, so on a write or
 // encode error the stream aborts the batch (cancelling its context) but
@@ -621,13 +606,6 @@ func (s *ndjsonStream) flush() {
 	}
 }
 
-// line writes one line and flushes it: for a producer with no channel
-// to look ahead in.
-func (s *ndjsonStream) line(label string, data []byte, err error) {
-	s.write(label, data, err)
-	s.flush()
-}
-
 // streamLines writes one line per item of a batch's result channel, in
 // arrival order, flushing whenever no further item is already waiting:
 // a slow batch still delivers every line the moment it exists, a fast
@@ -655,179 +633,6 @@ func (s *ndjsonStream) summary(data []byte, err error) {
 	s.w.Write([]byte(`{"summary":`))
 	s.w.Write(data)
 	s.w.Write([]byte("}\n"))
-}
-
-// maxGenerate caps the per-request corpus size: generation is cheap but
-// every scenario is then verified on the whole engine panel, and one
-// request must not be able to queue unbounded work behind one timeout.
-const maxGenerate = 10000
-
-// handleGenerate manufactures a scenario corpus from a generator
-// profile and streams each scenario with its differential-oracle
-// verdicts as NDJSON, then a summary line:
-//
-//	{"index":0,"scenario":{...},"agree":true,"legs":[{"engine":"explicit","class":"dynamic-exact","result":{...}}]}
-//	...
-//	{"summary":{"scenarios":50,"disagreements":0,"legs":120,...}}
-//
-// The body is a profile document (docs/FUZZING.md) or empty for the
-// built-in default profile. As with /sweep, a truncated stream (no
-// summary line) means the request did not complete.
-func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	profile := gen.DefaultProfile()
-	if len(body) > 0 {
-		var err error
-		if profile, err = gen.DecodeProfile(body); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	// Every parameter — the timeout included — is checked before paying
-	// for corpus generation, so a malformed request is a cheap 400. An
-	// explicit n=0 is refused, not defaulted: only an absent n means 50.
-	q := params(r, "seed", "n", "engines", "coverage", "rounds", "timeout")
-	seed := q.int64("seed", 1, math.MinInt64, math.MaxInt64)
-	n := q.int("n", 50, 1, maxGenerate)
-	engines, err := gen.ParseEngines(q.str("engines", "explicit,simulation,sat"))
-	q.fail(err)
-	coverageMode := q.bool("coverage")
-	if q.has("rounds") && !coverageMode {
-		q.fail(errors.New("rounds requires coverage=1"))
-	}
-	rounds := q.int("rounds", 4, 1, 100)
-	ctx, cancel := q.context(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-	defer cancel()
-	if q.err != nil {
-		httpError(w, http.StatusBadRequest, q.err)
-		return
-	}
-	diff := gen.DiffOptions{Engines: engines, Cache: resultCache(s.cfg.Cache), Workers: s.cfg.Workers}
-	if coverageMode {
-		if err := profile.Validate(); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		s.generateCoverage(w, cancel, ctx, profile, seed, n, rounds, diff)
-		return
-	}
-	scenarios, err := gen.Generate(profile, seed, n)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	stream := startNDJSON(w, cancel, "generate")
-	results := make([]gen.DiffResult, len(scenarios))
-	streamLines(stream, gen.DiffStream(ctx, scenarios, diff), func(res gen.DiffResult) (string, []byte, error) {
-		results[res.Index] = res
-		data, err := encodeDiffLine(&res)
-		return res.Scenario.Name, data, err
-	})
-	sum := gen.SummarizeDiff(results)
-	stream.summary(json.Marshal(sum2wire(sum)))
-}
-
-// coverageRoundJSON is the wire form of one coverage-round stats line.
-type coverageRoundJSON struct {
-	Round         int `json:"round"`
-	Scenarios     int `json:"scenarios"`
-	NewBuckets    int `json:"new_buckets"`
-	Buckets       int `json:"buckets"`
-	Corpus        int `json:"corpus"`
-	Disagreements int `json:"disagreements"`
-}
-
-// generateCoverage streams the coverage-guided loop: one stats line per
-// round as it completes, then every oracle disagreement as a diff line,
-// then the run summary. A truncated stream (no summary line) means the
-// loop did not finish inside the request budget.
-func (s *server) generateCoverage(w http.ResponseWriter, cancel context.CancelFunc, ctx context.Context, profile gen.Profile, seed int64, n, rounds int, diff gen.DiffOptions) {
-	perRound := max(n/rounds, 1)
-	stream := startNDJSON(w, cancel, "generate-coverage")
-	res, err := gen.FuzzCoverage(ctx, gen.CoverageOptions{
-		Profile:  profile,
-		Seed:     seed,
-		Rounds:   rounds,
-		PerRound: perRound,
-		Diff:     diff,
-	}, func(rs gen.RoundStats) {
-		data, err := json.Marshal(coverageRoundJSON{
-			Round: rs.Round, Scenarios: rs.Scenarios, NewBuckets: rs.NewBuckets,
-			Buckets: rs.Buckets, Corpus: rs.Corpus, Disagreements: rs.Disagreements,
-		})
-		stream.line(fmt.Sprintf("round %d", rs.Round), data, err)
-	})
-	if err != nil {
-		// Cancellation mid-loop: truncate without a summary, the
-		// streaming contract for an incomplete request.
-		stream.line("coverage loop", nil, err)
-		return
-	}
-	for i := range res.Disagreements {
-		r := &res.Disagreements[i]
-		data, err := encodeDiffLine(r)
-		stream.line(r.Scenario.Name, data, err)
-	}
-	total := 0
-	for _, rs := range res.Rounds {
-		total += rs.Scenarios
-	}
-	stream.summary(json.Marshal(map[string]int{
-		"rounds":        len(res.Rounds),
-		"scenarios":     total,
-		"buckets":       len(res.Buckets),
-		"corpus":        len(res.Corpus),
-		"disagreements": len(res.Disagreements),
-	}))
-}
-
-// diffLineJSON is the wire form of one /generate stream line.
-type diffLineJSON struct {
-	Index    int             `json:"index"`
-	Scenario json.RawMessage `json:"scenario"`
-	Agree    bool            `json:"agree"`
-	Reasons  []string        `json:"reasons,omitempty"`
-	Legs     []diffLegJSON   `json:"legs"`
-}
-
-type diffLegJSON struct {
-	Engine string          `json:"engine"`
-	Class  string          `json:"class"`
-	Result json.RawMessage `json:"result"`
-}
-
-func encodeDiffLine(r *gen.DiffResult) ([]byte, error) {
-	scenario, err := engine.EncodeScenario(&r.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	line := diffLineJSON{Index: r.Index, Scenario: scenario, Agree: r.Agree, Reasons: r.Reasons}
-	for _, l := range r.Legs {
-		res, err := engine.EncodeResult(&l.Result)
-		if err != nil {
-			return nil, err
-		}
-		line.Legs = append(line.Legs, diffLegJSON{Engine: l.Engine, Class: l.Class.String(), Result: res})
-	}
-	return json.Marshal(line)
-}
-
-// sum2wire renders the oracle summary with stable snake_case keys.
-func sum2wire(s gen.DiffSummary) map[string]int {
-	return map[string]int{
-		"scenarios":     s.Scenarios,
-		"disagreements": s.Disagreements,
-		"legs":          s.Legs,
-		"holds":         s.Holds,
-		"violated":      s.Violated,
-		"inconclusive":  s.Inconclusive,
-		"errors":        s.Errors,
-		"cache_hits":    s.CacheHits,
-	}
 }
 
 func (s *server) handleCacheStats(w http.ResponseWriter, r *http.Request) {

@@ -332,11 +332,9 @@ func TestEngineFromQueryChecksKindAndFields(t *testing.T) {
 		{"/verify?checkpoint=1&runs=3", scenarioDoc, "runs"},
 		{"/verify?engine=sat", `{"resume":"deadbeef"}`, "engine"},
 		{"/sweep?cube=3", `{"version":1,"name":"sw","base":{}}`, "cube"},
-		{"/generate?n=2&worker=2", "", "worker"},
 		// Pools are the operator's -workers (or the fleet's credit), never
 		// the request's.
 		{"/sweep?workers=2", `{"version":1,"name":"sw","base":{}}`, "workers"},
-		{"/generate?workers=2", "", "workers"},
 	} {
 		resp := postJSON(t, srv.URL+tc.path, tc.body)
 		var reply struct{ Error string }
@@ -489,206 +487,6 @@ func TestVerifyTimeoutReportsInconclusive(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatal("inconclusive result cached")
-	}
-}
-
-// TestGenerateEndpointStreamsNDJSON drives the fuzzing pipeline over
-// HTTP: a pinned profile generates a small corpus, every scenario is
-// verified on the requested panel, and the stream ends with an
-// agreeing summary.
-func TestGenerateEndpointStreamsNDJSON(t *testing.T) {
-	srv, _ := testServer(t)
-	profile := `{"agents":{"min":2,"max":3},"max_states":{"min":2000,"max":8000},"fault_prob":0.4}`
-	resp, err := http.Post(srv.URL+"/generate?seed=9&n=8&engines=explicit,simulation", "application/json", strings.NewReader(profile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { resp.Body.Close() })
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("content type %q", ct)
-	}
-	type legLine struct {
-		Engine string          `json:"engine"`
-		Class  string          `json:"class"`
-		Result json.RawMessage `json:"result"`
-	}
-	type diffLine struct {
-		Index    int             `json:"index"`
-		Scenario json.RawMessage `json:"scenario"`
-		Agree    bool            `json:"agree"`
-		Reasons  []string        `json:"reasons"`
-		Legs     []legLine       `json:"legs"`
-	}
-	seen := map[int]bool{}
-	sawSummary := false
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if bytes.HasPrefix(line, []byte(`{"summary":`)) {
-			var wrapper struct {
-				Summary map[string]int `json:"summary"`
-			}
-			if err := json.Unmarshal(line, &wrapper); err != nil {
-				t.Fatalf("summary line: %v\n%s", err, line)
-			}
-			if wrapper.Summary["scenarios"] != 8 || wrapper.Summary["disagreements"] != 0 {
-				t.Fatalf("summary %v", wrapper.Summary)
-			}
-			sawSummary = true
-			continue
-		}
-		var dl diffLine
-		if err := json.Unmarshal(line, &dl); err != nil {
-			t.Fatalf("diff line: %v\n%s", err, line)
-		}
-		if !dl.Agree {
-			t.Fatalf("scenario %d disagrees: %v", dl.Index, dl.Reasons)
-		}
-		// Each embedded scenario is a full canonical document.
-		s, err := engine.DecodeScenario(dl.Scenario)
-		if err != nil {
-			t.Fatalf("embedded scenario: %v\n%s", err, dl.Scenario)
-		}
-		if n := len(s.AgentSpecs); n < 2 || n > 3 {
-			t.Fatalf("scenario %d has %d agents, profile pinned 2..3", dl.Index, n)
-		}
-		if len(dl.Legs) == 0 {
-			t.Fatalf("scenario %d has no legs", dl.Index)
-		}
-		for _, l := range dl.Legs {
-			if _, err := engine.DecodeResult(l.Result); err != nil {
-				t.Fatalf("leg result: %v\n%s", err, l.Result)
-			}
-		}
-		seen[dl.Index] = true
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 8 || !sawSummary {
-		t.Fatalf("stream had %d scenario lines, summary=%v", len(seen), sawSummary)
-	}
-}
-
-// TestGenerateCoverageStreamsRoundStats drives the coverage-guided
-// loop over HTTP: one stats line per round with monotone cumulative
-// counters, then a summary whose totals match the streamed rounds.
-func TestGenerateCoverageStreamsRoundStats(t *testing.T) {
-	srv, _ := testServer(t)
-	profile := `{"agents":{"min":2,"max":3},"max_states":{"min":1000,"max":8000}}`
-	resp, err := http.Post(srv.URL+"/generate?coverage=1&seed=3&rounds=3&n=12", "application/json", strings.NewReader(profile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { resp.Body.Close() })
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("content type %q", ct)
-	}
-	type roundLine struct {
-		Round         int `json:"round"`
-		Scenarios     int `json:"scenarios"`
-		NewBuckets    int `json:"new_buckets"`
-		Buckets       int `json:"buckets"`
-		Corpus        int `json:"corpus"`
-		Disagreements int `json:"disagreements"`
-	}
-	var rounds []roundLine
-	var summary map[string]int
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if bytes.HasPrefix(line, []byte(`{"summary":`)) {
-			var wrapper struct {
-				Summary map[string]int `json:"summary"`
-			}
-			if err := json.Unmarshal(line, &wrapper); err != nil {
-				t.Fatalf("summary line: %v\n%s", err, line)
-			}
-			summary = wrapper.Summary
-			continue
-		}
-		var rl roundLine
-		if err := json.Unmarshal(line, &rl); err != nil {
-			t.Fatalf("round line: %v\n%s", err, line)
-		}
-		rounds = append(rounds, rl)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rounds) != 3 {
-		t.Fatalf("streamed %d round lines, want 3", len(rounds))
-	}
-	for i, rl := range rounds {
-		if rl.Round != i || rl.Scenarios != 4 {
-			t.Fatalf("round line %d malformed: %+v", i, rl)
-		}
-		if i > 0 && rl.Buckets < rounds[i-1].Buckets {
-			t.Fatalf("cumulative buckets regressed: %+v after %+v", rl, rounds[i-1])
-		}
-	}
-	if summary == nil {
-		t.Fatal("no summary line")
-	}
-	last := rounds[len(rounds)-1]
-	if summary["rounds"] != 3 || summary["scenarios"] != 12 ||
-		summary["buckets"] != last.Buckets || summary["corpus"] != last.Corpus {
-		t.Fatalf("summary %v disagrees with streamed rounds (last %+v)", summary, last)
-	}
-	if summary["disagreements"] != 0 {
-		t.Fatalf("unexpected disagreements: %v", summary)
-	}
-}
-
-// An empty body means the default profile; bad inputs are 400s.
-func TestGenerateEndpointValidation(t *testing.T) {
-	srv, _ := testServer(t)
-	resp, err := http.Post(srv.URL+"/generate?seed=1&n=2&engines=simulation", "application/json", strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { resp.Body.Close() })
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("empty body: status %d", resp.StatusCode)
-	}
-	for _, url := range []string{
-		srv.URL + "/generate?n=999999",          // over the corpus cap
-		srv.URL + "/generate?seed=banana",       // bad seed
-		srv.URL + "/generate?engines=warp",      // unknown engine
-		srv.URL + "/generate?n=2&timeout=bogus", // bad timeout
-		srv.URL + "/generate?coverage=maybe",    // bad coverage flag
-		srv.URL + "/generate?coverage=1&rounds=0",
-		srv.URL + "/generate?n=4&rounds=2", // rounds without coverage
-	} {
-		resp, err := http.Post(url, "application/json", strings.NewReader(""))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", url, resp.StatusCode)
-		}
-	}
-	get, err := http.Get(srv.URL + "/generate")
-	if err != nil {
-		t.Fatal(err)
-	}
-	get.Body.Close()
-	if get.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /generate: status %d", get.StatusCode)
-	}
-	// A malformed profile body is rejected before any work happens.
-	bad := postJSON(t, srv.URL+"/generate", `{"agents":{"min":5,"max":2}}`)
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("inverted range: status %d", bad.StatusCode)
 	}
 }
 

@@ -55,7 +55,7 @@ func (m *metrics) shedInc(reason string) {
 // endpoint set is folded into "other" so a URL scanner cannot grow the
 // registry without limit.
 var knownPaths = map[string]bool{
-	"/verify": true, "/sweep": true, "/generate": true,
+	"/verify": true, "/sweep": true,
 	"/cache/stats": true, "/cache/entry/": true,
 	"/metrics": true, "/healthz": true,
 	"/fleet/work": true, "/fleet/health": true, "/fleet/status": true,

@@ -100,7 +100,7 @@ func retryAfterHeader(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// gate wraps a client endpoint (/verify, /sweep, /generate) with the
+// gate wraps a client endpoint (/verify, /sweep) with the
 // admission layer: per-tenant quota first (cheap, rejects abusive
 // tenants before they consume an in-flight slot), then the global
 // in-flight cap. Both shed load with 429 + Retry-After instead of

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,6 +147,36 @@ func TestVerifyCheckpointRejectsNonExplicitEngine(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestVerifyCheckpointIsASwitch: ?checkpoint= is read like every other
+// switch. Absent or 0 is a plain verify whose reply is a bare result
+// document, 1 or true is checkpoint mode with a resume envelope, and any
+// other value is a 400 naming the parameter, not a checkpointed run.
+func TestVerifyCheckpointIsASwitch(t *testing.T) {
+	srv, _ := testServer(t)
+	for _, path := range []string{"/verify?workers=2", "/verify?checkpoint=0&workers=2"} {
+		resp := postJSON(t, srv.URL+path, cappableDoc(100))
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if _, err := engine.DecodeResult(bytes.TrimSpace(data)); resp.StatusCode != http.StatusOK || err != nil {
+			t.Errorf("%s: status %d, %s (%v), want a plain result document", path, resp.StatusCode, data, err)
+		}
+	}
+	for _, path := range []string{"/verify?checkpoint=1&workers=2", "/verify?checkpoint=true&workers=2"} {
+		if env := decodeEnvelope(t, postJSON(t, srv.URL+path, cappableDoc(100))); env.Resume == "" {
+			t.Errorf("%s: capped run came back without a resume token", path)
+		}
+	}
+	for _, v := range []string{"maybe", "yes", "2"} {
+		resp := postJSON(t, srv.URL+"/verify?checkpoint="+v, cappableDoc(100))
+		var reply struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(reply.Error, "checkpoint") {
+			t.Errorf("checkpoint=%s: status %d %q, want a 400 naming checkpoint", v, resp.StatusCode, reply.Error)
+		}
 	}
 }
 

@@ -335,11 +335,11 @@ func SummarizeDiff(results []DiffResult) DiffSummary {
 }
 
 // ParseEngines turns a comma-separated engine list — the -engines flag
-// of cmd/mcafuzz and the ?engines= parameter of POST /generate — into
-// adapters. Tokens: auto, explicit, explicit-parallel, simulation, sat,
-// sat-portfolio. "simulation" carries the oracle's generous
-// delivery budget (BudgetFactor 64), so a sampled non-convergence
-// verdict in a fuzzing run is a real schedule, not a budget artifact.
+// of cmd/mcafuzz — into adapters. Tokens: auto, explicit,
+// explicit-parallel, simulation, sat, sat-portfolio. "simulation"
+// carries the oracle's generous delivery budget (BudgetFactor 64), so a
+// sampled non-convergence verdict in a fuzzing run is a real schedule,
+// not a budget artifact.
 func ParseEngines(spec string) ([]engine.Engine, error) {
 	var out []engine.Engine
 	for _, tok := range strings.Split(spec, ",") {

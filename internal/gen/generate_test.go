@@ -2,7 +2,9 @@ package gen
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -132,10 +134,10 @@ func TestGenerateCoversProfileAxes(t *testing.T) {
 	}
 }
 
-// Profile JSON: canonical-ish round trip and strictness.
+// Profile JSON: round trip and strictness.
 func TestProfileCodec(t *testing.T) {
 	p := DefaultProfile()
-	data, err := EncodeProfile(&p)
+	data, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,10 @@ func TestProfileCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := EncodeProfile(&back)
+	if !reflect.DeepEqual(back, p) {
+		t.Fatalf("profile round trip:\n%+v\n%+v", p, back)
+	}
+	again, err := json.Marshal(back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +167,8 @@ func TestProfileCodec(t *testing.T) {
 	if _, err := DecodeProfile([]byte(`{"queue_depths":[-5]}`)); err == nil {
 		t.Fatal("queue depth below -1 accepted")
 	}
-	// Upper bounds guard the server: a profile reaches Generate straight
-	// from a request body.
+	// Upper bounds guard the generator: a profile file reaches Generate
+	// as written.
 	if _, err := DecodeProfile([]byte(`{"agents":{"min":100000,"max":100000}}`)); err == nil {
 		t.Fatal("absurd agent count accepted")
 	}
@@ -221,14 +226,12 @@ func TestGenerateRejectsBadInput(t *testing.T) {
 	}
 }
 
-// FuzzDecodeProfile: a profile is the network-reachable body of POST
-// /generate. Each input is an error or a profile that validates, and
-// the scenarios generated from one are data — each passes
-// Scenario.Validate and encodes: the generator half of "valid ⇒
-// encodable".
+// FuzzDecodeProfile: a profile arrives as an mcafuzz -profile file.
+// Each input is an error or a profile that validates, and the scenarios
+// generated from one are data — each passes Scenario.Validate and
+// encodes: the generator half of "valid ⇒ encodable".
 func FuzzDecodeProfile(f *testing.F) {
-	p := DefaultProfile()
-	def, err := EncodeProfile(&p)
+	def, err := json.Marshal(DefaultProfile())
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -16,13 +16,15 @@ import (
 
 // IntRange is an inclusive integer interval sampled uniformly.
 type IntRange struct {
-	Min, Max int
+	Min int `json:"min"`
+	Max int `json:"max"`
 }
 
 // FloatRange is a half-open float interval [Min, Max) sampled uniformly
 // (a degenerate range with Min == Max always yields Min).
 type FloatRange struct {
-	Min, Max float64
+	Min float64 `json:"min"`
+	Max float64 `json:"max"`
 }
 
 // Profile tunes the scenario generator: every knob is a distribution or
@@ -34,92 +36,94 @@ type FloatRange struct {
 // DefaultProfile for the full workload mix.
 //
 // List-valued fields are sampled uniformly; repeating an entry weights
-// it. Probabilities are in [0, 1].
+// it. Probabilities are in [0, 1]. The JSON tags are the profile
+// document's wire form (DecodeProfile); an unset range marshals as
+// {"min":0,"max":0}, which decodes back as unset.
 type Profile struct {
 	// Agents is the agent-count distribution (minimum 1).
-	Agents IntRange
+	Agents IntRange `json:"agents"`
 	// Items is the per-scenario auctioned-item count distribution
 	// (minimum 1; every agent sees the same item set).
-	Items IntRange
+	Items IntRange `json:"items"`
 	// Topologies lists the candidate network shapes: "line", "ring",
 	// "star", "complete", "random" (seeded Erdős–Rényi over a random
 	// spanning tree, always connected).
-	Topologies []string
+	Topologies []string `json:"topologies,omitempty"`
 	// EdgeProb is the extra-edge probability for "random" topologies.
-	EdgeProb FloatRange
+	EdgeProb FloatRange `json:"edge_prob"`
 	// Utilities lists the candidate bidding utilities by their codec
 	// kind: "submodular-residual", "flat", "non-submodular-synergy",
 	// "escalating-attack". The last two violate Definition 2 and breed
 	// counterexamples.
-	Utilities []string
+	Utilities []string `json:"utilities,omitempty"`
 	// ReleaseProb is the probability an agent uses the release-outbid
 	// policy (p_RO).
-	ReleaseProb float64
+	ReleaseProb float64 `json:"release_prob,omitempty"`
 	// RebidModes lists the candidate Remark 1 rebid rules: "on-change",
 	// "never", "always" ("always" is the Result 2 attack surface).
-	RebidModes []string
+	RebidModes []string `json:"rebid_modes,omitempty"`
 	// BidsPerRoundMax bounds the per-round bidding cap; each agent draws
 	// from 0 (unlimited) to this value. 0 keeps every agent unlimited.
-	BidsPerRoundMax int
+	BidsPerRoundMax int `json:"bids_per_round_max,omitempty"`
 	// BaseMax bounds the per-item private valuations, drawn from
 	// [1, BaseMax].
-	BaseMax int64
+	BaseMax int64 `json:"base_max,omitempty"`
 	// TargetFull is the probability an agent's bundle target p_T covers
 	// every item; otherwise the target is drawn from [1, items].
-	TargetFull float64
+	TargetFull float64 `json:"target_full,omitempty"`
 
 	// DuplicateProb is the probability a scenario explores at-least-once
 	// delivery (explore.Options.DuplicateDeliveries).
-	DuplicateProb float64
+	DuplicateProb float64 `json:"duplicate_prob,omitempty"`
 	// QueueDepths lists candidate per-channel queue bounds
 	// (explore.Options.QueueDepth): 0 is the engine default of 2, -1
 	// means unbounded channels (state-space heavy; pair with a modest
 	// MaxStates). Other negatives are rejected.
-	QueueDepths []int
+	QueueDepths []int `json:"queue_depths,omitempty"`
 	// MaxStates is the explicit-state exploration budget distribution.
-	MaxStates IntRange
+	MaxStates IntRange `json:"max_states"`
 
 	// FaultProb is the probability a scenario carries a network fault
 	// model at all; the remaining fault fields shape it.
-	FaultProb float64
+	FaultProb float64 `json:"fault_prob,omitempty"`
 	// DropMax bounds the uniform message-drop probability.
-	DropMax float64
+	DropMax float64 `json:"drop_max,omitempty"`
 	// DelayMax bounds the uniform delivery delay in ticks.
-	DelayMax int
+	DelayMax int `json:"delay_max,omitempty"`
 	// PartitionProb is the probability a faulty scenario splits the
 	// agents into two partition blocks.
-	PartitionProb float64
+	PartitionProb float64 `json:"partition_prob,omitempty"`
 	// HealAfterMax bounds the partition heal tick; a partitioned
 	// scenario draws from [0, HealAfterMax], where 0 keeps the partition
 	// permanent.
-	HealAfterMax int
+	HealAfterMax int `json:"heal_after_max,omitempty"`
 	// DupMax bounds the at-least-once duplication probability
 	// (netsim.Faults.Duplicate). 0 disables duplication draws entirely,
 	// which also keeps pre-existing (profile, seed) corpora byte-stable:
 	// the generator only spends randomness on a knob when it is set.
-	DupMax float64
+	DupMax float64 `json:"dup_max,omitempty"`
 	// ReorderMax bounds the in-channel reorder window
 	// (netsim.Faults.Reorder); a faulty scenario draws from
 	// [0, ReorderMax]. 0 disables reordering draws.
-	ReorderMax int
+	ReorderMax int `json:"reorder_max,omitempty"`
 
 	// ModelProb is the probability a scenario carries a bounded
 	// relational model for the SAT backends.
-	ModelProb float64
+	ModelProb float64 `json:"model_prob,omitempty"`
 	// ModelEncodings lists the candidate encodings: "naive",
 	// "optimized".
-	ModelEncodings []string
+	ModelEncodings []string `json:"model_encodings,omitempty"`
 	// ModelStates is the relational trace-length distribution
 	// (minimum 2).
-	ModelStates IntRange
+	ModelStates IntRange `json:"model_states"`
 	// ModelMsgs is the relational message-atom distribution (minimum 1).
-	ModelMsgs IntRange
+	ModelMsgs IntRange `json:"model_msgs"`
 }
 
 // DefaultProfile is the generator's built-in workload mix: small honest
 // scenarios over every topology, a third of them under network faults,
 // a quarter carrying a relational model. It is the profile cmd/mcafuzz
-// and POST /generate use when none is supplied.
+// uses when no -profile file is given.
 func DefaultProfile() Profile {
 	return Profile{
 		Agents:          IntRange{Min: 2, Max: 4},
@@ -198,10 +202,10 @@ func (p Profile) withDefaults() Profile {
 // ranges, unknown list tokens, probabilities outside [0, 1]. Unset
 // fields (zero ranges, empty lists, zero BaseMax) are valid — they mean
 // "use the DefaultProfile value" — so partial profiles validate as
-// written. Every range also has a generous upper bound: profiles reach
-// Generate straight from a POST /generate request body, and the caps
-// are what keeps one request from building a multi-gigabyte graph or
-// CNF before any timeout can apply.
+// written. Every range also has a generous upper bound: a profile file
+// (cmd/mcafuzz -profile) reaches Generate as written, and the caps are
+// what keeps one document from building a multi-gigabyte graph or CNF
+// before any timeout can apply.
 func (p Profile) Validate() error {
 	checkRange := func(name string, r IntRange, min, max int) error {
 		if r.zero() {
@@ -286,151 +290,21 @@ func (p Profile) Validate() error {
 	return nil
 }
 
-// ---- JSON codec ----
-//
-// The profile wire format follows the scenario codec's conventions:
-// fixed field order, defaults omitted, strict decoding (unknown fields
-// and trailing data are errors). Because unset fields mean "use the
-// default", a decoded partial profile behaves exactly like the same
-// partial literal in Go.
-
-type profileJSON struct {
-	Agents          *intRangeJSON   `json:"agents,omitempty"`
-	Items           *intRangeJSON   `json:"items,omitempty"`
-	Topologies      []string        `json:"topologies,omitempty"`
-	EdgeProb        *floatRangeJSON `json:"edge_prob,omitempty"`
-	Utilities       []string        `json:"utilities,omitempty"`
-	ReleaseProb     float64         `json:"release_prob,omitempty"`
-	RebidModes      []string        `json:"rebid_modes,omitempty"`
-	BidsPerRoundMax int             `json:"bids_per_round_max,omitempty"`
-	BaseMax         int64           `json:"base_max,omitempty"`
-	TargetFull      float64         `json:"target_full,omitempty"`
-	DuplicateProb   float64         `json:"duplicate_prob,omitempty"`
-	QueueDepths     []int           `json:"queue_depths,omitempty"`
-	MaxStates       *intRangeJSON   `json:"max_states,omitempty"`
-	FaultProb       float64         `json:"fault_prob,omitempty"`
-	DropMax         float64         `json:"drop_max,omitempty"`
-	DelayMax        int             `json:"delay_max,omitempty"`
-	PartitionProb   float64         `json:"partition_prob,omitempty"`
-	HealAfterMax    int             `json:"heal_after_max,omitempty"`
-	DupMax          float64         `json:"dup_max,omitempty"`
-	ReorderMax      int             `json:"reorder_max,omitempty"`
-	ModelProb       float64         `json:"model_prob,omitempty"`
-	ModelEncodings  []string        `json:"model_encodings,omitempty"`
-	ModelStates     *intRangeJSON   `json:"model_states,omitempty"`
-	ModelMsgs       *intRangeJSON   `json:"model_msgs,omitempty"`
-}
-
-type intRangeJSON struct {
-	Min int `json:"min"`
-	Max int `json:"max"`
-}
-
-type floatRangeJSON struct {
-	Min float64 `json:"min"`
-	Max float64 `json:"max"`
-}
-
-func intRangeToWire(r IntRange) *intRangeJSON {
-	if r.zero() {
-		return nil
-	}
-	return &intRangeJSON{Min: r.Min, Max: r.Max}
-}
-
-func floatRangeToWire(r FloatRange) *floatRangeJSON {
-	if r.zero() {
-		return nil
-	}
-	return &floatRangeJSON{Min: r.Min, Max: r.Max}
-}
-
-// EncodeProfile renders the profile as JSON in the codec's fixed field
-// order, omitting unset fields (which decode back as defaults).
-func EncodeProfile(p *Profile) ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	w := profileJSON{
-		Agents:          intRangeToWire(p.Agents),
-		Items:           intRangeToWire(p.Items),
-		Topologies:      p.Topologies,
-		EdgeProb:        floatRangeToWire(p.EdgeProb),
-		Utilities:       p.Utilities,
-		ReleaseProb:     p.ReleaseProb,
-		RebidModes:      p.RebidModes,
-		BidsPerRoundMax: p.BidsPerRoundMax,
-		BaseMax:         p.BaseMax,
-		TargetFull:      p.TargetFull,
-		DuplicateProb:   p.DuplicateProb,
-		QueueDepths:     p.QueueDepths,
-		MaxStates:       intRangeToWire(p.MaxStates),
-		FaultProb:       p.FaultProb,
-		DropMax:         p.DropMax,
-		DelayMax:        p.DelayMax,
-		PartitionProb:   p.PartitionProb,
-		HealAfterMax:    p.HealAfterMax,
-		DupMax:          p.DupMax,
-		ReorderMax:      p.ReorderMax,
-		ModelProb:       p.ModelProb,
-		ModelEncodings:  p.ModelEncodings,
-		ModelStates:     intRangeToWire(p.ModelStates),
-		ModelMsgs:       intRangeToWire(p.ModelMsgs),
-	}
-	return json.Marshal(w)
-}
-
-// DecodeProfile strictly parses a profile document: unknown fields and
-// trailing data are errors, and the decoded profile is validated.
-// Absent fields decode as unset, with Profile's semantics: structural
-// fields then default, probabilities stay zero.
+// DecodeProfile strictly parses a profile document, the Profile fields
+// under their JSON names: unknown fields and trailing data are errors,
+// and the decoded profile is validated. Absent fields decode as unset,
+// with Profile's semantics: structural fields then default,
+// probabilities stay zero. A partial document therefore behaves exactly
+// like the same partial literal in Go.
 func DecodeProfile(data []byte) (Profile, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var w profileJSON
-	if err := dec.Decode(&w); err != nil {
+	var p Profile
+	if err := dec.Decode(&p); err != nil {
 		return Profile{}, fmt.Errorf("gen: profile: %w", err)
 	}
 	if dec.More() {
 		return Profile{}, errors.New("gen: profile: trailing data after JSON document")
-	}
-	p := Profile{
-		Topologies:      w.Topologies,
-		Utilities:       w.Utilities,
-		ReleaseProb:     w.ReleaseProb,
-		RebidModes:      w.RebidModes,
-		BidsPerRoundMax: w.BidsPerRoundMax,
-		BaseMax:         w.BaseMax,
-		TargetFull:      w.TargetFull,
-		DuplicateProb:   w.DuplicateProb,
-		QueueDepths:     w.QueueDepths,
-		FaultProb:       w.FaultProb,
-		DropMax:         w.DropMax,
-		DelayMax:        w.DelayMax,
-		PartitionProb:   w.PartitionProb,
-		HealAfterMax:    w.HealAfterMax,
-		DupMax:          w.DupMax,
-		ReorderMax:      w.ReorderMax,
-		ModelProb:       w.ModelProb,
-		ModelEncodings:  w.ModelEncodings,
-	}
-	if w.Agents != nil {
-		p.Agents = IntRange{Min: w.Agents.Min, Max: w.Agents.Max}
-	}
-	if w.Items != nil {
-		p.Items = IntRange{Min: w.Items.Min, Max: w.Items.Max}
-	}
-	if w.EdgeProb != nil {
-		p.EdgeProb = FloatRange{Min: w.EdgeProb.Min, Max: w.EdgeProb.Max}
-	}
-	if w.MaxStates != nil {
-		p.MaxStates = IntRange{Min: w.MaxStates.Min, Max: w.MaxStates.Max}
-	}
-	if w.ModelStates != nil {
-		p.ModelStates = IntRange{Min: w.ModelStates.Min, Max: w.ModelStates.Max}
-	}
-	if w.ModelMsgs != nil {
-		p.ModelMsgs = IntRange{Min: w.ModelMsgs.Min, Max: w.ModelMsgs.Max}
 	}
 	if err := p.Validate(); err != nil {
 		return Profile{}, err
