@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,25 +13,36 @@ import (
 	"repro/internal/explore"
 )
 
-// captureStderr runs fn with os.Stderr redirected to a pipe and
-// returns what it wrote. run() prints operator-facing diagnostics
-// there, and the corrupt-checkpoint hint is part of the contract.
-func captureStderr(t *testing.T, fn func()) string {
+// runCaptured runs mcacheck with args and returns its exit code and
+// what it wrote to stdout and stderr. run() prints operator-facing
+// diagnostics on stderr, and the corrupt-checkpoint hint is part of
+// the contract.
+func runCaptured(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
+	var files [2]*os.File
+	for i := range files {
+		f, err := os.CreateTemp(t.TempDir(), "out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		files[i] = f
 	}
-	old := os.Stderr
-	os.Stderr = w
-	defer func() { os.Stderr = old }()
-	fn()
-	w.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = files[0], files[1]
+	func() {
+		defer func() { os.Stdout, os.Stderr = oldOut, oldErr }()
+		code = run(args)
+	}()
+	var out [2]string
+	for i, f := range files {
+		data, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = string(data)
 	}
-	return string(out)
+	return code, out[0], out[1]
 }
 
 // cappedRunArgs is a scenario that trips the -maxstates cap so a
@@ -65,10 +75,7 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 	if err := os.WriteFile(cp, []byte("not a checkpoint at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var code int
-	out := captureStderr(t, func() {
-		code = run([]string{"-resume", cp, "-trace=false"})
-	})
+	code, _, out := runCaptured(t, "-resume", cp, "-trace=false")
 	if code != 2 {
 		t.Fatalf("corrupt resume exit = %d, want 2", code)
 	}
@@ -106,10 +113,7 @@ func TestResumeRefusesCheckpointOfOlderBinary(t *testing.T) {
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var code int
-	out := captureStderr(t, func() {
-		code = run([]string{"-resume", path, "-maxstates", "500000", "-trace=false"})
-	})
+	code, _, out := runCaptured(t, "-resume", path, "-maxstates", "500000", "-trace=false")
 	if code != 2 {
 		t.Fatalf("resume from an older binary's checkpoint exit = %d, want 2", code)
 	}
@@ -167,10 +171,7 @@ func TestResumeRefusesCraftedRunState(t *testing.T) {
 			if err := os.WriteFile(path, enc, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			var code int
-			out := captureStderr(t, func() {
-				code = run([]string{"-resume", path, "-maxstates", "500000", "-trace=false"})
-			})
+			code, _, out := runCaptured(t, "-resume", path, "-maxstates", "500000", "-trace=false")
 			if code != 2 {
 				t.Fatalf("resume from a crafted run state exit = %d, want 2", code)
 			}
@@ -208,10 +209,7 @@ func TestChaosCheckpointWriteDegradesOnResume(t *testing.T) {
 	if code := run(args); code != 3 {
 		t.Fatalf("capped chaos run exit = %d, want 3", code)
 	}
-	var code int
-	out := captureStderr(t, func() {
-		code = run([]string{"-resume", cp, "-maxstates", "500000", "-trace=false"})
-	})
+	code, _, out := runCaptured(t, "-resume", cp, "-maxstates", "500000", "-trace=false")
 	if code != 2 {
 		t.Fatalf("resume from mangled checkpoint exit = %d, want 2", code)
 	}
@@ -220,10 +218,17 @@ func TestChaosCheckpointWriteDegradesOnResume(t *testing.T) {
 	}
 }
 
+// TestChaosSpecErrorsExitCleanly: a bad spec on a run that writes a
+// checkpoint is a spec error; on a run that writes none, -chaos itself
+// is refused.
 func TestChaosSpecErrorsExitCleanly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
 	for _, spec := range []string{"crash=2", "bogus=1", "flip"} {
-		if code := run([]string{"-chaos", spec, "-trace=false"}); code != 2 {
-			t.Fatalf("spec %q exit = %d, want 2", spec, code)
+		if code, _, stderr := runCaptured(t, append(cappedRunArgs(path), "-chaos", spec)...); code != 2 || !strings.Contains(stderr, "mcacheck: chaos: ") {
+			t.Fatalf("spec %q exit = %d, stderr %q; want 2 and the spec error", spec, code, stderr)
+		}
+		if code, _, stderr := runCaptured(t, "-chaos", spec, "-trace=false"); code != 2 || !strings.Contains(stderr, "-chaos does not apply") {
+			t.Fatalf("spec %q without a checkpoint: exit = %d, stderr %q; want 2 naming -chaos", spec, code, stderr)
 		}
 	}
 }

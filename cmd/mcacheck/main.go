@@ -8,18 +8,32 @@
 // Usage:
 //
 //	mcacheck -agents 2 -items 2 -topology complete \
-//	         -utility nonsubmodular -release -rebid onchange
+//	         -utility non-submodular-synergy -release -rebid on-change
 //	mcacheck -workers 8                    # sharded parallel frontier
 //	mcacheck -drop 0.2 -delay 3 -runs 32   # fault-model simulation
 //	mcacheck -timeout 30s                  # deadline on the search
-//	mcacheck -sweep          # the Result 1 policy matrix
 //	mcacheck -scenario examples/scenarios/line3.json   # scenario file
+//	mcacheck -workers 4 -maxstates 1000 -checkpoint run.ckpt
+//	mcacheck -resume run.ckpt -maxstates 500000
 //
-// With -scenario the check runs a saved scenario document (the JSON
-// format of docs/SCENARIO_FORMAT.md) instead of building one from
-// flags; the natural engine is picked per scenario (SAT for relational
-// models, simulation for probabilistic faults, explicit otherwise) and
-// -workers/-timeout still apply.
+// A run is one pipeline. The scenario comes from exactly one source:
+// the flags, a scenario document (-scenario, the JSON format of
+// docs/SCENARIO_FORMAT.md) or a checkpoint (-resume). engine.Auto picks
+// the engine: SAT for relational models, simulation for probabilistic
+// or timed faults, explicit otherwise. The run flags that engine reads
+// overlay the scenario: a flag-built scenario takes every flag,
+// defaults included; a document or checkpoint takes only the flags set
+// on the command line, and untouched defaults defer to it. One call
+// verifies, resumably when -checkpoint or -resume is given.
+//
+// A flag set on the command line that the run does not read is an
+// error naming it (exit 2), never a silent no-op. The scenario-shaping
+// flags (-agents -items -topology -utility -release -rebid -target
+// -drop -delay -store -storebits) shape only a flag-built scenario;
+// -runs, and -seed of a document, only a simulation; -maxstates only
+// the explicit engine; -spilldir, -spillstates, -checkpoint, -resume
+// and -chaos only the sharded frontier. The policy tokens are the
+// document's (on-change, submodular-residual, hash-compact, …).
 package main
 
 import (
@@ -28,6 +42,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
+	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/engine"
@@ -42,206 +58,284 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
+// cmdline is mcacheck's command line: the flag values, which flags were
+// set, and which the run has read so far.
+type cmdline struct {
+	fs        *flag.FlagSet
+	set, read map[string]bool
+	// built is set once the scenario is built from flags, which then
+	// all apply, defaults included.
+	built bool
+
+	// The scenario's shape: read only when it is built from flags.
+	agents, items, target, delay, storeBits int
+	seed                                    int64
+	drop                                    float64
+	release                                 bool
+	topology                                graph.Topology
+	utility                                 mca.Utility
+	rebid                                   mca.RebidMode
+	store                                   explore.StoreKind
+
+	// The source and the run.
+	scenario, resume, checkpoint, spillDir, chaos string
+	maxStates, workers, spillStates, runs         int
+	timeout                                       time.Duration
+	trace                                         bool
+	cpuProfile, memProfile                        string
+}
+
+// utilities maps the -utility tokens, the document's utility kinds, to
+// the utilities with their default parameters.
+var utilities = map[string]mca.Utility{
+	mca.KindSubmodularResidual:   mca.SubmodularResidual{},
+	mca.KindNonSubmodularSynergy: mca.NonSubmodularSynergy{},
+	mca.KindFlat:                 mca.FlatUtility{},
+	mca.KindEscalatingAttack:     mca.EscalatingUtility{},
+}
+
+func newCmdline() *cmdline {
+	c := &cmdline{
+		fs:       flag.NewFlagSet("mcacheck", flag.ContinueOnError),
+		set:      map[string]bool{},
+		read:     map[string]bool{},
+		topology: graph.TopologyComplete,
+		utility:  mca.SubmodularResidual{},
+		rebid:    mca.RebidOnChange,
+	}
+	fs := c.fs
+	fs.IntVar(&c.agents, "agents", 2, "number of agents")
+	fs.IntVar(&c.items, "items", 2, "number of items on auction")
+	fs.Func("topology", "agent network: line|ring|star|complete|random (default complete)", func(s string) error {
+		return c.topology.UnmarshalText([]byte(s))
+	})
+	fs.Int64Var(&c.seed, "seed", 1, "seed for valuations and random topology, and of a simulation's runs")
+	fs.Func("utility", "utility policy p_u: "+strings.Join(mca.UtilityKinds, "|")+" (default "+mca.KindSubmodularResidual+")", func(s string) error {
+		u, ok := utilities[s]
+		if !ok {
+			return fmt.Errorf("unknown utility kind %q (want %s)", s, strings.Join(mca.UtilityKinds, "|"))
+		}
+		c.utility = u
+		return nil
+	})
+	fs.BoolVar(&c.release, "release", true, "release-outbid policy p_RO")
+	fs.Func("rebid", "Remark 1 rebid rule: on-change|never|always (default on-change)", func(s string) error {
+		return c.rebid.UnmarshalText([]byte(s))
+	})
+	fs.IntVar(&c.target, "target", 0, "target bundle size p_T (0 = number of items)")
+	fs.IntVar(&c.maxStates, "maxstates", 500000, "state exploration budget (explicit engine)")
+	fs.IntVar(&c.workers, "workers", 0, "0 = serial DFS; N or -1 (per CPU) = sharded parallel frontier (or SAT portfolio members)")
+	fs.Func("store", "lossy seen-set store: bitstate|hash-compact (default: the exact store; lossy modes trade a bounded miss probability for memory; serial DFS only)", func(s string) error {
+		return c.store.UnmarshalText([]byte(s))
+	})
+	fs.IntVar(&c.storeBits, "storebits", 0, "log2 size of the lossy seen-set store (0 = the mode's default; needs -store)")
+	fs.StringVar(&c.spillDir, "spilldir", "", "spill sealed state tables to sorted disk segments under this directory (parallel frontier only)")
+	fs.IntVar(&c.spillStates, "spillstates", 0, "per-shard sealed-entry threshold that triggers a disk spill (0 = default; needs -spilldir)")
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "write a resumable checkpoint to this file when the run stops on the -maxstates budget (parallel frontier only)")
+	fs.StringVar(&c.resume, "resume", "", "resume a capped run from a checkpoint file; the scenario comes from the checkpoint (combine with a raised -maxstates)")
+	fs.Float64Var(&c.drop, "drop", 0, "message drop probability (switches to seeded simulation)")
+	fs.IntVar(&c.delay, "delay", 0, "message delivery delay in ticks (switches to seeded simulation)")
+	fs.IntVar(&c.runs, "runs", 32, "simulated executions when a probabilistic/timed fault model is set")
+	fs.DurationVar(&c.timeout, "timeout", 0, "abort the check after this long (0 = no deadline)")
+	fs.StringVar(&c.scenario, "scenario", "", "verify a scenario JSON file (docs/SCENARIO_FORMAT.md) instead of building one from flags")
+	fs.BoolVar(&c.trace, "trace", true, "print the counterexample trace on failure")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
+	fs.StringVar(&c.chaos, "chaos", "", "arm seeded fault injection on checkpoint writes (internal/chaos spec, e.g. \"seed=1,partial=0.5,flip=0.5\"); for failure-semantics testing only")
+	return c
+}
+
+// mark records the named flags as read.
+func (c *cmdline) mark(names ...string) {
+	for _, name := range names {
+		c.read[name] = true
+	}
+}
+
+// take marks the named flag read and reports whether its value
+// overlays the scenario: always for a flag-built scenario, otherwise
+// only when the flag was set on the command line.
+func (c *cmdline) take(name string) bool {
+	c.mark(name)
+	return c.built || c.set[name]
+}
+
+// unread returns the first flag set on the command line that the run
+// did not read, or "".
+func (c *cmdline) unread() (name string) {
+	c.fs.Visit(func(f *flag.Flag) {
+		if name == "" && !c.read[f.Name] {
+			name = f.Name
+		}
+	})
+	return name
+}
+
 func run(args []string) int {
-	fs := flag.NewFlagSet("mcacheck", flag.ContinueOnError)
-	agents := fs.Int("agents", 2, "number of agents")
-	items := fs.Int("items", 2, "number of items on auction")
-	topology := fs.String("topology", "complete", "agent network: line|ring|star|complete|random")
-	seed := fs.Int64("seed", 1, "seed for valuations and random topology")
-	utility := fs.String("utility", "submodular", "utility policy p_u: submodular|nonsubmodular|flat|escalating")
-	release := fs.Bool("release", true, "release-outbid policy p_RO")
-	rebid := fs.String("rebid", "onchange", "Remark 1 rebid rule: onchange|never|always")
-	target := fs.Int("target", 0, "target bundle size p_T (0 = number of items)")
-	maxStates := fs.Int("maxstates", 500000, "state exploration budget")
-	workers := fs.Int("workers", 0, "0 = serial DFS; N or -1 (per CPU) = sharded parallel frontier")
-	storeName := fs.String("store", "exact", "seen-set store: exact|bitstate|hashcompact (lossy modes trade a bounded miss probability for memory; serial DFS only)")
-	storeBits := fs.Int("storebits", 0, "log2 size of the lossy seen-set store (0 = the mode's default)")
-	spillDir := fs.String("spilldir", "", "spill sealed state tables to sorted disk segments under this directory (parallel frontier only)")
-	spillStates := fs.Int("spillstates", 0, "per-shard sealed-entry threshold that triggers a disk spill (0 = default; needs -spilldir)")
-	checkpointFile := fs.String("checkpoint", "", "write a resumable checkpoint to this file when the run stops on the -maxstates budget (parallel frontier only)")
-	resumeFile := fs.String("resume", "", "resume a capped run from a checkpoint file; the scenario comes from the checkpoint (combine with a raised -maxstates)")
-	drop := fs.Float64("drop", 0, "message drop probability (switches to seeded simulation)")
-	delay := fs.Int("delay", 0, "message delivery delay in ticks (switches to seeded simulation)")
-	runs := fs.Int("runs", 32, "simulated executions when a probabilistic/timed fault model is set")
-	timeout := fs.Duration("timeout", 0, "abort the check after this long (0 = no deadline)")
-	sweep := fs.Bool("sweep", false, "run the Result 1 policy sweep instead of a single check")
-	scenarioFile := fs.String("scenario", "", "verify a scenario JSON file (docs/SCENARIO_FORMAT.md) instead of building one from flags")
-	showTrace := fs.Bool("trace", true, "print the counterexample trace on failure")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
-	chaosSpec := fs.String("chaos", "", "arm seeded fault injection on checkpoint writes (internal/chaos spec, e.g. \"seed=1,partial=0.5,flip=0.5\"); for failure-semantics testing only")
-	if err := fs.Parse(args); err != nil {
+	c := newCmdline()
+	if err := c.fs.Parse(args); err != nil {
 		return 2
 	}
+	c.fs.Visit(func(f *flag.Flag) { c.set[f.Name] = true })
+
+	// 1. Source: exactly one of the flags, -scenario and -resume.
+	var (
+		s      engine.Scenario
+		prior  *engine.Checkpoint
+		head   string
+		source string
+	)
+	switch {
+	case c.scenario != "" && c.resume != "":
+		fmt.Fprintln(os.Stderr, "mcacheck: -scenario and -resume are two scenario sources; pass one")
+		return 2
+	case c.resume != "":
+		source = "-resume"
+		data, err := os.ReadFile(c.resume)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
+		if prior, err = engine.DecodeCheckpoint(data); err != nil {
+			return refuseCheckpoint(c.resume, err)
+		}
+		s = prior.Scenario
+		head = fmt.Sprintf("resuming scenario %q from %s", s.Name, c.resume)
+	case c.scenario != "":
+		source = "-scenario"
+		c.mark("scenario")
+		data, err := os.ReadFile(c.scenario)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
+		if s, err = engine.DecodeScenario(data); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
+		head = fmt.Sprintf("checking scenario %q from %s", s.Name, c.scenario)
+	default:
+		source = "flags"
+		c.built = true
+		c.mark("agents", "items", "topology", "seed", "utility", "release", "rebid", "target", "drop", "delay", "store")
+		target := c.target
+		if target <= 0 {
+			target = c.items
+		}
+		pol := mca.Policy{Target: target, Utility: c.utility, ReleaseOutbid: c.release, Rebid: c.rebid}
+		specs, err := buildSpecs(c.agents, c.items, pol, c.seed)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
+		s = engine.Scenario{
+			Name:       "mcacheck",
+			AgentSpecs: specs,
+			Graph:      graph.Build(c.topology, c.agents, c.seed),
+			Explore:    explore.Options{Store: c.store},
+			Faults:     netsim.Faults{Drop: c.drop, Delay: c.delay},
+		}
+		if c.store != explore.StoreExact && c.take("storebits") {
+			s.Explore.StoreBits = c.storeBits
+		}
+		head = fmt.Sprintf("checking consensus: %d agents (%s), %d items, p_u=%s p_RO=%v rebid=%s",
+			c.agents, c.topology, c.items, c.utility.Name(), c.release, c.rebid)
+	}
+
+	// 2. Engine and overlay: Auto routes the scenario, and the flags the
+	// chosen engine reads overlay it.
+	workers := 0
+	if prior != nil {
+		workers = prior.Workers
+	}
+	if c.built || c.set["workers"] {
+		workers = c.workers
+	}
+	eng := engine.Auto{Workers: workers}.EngineFor(s)
+	resumable := false
+	switch e := eng.(type) {
+	case engine.Explicit:
+		c.mark("workers")
+		if c.take("maxstates") {
+			s.Explore.MaxStates = c.maxStates
+		}
+		if e.Workers != 0 { // the sharded frontier: spill and checkpoints
+			if c.take("spilldir") {
+				s.Explore.SpillDir = c.spillDir
+			}
+			if s.Explore.SpillDir != "" && c.take("spillstates") {
+				s.Explore.SpillStates = c.spillStates
+			}
+			c.mark("checkpoint", "resume")
+			resumable = c.checkpoint != "" || prior != nil
+		}
+	case engine.SAT:
+		c.mark("workers")
+	case engine.Simulation:
+		if c.take("runs") {
+			e.Runs = c.runs
+		}
+		if c.take("seed") {
+			e.Seed = c.seed
+		}
+		eng = e
+	}
 	var injector *chaos.Injector
-	if *chaosSpec != "" {
-		cfg, err := chaos.ParseSpec(*chaosSpec)
+	if resumable && c.take("chaos") && c.chaos != "" {
+		cfg, err := chaos.ParseSpec(c.chaos)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mcacheck:", err)
 			return 2
 		}
 		injector = chaos.New(cfg)
 	}
-	stopProfiling, err := profiling.Start(*cpuProfile, *memProfile)
+	c.mark("timeout", "trace", "cpuprofile", "memprofile")
+	if name := c.unread(); name != "" {
+		fmt.Fprintf(os.Stderr, "mcacheck: -%s does not apply to this run (scenario from %s, engine %s)\n", name, source, eng.Name())
+		return 2
+	}
+
+	// 3. Verify: one call, resumable when a checkpoint is read or asked for.
+	stopProfiling, err := profiling.Start(c.cpuProfile, c.memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mcacheck:", err)
 		return 2
 	}
 	defer stopProfiling()
-
 	ctx := context.Background()
-	if *timeout > 0 {
+	if c.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
-
-	// Flags explicitly set on the command line override values a resumed
-	// checkpoint carries; untouched defaults defer to the checkpoint.
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	if *sweep {
-		return runSweep(ctx, *agents, *items, *seed, *maxStates)
-	}
-	if *resumeFile != "" {
-		return runResume(ctx, resumeOptions{
-			path:           *resumeFile,
-			checkpointFile: *checkpointFile,
-			workers:        *workers,
-			maxStates:      *maxStates,
-			setWorkers:     explicit["workers"],
-			setMaxStates:   explicit["maxstates"],
-			spillDir:       *spillDir,
-			spillStates:    *spillStates,
-			showTrace:      *showTrace,
-			injector:       injector,
-		})
-	}
-	if *scenarioFile != "" {
-		return runScenarioFile(ctx, *scenarioFile, *workers, *checkpointFile, *showTrace, injector)
-	}
-
-	util, err := parseUtility(*utility)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	rb, err := parseRebid(*rebid)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	tp, err := parseTopology(*topology)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	tgt := *target
-	if tgt <= 0 {
-		tgt = *items
-	}
-	pol := mca.Policy{Target: tgt, Utility: util, ReleaseOutbid: *release, Rebid: rb}
-	g := graph.Build(tp, *agents, *seed)
-	specs, err := buildSpecs(*agents, *items, pol, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-
-	store, err := parseStore(*storeName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-
-	scenario := engine.Scenario{
-		Name:       "mcacheck",
-		AgentSpecs: specs,
-		Graph:      g,
-		Explore: explore.Options{
-			MaxStates:   *maxStates,
-			Store:       store,
-			StoreBits:   *storeBits,
-			SpillDir:    *spillDir,
-			SpillStates: *spillStates,
-		},
-		Faults: netsim.Faults{Drop: *drop, Delay: *delay},
-	}
-	var eng engine.Engine = engine.Explicit{Workers: *workers}
-	if !scenario.Faults.None() {
-		eng = engine.Simulation{Runs: *runs, Seed: *seed}
-	}
-
-	fmt.Printf("checking consensus: %d agents (%s), %d items, p_u=%s p_RO=%v rebid=%s engine=%s\n",
-		*agents, tp, *items, util.Name(), *release, rb, eng.Name())
-	if *checkpointFile != "" && scenario.Faults.None() {
-		res, next := engine.Explicit{Workers: *workers}.VerifyResumable(ctx, scenario, nil)
-		writeCheckpoint(*checkpointFile, next, injector)
-		return report(res, *showTrace)
-	}
-	return report(eng.Verify(ctx, scenario), *showTrace)
-}
-
-// resumeOptions carries the resume invocation's flag state.
-type resumeOptions struct {
-	path           string
-	checkpointFile string
-	workers        int
-	maxStates      int
-	setWorkers     bool
-	setMaxStates   bool
-	spillDir       string
-	spillStates    int
-	showTrace      bool
-	injector       *chaos.Injector
-}
-
-// runResume continues a capped run from a checkpoint file. The scenario
-// comes from the checkpoint; explicitly-passed -maxstates and -workers
-// override the checkpointed values (raising the state budget is the
-// point), untouched defaults defer to them.
-func runResume(ctx context.Context, o resumeOptions) int {
-	data, err := os.ReadFile(o.path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	// Damage shows at decode, or when the resume restores the run state.
-	refuse := func(err error) int {
-		fmt.Fprintln(os.Stderr, err)
-		if errors.Is(err, engine.ErrCorruptCheckpoint) || errors.Is(err, explore.ErrCorruptRunState) {
-			fmt.Fprintf(os.Stderr, "mcacheck: checkpoint %s is corrupt or truncated; delete it and re-verify from scratch (run without -resume)\n", o.path)
+	fmt.Printf("%s engine=%s\n", head, eng.Name())
+	var res engine.Result
+	if resumable {
+		var next *engine.Checkpoint
+		res, next = eng.(engine.Explicit).VerifyResumable(ctx, s, prior)
+		if prior != nil && errors.Is(res.Err, explore.ErrCorruptRunState) {
+			return refuseCheckpoint(c.resume, res.Err)
 		}
-		return 2
+		out := c.checkpoint
+		if out == "" {
+			out = c.resume // refresh the checkpoint in place on a re-cap
+		}
+		writeCheckpoint(out, next, injector)
+	} else {
+		res = eng.Verify(ctx, s)
 	}
-	cp, err := engine.DecodeCheckpoint(data)
-	if err != nil {
-		return refuse(err)
+	return report(res, c.trace)
+}
+
+// refuseCheckpoint reports a checkpoint that cannot be resumed. Damage
+// shows at decode, or when the resume restores the run state; either
+// way the file is of no further use.
+func refuseCheckpoint(path string, err error) int {
+	fmt.Fprintln(os.Stderr, err)
+	if errors.Is(err, engine.ErrCorruptCheckpoint) || errors.Is(err, explore.ErrCorruptRunState) {
+		fmt.Fprintf(os.Stderr, "mcacheck: checkpoint %s is corrupt or truncated; delete it and re-verify from scratch (run without -resume)\n", path)
 	}
-	s := cp.Scenario
-	if o.setMaxStates {
-		s.Explore.MaxStates = o.maxStates
-	}
-	s.Explore.SpillDir = o.spillDir
-	s.Explore.SpillStates = o.spillStates
-	workers := cp.Workers
-	if o.setWorkers {
-		workers = o.workers
-	}
-	eng := engine.Explicit{Workers: workers}
-	fmt.Printf("resuming scenario %q from %s (engine=%s, maxstates=%d)\n",
-		s.Name, o.path, eng.Name(), s.Explore.MaxStates)
-	res, next := eng.VerifyResumable(ctx, s, cp)
-	if errors.Is(res.Err, explore.ErrCorruptRunState) {
-		return refuse(res.Err)
-	}
-	out := o.checkpointFile
-	if out == "" {
-		out = o.path // refresh the checkpoint in place on a re-cap
-	}
-	writeCheckpoint(out, next, o.injector)
-	return report(res, o.showTrace)
+	return 2
 }
 
 // writeCheckpoint persists a capped run's checkpoint (no-op for nil:
@@ -263,35 +357,6 @@ func writeCheckpoint(path string, cp *engine.Checkpoint, injector *chaos.Injecto
 		return
 	}
 	fmt.Fprintf(os.Stderr, "mcacheck: run capped; checkpoint written to %s (resume with -resume %s -maxstates N)\n", path, path)
-}
-
-// runScenarioFile verifies a saved scenario document on its natural
-// engine.
-func runScenarioFile(ctx context.Context, path string, workers int, checkpointFile string, showTrace bool, injector *chaos.Injector) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	scenario, err := engine.DecodeScenario(data)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	eng := engine.Auto{Workers: workers}
-	fmt.Printf("checking scenario %q from %s (engine=%s)\n",
-		scenario.Name, path, eng.EngineFor(scenario).Name())
-	if checkpointFile != "" {
-		ex, ok := eng.EngineFor(scenario).(engine.Explicit)
-		if !ok {
-			fmt.Fprintln(os.Stderr, "mcacheck: -checkpoint applies only to explicit-state scenarios")
-			return 2
-		}
-		res, next := ex.VerifyResumable(ctx, scenario, nil)
-		writeCheckpoint(checkpointFile, next, injector)
-		return report(res, showTrace)
-	}
-	return report(eng.Verify(ctx, scenario), showTrace)
 }
 
 // report prints a unified result in mcacheck's output format and maps
@@ -347,52 +412,6 @@ func report(res engine.Result, showTrace bool) int {
 	return 1
 }
 
-// runSweep reproduces Result 1 as a batch-runner workload: every policy
-// combination becomes one scenario, verified on the worker pool.
-func runSweep(ctx context.Context, agents, items int, seed int64, maxStates int) int {
-	type combo struct {
-		util mca.Utility
-		rel  bool
-	}
-	var combos []combo
-	for _, u := range []mca.Utility{mca.SubmodularResidual{}, mca.NonSubmodularSynergy{}} {
-		for _, rel := range []bool{false, true} {
-			combos = append(combos, combo{u, rel})
-		}
-	}
-	scenarios := make([]engine.Scenario, len(combos))
-	for i, c := range combos {
-		pol := mca.Policy{Target: items, Utility: c.util, ReleaseOutbid: c.rel, Rebid: mca.RebidOnChange}
-		specs, err := buildSpecs(agents, items, pol, seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		scenarios[i] = engine.Scenario{
-			Name:       fmt.Sprintf("%s/p_RO=%v", c.util.Name(), c.rel),
-			AgentSpecs: specs,
-			Graph:      graph.Complete(agents),
-			Explore:    explore.Options{MaxStates: maxStates},
-		}
-	}
-	results, _ := engine.NewRunner(engine.RunnerOptions{}).Run(ctx, scenarios)
-
-	fmt.Printf("Result 1 policy sweep (%d agents, %d items, complete graph):\n", agents, items)
-	fmt.Printf("%-26s %-10s %-12s %s\n", "utility (p_u)", "p_RO", "verdict", "violation")
-	code := 0
-	for i, res := range results {
-		verdict := "converges"
-		if res.Status != engine.StatusHolds {
-			verdict = "FAILS"
-			if combos[i].util.Submodular() || !combos[i].rel {
-				code = 1 // unexpected failure
-			}
-		}
-		fmt.Printf("%-26s %-10v %-12s %v\n", combos[i].util.Name(), combos[i].rel, verdict, res.Violation)
-	}
-	return code
-}
-
 // buildSpecs creates mirrored antisymmetric valuations (the Fig. 2
 // pattern generalized) so that conflicts genuinely arise.
 func buildSpecs(n, items int, pol mca.Policy, seed int64) ([]mca.Config, error) {
@@ -409,52 +428,4 @@ func buildSpecs(n, items int, pol mca.Policy, seed int64) ([]mca.Config, error) 
 		out[i] = cfg
 	}
 	return out, nil
-}
-
-func parseUtility(s string) (mca.Utility, error) {
-	switch s {
-	case "submodular":
-		return mca.SubmodularResidual{}, nil
-	case "nonsubmodular":
-		return mca.NonSubmodularSynergy{}, nil
-	case "flat":
-		return mca.FlatUtility{}, nil
-	case "escalating":
-		return mca.EscalatingUtility{}, nil
-	default:
-		return nil, fmt.Errorf("unknown utility %q", s)
-	}
-}
-
-func parseStore(s string) (explore.StoreKind, error) {
-	switch s {
-	case "exact":
-		return explore.StoreExact, nil
-	case "bitstate":
-		return explore.StoreBitstate, nil
-	case "hashcompact":
-		return explore.StoreHashCompact, nil
-	default:
-		return 0, fmt.Errorf("unknown store %q (want exact|bitstate|hashcompact)", s)
-	}
-}
-
-func parseRebid(s string) (mca.RebidMode, error) {
-	switch s {
-	case "onchange":
-		return mca.RebidOnChange, nil
-	case "never":
-		return mca.RebidNever, nil
-	case "always":
-		return mca.RebidAlways, nil
-	default:
-		return 0, fmt.Errorf("unknown rebid mode %q", s)
-	}
-}
-
-// parseTopology reads -topology, whose spellings are graph's own tokens.
-func parseTopology(s string) (graph.Topology, error) {
-	var t graph.Topology
-	err := t.UnmarshalText([]byte(s))
-	return t, err
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,73 +12,83 @@ import (
 	"repro/internal/mca"
 )
 
+// TestParseUtility: -utility reads the document's utility kinds, and
+// the run prints the kind it read; the old CLI spellings are refused.
 func TestParseUtility(t *testing.T) {
-	for name, sub := range map[string]bool{
-		"submodular": true, "nonsubmodular": false, "flat": true, "escalating": false,
-	} {
-		u, err := parseUtility(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if u.Submodular() != sub {
-			t.Errorf("%s: submodular = %v", name, u.Submodular())
+	for _, kind := range mca.UtilityKinds {
+		_, stdout, _ := runCaptured(t, "-utility", kind, "-maxstates", "50", "-trace=false")
+		if !strings.Contains(stdout, " p_u="+kind+" ") {
+			t.Errorf("-utility %s: header %q", kind, firstLine(stdout))
 		}
 	}
-	if _, err := parseUtility("nope"); err == nil {
-		t.Error("unknown utility accepted")
+	for _, old := range []string{"submodular", "nonsubmodular", "escalating", "nope"} {
+		if code, _, _ := runCaptured(t, "-utility", old); code != 2 {
+			t.Errorf("-utility %s: exit %d, want 2", old, code)
+		}
 	}
 }
 
 func TestParseRebid(t *testing.T) {
-	cases := map[string]mca.RebidMode{
-		"onchange": mca.RebidOnChange,
-		"never":    mca.RebidNever,
-		"always":   mca.RebidAlways,
-	}
-	for s, want := range cases {
-		got, err := parseRebid(s)
-		if err != nil || got != want {
-			t.Errorf("%s: got %v, %v", s, got, err)
+	for _, tok := range []string{"on-change", "never", "always"} {
+		_, stdout, _ := runCaptured(t, "-rebid", tok, "-maxstates", "50")
+		if !strings.Contains(stdout, " rebid=rebid-"+tok+" ") {
+			t.Errorf("-rebid %s: header %q", tok, firstLine(stdout))
 		}
 	}
-	if _, err := parseRebid("bogus"); err == nil {
-		t.Error("unknown rebid mode accepted")
+	for _, old := range []string{"onchange", "bogus"} {
+		if code, _, _ := runCaptured(t, "-rebid", old); code != 2 {
+			t.Errorf("-rebid %s: exit %d, want 2", old, code)
+		}
 	}
 }
 
 func TestParseTopology(t *testing.T) {
-	for s, want := range map[string]graph.Topology{
+	for tok, want := range map[string]graph.Topology{
 		"line": graph.TopologyLine, "ring": graph.TopologyRing,
 		"star": graph.TopologyStar, "complete": graph.TopologyComplete,
 		"random": graph.TopologyRandomConnected,
 	} {
-		got, err := parseTopology(s)
-		if err != nil || got != want {
-			t.Errorf("%s: got %v, %v", s, got, err)
+		_, stdout, _ := runCaptured(t, "-topology", tok, "-agents", "3", "-maxstates", "50")
+		if !strings.Contains(stdout, fmt.Sprintf("3 agents (%s)", want)) {
+			t.Errorf("-topology %s: header %q", tok, firstLine(stdout))
 		}
 	}
-	if _, err := parseTopology("torus"); err == nil {
+	if code, _, _ := runCaptured(t, "-topology", "torus"); code != 2 {
 		t.Error("unknown topology accepted")
 	}
 }
 
+// TestParseStore: -store reads the document's lossy-store tokens; the
+// exact store is the omitted flag, and hashcompact was the old spelling.
+func TestParseStore(t *testing.T) {
+	for _, tok := range []string{"bitstate", "hash-compact"} {
+		if code, stdout, _ := runCaptured(t, "-store", tok); code != 0 || !strings.Contains(stdout, "lossy store:") {
+			t.Errorf("-store %s: exit %d, stdout %q", tok, code, stdout)
+		}
+	}
+	for _, old := range []string{"exact", "hashcompact"} {
+		if code, _, _ := runCaptured(t, "-store", old); code != 2 {
+			t.Errorf("-store %s: exit %d, want 2", old, code)
+		}
+	}
+}
+
+func firstLine(s string) string {
+	line, _, _ := strings.Cut(s, "\n")
+	return line
+}
+
 func TestRunVerifiedCombination(t *testing.T) {
-	code := run([]string{"-agents", "2", "-items", "2", "-utility", "submodular", "-trace=false"})
+	code := run([]string{"-agents", "2", "-items", "2", "-utility", "submodular-residual", "-trace=false"})
 	if code != 0 {
 		t.Fatalf("submodular check exit = %d, want 0", code)
 	}
 }
 
 func TestRunViolatedCombination(t *testing.T) {
-	code := run([]string{"-agents", "2", "-items", "2", "-utility", "nonsubmodular", "-release", "-trace=false"})
+	code := run([]string{"-agents", "2", "-items", "2", "-utility", "non-submodular-synergy", "-release", "-trace=false"})
 	if code != 1 {
 		t.Fatalf("nonsubmodular+release exit = %d, want 1", code)
-	}
-}
-
-func TestRunSweepMatchesResult1(t *testing.T) {
-	if code := run([]string{"-sweep", "-agents", "2", "-items", "2"}); code != 0 {
-		t.Fatalf("sweep exit = %d, want 0 (expected combinations only)", code)
 	}
 }
 
@@ -177,8 +188,7 @@ func TestRunScenarioFileMalformed(t *testing.T) {
 	for _, row := range rows {
 		path := writeScenario(t, strings.Replace(string(sample), row.Old, row.New, 1))
 		for _, workers := range []string{"0", "2"} {
-			var code int
-			out := captureStderr(t, func() { code = run([]string{"-scenario", path, "-workers", workers}) })
+			code, _, out := runCaptured(t, "-scenario", path, "-workers", workers)
 			if code != 2 || strings.Count(out, "\n") != 1 || !strings.Contains(out, row.Rule) {
 				t.Errorf("%s at -workers %s: exit %d, stderr %q; want 2 and one line naming %q", row.Name, workers, code, out, row.Rule)
 			}
@@ -187,7 +197,7 @@ func TestRunScenarioFileMalformed(t *testing.T) {
 }
 
 func TestRunParallelWorkers(t *testing.T) {
-	code := run([]string{"-agents", "2", "-items", "2", "-utility", "submodular", "-workers", "2", "-trace=false"})
+	code := run([]string{"-agents", "2", "-items", "2", "-utility", "submodular-residual", "-workers", "2", "-trace=false"})
 	if code != 0 {
 		t.Fatalf("parallel check exit = %d, want 0", code)
 	}

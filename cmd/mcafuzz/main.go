@@ -12,8 +12,9 @@
 // that push an engine's state store into a new quantized shape
 // (docs/FUZZING.md, "Coverage-guided generation") join a corpus, and
 // later rounds mutate corpus entries instead of sampling blind —
-// -rounds splits the -n budget into generations, and per-round corpus
-// stats stream to stdout as the loop runs.
+// -rounds splits the -n budget into generations (without -coverage it
+// is a usage error), and per-round corpus stats stream to stdout as
+// the loop runs.
 //
 // Everything is reproducible: the same -seed yields byte-identical
 // scenarios and identical verdicts at any -workers value, so a corpus
@@ -60,7 +61,7 @@ func run(args []string, out io.Writer) int {
 	enginesSpec := fs.String("engines", "explicit,simulation,sat", "comma-separated engine panel: auto|explicit|explicit-parallel|simulation|sat|sat-portfolio")
 	workers := fs.Int("workers", 0, "scenario worker pool size (0 = one per CPU; never affects verdicts)")
 	coverage := fs.Bool("coverage", false, "coverage-guided generation: mutate scenarios that reach new store-signature buckets instead of sampling blind")
-	rounds := fs.Int("rounds", 4, "coverage-guided generations; the -n budget is split evenly across them (with -coverage)")
+	rounds := fs.Int("rounds", 4, "coverage-guided generations; the -n budget is split evenly across them (requires -coverage)")
 	shrink := fs.Bool("shrink", false, "minimize each disagreement by delta debugging before writing it")
 	outDir := fs.String("out", "", "directory for corpus files (created if absent); disagreements are always written here when set")
 	dump := fs.Bool("dump", false, "also write every generated scenario to -out, not just disagreements")
@@ -78,6 +79,12 @@ func run(args []string, out io.Writer) int {
 	defer stopProfiling()
 	if (*shrink || *dump) && *outDir == "" {
 		fmt.Fprintln(os.Stderr, "mcafuzz: -shrink and -dump write corpus files and require -out")
+		return 2
+	}
+	roundsSet := false
+	fs.Visit(func(f *flag.Flag) { roundsSet = roundsSet || f.Name == "rounds" })
+	if roundsSet && !*coverage {
+		fmt.Fprintln(os.Stderr, "mcafuzz: -rounds splits a coverage-guided run into generations and requires -coverage")
 		return 2
 	}
 

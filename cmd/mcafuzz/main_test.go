@@ -159,3 +159,25 @@ func TestMcafuzzUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundsRequiresCoverage: -rounds splits a coverage-guided run, so
+// without -coverage it is a usage error naming the flag, as -shrink and
+// -dump without -out are — not a silently ignored option.
+func TestRoundsRequiresCoverage(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stderr
+	os.Stderr = f
+	out, code := captureRun(t, []string{"-n", "1", "-rounds", "9"})
+	os.Stderr = old
+	stderr, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 2 || out != "" || !strings.Contains(string(stderr), "-rounds") {
+		t.Fatalf("-n 1 -rounds 9: exit %d, stdout %q, stderr %q; want 2 naming -rounds", code, out, stderr)
+	}
+}

@@ -20,7 +20,7 @@ func TestChaosAndBreakerMetricsExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workerSrv, _ := startRole(t, serverConfig{Role: "worker", Cache: wc, CacheCapacity: 64, FleetSlots: 2})
+	workerSrv, _ := startRole(t, serverConfig{Role: "worker", Cache: wc, FleetSlots: 2})
 
 	// Slow-only injection: every dispatch is delayed deterministically
 	// but none fail, so the sweep outcome is untouched while the

@@ -98,7 +98,7 @@ func TestFleetRolesEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peerSrv, _ := startRole(t, serverConfig{Cache: peerCache, CacheCapacity: 256, PeerCache: true})
+	peerSrv, _ := startRole(t, serverConfig{Cache: peerCache, PeerCache: true})
 
 	// startFleet boots a fresh coordinator + two workers over the shared
 	// peer. Booting it twice models a full fleet restart: the second
@@ -541,6 +541,23 @@ func TestMetricsRequestAccounting(t *testing.T) {
 	} {
 		if !strings.Contains(body, line) {
 			t.Fatalf("/metrics missing %q:\n%s", line, body)
+		}
+	}
+}
+
+// TestMetricsReportTheCacheCapacity: the capacity gauge reads the
+// cache, not the -cachesize flag. A zero capacity is the cache's
+// default of 4096 entries, a negative one is unbounded (0 on the gauge).
+func TestMetricsReportTheCacheCapacity(t *testing.T) {
+	for capacity, want := range map[int]string{0: "4096", -1: "0", 64: "64"} {
+		c, err := cache.New(cache.Options{Capacity: capacity})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, _ := startRole(t, serverConfig{Cache: c})
+		_, body := getBody(t, srv.URL+"/metrics")
+		if line := "\nmcaserved_cache_capacity " + want + "\n"; !strings.Contains(body, line) {
+			t.Errorf("cache capacity %d: /metrics lacks %q:\n%s", capacity, line[1:], body)
 		}
 	}
 }

@@ -142,7 +142,6 @@ func main() {
 	s, err := newServer(serverConfig{
 		Workers:        *workers,
 		Cache:          c,
-		CacheCapacity:  *cacheSize,
 		DefaultTimeout: *defTimeout,
 		MaxTimeout:     *maxTimeout,
 		MaxBody:        *maxBody,
@@ -169,7 +168,7 @@ func main() {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("mcaserved listening on %s (role %s, cache capacity %d, dir %q)", *addr, *role, *cacheSize, *cacheDir)
+	log.Printf("mcaserved listening on %s (role %s, cache capacity %d, dir %q)", *addr, *role, c.Stats().Capacity, *cacheDir)
 
 	select {
 	case err := <-errc:
@@ -209,7 +208,6 @@ func splitPeers(s string) []string {
 type serverConfig struct {
 	Workers        int
 	Cache          *cache.Cache
-	CacheCapacity  int // for the /metrics occupancy gauge
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
 	MaxBody        int64

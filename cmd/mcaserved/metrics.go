@@ -161,7 +161,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.mu.Unlock()
 
 	if s.cfg.Cache != nil {
-		writeCacheMetrics(&p, s.cfg.Cache, s.cfg.CacheCapacity)
+		writeCacheMetrics(&p, s.cfg.Cache)
 	}
 	if s.coord != nil {
 		writeCoordinatorMetrics(&p, s.coord.Stats())
@@ -177,7 +177,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, p.b.String())
 }
 
-func writeCacheMetrics(p *promWriter, c *cache.Cache, capacity int) {
+func writeCacheMetrics(p *promWriter, c *cache.Cache) {
 	st := c.Stats()
 	p.family("mcaserved_cache_operations_total", "counter", "Result cache operations by tier and kind.")
 	for _, row := range []struct {
@@ -193,11 +193,8 @@ func writeCacheMetrics(p *promWriter, c *cache.Cache, capacity int) {
 	}
 	p.family("mcaserved_cache_entries", "gauge", "Resident in-memory cache entries.")
 	p.sample("mcaserved_cache_entries", "", st.Entries)
-	p.family("mcaserved_cache_capacity", "gauge", "Configured in-memory capacity (0 = unbounded).")
-	if capacity < 0 {
-		capacity = 0
-	}
-	p.sample("mcaserved_cache_capacity", "", capacity)
+	p.family("mcaserved_cache_capacity", "gauge", "In-memory capacity (0 = unbounded).")
+	p.sample("mcaserved_cache_capacity", "", max(st.Capacity, 0))
 }
 
 func writeCoordinatorMetrics(p *promWriter, st fleet.Stats) {

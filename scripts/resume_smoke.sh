@@ -4,12 +4,13 @@
 # count, and require the resumed run's report to be byte-identical to
 # the uninterrupted run's (first line aside — it names the invocation,
 # not the verdict). This is the CLI-level end of the equivalence the
-# internal/explore resume suite pins in-process.
+# internal/explore resume suite pins in-process. It runs twice: once on
+# a scenario built from flags, once on a scenario document, since every
+# source checkpoints the same way.
 #
-# The scenario is deliberately small (3 flat-utility agents on a line,
-# a few hundred states) so the smoke stays sub-second; the property it
-# checks is worker-count- and cut-point-independent, so size adds
-# nothing.
+# The scenarios are deliberately small (3 agents on a line, a few
+# hundred states) so the smoke stays sub-second; the property it checks
+# is worker-count- and cut-point-independent, so size adds nothing.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -20,33 +21,39 @@ trap 'rm -rf "$tmp"' EXIT INT TERM
 # capped run's exit 3 is part of what this smoke checks.
 go build -o "$tmp/mcacheck" ./cmd/mcacheck
 
-SCENARIO="-agents 3 -items 2 -utility flat -topology line -seed 1"
+# leg NAME SOURCE...: the lifecycle on the scenario SOURCE selects.
+leg() {
+    name=$1
+    shift
+    # Uninterrupted reference run.
+    "$tmp/mcacheck" "$@" -workers 4 -maxstates 200000 >"$tmp/$name.full"
 
-# Uninterrupted reference run.
-"$tmp/mcacheck" $SCENARIO -workers 4 -maxstates 200000 >"$tmp/full.out"
+    # Capped run: exit 3 (inconclusive) and a checkpoint are the contract.
+    rc=0
+    "$tmp/mcacheck" "$@" -workers 4 -maxstates 40 \
+        -checkpoint "$tmp/$name.ckpt" >"$tmp/$name.capped" 2>"$tmp/$name.err" || rc=$?
+    if [ "$rc" -ne 3 ]; then
+        echo "resume smoke ($name): capped run exited $rc, want 3 (inconclusive)" >&2
+        cat "$tmp/$name.capped" "$tmp/$name.err" >&2
+        exit 1
+    fi
+    if [ ! -s "$tmp/$name.ckpt" ]; then
+        echo "resume smoke ($name): capped run wrote no checkpoint" >&2
+        exit 1
+    fi
 
-# Capped run: exit 3 (inconclusive) and a checkpoint are the contract.
-rc=0
-"$tmp/mcacheck" $SCENARIO -workers 4 -maxstates 40 \
-    -checkpoint "$tmp/run.ckpt" >"$tmp/capped.out" 2>"$tmp/capped.err" || rc=$?
-if [ "$rc" -ne 3 ]; then
-    echo "resume smoke: capped run exited $rc, want 3 (inconclusive)" >&2
-    cat "$tmp/capped.out" "$tmp/capped.err" >&2
-    exit 1
-fi
-if [ ! -s "$tmp/run.ckpt" ]; then
-    echo "resume smoke: capped run wrote no checkpoint" >&2
-    exit 1
-fi
+    # Resume at a different worker count with the budget raised.
+    "$tmp/mcacheck" -resume "$tmp/$name.ckpt" -workers 2 -maxstates 200000 \
+        >"$tmp/$name.resumed"
 
-# Resume at a different worker count with the budget raised.
-"$tmp/mcacheck" -resume "$tmp/run.ckpt" -workers 2 -maxstates 200000 \
-    >"$tmp/resumed.out"
+    tail -n +2 "$tmp/$name.full" >"$tmp/$name.full.tail"
+    tail -n +2 "$tmp/$name.resumed" >"$tmp/$name.resumed.tail"
+    if ! diff -u "$tmp/$name.full.tail" "$tmp/$name.resumed.tail"; then
+        echo "resume smoke ($name): resumed report diverges from the uninterrupted run" >&2
+        exit 1
+    fi
+    echo "resume smoke ($name): resumed report identical to the uninterrupted run"
+}
 
-tail -n +2 "$tmp/full.out" >"$tmp/full.tail"
-tail -n +2 "$tmp/resumed.out" >"$tmp/resumed.tail"
-if ! diff -u "$tmp/full.tail" "$tmp/resumed.tail"; then
-    echo "resume smoke: resumed report diverges from the uninterrupted run" >&2
-    exit 1
-fi
-echo "resume smoke: resumed report identical to the uninterrupted run"
+leg flags -agents 3 -items 2 -utility flat -topology line -seed 1
+leg document -scenario examples/scenarios/line3.json
