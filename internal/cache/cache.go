@@ -267,20 +267,36 @@ func (c *Cache) loadDisk(key string) (engine.Result, bool) {
 	payload, err := engine.Unseal(diskMagic, data)
 	if err == nil {
 		var res engine.Result
-		if res, err = engine.DecodeResult(payload); err == nil {
+		if res, err = decodeEntry(payload); err == nil {
 			return res, true
 		}
 	}
-	// Corrupt, truncated, or foreign bytes: quarantine the file and
-	// degrade to a miss. The entry is recomputed and rewritten by
-	// whoever needed it — a flipped bit on disk can cost a recompute
-	// but can never surface as a cached verdict.
+	// Corrupt, truncated, or foreign bytes, or a verdict the cache never
+	// stores: quarantine the file and degrade to a miss. The entry is
+	// recomputed and rewritten by whoever needed it — a flipped bit on
+	// disk can cost a recompute but can never surface as a cached
+	// verdict.
 	os.Remove(c.path(key))
 	c.mu.Lock()
 	c.stats.DiskErrors++
 	c.stats.CorruptEntries++
 	c.mu.Unlock()
 	return engine.Result{}, false
+}
+
+// decodeEntry decodes an entry read from disk or received from a peer
+// and holds it to the rule RunnerOptions.Cache states: only conclusive
+// verdicts are cached. An entry of any other status is refused like
+// bytes that do not decode.
+func decodeEntry(data []byte) (engine.Result, error) {
+	res, err := engine.DecodeResult(data)
+	if err != nil {
+		return engine.Result{}, err
+	}
+	if res.Status != engine.StatusHolds && res.Status != engine.StatusViolated {
+		return engine.Result{}, fmt.Errorf("cache: status %q is not a cacheable verdict: only holds and violated are cached", res.Status)
+	}
+	return res, nil
 }
 
 func (c *Cache) storeDisk(key string, res engine.Result) error {

@@ -155,3 +155,35 @@ func TestChaosDiskWritesDegradeToRecompute(t *testing.T) {
 		}
 	}
 }
+
+// TestDiskEntryOfAnInconclusiveVerdictIsQuarantined: a sealed entry
+// whose status the cache never stores — written by a foreign or older
+// build — is quarantined like a corrupt one, not served.
+func TestDiskEntryOfAnInconclusiveVerdictIsQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	for i, status := range []engine.Status{engine.StatusError, engine.StatusInconclusive} {
+		stored := engine.Result{Index: -1, Engine: "explicit", Status: status}
+		payload, err := engine.EncodeResult(&stored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := peerKey(byte(i))
+		path := filepath.Join(dir, key+".json")
+		if err := os.WriteFile(path, engine.Seal(diskMagic, payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(Options{Capacity: 4, Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := c.Get(key); ok {
+			t.Fatalf("%s entry served: %+v", status, got)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%s entry not quarantined: %v", status, err)
+		}
+		if st := c.Stats(); st.DiskHits != 0 || st.CorruptEntries != 1 || st.DiskErrors != 1 || st.Misses != 1 {
+			t.Fatalf("%s entry: stats %+v", status, st)
+		}
+	}
+}

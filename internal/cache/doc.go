@@ -26,7 +26,15 @@
 // engines produce the same Result for the same (Scenario, Engine)
 // value, and the codec's canonical encoding gives equal scenarios equal
 // keys. Only conclusive results are stored by the Runner, so a cached
-// verdict is exactly the verdict re-verification would produce.
+// verdict is exactly the verdict re-verification would produce; the
+// disk and peer tiers hold what they read to the same rule, refusing an
+// entry of any other status like a corrupt one.
+//
+// A memory-tier entry keeps, beside its Result, the encoded result line
+// (built the first time the entry is encoded — on its first hit, or by
+// the disk or peer tier's write — and dropped with the entry), so
+// serving a hit costs a copy of those bytes with the requester's name,
+// index and cached flag spliced in, not an encode.
 //
 // All methods are safe for concurrent use; the Runner's worker pool
 // hits one shared Cache. Results are returned by value, but the

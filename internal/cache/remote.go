@@ -19,7 +19,7 @@ import (
 // Result documents, addressed by cache key:
 //
 //	GET  {base}/{key}  -> 200 + result document | 404 (miss)
-//	PUT  {base}/{key}  -> 204 (stored)
+//	PUT  {base}/{key}  -> 204 (stored) | 400 (not a holds or violated verdict)
 //
 // A cache with Options.RemoteURL set consults the peer after memory
 // and disk both miss, and propagates every Put (asynchronously, via a
@@ -114,8 +114,9 @@ func (c *Cache) getRemote(key string) (engine.Result, bool) {
 // fetchRemote is one GET round trip, bounded by the per-request
 // remote timeout so a wedged peer can only ever cost that much before
 // the Get degrades. Network failures, timeouts, missing or mismatching
-// checksums, and malformed bodies all degrade to a miss (counted in
-// RemoteErrors); the entry is simply recomputed locally.
+// checksums, malformed bodies and verdicts the cache never stores all
+// degrade to a miss (counted in RemoteErrors); the entry is simply
+// recomputed locally.
 func (c *Cache) fetchRemote(key string) (engine.Result, bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), remoteTimeout)
 	defer cancel()
@@ -141,7 +142,7 @@ func (c *Cache) fetchRemote(key string) (engine.Result, bool) {
 		c.countRemoteError()
 		return engine.Result{}, false
 	}
-	res, err := engine.DecodeResult(data)
+	res, err := decodeEntry(data)
 	if err != nil {
 		c.countRemoteError()
 		return engine.Result{}, false
@@ -286,7 +287,7 @@ func HTTPHandler(c *Cache, secret string) http.Handler {
 				writeError(w, http.StatusBadRequest, err.Error())
 				return
 			}
-			res, err := engine.DecodeResult(data)
+			res, err := decodeEntry(data)
 			if err != nil {
 				writeError(w, http.StatusBadRequest, err.Error())
 				return

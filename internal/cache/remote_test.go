@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,6 +14,8 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/graph"
+	"repro/internal/mca"
 )
 
 // peerKey is a syntactically valid content address (64 hex chars).
@@ -399,5 +403,65 @@ func TestRemotePutRoundTripsVerdict(t *testing.T) {
 	got, ok := b.Get(key)
 	if !ok || got.Status != want.Status || got.Scenario != want.Scenario || got.Engine != want.Engine {
 		t.Fatalf("round trip: ok=%v got=%+v", ok, got)
+	}
+}
+
+// TestPeerPutRefusesInconclusiveVerdicts: the Runner caches holds and
+// violated only, so a PUT of any other status is a 400 naming it, and
+// the scenario under that key is verified, not served from the cache.
+func TestPeerPutRefusesInconclusiveVerdicts(t *testing.T) {
+	shared, srv, _ := peer(t)
+	pol := mca.Policy{Target: 2, Utility: mca.SubmodularResidual{}, ReleaseOutbid: true, Rebid: mca.RebidOnChange}
+	s := engine.Scenario{
+		Name: "forged",
+		AgentSpecs: []mca.Config{
+			{ID: 0, Items: 2, Base: []int64{10, 15}, Policy: pol},
+			{ID: 1, Items: 2, Base: []int64{15, 10}, Policy: pol},
+		},
+		Graph: graph.Complete(2),
+	}
+	key, err := engine.CacheKey(&s, engine.Explicit{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, status := range []string{"error", "inconclusive"} {
+		body := []byte(`{"version":1,"engine":"explicit","index":-1,"status":"` + status + `"}`)
+		req, err := http.NewRequest(http.MethodPut, srv.URL+"/"+key, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(checksumHeader, engine.Digest(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(reply), `\"`+status+`\"`) {
+			t.Fatalf("PUT of a %s result: %d %s, want 400 naming the status", status, resp.StatusCode, reply)
+		}
+	}
+	if shared.Len() != 0 {
+		t.Fatalf("refused PUTs stored %d entries", shared.Len())
+	}
+	got := engine.VerifyCached(context.Background(), engine.Explicit{}, s, shared)
+	if got.Cached || got.Status != engine.StatusHolds {
+		t.Fatalf("VerifyCached after the refused PUTs: status=%s cached=%v", got.Status, got.Cached)
+	}
+
+	// A peer that holds such an entry anyway (an older build) is not
+	// believed on GET either: the dialing cache counts an error and
+	// misses.
+	other := peerKey(3)
+	shared.Put(other, engine.Result{Index: -1, Engine: "explicit", Status: engine.StatusError})
+	local, err := New(Options{Capacity: 8, RemoteURL: srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := local.Get(other); ok {
+		t.Fatalf("peer's error entry served: %+v", res)
+	}
+	if st := local.Stats(); st.RemoteHits != 0 || st.RemoteErrors != 1 || st.Misses != 1 {
+		t.Fatalf("stats %+v", st)
 	}
 }

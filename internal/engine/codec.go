@@ -9,9 +9,12 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"reflect"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/explore"
@@ -637,8 +640,19 @@ type traceAgentJSON struct {
 // EncodeResult renders a Result as canonical versioned JSON. Err is
 // flattened to its message; ExplicitVerdict is reconstructed from the
 // other fields on decode rather than stored, so the wire form carries
-// no redundancy.
+// no redundancy. A cached verdict's line is built once (encodedLine);
+// every hit splices its own name, index and cached flag into those
+// bytes.
 func EncodeResult(r *Result) ([]byte, error) {
+	if r.line != nil {
+		if data := r.line.splice(r); data != nil {
+			return data, nil
+		}
+	}
+	return encodeResult(r)
+}
+
+func encodeResult(r *Result) ([]byte, error) {
 	w := resultJSON{
 		Version:   SchemaVersion,
 		Scenario:  r.Scenario,
@@ -687,10 +701,120 @@ func EncodeResult(r *Result) ([]byte, error) {
 		}
 		w.Trace = tw
 	}
-	if r.Err != nil {
-		w.Err = r.Err.Error()
-	}
+	w.Err = errText(r.Err)
 	return json.Marshal(w)
+}
+
+// encodedLine is the encoding of a cached verdict, kept beside it: the
+// Result the cache stores points to one, every hit copied out of the
+// cache shares it, and it goes with the entry when the entry is
+// overwritten or evicted. The bytes are built by the first EncodeResult
+// of the stored verdict: its first hit's, or the write of a disk or peer
+// tier, which needs those bytes anyway. A verdict that a memory-only
+// cache stores and never serves is never encoded.
+type encodedLine struct {
+	// base is the stored verdict with the fields a hit sets — Scenario,
+	// Index, Cached — zeroed; err is its error message.
+	base Result
+	err  string
+
+	once sync.Once
+	// data is encodeResult of base with Cached set; nil if that failed.
+	// The three offsets split it around what a hit splices in: the
+	// scenario goes at name, the index replaces the 0 at index, and
+	// cachedMember starts at cached.
+	data                []byte
+	name, index, cached int
+}
+
+// cachedMember is how the encoder writes Cached. Between the index and
+// it come only tokens and the engine name, a string in which encoding/json
+// escapes every quote, so its first occurrence past the index is the
+// member itself.
+const cachedMember = `,"cached":true`
+
+// withLine returns r with a fresh encodedLine: the Result a cache
+// stores. Nothing is encoded here.
+func withLine(r Result) Result {
+	l := &encodedLine{base: r, err: errText(r.Err)}
+	l.base.Scenario, l.base.Index, l.base.Cached, l.base.line = "", 0, false, nil
+	r.line = l
+	return r
+}
+
+// errText is what the encoder writes of err: its message, or nothing.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// splice is EncodeResult of r from the kept bytes, or nil when r differs
+// from the stored verdict in a field other than the three a hit sets.
+func (l *encodedLine) splice(r *Result) []byte {
+	b := &l.base
+	if r.Engine != b.Engine || r.Status != b.Status || r.Violation != b.Violation || r.SATStatus != b.SATStatus ||
+		(r.ExplicitVerdict == nil) != (b.ExplicitVerdict == nil) || r.Trace != b.Trace || r.Stats != b.Stats ||
+		errText(r.Err) != l.err {
+		return nil
+	}
+	l.once.Do(l.build)
+	if l.data == nil {
+		return nil
+	}
+	// Room for the scenario member, any index and the newline an NDJSON
+	// writer appends.
+	out := make([]byte, 0, len(l.data)+len(`,"scenario":""`)+len(r.Scenario)+21)
+	out = append(out, l.data[:l.name]...)
+	if r.Scenario != "" {
+		out = append(out, `,"scenario":`...)
+		out = appendJSONString(out, r.Scenario)
+	}
+	out = append(out, l.data[l.name:l.index]...)
+	out = strconv.AppendInt(out, int64(r.Index), 10)
+	out = append(out, l.data[l.index+1:l.cached]...)
+	if r.Cached {
+		out = append(out, cachedMember...)
+	}
+	return append(out, l.data[l.cached+len(cachedMember):]...)
+}
+
+func (l *encodedLine) build() {
+	r := l.base
+	r.Cached = true
+	data, err := encodeResult(&r)
+	if err != nil {
+		return
+	}
+	// The document opens with the version, a number; with no scenario,
+	// the first comma ends it.
+	name := bytes.IndexByte(data, ',')
+	index := bytes.Index(data, []byte(`"index":0`))
+	if name < 0 || index < 0 {
+		return
+	}
+	index += len(`"index":`)
+	cached := bytes.Index(data[index:], []byte(cachedMember))
+	if cached < 0 {
+		return
+	}
+	l.data, l.name, l.index, l.cached = data, name, index, index+cached
+}
+
+// appendJSONString appends s as encoding/json writes a string. Names of
+// printable ASCII without the characters it escapes are copied; any
+// other name is left to encoding/json itself.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(dst, q...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // DecodeResult parses a canonical result document. Err comes back as a
@@ -769,7 +893,9 @@ func DecodeResult(data []byte) (Result, error) {
 			MissProb:  r.Stats.MissProb,
 		}
 	}
-	return r, nil
+	// A decoded result is what a cache's disk and peer tiers hand to its
+	// memory tier, so it carries a line like a stored one.
+	return withLine(r), nil
 }
 
 // ---- summary codec ----
@@ -869,6 +995,44 @@ func encodeUnnamed(s *Scenario) ([]byte, error) {
 // be encodeUnnamed(s) — CacheKey computes it, a decoded sweep carries
 // it. s itself is read only to resolve Auto.
 func contentAddress(canonical []byte, s *Scenario, e Engine) string {
+	return (*descriptors)(nil).address(canonical, s, e)
+}
+
+// descriptors memoizes the descriptor contentAddress hashes, per
+// addressed engine value. A Runner holds one for its lifetime — one
+// request — so it holds one entry per distinct engine of that request;
+// a nil *descriptors formats on every call.
+type descriptors struct {
+	m sync.Map // Engine → []byte
+}
+
+// address is contentAddress with the descriptor from d.
+func (d *descriptors) address(canonical []byte, s *Scenario, e Engine) string {
+	h := sha256.New()
+	h.Write(d.of(addressedEngine(e, s)))
+	h.Write(canonical)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
+}
+
+// of returns the descriptor of e, formatted once per comparable engine
+// value (formatting runs no lock, so workers that meet a new engine at
+// the same moment may each format it; one result is kept). A value that
+// is not comparable cannot be a map key and is formatted on every call.
+func (d *descriptors) of(e Engine) []byte {
+	if d == nil || !reflect.ValueOf(e).Comparable() {
+		return descriptor(e)
+	}
+	if desc, ok := d.m.Load(e); ok {
+		return desc.([]byte)
+	}
+	desc, _ := d.m.LoadOrStore(e, descriptor(e))
+	return desc.([]byte)
+}
+
+// addressedEngine is the engine a content address names: e resolved for
+// s, with the fields that do not change a verdict normalized.
+func addressedEngine(e Engine, s *Scenario) Engine {
 	e = resolveEngine(e, s)
 	// Normalize defaulted fields so Simulation{} and Simulation{Runs:16}
 	// — the same verification — share one address.
@@ -883,12 +1047,14 @@ func contentAddress(canonical []byte, s *Scenario, e Engine) string {
 		se.Sessions = nil
 		e = se
 	}
-	h := sha256.New()
-	// %T pins the adapter type, %+v its configuration in declared field
-	// order — deterministic for the flat engine structs.
-	fmt.Fprintf(h, "epoch%d %T%+v\n", CacheEpoch, e, e)
-	h.Write(canonical)
-	return hex.EncodeToString(h.Sum(nil))
+	return e
+}
+
+// descriptor is the prefix of every content address of engine e: %T
+// pins the adapter type, %+v its configuration in declared field order
+// — deterministic for the flat engine structs.
+func descriptor(e Engine) []byte {
+	return fmt.Appendf(nil, "epoch%d %T%+v\n", CacheEpoch, e, e)
 }
 
 // VerifyCached verifies one scenario through a result cache: a
@@ -900,13 +1066,14 @@ func contentAddress(canonical []byte, s *Scenario, e Engine) string {
 // implementation of the cache protocol: the Runner's pool (and so the
 // fleet coordinator), cmd/mcaserved and fleet workers all call it.
 func VerifyCached(ctx context.Context, eng Engine, s Scenario, c ResultCache) Result {
-	return verifyCached(ctx, eng, s, nil, c)
+	return verifyCached(ctx, eng, s, nil, c, nil)
 }
 
 // verifyCached is VerifyCached for a caller that may already hold
 // encodeUnnamed(&s): a decoded sweep's cells do, and are addressed from
 // those bytes instead of re-encoding the scenario they were decoded
-// from. A nil canonical is computed here.
+// from. A nil canonical is computed here. d is the caller's descriptor
+// memo, or nil.
 //
 // This is also where a panic inside an engine is contained, once, for
 // every caller — the Runner's pool goroutines, mcaserved's /verify, a
@@ -915,7 +1082,7 @@ func VerifyCached(ctx context.Context, eng Engine, s Scenario, c ResultCache) Re
 // ending the process, the way net/http contains a panicking handler.
 // Engines that start goroutines re-raise a goroutine's panic on the one
 // that called them, so it arrives here too.
-func verifyCached(ctx context.Context, eng Engine, s Scenario, canonical []byte, c ResultCache) (res Result) {
+func verifyCached(ctx context.Context, eng Engine, s Scenario, canonical []byte, c ResultCache, d *descriptors) (res Result) {
 	defer func() {
 		if p := recover(); p != nil {
 			err := fmt.Errorf("engine: scenario %q: panic in %s: %v", s.Name, eng.Name(), p)
@@ -932,7 +1099,7 @@ func verifyCached(ctx context.Context, eng Engine, s Scenario, canonical []byte,
 			canonical, _ = encodeUnnamed(&s)
 		}
 		if canonical != nil {
-			key = contentAddress(canonical, &s, eng)
+			key = d.address(canonical, &s, eng)
 			if res, ok := c.Get(key); ok {
 				res.Index = -1
 				res.Scenario = s.Name
@@ -947,7 +1114,7 @@ func verifyCached(ctx context.Context, eng Engine, s Scenario, canonical []byte,
 		// worker's): the entry is stored in the shape a computed one has.
 		stored := res
 		stored.Cached = false
-		c.Put(key, stored)
+		c.Put(key, withLine(stored))
 	}
 	return res
 }

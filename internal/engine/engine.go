@@ -184,6 +184,10 @@ type Result struct {
 	Stats Stats
 	// Err reports scenario/engine mismatches and cancellation causes.
 	Err error
+
+	// line carries the encoding of a cached verdict; EncodeResult splices
+	// a hit's name, index and cached flag into it (codec.go).
+	line *encodedLine
 }
 
 // errorResult builds a StatusError result.

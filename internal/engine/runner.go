@@ -52,6 +52,8 @@ type Runner struct {
 	// pool backs IncrementalSAT: one session pool shared by every SAT
 	// scenario of this runner's batches.
 	pool *SessionPool
+	// descriptors formats each engine's content-address prefix once.
+	descriptors descriptors
 }
 
 // NewRunner builds a batch runner.
@@ -127,7 +129,7 @@ func (r *Runner) runOne(ctx context.Context, i int, s Scenario, canonical []byte
 			eng = se
 		}
 	}
-	res := verifyCached(ctx, eng, s, canonical, r.opts.Cache)
+	res := verifyCached(ctx, eng, s, canonical, r.opts.Cache, &r.descriptors)
 	res.Index = i
 	return res
 }
