@@ -144,6 +144,21 @@ func TestMcafuzzCoverageReproducibleAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestMcafuzzCoverageIsGolden pins the coverage loop's stats lines for
+// one seed to testdata/coverage_seed1.txt, the lines docs/FUZZING.md
+// shows: a change to how a leg's signature is derived, or to the
+// mutation schedule, moves a bucket count here.
+func TestMcafuzzCoverageIsGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "coverage_seed1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, code := captureRun(t, []string{"-coverage", "-seed", "1", "-rounds", "5", "-n", "40"})
+	if code != 0 || out != string(want) {
+		t.Fatalf("exit %d, output:\n%s\nwant:\n%s", code, out, want)
+	}
+}
+
 func TestMcafuzzUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"-engines", "warp-drive"},

@@ -27,7 +27,7 @@ func TestChaosAndBreakerMetricsExposed(t *testing.T) {
 	// injection counters are guaranteed to move.
 	in := chaos.New(chaos.Config{Seed: 7, Slow: 1, SlowMax: time.Millisecond})
 	coordSrv, _ := startRole(t, serverConfig{
-		Role: "coordinator", Peers: []string{workerSrv.URL}, FleetSlots: 2, Chaos: in,
+		Role: "coordinator", Peers: []string{workerSrv.URL}, Chaos: in,
 	})
 
 	lines, sum := sweepNDJSON(t, coordSrv.URL, sweepRequest)

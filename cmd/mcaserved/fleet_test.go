@@ -115,7 +115,7 @@ func TestFleetRolesEndToEnd(t *testing.T) {
 			srv, _ := startRole(t, serverConfig{Role: "worker", Cache: wc, FleetSlots: 2})
 			workers[i], workerURLs[i], workerCaches[i] = srv, srv.URL, wc
 		}
-		coordSrv, _ = startRole(t, serverConfig{Role: "coordinator", Peers: workerURLs, FleetSlots: 2})
+		coordSrv, _ = startRole(t, serverConfig{Role: "coordinator", Peers: workerURLs})
 		return coordSrv, workers, workerCaches
 	}
 
@@ -374,6 +374,23 @@ func TestRoleValidation(t *testing.T) {
 	}
 	if _, err := newServer(serverConfig{Role: "coordinator"}); err == nil {
 		t.Fatal("coordinator without peers accepted")
+	}
+	// A role flag on a role that cannot honour it is an error naming the
+	// flag and the role, never dropped or only logged.
+	for _, tc := range []struct {
+		cfg  serverConfig
+		flag string
+	}{
+		{serverConfig{Peers: []string{"http://w1:8081"}}, "-peers"},
+		{serverConfig{Role: "worker", Peers: []string{"http://w1:8081"}}, "-peers"},
+		{serverConfig{FleetSlots: 4}, "-fleetslots"},
+		{serverConfig{Role: "coordinator", Peers: []string{"http://w1:8081"}, FleetSlots: 2}, "-fleetslots"},
+	} {
+		_, err := newServer(tc.cfg)
+		role := tc.cfg.withDefaults().Role
+		if err == nil || !strings.Contains(err.Error(), tc.flag) || !strings.Contains(err.Error(), role) {
+			t.Errorf("role %s with %s: err %v, want one naming both", role, tc.flag, err)
+		}
 	}
 }
 

@@ -32,7 +32,8 @@
 // The process serves one of three -role values. "standalone" (the
 // default) verifies everything in-process. "worker" additionally
 // serves the fleet protocol (POST /fleet/work, GET /fleet/health) so a
-// coordinator can dispatch work units to it. "coordinator" requires
+// coordinator can dispatch work units to it; -fleetslots is its flag
+// alone. "coordinator" requires
 // -peers (comma-separated worker base URLs), runs /sweep's Runner with
 // the fleet as its engine (internal/fleet; the pool is sized by the
 // slots each worker advertises, not by -workers) — byte-identical
@@ -40,7 +41,8 @@
 // /fleet/status with dispatch counters and live worker health. Point
 // -remotecache at a peer's /cache/entry to layer that peer behind the
 // local cache tiers on any role; the peer must run -peercache (and the
-// same -cachesecret, if one is set on either side).
+// same -cachesecret, if one is set on either side). -peers or
+// -fleetslots on a role that does not read it is a startup error.
 //
 // Admission control is opt-in and covers the client endpoints (/verify,
 // /sweep): -quotarate/-quotaburst throttle them per tenant — the
@@ -297,6 +299,14 @@ func newServer(cfg serverConfig) (*server, error) {
 		mux.Handle("/cache/entry/", http.StripPrefix("/cache/entry", cache.HTTPHandler(cfg.Cache, cfg.CacheSecret)))
 	}
 
+	// A role flag set on another role is an error naming both, not a
+	// silently dropped option.
+	if len(cfg.Peers) > 0 && cfg.Role != "coordinator" {
+		return nil, fmt.Errorf("role %s: -peers is read only by the coordinator role", cfg.Role)
+	}
+	if cfg.FleetSlots != 0 && cfg.Role != "worker" {
+		return nil, fmt.Errorf("role %s: -fleetslots is read only by the worker role (a coordinator's credit comes from each worker's /fleet/health slots)", cfg.Role)
+	}
 	switch cfg.Role {
 	case "standalone":
 	case "worker":
@@ -313,9 +323,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	case "coordinator":
 		// A nil injector returns the base transport unwrapped.
 		dispatchClient := &http.Client{Transport: cfg.Chaos.Transport("fleet.dispatch", fleet.DispatchTransport())}
-		if cfg.FleetSlots != 0 {
-			log.Printf("mcaserved: -fleetslots %d ignored in the coordinator role: dispatch credit comes from each worker's /fleet/health slots", cfg.FleetSlots)
-		}
 		coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
 			Workers:     cfg.Peers,
 			Cache:       resultCache(cfg.Cache),

@@ -78,7 +78,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("engine: checkpoint: %w: %w", ErrCorruptCheckpoint, err)
 	}
 	var w checkpointJSON
-	if err := strictUnmarshal(payload, &w); err != nil {
+	if err := StrictUnmarshal(payload, &w); err != nil {
 		return nil, fmt.Errorf("engine: checkpoint: %w: %w", ErrCorruptCheckpoint, err)
 	}
 	if w.Version != SchemaVersion {

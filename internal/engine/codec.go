@@ -421,7 +421,7 @@ func lessIntSlice(a, b []int) bool {
 // well formed.
 func DecodeScenario(data []byte) (Scenario, error) {
 	var w scenarioJSON
-	if err := strictUnmarshal(data, &w); err != nil {
+	if err := StrictUnmarshal(data, &w); err != nil {
 		return Scenario{}, fmt.Errorf("engine: scenario: %w", err)
 	}
 	if w.Version != SchemaVersion {
@@ -564,15 +564,16 @@ func faultsFromWire(fw *faultsJSON) netsim.Faults {
 	return f
 }
 
-// strictUnmarshal is json.Unmarshal with unknown fields rejected and
-// trailing garbage detected.
-func strictUnmarshal(data []byte, v any) error {
+// StrictUnmarshal is json.Unmarshal with unknown members refused: the
+// one decoding rule for every document that crosses a trust boundary.
+// Anything but white space after the document is an error too.
+func StrictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	if len(bytes.TrimSpace(data[dec.InputOffset():])) > 0 {
 		return errors.New("trailing data after JSON document")
 	}
 	return nil
@@ -589,7 +590,6 @@ type resultJSON struct {
 	Violation explore.ViolationKind `json:"violation,omitempty"`
 	SATStatus sat.Status            `json:"sat_status,omitempty"`
 	Cached    bool                  `json:"cached,omitempty"`
-	Explicit  bool                  `json:"explicit,omitempty"`
 	Stats     *statsJSON            `json:"stats,omitempty"`
 	Trace     *traceJSON            `json:"trace,omitempty"`
 	Err       string                `json:"error,omitempty"`
@@ -614,9 +614,6 @@ type statsJSON struct {
 	Deliveries  int     `json:"deliveries,omitempty"`
 	Dropped     int     `json:"dropped,omitempty"`
 	Duplicated  int     `json:"duplicated,omitempty"`
-	CovOcc      int     `json:"cov_occupancy,omitempty"`
-	CovDepth    int     `json:"cov_depth,omitempty"`
-	CovShape    int     `json:"cov_shape,omitempty"`
 	WallNS      int64   `json:"wall_ns,omitempty"`
 }
 
@@ -638,11 +635,9 @@ type traceAgentJSON struct {
 }
 
 // EncodeResult renders a Result as canonical versioned JSON. Err is
-// flattened to its message; ExplicitVerdict is reconstructed from the
-// other fields on decode rather than stored, so the wire form carries
-// no redundancy. A cached verdict's line is built once (encodedLine);
-// every hit splices its own name, index and cached flag into those
-// bytes.
+// flattened to its message. A cached verdict's line is built once
+// (encodedLine); every hit splices its own name, index and cached flag
+// into those bytes.
 func EncodeResult(r *Result) ([]byte, error) {
 	if r.line != nil {
 		if data := r.line.splice(r); data != nil {
@@ -662,7 +657,6 @@ func encodeResult(r *Result) ([]byte, error) {
 		Violation: r.Violation,
 		SATStatus: r.SATStatus,
 		Cached:    r.Cached,
-		Explicit:  r.ExplicitVerdict != nil,
 	}
 	if st := (statsJSON{
 		States:      r.Stats.States,
@@ -683,9 +677,6 @@ func encodeResult(r *Result) ([]byte, error) {
 		Deliveries:  r.Stats.Deliveries,
 		Dropped:     r.Stats.Dropped,
 		Duplicated:  r.Stats.Duplicated,
-		CovOcc:      r.Stats.Coverage.Occupancy,
-		CovDepth:    r.Stats.Coverage.Depth,
-		CovShape:    r.Stats.Coverage.Shape,
 		WallNS:      int64(r.Stats.Wall),
 	}); st != (statsJSON{}) {
 		w.Stats = &st
@@ -755,8 +746,7 @@ func errText(err error) string {
 func (l *encodedLine) splice(r *Result) []byte {
 	b := &l.base
 	if r.Engine != b.Engine || r.Status != b.Status || r.Violation != b.Violation || r.SATStatus != b.SATStatus ||
-		(r.ExplicitVerdict == nil) != (b.ExplicitVerdict == nil) || r.Trace != b.Trace || r.Stats != b.Stats ||
-		errText(r.Err) != l.err {
+		r.Trace != b.Trace || r.Stats != b.Stats || errText(r.Err) != l.err {
 		return nil
 	}
 	l.once.Do(l.build)
@@ -819,11 +809,10 @@ func appendJSONString(dst []byte, s string) []byte {
 
 // DecodeResult parses a canonical result document. Err comes back as a
 // plain error carrying the original message (sentinel identity such as
-// context.Canceled is not preserved); ExplicitVerdict is rebuilt for
-// explicit-engine results.
+// context.Canceled is not preserved).
 func DecodeResult(data []byte) (Result, error) {
 	var w resultJSON
-	if err := strictUnmarshal(data, &w); err != nil {
+	if err := StrictUnmarshal(data, &w); err != nil {
 		return Result{}, fmt.Errorf("engine: result: %w", err)
 	}
 	if w.Version != SchemaVersion {
@@ -858,12 +847,7 @@ func DecodeResult(data []byte) (Result, error) {
 			Deliveries:    w.Stats.Deliveries,
 			Dropped:       w.Stats.Dropped,
 			Duplicated:    w.Stats.Duplicated,
-			Coverage: explore.StoreSignature{
-				Occupancy: w.Stats.CovOcc,
-				Depth:     w.Stats.CovDepth,
-				Shape:     w.Stats.CovShape,
-			},
-			Wall: time.Duration(w.Stats.WallNS),
+			Wall:          time.Duration(w.Stats.WallNS),
 		}
 	}
 	if w.Trace != nil {
@@ -880,18 +864,6 @@ func DecodeResult(data []byte) (Result, error) {
 	}
 	if w.Err != "" {
 		r.Err = errors.New(w.Err)
-	}
-	if w.Explicit {
-		r.ExplicitVerdict = &explore.Verdict{
-			OK:        w.Status == StatusHolds,
-			Violation: w.Violation,
-			Trace:     r.Trace,
-			States:    r.Stats.States,
-			MaxDepth:  r.Stats.MaxDepth,
-			Exhausted: r.Stats.Exhausted,
-			Capped:    r.Stats.Capped,
-			MissProb:  r.Stats.MissProb,
-		}
 	}
 	// A decoded result is what a cache's disk and peer tiers hand to its
 	// memory tier, so it carries a line like a stored one.
@@ -936,7 +908,7 @@ func EncodeSummary(s *Summary) ([]byte, error) {
 // DecodeSummary parses a summary document.
 func DecodeSummary(data []byte) (Summary, error) {
 	var w summaryJSON
-	if err := strictUnmarshal(data, &w); err != nil {
+	if err := StrictUnmarshal(data, &w); err != nil {
 		return Summary{}, fmt.Errorf("engine: summary: %w", err)
 	}
 	if w.Version != SchemaVersion {

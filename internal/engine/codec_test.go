@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -274,6 +275,7 @@ func TestDecodeScenarioStrict(t *testing.T) {
 			return strings.Replace(s, `"kind":"submodular-residual"`, `"kind":"mystery"`, 1)
 		},
 		"trailing-garbage": func(s string) string { return s + `{"more":true}` },
+		"trailing-brace":   func(s string) string { return s + `}` },
 		"bad-edge": func(s string) string {
 			return strings.Replace(s, `{"u":0,"v":1}`, `{"u":0,"v":7}`, 1)
 		},
@@ -315,12 +317,11 @@ func TestResultRoundTrip(t *testing.T) {
 			{ID: 1, Bids: []int64{10, 5}, Winner: []int{0, 1}, Bundle: []int{1}},
 		},
 	})
-	v := explore.Verdict{Violation: explore.ViolationOscillation, Trace: rec, States: 42, MaxDepth: 7, Exhausted: true}
 	results := map[string]Result{
 		"violated-with-trace": {
 			Index: 3, Scenario: "s", Engine: "explicit",
 			Status: StatusViolated, Violation: explore.ViolationOscillation,
-			Trace: rec, ExplicitVerdict: &v,
+			Trace: rec,
 			Stats: Stats{States: 42, MaxDepth: 7, Exhausted: true, Wall: 1500 * time.Microsecond},
 		},
 		"holds-sat": {
@@ -338,8 +339,7 @@ func TestResultRoundTrip(t *testing.T) {
 		},
 		"sim-coverage": {
 			Index: 2, Scenario: "f", Engine: "simulation", Status: StatusHolds,
-			Stats: Stats{Runs: 8, Converged: 8, Deliveries: 420, Dropped: 3, Duplicated: 17,
-				Coverage: explore.StoreSignature{Occupancy: 9, Depth: 4, Shape: 5}},
+			Stats: Stats{Runs: 8, Converged: 8, Deliveries: 420, Dropped: 3, Duplicated: 17},
 		},
 	}
 	for name, r := range results {
@@ -379,17 +379,35 @@ func TestResultRoundTrip(t *testing.T) {
 			if r.Trace != nil && r2.Trace.String() != r.Trace.String() {
 				t.Fatalf("trace renders differently:\n%s\nvs\n%s", r2.Trace, r.Trace)
 			}
-			if (r2.ExplicitVerdict == nil) != (r.ExplicitVerdict == nil) {
-				t.Fatalf("explicit verdict nilness differs")
-			}
-			if r.ExplicitVerdict != nil {
-				got, want := *r2.ExplicitVerdict, *r.ExplicitVerdict
-				got.Trace, want.Trace = nil, nil
-				if got != want {
-					t.Fatalf("explicit verdict differs: got %+v want %+v", got, want)
-				}
-			}
 		})
+	}
+}
+
+// TestDecodeResultRefusesDerivedMembers: a result document states only
+// what its fields carry. The members older documents carried for facts
+// derivable from the rest ("explicit", the coverage signature) are
+// unknown members, refused like damaged bytes, while the same document
+// without them decodes.
+func TestDecodeResultRefusesDerivedMembers(t *testing.T) {
+	const (
+		explicit = `{"version":1,"engine":"explicit","index":-1,"status":"holds",%s"stats":{"states":5,"max_depth":2,"exhausted":true}}`
+		sim      = `{"version":1,"engine":"simulation","index":-1,"status":"holds","stats":{"runs":1,"converged":1,"deliveries":4%s}}`
+	)
+	if _, err := DecodeResult([]byte(fmt.Sprintf(explicit, ""))); err != nil {
+		t.Fatalf("explicit document without the member: %v", err)
+	}
+	if _, err := DecodeResult([]byte(fmt.Sprintf(sim, ""))); err != nil {
+		t.Fatalf("simulation document without the members: %v", err)
+	}
+	for _, doc := range []string{
+		fmt.Sprintf(explicit, `"explicit":true,`),
+		fmt.Sprintf(sim, `,"cov_occupancy":3`),
+		fmt.Sprintf(sim, `,"cov_depth":1`),
+		fmt.Sprintf(sim, `,"cov_shape":1`),
+	} {
+		if _, err := DecodeResult([]byte(doc)); err == nil {
+			t.Errorf("decoded %s", doc)
+		}
 	}
 }
 

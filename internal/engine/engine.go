@@ -128,12 +128,6 @@ type Stats struct {
 	// the exact store): the quantified soundness cost of running the
 	// explicit engine in bitstate or hash-compaction mode.
 	MissProb float64
-	// Coverage is the quantized shape of the exploration (explicit
-	// engine) or of the sampled executions (simulation engine) — the
-	// signal the coverage-guided fuzzer feeds on. Deterministic for a
-	// given (scenario, engine) at any worker count; zero for engines
-	// that do not report one.
-	Coverage explore.StoreSignature
 	// SAT: translation sizes and times.
 	PrimaryVars   int
 	AuxVars       int
@@ -174,9 +168,6 @@ type Result struct {
 	// SATStatus is the raw SAT answer of the SAT engine: StatusSat
 	// means a counterexample instance to the assertion exists.
 	SATStatus sat.Status
-	// ExplicitVerdict preserves the full explicit-state verdict for
-	// compatibility wrappers; nil for other engines.
-	ExplicitVerdict *explore.Verdict
 	// Cached marks a result served from a Runner's result cache instead
 	// of a fresh Verify call.
 	Cached bool

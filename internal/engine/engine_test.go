@@ -103,12 +103,9 @@ func TestExplicitEngineMatchesLegacyCheck(t *testing.T) {
 			if got.Violation != want.Violation {
 				t.Fatalf("violation mismatch: engine %v, legacy %v", got.Violation, want.Violation)
 			}
-			if got.Stats.States != want.States || got.Stats.Exhausted != want.Exhausted {
-				t.Fatalf("stats mismatch: engine %+v, legacy states=%d exhausted=%v",
-					got.Stats, want.States, want.Exhausted)
-			}
-			if got.ExplicitVerdict == nil || got.ExplicitVerdict.OK != want.OK {
-				t.Fatalf("ExplicitVerdict not preserved")
+			if got.Stats.States != want.States || got.Stats.MaxDepth != want.MaxDepth || got.Stats.Exhausted != want.Exhausted {
+				t.Fatalf("stats mismatch: engine %+v, legacy states=%d depth=%d exhausted=%v",
+					got.Stats, want.States, want.MaxDepth, want.Exhausted)
 			}
 		})
 	}

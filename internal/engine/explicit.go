@@ -91,19 +91,17 @@ func (e Explicit) verify(ctx context.Context, s Scenario, prior *Checkpoint, cap
 	}
 
 	res := Result{
-		Index:           -1,
-		Scenario:        s.Name,
-		Engine:          e.Name(),
-		Violation:       v.Violation,
-		Trace:           v.Trace,
-		ExplicitVerdict: &v,
+		Index:     -1,
+		Scenario:  s.Name,
+		Engine:    e.Name(),
+		Violation: v.Violation,
+		Trace:     v.Trace,
 		Stats: Stats{
 			States:    v.States,
 			MaxDepth:  v.MaxDepth,
 			Exhausted: v.Exhausted,
 			Capped:    v.Capped,
 			MissProb:  v.MissProb,
-			Coverage:  explore.SignatureOf(&v),
 			Wall:      time.Since(start),
 		},
 	}

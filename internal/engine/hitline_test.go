@@ -73,10 +73,10 @@ func hitShapes() map[string]Result {
 	rec.Record(trace.Step{Label: "cycle"})
 	return map[string]Result{
 		"trace": {Engine: "explicit", Status: StatusViolated, Violation: explore.ViolationOscillation, Trace: rec,
-			ExplicitVerdict: &explore.Verdict{}, Stats: Stats{States: 412, MaxDepth: 9, Exhausted: true, Wall: 1234567}},
+			Stats: Stats{States: 412, MaxDepth: 9, Exhausted: true, Wall: 1234567}},
 		"error-text": {Engine: "simulation", Status: StatusHolds, Err: errors.New(`budget "8" <hit> & kept`),
-			Stats: Stats{Runs: 16, Converged: 16, Deliveries: 300, Dropped: 7, Duplicated: 2, Coverage: explore.StoreSignature{Occupancy: 3, Depth: 2, Shape: 1}}},
-		"miss-prob": {Engine: "explicit", Status: StatusHolds, ExplicitVerdict: &explore.Verdict{},
+			Stats: Stats{Runs: 16, Converged: 16, Deliveries: 300, Dropped: 7, Duplicated: 2}},
+		"miss-prob": {Engine: "explicit", Status: StatusHolds,
 			Stats: Stats{States: 99, MissProb: 1.25e-7, Capped: true, Exhausted: false}},
 		"sat-stats": {Engine: "sat", Status: StatusHolds, SATStatus: sat.StatusUnsat,
 			Stats: Stats{PrimaryVars: 120, AuxVars: 340, Clauses: 2210, TranslateTime: 3 * time.Millisecond, SolveTime: 41 * time.Microsecond,
@@ -144,7 +144,6 @@ func TestEncodeResultOfAHitIsByteIdentical(t *testing.T) {
 			"status":    func(r *Result) { r.Status = StatusInconclusive },
 			"violation": func(r *Result) { r.Violation = explore.ViolationDisagreement },
 			"sat":       func(r *Result) { r.SATStatus = sat.StatusSat },
-			"explicit":  func(r *Result) { r.ExplicitVerdict = nil },
 			"trace":     func(r *Result) { r.Trace = other },
 			"stats":     func(r *Result) { r.Stats.States++ },
 			"wall":      func(r *Result) { r.Stats.Wall = 1 },

@@ -2,10 +2,8 @@ package engine
 
 import (
 	"context"
-	"math/bits"
 	"time"
 
-	"repro/internal/explore"
 	"repro/internal/mca"
 	"repro/internal/netsim"
 )
@@ -94,16 +92,6 @@ func (e Simulation) Verify(ctx context.Context, s Scenario) Result {
 		} else {
 			res.Status = StatusViolated
 		}
-	}
-	// The sampled executions have no state store, so the coverage
-	// coordinates come from the aggregate message effort instead:
-	// delivery volume, convergence count, and fault activity. All three
-	// derive from the seeded runs, so the signature is as deterministic
-	// as the verdict.
-	res.Stats.Coverage = explore.StoreSignature{
-		Occupancy: bits.Len(uint(res.Stats.Deliveries)),
-		Depth:     bits.Len(uint(res.Stats.Converged)),
-		Shape:     bits.Len(uint(res.Stats.Dropped + res.Stats.Duplicated)),
 	}
 	res.Stats.Wall = time.Since(start)
 	return res

@@ -69,7 +69,7 @@ func EncodeEngineSpec(e Engine) ([]byte, error) {
 // belong to the kind (e.g. runs on an explicit spec) are errors.
 func DecodeEngineSpec(data []byte) (Engine, error) {
 	var w EngineSpec
-	if err := strictUnmarshal(data, &w); err != nil {
+	if err := StrictUnmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("engine: spec: %w", err)
 	}
 	if w.Version != SchemaVersion {

@@ -91,7 +91,7 @@ func sweepCorpus() map[string][]byte {
 // (when the patch is null) and DecodeSweep rejects.
 func nonObjectPatch(doc []byte) bool {
 	var w sweepJSON
-	if strictUnmarshal(doc, &w) != nil {
+	if StrictUnmarshal(doc, &w) != nil {
 		return false
 	}
 	for _, ax := range w.Axes {

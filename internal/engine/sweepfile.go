@@ -118,7 +118,7 @@ type sweepSource struct {
 // to judge.
 func decodeSource(raw []byte) (*sweepSource, error) {
 	var p patchJSON
-	if err := strictUnmarshal(raw, &p); err != nil {
+	if err := StrictUnmarshal(raw, &p); err != nil {
 		return nil, err
 	}
 	src := &sweepSource{raw: [numSections]json.RawMessage{p.Agents, p.Graph, p.Explore, p.Faults, p.Model, p.Solver}}
@@ -126,7 +126,7 @@ func decodeSource(raw []byte) (*sweepSource, error) {
 		if len(raw) == 0 {
 			return nil
 		}
-		return strictUnmarshal(raw, into)
+		return StrictUnmarshal(raw, into)
 	}
 	if err := decode(p.Version, &src.wire.Version); err != nil {
 		return nil, err
@@ -229,7 +229,7 @@ func (x *sweepExpansion) resolve(sec int, pick []int) (*scenarioJSON, error) {
 		return nil, err
 	}
 	w := new(scenarioJSON)
-	if err := strictUnmarshal(data, w.section(sec)); err != nil {
+	if err := StrictUnmarshal(data, w.section(sec)); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -394,7 +394,7 @@ func ExpandSweep(data []byte) ([]Scenario, error) {
 // short.
 func DecodeSweep(data []byte) (*Sweep, error) {
 	var doc sweepJSON
-	if err := strictUnmarshal(data, &doc); err != nil {
+	if err := StrictUnmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("engine: sweep: %w", err)
 	}
 	if doc.Version != SchemaVersion {

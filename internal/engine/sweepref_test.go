@@ -16,7 +16,7 @@ import (
 // patch, which DecodeSweep rejects.
 func expandSweepReference(data []byte) ([]Scenario, error) {
 	var doc sweepJSON
-	if err := strictUnmarshal(data, &doc); err != nil {
+	if err := StrictUnmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("engine: sweep: %w", err)
 	}
 	if doc.Version != SchemaVersion {
@@ -29,7 +29,7 @@ func expandSweepReference(data []byte) ([]Scenario, error) {
 	// should fail once with a clear message, not N times per cell. The
 	// base carries no version field; the document's version governs.
 	var baseCheck scenarioJSON
-	if err := strictUnmarshal(doc.Base, &baseCheck); err != nil {
+	if err := StrictUnmarshal(doc.Base, &baseCheck); err != nil {
 		return nil, fmt.Errorf("engine: sweep %q: base scenario: %w", doc.Name, err)
 	}
 	if baseCheck.Version != 0 {
@@ -91,7 +91,7 @@ func expandSweepReference(data []byte) ([]Scenario, error) {
 			return nil, fmt.Errorf("engine: sweep %q cell %q: %w", doc.Name, cellName, err)
 		}
 		var w scenarioJSON
-		if err := strictUnmarshal(merged, &w); err != nil {
+		if err := StrictUnmarshal(merged, &w); err != nil {
 			return nil, fmt.Errorf("engine: sweep %q cell %q: %w", doc.Name, cellName, err)
 		}
 		w.Version = SchemaVersion
@@ -125,7 +125,7 @@ func validatePatchReference(raw json.RawMessage) (any, error) {
 		return map[string]any{}, nil
 	}
 	var check scenarioJSON
-	if err := strictUnmarshal(raw, &check); err != nil {
+	if err := StrictUnmarshal(raw, &check); err != nil {
 		return nil, err
 	}
 	if check.Version != 0 {

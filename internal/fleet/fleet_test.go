@@ -428,7 +428,10 @@ func TestWorkerRejectsBadUnits(t *testing.T) {
 		"not-json":      {"hello", http.StatusBadRequest},
 		"wrong-version": {`{"version":9,"index":0,"engine":{},"scenario":{}}`, http.StatusBadRequest},
 		"neg-index":     {`{"version":1,"index":-2,"engine":{"version":1,"kind":"auto"},"scenario":{"version":1}}`, http.StatusBadRequest},
-		"oversized":     {`{"pad":"` + strings.Repeat("x", 512) + `"}`, http.StatusRequestEntityTooLarge},
+		// Without the foreign member this unit is valid and runs.
+		"unknown-member": {`{"version":1,"bogus":{"deadline":1},"index":3,"engine":{"version":1,"kind":"auto"},"scenario":{"version":1}}`, http.StatusBadRequest},
+		"trailing-data":  {`{"version":1,"index":3,"engine":{"version":1,"kind":"auto"},"scenario":{"version":1}}}`, http.StatusBadRequest},
+		"oversized":      {`{"pad":"` + strings.Repeat("x", 512) + `"}`, http.StatusRequestEntityTooLarge},
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp, err := http.Post(srv.URL+"/fleet/work", "application/json", strings.NewReader(tc.body))

@@ -43,10 +43,11 @@ func EncodeWorkUnit(index int, eng engine.Engine, s *engine.Scenario) ([]byte, e
 	return json.Marshal(unitJSON{Version: engine.SchemaVersion, Index: index, Engine: spec, Scenario: doc})
 }
 
-// DecodeWorkUnit parses a work unit back into its parts.
+// DecodeWorkUnit parses a work unit back into its parts, strictly: an
+// unknown member or trailing data is an error.
 func DecodeWorkUnit(data []byte) (index int, eng engine.Engine, s engine.Scenario, err error) {
 	var w unitJSON
-	if err = json.Unmarshal(data, &w); err != nil {
+	if err = engine.StrictUnmarshal(data, &w); err != nil {
 		return 0, nil, engine.Scenario{}, fmt.Errorf("fleet: unit: %w", err)
 	}
 	if w.Version != engine.SchemaVersion {

@@ -3,10 +3,10 @@ package gen
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/engine"
-	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/mca"
 )
@@ -19,24 +19,56 @@ import (
 // budget near the scenarios that already reached unusual regions of the
 // state space.
 //
-// The feedback signal is engine.Stats.Coverage: the quantized shape of
-// the exploration (explore.StoreSignature), built only from verdict
-// fields that are deterministic at any worker count. Everything else in
+// The feedback signal is each leg's Signature: the quantized shape of
+// its exploration or sampled executions, derived from result counters
+// that are deterministic at any worker count. Everything else in
 // the loop is seeded — the mutation schedule, the parent picks, the
 // generated corpora — so the same (profile, seed, rounds, per-round)
 // call reproduces the same corpus byte-for-byte under the canonical
 // codec, at any DiffOptions.Workers setting.
 
+// Signature is the shape of one leg's work in log2 (bits.Len) buckets,
+// stable across noise-scale changes: a new signature means the scenario
+// reached a qualitatively new region of the search space.
+type Signature struct {
+	// Occupancy buckets the states explored, or the messages delivered.
+	Occupancy int
+	// Depth buckets the deepest path, or the executions that converged.
+	Depth int
+	// Shape buckets states per level (States/MaxDepth), or drops plus
+	// duplicates: it separates broad shallow explorations from narrow
+	// deep ones of the same Occupancy.
+	Shape int
+}
+
+// signatureOf derives a leg's signature from its stats: the explored
+// state space if there is one, else the sampled executions' message
+// effort, else zero (SAT). Only counters in the determinism contract
+// take part, so the signature is as replayable as the verdict.
+func signatureOf(st *engine.Stats) Signature {
+	switch {
+	case st.States > 0:
+		sig := Signature{Occupancy: bits.Len(uint(st.States)), Depth: bits.Len(uint(st.MaxDepth))}
+		if st.MaxDepth > 0 {
+			sig.Shape = bits.Len(uint(st.States / st.MaxDepth))
+		}
+		return sig
+	case st.Runs > 0:
+		return Signature{bits.Len(uint(st.Deliveries)), bits.Len(uint(st.Converged)), bits.Len(uint(st.Dropped + st.Duplicated))}
+	}
+	return Signature{}
+}
+
 // Coverage is one coverage bucket: the comparability class of the
-// oracle leg that reported it, the quantized store signature, and the
+// oracle leg that reported it, the quantized signature, and the
 // verdict it reached. Two scenarios cover the same bucket when an
 // engine of the same class explored a state space of the same shape and
 // concluded the same thing about it.
 type Coverage struct {
 	// Class is the reporting leg's comparability class.
 	Class LegClass
-	// Sig is the quantized exploration shape.
-	Sig explore.StoreSignature
+	// Sig is the quantized shape of the leg's work.
+	Sig Signature
 	// Violated records whether the leg found a counterexample — a
 	// violating scenario and a convergent one of the same shape are
 	// different discoveries.
@@ -50,15 +82,15 @@ type CoverageSet map[Coverage]struct{}
 // the set and reports how many buckets were new. Inconclusive and error
 // legs carry no verdict and no stable signature (a cancelled run's
 // counters depend on when it was cancelled), so they never mint a
-// bucket; neither do zero signatures (engines that report none).
+// bucket; neither does a zero signature (a SAT leg's).
 func (cs CoverageSet) AddResult(r *DiffResult) int {
 	discovered := 0
 	for _, l := range r.Legs {
 		if l.Result.Status != engine.StatusHolds && l.Result.Status != engine.StatusViolated {
 			continue
 		}
-		sig := l.Result.Stats.Coverage
-		if sig.Zero() {
+		sig := signatureOf(&l.Result.Stats)
+		if sig == (Signature{}) {
 			continue
 		}
 		k := Coverage{Class: l.Class, Sig: sig, Violated: l.Result.Status == engine.StatusViolated}

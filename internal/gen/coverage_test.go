@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/explore"
+	"repro/internal/graph"
 	"repro/internal/mca"
 )
 
@@ -25,34 +25,89 @@ func coverageProfile() Profile {
 }
 
 func TestCoverageSetAddResult(t *testing.T) {
-	sig := explore.StoreSignature{Occupancy: 5, Depth: 3, Shape: 2}
-	res := func(status engine.Status, s explore.StoreSignature) *DiffResult {
+	explored := engine.Stats{States: 1024, MaxDepth: 16}
+	res := func(status engine.Status, st engine.Stats) *DiffResult {
 		return &DiffResult{Legs: []Leg{{
 			Engine: "explicit",
 			Class:  ClassDynamicExact,
-			Result: engine.Result{Status: status, Stats: engine.Stats{Coverage: s}},
+			Result: engine.Result{Status: status, Stats: st},
 		}}}
 	}
 	cs := CoverageSet{}
-	if n := cs.AddResult(res(engine.StatusHolds, sig)); n != 1 {
+	if n := cs.AddResult(res(engine.StatusHolds, explored)); n != 1 {
 		t.Fatalf("first holds bucket: %d new, want 1", n)
 	}
-	if n := cs.AddResult(res(engine.StatusHolds, sig)); n != 0 {
+	if n := cs.AddResult(res(engine.StatusHolds, explored)); n != 0 {
 		t.Fatalf("duplicate bucket counted: %d", n)
 	}
 	// Same shape, opposite verdict is a different discovery.
-	if n := cs.AddResult(res(engine.StatusViolated, sig)); n != 1 {
+	if n := cs.AddResult(res(engine.StatusViolated, explored)); n != 1 {
 		t.Fatalf("violated twin bucket: %d new, want 1", n)
 	}
 	// Inconclusive legs and zero signatures never mint buckets.
-	if n := cs.AddResult(res(engine.StatusInconclusive, sig)); n != 0 {
+	if n := cs.AddResult(res(engine.StatusInconclusive, explored)); n != 0 {
 		t.Fatalf("inconclusive leg minted a bucket")
 	}
-	if n := cs.AddResult(res(engine.StatusHolds, explore.StoreSignature{})); n != 0 {
+	if n := cs.AddResult(res(engine.StatusHolds, engine.Stats{Clauses: 99})); n != 0 {
 		t.Fatalf("zero signature minted a bucket")
 	}
 	if len(cs) != 2 {
 		t.Fatalf("set size %d, want 2", len(cs))
+	}
+}
+
+// TestSignatureOfBuckets pins both formulas: an explored state space
+// buckets states, depth and their ratio; sampled executions bucket
+// deliveries, convergences and fault activity; a leg with neither (SAT)
+// has the zero signature.
+func TestSignatureOfBuckets(t *testing.T) {
+	for _, tc := range []struct {
+		st   engine.Stats
+		want Signature
+	}{
+		{engine.Stats{}, Signature{}},
+		{engine.Stats{States: 1, MaxDepth: 1}, Signature{Occupancy: 1, Depth: 1, Shape: 1}},
+		{engine.Stats{States: 1024, MaxDepth: 16}, Signature{Occupancy: 11, Depth: 5, Shape: 7}},
+		{engine.Stats{States: 1500, MaxDepth: 16}, Signature{Occupancy: 11, Depth: 5, Shape: 7}},
+		// Same occupancy, different aspect ratio: Shape separates them.
+		{engine.Stats{States: 1024, MaxDepth: 512}, Signature{Occupancy: 11, Depth: 10, Shape: 2}},
+		{engine.Stats{States: 99, MissProb: 1.25e-7, Capped: true}, Signature{Occupancy: 7}},
+		{engine.Stats{Runs: 8, Converged: 8, Deliveries: 420, Dropped: 3, Duplicated: 17}, Signature{Occupancy: 9, Depth: 4, Shape: 5}},
+		{engine.Stats{Runs: 3, Converged: 2, Deliveries: 100, Dropped: 4}, Signature{Occupancy: 7, Depth: 2, Shape: 3}},
+		// No run converged and no fault fired: only the delivery volume.
+		{engine.Stats{Runs: 4, Deliveries: 64}, Signature{Occupancy: 7}},
+		{engine.Stats{PrimaryVars: 10, AuxVars: 20, Clauses: 99, Conflicts: 5}, Signature{}},
+	} {
+		if got := signatureOf(&tc.st); got != tc.want {
+			t.Errorf("signatureOf(%+v) = %+v, want %+v", tc.st, got, tc.want)
+		}
+	}
+}
+
+// TestSignatureWorkerInvariant pins the property the coverage loop
+// leans on: the signature comes only from counters that are
+// deterministic at any worker count, so the serial DFS and the sharded
+// frontier produce the same coverage coordinate for one scenario.
+func TestSignatureWorkerInvariant(t *testing.T) {
+	pol := mca.Policy{Target: 2, Utility: mca.FlatUtility{}, Rebid: mca.RebidOnChange}
+	s := engine.Scenario{
+		Name: "invariant",
+		AgentSpecs: []mca.Config{
+			{ID: 0, Items: 3, Base: []int64{10, 0, 30}, Policy: pol},
+			{ID: 1, Items: 3, Base: []int64{20, 15, 0}, Policy: pol},
+		},
+		Graph: graph.Complete(2),
+	}
+	serial := engine.Explicit{}.Verify(context.Background(), s)
+	want := signatureOf(&serial.Stats)
+	if want == (Signature{}) {
+		t.Fatalf("serial run has no signature: %+v", serial.Stats)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		par := engine.Explicit{Workers: workers}.Verify(context.Background(), s)
+		if got := signatureOf(&par.Stats); got != want {
+			t.Fatalf("workers=%d signature %+v differs from serial %+v", workers, got, want)
+		}
 	}
 }
 

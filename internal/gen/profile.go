@@ -1,10 +1,7 @@
 package gen
 
 import (
-	"bytes"
 	"encoding"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -297,14 +294,9 @@ func (p Profile) Validate() error {
 // probabilities stay zero. A partial document therefore behaves exactly
 // like the same partial literal in Go.
 func DecodeProfile(data []byte) (Profile, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var p Profile
-	if err := dec.Decode(&p); err != nil {
+	if err := engine.StrictUnmarshal(data, &p); err != nil {
 		return Profile{}, fmt.Errorf("gen: profile: %w", err)
-	}
-	if dec.More() {
-		return Profile{}, errors.New("gen: profile: trailing data after JSON document")
 	}
 	if err := p.Validate(); err != nil {
 		return Profile{}, err

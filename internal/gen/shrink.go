@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/engine"
-	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/mca"
 	"repro/internal/netsim"
@@ -398,8 +397,9 @@ func dropItem(s engine.Scenario, j int) engine.Scenario {
 }
 
 // copyScenario deep-copies everything the shrinker mutates: specs and
-// their slices, the graph, and the fault model. The relational model is
-// shared (engines treat it as immutable data).
+// their slices, the graph, and the fault model. The exploration options
+// are a value, copied with the struct; the relational model is shared
+// (engines treat it as immutable data).
 func copyScenario(s engine.Scenario) engine.Scenario {
 	c := s
 	if len(s.AgentSpecs) > 0 {
@@ -416,7 +416,6 @@ func copyScenario(s engine.Scenario) engine.Scenario {
 		c.Graph = s.Graph.Clone()
 	}
 	c.Faults = copyFaults(s.Faults)
-	c.Explore = copyExplore(s.Explore)
 	return c
 }
 
@@ -443,10 +442,4 @@ func copyFaults(f netsim.Faults) netsim.Faults {
 		f.Partitions = blocks
 	}
 	return f
-}
-
-func copyExplore(o explore.Options) explore.Options {
-	// Options is a value type; only Cancel is a reference, and it is
-	// owned by the engine layer, so a plain copy is deep enough.
-	return o
 }

@@ -379,9 +379,6 @@ func TestAllocationHelpers(t *testing.T) {
 	if al.Assigned() != 2 {
 		t.Errorf("assigned = %d", al.Assigned())
 	}
-	if !al.ConflictFree() {
-		t.Error("per-item allocation is conflict-free by construction")
-	}
 	if al.String() == "" {
 		t.Error("empty allocation string")
 	}

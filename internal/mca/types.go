@@ -93,12 +93,6 @@ func ViewsAgree(a, b []BidInfo) bool {
 // unassigned).
 type Allocation []AgentID
 
-// ConflictFree reports whether the allocation is well-formed. With one
-// winner recorded per item it always is; the method exists to make the
-// protocol invariant explicit and is used by tests with independently
-// reconstructed allocations.
-func (a Allocation) ConflictFree() bool { return true }
-
 // Assigned counts assigned items.
 func (a Allocation) Assigned() int {
 	n := 0

@@ -323,10 +323,10 @@ func DiffSweep(ctx context.Context, scenarios []Scenario, opts DiffOptions) ([]D
 
 // Coverage-guided fuzzing types.
 type (
-	// StoreSignature is the quantized shape of one exploration — the
-	// coverage coordinate extracted from verdict fields that are
+	// StoreSignature is the quantized shape of one oracle leg's work —
+	// the coverage coordinate derived from result counters that are
 	// deterministic at any worker count.
-	StoreSignature = explore.StoreSignature
+	StoreSignature = gen.Signature
 	// CoverageBucket is one coverage bucket: comparability class,
 	// store signature, and verdict polarity.
 	CoverageBucket = gen.Coverage
