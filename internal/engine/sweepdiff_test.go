@@ -107,12 +107,14 @@ func nonObjectPatch(doc []byte) bool {
 // ambiguousKeys reports whether any object in doc has a member name
 // that is not plain lower case, or the same name twice. On those the
 // reference's answer is an artefact of its round trip through a generic
-// tree — re-marshalling sorts the members, so which of "Agents" and
-// "agents" wins depends on their spelling, and a repeated nested object
-// loses the members only its first copy had — where DecodeSweep keeps
-// encoding/json's usual reading (names match ignoring case, a repeated
-// member decodes over the earlier one), the same as DecodeScenario on a
-// standalone document. The fuzz oracle does not compare them.
+// tree: the tree keeps a repeated member's last copy, and
+// re-marshalling sorts the members, so which of "Agents" and "agents"
+// wins depends on their spelling. DecodeSweep reads a section that no
+// other source merges into as DecodeScenario reads a standalone
+// document (names match ignoring case, a repeated member decodes over
+// the earlier copy), and an object merged with an object from each
+// source's last member of the name; TestSweepReadsRepeatedMembers pins
+// both. The fuzz oracle does not compare them.
 func ambiguousKeys(doc []byte) bool {
 	dec := json.NewDecoder(bytes.NewReader(doc))
 	var stack []map[string]bool // one per open object; nil for an array
@@ -296,6 +298,126 @@ func TestNullPatchIsRejectedWithItsVariant(t *testing.T) {
 	}
 }
 
+// TestSourceErrorsNameTheirSource: a source that does not decode is
+// reported under its own name, whether it is the base or a variant's
+// patch, and the first bad source in document order is the one named.
+func TestSourceErrorsNameTheirSource(t *testing.T) {
+	const (
+		basePrefix    = `engine: sweep "s": base scenario`
+		variantPrefix = `engine: sweep "s": axis "a" variant "v": `
+	)
+	for _, row := range []struct {
+		name, source string
+		// inBase and inVariant are what the error says after the prefix;
+		// "" means the document is accepted.
+		inBase, inVariant string
+	}{
+		{"unknown-member", `{"nope":1}`, `: json: unknown field "nope"`, `json: unknown field "nope"`},
+		{"unknown-in-section", `{"explore":{"nope":1}}`, `: json: unknown field "nope"`, `json: unknown field "nope"`},
+		{"unknown-in-agent", `{"agents":[{"id":0,"items":1,"policy":{"target":1,"nope":1}}]}`, `: json: unknown field "nope"`, `json: unknown field "nope"`},
+		{"type-mismatch", `{"explore":{"max_states":"many"}}`, `: json: cannot unmarshal string`, `json: cannot unmarshal string`},
+		{"version", `{"version":1}`, ` must not carry its own version`, `patch must not set version`},
+		{"name", `{"name":"x"}`, ``, `patch must not set name`},
+		{"name-mismatch", `{"name":7}`, `: json: cannot unmarshal number`, `json: cannot unmarshal number`},
+		{"non-object", `[]`, `: json: cannot unmarshal array`, `patch must be a JSON object`},
+		{"string", `"x"`, `: json: cannot unmarshal string`, `patch must be a JSON object`},
+		// A null base is the empty base, as the reference reads it; a null
+		// patch would erase the base, so it is refused.
+		{"null", `null`, ``, `patch must be a JSON object`},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			for _, c := range []struct{ doc, prefix, want string }{
+				{`{"version":1,"name":"s","base":` + row.source + `,"axes":[{"axis":"a","variants":[{"name":"v","scenario":{}}]}]}`, basePrefix, row.inBase},
+				{`{"version":1,"name":"s","base":{},"axes":[{"axis":"a","variants":[{"name":"v","scenario":` + row.source + `}]}]}`, variantPrefix, row.inVariant},
+			} {
+				_, err := DecodeSweep([]byte(c.doc))
+				switch {
+				case c.want == "" && err != nil:
+					t.Errorf("%s: %v", c.doc, err)
+				case c.want == "":
+				case err == nil || !strings.HasPrefix(err.Error(), c.prefix+c.want):
+					t.Errorf("%s:\n got %v\nwant %s%s…", c.doc, err, c.prefix, c.want)
+				}
+			}
+			if row.inBase == "" {
+				return
+			}
+			// Bad in the base and in two variants: the base is named; bad
+			// in two variants only: the first in document order is.
+			twice := `{"version":1,"name":"s","base":%s,"axes":[{"axis":"a","variants":[{"name":"ok","scenario":{}},{"name":"v","scenario":%s}]},{"axis":"b","variants":[{"name":"w","scenario":%[2]s}]}]}`
+			if _, err := DecodeSweep([]byte(fmt.Sprintf(twice, row.source, row.source))); err == nil || !strings.HasPrefix(err.Error(), basePrefix) {
+				t.Errorf("bad base and variants: %v", err)
+			}
+			if _, err := DecodeSweep([]byte(fmt.Sprintf(twice, "{}", row.source))); err == nil || !strings.HasPrefix(err.Error(), variantPrefix) {
+				t.Errorf("bad variants: %v", err)
+			}
+		})
+	}
+}
+
+// TestSweepReadsRepeatedMembers pins the two readings of a section
+// member given twice, or under another spelling. A section that no
+// other source merges into reads as DecodeScenario reads the same
+// members: names match ignoring case, and a repeated member decodes
+// over the earlier copy. An object merged with an object reads each
+// source's last member of the name, as written.
+func TestSweepReadsRepeatedMembers(t *testing.T) {
+	for _, members := range []string{
+		`"explore":{"max_states":5},"explore":{"bound":2}`,
+		`"Explore":{"max_states":5}`,
+		`"explore":{"max_states":5},"Explore":{"bound":2}`,
+		`"explore":null,"explore":{"bound":2}`,
+		`"explore":{"bound":2},"explore":null`,
+		`"faults":{"drop":0.5},"FAULTS":{"delay":2,"drop_edge":[{"from":0,"to":1,"drop":1}]},"faults":{"delay":3}`,
+		`"agents":[{"id":0,"items":1,"base":[4],"policy":{"target":1,"utility":{"kind":"flat"}}}],"agents":[{"id":0,"items":1,"policy":{"target":1,"rebid":"never"}}]`,
+	} {
+		want, err := DecodeScenario([]byte(`{"version":1,"name":"s",` + members + `}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDoc, _ := EncodeScenario(&want)
+		// As the base, and as a patch onto a base that lacks the section.
+		for _, doc := range []string{
+			`{"version":1,"base":{"name":"s",` + members + `}}`,
+			`{"version":1,"base":{"name":"s"},"axes":[{"axis":"a","variants":[{"name":"v","scenario":{` + members + `}}]}]}`,
+		} {
+			cells, err := ExpandSweep([]byte(doc))
+			if err != nil {
+				t.Fatalf("%s: %v", doc, err)
+			}
+			got := cells[0]
+			got.Name = want.Name
+			if gotDoc, _ := EncodeScenario(&got); !bytes.Equal(gotDoc, wantDoc) {
+				t.Errorf("%s:\n got %s\nwant %s", doc, gotDoc, wantDoc)
+			}
+		}
+	}
+
+	// The explore fields the merge cases set: max_states, bound, queue_depth.
+	merged := func(base, patch string) [3]int {
+		t.Helper()
+		cells, err := ExpandSweep([]byte(`{"version":1,"base":{` + base + `},"axes":[{"axis":"a","variants":[{"name":"v","scenario":{` + patch + `}}]}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := cells[0].Explore
+		return [3]int{e.MaxStates, e.Bound, e.QueueDepth}
+	}
+	for _, c := range []struct {
+		base, patch string
+		want        [3]int
+	}{
+		{`"explore":{"max_states":5},"explore":{"bound":2}`, `"explore":{"queue_depth":3}`, [3]int{0, 2, 3}},
+		{`"explore":{"max_states":5}`, `"explore":{"bound":2},"explore":{"queue_depth":3}`, [3]int{5, 0, 3}},
+		{`"Explore":{"max_states":5}`, `"explore":{"bound":2}`, [3]int{5, 2, 0}},
+		{`"explore":{"max_states":5}`, `"EXPLORE":{"bound":2}`, [3]int{5, 2, 0}},
+	} {
+		if got := merged(c.base, c.patch); got != c.want {
+			t.Errorf("base {%s} patched with {%s}: max_states, bound, queue_depth = %v, want %v", c.base, c.patch, got, c.want)
+		}
+	}
+}
+
 // TestSweepErrorNamesFirstCell: a value shared by several cells is
 // validated once, and the error names the first cell, in grid order,
 // that uses it — here the fault model that fits the three-node graph
@@ -359,6 +481,21 @@ func TestCanonicalHead(t *testing.T) {
 func FuzzExpandSweep(f *testing.F) {
 	for _, doc := range sweepCorpus() {
 		f.Add(doc)
+	}
+	for _, doc := range []string{
+		// A null base is the empty one, on both sides.
+		`{"version":1,"name":"n","base":null,"axes":[{"axis":"a","variants":[{"name":"v","scenario":{"explore":{"bound":2}}}]}]}`,
+		// A base and a patch that are not objects.
+		`{"version":1,"base":[1],"axes":[{"axis":"a","variants":[{"name":"v","scenario":{}}]}]}`,
+		`{"version":1,"base":{},"axes":[{"axis":"a","variants":[{"name":"v","scenario":5}]}]}`,
+		// A repeated and a mixed-case section member, read alone and merged.
+		`{"version":1,"base":{"explore":{"max_states":5},"explore":{"bound":2}},"axes":[{"axis":"a","variants":[{"name":"v","scenario":{}},{"name":"w","scenario":{"explore":{"queue_depth":3}}}]}]}`,
+		`{"version":1,"base":{"Explore":{"max_states":5}},"axes":[{"axis":"a","variants":[{"name":"v","scenario":{}},{"name":"w","scenario":{"EXPLORE":{"bound":2}}}]}]}`,
+		// An unknown member inside a variant's section: only the source's
+		// own strict decode sees it.
+		`{"version":1,"base":{},"axes":[{"axis":"a","variants":[{"name":"v","scenario":{"explore":{"nope":1}}}]}]}`,
+	} {
+		f.Add([]byte(doc))
 	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		if ambiguousKeys(doc) {

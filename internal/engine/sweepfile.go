@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -36,30 +37,44 @@ import (
 // assembles the cells from the memoised values: a 600-cell grid over
 // 200 agent lists and 3 fault models decodes 200 agent lists and 3
 // fault models, not 600 scenarios.
+//
+// The document is read in one strict pass. The base and each variant's
+// patch (a source) decode themselves during it, each section straight
+// into its typed wire value, so a section's bytes are decoded once. A
+// source reads its members as DecodeScenario reads a document: names
+// match ignoring case, and a member given twice decodes over the
+// earlier copy. That typed value is the section's final value unless
+// an object is patched onto an object. Such a merge works on generic
+// trees split out of each source's bytes: each source contributes its
+// last member of the name, as written, and members inside the section
+// merge by exact name before the merged tree is strict-decoded.
 
 // MaxSweepScenarios caps a sweep expansion; a grid larger than this is
 // almost certainly a mistake and would stall the service.
 const MaxSweepScenarios = 100000
 
-type sweepJSON struct {
-	Version int             `json:"version"`
-	Name    string          `json:"name,omitempty"`
-	Base    json.RawMessage `json:"base"`
-	Axes    []sweepAxisJSON `json:"axes,omitempty"`
+// sweepFileJSON is a sweep document; its sources decode themselves
+// (sweepSource.UnmarshalJSON).
+type sweepFileJSON struct {
+	Version int         `json:"version"`
+	Name    string      `json:"name,omitempty"`
+	Base    sweepSource `json:"base"`
+	Axes    []axisJSON  `json:"axes,omitempty"`
 }
 
-type sweepAxisJSON struct {
-	Axis     string             `json:"axis"`
-	Variants []sweepVariantJSON `json:"variants"`
+type axisJSON struct {
+	Axis     string        `json:"axis"`
+	Variants []variantJSON `json:"variants"`
 }
 
-type sweepVariantJSON struct {
-	Name     string          `json:"name"`
-	Scenario json.RawMessage `json:"scenario"`
+type variantJSON struct {
+	Name     string      `json:"name"`
+	Scenario sweepSource `json:"scenario"`
 }
 
 // The sections of a scenario document, in the canonical encoding's
-// (scenarioJSON's) field order.
+// (scenarioJSON's) field order. Agents is the one array; every other
+// section is an object.
 const (
 	secAgents = iota
 	secGraph
@@ -89,71 +104,103 @@ func (w *scenarioJSON) section(sec int) any {
 	}
 }
 
-// patchJSON splits a scenario-shaped object — the base, or one variant
-// patch — into its members without decoding them.
-type patchJSON struct {
-	Version json.RawMessage `json:"version"`
-	Name    json.RawMessage `json:"name"`
-	Agents  json.RawMessage `json:"agents"`
-	Graph   json.RawMessage `json:"graph"`
-	Explore json.RawMessage `json:"explore"`
-	Faults  json.RawMessage `json:"faults"`
-	Model   json.RawMessage `json:"model"`
-	Solver  json.RawMessage `json:"solver"`
-}
-
-// sweepSource is the base scenario or one variant patch: each section's
-// raw member, its strict typed decode — the only decode a section that
-// no other source merges into ever gets — and, for object sections, the
-// generic tree, decoded the first time a merge needs it.
+// sweepSource is the base scenario or one variant patch, decoded
+// strictly and once into its typed wire value — the only decode a
+// section that no other source merges into ever gets — with whether
+// each section was absent, null or set.
 type sweepSource struct {
-	raw   [numSections]json.RawMessage
-	wire  scenarioJSON
-	trees [numSections]any
+	// opens is the first byte of the source's JSON value, 0 when the
+	// member is absent.
+	opens     byte
+	err       error // reported by DecodeSweep under the source's name
+	wire      scenarioJSON
+	null, set [numSections]bool
+	// raw is the source's bytes, kept only when it sets an object
+	// section, for tree to split if a merge needs it.
+	raw   []byte
+	trees *[numSections]any
 }
 
-// decodeSource splits and strictly decodes the base or a patch in
-// isolation, so unknown fields and type mismatches are attributed to
-// their source. wire.Version and wire.Name are decoded for the caller
-// to judge.
-func decodeSource(raw []byte) (*sweepSource, error) {
-	var p patchJSON
-	if err := StrictUnmarshal(raw, &p); err != nil {
-		return nil, err
+// sourceJSON is a source as its strict decode sees it. Each section
+// field is pointed, before the decode, at the source's own nil value: a
+// member written null sets the field itself to nil, a value is decoded
+// through it, and an absent member leaves both alone. A member given
+// twice decodes the second copy over the first, as in DecodeScenario.
+type sourceJSON struct {
+	Version int           `json:"version"`
+	Name    string        `json:"name"`
+	Agents  *[]agentJSON  `json:"agents"`
+	Graph   **graphJSON   `json:"graph"`
+	Explore **exploreJSON `json:"explore"`
+	Faults  **faultsJSON  `json:"faults"`
+	Model   **modelJSON   `json:"model"`
+	Solver  **solverJSON  `json:"solver"`
+}
+
+// UnmarshalJSON decodes the source while the document around it is
+// decoded. It strict-decodes its own bytes, because the outer decoder's
+// DisallowUnknownFields does not reach a nested UnmarshalJSON, and it
+// keeps its error instead of returning it, because the outer decoder
+// would report that error without saying which source it came from.
+// A source given twice is read from its last copy.
+func (src *sweepSource) UnmarshalJSON(data []byte) error {
+	*src = sweepSource{opens: data[0]}
+	w := &src.wire
+	d := sourceJSON{Agents: &w.Agents, Graph: &w.Graph, Explore: &w.Explore, Faults: &w.Faults, Model: &w.Model, Solver: &w.Solver}
+	if src.err = StrictUnmarshal(data, &d); src.err != nil {
+		return nil
 	}
-	src := &sweepSource{raw: [numSections]json.RawMessage{p.Agents, p.Graph, p.Explore, p.Faults, p.Model, p.Solver}}
-	decode := func(raw json.RawMessage, into any) error {
-		if len(raw) == 0 {
-			return nil
-		}
-		return StrictUnmarshal(raw, into)
+	// Read every section back through d: a value followed by null is
+	// still in w, and null followed by a value went into a fresh value
+	// of the decoder's.
+	w.Version, w.Name = d.Version, d.Name
+	w.Agents, w.Graph, w.Explore = deref(d.Agents), deref(d.Graph), deref(d.Explore)
+	w.Faults, w.Model, w.Solver = deref(d.Faults), deref(d.Model), deref(d.Solver)
+	src.null = [numSections]bool{d.Agents == nil, d.Graph == nil, d.Explore == nil, d.Faults == nil, d.Model == nil, d.Solver == nil}
+	src.set = [numSections]bool{w.Agents != nil, w.Graph != nil, w.Explore != nil, w.Faults != nil, w.Model != nil, w.Solver != nil}
+	if slices.Contains(src.set[secAgents+1:], true) {
+		src.raw = bytes.Clone(data) // data is the outer decoder's buffer
 	}
-	if err := decode(p.Version, &src.wire.Version); err != nil {
-		return nil, err
+	return nil
+}
+
+func deref[T any](p *T) (v T) {
+	if p != nil {
+		v = *p
 	}
-	if err := decode(p.Name, &src.wire.Name); err != nil {
-		return nil, err
-	}
-	for sec, raw := range src.raw {
-		if err := decode(raw, src.wire.section(sec)); err != nil {
-			return nil, err
-		}
-	}
-	return src, nil
+	return v
 }
 
 // mentions reports whether the source has the section as a member at
-// all, null included; set, whether it gives the section a value.
-func (src *sweepSource) mentions(sec int) bool { return len(src.raw[sec]) > 0 }
-func (src *sweepSource) set(sec int) bool      { return src.mentions(sec) && src.raw[sec][0] != 'n' }
+// all, null included.
+func (src *sweepSource) mentions(sec int) bool { return src.null[sec] || src.set[sec] }
 
+// tree returns one object section the source sets, as the generic tree
+// mergeTrees works on: the section's last member as written.
 func (src *sweepSource) tree(sec int) (any, error) {
-	if src.trees[sec] == nil {
-		t, err := decodeTree(src.raw[sec])
-		if err != nil {
+	if src.trees == nil {
+		var split struct {
+			Graph   json.RawMessage `json:"graph"`
+			Explore json.RawMessage `json:"explore"`
+			Faults  json.RawMessage `json:"faults"`
+			Model   json.RawMessage `json:"model"`
+			Solver  json.RawMessage `json:"solver"`
+		}
+		if err := json.Unmarshal(src.raw, &split); err != nil {
 			return nil, err
 		}
-		src.trees[sec] = t
+		raws := [numSections]json.RawMessage{secGraph: split.Graph, secExplore: split.Explore, secFaults: split.Faults, secModel: split.Model, secSolver: split.Solver}
+		src.trees = new([numSections]any)
+		for sec := secGraph; sec < numSections; sec++ {
+			if !src.set[sec] {
+				continue
+			}
+			t, err := decodeTree(raws[sec])
+			if err != nil {
+				return nil, err
+			}
+			src.trees[sec] = t
+		}
 	}
 	return src.trees[sec], nil
 }
@@ -189,16 +236,16 @@ func (x *sweepExpansion) resolve(sec int, pick []int) (*scenarioJSON, error) {
 	// untouched (cur), or a merge of several objects (merged).
 	var cur *sweepSource
 	var merged any
-	if x.base.set(sec) {
+	if x.base.set[sec] {
 		cur = x.base
 	}
 	for _, ai := range x.touch[sec] {
 		p := x.patches[ai][pick[ai]]
 		switch {
 		case !p.mentions(sec):
-		case !p.set(sec): // null deletes
+		case !p.set[sec]: // null deletes
 			cur, merged = nil, nil
-		case p.raw[sec][0] != '{' || (cur == nil && merged == nil):
+		case sec == secAgents || (cur == nil && merged == nil):
 			// An array replaces wholesale; an object with nothing under it
 			// is the value as written. Either way the source's typed decode
 			// is already final.
@@ -393,22 +440,23 @@ func ExpandSweep(data []byte) ([]Scenario, error) {
 // error naming the first cell that uses the bad value, never a grid cut
 // short.
 func DecodeSweep(data []byte) (*Sweep, error) {
-	var doc sweepJSON
+	var doc sweepFileJSON
 	if err := StrictUnmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("engine: sweep: %w", err)
 	}
 	if doc.Version != SchemaVersion {
 		return nil, fmt.Errorf("engine: sweep: unsupported schema version %d (want %d)", doc.Version, SchemaVersion)
 	}
-	if len(doc.Base) == 0 {
+	base := &doc.Base
+	if base.opens == 0 {
 		return nil, fmt.Errorf("engine: sweep %q: missing base scenario", doc.Name)
 	}
 	// The base is validated on its own before expanding: a broken base
 	// fails once with a clear message, not once per cell. It carries no
-	// version field; the document's version governs.
-	base, err := decodeSource(doc.Base)
-	if err != nil {
-		return nil, fmt.Errorf("engine: sweep %q: base scenario: %w", doc.Name, err)
+	// version field; the document's version governs. A null base is the
+	// empty one.
+	if base.err != nil {
+		return nil, fmt.Errorf("engine: sweep %q: base scenario: %w", doc.Name, base.err)
 	}
 	if base.wire.Version != 0 {
 		return nil, fmt.Errorf("engine: sweep %q: base scenario must not carry its own version (the sweep version governs)", doc.Name)
@@ -425,7 +473,8 @@ func DecodeSweep(data []byte) (*Sweep, error) {
 		}
 		seen := map[string]bool{}
 		x.patches[ai] = make([]*sweepSource, len(ax.Variants))
-		for vi, v := range ax.Variants {
+		for vi := range ax.Variants {
+			v := &ax.Variants[vi]
 			if v.Name == "" {
 				return nil, fmt.Errorf("engine: sweep %q: axis %q has an unnamed variant", doc.Name, ax.Axis)
 			}
@@ -433,9 +482,10 @@ func DecodeSweep(data []byte) (*Sweep, error) {
 				return nil, fmt.Errorf("engine: sweep %q: axis %q has duplicate variant %q", doc.Name, ax.Axis, v.Name)
 			}
 			seen[v.Name] = true
-			if x.patches[ai][vi], err = decodePatch(v.Scenario); err != nil {
+			if err := v.Scenario.patchErr(); err != nil {
 				return nil, fmt.Errorf("engine: sweep %q: axis %q variant %q: %w", doc.Name, ax.Axis, v.Name, err)
 			}
+			x.patches[ai][vi] = &v.Scenario
 		}
 		if total > MaxSweepScenarios/len(ax.Variants) {
 			return nil, fmt.Errorf("engine: sweep %q: grid exceeds %d scenarios", doc.Name, MaxSweepScenarios)
@@ -491,28 +541,22 @@ func DecodeSweep(data []byte) (*Sweep, error) {
 	return sw, nil
 }
 
-// decodePatch decodes one variant patch. An absent patch is the empty
+// patchErr judges a decoded variant patch. An absent patch is the empty
 // one; anything but an object is rejected — null in particular, which
 // strict-decodes into a struct without complaint and, merged as a
 // patch, would replace the whole base with nothing.
-func decodePatch(raw json.RawMessage) (*sweepSource, error) {
-	if len(raw) == 0 {
-		return new(sweepSource), nil
+func (src *sweepSource) patchErr() error {
+	switch {
+	case src.opens != 0 && src.opens != '{':
+		return errors.New("patch must be a JSON object")
+	case src.err != nil:
+		return src.err
+	case src.wire.Version != 0:
+		return errors.New("patch must not set version")
+	case src.wire.Name != "":
+		return errors.New("patch must not set name (cell names are generated)")
 	}
-	if raw[0] != '{' {
-		return nil, errors.New("patch must be a JSON object")
-	}
-	src, err := decodeSource(raw)
-	if err != nil {
-		return nil, err
-	}
-	if src.wire.Version != 0 {
-		return nil, errors.New("patch must not set version")
-	}
-	if src.wire.Name != "" {
-		return nil, errors.New("patch must not set name (cell names are generated)")
-	}
-	return src, nil
+	return nil
 }
 
 // decodeTree parses JSON into the generic map/slice representation used

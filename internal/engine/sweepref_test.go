@@ -6,6 +6,25 @@ import (
 	"strings"
 )
 
+// sweepJSON is the sweep document as the reference reads it: the base
+// and every variant's patch captured raw, for it to decode per cell.
+type sweepJSON struct {
+	Version int             `json:"version"`
+	Name    string          `json:"name,omitempty"`
+	Base    json.RawMessage `json:"base"`
+	Axes    []sweepAxisJSON `json:"axes,omitempty"`
+}
+
+type sweepAxisJSON struct {
+	Axis     string             `json:"axis"`
+	Variants []sweepVariantJSON `json:"variants"`
+}
+
+type sweepVariantJSON struct {
+	Name     string          `json:"name"`
+	Scenario json.RawMessage `json:"scenario"`
+}
+
 // expandSweepReference is ExpandSweep as it stood before expansion
 // decoded each distinct section once: every cell merges the base and
 // its variants' patches as generic trees, marshals the merged tree and
