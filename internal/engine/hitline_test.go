@@ -362,3 +362,36 @@ func BenchmarkStreamSweepWarm(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStreamSweepCold is the cold counterpart of
+// BenchmarkStreamSweepWarm: the same 600-cell grid through a fresh
+// Runner per request, but each request against a fresh, empty map
+// cache, so every cell is verified — the reliable cells on the
+// explicit engine, the drop and delay cells on the Simulation engine.
+//
+//	go test ./internal/engine -run '^$' -bench StreamSweepCold -benchtime 20x
+func BenchmarkStreamSweepCold(b *testing.B) {
+	sw, err := DecodeSweep(benchShapedGrid(200))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("W=%d", workers), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for line := range NewRunner(RunnerOptions{Workers: workers, Cache: newMapCache()}).StreamSweep(context.Background(), sw) {
+					if line.Result.Cached || line.Err != nil {
+						b.Fatalf("cell %d: cached=%v err=%v", line.Result.Index, line.Result.Cached, line.Err)
+					}
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			cells := float64(b.N * sw.Len())
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/cells, "µs/cell")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/cells, "B/cell")
+		})
+	}
+}

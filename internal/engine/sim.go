@@ -55,9 +55,10 @@ func (e Simulation) withDefaults() Simulation {
 
 // Verify samples seeded executions under the fault model. The verdict
 // is deterministic in (Scenario, Simulation): every run's schedule and
-// fault coin flips derive from its seed. One netsim.Simulator serves
-// all the runs of a call, so a run costs its deliveries and its fresh
-// agents, not a new network and generator.
+// fault coin flips derive from its seed. One netsim.Simulator and one
+// agent set serve all the runs of a call: the agents are built once,
+// their initial state saved, and restored in place before each run, so
+// a run costs its deliveries, not new agents, a network or a generator.
 func (e Simulation) Verify(ctx context.Context, s Scenario) Result {
 	start := time.Now()
 	e = e.withDefaults()
@@ -76,13 +77,21 @@ func (e Simulation) Verify(ctx context.Context, s Scenario) Result {
 	}
 	res := Result{Index: -1, Scenario: s.Name, Engine: e.Name(), Status: StatusHolds}
 	sim := netsim.NewSimulator(s.Graph, s.Faults)
+	agents := s.agents()
+	initial := make([]mca.AgentState, len(agents))
+	for i, a := range agents {
+		a.SaveStateInto(&initial[i])
+	}
 	for i := 0; i < e.Runs; i++ {
 		if ctx != nil && ctx.Err() != nil {
 			res.Status = StatusInconclusive
 			res.Err = ctx.Err()
 			break
 		}
-		out := sim.Run(s.agents(), e.Seed+int64(i), maxDeliveries)
+		for k, a := range agents {
+			a.RestoreState(initial[k])
+		}
+		out := sim.Run(agents, e.Seed+int64(i), maxDeliveries)
 		res.Stats.Runs++
 		res.Stats.Deliveries += out.Deliveries
 		res.Stats.Dropped += out.Dropped

@@ -183,14 +183,37 @@ func (a *Agent) Snapshot(to AgentID) Message {
 // may alias the same two slices — the network broadcast paths use this
 // to allocate the payload once per broadcast instead of once per edge.
 func (a *Agent) SnapshotParts() ([]BidInfo, []int) {
+	view, it, _, _ := a.AppendSnapshot(nil, nil)
+	return view, it
+}
+
+// AppendSnapshot appends the payload SnapshotParts builds to two
+// caller-owned buffers and returns it as their new tails, capped at
+// their length so that no later append through a payload slice can
+// reach the buffers, together with the grown buffers. It writes
+// nothing below either buffer's old length, so payloads appended
+// earlier stay valid while later ones are added: a driver whose
+// messages all die with its run keeps one pair of buffers for the run
+// and rewinds it for the next, paying one growth per buffer instead of
+// two allocations per message.
+func (a *Agent) AppendSnapshot(views []BidInfo, times []int) (view []BidInfo, it []int, grownViews []BidInfo, grownTimes []int) {
 	n := len(a.infoTime)
 	if int(a.id) >= n {
 		n = int(a.id) + 1
 	}
-	it := make([]int, n)
-	copy(it, a.infoTime)
-	it[a.id] = a.clock
-	return a.View(), it
+	v0, t0 := len(views), len(times)
+	views = append(views, a.view...)
+	// One growth, not one append per padding entry (nor slices.Grow,
+	// which allocates twice under the race detector). Capacity past the
+	// old length may hold an earlier run's payloads, so the padding
+	// between the copied times and the agent's own slot is cleared.
+	if t0+n > cap(times) {
+		times = append(make([]int, 0, max(t0+n, 2*cap(times))), times...)
+	}
+	times = times[:t0+n]
+	clear(times[t0+copy(times[t0:], a.infoTime):])
+	times[t0+int(a.id)] = a.clock
+	return views[v0:len(views):len(views)], times[t0 : t0+n : t0+n], views, times
 }
 
 // InfoTime returns the agent's information timestamp about agent m.
@@ -383,7 +406,9 @@ func (a *Agent) HandleMessage(m Message) bool {
 // release-outbid policy all subsequent bundle items are dropped too and
 // the agent retracts its claims on them (Remark 2: their bids were
 // generated under stale budget assumptions). Without it, subsequent
-// items are kept.
+// items are kept. The bundle is cut or spliced in place: every accessor
+// that hands it out (Bundle, Won, Clone, SaveStateInto) copies it, and
+// RestoreState copies into it, so nothing else holds its backing array.
 func (a *Agent) handleOutbids() bool {
 	outbidIdx := -1
 	for idx, j := range a.bundle {
@@ -409,15 +434,9 @@ func (a *Agent) handleOutbids() bool {
 				a.view[s] = BidInfo{Winner: NoAgent, Time: a.clock}
 			}
 		}
-		a.bundle = append([]ItemID(nil), a.bundle[:outbidIdx]...)
+		a.bundle = a.bundle[:outbidIdx]
 	} else {
-		kept := make([]ItemID, 0, len(a.bundle)-1)
-		for idx, s := range a.bundle {
-			if idx != outbidIdx {
-				kept = append(kept, s)
-			}
-		}
-		a.bundle = kept
+		a.bundle = append(a.bundle[:outbidIdx], a.bundle[outbidIdx+1:]...)
 	}
 	// More than one bundle item may have been overbid in a single merge;
 	// recurse until the bundle is consistent with the view.

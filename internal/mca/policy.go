@@ -102,10 +102,12 @@ func (p Policy) Validate() error {
 // and the highest bid currently known for the item (the paper notes that
 // "the utility function u_i, used to generate the bids, may depend also
 // on previous bids" — the escalating attacker exploits exactly that).
-// Marginal must be deterministic. Submodular reports whether the
-// function satisfies Definition 2 (the marginal value of an item never
-// increases as the bundle grows) — the property Result 1 shows to be
-// load-bearing for convergence under release-outbid.
+// Marginal must be deterministic, and must neither modify nor retain
+// bundle: it is the agent's live bundle, edited in place as the agent
+// is outbid. Submodular reports whether the function satisfies
+// Definition 2 (the marginal value of an item never increases as the
+// bundle grows) — the property Result 1 shows to be load-bearing for
+// convergence under release-outbid.
 type Utility interface {
 	Marginal(base []int64, item ItemID, bundle []ItemID, current BidInfo) int64
 	Submodular() bool

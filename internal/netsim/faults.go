@@ -156,6 +156,13 @@ func NewSimulator(g *graph.Graph, f Faults) *Simulator {
 // nothing), so a lossy run terminates on the same budget as a reliable
 // one. The outcome depends only on (agents, graph, faults, seed,
 // maxDeliveries), never on earlier runs of the Simulator.
+//
+// Run mutates the agents, so a caller that runs one agent set again
+// restores it first (mca.Agent.RestoreState from a SaveState taken
+// before the first run). Every message payload of a run is appended to
+// two buffers the Simulator keeps and rewinds at the start of the next
+// run: no message outlives its run, so a run allocates when a buffer
+// grows, not once per message.
 func (s *Simulator) Run(agents []*mca.Agent, seed int64, maxDeliveries int) AsyncOutcome {
 	fr, rng := s.fr, s.rng
 	fr.reset()
@@ -203,7 +210,8 @@ func (s *Simulator) Run(agents []*mca.Agent, seed int64, maxDeliveries int) Asyn
 			// The receiver kept a view that contradicts the sender's:
 			// reply so the disagreement cannot silently persist at
 			// quiescence.
-			fr.send(receiver.Snapshot(m.Sender))
+			view, times := fr.snapshot(receiver)
+			fr.send(mca.Message{Sender: receiver.ID(), Receiver: m.Sender, View: view, InfoTimes: times})
 		}
 	}
 	if fr.net.Quiescent() {
@@ -233,7 +241,19 @@ type faultRun struct {
 	readyAt [][]int
 	// pendBuf is reused across deliverable calls (one per delivery tick).
 	pendBuf []int32
+	// views and times are the run's message payloads, appended by
+	// snapshot and rewound by reset: no message outlives its run, so the
+	// next run may overwrite them. The explorers never share these —
+	// their messages outlive the branch that sent them.
+	views []mca.BidInfo
+	times []int
 }
+
+// payloadChunk bounds the entries one payload buffer collects before
+// snapshot moves on to a fresh one. In-flight messages keep their
+// buffer alive, so without a bound a long run would hold every payload
+// it ever sent rather than only those still queued.
+const payloadChunk = 1 << 12
 
 // newFaultRun starts the fault bookkeeping of a run on a fresh network
 // over g, at tick 0.
@@ -250,14 +270,27 @@ func newFaultRun(g *graph.Graph, f Faults) *faultRun {
 	return fr
 }
 
-// reset empties the network and the delay line and rewinds the clock,
-// keeping every backing array for the next run.
+// reset empties the network and the delay line, rewinds the payload
+// buffers and the clock, keeping every backing array for the next run.
 func (fr *faultRun) reset() {
 	fr.net.reset()
 	for id := range fr.readyAt {
 		fr.readyAt[id] = fr.readyAt[id][:0]
 	}
+	fr.views, fr.times = fr.views[:0], fr.times[:0]
 	fr.tick = 0
+}
+
+// snapshot appends a's message payload to the run's buffers and returns
+// it; every receiver of a broadcast shares the one payload.
+func (fr *faultRun) snapshot(a *mca.Agent) ([]mca.BidInfo, []int) {
+	if len(fr.views) >= payloadChunk || len(fr.times) >= payloadChunk {
+		fr.views = make([]mca.BidInfo, 0, cap(fr.views))
+		fr.times = make([]int, 0, cap(fr.times))
+	}
+	view, times, views, ts := a.AppendSnapshot(fr.views, fr.times)
+	fr.views, fr.times = views, ts
+	return view, times
 }
 
 // partitioned reports whether the edge crosses an active partition cut.
@@ -295,7 +328,7 @@ func (fr *faultRun) send(m mca.Message) {
 func (fr *faultRun) broadcast(a *mca.Agent) {
 	// Build the snapshot payload once for the fan-out; partition cuts and
 	// delay stamping still run per edge in send.
-	view, times := a.SnapshotParts()
+	view, times := fr.snapshot(a)
 	from := a.ID()
 	for _, nb := range fr.net.Neighbors(int(from)) {
 		fr.send(mca.Message{Sender: from, Receiver: mca.AgentID(nb), View: view, InfoTimes: times})

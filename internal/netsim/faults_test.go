@@ -250,3 +250,25 @@ func TestDelayAtCeilingStillDelays(t *testing.T) {
 		}
 	}
 }
+
+// TestLongRunPayloadBuffersStayBounded: a run's payload buffers collect
+// every broadcast and reply it sends, but move on to a fresh chunk past
+// payloadChunk entries, so a long run holds the payloads still queued,
+// not every payload it ever sent.
+func TestLongRunPayloadBuffersStayBounded(t *testing.T) {
+	agents := make([]*mca.Agent, 2)
+	for i := range agents {
+		agents[i] = mca.MustNewAgent(mca.Config{
+			ID: mca.AgentID(i), Items: 2, Base: []int64{10, 20},
+			Policy: mca.Policy{Target: 2, Utility: mca.EscalatingUtility{}, Rebid: mca.RebidAlways},
+		})
+	}
+	sim := NewSimulator(graph.Line(2), Faults{})
+	const maxDeliveries = 20000
+	if out := sim.Run(agents, 1, maxDeliveries); out.Deliveries != maxDeliveries {
+		t.Fatalf("escalating agents ran %+v, want the whole %d-delivery budget", out, maxDeliveries)
+	}
+	if c := cap(sim.fr.views); c > 4*payloadChunk {
+		t.Fatalf("after %d deliveries the view buffer holds %d entries, want at most %d", maxDeliveries, c, 4*payloadChunk)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/mca"
 )
 
 // samplerFaults are the fault models TestSamplerStreamIsPinned samples,
@@ -55,7 +56,9 @@ func formatOutcome(out AsyncOutcome) string {
 // just their determinism: a different generator or seeding that keeps
 // every run reproducible still fails here. It also pins that a
 // Simulator reused across seeds, in any order, runs exactly what a
-// fresh Simulator per seed runs.
+// fresh Simulator per seed runs, and that so does one agent set
+// restored to its initial SaveState before each run — the reuse
+// engine.Simulation makes of a cell's agents.
 func TestSamplerStreamIsPinned(t *testing.T) {
 	const maxDeliveries = 300
 	graphs := []struct {
@@ -78,6 +81,19 @@ func TestSamplerStreamIsPinned(t *testing.T) {
 			for _, seed := range []int{3, 0, 2, 1, 3} {
 				if out := sim.Run(faultAgents(t, 3, 2), int64(seed), maxDeliveries); out != fresh[seed] {
 					t.Errorf("%s seed %d: reused Simulator ran %+v, fresh run %+v", key, seed, out, fresh[seed])
+				}
+			}
+			agents := faultAgents(t, 3, 2)
+			initial := make([]mca.AgentState, len(agents))
+			for i, a := range agents {
+				initial[i] = a.SaveState()
+			}
+			for _, seed := range []int{3, 0, 2, 1, 3} {
+				for i, a := range agents {
+					a.RestoreState(initial[i])
+				}
+				if out := sim.Run(agents, int64(seed), maxDeliveries); out != fresh[seed] {
+					t.Errorf("%s seed %d: restored agents ran %+v, fresh agents %+v", key, seed, out, fresh[seed])
 				}
 			}
 		}
