@@ -568,16 +568,56 @@ func faultsFromWire(fw *faultsJSON) netsim.Faults {
 // one decoding rule for every document that crosses a trust boundary.
 // Anything but white space after the document is an error too.
 func StrictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	recycle := len(data) <= maxRecycledDocument
+	var d *strictDecoder
+	if recycle {
+		d = strictDecoders.Get().(*strictDecoder)
+	} else {
+		d = newStrictDecoder()
+	}
+	d.src.Reset(data)
+	if err := d.dec.Decode(v); err != nil {
+		// A decoder that failed may hold a read error or half a
+		// document: it is not recycled.
 		return err
 	}
-	if len(bytes.TrimSpace(data[dec.InputOffset():])) > 0 {
+	if len(bytes.TrimSpace(data[d.dec.InputOffset()-d.fed:])) > 0 {
 		return errors.New("trailing data after JSON document")
+	}
+	if recycle {
+		d.fed += int64(len(data) - d.src.Len())
+		strictDecoders.Put(d)
 	}
 	return nil
 }
+
+// strictDecoder is StrictUnmarshal's json.Decoder, kept for reuse: a
+// decoder copies its input into a buffer it grows by doubling from 512
+// bytes, and a recycled one reads the next document into the buffer it
+// already grew. It reads each document from src, reset per call. fed
+// counts the bytes it has read from all earlier documents; what it read
+// but did not consume is the white space after the last one, which it
+// skips before the next, so data[InputOffset()-fed:] is what follows
+// the document just decoded.
+type strictDecoder struct {
+	src bytes.Reader
+	dec *json.Decoder
+	fed int64
+}
+
+func newStrictDecoder() *strictDecoder {
+	d := new(strictDecoder)
+	d.dec = json.NewDecoder(&d.src)
+	d.dec.DisallowUnknownFields()
+	return d
+}
+
+var strictDecoders = sync.Pool{New: func() any { return newStrictDecoder() }}
+
+// maxRecycledDocument bounds the documents StrictUnmarshal reads with a
+// recycled decoder, and so the buffer one keeps: a sweep file can be
+// megabytes, a unit, scenario or result is a few kilobytes.
+const maxRecycledDocument = 64 << 10
 
 // ---- result codec ----
 
@@ -1041,11 +1081,20 @@ func VerifyCached(ctx context.Context, eng Engine, s Scenario, c ResultCache) Re
 	return verifyCached(ctx, eng, s, nil, c, nil)
 }
 
+// encodedVerifier is an engine that ships the scenario elsewhere as
+// bytes (the fleet's remote executor): VerifyEncoded is its Verify, given
+// encodeUnnamed(&s) when the caller holds it, else nil, so the scenario
+// is not encoded a second time.
+type encodedVerifier interface {
+	VerifyEncoded(ctx context.Context, s Scenario, canonical []byte) Result
+}
+
 // verifyCached is VerifyCached for a caller that may already hold
 // encodeUnnamed(&s): a decoded sweep's cells do, and are addressed from
 // those bytes instead of re-encoding the scenario they were decoded
-// from. A nil canonical is computed here. d is the caller's descriptor
-// memo, or nil.
+// from. A nil canonical is computed here when there is a cache to
+// address. Either way an encodedVerifier is handed the bytes. d is the
+// caller's descriptor memo, or nil.
 //
 // This is also where a panic inside an engine is contained, once, for
 // every caller — the Runner's pool goroutines, mcaserved's /verify, a
@@ -1080,7 +1129,11 @@ func verifyCached(ctx context.Context, eng Engine, s Scenario, canonical []byte,
 			}
 		}
 	}
-	res = eng.Verify(ctx, s)
+	if ev, ok := eng.(encodedVerifier); ok {
+		res = ev.VerifyEncoded(ctx, s, canonical)
+	} else {
+		res = eng.Verify(ctx, s)
+	}
 	if key != "" && (res.Status == StatusHolds || res.Status == StatusViolated) {
 		// eng may have answered from a cache of its own (a fleet
 		// worker's): the entry is stored in the shape a computed one has.

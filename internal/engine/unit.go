@@ -1,0 +1,114 @@
+package engine
+
+import (
+	"fmt"
+	"strconv"
+)
+
+// ---- work unit codec ----
+//
+// A work unit is the fleet's wire form of one verification: the
+// scenario's position in the coordinator's dispatch sequence plus the
+// canonical engine-spec and scenario documents of this package, so a
+// unit is exactly as addressable on the worker as it was on the
+// coordinator.
+//
+// There is one encoder, AssembleWorkUnit: it writes the unit around the
+// scenario's unnamed canonical encoding. EncodeWorkUnit computes that
+// encoding; the fleet's coordinator hands over the one it already holds.
+//
+// Decoding is one strict pass into unitJSON, whose engine and scenario
+// members are the spec and scenario wire structs themselves; every rule
+// of the standalone decoders holds: unknown members at any depth and
+// trailing data are errors, the unit, spec and scenario versions must be
+// SchemaVersion, the index must not be negative, the spec must pass
+// EngineSpec.Engine's kind and field rules, and the scenario
+// Scenario.Validate.
+//
+// Repeated members are read as encoding/json reads them into a typed
+// struct, at every depth alike. A repeated number or string keeps its
+// last value. A repeated object — "engine" or "scenario" — is decoded
+// into the one value it names, so a later copy overwrites the members it
+// states and leaves the rest: `"scenario":{…agents…},"scenario":
+// {"version":1}` is the scenario with those agents, the way
+// DecodeScenario merges a repeated section. Member names match
+// case-insensitively, so "Scenario" is the scenario member.
+
+type unitJSON struct {
+	Version  int          `json:"version"`
+	Index    int          `json:"index"`
+	Engine   EngineSpec   `json:"engine"`
+	Scenario scenarioJSON `json:"scenario"`
+}
+
+// EncodeWorkUnit renders one dispatchable unit. A custom engine
+// implementation has no spec, and a scenario the codec cannot encode no
+// document; both are errors.
+func EncodeWorkUnit(index int, eng Engine, s *Scenario) ([]byte, error) {
+	spec, err := EncodeEngineSpec(eng)
+	if err != nil {
+		return nil, err
+	}
+	canonical, err := encodeUnnamed(s)
+	if err != nil {
+		return nil, err
+	}
+	return AssembleWorkUnit(index, string(spec), s.Name, canonical), nil
+}
+
+// unitHead opens every work unit; the index follows it.
+var unitHead = fmt.Sprintf(`{"version":%d,"index":`, SchemaVersion)
+
+// AssembleWorkUnit writes the work unit for scenario index from
+// encodings the caller holds: spec is EncodeEngineSpec of the engine,
+// name the scenario's name, and canonical the scenario's canonical
+// encoding with its name blanked — the bytes its content address hashes,
+// which a decoded sweep carries for every cell. Only the index and the
+// name are encoded here; the name goes in after the scenario's version,
+// where EncodeScenario writes it.
+func AssembleWorkUnit(index int, spec, name string, canonical []byte) []byte {
+	// Room for the members around the two documents, any index, and a
+	// name that needs no escaping: one allocation for a typical unit.
+	unit := make([]byte, 0, len(unitHead)+len(spec)+len(name)+len(canonical)+64)
+	unit = append(unit, unitHead...)
+	unit = strconv.AppendInt(unit, int64(index), 10)
+	unit = append(unit, `,"engine":`...)
+	unit = append(unit, spec...)
+	unit = append(unit, `,"scenario":`...)
+	unit = append(unit, canonicalHead...)
+	if name != "" {
+		unit = append(unit, `,"name":`...)
+		unit = appendJSONString(unit, name)
+	}
+	unit = append(unit, canonical[len(canonicalHead):]...)
+	return append(unit, '}')
+}
+
+// DecodeWorkUnit parses a work unit back into its parts in one strict
+// pass; see the codec rules above.
+func DecodeWorkUnit(data []byte) (index int, eng Engine, s Scenario, err error) {
+	var w unitJSON
+	if err = StrictUnmarshal(data, &w); err != nil {
+		return 0, nil, Scenario{}, fmt.Errorf("engine: unit: %w", err)
+	}
+	switch {
+	case w.Version != SchemaVersion:
+		err = fmt.Errorf("engine: unit: unsupported schema version %d (want %d)", w.Version, SchemaVersion)
+	case w.Index < 0:
+		err = fmt.Errorf("engine: unit: negative index %d", w.Index)
+	case w.Engine.Version != SchemaVersion:
+		err = fmt.Errorf("engine: spec: unsupported schema version %d (want %d)", w.Engine.Version, SchemaVersion)
+	case w.Scenario.Version != SchemaVersion:
+		err = fmt.Errorf("engine: scenario: unsupported schema version %d (want %d)", w.Scenario.Version, SchemaVersion)
+	}
+	if err != nil {
+		return 0, nil, Scenario{}, err
+	}
+	if eng, err = w.Engine.Engine(); err != nil {
+		return 0, nil, Scenario{}, err
+	}
+	if s, err = scenarioFromWire(&w.Scenario); err != nil {
+		return 0, nil, Scenario{}, err
+	}
+	return w.Index, eng, s, nil
+}

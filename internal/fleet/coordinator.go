@@ -104,8 +104,27 @@ type workerState struct {
 	// slots is the admission limit the worker advertised on
 	// /fleet/health, 0 until it has answered. The worker has that many
 	// tokens in the coordinator's pool — one while it is unknown, so the
-	// breaker and the retry path still see it.
+	// breaker and the retry path still see it — plus surplus.
 	slots atomic.Int32
+	// relearn is set by a 429: the worker admits fewer units than its
+	// credit (it restarted with fewer slots), so the next learnCredit asks
+	// it again.
+	relearn atomic.Bool
+	// surplus counts tokens beyond slots still in the pool after a
+	// relearned limit came back lower; each leaves the pool when it is
+	// next returned.
+	surplus atomic.Int32
+}
+
+// retire takes one token of ws out of circulation if any is surplus,
+// and reports whether it did.
+func (ws *workerState) retire() bool {
+	for n := ws.surplus.Load(); n > 0; n = ws.surplus.Load() {
+		if ws.surplus.CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
+	return false
 }
 
 func (ws *workerState) status(healthy bool) WorkerStatus {
@@ -254,9 +273,11 @@ func (c *Coordinator) Runner(ctx context.Context, eng engine.Engine) *engine.Run
 	if eng == nil {
 		eng = engine.Auto{}
 	}
+	// A custom engine has no spec: its units all run here.
+	spec, _ := engine.EncodeEngineSpec(eng)
 	return engine.NewRunner(engine.RunnerOptions{
 		Workers: c.learnCredit(ctx),
-		Engine:  remote{c: c, local: eng},
+		Engine:  remote{c: c, local: eng, spec: string(spec)},
 		Cache:   c.opts.Cache,
 	})
 }
@@ -267,36 +288,34 @@ func (c *Coordinator) Run(ctx context.Context, eng engine.Engine, scenarios []en
 	return c.Runner(ctx, eng).Run(ctx, scenarios)
 }
 
-// learnCredit asks every worker whose admission limit is still unknown
-// for its /fleet/health slots — in parallel, so at most one round trip
-// per batch — grows its share of the token pool to match, and returns
-// the fleet's total credit. A worker that does not answer keeps its one
-// token and takes the failure like a failed dispatch; once its breaker
-// opens it is not asked again until the breaker closes, so a dead
-// worker costs batches no standing timeout.
+// learnCredit asks every worker whose admission limit is unknown, or
+// was put in doubt by a 429, for its /fleet/health slots — in parallel,
+// so at most one round trip per batch — resizes its share of the token
+// pool to match, and returns the fleet's total credit. A worker that
+// does not answer keeps its tokens and takes the failure like a failed
+// dispatch; once its breaker opens it is not asked again until the
+// breaker closes, so a dead worker costs batches no standing timeout.
 func (c *Coordinator) learnCredit(ctx context.Context) int {
 	c.learnMu.Lock()
 	defer c.learnMu.Unlock()
 	var wg sync.WaitGroup
 	for _, ws := range c.workers {
-		if ws.slots.Load() > 0 || !ws.br.closed() {
+		if (ws.slots.Load() > 0 && !ws.relearn.Load()) || !ws.br.closed() {
 			continue
 		}
+		ws.relearn.Store(false)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			st, ok := c.probe(ctx, ws)
 			if !ok {
+				ws.relearn.Store(true)
 				if ctx.Err() == nil {
 					ws.failed(c.clock.now())
 				}
 				return
 			}
-			n := min(max(st.Slots, 1), maxWorkerCredit)
-			for i := 1; i < n; i++ {
-				c.tokens <- ws
-			}
-			ws.slots.Store(int32(n))
+			c.resize(ws, min(max(st.Slots, 1), maxWorkerCredit))
 		}()
 	}
 	wg.Wait()
@@ -307,6 +326,31 @@ func (c *Coordinator) learnCredit(ctx context.Context) int {
 	return total
 }
 
+// resize sets ws's credit to n tokens: new tokens go into the pool at
+// once, first by cancelling surplus not yet retired; tokens beyond n
+// become surplus and leave the pool as they come back, so a worker never
+// drops below one token.
+func (c *Coordinator) resize(ws *workerState, n int) {
+	old := max(int(ws.slots.Load()), 1)
+	if n < old {
+		ws.surplus.Add(int32(old - n))
+	}
+	for grow := n - old; grow > 0; grow-- {
+		if !ws.retire() {
+			c.tokens <- ws
+		}
+	}
+	ws.slots.Store(int32(n))
+}
+
+// release returns ws's token to the pool, unless it is surplus.
+func (c *Coordinator) release(ws *workerState) {
+	if ws.surplus.Load() > 0 && ws.retire() {
+		return
+	}
+	c.tokens <- ws
+}
+
 // remote is the fleet as an engine.Engine: Verify runs one scenario on
 // whichever worker has credit, and on the wrapped engine here when the
 // fleet cannot. It decides where local runs, never what it computes, so
@@ -314,33 +358,50 @@ func (c *Coordinator) learnCredit(ctx context.Context) int {
 type remote struct {
 	c     *Coordinator
 	local engine.Engine
+	// spec is engine.EncodeEngineSpec(local), encoded once per Runner
+	// and kept as a string so remote stays comparable; empty for a
+	// custom engine, which has none.
+	spec string
 }
 
 func (r remote) Name() string          { return r.local.Name() }
 func (r remote) Unwrap() engine.Engine { return r.local }
 
-// Verify dispatches s as one work unit, retrying with backoff on
+// Verify is VerifyEncoded for a caller that holds no encoding of s.
+func (r remote) Verify(ctx context.Context, s engine.Scenario) engine.Result {
+	return r.VerifyEncoded(ctx, s, nil)
+}
+
+// VerifyEncoded dispatches s as one work unit, retrying with backoff on
 // whichever worker has credit next. At the attempt cap the unit is
 // verified locally, so fleet-wide failure degrades to single-process
-// verification instead of a lost sweep.
-func (r remote) Verify(ctx context.Context, s engine.Scenario) engine.Result {
+// verification instead of a lost sweep. canonical is s's canonical
+// encoding with the name blanked, which engine.VerifyCached hands over
+// when it holds it (nil is encoded here): the unit is spliced around
+// those bytes instead of encoding the scenario again.
+func (r remote) VerifyEncoded(ctx context.Context, s engine.Scenario, canonical []byte) engine.Result {
 	c := r.c
-	index := int(c.units.Add(1))
-	unit, err := EncodeWorkUnit(index, r.local, &s)
-	if err != nil {
+	if r.spec != "" && canonical == nil {
+		unnamed := s
+		unnamed.Name = ""
+		canonical, _ = engine.EncodeScenario(&unnamed)
+	}
+	if r.spec == "" || canonical == nil {
 		// Not dispatchable — a custom engine has no spec, and an
 		// ill-formed scenario no document: verify on the coordinator,
 		// like the Runner would (local reports the ill-formed one).
 		c.localFallbacks.Add(1)
 		return r.local.Verify(ctx, s)
 	}
+	index := int(c.units.Add(1))
+	unit := engine.AssembleWorkUnit(index, r.spec, s.Name, canonical)
 	for attempt := 1; ; attempt++ {
 		ws, err := c.acquire(ctx)
 		if err != nil {
 			return c.unrun(&s, err)
 		}
 		res, retryAfter, err := c.try(ctx, ws, index, unit)
-		c.tokens <- ws
+		c.release(ws)
 		if err == nil {
 			return res
 		}
@@ -428,8 +489,11 @@ func (c *Coordinator) try(ctx context.Context, ws *workerState, index int, unit 
 		ws.br.onAbandoned()
 	case rejected:
 		// Admission, not failure: a 429 proves the worker is alive, so
-		// it does not dent health or the breaker.
+		// it does not dent health or the breaker. It does prove the
+		// worker admits fewer units than its credit, so the next batch
+		// asks it for its slots again.
 		ws.br.onRejected()
+		ws.relearn.Store(true)
 		c.rejections.Add(1)
 	default:
 		ws.failed(c.clock.now())

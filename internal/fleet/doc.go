@@ -10,23 +10,31 @@
 //     limit. A unit is a (scenario, engine-spec) pair in the canonical
 //     codec form plus an index the worker echoes (the coordinator's
 //     dispatch sequence number, so a reply to some other unit is
-//     rejected); the worker rebuilds the engine, runs VerifyCached
+//     rejected); its codec is engine's (EncodeWorkUnit and
+//     DecodeWorkUnit here delegate to it), and a worker reads a unit in
+//     one strict pass. The worker rebuilds the engine, runs VerifyCached
 //     against its own (optionally remote-tiered) cache, and returns
 //     the encoded Result. Over-capacity units are rejected with 429 +
 //     Retry-After rather than queued, so the coordinator owns all
 //     scheduling policy.
 //
 //   - Coordinator: Runner → remote engine → worker. Coordinator.Runner
-//     is an ordinary engine.Runner whose engine is the fleet: Verify
-//     encodes one work unit, takes a token for a worker, dispatches,
-//     and returns that worker's Result. Pool, cache short-circuit and
+//     is an ordinary engine.Runner whose engine is the fleet: it
+//     builds one work unit around the canonical scenario bytes the
+//     Runner already holds (VerifyCached hands them over; only the
+//     index and the name are encoded per unit, and the engine spec once
+//     per Runner), takes a token for a worker, dispatches, and returns
+//     that worker's Result. Pool, cache short-circuit and
 //     store (engine.VerifyCached, keyed through the remote engine to
 //     the engine it places), results by index and cancellation are the
 //     Runner's own. Tokens are dispatch credit: one pool per
 //     coordinator, shared by concurrent batches, with as many tokens
 //     per worker as the slots it advertises on /fleet/health (one
 //     until it has answered) — a healthy fleet is never offered more
-//     than it admits, so it never 429s itself. Failures and rejections
+//     than it admits, so it never 429s itself. A 429 means a worker
+//     admits fewer units than its credit (it restarted with fewer
+//     slots): the next batch asks it again, and tokens above the new
+//     limit leave the pool as they come back. Failures and rejections
 //     are retried with exponential backoff on whichever worker has
 //     credit next; a worker that keeps failing trips its circuit
 //     breaker and fast-fails until a half-open probe dispatch succeeds;

@@ -9,6 +9,21 @@ import (
 // the clock past it.
 const Cooldown = breakerCooldown
 
+// Credit is the number of tokens the worker at url has in c's dispatch
+// pool: its learned slots plus any surplus not yet retired.
+func Credit(c *Coordinator, url string) int {
+	for _, ws := range c.workers {
+		if ws.url == url {
+			return max(int(ws.slots.Load()), 1) + int(ws.surplus.Load())
+		}
+	}
+	return 0
+}
+
+// Pooled is the number of tokens in c's dispatch pool; with no batch
+// running, every token in circulation.
+func Pooled(c *Coordinator) int { return len(c.tokens) }
+
 // FakeClock is a coordinator clock that tests step by hand. A wait
 // never blocks: it records the delay asked for and moves the clock past
 // it at once, so retry paths run at CPU speed and every delay the

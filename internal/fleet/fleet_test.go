@@ -486,7 +486,10 @@ func TestWorkUnitCodecRoundTrip(t *testing.T) {
 
 // FuzzDecodeWorkUnit: a work unit is what a fleet worker reads off the
 // network. It either fails to decode, or its re-encoding decodes to the
-// same index, engine and scenario; it never panics.
+// same index, engine and scenario; it never panics. On every document
+// without a repeated or case-folded top-level member, the one-pass
+// decoder and the two-pass reference accept or reject alike, and agree
+// on what they accept.
 func FuzzDecodeWorkUnit(f *testing.F) {
 	s := fleetScenarios()[0]
 	for i, eng := range []engine.Engine{
@@ -508,8 +511,40 @@ func FuzzDecodeWorkUnit(f *testing.F) {
 	}
 	f.Add([]byte(`{"version":1,"index":-2,"engine":{"version":1,"kind":"auto"},"scenario":{"version":1}}`))
 	f.Add([]byte(`{"version":9,"index":0,"engine":{},"scenario":{}}`))
+	// A null or missing engine or scenario, repeated and case-folded
+	// members, and a stray closing brace.
+	scen, err := engine.EncodeScenario(&s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	const spec = `{"version":1,"kind":"auto"}`
+	for _, members := range []string{
+		`"engine":` + spec + `,"scenario":null`,
+		`"engine":` + spec,
+		`"engine":null,"scenario":` + string(scen),
+		`"scenario":` + string(scen),
+		`"engine":` + spec + `,"scenario":` + string(scen) + `,"scenario":{"version":1}`,
+		`"engine":{"version":1,"kind":"simulation","runs":4},"engine":{"version":1,"kind":"simulation","seed":9},"scenario":` + string(scen),
+		`"engine":` + spec + `,"Scenario":` + string(scen),
+		`"engine":` + spec + `,"scenario":` + string(scen) + `}`,
+	} {
+		f.Add([]byte(`{"version":1,"index":0,` + members + `}`))
+	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		index, eng, s, err := fleet.DecodeWorkUnit(doc)
+		if !ambiguousMembers(doc) {
+			refIndex, refEng, refS, refErr := decodeWorkUnitReference(doc)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("one pass says %v, the reference %v", err, refErr)
+			}
+			if err == nil {
+				got, _ := engine.EncodeScenario(&s)
+				want, _ := engine.EncodeScenario(&refS)
+				if index != refIndex || eng != refEng || string(got) != string(want) {
+					t.Fatalf("one pass decodes %d %#v %s, the reference %d %#v %s", index, eng, got, refIndex, refEng, want)
+				}
+			}
+		}
 		if err != nil {
 			return
 		}

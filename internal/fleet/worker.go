@@ -17,54 +17,17 @@ import (
 
 // ---- work unit codec ----
 
-// unitJSON is the wire form of one work unit: the scenario's position
-// in the coordinator's batch plus the canonical engine-spec and
-// scenario documents. Both halves reuse the engine codec, so a unit is
-// exactly as addressable on the worker as it was on the coordinator.
-type unitJSON struct {
-	Version  int             `json:"version"`
-	Index    int             `json:"index"`
-	Engine   json.RawMessage `json:"engine"`
-	Scenario json.RawMessage `json:"scenario"`
-}
-
-// EncodeWorkUnit renders one dispatchable unit. A custom engine
-// implementation has no spec, so its units are not dispatchable; the
-// coordinator runs those locally.
+// EncodeWorkUnit renders one dispatchable unit: engine.EncodeWorkUnit.
+// A custom engine implementation has no spec, so its units are not
+// dispatchable; the coordinator runs those locally.
 func EncodeWorkUnit(index int, eng engine.Engine, s *engine.Scenario) ([]byte, error) {
-	spec, err := engine.EncodeEngineSpec(eng)
-	if err != nil {
-		return nil, err
-	}
-	doc, err := engine.EncodeScenario(s)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(unitJSON{Version: engine.SchemaVersion, Index: index, Engine: spec, Scenario: doc})
+	return engine.EncodeWorkUnit(index, eng, s)
 }
 
-// DecodeWorkUnit parses a work unit back into its parts, strictly: an
-// unknown member or trailing data is an error.
+// DecodeWorkUnit parses a work unit back into its parts in one strict
+// pass: engine.DecodeWorkUnit.
 func DecodeWorkUnit(data []byte) (index int, eng engine.Engine, s engine.Scenario, err error) {
-	var w unitJSON
-	if err = engine.StrictUnmarshal(data, &w); err != nil {
-		return 0, nil, engine.Scenario{}, fmt.Errorf("fleet: unit: %w", err)
-	}
-	if w.Version != engine.SchemaVersion {
-		return 0, nil, engine.Scenario{}, fmt.Errorf("fleet: unit: unsupported schema version %d (want %d)", w.Version, engine.SchemaVersion)
-	}
-	if w.Index < 0 {
-		return 0, nil, engine.Scenario{}, fmt.Errorf("fleet: unit: negative index %d", w.Index)
-	}
-	eng, err = engine.DecodeEngineSpec(w.Engine)
-	if err != nil {
-		return 0, nil, engine.Scenario{}, err
-	}
-	s, err = engine.DecodeScenario(w.Scenario)
-	if err != nil {
-		return 0, nil, engine.Scenario{}, err
-	}
-	return w.Index, eng, s, nil
+	return engine.DecodeWorkUnit(data)
 }
 
 // ---- worker ----
