@@ -85,7 +85,7 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 }
 
 // TestResumeRefusesCheckpointOfOlderBinary: a checkpoint whose run
-// state predates the current canonical key function (magic MCARS1) is
+// state predates the current canonical key function (magic MCARS2) is
 // intact and checksummed, yet its keys belong to another key space;
 // -resume must refuse it with the delete-and-re-verify hint instead of
 // continuing the run against it.
@@ -102,10 +102,10 @@ func TestResumeRefusesCheckpointOfOlderBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(cp.State, []byte("MCARS2\n")) {
-		t.Fatalf("run state starts %q, want the MCARS2 magic", cp.State[:7])
+	if !bytes.HasPrefix(cp.State, []byte("MCARS3\n")) {
+		t.Fatalf("run state starts %q, want the MCARS3 magic", cp.State[:7])
 	}
-	copy(cp.State, "MCARS1\n")
+	copy(cp.State, "MCARS2\n")
 	old, err := engine.EncodeCheckpoint(cp)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestResumeRefusesCheckpointOfOlderBinary(t *testing.T) {
 func TestResumeRefusesCraftedRunState(t *testing.T) {
 	for name, craft := range map[string]func(state []byte) []byte{
 		"overflowing-length": func([]byte) []byte {
-			crafted := []byte("MCARS2\n")
+			crafted := []byte("MCARS3\n")
 			for _, v := range []uint64{1, 1, 0, 1, 1} { // next level, states, max depth, nodes, seen
 				crafted = binary.AppendUvarint(crafted, v)
 			}

@@ -136,9 +136,9 @@ func TestCorruptCheckpointErrorIsTyped(t *testing.T) {
 	}
 
 	// A checkpoint written before the canonical key function changed
-	// (run-state magic MCARS1): sound envelope, foreign key space.
+	// (run-state magic MCARS2): sound envelope, foreign key space.
 	old := *cp
-	old.State = append([]byte("MCARS1\n"), cp.State[len("MCARS2\n"):]...)
+	old.State = append([]byte("MCARS2\n"), cp.State[len("MCARS3\n"):]...)
 	oldEnc, err := EncodeCheckpoint(&old)
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,14 @@
 // Hot-path engineering — incremental canonical hashing with a
 // reference-serializer crosscheck, compact open-addressing state
 // stores (occupancy reported on Verdict.Store), pooled pointer-free
-// frontier storage — is documented in docs/PERFORMANCE.md.
+// frontier storage — is documented in docs/PERFORMANCE.md. The
+// canonical key is one formula over per-component digests: each agent
+// and each queued message digests its content together with the ranks
+// of its timestamps under the state's time ranker, and keeps that
+// digest while the ranker stays the same, so a key re-ranks only the
+// receiver and the queue cells a delivery changed (see keyScratch).
+// The run-state format stores keys, so its magic (runStateMagic)
+// changes with the key function.
 //
 // Determinism: both checkers are deterministic in (agents, graph,
 // Options); CheckParallel additionally returns the same verdict and the

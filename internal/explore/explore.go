@@ -395,7 +395,7 @@ func (c *checker) dfs(depth, changes int) bool {
 			stop := c.dfs(depth+1, nextChanges)
 			c.path = c.path[:len(c.path)-1]
 			c.net.Rollback(snap)
-			receiver.RestoreState(c.saveStack[depth])
+			receiver.Undo(&c.saveStack[depth])
 			if stop {
 				return true
 			}

@@ -2,46 +2,46 @@ package explore
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/mca"
 	"repro/internal/netsim"
 )
 
 // keyScratch computes 128-bit canonical state keys incrementally. The
-// key splits into two parts:
+// key is one formula over per-component digests:
 //
-//   - a content part — everything except logical times — assembled by
-//     XOR from per-component digests: per-agent hashes each agent caches
-//     and carries through save and restore (a delivery mutates one
-//     receiver, so at most one agent is re-digested per transition, and
-//     none when a delivery is rolled back) and per-message hashes
-//     computed once at send time by the network (messages are
-//     immutable);
-//   - a time part — the dense rank of every logical timestamp in the
-//     state — which is irreducibly global (one new timestamp can shift
-//     every rank) but cheap: one pass collects the timestamps and folds
-//     them into a 64-bit set, a second ranks every slot against that
-//     word and packs the ranks eight to a fold. A state whose timestamps
-//     span 64 values or more is ranked against the sorted universe
-//     instead (wideKeys counts them; none occurs on the scenarios the
-//     suite explores).
+//   - the ranker r: every logical time in the state replaced by its
+//     dense rank, built from the union of the components' time spans
+//     (least time, greatest time, set of t mod 64), which every agent
+//     and queue cell caches. A state whose timestamps span 64 values
+//     or more is ranked against the sorted universe instead (wideKeys
+//     counts them; none occurs on the scenarios the suite explores);
+//   - an agent part: the XOR of every agent's KeyDigest, its content
+//     hash mixed with the fold of its rank slots under r;
+//   - a network part: every queued message's KeyDigest, its content
+//     hash (computed once at send time; messages are immutable) mixed
+//     with the fold of its rank slots under r, folded in queue order
+//     after each edge's identity and length.
 //
-// Full state re-serialization is gone from the hot path entirely. The
-// reference semantics live in referenceKey (the serializer form built
-// on AppendCanonical); crosscheckInterval (the explorecheck build tag)
-// arms a periodic self-check that pins the incremental computation to
-// it.
+// The key mixes the two parts. A component caches its digest under the
+// one-word ranker it was made with, and a delivery changes one receiver
+// and a few queue cells while almost every child state keeps its
+// parent's ranker (98 % of ring-3's keys), so a key re-ranks only what
+// the delivery touched. Full state re-serialization is gone from the
+// hot path entirely. The reference semantics live in referenceKey (the
+// serializer form built on AppendCanonical); crosscheckInterval (the
+// explorecheck build tag) arms a periodic self-check that pins the
+// cached computation to a cold one and both to the reference.
 type keyScratch struct {
-	times []int  // the state's timestamps, then the ranker's if it is wide
-	ranks []byte // packed rank slots of the state being keyed
+	times []int  // the state's timestamps, when its ranker is wide
+	ranks []byte // packed rank slots of the component being digested
 	buf   []byte // reference-serializer scratch
 	// keys counts key computations and wideKeys those that fell back to
 	// the sorted universe; both surface in StoreStats.
 	keys, wideKeys uint64
 	// Crosscheck state (zero-cost when disabled): every interval-th key
-	// computation recomputes the key with cold caches and the reference
-	// serializer, and checks both the cache coherence and the
+	// computation recomputes the key with no caches and with the
+	// reference serializer, and checks both the cache coherence and the
 	// incremental/reference key bijection seen so far this run.
 	interval uint64
 	incToRef map[[2]uint64][2]uint64
@@ -54,23 +54,6 @@ func (ks *keyScratch) addStats(s *StoreStats) {
 	s.WideKeys += ks.wideKeys
 }
 
-// mix128 finishes the key: each lane avalanches the combined content
-// and time words through the splitmix64 finalizer, so the XOR algebra
-// of the content part cannot cancel against the time part.
-func mix128(c, t [2]uint64) [2]uint64 {
-	return [2]uint64{mix64(c[0], t[0]), mix64(c[1], t[1])}
-}
-
-func mix64(a, b uint64) uint64 {
-	x := a ^ bits.RotateLeft64(b, 32)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // testKeyOverride, when non-nil, post-processes every canonical key —
 // a test-only hook used to force distinct states onto the same 128-bit
 // key and pin the engines' collision behavior (states sharing a key
@@ -78,15 +61,10 @@ func mix64(a, b uint64) uint64 {
 // them, deterministically). Never set outside tests.
 var testKeyOverride func([2]uint64) [2]uint64
 
-// key computes the canonical state key from the agents' cached digests.
+// key computes the canonical state key from the components' cached
+// spans and digests.
 func (ks *keyScratch) key(agents []*mca.Agent, net *netsim.Network) [2]uint64 {
-	var c [2]uint64
-	for _, a := range agents {
-		h := a.ContentHash()
-		c[0] ^= h[0]
-		c[1] ^= h[1]
-	}
-	k, wide := ks.finish(c, agents, net)
+	k, wide := ks.finish(agents, net, false)
 	ks.keys++
 	if wide {
 		ks.wideKeys++
@@ -100,36 +78,51 @@ func (ks *keyScratch) key(agents []*mca.Agent, net *netsim.Network) [2]uint64 {
 	return k
 }
 
-// keyCold recomputes the key with no cached agent digests — the
-// crosscheck's cache-coherence oracle.
+// keyCold recomputes the key reading no cache: every span and every
+// component digest is computed afresh — the crosscheck's
+// cache-coherence oracle.
 func (ks *keyScratch) keyCold(agents []*mca.Agent, net *netsim.Network) [2]uint64 {
-	var c [2]uint64
-	for _, a := range agents {
-		h := a.ContentHashUncached()
-		c[0] ^= h[0]
-		c[1] ^= h[1]
-	}
-	k, _ := ks.finish(c, agents, net)
+	k, _ := ks.finish(agents, net, true)
 	return k
 }
 
-// finish folds the network content digest and the global time-rank part
-// into the combined content hash c; wide reports that the timestamps
-// did not fit the one-word ranker.
-func (ks *keyScratch) finish(c [2]uint64, agents []*mca.Agent, net *netsim.Network) (k [2]uint64, wide bool) {
-	nh := net.ContentHash()
-	c[0] ^= nh[0]
-	c[1] ^= nh[1]
-
-	r := mca.NewRanker(ks.collectTimes(agents, net))
-	n := len(agents)
-	ks.ranks = ks.ranks[:0]
-	for _, a := range agents {
-		ks.ranks = a.AppendTimeRanks(ks.ranks, &r, n)
+// finish computes the key of the state, from the caches unless cold;
+// wide reports that the timestamps did not fit the one-word ranker.
+func (ks *keyScratch) finish(agents []*mca.Agent, net *netsim.Network, cold bool) (k [2]uint64, wide bool) {
+	var span mca.TimeSpan
+	if cold {
+		span = net.TimeSpanUncached()
+	} else {
+		span = net.TimeSpan()
 	}
-	ks.ranks = net.AppendTimeRanks(ks.ranks, &r, n)
-	t := mca.FoldPacked([2]uint64{0x452821e638d01377, 0xbe5466cf34e90c6c}, ks.ranks)
-	return mix128(c, t), r.Wide()
+	for _, a := range agents {
+		if cold {
+			span = span.Union(a.TimeSpanUncached())
+		} else {
+			span = span.Union(a.TimeSpan())
+		}
+	}
+	r, ok := span.Ranker()
+	if !ok {
+		r = mca.SortedRanker(ks.collectTimes(agents, net))
+	}
+	n := len(agents)
+	var c, d [2]uint64
+	for _, a := range agents {
+		if cold {
+			d, ks.ranks = a.KeyDigestUncached(&r, n, ks.ranks)
+		} else {
+			d, ks.ranks = a.KeyDigest(&r, n, ks.ranks)
+		}
+		c[0] ^= d[0]
+		c[1] ^= d[1]
+	}
+	if cold {
+		d, ks.ranks = net.KeyDigestUncached(&r, n, ks.ranks)
+	} else {
+		d, ks.ranks = net.KeyDigest(&r, n, ks.ranks)
+	}
+	return mca.Mix128(c, d), !ok
 }
 
 // collectTimes gathers every logical time in the state into a reused
@@ -173,7 +166,8 @@ func (ks *keyScratch) referenceKey(agents []*mca.Agent, net *netsim.Network) [2]
 }
 
 // crosscheck validates one state's key three ways: the cached
-// incremental key must equal a cold recomputation (cache coherence),
+// incremental key must equal a recomputation that reads no cache
+// (cache coherence),
 // and the incremental/reference key pair must extend a bijection over
 // every state checked so far this run (partition equivalence with the
 // serializer). Violations panic — they mean a stale digest cache or a

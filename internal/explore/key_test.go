@@ -1,6 +1,10 @@
 package explore
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -196,6 +200,72 @@ func TestKeyCountsArePinned(t *testing.T) {
 		if s.Store.Keys == 0 || s.Store.WideKeys != 0 {
 			t.Fatalf("star-4 workers=%d: keys=%d wide=%d, want some and 0", workers, s.Store.Keys, s.Store.WideKeys)
 		}
+	}
+}
+
+// recordingSeen is a seen-set that also lists every key added to it.
+type recordingSeen struct {
+	seenSet
+	keys [][2]uint64
+}
+
+func (r *recordingSeen) add(k [2]uint64) {
+	r.keys = append(r.keys, k)
+	r.seenSet.add(k)
+}
+
+// TestKeyFunctionMatchesRunStateMagic ties key values to the run-state
+// format. A run state stores canonical keys, so a checkpoint is only
+// resumable by a binary whose key function is the one that wrote it.
+// The pins are ring-3's initial-state key and a digest of the sorted
+// keys of its 100,110 states, under the magic they belong to: a change
+// to the key function must bump runStateMagic and re-pin both, and a
+// bumped magic must come with new pins.
+func TestKeyFunctionMatchesRunStateMagic(t *testing.T) {
+	// Not parallel: testSeenWrap is a package global.
+	const (
+		magic   = "MCARS3\n"
+		initial = "[c2a5816f0ccd702a 7caa31c2c6d3a0e7]"
+		visited = "93cb2370fad8d942901072dcb0a0b896"
+	)
+	agents := ring3Agents()
+	var ks keyScratch
+	gotInitial := fmt.Sprintf("%x", ks.key(agents, initialNetwork(agents, graph.Ring(3))))
+
+	var rec *recordingSeen
+	testSeenWrap = func(s seenSet) seenSet {
+		rec = &recordingSeen{seenSet: s}
+		return rec
+	}
+	v := Check(ring3Agents(), graph.Ring(3), Options{MaxStates: 2000000})
+	testSeenWrap = nil
+	if !v.OK || v.States != 100110 {
+		t.Fatalf("ring-3: OK=%v states=%d, want 100110", v.OK, v.States)
+	}
+	keys := rec.keys
+	slices.SortFunc(keys, func(a, b [2]uint64) int {
+		if keyLess(a, b) {
+			return -1
+		}
+		if keyLess(b, a) {
+			return 1
+		}
+		return 0
+	})
+	if keys = slices.Compact(keys); len(keys) != v.States {
+		t.Fatalf("ring-3: %d distinct visited keys, want %d", len(keys), v.States)
+	}
+	h := sha256.New()
+	for _, k := range keys {
+		h.Write(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, k[0]), k[1]))
+	}
+	gotVisited := fmt.Sprintf("%x", h.Sum(nil)[:16])
+
+	if gotInitial != initial || gotVisited != visited {
+		t.Errorf("the canonical key function changed: ring-3's initial key is %s and its visited keys digest to %s, pinned %s and %s under %q; "+
+			"bump runStateMagic so that checkpoints of the old key function are refused, then re-pin both under it", gotInitial, gotVisited, initial, visited, magic)
+	} else if runStateMagic != magic {
+		t.Errorf("runStateMagic is %q but the key pins are %q's: a bumped magic needs the key values of its key function re-pinned", runStateMagic, magic)
 	}
 }
 

@@ -826,7 +826,7 @@ func (w *shardWorker) expand(shards []*shardWorker, opts Options) {
 					})
 				}
 				w.scratch.Rollback(&w.snap)
-				receiver.RestoreState(w.saveSlot)
+				receiver.Undo(&w.saveSlot)
 			}
 		}
 		w.recycle(it)

@@ -237,11 +237,13 @@ func TestDecodeRunStateRejectsCorruption(t *testing.T) {
 	if _, err := DecodeRunState([]byte("XXARS1\nrest")); err == nil {
 		t.Fatal("bad magic decoded")
 	}
-	// A document from before the canonical key function changed (PR 24)
+	// A document from before a change of the canonical key function
 	// holds keys of another key space; intact otherwise, it is refused.
-	old := append([]byte("MCARS1\n"), enc[len(runStateMagic):]...)
-	if _, err := DecodeRunState(old); !errors.Is(err, ErrCorruptRunState) {
-		t.Fatalf("MCARS1 document: err = %v, want ErrCorruptRunState", err)
+	for _, magic := range []string{"MCARS1\n", "MCARS2\n"} {
+		old := append([]byte(magic), enc[len(runStateMagic):]...)
+		if _, err := DecodeRunState(old); !errors.Is(err, ErrCorruptRunState) {
+			t.Fatalf("%q document: err = %v, want ErrCorruptRunState", magic, err)
+		}
 	}
 	if _, err := DecodeRunState(enc[:len(enc)/2]); err == nil {
 		t.Fatal("truncated document decoded")

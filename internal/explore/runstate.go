@@ -102,9 +102,12 @@ type RunEdge struct {
 
 // runStateMagic versions the binary run-state format, canonical key
 // values included: a run state stores keys, so a change to the key
-// function (MCARS1 to MCARS2: time ranks folded packed) bumps it, and
-// a document from the other side of the change is corrupt, not resumed.
-const runStateMagic = "MCARS2\n"
+// function bumps it, and a document from the other side of the change
+// is corrupt, not resumed. MCARS1 to MCARS2: time ranks folded packed;
+// MCARS2 to MCARS3: one digest per component, ranks folded with its
+// content. TestKeyFunctionMatchesRunStateMagic pins the key values each
+// magic stands for.
+const runStateMagic = "MCARS3\n"
 
 // EncodeRunState renders a run state in its compact binary format
 // (fixed-width canonical keys, varint-packed tree and counters,

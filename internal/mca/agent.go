@@ -62,8 +62,22 @@ type Agent struct {
 
 	// digest caches ContentHash; zero means not computed. Every entry
 	// point that can modify the agent drops it (HandleMessage, BidPhase,
-	// DecodeState) or replaces it with the saved state's (RestoreState).
+	// DecodeState) or replaces it with the saved state's (RestoreState,
+	// Undo).
 	digest [2]uint64
+	// key caches the time-dependent part of the agent's canonical key
+	// digest. The same entry points drop it, and so does RestoreState,
+	// because a saved state's times may have been edited; only Undo
+	// hands back the one SaveStateInto saved.
+	key agentKeyCache
+}
+
+// agentKeyCache is the time-dependent half of an agent's key cache: the
+// span of its timestamps (TimeSpan; empty when not computed) and its
+// KeyDigest under the last one-word ranker it was asked for.
+type agentKeyCache struct {
+	span   TimeSpan
+	digest KeyCache
 }
 
 // Validate checks that the configuration describes an agent: it is
@@ -134,6 +148,7 @@ func (a *Agent) Clone() *Agent {
 		block:    append([]BidInfo(nil), a.block...),
 		infoTime: append([]int(nil), a.infoTime...),
 		digest:   a.digest,
+		key:      a.key,
 	}
 	if a.demands != nil {
 		c.demands = append([]int64(nil), a.demands...)
@@ -300,6 +315,13 @@ func (a *Agent) eligible(j ItemID) (int64, bool) {
 // reached. It returns true if the view changed.
 func (a *Agent) BidPhase() bool {
 	a.digest = [2]uint64{}
+	a.key = agentKeyCache{}
+	return a.bidPhase()
+}
+
+// bidPhase is BidPhase without dropping the caches, for callers that
+// have dropped them already.
+func (a *Agent) bidPhase() bool {
 	changed := false
 	added := 0
 	for {
@@ -337,6 +359,7 @@ func (a *Agent) HandleMessage(m Message) bool {
 		panic(fmt.Sprintf("mca: agent %d received view of length %d, want %d", a.id, len(m.View), a.items))
 	}
 	a.digest = [2]uint64{}
+	a.key = agentKeyCache{}
 	fr := Freshness{SenderTimes: m.InfoTimes, Receiver: a.id}
 	changed := false
 	for j := 0; j < a.items; j++ {
@@ -387,7 +410,7 @@ func (a *Agent) HandleMessage(m Message) bool {
 	if a.refreshLost() {
 		changed = true
 	}
-	if a.BidPhase() {
+	if a.bidPhase() {
 		changed = true
 	}
 	if changed {

@@ -98,6 +98,10 @@ type AgentState struct {
 	// every field above except the times, so a caller that edits a saved
 	// bid, winner, bundle or block mark must zero it.
 	Digest [2]uint64
+	// key is the agent's time-dependent key cache when it was saved. Only
+	// Undo hands it back: RestoreState cannot know that the times were
+	// left alone.
+	key agentKeyCache
 }
 
 // SaveState captures the agent's mutable state.
@@ -118,12 +122,30 @@ func (a *Agent) SaveStateInto(s *AgentState) {
 	s.Clock = a.clock
 	s.InfoTime = append(s.InfoTime[:0], a.infoTime...)
 	s.Digest = a.digest
+	s.key = a.key
 }
 
 // RestoreState reinstates a previously saved state. The agent's own
 // storage is reused (the explorers restore millions of times on their
-// hot path); the AgentState is not aliased afterwards.
+// hot path); the AgentState is not aliased afterwards. The content
+// digest comes back with the state, and the time-dependent key cache is
+// dropped: a caller may have edited the saved times.
 func (a *Agent) RestoreState(s AgentState) {
+	a.restore(&s)
+	a.key = agentKeyCache{}
+}
+
+// Undo reinstates a state SaveStateInto captured from this agent and
+// nobody edited since, key cache included: the explorers' rollback of a
+// delivery, which would otherwise make the next key re-rank an agent
+// whose times are back where they were. Any other restore is
+// RestoreState's.
+func (a *Agent) Undo(s *AgentState) {
+	a.restore(s)
+	a.key = s.key
+}
+
+func (a *Agent) restore(s *AgentState) {
 	a.digest = s.Digest
 	copy(a.view, s.View)
 	a.bundle = append(a.bundle[:0], s.Bundle...)
@@ -184,6 +206,7 @@ func readVarint(buf []byte) (int64, []byte) {
 // encoding, returning the unconsumed remainder of buf.
 func (a *Agent) DecodeState(buf []byte) []byte {
 	a.digest = [2]uint64{}
+	a.key = agentKeyCache{}
 	var v int64
 	for j := range a.view {
 		bi := &a.view[j]
@@ -289,31 +312,18 @@ type Ranker struct {
 }
 
 // NewRanker returns the ranker over times, every timestamp of one state
-// in any order (AppendTimes output): the one-word form if it can hold
-// them, else the sorted form, which reorders times and keeps it. One
-// pass finds the minimum and the maximum and sets bit t mod 64 for each
-// t; while max-min is under 64 no two timestamps share a bit, and
-// rotating the set right by min mod 64 puts bit t-min where t is. The
-// spread is compared unsigned so that no pair of times, however far
-// apart, wraps into the one-word form: a decoded state is outside input.
+// in any order (AppendTimes output): the one-word form if their
+// TimeSpan can hold them, else the sorted form, which reorders times
+// and keeps it.
 func NewRanker(times []int) Ranker {
-	if len(times) == 0 {
-		return Ranker{}
-	}
-	lo, hi, set := times[0], times[0], uint64(0)
+	var s TimeSpan
 	for _, t := range times {
-		if t < lo {
-			lo = t
-		}
-		if t > hi {
-			hi = t
-		}
-		set |= 1 << (uint(t) & 63)
+		s.add(t)
 	}
-	if uint64(hi)-uint64(lo) >= 64 {
-		return SortedRanker(times)
+	if r, ok := s.Ranker(); ok {
+		return r
 	}
-	return Ranker{top: lo + 64, word: bits.RotateLeft64(set, -(lo & 63))}
+	return SortedRanker(times)
 }
 
 // SortedRanker returns the sorted form of the ranker over times, which

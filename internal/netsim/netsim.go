@@ -12,20 +12,29 @@ type Edge struct {
 	From, To mca.AgentID
 }
 
-// qcell is one queued message plus its content digest, computed once at
-// send time (messages are immutable) so the explorers' canonical keys
-// never re-serialize queue contents.
+// qcell is one queued message — its payload only: its sender and
+// receiver are its edge's — plus what the explorers' canonical keys
+// read of it: its content digest, computed once at send time (messages
+// are immutable) so that keys never re-serialize queue contents, the
+// span of its timestamps, computed when a key first asks, and its key
+// digest under the ranker of the last key it took part in. All of it
+// travels with the cell by value: through delivery, Capture and
+// Rollback, and clones, which copy 120 bytes a cell.
 type qcell struct {
-	msg mca.Message
-	h   [2]uint64
-	// viewBuf and timesBuf are decode-owned backing storage, written
-	// only by DecodeState for this slot. Live messages share their View
-	// and InfoTimes slices across a broadcast fan-out and across
-	// clones, so a decoder must never write into msg's own backing; a
-	// scratch network decoded repeatedly instead reuses these per-slot
-	// buffers and points msg at them.
-	viewBuf  []mca.BidInfo
-	timesBuf []int
+	view  []mca.BidInfo
+	times []int
+	h     [2]uint64
+	span  mca.TimeSpan // empty until a key asks, or when the payload has no times
+	key   mca.KeyCache
+}
+
+// payload returns the cell's message without its endpoints, for the
+// mca methods that read only a message's view and times.
+func (c *qcell) payload() mca.Message { return mca.Message{View: c.view, InfoTimes: c.times} }
+
+// message returns the cell's message on edge e.
+func (c *qcell) message(e Edge) mca.Message {
+	return mca.Message{Sender: e.From, Receiver: e.To, View: c.view, InfoTimes: c.times}
 }
 
 // Network holds the in-transit messages: each directed edge is a FIFO
@@ -47,6 +56,13 @@ type Network struct {
 	queues   [][]qcell // per edge id; backing reused across send/deliver cycles
 	nonEmpty int       // number of edges currently carrying messages
 	nbrs     [][]int   // sorted neighbor lists; immutable, shared by clones
+	// decViews and decTimes back the messages DecodeState builds, and
+	// the next DecodeState rewinds them. Live messages share their View
+	// and InfoTimes slices across a broadcast fan-out and across clones,
+	// so a decoder never writes into a message's own backing; a scratch
+	// network decoded repeatedly reuses these instead.
+	decViews []mca.BidInfo
+	decTimes []int
 }
 
 // New creates an empty network over the agent graph.
@@ -106,10 +122,10 @@ func (n *Network) enqueue(id int32, m mca.Message, h [2]uint64) {
 	if len(q) == 0 {
 		n.nonEmpty++
 	} else if n.maxDepth > 0 && len(q) >= n.maxDepth {
-		q[len(q)-1] = qcell{msg: m, h: h}
+		q[len(q)-1] = qcell{view: m.View, times: m.InfoTimes, h: h}
 		return
 	}
-	n.queues[id] = append(q, qcell{msg: m, h: h})
+	n.queues[id] = append(q, qcell{view: m.View, times: m.InfoTimes, h: h})
 }
 
 // Send enqueues a message on the edge (m.Sender, m.Receiver). The edge
@@ -188,7 +204,7 @@ func (n *Network) DeliverAt(e Edge, i int) mca.Message {
 	if i < 0 || i >= len(q) {
 		panic(fmt.Sprintf("netsim: deliver slot %d on edge %d->%d holding %d messages", i, e.From, e.To, len(q)))
 	}
-	m := q[i].msg
+	m := q[i].message(n.edges[id])
 	copy(q[i:], q[i+1:]) // keep the backing array; queues are shallow
 	n.queues[id] = q[:len(q)-1]
 	if len(q) == 1 {
@@ -202,11 +218,12 @@ func (n *Network) QueueLen(e Edge) int { return len(n.queues[n.eid(e)]) }
 
 // Peek returns the head message of the edge without removing it.
 func (n *Network) Peek(e Edge) (mca.Message, bool) {
-	q := n.queues[n.eid(e)]
+	id := n.eid(e)
+	q := n.queues[id]
 	if len(q) == 0 {
 		return mca.Message{}, false
 	}
-	return q[0].msg, true
+	return q[0].message(n.edges[id]), true
 }
 
 // ForEachQueued calls f for every in-transit message in deterministic
@@ -214,35 +231,10 @@ func (n *Network) Peek(e Edge) (mca.Message, bool) {
 // explorers' reference key serializer walks queue contents this way.
 func (n *Network) ForEachQueued(f func(e Edge, m mca.Message)) {
 	for i, q := range n.queues {
-		for _, c := range q {
-			f(n.edges[i], c.msg)
-		}
-	}
-}
-
-// ContentHash folds the timestamp-free content of every queued message
-// — edge identity, queue position, and the per-cell digests cached at
-// send time — into one 128-bit digest. Together with AppendTimeRanks it
-// carries exactly the queue information the reference serializer
-// encodes, at the cost of a few cached-word folds per in-flight
-// message.
-//
-// This and the two walks below sit inside every canonical key, so they
-// index the queues and hand *Message down: ranging over qcell values or
-// passing a Message by value copies 150 and 64 bytes per message.
-func (n *Network) ContentHash() [2]uint64 {
-	h0, h1 := uint64(0x243f6a8885a308d3), uint64(0x13198a2e03707344)
-	for i, q := range n.queues {
-		if len(q) == 0 {
-			continue
-		}
-		h0, h1 = mca.FoldHash(h0, h1, uint64(i)<<16|uint64(len(q)))
 		for k := range q {
-			h0, h1 = mca.FoldHash(h0, h1, q[k].h[0])
-			h0, h1 = mca.FoldHash(h0, h1, q[k].h[1])
+			f(n.edges[i], q[k].message(n.edges[i]))
 		}
 	}
-	return [2]uint64{h0, h1}
 }
 
 // AppendTimes appends every timestamp occurring in queued messages to
@@ -250,24 +242,86 @@ func (n *Network) ContentHash() [2]uint64 {
 func (n *Network) AppendTimes(ts []int) []int {
 	for _, q := range n.queues {
 		for k := range q {
-			ts = q[k].msg.AppendTimes(ts)
+			m := q[k].payload()
+			ts = m.AppendTimes(ts)
 		}
 	}
 	return ts
 }
 
-// AppendTimeRanks appends the ranked timestamp slots of every queued
-// message, in the same deterministic order as ContentHash, for a
-// system of nAgents agents. The slots carry no edge or position marker:
-// ContentHash binds which edges hold how many messages, and the key
-// mixes both digests.
-func (n *Network) AppendTimeRanks(buf []byte, r *mca.Ranker, nAgents int) []byte {
+// TimeSpan returns the span of every timestamp occurring in queued
+// messages, the ones AppendTimes lists. A cell keeps its message's span
+// from the first key that asks.
+func (n *Network) TimeSpan() mca.TimeSpan { return n.timeSpan(true) }
+
+// TimeSpanUncached recomputes the span TimeSpan returns, reading and
+// writing no cell's span.
+func (n *Network) TimeSpanUncached() mca.TimeSpan { return n.timeSpan(false) }
+
+func (n *Network) timeSpan(cached bool) mca.TimeSpan {
+	var s mca.TimeSpan
 	for _, q := range n.queues {
 		for k := range q {
-			buf = q[k].msg.AppendTimeRanks(buf, r, nAgents)
+			c := &q[k]
+			span := c.span
+			if !cached || span == (mca.TimeSpan{}) {
+				m := c.payload()
+				span = m.TimeSpan()
+				if cached {
+					c.span = span
+				}
+			}
+			s = s.Union(span)
 		}
 	}
-	return buf
+	return s
+}
+
+// KeyDigest returns the network's part of a canonical state key for a
+// system of nAgents agents under r, the state's ranker: the key digest
+// of every queued message (mca.Message.KeyDigest), folded in queue
+// order — edges sorted by (From, To), head first — after each edge's
+// identity and queue length. Together with the agents' key digests it
+// carries exactly what the reference serializer encodes. A cell keeps
+// its digest under a one-word r, so a key whose ranker did not move
+// re-ranks only the cells a delivery wrote. buf is scratch for packed
+// rank slots and comes back grown.
+//
+// This pass and TimeSpan sit inside every canonical key, so they index
+// the queues and hand *Message down: ranging over qcell values or
+// passing a Message by value copies the whole cell or message.
+func (n *Network) KeyDigest(r *mca.Ranker, nAgents int, buf []byte) ([2]uint64, []byte) {
+	return n.keyDigest(r, nAgents, buf, true)
+}
+
+// KeyDigestUncached recomputes the digest KeyDigest returns, reading
+// and writing no cell's key cache.
+func (n *Network) KeyDigestUncached(r *mca.Ranker, nAgents int, buf []byte) ([2]uint64, []byte) {
+	return n.keyDigest(r, nAgents, buf, false)
+}
+
+func (n *Network) keyDigest(r *mca.Ranker, nAgents int, buf []byte, cached bool) ([2]uint64, []byte) {
+	h0, h1 := uint64(0x243f6a8885a308d3), uint64(0x13198a2e03707344)
+	for i, q := range n.queues {
+		if len(q) == 0 {
+			continue
+		}
+		h0, h1 = mca.FoldHash(h0, h1, uint64(i)<<16|uint64(len(q)))
+		for k := range q {
+			c := &q[k]
+			d, ok := c.key.Get(r)
+			if !ok || !cached {
+				m := c.payload()
+				d, buf = m.KeyDigest(c.h, r, nAgents, buf)
+				if cached {
+					c.key.Put(r, d)
+				}
+			}
+			h0, h1 = mca.FoldHash(h0, h1, d[0])
+			h0, h1 = mca.FoldHash(h0, h1, d[1])
+		}
+	}
+	return [2]uint64{h0, h1}, buf
 }
 
 // Clone copies the network (used by the exhaustive explorers). Queue
@@ -288,9 +342,11 @@ func (n *Network) CloneInto(dst *Network) *Network {
 	if dst == nil {
 		dst = &Network{queues: make([][]qcell, len(n.queues))}
 	}
-	queues := dst.queues
+	queues, views, times := dst.queues, dst.decViews, dst.decTimes
 	*dst = *n
-	dst.queues = queues
+	// Decode buffers are per-network: sharing them between the clone
+	// and the source would let two decoders corrupt each other's cells.
+	dst.queues, dst.decViews, dst.decTimes = queues, views, times
 	if len(dst.queues) != len(n.queues) {
 		dst.queues = make([][]qcell, len(n.queues))
 	}
@@ -302,13 +358,6 @@ func (n *Network) CloneInto(dst *Network) *Network {
 			continue
 		}
 		dst.queues[i] = append(dst.queues[i][:0], q...)
-		for k := range dst.queues[i] {
-			// Decode buffers are per-network: sharing them between the
-			// clone and the source would let two decoders corrupt each
-			// other's cells.
-			dst.queues[i][k].viewBuf = nil
-			dst.queues[i][k].timesBuf = nil
-		}
 	}
 	return dst
 }
@@ -357,14 +406,14 @@ func (n *Network) AppendState(buf []byte) []byte {
 		for _, c := range q {
 			buf = appendUvarint(buf, c.h[0])
 			buf = appendUvarint(buf, c.h[1])
-			buf = appendUvarint(buf, uint64(len(c.msg.View)))
-			for _, bi := range c.msg.View {
+			buf = appendUvarint(buf, uint64(len(c.view)))
+			for _, bi := range c.view {
 				buf = appendUvarint(buf, zig(bi.Bid))
 				buf = appendUvarint(buf, zig(int64(bi.Winner)))
 				buf = appendUvarint(buf, uint64(bi.Time))
 			}
-			buf = appendUvarint(buf, uint64(len(c.msg.InfoTimes)))
-			for _, t := range c.msg.InfoTimes {
+			buf = appendUvarint(buf, uint64(len(c.times)))
+			for _, t := range c.times {
 				buf = appendUvarint(buf, uint64(t))
 			}
 		}
@@ -374,63 +423,66 @@ func (n *Network) AppendState(buf []byte) []byte {
 
 // DecodeState restores queue contents from an AppendState encoding,
 // returning the unconsumed remainder of buf. The network must have the
-// same shape (graph and configuration) as the encoder; its queue, view,
-// and info-time backing arrays are reused, so a scratch network decoded
-// repeatedly reaches a steady state with no allocation.
+// same shape (graph and configuration) as the encoder; its queue backing
+// arrays and its decode buffers are reused, so a scratch network decoded
+// repeatedly reaches a steady state with no allocation. Every decoded
+// cell starts with empty key caches, and the messages of the previous
+// decode die with it: their storage is rewritten. A section repeating
+// an edge replaces the earlier one, and an empty section leaves its
+// edge empty. DecodeState trusts its input: a truncated buffer or an
+// edge past the graph's panics.
 func (n *Network) DecodeState(buf []byte) []byte {
 	for i := range n.queues {
 		n.queues[i] = n.queues[i][:0]
 	}
-	n.nonEmpty = 0
+	views, times := n.decViews[:0], n.decTimes[:0]
 	var u uint64
 	for {
 		u, buf = readUvarint(buf)
 		if u == 0 {
-			return buf
+			break
 		}
-		id := int(u - 1)
+		id := u - 1
 		var cnt uint64
 		cnt, buf = readUvarint(buf)
-		q := n.queues[id]
-		for k := 0; k < int(cnt); k++ {
-			// Reuse the cell (and its message's slice backing) already
-			// present in the backing array when there is one.
-			if k < cap(q) {
-				q = q[:k+1]
-			} else {
-				q = append(q, qcell{})
-			}
-			c := &q[k]
+		q := n.queues[id][:0]
+		for ; cnt > 0; cnt-- {
+			var c qcell
 			c.h[0], buf = readUvarint(buf)
 			c.h[1], buf = readUvarint(buf)
-			var vl uint64
-			vl, buf = readUvarint(buf)
-			view := c.viewBuf[:0]
-			for j := 0; j < int(vl); j++ {
+			var l uint64
+			l, buf = readUvarint(buf)
+			v0 := len(views)
+			for ; l > 0; l-- {
 				var bid, win, tm uint64
 				bid, buf = readUvarint(buf)
 				win, buf = readUvarint(buf)
 				tm, buf = readUvarint(buf)
-				view = append(view, mca.BidInfo{
+				views = append(views, mca.BidInfo{
 					Bid: unzig(bid), Winner: mca.AgentID(unzig(win)), Time: int(tm),
 				})
 			}
-			c.viewBuf = view
-			var il uint64
-			il, buf = readUvarint(buf)
-			times := c.timesBuf[:0]
-			for j := 0; j < int(il); j++ {
+			c.view = views[v0:len(views):len(views)]
+			l, buf = readUvarint(buf)
+			t0 := len(times)
+			for ; l > 0; l-- {
 				var t uint64
 				t, buf = readUvarint(buf)
 				times = append(times, int(t))
 			}
-			c.timesBuf = times
-			e := n.edges[id]
-			c.msg = mca.Message{Sender: e.From, Receiver: e.To, View: view, InfoTimes: times}
+			c.times = times[t0:len(times):len(times)]
+			q = append(q, c)
 		}
 		n.queues[id] = q
-		n.nonEmpty++
 	}
+	n.decViews, n.decTimes = views, times
+	n.nonEmpty = 0
+	for _, q := range n.queues {
+		if len(q) > 0 {
+			n.nonEmpty++
+		}
+	}
+	return buf
 }
 
 // QueueSnapshot captures the queues of a few edges so a delivery can be
