@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -542,4 +544,53 @@ type notifyFlush struct {
 func (n notifyFlush) Flush() {
 	n.flushCounter.Flush()
 	n.flushed <- struct{}{}
+}
+
+// satTranslations reads the three mcaserved_sat_translations_total
+// samples of a /metrics body: hit, miss, uncached.
+func satTranslations(t *testing.T, url string) [3]int {
+	t.Helper()
+	_, body := getBody(t, url+"/metrics")
+	var out [3]int
+	for i, outcome := range []string{"hit", "miss", "uncached"} {
+		prefix := `mcaserved_sat_translations_total{outcome="` + outcome + `"} `
+		j := strings.Index(body, prefix)
+		if j < 0 {
+			t.Fatalf("/metrics has no %s sample:\n%s", outcome, body)
+		}
+		line, _, _ := strings.Cut(body[j+len(prefix):], "\n")
+		n, err := strconv.Atoi(line)
+		if err != nil {
+			t.Fatalf("%s sample %q: %v", outcome, line, err)
+		}
+		out[i] = n
+	}
+	return out
+}
+
+// Two sat-check-shaped requests of one model family, apart in their
+// rand_seed only, are two result-cache misses but at most one
+// translation: the second copies the one the process keeps, and
+// /metrics counts it as a hit. The counts are the process's, so the
+// test reads them as differences.
+func TestSATTranslationMetrics(t *testing.T) {
+	srv, _ := testServer(t)
+	before := satTranslations(t, srv.URL)
+	for seed := 1; seed <= 2; seed++ {
+		doc := fmt.Sprintf(`{"version":1,"name":"sat-consensus/r%d","model":{"kind":"mca-model","spec":{"encoding":"optimized","scope":{"pnodes":3,"vnodes":2,"values":4,"states":4,"msgs":2,"int_bitwidth":3}}},"solver":{"rand_seed":%d}}`, seed, seed)
+		resp := postJSON(t, srv.URL+"/verify?engine=sat", doc)
+		body, _ := io.ReadAll(resp.Body)
+		res, err := engine.DecodeResult(body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: %d %v\n%s", seed, resp.StatusCode, err, body)
+		}
+		if res.Status != engine.StatusViolated || res.Cached {
+			t.Fatalf("seed %d: %v (cached %v), want a fresh violated verdict", seed, res.Status, res.Cached)
+		}
+	}
+	after := satTranslations(t, srv.URL)
+	hit, miss, uncached := after[0]-before[0], after[1]-before[1], after[2]-before[2]
+	if hit+miss != 2 || hit < 1 || uncached != 0 {
+		t.Fatalf("translations hit %d, miss %d, uncached %d; want two checks, at least one a hit", hit, miss, uncached)
+	}
 }

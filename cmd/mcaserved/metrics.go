@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/chaos"
+	"repro/internal/engine"
 	"repro/internal/fleet"
 )
 
@@ -163,6 +164,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Cache != nil {
 		writeCacheMetrics(&p, s.cfg.Cache)
 	}
+	writeSATMetrics(&p, engine.SATTranslations())
 	if s.coord != nil {
 		writeCoordinatorMetrics(&p, s.coord.Stats())
 	}
@@ -195,6 +197,20 @@ func writeCacheMetrics(p *promWriter, c *cache.Cache) {
 	p.sample("mcaserved_cache_entries", "", st.Entries)
 	p.family("mcaserved_cache_capacity", "gauge", "In-memory capacity (0 = unbounded).")
 	p.sample("mcaserved_cache_capacity", "", max(st.Capacity, 0))
+}
+
+// writeSATMetrics exposes how SAT checks came by their CNF: copied from
+// the translation the process keeps for the model's family, translated
+// and kept, or translated without keeping. The counts are the
+// process's, so they include checks that ran as fleet work units.
+func writeSATMetrics(p *promWriter, c engine.TranslationCounts) {
+	p.family("mcaserved_sat_translations_total", "counter", "SAT check translations by outcome.")
+	for _, row := range []struct {
+		outcome string
+		v       uint64
+	}{{"hit", c.Hits}, {"miss", c.Misses}, {"uncached", c.Uncached}} {
+		p.sample("mcaserved_sat_translations_total", fmt.Sprintf("outcome=%q", row.outcome), row.v)
+	}
 }
 
 func writeCoordinatorMetrics(p *promWriter, st fleet.Stats) {

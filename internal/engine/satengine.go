@@ -14,7 +14,8 @@ import (
 // SAT is the relational/SAT backend adapter: it translates the
 // scenario's bounded relational model to CNF (axioms ∧ ¬assertion, the
 // Alloy "check" form) and decides it with one sequential solver or
-// with a race of diversified solvers.
+// with a race of diversified solvers. A one-shot check translates each
+// model family once per process (satmemo.go) and searches a copy.
 type SAT struct {
 	// Workers selects the solving strategy: 0 runs one sequential
 	// solver; any other value races a portfolio of that many members
@@ -108,16 +109,14 @@ func (e SAT) Verify(ctx context.Context, s Scenario) Result {
 	if e.Sessions != nil && e.Workers == 0 {
 		return e.verifyIncremental(ctx, s, start)
 	}
-	m := s.Model
-	r := relalg.Solve(&relalg.Problem{
-		Bounds: m.Bounds,
-		// Alloy's check command: a model of facts ∧ ¬assertion is a
-		// counterexample to the assertion.
-		Formula:       relalg.And(m.Background, relalg.Not(m.Consensus)),
-		SolverOptions: s.Solver,
-		Workers:       e.Workers,
-		Cancel:        cancelHook(ctx),
-	})
+	// The translation comes from the process's memo; the search runs on
+	// a copy of it, so TranslateTime is the lookup (a translation on a
+	// miss) plus the copy.
+	prep := time.Now()
+	t := satTranslations.translation(s.Model)
+	lookup := time.Since(prep)
+	r := t.Solve(s.Solver, e.Workers, cancelHook(ctx))
+	r.Stats.TranslateTime += lookup
 	return e.satResult(ctx, &s, r, start)
 }
 

@@ -109,6 +109,44 @@ type Encoding struct {
 	// consensusAt rebuilds the consensus assertion over a 0-based trace
 	// state, closing over the builder's relations.
 	consensusAt func(stateIdx int) relalg.Formula
+	// built is what the builder or WithAssertState made, kept so Family
+	// can tell when an exported field was replaced afterwards.
+	built built
+}
+
+// Family names what a builder made: the encoding, the scope with its
+// defaults filled in, and the assert state — the fields a scenario
+// document writes for a model. Builders are deterministic, so two
+// encodings of one family have the same bounds and formulas up to the
+// identity of their relations, and translate to the same CNF.
+type Family struct {
+	Encoding    string
+	Scope       Scope
+	AssertState int
+}
+
+// built records an encoding as its builder made it.
+type built struct {
+	family                Family
+	bounds                *relalg.Bounds
+	background, consensus relalg.Formula
+}
+
+// seal records the encoding's exported fields as built.
+func (e *Encoding) seal() *Encoding {
+	e.built = built{Family{e.Name, e.Scope, e.AssertState}, e.Bounds, e.Background, e.Consensus}
+	return e
+}
+
+// Family returns the encoding's family, and false unless the encoding
+// came from a builder or WithAssertState and none of its exported
+// fields has been replaced since: only then do the fields name the
+// formulas it carries. Edits inside the bounds it points at are not
+// seen.
+func (e *Encoding) Family() (Family, bool) {
+	b := e.built
+	return b.family, b.bounds != nil && b.family == Family{e.Name, e.Scope, e.AssertState} &&
+		b.bounds == e.Bounds && b.background == e.Background && b.consensus == e.Consensus
 }
 
 // ConsensusAt returns the consensus assertion over the given 0-based
@@ -145,6 +183,10 @@ func (e *Encoding) WithAssertState(k int) (*Encoding, error) {
 		return nil, err
 	}
 	out.Consensus = f
+	if _, ok := e.Family(); ok {
+		// A replaced field of the receiver stays visible in the copy.
+		out.seal()
+	}
 	return &out, nil
 }
 

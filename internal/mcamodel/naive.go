@@ -223,12 +223,12 @@ func BuildNaive(sc Scope) (*Encoding, error) {
 			))))
 	}
 
-	return &Encoding{
+	return (&Encoding{
 		Name:        "naive",
 		Scope:       sc,
 		Bounds:      b,
 		Background:  relalg.And(facts...),
 		Consensus:   consensusAt(len(states) - 1),
 		consensusAt: consensusAt,
-	}, nil
+	}).seal(), nil
 }

@@ -255,12 +255,12 @@ func BuildOptimized(sc Scope) (*Encoding, error) {
 			))))
 	}
 
-	return &Encoding{
+	return (&Encoding{
 		Name:        "optimized",
 		Scope:       sc,
 		Bounds:      b,
 		Background:  relalg.And(facts...),
 		Consensus:   consensusAt(len(states) - 1),
 		consensusAt: consensusAt,
-	}, nil
+	}).seal(), nil
 }

@@ -315,7 +315,22 @@ func (c *Circuit) Assert(n Node) {
 		c.addClause()
 		return
 	}
+	c.solver.Grow(c.unemitted())
 	c.addClause(c.litFor(n))
+}
+
+// unemitted counts the AND gates without a Tseitin variable yet: an
+// upper bound on the variables litFor may create, so the solver can
+// grow its per-variable slices once. Reserving capacity allocates no
+// variable, so numbering and clauses do not move.
+func (c *Circuit) unemitted() int {
+	n := 0
+	for i := range c.gates {
+		if c.gates[i].n != 0 && c.gates[i].v == varUnset {
+			n++
+		}
+	}
+	return n
 }
 
 // NumClauses returns the number of CNF clauses emitted so far.

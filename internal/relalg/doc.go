@@ -13,11 +13,13 @@
 // the Formula and Expr constructors (And, Or, Not, Forall, Exists,
 // Join, Product, In, ...), Problem and Solve (with TranslateOnly and
 // TranslateToCNF for measurement and export), and Instance for reading
-// models back. Problem.Workers races a solver portfolio
-// (internal/portfolio) instead of one sequential solver; Incremental
-// answers a sweep of variants over one translation on one serial solver;
-// Problem.Cancel and Incremental.SetCancel are the cooperative
-// cancellation hooks the engine layer drives from contexts.
+// models back. Translate keeps one translation for many solves: its
+// Solve searches a copy of the translated solver under any sat.Options
+// and answers exactly as Solve would. Problem.Workers races a solver
+// portfolio (internal/portfolio) instead of one sequential solver;
+// Incremental answers a sweep of variants over one translation on one
+// serial solver; Problem.Cancel and Incremental.SetCancel are the
+// cooperative cancellation hooks the engine layer drives from contexts.
 //
 // Determinism: translation is deterministic in (bounds, formula) —
 // variable numbering, Tseitin auxiliaries, and clause order are

@@ -39,12 +39,12 @@ type Incremental struct {
 // tuned by opts and returns a session ready to solve variants against
 // it.
 func NewIncremental(b *Bounds, base Formula, opts sat.Options) *Incremental {
-	tr, stats := translate(b, base, opts)
+	t := translate(b, base, opts)
 	return &Incremental{
-		solver:    tr.circuit.solver,
-		circuit:   tr.circuit,
-		tr:        tr,
-		baseStats: stats,
+		solver:    t.solver,
+		circuit:   t.tr.circuit,
+		tr:        t.tr,
+		baseStats: t.stats,
 	}
 }
 

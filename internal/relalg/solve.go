@@ -46,61 +46,104 @@ type Result struct {
 	SolverStats sat.Stats
 }
 
-// translate asserts a bounded formula into a fresh solver — the set-up
-// every entry point (Solve, TranslateToCNF, TranslateOnly,
-// NewEnumerator, NewIncremental) starts from. The circuit and solver
-// are the returned translator's; the stats leave SolveTime to the
-// caller.
-func translate(b *Bounds, f Formula, opts sat.Options) (*Translator, TranslationStats) {
-	circuit := NewCircuit(sat.NewSolverWithOptions(opts))
+// Translation is a bounded formula translated to CNF: the translator,
+// for decoding instances, and a solver holding the clauses. The
+// solver of a Translation made by Translate is never searched — Solve
+// searches a copy of it — so one translation serves any number of
+// solves, from any number of goroutines at once.
+type Translation struct {
+	tr     *Translator
+	solver *sat.Solver
+	stats  TranslationStats
+}
+
+// translate asserts a bounded formula into a fresh solver tuned by
+// opts — the set-up every entry point (Solve, Translate,
+// TranslateToCNF, TranslateOnly, NewEnumerator, NewIncremental) starts
+// from. The stats leave SolveTime to the caller.
+func translate(b *Bounds, f Formula, opts sat.Options) *Translation {
+	solver := sat.NewSolverWithOptions(opts)
+	circuit := NewCircuit(solver)
 	tr := NewTranslator(b, circuit)
 	start := time.Now()
 	circuit.Assert(tr.TranslateFormula(f))
-	return tr, TranslationStats{
+	return &Translation{tr: tr, solver: solver, stats: TranslationStats{
 		PrimaryVars:   tr.NumPrimaryVars(),
 		AuxVars:       circuit.NumGateVars(),
 		Clauses:       circuit.NumClauses(),
 		TranslateTime: time.Since(start),
+	}}
+}
+
+// Translate translates a bounded formula once, for solving many times
+// under different solver options. It keeps only what a solve reads:
+// the circuit and the translator's caches are dropped, leaving the
+// clauses and the primary variables of the bounds' relations.
+func Translate(b *Bounds, f Formula) *Translation {
+	t := translate(b, f, sat.Options{})
+	t.tr = &Translator{bounds: t.tr.bounds, usize: t.tr.usize, primaryVars: t.tr.primaryVars}
+	return t
+}
+
+// Stats returns the size of the translation and the time it took.
+func (t *Translation) Stats() TranslationStats { return t.stats }
+
+// Solve searches the translated formula under opts; workers and cancel
+// mean what Problem's Workers and Cancel do. The result equals Solve's
+// on the same bounds, formula and options — status, instance and every
+// solver counter — except for the times: its TranslateTime is the time
+// taken to copy the translation for this search.
+func (t *Translation) Solve(opts sat.Options, workers int, cancel func() bool) Result {
+	start := time.Now()
+	var s *sat.Solver
+	if workers == 0 {
+		s = t.solver.Clone(opts)
 	}
+	stats := t.stats
+	stats.TranslateTime = time.Since(start)
+	return t.search(s, stats, opts, workers, cancel)
+}
+
+// search is the tail of every one-shot solve. A portfolio (workers ≠ 0)
+// races fresh solvers on the CNF exported from the translation's
+// solver; otherwise s, a solver over the translation's clauses that
+// the caller owns, is searched.
+func (t *Translation) search(s *sat.Solver, stats TranslationStats, opts sat.Options, workers int, cancel func() bool) Result {
+	if workers != 0 {
+		cnf := t.solver.ExportCNF()
+		start := time.Now()
+		pres := portfolio.SolvePortfolio(cnf, portfolio.Options{
+			Workers: workers,
+			Base:    opts,
+			Cancel:  cancel,
+		})
+		stats.SolveTime = time.Since(start)
+		res := Result{Status: pres.Status, Stats: stats, SolverStats: pres.Stats}
+		if pres.Status == sat.StatusSat {
+			res.Instance = decodeModel(t.tr, pres.Model)
+		}
+		return res
+	}
+
+	if cancel != nil {
+		s.SetCancel(cancel)
+	}
+	start := time.Now()
+	status := s.Solve()
+	stats.SolveTime = time.Since(start)
+
+	res := Result{Status: status, Stats: stats, SolverStats: s.Stats()}
+	if status == sat.StatusSat {
+		res.Instance = decode(t.tr, s)
+	}
+	return res
 }
 
 // Solve searches for an instance within bounds satisfying the formula
 // (Alloy's "run" command).
 func Solve(p *Problem) Result {
-	tr, stats := translate(p.Bounds, p.Formula, p.SolverOptions)
-	solver := tr.circuit.solver
-
-	if p.Workers != 0 {
-		// Hand the translated formula to the portfolio: export the CNF
-		// the circuit emitted into the translation solver and race fresh
-		// solvers on it.
-		cnf := solver.ExportCNF()
-		start := time.Now()
-		pres := portfolio.SolvePortfolio(cnf, portfolio.Options{
-			Workers: p.Workers,
-			Base:    p.SolverOptions,
-			Cancel:  p.Cancel,
-		})
-		stats.SolveTime = time.Since(start)
-		res := Result{Status: pres.Status, Stats: stats, SolverStats: pres.Stats}
-		if pres.Status == sat.StatusSat {
-			res.Instance = decodeModel(tr, pres.Model)
-		}
-		return res
-	}
-
-	if p.Cancel != nil {
-		solver.SetCancel(p.Cancel)
-	}
-	start := time.Now()
-	status := solver.Solve()
-	stats.SolveTime = time.Since(start)
-
-	res := Result{Status: status, Stats: stats, SolverStats: solver.Stats()}
-	if status == sat.StatusSat {
-		res.Instance = decode(tr, solver)
-	}
-	return res
+	t := translate(p.Bounds, p.Formula, p.SolverOptions)
+	return t.search(t.solver, t.stats, p.SolverOptions, p.Workers, p.Cancel)
 }
 
 // Check verifies that the assertion holds under the axioms within bounds
@@ -120,15 +163,14 @@ func Check(b *Bounds, axioms, assertion Formula, opts sat.Options) Result {
 // for callers that want to drive the SAT backend themselves (solver
 // portfolios, DIMACS export, repeated solving of one translation).
 func TranslateToCNF(b *Bounds, f Formula) (*sat.CNF, TranslationStats) {
-	tr, stats := translate(b, f, sat.Options{})
-	return tr.circuit.solver.ExportCNF(), stats
+	t := translate(b, f, sat.Options{})
+	return t.solver.ExportCNF(), t.stats
 }
 
 // TranslateOnly builds the CNF without solving — used by the clause-count
 // experiment (E5) where only translation size matters.
 func TranslateOnly(b *Bounds, f Formula) TranslationStats {
-	_, stats := translate(b, f, sat.Options{})
-	return stats
+	return translate(b, f, sat.Options{}).stats
 }
 
 func decode(tr *Translator, solver *sat.Solver) *Instance {
@@ -169,8 +211,8 @@ type Enumerator struct {
 
 // NewEnumerator prepares instance enumeration for a problem.
 func NewEnumerator(p *Problem) *Enumerator {
-	tr, stats := translate(p.Bounds, p.Formula, p.SolverOptions)
-	return &Enumerator{solver: tr.circuit.solver, tr: tr, bounds: p.Bounds, stats: stats}
+	t := translate(p.Bounds, p.Formula, p.SolverOptions)
+	return &Enumerator{solver: t.solver, tr: t.tr, bounds: p.Bounds, stats: t.stats}
 }
 
 // Stats returns the translation statistics.

@@ -34,8 +34,8 @@ func (f *CNF) NumClauses() int { return len(f.Clauses) }
 // the formula becomes unsatisfiable at the root level partway through,
 // loading stops early and returns nil: the solver will answer UNSAT.
 func (f *CNF) LoadInto(s *Solver) error {
-	for s.NumVars() < f.NumVars {
-		s.NewVar()
+	if n := f.NumVars - s.NumVars(); n > 0 {
+		s.NewVars(n)
 	}
 	for _, c := range f.Clauses {
 		if err := s.AddClause(c...); err != nil {

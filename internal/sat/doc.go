@@ -51,7 +51,11 @@
 //
 // Determinism and concurrency: a solve is fully deterministic in
 // (clauses, Options) — RandSeed seeds a deterministic stream, so equal
-// inputs replay the same search. A Solver is single-goroutine; parallel
+// inputs replay the same search. Clone copies a solver that has not
+// searched into one that searches as a fresh solver with other Options
+// would, so one set of clauses serves many searches; any number of
+// goroutines may clone one unsearched solver. A Solver is
+// single-goroutine otherwise; parallel
 // solving is the portfolio package's job, which runs one Solver per
 // worker and stops losers through Options' cooperative cancel check.
 package sat

@@ -1,5 +1,7 @@
 package sat
 
+import "slices"
+
 // varHeap is an intrusive max-heap over variables ordered by VSIDS
 // activity. It keeps the index of each variable inside the heap so
 // activity bumps can sift in place.
@@ -11,6 +13,12 @@ type varHeap struct {
 
 func newVarHeap(act *[]float64) *varHeap {
 	return &varHeap{act: act}
+}
+
+// grow makes room for n more variables.
+func (h *varHeap) grow(n int) {
+	h.heap = slices.Grow(h.heap, n)
+	h.indices = slices.Grow(h.indices, n)
 }
 
 func (h *varHeap) growTo(n int) {

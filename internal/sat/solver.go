@@ -159,11 +159,7 @@ func NewSolver() *Solver { return NewSolverWithOptions(Options{}) }
 
 // NewSolverWithOptions returns a solver with the given tuning options.
 func NewSolverWithOptions(opts Options) *Solver {
-	s := &Solver{opts: opts, varInc: 1, claInc: 1, ok: true}
-	s.rng = opts.RandSeed
-	if s.rng == 0 {
-		s.rng = 0x9e3779b97f4a7c15
-	}
+	s := &Solver{opts: opts, varInc: 1, claInc: 1, ok: true, rng: seedRand(opts.RandSeed)}
 	s.order = newVarHeap(&s.activity)
 	s.lbdSeen = []uint64{0} // level 0; NewVar adds one slot per level
 	return s
@@ -176,6 +172,15 @@ func NewSolverWithOptions(opts Options) *Solver {
 // removes the check. Used by the portfolio engine to stop losers once
 // one racer has answered.
 func (s *Solver) SetCancel(cancelled func() bool) { s.cancelled = cancelled }
+
+// seedRand is the initial state of the random stream for a seed: 0
+// selects a fixed non-zero state, as xorshift needs one.
+func seedRand(seed uint64) uint64 {
+	if seed == 0 {
+		return 0x9e3779b97f4a7c15
+	}
+	return seed
+}
 
 // nextRand advances the solver's xorshift64 stream.
 func (s *Solver) nextRand() uint64 {
@@ -226,13 +231,103 @@ func (s *Solver) NewVar() Var {
 	return v
 }
 
-// NewVars allocates n fresh variables and returns the first one.
+// NewVars allocates n fresh variables and returns the first one. Each
+// per-variable slice grows once, not once per variable.
 func (s *Solver) NewVars(n int) Var {
 	first := Var(len(s.assigns))
+	s.Grow(n)
 	for i := 0; i < n; i++ {
 		s.NewVar()
 	}
 	return first
+}
+
+// Grow makes room for n more variables: the next n NewVar calls append
+// to every per-variable slice without reallocating it. A caller that
+// knows how many variables it is about to create (a circuit about to
+// emit its gates) saves the repeated copying of nine growing slices.
+func (s *Solver) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	s.assigns = slices.Grow(s.assigns, n)
+	s.level = slices.Grow(s.level, n)
+	s.reason = slices.Grow(s.reason, n)
+	s.activity = slices.Grow(s.activity, n)
+	s.phase = slices.Grow(s.phase, n)
+	s.seen = slices.Grow(s.seen, n)
+	s.watches = slices.Grow(s.watches, 2*n)
+	s.binWatches = slices.Grow(s.binWatches, 2*n)
+	s.lbdSeen = slices.Grow(s.lbdSeen, n)
+	s.order.grow(n)
+}
+
+// Clone returns a deep copy of the solver that searches under opts. For
+// a solver that has not searched yet, the copy's search — every
+// decision, conflict and counter — equals that of a solver built with
+// NewSolverWithOptions(opts) and given the same variables and clauses:
+// the copy re-seeds the random stream from opts.RandSeed and, when
+// opts.InvertPhase differs, resets the saved phase of every unassigned
+// variable, the two places a fresh solver reads its options before the
+// search. Root-level assignments and the counters of their propagation
+// carry over, as they would from the same AddClause calls. The copy has
+// no cancellation check. Clone only reads the receiver, so any number
+// of goroutines may clone one solver nobody searches.
+func (s *Solver) Clone(opts Options) *Solver {
+	c := &Solver{
+		opts:       opts,
+		ca:         arena{data: slices.Clone(s.ca.data), wasted: s.ca.wasted},
+		clauses:    slices.Clone(s.clauses),
+		bins:       slices.Clone(s.bins),
+		learnts:    slices.Clone(s.learnts),
+		watches:    flatten(s.watches),
+		binWatches: flatten(s.binWatches),
+		assigns:    slices.Clone(s.assigns),
+		level:      slices.Clone(s.level),
+		reason:     slices.Clone(s.reason),
+		activity:   slices.Clone(s.activity),
+		phase:      slices.Clone(s.phase),
+		trail:      slices.Clone(s.trail),
+		trailLim:   slices.Clone(s.trailLim),
+		qhead:      s.qhead,
+		varInc:     s.varInc,
+		claInc:     s.claInc,
+		ok:         s.ok,
+		stats:      s.stats,
+		rng:        seedRand(opts.RandSeed),
+		conflCr:    s.conflCr,
+		conflBin:   s.conflBin,
+		seen:       make([]bool, len(s.seen)), // all false outside analyze
+		lbdSeen:    slices.Clone(s.lbdSeen),
+		lbdStamp:   s.lbdStamp,
+	}
+	c.order = &varHeap{act: &c.activity, heap: slices.Clone(s.order.heap), indices: slices.Clone(s.order.indices)}
+	if opts.InvertPhase != s.opts.InvertPhase {
+		for v, a := range c.assigns {
+			if a == Undef {
+				c.phase[v] = opts.InvertPhase
+			}
+		}
+	}
+	return c
+}
+
+// flatten deep-copies lists into one backing array. Each copy is capped
+// at its own length, so a list that grows during the search moves out
+// instead of writing over its neighbour.
+func flatten[T any](lists [][]T) [][]T {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	backing := make([]T, 0, n)
+	out := make([][]T, len(lists))
+	for i, l := range lists {
+		start := len(backing)
+		backing = append(backing, l...)
+		out[i] = backing[start:len(backing):len(backing)]
+	}
+	return out
 }
 
 func (s *Solver) valueLit(l Lit) LBool {
