@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/explore"
+	"repro/internal/netsim"
 )
 
 // runCaptured runs mcacheck with args and returns its exit code and
@@ -51,7 +52,7 @@ func runCaptured(t *testing.T, args ...string) (code int, stdout, stderr string)
 func cappedRunArgs(checkpoint string) []string {
 	return []string{
 		"-agents", "3", "-items", "2", "-topology", "line",
-		"-workers", "2", "-maxstates", "100",
+		"-maxstates", "100",
 		"-checkpoint", checkpoint, "-trace=false",
 	}
 }
@@ -85,10 +86,11 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 }
 
 // TestResumeRefusesCheckpointOfOlderBinary: a checkpoint whose run
-// state predates the current canonical key function (magic MCARS2) is
-// intact and checksummed, yet its keys belong to another key space;
-// -resume must refuse it with the delete-and-re-verify hint instead of
-// continuing the run against it.
+// state is an older binary's (magic MCARS3, the sharded frontier's
+// format) is intact and checksummed, yet it is not a DFS cut, and an
+// older key function's keys belong to another key space; -resume must
+// refuse it with the delete-and-re-verify hint instead of continuing
+// the run against it.
 func TestResumeRefusesCheckpointOfOlderBinary(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.ckpt")
 	if code := run(cappedRunArgs(path)); code != 3 {
@@ -102,10 +104,10 @@ func TestResumeRefusesCheckpointOfOlderBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(cp.State, []byte("MCARS3\n")) {
-		t.Fatalf("run state starts %q, want the MCARS3 magic", cp.State[:7])
+	if !bytes.HasPrefix(cp.State, []byte("MCARS4\n")) {
+		t.Fatalf("run state starts %q, want the MCARS4 magic", cp.State[:7])
 	}
-	copy(cp.State, "MCARS2\n")
+	copy(cp.State, "MCARS3\n")
 	old, err := engine.EncodeCheckpoint(cp)
 	if err != nil {
 		t.Fatal(err)
@@ -125,29 +127,34 @@ func TestResumeRefusesCheckpointOfOlderBinary(t *testing.T) {
 // TestResumeRefusesCraftedRunState: the checksum envelope is no secret,
 // so a checkpoint can carry a valid envelope around a crafted run state.
 // -resume must refuse each with the delete-and-re-verify hint:
-//   - a frontier item declaring a packed state of MaxInt64-10 bytes,
-//     on which the run-state decoder once sliced past its buffer;
-//   - a frontier item whose packed state is cut to one byte, or
-//     overwritten with 0xff: both decode as run states, and resuming
-//     them once panicked inside the agents' state decoder.
+//   - a path declaring MaxInt64-10 steps, which must not drive an
+//     allocation;
+//   - a path whose first step is over a pair of agents the line does
+//     not connect: it decodes, and the resume's replay refuses it;
+//   - a run state cut in half;
+//   - visited keys overwritten with 0xff, which are no longer a sorted
+//     set.
 func TestResumeRefusesCraftedRunState(t *testing.T) {
 	for name, craft := range map[string]func(state []byte) []byte{
 		"overflowing-length": func([]byte) []byte {
-			crafted := []byte("MCARS3\n")
-			for _, v := range []uint64{1, 1, 0, 1, 1} { // next level, states, max depth, nodes, seen
+			crafted := []byte("MCARS4\n")
+			for _, v := range []uint64{1, 1, math.MaxInt64 - 10} { // states, max depth, path steps
 				crafted = binary.AppendUvarint(crafted, v)
 			}
-			crafted = append(crafted, make([]byte, 16+6)...) // one root node
-			crafted = append(crafted, 1, 0)                  // one frontier item, on node 0,
-			crafted = append(crafted, make([]byte, 8)...)    // with a route fingerprint
-			crafted = binary.AppendUvarint(crafted, math.MaxInt64-10)
-			return append(crafted, "state"...)
+			return append(crafted, "steps"...)
+		},
+		"foreign-step": func(state []byte) []byte {
+			return withDFSState(t, state, func(st *explore.DFSState) { st.Path[0].Edge = netsim.Edge{From: 0, To: 2} })
 		},
 		"truncated-state": func(state []byte) []byte {
-			return withFrontierState(t, state, func(b []byte) []byte { return b[:1] })
+			return state[:len(state)/2]
 		},
 		"0xff-state": func(state []byte) []byte {
-			return withFrontierState(t, state, func(b []byte) []byte { return bytes.Repeat([]byte{0xff}, len(b)) })
+			out := bytes.Clone(state)
+			for i := len(out) - 32; i < len(out); i++ {
+				out[i] = 0xff
+			}
+			return out
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -182,17 +189,16 @@ func TestResumeRefusesCraftedRunState(t *testing.T) {
 	}
 }
 
-// withFrontierState rewrites the packed state of a run state's first
-// frontier item; the result still decodes as a run state.
-func withFrontierState(t *testing.T, state []byte, edit func([]byte) []byte) []byte {
+// withDFSState edits a DFS run state; the result still decodes.
+func withDFSState(t *testing.T, state []byte, edit func(*explore.DFSState)) []byte {
 	t.Helper()
-	rs, err := explore.DecodeRunState(state)
+	st, err := explore.DecodeDFSState(state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs.Frontier[0].State = edit(rs.Frontier[0].State)
-	out := explore.EncodeRunState(rs)
-	if _, err := explore.DecodeRunState(out); err != nil {
+	edit(st)
+	out := explore.EncodeDFSState(st)
+	if _, err := explore.DecodeDFSState(out); err != nil {
 		t.Fatalf("crafted run state no longer decodes: %v", err)
 	}
 	return out

@@ -15,9 +15,10 @@ import (
 // scenario sources — flags, -scenario and -resume. A set flag is either
 // honoured, or refused with exit 2 and a message naming it. Honoured
 // means the exit code, stdout or the files the run leaves differ from
-// the same run without the flag; the spill flags and a -trace with no
-// trace to print are verdict-neutral, so for them honoured means
-// accepted with nothing changed.
+// the same run without the flag; a -checkpoint on a run that concludes
+// and a -trace with no trace to print are verdict-neutral, so for them
+// honoured means accepted with nothing changed. -workers sizes only a
+// SAT portfolio: every explicit run refuses it.
 func TestEveryFlagIsReadOrRefused(t *testing.T) {
 	const (
 		refused = iota
@@ -35,10 +36,8 @@ func TestEveryFlagIsReadOrRefused(t *testing.T) {
 		resume    = []string{"-resume", "run.ckpt"}
 		sim       = []string{"-drop", "0.2"}
 		violating = []string{"-utility", "non-submodular-synergy"}
-		par       = []string{"-workers", "2"}
-		capped    = []string{"-agents", "3", "-topology", "line", "-workers", "2", "-maxstates", "40"}
-		docPar    = with(doc, par...)
-		docCapped = with(docPar, "-maxstates", "40")
+		capped    = []string{"-agents", "3", "-topology", "line", "-maxstates", "40"}
+		docCapped = with(doc, "-maxstates", "40")
 	)
 	rows := []row{
 		{nil, "agents", "1", changes},
@@ -51,16 +50,12 @@ func TestEveryFlagIsReadOrRefused(t *testing.T) {
 		{violating, "target", "1", changes},
 		{nil, "maxstates", "3", changes},
 		{sim, "maxstates", "3", refused},
-		{nil, "workers", "2", changes},
+		{nil, "workers", "2", refused},
 		{sim, "workers", "2", refused},
 		{nil, "store", "bitstate", changes},
 		{nil, "storebits", "12", refused},
 		{[]string{"-store", "bitstate"}, "storebits", "12", changes},
-		{nil, "spilldir", ".", refused},
-		{par, "spilldir", ".", neutral},
-		{par, "spillstates", "1", refused},
-		{with(par, "-spilldir", "."), "spillstates", "1", neutral},
-		{nil, "checkpoint", "out.ckpt", refused},
+		{nil, "checkpoint", "out.ckpt", neutral},
 		{sim, "checkpoint", "out.ckpt", refused},
 		{capped, "checkpoint", "out.ckpt", changes},
 		{nil, "resume", "run.ckpt", changes},
@@ -77,12 +72,8 @@ func TestEveryFlagIsReadOrRefused(t *testing.T) {
 		{with(capped, "-checkpoint", "out.ckpt"), "chaos", "seed=1,flip=1", changes},
 
 		{doc, "maxstates", "10", changes},
-		{doc, "workers", "2", changes},
-		{doc, "spilldir", ".", refused},
-		{docPar, "spilldir", ".", neutral},
-		{docPar, "spillstates", "1", refused},
-		{with(docPar, "-spilldir", "."), "spillstates", "1", neutral},
-		{doc, "checkpoint", "out.ckpt", refused},
+		{doc, "workers", "2", refused},
+		{doc, "checkpoint", "out.ckpt", neutral},
 		{docCapped, "checkpoint", "out.ckpt", changes},
 		{doc, "chaos", "seed=1,flip=1", refused},
 		{with(docCapped, "-checkpoint", "out.ckpt"), "chaos", "seed=1,flip=1", changes},
@@ -93,10 +84,7 @@ func TestEveryFlagIsReadOrRefused(t *testing.T) {
 		{doc, "memprofile", "mem.prof", changes},
 
 		{resume, "maxstates", "200000", changes},
-		{resume, "workers", "3", changes},
-		{resume, "spilldir", ".", neutral},
-		{resume, "spillstates", "1", refused},
-		{with(resume, "-spilldir", "."), "spillstates", "1", neutral},
+		{resume, "workers", "3", refused},
 		{resume, "checkpoint", "out.ckpt", changes},
 		{resume, "chaos", "seed=1,flip=1", changes},
 		{resume, "scenario", "line3.json", refused},
@@ -136,7 +124,7 @@ func TestEveryFlagIsReadOrRefused(t *testing.T) {
 	})
 
 	// Every run starts in a fresh directory holding line3.json and
-	// run.ckpt, a checkpoint of line-3 capped at 40 states on two shards.
+	// run.ckpt, a checkpoint of line-3 capped at 40 states.
 	line3, err := os.ReadFile("../../examples/scenarios/line3.json")
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +134,7 @@ func TestEveryFlagIsReadOrRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckpt := filepath.Join(setup, "run.ckpt")
-	if code, _, stderr := runCaptured(t, "-scenario", filepath.Join(setup, "line3.json"), "-workers", "2", "-maxstates", "40", "-checkpoint", ckpt); code != 3 {
+	if code, _, stderr := runCaptured(t, "-scenario", filepath.Join(setup, "line3.json"), "-maxstates", "40", "-checkpoint", ckpt); code != 3 {
 		t.Fatalf("capped run: exit %d, stderr %q", code, stderr)
 	}
 	runCkpt, err := os.ReadFile(ckpt)

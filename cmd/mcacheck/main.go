@@ -1,19 +1,19 @@
 // Command mcacheck is the push-button convergence analysis of the
 // paper: it verifies the MCA consensus property for a chosen policy
 // combination and scope through the engine layer — exhaustively (the
-// serial DFS or the sharded parallel frontier) or, under probabilistic
-// network faults, by seeded simulation — and prints a counterexample
-// trace when the property fails.
+// serial DFS) or, under probabilistic network faults, by seeded
+// simulation — and prints a counterexample trace when the property
+// fails.
 //
 // Usage:
 //
 //	mcacheck -agents 2 -items 2 -topology complete \
 //	         -utility non-submodular-synergy -release -rebid on-change
-//	mcacheck -workers 8                    # sharded parallel frontier
+//	mcacheck -store bitstate -storebits 28 # bounded-memory seen-set
 //	mcacheck -drop 0.2 -delay 3 -runs 32   # fault-model simulation
 //	mcacheck -timeout 30s                  # deadline on the search
 //	mcacheck -scenario examples/scenarios/line3.json   # scenario file
-//	mcacheck -workers 4 -maxstates 1000 -checkpoint run.ckpt
+//	mcacheck -maxstates 1000 -checkpoint run.ckpt
 //	mcacheck -resume run.ckpt -maxstates 500000
 //
 // A run is one pipeline. The scenario comes from exactly one source:
@@ -30,10 +30,10 @@
 // error naming it (exit 2), never a silent no-op. The scenario-shaping
 // flags (-agents -items -topology -utility -release -rebid -target
 // -drop -delay -store -storebits) shape only a flag-built scenario;
-// -runs, and -seed of a document, only a simulation; -maxstates only
-// the explicit engine; -spilldir, -spillstates, -checkpoint, -resume
-// and -chaos only the sharded frontier. The policy tokens are the
-// document's (on-change, submodular-residual, hash-compact, …).
+// -runs, and -seed of a document, only a simulation; -maxstates,
+// -checkpoint, -resume and -chaos only the explicit engine; -workers
+// only a SAT portfolio. The policy tokens are the document's
+// (on-change, submodular-residual, hash-compact, …).
 package main
 
 import (
@@ -78,11 +78,11 @@ type cmdline struct {
 	store                                   explore.StoreKind
 
 	// The source and the run.
-	scenario, resume, checkpoint, spillDir, chaos string
-	maxStates, workers, spillStates, runs         int
-	timeout                                       time.Duration
-	trace                                         bool
-	cpuProfile, memProfile                        string
+	scenario, resume, checkpoint, chaos string
+	maxStates, workers, runs            int
+	timeout                             time.Duration
+	trace                               bool
+	cpuProfile, memProfile              string
 }
 
 // utilities maps the -utility tokens, the document's utility kinds, to
@@ -124,14 +124,12 @@ func newCmdline() *cmdline {
 	})
 	fs.IntVar(&c.target, "target", 0, "target bundle size p_T (0 = number of items)")
 	fs.IntVar(&c.maxStates, "maxstates", 500000, "state exploration budget (explicit engine)")
-	fs.IntVar(&c.workers, "workers", 0, "0 = serial DFS; N or -1 (per CPU) = sharded parallel frontier (or SAT portfolio members)")
-	fs.Func("store", "lossy seen-set store: bitstate|hash-compact (default: the exact store; lossy modes trade a bounded miss probability for memory; serial DFS only)", func(s string) error {
+	fs.IntVar(&c.workers, "workers", 0, "SAT portfolio members (0 = one solver, -1 = one per CPU); a scenario with a relational model only")
+	fs.Func("store", "lossy seen-set store: bitstate|hash-compact (default: the exact store; lossy modes trade a bounded miss probability for memory and cannot checkpoint)", func(s string) error {
 		return c.store.UnmarshalText([]byte(s))
 	})
 	fs.IntVar(&c.storeBits, "storebits", 0, "log2 size of the lossy seen-set store (0 = the mode's default; needs -store)")
-	fs.StringVar(&c.spillDir, "spilldir", "", "spill sealed state tables to sorted disk segments under this directory (parallel frontier only)")
-	fs.IntVar(&c.spillStates, "spillstates", 0, "per-shard sealed-entry threshold that triggers a disk spill (0 = default; needs -spilldir)")
-	fs.StringVar(&c.checkpoint, "checkpoint", "", "write a resumable checkpoint to this file when the run stops on the -maxstates budget (parallel frontier only)")
+	fs.StringVar(&c.checkpoint, "checkpoint", "", "write a resumable checkpoint to this file when the run stops on the -maxstates budget (explicit engine)")
 	fs.StringVar(&c.resume, "resume", "", "resume a capped run from a checkpoint file; the scenario comes from the checkpoint (combine with a raised -maxstates)")
 	fs.Float64Var(&c.drop, "drop", 0, "message drop probability (switches to seeded simulation)")
 	fs.IntVar(&c.delay, "delay", 0, "message delivery delay in ticks (switches to seeded simulation)")
@@ -244,31 +242,15 @@ func run(args []string) int {
 
 	// 2. Engine and overlay: Auto routes the scenario, and the flags the
 	// chosen engine reads overlay it.
-	workers := 0
-	if prior != nil {
-		workers = prior.Workers
-	}
-	if c.built || c.set["workers"] {
-		workers = c.workers
-	}
-	eng := engine.Auto{Workers: workers}.EngineFor(s)
+	eng := engine.Auto{Workers: c.workers}.EngineFor(s)
 	resumable := false
 	switch e := eng.(type) {
 	case engine.Explicit:
-		c.mark("workers")
 		if c.take("maxstates") {
 			s.Explore.MaxStates = c.maxStates
 		}
-		if e.Workers != 0 { // the sharded frontier: spill and checkpoints
-			if c.take("spilldir") {
-				s.Explore.SpillDir = c.spillDir
-			}
-			if s.Explore.SpillDir != "" && c.take("spillstates") {
-				s.Explore.SpillStates = c.spillStates
-			}
-			c.mark("checkpoint", "resume")
-			resumable = c.checkpoint != "" || prior != nil
-		}
+		c.mark("checkpoint", "resume")
+		resumable = c.checkpoint != "" || prior != nil
 	case engine.SAT:
 		c.mark("workers")
 	case engine.Simulation:

@@ -196,9 +196,11 @@ func TestRunScenarioFileMalformed(t *testing.T) {
 	}
 }
 
+// TestRunParallelWorkers: -workers sizes only a SAT portfolio, so an
+// explicit check, which always runs the serial DFS, refuses it by name.
 func TestRunParallelWorkers(t *testing.T) {
-	code := run([]string{"-agents", "2", "-items", "2", "-utility", "submodular-residual", "-workers", "2", "-trace=false"})
-	if code != 0 {
-		t.Fatalf("parallel check exit = %d, want 0", code)
+	code, _, stderr := runCaptured(t, "-agents", "2", "-items", "2", "-utility", "submodular-residual", "-workers", "2", "-trace=false")
+	if code != 2 || !strings.Contains(stderr, "-workers") {
+		t.Fatalf("explicit check with -workers: exit = %d, stderr %q; want 2 naming -workers", code, stderr)
 	}
 }

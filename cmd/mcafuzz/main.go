@@ -25,7 +25,7 @@
 //
 //	mcafuzz -seed 1 -n 25
 //	mcafuzz -seed 7 -n 500 -profile examples/scenarios/fuzz-profile.json
-//	mcafuzz -engines explicit,explicit-parallel,simulation -n 100
+//	mcafuzz -engines explicit,simulation,sat-portfolio -n 100
 //	mcafuzz -seed 3 -n 200 -shrink -out corpus/
 //	mcafuzz -n 1000 -cachedir /tmp/mcafuzz-cache   # warm re-runs
 //	mcafuzz -coverage -seed 1 -rounds 5 -n 40 -out corpus/
@@ -58,7 +58,7 @@ func run(args []string, out io.Writer) int {
 	seed := fs.Int64("seed", 1, "corpus seed; same seed, same corpus and verdicts")
 	n := fs.Int("n", 100, "number of scenarios to generate")
 	profilePath := fs.String("profile", "", "generator profile JSON (docs/FUZZING.md); empty = built-in default profile")
-	enginesSpec := fs.String("engines", "explicit,simulation,sat", "comma-separated engine panel: auto|explicit|explicit-parallel|simulation|sat|sat-portfolio")
+	enginesSpec := fs.String("engines", "explicit,simulation,sat", "comma-separated engine panel: auto|explicit|simulation|sat|sat-portfolio")
 	workers := fs.Int("workers", 0, "scenario worker pool size (0 = one per CPU; never affects verdicts)")
 	coverage := fs.Bool("coverage", false, "coverage-guided generation: mutate scenarios that reach new store-signature buckets instead of sampling blind")
 	rounds := fs.Int("rounds", 4, "coverage-guided generations; the -n budget is split evenly across them (requires -coverage)")

@@ -7,14 +7,17 @@
 // Endpoints:
 //
 //	POST /verify       one scenario document -> one result document.
-//	                   With ?checkpoint=1 (explicit engine, parallel
-//	                   frontier) a budget-capped run responds
+//	                   With ?checkpoint=1 (explicit engine) a
+//	                   budget-capped run responds
 //	                   {"resume": token, "result": ...}; POSTing
 //	                   {"resume": token, "max_states": N} later
 //	                   continues that run with a raised budget,
 //	                   yielding the same result the uninterrupted
-//	                   verification would have produced. Tokens are
-//	                   single use and held in a small in-memory table
+//	                   verification would have produced. A resume
+//	                   body is read strictly: an unknown member or a
+//	                   negative max_states is a 400 that spends no
+//	                   token. Tokens are single use and held in a
+//	                   small in-memory table
 //	POST /sweep        one sweep document -> NDJSON result stream,
 //	                   one result per line, then a summary line
 //	GET  /cache/stats  cache effectiveness counters
@@ -55,11 +58,11 @@
 // Engine selection is per request via query parameters:
 // ?engine=auto|explicit|simulation|sat (default auto), &runs=N and
 // &seed=S (simulation), and &timeout=30s within the server's
-// -maxtimeout. On /verify, &workers=N is the engine's parallelism
-// (frontier shards, portfolio members; at most engine.MaxWorkers, past
-// which the result is an error). /sweep runs its scenarios on a pool
-// of -workers with serial engines, so sweep cache keys never depend on
-// a pool size. A query parameter the endpoint does not read — a typo
+// -maxtimeout. On /verify, &workers=N sizes the SAT portfolio; an
+// explicit check runs on the serial DFS whatever it says, and past
+// engine.MaxWorkers the result is an error on either. /sweep runs its
+// scenarios on a pool of -workers with serial engines, so sweep cache
+// keys never depend on a pool size. A query parameter the endpoint does not read — a typo
 // like ?worker=2, or a retired one such as ?workers= on /sweep — is a
 // 400 naming it, never a silently ignored option.
 // Shutdown is graceful:
@@ -86,7 +89,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -430,13 +432,18 @@ func (s *server) handleResume(w http.ResponseWriter, r *http.Request, body []byt
 		Resume    string `json:"resume"`
 		MaxStates int    `json:"max_states"`
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	// The body and the query parameters are checked before the
+	// single-use token is spent: a typo resumes nothing.
+	if err := engine.StrictUnmarshal(body, &req); err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("resume request: %w", err))
 		return
 	}
-	// Query parameters are checked before the single-use token is spent.
+	if req.MaxStates < 0 {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("resume request: max_states %d is negative (omit it to keep the checkpoint's budget)", req.MaxStates))
+		return
+	}
 	q := params(r, "workers", "timeout")
-	workers := q.workers()
+	eng := engine.Explicit{Workers: q.workers()}
 	ctx, cancel := q.context(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	defer cancel()
 	if q.err != nil {
@@ -452,31 +459,25 @@ func (s *server) handleResume(w http.ResponseWriter, r *http.Request, body []byt
 	if req.MaxStates > 0 {
 		scenario.Explore.MaxStates = req.MaxStates
 	}
-	if !q.has("workers") {
-		workers = cp.Workers
-	}
-	res, next := engine.Explicit{Workers: workers}.VerifyResumable(ctx, scenario, cp)
+	res, next := eng.VerifyResumable(ctx, scenario, cp)
 	s.writeResumable(w, res, next)
 }
 
-// handleCheckpoint serves /verify?checkpoint=1: the explicit engine on
-// the parallel frontier, whose budget-capped run comes back with a
-// resume token.
+// handleCheckpoint serves /verify?checkpoint=1: the explicit engine,
+// whose budget-capped run comes back with a resume token.
 func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request, scenario engine.Scenario) {
 	q := params(r, "checkpoint", "engine", "workers", "timeout")
 	if kind := q.str("engine", "auto"); kind != "auto" && kind != "explicit" {
 		q.fail(fmt.Errorf("?checkpoint=1 requires the explicit engine, not %q", kind))
 	}
-	// Checkpoints need the parallel frontier; default to one shard per
-	// CPU rather than rejecting the request.
-	workers := cmp.Or(q.workers(), -1)
+	eng := engine.Explicit{Workers: q.workers()}
 	ctx, cancel := q.context(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	defer cancel()
 	if q.err != nil {
 		httpError(w, http.StatusBadRequest, q.err)
 		return
 	}
-	res, cp := engine.Explicit{Workers: workers}.VerifyResumable(ctx, scenario, nil)
+	res, cp := eng.VerifyResumable(ctx, scenario, nil)
 	s.writeResumable(w, res, cp)
 }
 

@@ -290,7 +290,8 @@ func TestEngineFromQueryChecksKindAndFields(t *testing.T) {
 		{"", 0, engine.Auto{}},
 		{"engine=auto", 4, engine.Auto{Workers: 4}},
 		{"engine=explicit", 0, engine.Explicit{}},
-		{"engine=explicit&workers=2", 2, engine.Explicit{Workers: 2}},
+		{"engine=explicit&workers=2", 2, engine.Explicit{}}, // the DFS at any count
+		{"engine=explicit&workers=65", 65, engine.Explicit{Workers: 65}},
 		{"engine=sat", 0, engine.SAT{}},
 		{"engine=sat&workers=2", 2, engine.SAT{Workers: 2}},
 		{"engine=sat&timeout=30s", 0, engine.SAT{}},

@@ -218,3 +218,48 @@ func TestResumeStoreEvictsOldest(t *testing.T) {
 		t.Fatalf("resumed newest token: status=%v", res.Status)
 	}
 }
+
+// A resume body is read strictly, before the single-use token is
+// spent: a misspelt member (which would resume at the old budget) or a
+// negative max_states is a 400, and the token then still resumes.
+func TestVerifyResumeBodyIsStrict(t *testing.T) {
+	srv, _ := testServer(t)
+	capped := decodeEnvelope(t, postJSON(t, srv.URL+"/verify?checkpoint=1", cappableDoc(100)))
+	if capped.Resume == "" {
+		t.Fatal("capped run returned no resume token")
+	}
+	for _, body := range []string{
+		fmt.Sprintf(`{"resume": %q, "maxstates": 500000}`, capped.Resume),
+		fmt.Sprintf(`{"resume": %q, "max_states": -1}`, capped.Resume),
+		fmt.Sprintf(`{"resume": %q, "max_states": 30000} {}`, capped.Resume),
+	} {
+		resp := postJSON(t, srv.URL+"/verify", body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	resumed := decodeEnvelope(t, postJSON(t, srv.URL+"/verify", fmt.Sprintf(`{"resume": %q, "max_states": 30000}`, capped.Resume)))
+	if res, err := engine.DecodeResult(resumed.Result); err != nil || res.Status != engine.StatusHolds {
+		t.Fatalf("resume after the rejected bodies: %s (%v)", resumed.Result, err)
+	}
+}
+
+// An explicit check runs on the DFS at every worker count, so it has
+// one content address: the same scenario at workers=2 is a cache hit on
+// the workers=0 verdict.
+func TestExplicitWorkersHitTheSerialVerdict(t *testing.T) {
+	srv, _ := testServer(t)
+	for i, path := range []string{"/verify?engine=explicit", "/verify?engine=explicit&workers=2", "/verify?workers=2"} {
+		resp := postJSON(t, srv.URL+path, scenarioDoc)
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		res, err := engine.DecodeResult(bytes.TrimSpace(data))
+		if err != nil || res.Status != engine.StatusHolds {
+			t.Fatalf("%s: %s (%v)", path, data, err)
+		}
+		if res.Cached != (i > 0) {
+			t.Fatalf("%s: cached=%v, want %v", path, res.Cached, i > 0)
+		}
+	}
+}

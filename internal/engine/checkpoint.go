@@ -18,27 +18,26 @@ import (
 var ErrCorruptCheckpoint = errors.New("corrupt checkpoint")
 
 // Checkpoint is a resumable snapshot of a budget-capped explicit-state
-// run: the scenario it was taken for, the worker count that produced it
-// (informational — resume works at any worker count), and the binary
-// explore run state. Checkpoints exist to raise the MaxStates budget of
-// a capped run without re-exploring its prefix; resuming yields a
+// run: the scenario it was taken for and the binary explore.DFSState,
+// the serial DFS's cut. Checkpoints exist to raise the MaxStates budget
+// of a capped run without re-exploring its prefix; resuming yields a
 // result identical to the same verification executed uninterrupted.
 type Checkpoint struct {
 	// Scenario is the verification the run state belongs to. Matches
 	// compares it against the resuming scenario with the display name
 	// and the MaxStates budget blanked — everything else must agree.
 	Scenario Scenario
-	// Workers is the worker count of the run that produced the snapshot.
-	Workers int
-	// State is the binary explore.RunState document.
+	// State is the binary explore.DFSState document.
 	State []byte
 }
 
 type checkpointJSON struct {
 	Version  int             `json:"version"`
 	Scenario json.RawMessage `json:"scenario"`
-	Workers  int             `json:"workers,omitempty"`
-	RunState []byte          `json:"run_state"` // base64 per encoding/json
+	// Workers is never written: only a sharded-frontier checkpoint
+	// carries it, and DecodeCheckpoint refuses one by that name.
+	Workers  int    `json:"workers,omitempty"`
+	RunState []byte `json:"run_state"` // base64 per encoding/json
 }
 
 // checkpointMagic opens the envelope (Seal) around the JSON document.
@@ -58,7 +57,6 @@ func EncodeCheckpoint(c *Checkpoint) ([]byte, error) {
 	payload, err := json.Marshal(checkpointJSON{
 		Version:  SchemaVersion,
 		Scenario: sc,
-		Workers:  c.Workers,
 		RunState: c.State,
 	})
 	if err != nil {
@@ -84,14 +82,17 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if w.Version != SchemaVersion {
 		return nil, fmt.Errorf("engine: checkpoint: unsupported schema version %d (want %d)", w.Version, SchemaVersion)
 	}
+	if w.Workers != 0 {
+		return nil, fmt.Errorf("engine: checkpoint: %w: a sharded-frontier checkpoint (workers %d), which no longer resumes: re-verify from scratch", ErrCorruptCheckpoint, w.Workers)
+	}
 	s, err := DecodeScenario(w.Scenario)
 	if err != nil {
 		return nil, fmt.Errorf("engine: checkpoint: %w: %w", ErrCorruptCheckpoint, err)
 	}
-	if _, err := explore.DecodeRunState(w.RunState); err != nil {
+	if _, err := explore.DecodeDFSState(w.RunState); err != nil {
 		return nil, fmt.Errorf("engine: checkpoint: %w: %w", ErrCorruptCheckpoint, err)
 	}
-	return &Checkpoint{Scenario: s, Workers: w.Workers, State: w.RunState}, nil
+	return &Checkpoint{Scenario: s, State: w.RunState}, nil
 }
 
 // Matches reports whether the checkpoint belongs to the same

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"runtime"
 	"strings"
@@ -42,45 +43,109 @@ func resultBytes(t *testing.T, res Result) []byte {
 	return data
 }
 
+// oscScenario oscillates: two agents, non-submodular synergy with
+// release, 12 states to the violation.
+func oscScenario(budget int) Scenario {
+	pol := mca.Policy{Target: 2, Utility: mca.NonSubmodularSynergy{}, ReleaseOutbid: true, Rebid: mca.RebidOnChange}
+	return Scenario{
+		Name: "oscillating",
+		AgentSpecs: []mca.Config{
+			{ID: 0, Items: 2, Base: []int64{10, 15}, Policy: pol},
+			{ID: 1, Items: 2, Base: []int64{15, 10}, Policy: pol},
+		},
+		Graph:   graph.Complete(2),
+		Explore: explore.Options{MaxStates: budget},
+	}
+}
+
+// checkpointRoundTrip sends a checkpoint through its document codec, as
+// mcacheck and mcaserved do.
+func checkpointRoundTrip(t *testing.T, cp *Checkpoint) *Checkpoint {
+	t.Helper()
+	enc, err := EncodeCheckpoint(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeCheckpoint(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec
+}
+
 // The engine-level acceptance pin: capping a run, serializing the
 // checkpoint through its codec, and resuming with a raised budget
 // yields a result byte-identical (via the result codec, wall-time
-// aside) to the same verification executed uninterrupted — across
-// capping/resuming worker-count combinations.
+// aside) to the same verification executed uninterrupted — and, where
+// that run caps too, the same checkpoint. The cuts cover line-3 that
+// holds, an oscillation found after the cut, and line-3 with duplicate
+// deliveries (its first 3,000 states), cut inside a branch that leaves
+// a message in flight. Explicit{Workers: n} is the same DFS.
 func TestVerifyResumableByteIdenticalToUninterrupted(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
-	for _, pair := range [][2]int{{1, 1}, {2, 2}, {1, 8}, {8, 2}} {
-		capW, resW := pair[0], pair[1]
-		// The reference runs at the resuming worker count so even the
-		// engine label ("explicit-parallel(N)") matches byte-for-byte;
-		// the verdict itself is identical at any worker count.
-		full := resultBytes(t, Explicit{Workers: resW}.Verify(ctx, resumableScenario(0)))
-		res, cp := Explicit{Workers: capW}.VerifyResumable(ctx, resumableScenario(100), nil)
-		if res.Status != StatusInconclusive || !res.Stats.Capped {
-			t.Fatalf("%d workers: capped run: status=%v capped=%v", capW, res.Status, res.Stats.Capped)
+	dup := func(budget int) Scenario {
+		s := resumableScenario(budget)
+		s.Explore.DuplicateDeliveries = true
+		return s
+	}
+	for _, tc := range []struct {
+		name     string
+		scenario func(int) Scenario
+		full     int
+		cuts     []int
+	}{
+		{"line-3", resumableScenario, 0, []int{1, 50, 200, 400, 502}},
+		{"oscillation", oscScenario, 0, []int{3, 6, 11}},
+		{"line-3 duplicates", dup, 3000, []int{40, 700, 1500, 2999}},
+	} {
+		full, fullCp := Explicit{}.VerifyResumable(ctx, tc.scenario(tc.full), nil)
+		fullBytes := resultBytes(t, full)
+		if tc.name == "oscillation" && full.Violation != explore.ViolationOscillation {
+			t.Fatalf("%s: reference run: %+v", tc.name, full)
 		}
-		if cp == nil {
-			t.Fatalf("%d workers: capped run returned no checkpoint", capW)
+		inFlight := false
+		for i, cut := range tc.cuts {
+			eng := Explicit{Workers: i % 3} // 0, 1, 2: the same run
+			res, cp := eng.VerifyResumable(ctx, tc.scenario(cut), nil)
+			if res.Status != StatusInconclusive || !res.Stats.Capped || cp == nil {
+				t.Fatalf("%s cut at %d: status=%v capped=%v checkpoint=%v", tc.name, cut, res.Status, res.Stats.Capped, cp != nil)
+			}
+			cp = checkpointRoundTrip(t, cp)
+			st, err := explore.DecodeDFSState(cp.State)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, step := range st.Path {
+				inFlight = inFlight || !step.Consume
+			}
+			resumed, next := Explicit{}.VerifyResumable(ctx, tc.scenario(tc.full), cp)
+			if got := resultBytes(t, resumed); !bytes.Equal(got, fullBytes) {
+				t.Fatalf("%s cut at %d: resumed result diverged:\n%s\nvs uninterrupted:\n%s", tc.name, cut, got, fullBytes)
+			}
+			if (next == nil) != (fullCp == nil) || next != nil && !bytes.Equal(next.State, fullCp.State) {
+				t.Fatalf("%s cut at %d: the resumed run's checkpoint differs from the uninterrupted run's", tc.name, cut)
+			}
 		}
+		if tc.scenario(0).Explore.DuplicateDeliveries && !inFlight {
+			t.Fatalf("%s: no cut fell inside a duplicate-delivery branch", tc.name)
+		}
+	}
+}
 
-		// Round-trip the checkpoint document, as mcacheck/mcaserved do.
-		enc, err := EncodeCheckpoint(cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := DecodeCheckpoint(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		resumed, next := Explicit{Workers: resW}.VerifyResumable(ctx, resumableScenario(0), dec)
-		if next != nil {
-			t.Fatalf("%d->%d workers: completed resume still returned a checkpoint", capW, resW)
-		}
-		if got := resultBytes(t, resumed); !bytes.Equal(got, full) {
-			t.Fatalf("%d->%d workers: resumed result diverged:\n%s\nvs uninterrupted:\n%s", capW, resW, got, full)
-		}
+// Two resumes in a row are one uninterrupted run.
+func TestVerifyResumableChain(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	full := resultBytes(t, Explicit{}.Verify(ctx, resumableScenario(0)))
+	_, cp := Explicit{}.VerifyResumable(ctx, resumableScenario(100), nil)
+	mid, cp2 := Explicit{}.VerifyResumable(ctx, resumableScenario(300), checkpointRoundTrip(t, cp))
+	if !mid.Stats.Capped || mid.Stats.States != 300 || cp2 == nil {
+		t.Fatalf("first resume: %+v, checkpoint %v", mid.Stats, cp2 != nil)
+	}
+	last, cp3 := Explicit{}.VerifyResumable(ctx, resumableScenario(0), checkpointRoundTrip(t, cp2))
+	if got := resultBytes(t, last); cp3 != nil || !bytes.Equal(got, full) {
+		t.Fatalf("second resume (checkpoint %v):\n%s\nvs uninterrupted:\n%s", cp3 != nil, got, full)
 	}
 }
 
@@ -135,11 +200,20 @@ func TestCorruptCheckpointErrorIsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A checkpoint written before the canonical key function changed
-	// (run-state magic MCARS2): sound envelope, foreign key space.
+	// A checkpoint of the sharded frontier (run-state magic MCARS3, and
+	// the worker count only such a checkpoint carries): sound envelope,
+	// a format that no longer resumes.
 	old := *cp
-	old.State = append([]byte("MCARS2\n"), cp.State[len("MCARS3\n"):]...)
+	old.State = append([]byte("MCARS3\n"), cp.State[len("MCARS4\n"):]...)
 	oldEnc, err := EncodeCheckpoint(&old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := EncodeScenario(&cp.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontier, err := json.Marshal(checkpointJSON{Version: SchemaVersion, Scenario: sc, Workers: 2, RunState: cp.State})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +223,7 @@ func TestCorruptCheckpointErrorIsTyped(t *testing.T) {
 		"truncate":   enc[:len(enc)/2],
 		"runstate":   []byte(strings.Replace(string(enc), `"run_state":"`, `"run_state":"AAAA`, 1)),
 		"old-binary": oldEnc,
+		"frontier":   Seal(checkpointMagic, frontier),
 	}
 	for name, doc := range docs {
 		_, err := DecodeCheckpoint(doc)
@@ -157,6 +232,9 @@ func TestCorruptCheckpointErrorIsTyped(t *testing.T) {
 		}
 		if !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Fatalf("%s: error %v does not wrap ErrCorruptCheckpoint", name, err)
+		}
+		if (name == "old-binary" || name == "frontier") && !strings.Contains(err.Error(), "sharded-frontier") {
+			t.Fatalf("%s: error %v does not name the format", name, err)
 		}
 	}
 	// Bit flips anywhere in the document: typed error or (rarely) a
@@ -183,22 +261,25 @@ func TestCorruptCheckpointErrorIsTyped(t *testing.T) {
 // the input plus what the embedded scenario's ceilings allow (a graph
 // of MaxGraphNodes nodes, a model at the mcamodel scope ceilings).
 func FuzzDecodeCheckpoint(f *testing.F) {
-	// Star-4 capped after its first level, on two shards.
+	// DFS checkpoints: star-4 capped at its first state, and line-3 a
+	// hundred states in.
 	pol := mca.Policy{Target: 2, Utility: mca.FlatUtility{}, Rebid: mca.RebidOnChange}
 	star4 := Scenario{Name: "star4", Graph: graph.Star(4), Explore: explore.Options{MaxStates: 1}}
 	for i, base := range [][]int64{{12, 8}, {8, 12}, {4, 8}, {6, 6}} {
 		star4.AgentSpecs = append(star4.AgentSpecs, mca.Config{ID: mca.AgentID(i), Items: 2, Base: base, Policy: pol})
 	}
-	_, cp := Explicit{Workers: 2}.VerifyResumable(context.Background(), star4, nil)
-	if cp == nil {
-		f.Fatal("star-4 seed run did not cap")
+	for _, s := range []Scenario{star4, resumableScenario(100)} {
+		_, cp := Explicit{}.VerifyResumable(context.Background(), s, nil)
+		if cp == nil {
+			f.Fatalf("%s seed run did not cap", s.Name)
+		}
+		enc, err := EncodeCheckpoint(cp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(enc[bytes.IndexByte(enc, '\n')+1:]) // the payload
 	}
-	enc, err := EncodeCheckpoint(cp)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(enc)
-	f.Add(enc[bytes.IndexByte(enc, '\n')+1:]) // the payload
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, doc := range [][]byte{data, Seal(checkpointMagic, data)} {
 			var before, after runtime.MemStats
@@ -257,22 +338,9 @@ func TestCheckpointScenarioMatching(t *testing.T) {
 	}
 }
 
-// The serial DFS has no checkpointable cut; asking for one is an
-// error, not a silent fallback.
-func TestVerifyResumableRejectsSerial(t *testing.T) {
-	t.Parallel()
-	res, cp := Explicit{Workers: 0}.VerifyResumable(context.Background(), resumableScenario(100), nil)
-	if res.Status != StatusError || cp != nil {
-		t.Fatalf("serial checkpoint request: status=%v cp=%v", res.Status, cp != nil)
-	}
-	if !strings.Contains(res.Err.Error(), "parallel frontier") {
-		t.Fatalf("unhelpful error: %v", res.Err)
-	}
-}
-
-// Lossy stores are serial-only: the sharded frontier partitions the
-// state space by its exact seen-set, so the engine gates the combining
-// of the two rather than producing an undefined hybrid.
+// Lossy stores are serial-only, and so is every explicit check: a
+// lossy store runs at any worker count, on the serial DFS, but cannot
+// checkpoint, since its seen-set keeps no keys.
 func TestLossyStoreSerialOnly(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
@@ -287,10 +355,13 @@ func TestLossyStoreSerialOnly(t *testing.T) {
 	if serial.Stats.MissProb <= 0 {
 		t.Fatalf("serial bitstate run reported MissProb %v, want > 0", serial.Stats.MissProb)
 	}
-
 	par := Explicit{Workers: 2}.Verify(ctx, s)
-	if par.Status != StatusError || !strings.Contains(par.Err.Error(), "serial-only") {
-		t.Fatalf("parallel lossy run not gated: status=%v err=%v", par.Status, par.Err)
+	if !bytes.Equal(resultBytes(t, par), resultBytes(t, serial)) {
+		t.Fatalf("workers=2 bitstate run: status=%v err=%v, want the serial result", par.Status, par.Err)
+	}
+	res, cp := Explicit{}.VerifyResumable(ctx, s, nil)
+	if res.Status != StatusError || cp != nil || !strings.Contains(res.Err.Error(), "bitstate") {
+		t.Fatalf("checkpointed bitstate run: status=%v err=%v checkpoint=%v, want an error naming the store", res.Status, res.Err, cp != nil)
 	}
 }
 

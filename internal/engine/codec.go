@@ -1051,6 +1051,10 @@ func addressedEngine(e Engine, s *Scenario) Engine {
 	if sim, ok := e.(Simulation); ok {
 		e = sim.withDefaults()
 	}
+	// Explicit{Workers: n} runs the same DFS as Explicit{}.
+	if ex, ok := e.(Explicit); ok {
+		e = ex.addressed()
+	}
 	// The session pool is a runtime handle, not configuration: an
 	// incremental run returns the same verdict as a one-shot run of the
 	// same scenario, so both share one address (and the pointer would

@@ -524,13 +524,6 @@ func TestCacheKey(t *testing.T) {
 	if k1 != k2 {
 		t.Fatalf("cache key depends on the display name: %s vs %s", k1, k2)
 	}
-	k3, err := CacheKey(&base, Explicit{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k3 == k1 {
-		t.Fatalf("cache key ignores the engine configuration")
-	}
 	k4, err := CacheKey(&other, Explicit{})
 	if err != nil {
 		t.Fatal(err)
@@ -649,6 +642,29 @@ func TestDecodeFaultsValidation(t *testing.T) {
 // knobs must land on distinct cache addresses — while the zero settings
 // encode exactly as the fields' pre-existence bytes and keep old
 // addresses valid.
+// TestExplicitWorkersShareOneAddress: Explicit.Workers runs nothing,
+// so one explicit verification has one content address — at every
+// worker count, and through Auto — and one work-unit engine spec. Only
+// a count past MaxWorkers, an error result, keeps its own.
+func TestExplicitWorkersShareOneAddress(t *testing.T) {
+	s := Scenario{Name: "one", AgentSpecs: specs(2, 2, submodPolicy(2)), Graph: graph.Complete(2)}
+	want, err := CacheKey(&s, Explicit{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []Engine{Explicit{Workers: 0}, Explicit{Workers: 1}, Explicit{Workers: 2}, Explicit{Workers: -1}, Auto{Workers: 2}} {
+		if got, err := CacheKey(&s, eng); err != nil || got != want {
+			t.Errorf("%#v: cache key %s (%v), want Explicit{}'s %s", eng, got, err, want)
+		}
+		if spec, err := EncodeEngineSpec(resolveEngine(eng, &s)); err != nil || string(spec) != `{"version":1,"kind":"explicit"}` {
+			t.Errorf("%#v: engine spec %s (%v)", eng, spec, err)
+		}
+	}
+	if over, _ := CacheKey(&s, Explicit{Workers: MaxWorkers + 1}); over == want {
+		t.Error("a worker count past MaxWorkers shares the runnable check's address")
+	}
+}
+
 func TestCacheKeySplitsOnNewFaults(t *testing.T) {
 	base := Scenario{
 		Name:       "split",

@@ -11,9 +11,9 @@
 //     relational model for the SAT backends (an mcamodel.Encoding);
 //   - an Engine turns a Scenario into a unified Result under a
 //     context.Context (cancellation and deadlines are plumbed down to
-//     the DFS, the sharded frontier, and the SAT search loops). Three
-//     adapters cover the verification stack: Explicit (serial DFS or
-//     sharded parallel frontier), SAT (naive/optimized encoding ×
+//     the DFS and the SAT search loops). Three adapters cover the
+//     verification stack: Explicit (the serial DFS, with
+//     checkpoint/resume), SAT (naive/optimized encoding ×
 //     serial/portfolio solving), and Simulation (seeded randomized
 //     runs under network fault models the Alloy model cannot express);
 //   - a Runner streams Results from a worker pool over scenario sets,

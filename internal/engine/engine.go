@@ -225,9 +225,9 @@ func combineCancel(a, b func() bool) func() bool {
 // relational model is attached, Simulation when the fault model has a
 // probabilistic or timed component, Explicit otherwise.
 type Auto struct {
-	// Workers configures the chosen engine's parallelism (explicit
-	// frontier shards or SAT portfolio members). 0 keeps each engine's
-	// serial default.
+	// Workers sizes the SAT portfolio (0 is the serial solver). An
+	// explicit check runs on the serial DFS at any value; MaxWorkers
+	// bounds it for every engine.
 	Workers int
 }
 
@@ -237,7 +237,7 @@ func (a Auto) Name() string { return "auto" }
 // EngineFor returns the engine Auto would use for the scenario: it
 // routes by what unmet says of the candidates.
 func (a Auto) EngineFor(s Scenario) Engine {
-	exhaustive := Explicit{Workers: a.Workers}
+	exhaustive := Explicit{Workers: a.Workers}.addressed()
 	switch {
 	case unmet(SAT{}, &s) == nil:
 		return SAT{Workers: a.Workers}
@@ -294,8 +294,6 @@ func unmet(e Engine, s *Scenario) error {
 			return errNoGraph
 		case e.Workers > MaxWorkers:
 			return fmt.Errorf("cannot run with %d workers (at most %d)", e.Workers, MaxWorkers)
-		case !e.serial() && s.Explore.Store != explore.StoreExact:
-			return fmt.Errorf("uses the lossy %s store, which is serial-only (the sharded frontier partitions the state space by its exact seen-set)", s.Explore.Store)
 		}
 	case Simulation:
 		switch {

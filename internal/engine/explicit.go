@@ -9,29 +9,28 @@ import (
 )
 
 // Explicit is the explicit-state backend adapter: the exhaustive
-// bounded model checker over all message interleavings, run either as
-// the serial DFS or as the sharded parallel frontier.
+// bounded model checker over all message interleavings, run as the
+// serial DFS.
 type Explicit struct {
-	// Workers selects the backend: 0 runs the serial DFS; any other
-	// value runs the sharded parallel frontier with that many shards
-	// (negative means one per CPU). Workers=1 is the one-shard frontier,
-	// not the DFS: the two algorithms are kept distinct because their
-	// val-bound verdicts can differ on order-dependent prunes.
+	// Workers has no effect: every explicit check runs on the serial
+	// DFS, which is faster than the sharded frontier it once selected.
+	// A value above MaxWorkers is still an error result, so requests
+	// that name one keep their answer. The field goes with the frontier.
 	Workers int
 }
 
 // Name identifies the adapter.
-func (e Explicit) Name() string {
-	if e.serial() {
-		return "explicit"
-	}
-	if e.Workers < 0 {
-		return "explicit-parallel"
-	}
-	return fmt.Sprintf("explicit-parallel(%d)", e.Workers)
-}
+func (e Explicit) Name() string { return "explicit" }
 
-func (e Explicit) serial() bool { return e.Workers == 0 }
+// addressed is the configuration a content address and a work unit
+// carry: Workers dropped, since it changes nothing a run does — except
+// past MaxWorkers, where it is what makes the run an error result.
+func (e Explicit) addressed() Explicit {
+	if e.Workers > MaxWorkers {
+		return e
+	}
+	return Explicit{}
+}
 
 // Verify exhaustively checks the consensus property for the scenario.
 // Fault models: a permanent partition is checked exactly (on the
@@ -48,9 +47,9 @@ func (e Explicit) Verify(ctx context.Context, s Scenario) Result {
 // budget — resume exists to raise the budget) continues the capped run
 // instead of restarting it, and a run that stops on the MaxStates
 // budget comes back with a fresh checkpoint (nil otherwise). The
-// resumed result is identical to the same verification executed
-// uninterrupted, at any worker count. Requires the parallel frontier:
-// the serial DFS stops mid-path and has no checkpointable cut.
+// resumed result is byte-identical to the same verification executed
+// uninterrupted. A lossy store cannot checkpoint (its seen-set keeps no
+// keys): asking it to is an error result.
 func (e Explicit) VerifyResumable(ctx context.Context, s Scenario, prior *Checkpoint) (Result, *Checkpoint) {
 	return e.verify(ctx, s, prior, true)
 }
@@ -60,34 +59,23 @@ func (e Explicit) verify(ctx context.Context, s Scenario, prior *Checkpoint, cap
 	if err := Applicable(e, &s); err != nil {
 		return errorResult(&s, e.Name(), err), nil
 	}
-	if capture && e.serial() {
-		return errorResult(&s, e.Name(), fmt.Errorf(
-			"engine: scenario %q: checkpoint/resume requires the parallel frontier (workers != 0); the serial DFS stops mid-path and has no checkpointable cut", s.Name)), nil
-	}
 	g := s.Faults.ApplyPartitions(s.Graph)
 	opts := s.Explore
 	opts.Cancel = combineCancel(opts.Cancel, cancelHook(ctx))
 
-	var rs *explore.RunState
-	var err error
+	var from *explore.DFSState
 	if prior != nil {
-		if err = prior.Matches(s); err == nil {
-			rs, err = explore.DecodeRunState(prior.State)
+		err := prior.Matches(s)
+		if err == nil {
+			from, err = explore.DecodeDFSState(prior.State)
 		}
 		if err != nil {
 			return errorResult(&s, e.Name(), err), nil
 		}
 	}
-
-	var v explore.Verdict
-	var next *explore.RunState
-	if e.serial() {
-		v = explore.Check(s.agents(), g, opts)
-	} else {
-		v, next, err = explore.CheckParallelFrom(s.agents(), g, opts, e.Workers, rs, capture)
-		if err != nil {
-			return errorResult(&s, e.Name(), err), nil
-		}
+	v, next, err := explore.CheckFrom(s.agents(), g, opts, from, capture)
+	if err != nil {
+		return errorResult(&s, e.Name(), fmt.Errorf("engine: scenario %q: %w", s.Name, err)), nil
 	}
 
 	res := Result{
@@ -120,7 +108,7 @@ func (e Explicit) verify(ctx context.Context, s Scenario, prior *Checkpoint, cap
 	if next != nil {
 		cs := s
 		cs.Explore.Cancel = nil
-		cp = &Checkpoint{Scenario: cs, Workers: e.Workers, State: explore.EncodeRunState(next)}
+		cp = &Checkpoint{Scenario: cs, State: explore.EncodeDFSState(next)}
 	}
 	return res, cp
 }

@@ -11,8 +11,8 @@ import (
 // RunnerOptions configures a batch runner.
 type RunnerOptions struct {
 	// Workers is the size of the scenario worker pool (0 = one per CPU).
-	// It schedules whole scenarios; combine with parallel engines
-	// (Explicit{Workers}, SAT{Workers}) for intra-scenario parallelism.
+	// It schedules whole scenarios; SAT{Workers} adds intra-scenario
+	// parallelism (a solver portfolio).
 	Workers int
 	// Engine runs every scenario; nil defaults to Auto{}, which picks
 	// the natural backend per scenario.

@@ -23,7 +23,8 @@ import (
 type EngineSpec struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
-	// Workers: Auto/Explicit/SAT parallelism (shards, portfolio members).
+	// Workers: Auto/SAT portfolio members; on Explicit, only a count
+	// past MaxWorkers is kept (see Explicit.Workers).
 	Workers int `json:"workers,omitempty"`
 	// Runs, Seed, MaxDeliveries, BudgetFactor: Simulation sampling.
 	Runs          int   `json:"runs,omitempty"`
@@ -47,7 +48,7 @@ func EncodeEngineSpec(e Engine) ([]byte, error) {
 		w.Workers = v.Workers
 	case Explicit:
 		w.Kind = "explicit"
-		w.Workers = v.Workers
+		w.Workers = v.addressed().Workers
 	case Simulation:
 		w.Kind = "simulation"
 		w.Runs = v.Runs
@@ -81,7 +82,9 @@ func DecodeEngineSpec(data []byte) (Engine, error) {
 // Engine builds the adapter value the spec names, rejecting unknown
 // kinds and fields that do not belong to the kind. It is the one
 // kind/field check: the wire decoder and mcaserved's query parameters
-// both go through it. Version is the decoder's concern, not checked here.
+// both go through it. An explicit spec's workers are dropped up to
+// MaxWorkers, as in its content address (Explicit.Workers runs
+// nothing). Version is the decoder's concern, not checked here.
 func (w EngineSpec) Engine() (Engine, error) {
 	simOnly := w.Runs != 0 || w.Seed != 0 || w.MaxDeliveries != 0 || w.BudgetFactor != 0
 	switch w.Kind {
@@ -94,7 +97,7 @@ func (w EngineSpec) Engine() (Engine, error) {
 		if simOnly {
 			return nil, fmt.Errorf("engine: spec: explicit takes only workers")
 		}
-		return Explicit{Workers: w.Workers}, nil
+		return Explicit{Workers: w.Workers}.addressed(), nil
 	case "simulation":
 		if w.Workers != 0 {
 			return nil, fmt.Errorf("engine: spec: simulation takes no workers")

@@ -21,8 +21,9 @@ const (
 	MaxItems = 1 << 16
 	// MaxBudgetFactor bounds Simulation.BudgetFactor.
 	MaxBudgetFactor = 1 << 20
-	// MaxWorkers bounds Explicit.Workers and SAT.Workers: frontier memory
-	// grows with the square of its shard count, a portfolio's with its size.
+	// MaxWorkers bounds SAT.Workers, whose portfolio's memory grows with
+	// its size, and Explicit.Workers, which selects nothing but keeps
+	// the bound it had when it sized the sharded frontier.
 	MaxWorkers = 64
 	// MaxFaultTicks bounds the fault fields counted in delivery ticks —
 	// delay, delay_edge, reorder and heal_after. The simulator adds a

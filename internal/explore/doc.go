@@ -17,12 +17,16 @@
 //   - a disagreement/conflict violation at quiescence.
 //
 // Key entry points: Check (serial DFS with queue capture/rollback and
-// replay-built counterexample traces), CheckParallel (sharded parallel
-// frontier: a level loop of two barrier phases over a hash-partitioned
-// seen-set — expand, then seal and route — with SCC-based oscillation
-// detection), and Options (the val bound, state
-// budget, queue depth, duplicate-delivery fault injection, and the
-// cooperative Cancel hook the engine layer drives from contexts).
+// replay-built counterexample traces), CheckFrom (the same DFS with
+// checkpoint/resume: a capped run's DFSState is its exact seen-set, its
+// delivery path and its counters, and a resume replays the path and
+// goes on from the cut, equal to the uninterrupted run), and Options
+// (the val bound, state budget, queue depth, duplicate-delivery fault
+// injection, and the cooperative Cancel hook the engine layer drives
+// from contexts). CheckParallel, the sharded parallel frontier, is
+// reached only by this package's tests and the repo benchmark: it is
+// slower than the DFS at every worker count measured, and is kept
+// until the benchmark stops timing it.
 //
 // Hot-path engineering — incremental canonical hashing with a
 // reference-serializer crosscheck, compact open-addressing state
@@ -33,14 +37,14 @@
 // of its timestamps under the state's time ranker, and keeps that
 // digest while the ranker stays the same, so a key re-ranks only the
 // receiver and the queue cells a delivery changed (see keyScratch).
-// The run-state format stores keys, so its magic (runStateMagic)
-// changes with the key function.
+// Both run-state formats store keys, so their magics (dfsStateMagic,
+// runStateMagic) change with the key function.
 //
 // Determinism: both checkers are deterministic in (agents, graph,
 // Options); CheckParallel additionally returns the same verdict and the
 // same counterexample trace at every worker count — parallelism changes
-// wall-clock only. The one caveat is budget-truncated runs: when the
-// state budget is exhausted, which states were visited first is
-// algorithm-dependent, so Check and CheckParallel are kept as distinct
-// backends rather than silently substituted for each other.
+// wall-clock only. The two are distinct algorithms: on a
+// budget-truncated run which states were visited first differs, and
+// the val-bound verdict is path-dependent, so neither stands in for
+// the other.
 package explore

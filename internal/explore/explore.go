@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -252,6 +253,14 @@ type checker struct {
 	verdict   *Verdict
 	cancelled bool
 	capped    bool
+	// replay is a resumed run's recorded path (CheckFrom), walked again
+	// without counting before the search continues at its cut; nil once
+	// the cut is entered. capture asks a capped run to keep its path in
+	// cut. err is a replay's refusal of its path.
+	replay  []Step
+	capture bool
+	cut     []Step
+	err     error
 }
 
 // pathMark remembers where a state first appeared on the DFS path and
@@ -271,8 +280,39 @@ var visitedMark = &pathNode{}
 // given agents and agent network, and verifies the consensus property.
 // Agents must be freshly constructed (pre-bid) and indexed by position.
 func Check(agents []*mca.Agent, g *graph.Graph, opts Options) Verdict {
+	v, _, _ := CheckFrom(agents, g, opts, nil, false)
+	return v
+}
+
+// CheckFrom is Check with checkpoint/resume. A non-nil prior — the cut
+// of an earlier run of the same check, taken at a smaller MaxStates —
+// continues that run instead of starting over: its path is replayed
+// from the initial state and the search goes on from its cut, so the
+// verdict is the one the same check returns uninterrupted, trace
+// included. With capture set, a run that stops on the MaxStates budget
+// returns its own cut (nil otherwise). Both need the exact store: a
+// lossy store's or DisableVisitedSet's seen-set cannot be written down.
+// A prior whose path the check could not have taken is an error
+// wrapping ErrCorruptRunState.
+func CheckFrom(agents []*mca.Agent, g *graph.Graph, opts Options, prior *DFSState, capture bool) (Verdict, *DFSState, error) {
+	if capture || prior != nil {
+		switch {
+		case opts.Store != StoreExact:
+			return Verdict{}, nil, fmt.Errorf("explore: the lossy %s store cannot checkpoint: its seen-set keeps no keys to write down", opts.Store)
+		case opts.DisableVisitedSet:
+			return Verdict{}, nil, fmt.Errorf("explore: DisableVisitedSet cannot checkpoint: the run keeps no seen-set to write down")
+		}
+	}
+	if prior != nil {
+		if err := prior.validate(); err != nil {
+			return Verdict{}, nil, err
+		}
+	}
 	if len(agents) == 0 {
-		return Verdict{OK: true, Exhausted: true}
+		if prior != nil {
+			return Verdict{}, nil, corrupt("a path of %d steps over no agents", len(prior.Path))
+		}
+		return Verdict{OK: true, Exhausted: true}, nil, nil
 	}
 	opts = opts.withDefaults(g, agents[0].Items())
 	net := netsim.New(g)
@@ -280,6 +320,7 @@ func Check(agents []*mca.Agent, g *graph.Graph, opts Options) Verdict {
 		net.LimitQueueDepth(opts.QueueDepth)
 	}
 	seen := newSeenSet(opts)
+	exact, _ := seen.(*exactSeen)
 	if testSeenWrap != nil {
 		seen = testSeenWrap(seen)
 	}
@@ -291,6 +332,7 @@ func Check(agents []*mca.Agent, g *graph.Graph, opts Options) Verdict {
 		visited: seen,
 		onPath:  make(map[[2]uint64]pathMark),
 		verdict: &Verdict{},
+		capture: capture,
 	}
 	c.keys.interval = crosscheckInterval
 	// Initial transition: all agents bid and broadcast.
@@ -301,14 +343,28 @@ func Check(agents []*mca.Agent, g *graph.Graph, opts Options) Verdict {
 	}
 	c.states0 = saveStates(agents)
 	c.net0 = c.net.Clone()
+	if prior != nil {
+		c.verdict.States, c.verdict.MaxDepth = prior.States, prior.MaxDepth
+		for _, k := range prior.Visited {
+			c.visited.add(k)
+		}
+		c.replay = prior.Path
+	}
 	c.dfs(0, 0)
+	if c.err != nil {
+		return Verdict{}, nil, c.err
+	}
 	c.verdict.Exhausted = !c.cancelled && !c.capped && c.verdict.States < opts.MaxStates
 	c.verdict.Capped = c.capped
 	c.verdict.OK = c.verdict.Violation == ViolationNone && c.verdict.Exhausted
 	c.verdict.MissProb = c.visited.missProb()
 	c.visited.addStats(&c.verdict.Store)
 	c.keys.addStats(&c.verdict.Store)
-	return *c.verdict
+	var next *DFSState
+	if c.cut != nil {
+		next = &DFSState{States: c.verdict.States, MaxDepth: c.verdict.MaxDepth, Path: c.cut, Visited: exact.sortedKeys()}
+	}
+	return *c.verdict, next, nil
 }
 
 // testSeenWrap, when non-nil, wraps the seen-set Check constructs —
@@ -321,11 +377,23 @@ var testSeenWrap func(seenSet) seenSet
 // deliveries that changed some agent's state, which is what the paper's
 // val bound budgets.
 func (c *checker) dfs(depth, changes int) bool {
+	if c.replay != nil {
+		if depth < len(c.replay) {
+			return c.replayNode(depth, changes)
+		}
+		c.replay = nil // the cut: the search goes on from here
+	}
 	if depth > c.verdict.MaxDepth {
 		c.verdict.MaxDepth = depth
 	}
 	if c.verdict.States >= c.opts.MaxStates {
 		c.capped = true
+		if c.capture {
+			c.cut = make([]Step, len(c.path))
+			for i, st := range c.path {
+				c.cut[i] = Step{Edge: st.edge, Consume: st.consume}
+			}
+		}
 		return true // budget exhausted; inconclusive
 	}
 	if c.opts.Cancel != nil && c.verdict.States&255 == 0 && c.opts.Cancel() {
@@ -358,29 +426,68 @@ func (c *checker) dfs(depth, changes int) bool {
 		c.visited.add(key)
 		return false
 	}
+	return c.expand(key, depth, changes, c.pendingAt(depth), 0, 0)
+}
 
-	c.onPath[key] = pathMark{step: len(c.path), changes: changes}
+// replayNode re-enters an ancestor of a resumed run's cut: the state
+// the recorded path reaches at depth, which the interrupted run had
+// counted and was expanding when it stopped. It re-derives what the
+// search keeps for the node (key, path mark, pending deliveries),
+// refuses a state the search would not have expanded, and continues
+// the node's branches at the recorded step.
+func (c *checker) replayNode(depth, changes int) bool {
+	key := c.canonKey()
+	_, onPath := c.onPath[key]
+	kind, _, quiescent := classify(c.agents, c.net, c.opts, depth, changes)
+	if onPath || c.visited.has(key) || kind != ViolationNone || quiescent {
+		c.err = corrupt("path step %d starts from a state the search does not expand", depth)
+		return true
+	}
+	pending := c.pendingAt(depth)
+	st := c.replay[depth]
+	i := slices.Index(pending, st.Edge)
+	if i < 0 || !st.Consume && !c.opts.DuplicateDeliveries {
+		c.err = corrupt("path step %d delivers on %d->%d, which is not a pending delivery there", depth, st.Edge.From, st.Edge.To)
+		return true
+	}
+	mode := 0
+	if !st.Consume {
+		mode = 1
+	}
+	return c.expand(key, depth, changes, pending, i, mode)
+}
 
+// pendingAt lists the current state's pending deliveries into depth's
+// own buffer, growing the per-depth stacks to reach depth.
+func (c *checker) pendingAt(depth int) []netsim.Edge {
 	for depth >= len(c.snapStack) {
 		c.snapStack = append(c.snapStack, netsim.QueueSnapshot{})
 		c.saveStack = append(c.saveStack, mca.AgentState{})
 		c.pendStack = append(c.pendStack, nil)
 	}
-	pending := c.net.PendingInto(c.pendStack[depth][:0])
-	c.pendStack[depth] = pending
+	c.pendStack[depth] = c.net.PendingInto(c.pendStack[depth][:0])
+	return c.pendStack[depth]
+}
+
+// expand puts the state with key on the path and explores its branches
+// from pending[first] in mode firstMode on, then records the state as
+// visited. Mode 0 delivers a message consuming it, mode 1 (fault
+// injection, DuplicateDeliveries only) leaves a duplicate in flight.
+func (c *checker) expand(key [2]uint64, depth, changes int, pending []netsim.Edge, first, firstMode int) bool {
+	c.onPath[key] = pathMark{step: len(c.path), changes: changes}
 	nmodes := 1
 	if c.opts.DuplicateDeliveries {
 		nmodes = 2 // consume, then duplicate
 	}
-	for _, e := range pending {
-		for mode := 0; mode < nmodes; mode++ {
+	mode := firstMode
+	for _, e := range pending[first:] {
+		for ; mode < nmodes; mode++ {
 			consume := mode == 0
-			// Branch: deliver the head message on edge e, consuming it or
-			// (fault injection) leaving a duplicate in flight. Only the
-			// queues a delivery can touch are snapshotted, and only the
-			// receiver's agent state is saved — nothing else mutates; the
-			// recursion below rolls its own deliveries back, so rolling
-			// back this one afterwards restores the state exactly.
+			// Only the queues a delivery can touch are snapshotted, and
+			// only the receiver's agent state is saved — nothing else
+			// mutates; the recursion below rolls its own deliveries back,
+			// so rolling back this one afterwards restores the state
+			// exactly.
 			snap := &c.snapStack[depth]
 			c.edgeBuf = affectedEdges(c.edgeBuf, c.net, e)
 			c.net.Capture(snap, c.edgeBuf...)
@@ -400,6 +507,7 @@ func (c *checker) dfs(depth, changes int) bool {
 				return true
 			}
 		}
+		mode = 0
 	}
 	if !c.opts.DisableVisitedSet {
 		c.visited.add(key)

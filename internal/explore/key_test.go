@@ -215,18 +215,21 @@ func (r *recordingSeen) add(k [2]uint64) {
 }
 
 // TestKeyFunctionMatchesRunStateMagic ties key values to the run-state
-// format. A run state stores canonical keys, so a checkpoint is only
+// formats. A run state stores canonical keys, so a checkpoint is only
 // resumable by a binary whose key function is the one that wrote it.
 // The pins are ring-3's initial-state key and a digest of the sorted
-// keys of its 100,110 states, under the magic they belong to: a change
-// to the key function must bump runStateMagic and re-pin both, and a
-// bumped magic must come with new pins.
+// keys of its 100,110 states, under the magics they belong to — the
+// DFS cut's and the frontier's: a change to the key function must bump
+// both magics and re-pin both values, and a bumped magic must come with
+// pins it was checked against. MCARS4 is the DFS format's first magic,
+// over the key function MCARS3 was pinned to.
 func TestKeyFunctionMatchesRunStateMagic(t *testing.T) {
 	// Not parallel: testSeenWrap is a package global.
 	const (
-		magic   = "MCARS3\n"
-		initial = "[c2a5816f0ccd702a 7caa31c2c6d3a0e7]"
-		visited = "93cb2370fad8d942901072dcb0a0b896"
+		magic         = "MCARS4\n"
+		frontierMagic = "MCARS3\n"
+		initial       = "[c2a5816f0ccd702a 7caa31c2c6d3a0e7]"
+		visited       = "93cb2370fad8d942901072dcb0a0b896"
 	)
 	agents := ring3Agents()
 	var ks keyScratch
@@ -263,9 +266,9 @@ func TestKeyFunctionMatchesRunStateMagic(t *testing.T) {
 
 	if gotInitial != initial || gotVisited != visited {
 		t.Errorf("the canonical key function changed: ring-3's initial key is %s and its visited keys digest to %s, pinned %s and %s under %q; "+
-			"bump runStateMagic so that checkpoints of the old key function are refused, then re-pin both under it", gotInitial, gotVisited, initial, visited, magic)
-	} else if runStateMagic != magic {
-		t.Errorf("runStateMagic is %q but the key pins are %q's: a bumped magic needs the key values of its key function re-pinned", runStateMagic, magic)
+			"bump dfsStateMagic and runStateMagic so that checkpoints of the old key function are refused, then re-pin both under them", gotInitial, gotVisited, initial, visited, magic)
+	} else if dfsStateMagic != magic || runStateMagic != frontierMagic {
+		t.Errorf("the run-state magics are %q and %q but the key pins are %q's and %q's: a bumped magic needs the key values of its key function re-pinned", dfsStateMagic, runStateMagic, magic, frontierMagic)
 	}
 }
 

@@ -13,6 +13,13 @@ import (
 	"repro/internal/trace"
 )
 
+// The sharded parallel frontier: CheckParallel, CheckParallelFrom and
+// the RunState they checkpoint. No product path reaches it — every
+// explicit check runs on the serial DFS (Check, CheckFrom), which is
+// faster at every worker count measured — and only this package's
+// tests and bench/ call it, until the benchmark stops timing it and
+// the frontier is deleted.
+
 // CheckParallel is the sharded parallel counterpart of Check: the same
 // bounded verification of the MCA consensus property, run as a
 // level-ordered breadth-first exploration partitioned across workers.

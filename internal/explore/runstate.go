@@ -29,11 +29,7 @@ var ErrCorruptRunState = errors.New("corrupt run state")
 // repopulated from the tree, the frontier is re-routed by key, and
 // exploration continues at NextLevel — producing a verdict identical
 // to the same run executed without interruption, at any worker count.
-//
-// Only the parallel frontier is checkpointable: its level-granular
-// stop decision leaves a well-defined cut (complete levels + routed
-// frontier), while the serial DFS stops mid-path with unbounded
-// recursion state.
+// The serial DFS's cut is DFSState, a format of its own.
 type RunState struct {
 	// NextLevel is the BFS level the resumed run starts at (>= 1).
 	NextLevel int

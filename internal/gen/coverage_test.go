@@ -104,7 +104,7 @@ func TestSignatureWorkerInvariant(t *testing.T) {
 		t.Fatalf("serial run has no signature: %+v", serial.Stats)
 	}
 	for _, workers := range []int{1, 2, 4} {
-		par := engine.Explicit{Workers: workers}.Verify(context.Background(), s)
+		par := frontier{workers}.Verify(context.Background(), s)
 		if got := signatureOf(&par.Stats); got != want {
 			t.Fatalf("workers=%d signature %+v differs from serial %+v", workers, got, want)
 		}

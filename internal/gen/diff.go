@@ -2,6 +2,7 @@ package gen
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -85,9 +86,8 @@ type DiffResult struct {
 // DiffOptions configures the oracle.
 type DiffOptions struct {
 	// Engines are the adapters to compare; nil means DefaultEngines
-	// (serial Explicit, generously budgeted Simulation, serial SAT —
-	// add Explicit{Workers: n} yourself for the serial-vs-frontier
-	// differential). Engines inapplicable to a scenario (SAT without a
+	// (Explicit, generously budgeted Simulation, serial SAT). Engines
+	// inapplicable to a scenario (SAT without a
 	// model, Explicit under probabilistic faults) are skipped, not
 	// failed.
 	Engines []engine.Engine
@@ -103,10 +103,7 @@ type DiffOptions struct {
 // explicit-state DFS, the seeded simulator (which must never contradict
 // an exact "holds"; its delivery budget is generous so a slow converger
 // is not mistaken for a diverger), and the serial SAT backend (compared
-// against its sibling encoding). Add engine.Explicit{Workers: n} for
-// the serial-vs-sharded-frontier differential — it is not in the
-// default panel because the frontier pays a large constant factor on
-// scenarios that exhaust their state budget inconclusively.
+// against its sibling encoding).
 func DefaultEngines() []engine.Engine {
 	return []engine.Engine{
 		engine.Explicit{},
@@ -335,8 +332,8 @@ func SummarizeDiff(results []DiffResult) DiffSummary {
 }
 
 // ParseEngines turns a comma-separated engine list — the -engines flag
-// of cmd/mcafuzz — into adapters. Tokens: auto, explicit,
-// explicit-parallel, simulation, sat, sat-portfolio. "simulation"
+// of cmd/mcafuzz — into adapters. Tokens: auto, explicit, simulation,
+// sat, sat-portfolio. "simulation"
 // carries the oracle's generous delivery budget (BudgetFactor 64), so a
 // sampled non-convergence verdict in a fuzzing run is a real schedule,
 // not a budget artifact.
@@ -351,7 +348,7 @@ func ParseEngines(spec string) ([]engine.Engine, error) {
 		case "explicit":
 			out = append(out, engine.Explicit{})
 		case "explicit-parallel":
-			out = append(out, engine.Explicit{Workers: -1})
+			return nil, errors.New(`gen: engine "explicit-parallel" is retired: every explicit check runs on the serial DFS (use explicit)`)
 		case "simulation":
 			out = append(out, engine.Simulation{BudgetFactor: 64})
 		case "sat":
@@ -359,7 +356,7 @@ func ParseEngines(spec string) ([]engine.Engine, error) {
 		case "sat-portfolio":
 			out = append(out, engine.SAT{Workers: -1})
 		default:
-			return nil, fmt.Errorf("gen: unknown engine %q (want auto|explicit|explicit-parallel|simulation|sat|sat-portfolio)", strings.TrimSpace(tok))
+			return nil, fmt.Errorf("gen: unknown engine %q (want auto|explicit|simulation|sat|sat-portfolio)", strings.TrimSpace(tok))
 		}
 	}
 	if len(out) == 0 {

@@ -2,6 +2,8 @@ package gen
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -11,6 +13,35 @@ import (
 	"repro/internal/mcamodel"
 	"repro/internal/netsim"
 )
+
+// frontier is the sharded parallel frontier as an oracle leg: the
+// differential against the serial DFS that Explicit{Workers: n} once
+// provided, kept while the frontier exists. The oracle treats an
+// unknown adapter as an exact dynamic checker.
+type frontier struct{ workers int }
+
+func (f frontier) Name() string { return fmt.Sprintf("frontier(%d)", f.workers) }
+
+func (f frontier) Verify(_ context.Context, s engine.Scenario) engine.Result {
+	agents := make([]*mca.Agent, len(s.AgentSpecs))
+	for i, cfg := range s.AgentSpecs {
+		agents[i] = mca.MustNewAgent(cfg)
+	}
+	v := explore.CheckParallel(agents, s.Graph, s.Explore, f.workers)
+	res := engine.Result{
+		Index: -1, Scenario: s.Name, Engine: f.Name(), Violation: v.Violation, Trace: v.Trace,
+		Stats: engine.Stats{States: v.States, MaxDepth: v.MaxDepth, Exhausted: v.Exhausted, Capped: v.Capped},
+	}
+	switch {
+	case v.OK:
+		res.Status = engine.StatusHolds
+	case v.Violation != explore.ViolationNone:
+		res.Status = engine.StatusViolated
+	default:
+		res.Status = engine.StatusInconclusive
+	}
+	return res
+}
 
 func leg(name string, class LegClass, status engine.Status) Leg {
 	return Leg{Engine: name, Class: class, Result: engine.Result{Status: status}}
@@ -115,7 +146,7 @@ func TestDiffVerifyEndToEnd(t *testing.T) {
 		Model:   m,
 	}
 	r := DiffVerify(context.Background(), s, DiffOptions{
-		Engines: append(DefaultEngines(), engine.Explicit{Workers: 2}),
+		Engines: append(DefaultEngines(), frontier{2}),
 	})
 	if !r.Agree {
 		t.Fatalf("disagreement: %v", r.Reasons)
@@ -224,9 +255,9 @@ func TestParseEngines(t *testing.T) {
 	if engines[2].Name() != "sat-portfolio" {
 		t.Fatalf("unexpected engine %q", engines[2].Name())
 	}
-	for _, tok := range []string{"warp-drive", "sat-cube"} {
-		if _, err := ParseEngines(tok); err == nil {
-			t.Fatalf("unknown engine %q accepted", tok)
+	for _, tok := range []string{"warp-drive", "sat-cube", "explicit-parallel"} {
+		if _, err := ParseEngines(tok); err == nil || !strings.Contains(err.Error(), tok) {
+			t.Fatalf("engine %q: %v, want an error naming it", tok, err)
 		}
 	}
 	if _, err := ParseEngines(""); err == nil {

@@ -107,7 +107,7 @@ func TestShrinkDeterministicAcrossWorkerCounts(t *testing.T) {
 	s := smallFailure(t)
 	var outs [][]byte
 	for _, workers := range []int{1, 8} {
-		shrunk, _, err := ShrinkFailure(ctx, s, engine.Explicit{Workers: workers}, ShrinkOptions{})
+		shrunk, _, err := ShrinkFailure(ctx, s, frontier{workers}, ShrinkOptions{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -157,8 +157,8 @@ type (
 	// Engine checks a Scenario one way; implementations are small
 	// copyable configuration values.
 	Engine = engine.Engine
-	// ExplicitEngine is the exhaustive explicit-state backend (serial
-	// DFS or sharded parallel frontier).
+	// ExplicitEngine is the exhaustive explicit-state backend, the
+	// serial DFS, with checkpoint/resume (VerifyResumable).
 	ExplicitEngine = engine.Explicit
 	// SATEngine is the relational/SAT backend: one serial solver
 	// (Workers 0, incremental across a sweep's assertion variants) or a

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Checkpoint/resume smoke: cap a parallel explicit-state run on a tiny
-# state budget, write a checkpoint, resume it at a *different* worker
-# count, and require the resumed run's report to be byte-identical to
+# Checkpoint/resume smoke: cap an explicit-state run (the serial DFS)
+# on a tiny state budget, write a checkpoint, resume it with the budget
+# raised, and require the resumed run's report to be byte-identical to
 # the uninterrupted run's (first line aside — it names the invocation,
 # not the verdict). This is the CLI-level end of the equivalence the
 # internal/explore resume suite pins in-process. It runs twice: once on
@@ -10,7 +10,7 @@
 #
 # The scenarios are deliberately small (3 agents on a line, a few
 # hundred states) so the smoke stays sub-second; the property it checks
-# is worker-count- and cut-point-independent, so size adds nothing.
+# is cut-point-independent, so size adds nothing.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -26,11 +26,11 @@ leg() {
     name=$1
     shift
     # Uninterrupted reference run.
-    "$tmp/mcacheck" "$@" -workers 4 -maxstates 200000 >"$tmp/$name.full"
+    "$tmp/mcacheck" "$@" -maxstates 200000 >"$tmp/$name.full"
 
     # Capped run: exit 3 (inconclusive) and a checkpoint are the contract.
     rc=0
-    "$tmp/mcacheck" "$@" -workers 4 -maxstates 40 \
+    "$tmp/mcacheck" "$@" -maxstates 40 \
         -checkpoint "$tmp/$name.ckpt" >"$tmp/$name.capped" 2>"$tmp/$name.err" || rc=$?
     if [ "$rc" -ne 3 ]; then
         echo "resume smoke ($name): capped run exited $rc, want 3 (inconclusive)" >&2
@@ -42,8 +42,8 @@ leg() {
         exit 1
     fi
 
-    # Resume at a different worker count with the budget raised.
-    "$tmp/mcacheck" -resume "$tmp/$name.ckpt" -workers 2 -maxstates 200000 \
+    # Resume with the budget raised.
+    "$tmp/mcacheck" -resume "$tmp/$name.ckpt" -maxstates 200000 \
         >"$tmp/$name.resumed"
 
     tail -n +2 "$tmp/$name.full" >"$tmp/$name.full.tail"
