@@ -444,6 +444,10 @@ func (s *server) handleResume(w http.ResponseWriter, r *http.Request, body []byt
 	}
 	q := params(r, "workers", "timeout")
 	eng := engine.Explicit{Workers: q.workers()}
+	if eng.Workers > engine.MaxWorkers {
+		// An error result would come back only after the token is spent.
+		q.fail(fmt.Errorf("workers %d: at most %d", eng.Workers, engine.MaxWorkers))
+	}
 	ctx, cancel := q.context(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	defer cancel()
 	if q.err != nil {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -129,6 +130,29 @@ func TestVerifyResumeRejectsBadWorkers(t *testing.T) {
 	}
 	if res.Status != engine.StatusHolds {
 		t.Fatalf("resume after the rejected request: status=%v err=%v", res.Status, res.Err)
+	}
+}
+
+// ?workers= over engine.MaxWorkers on a resume request is a 400 naming
+// workers, checked before the single-use token is spent: a plain
+// /verify answers it with an error result, which here would come back
+// only after the token was gone. The same token then resumes.
+func TestVerifyResumeRefusesWorkersOverTheBound(t *testing.T) {
+	srv, _ := testServer(t)
+	capped := decodeEnvelope(t, postJSON(t, srv.URL+"/verify?checkpoint=1", cappableDoc(100)))
+	if capped.Resume == "" {
+		t.Fatal("capped run returned no resume token")
+	}
+	body := fmt.Sprintf(`{"resume": %q, "max_states": 30000}`, capped.Resume)
+	resp := postJSON(t, srv.URL+"/verify?workers="+strconv.Itoa(engine.MaxWorkers+1), body)
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "workers") {
+		t.Fatalf("workers=%d: status %d, %s; want a 400 naming workers", engine.MaxWorkers+1, resp.StatusCode, data)
+	}
+	resumed := decodeEnvelope(t, postJSON(t, srv.URL+"/verify?workers="+strconv.Itoa(engine.MaxWorkers), body))
+	if res, err := engine.DecodeResult(resumed.Result); err != nil || res.Status != engine.StatusHolds {
+		t.Fatalf("resume after the refused request: %s (%v)", resumed.Result, err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -146,6 +147,52 @@ func TestVerifyResumableChain(t *testing.T) {
 	last, cp3 := Explicit{}.VerifyResumable(ctx, resumableScenario(0), checkpointRoundTrip(t, cp2))
 	if got := resultBytes(t, last); cp3 != nil || !bytes.Equal(got, full) {
 		t.Fatalf("second resume (checkpoint %v):\n%s\nvs uninterrupted:\n%s", cp3 != nil, got, full)
+	}
+}
+
+// TestExactBudgetConcludes: MaxStates caps only a state the run would
+// count past it. A budget equal to a run's exact state count concludes
+// with the result of an unbounded run, and a cut one state short,
+// resumed at that budget, concludes too — on line3.json (454 states,
+// where a budget of 454 used to read inconclusive) and the resumable
+// fixture.
+func TestExactBudgetConcludes(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	doc, err := os.ReadFile("../../examples/scenarios/line3.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line3, err := DecodeScenario(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		scenario Scenario
+		states   int
+	}{{line3, 454}, {resumableScenario(0), 503}} {
+		budget := func(n int) Scenario {
+			s := tc.scenario
+			s.Explore.MaxStates = n
+			return s
+		}
+		full := Explicit{}.Verify(ctx, budget(0))
+		if full.Status != StatusHolds || full.Stats.States != tc.states {
+			t.Fatalf("%s unbounded: %v after %d states, want holds after %d", tc.scenario.Name, full.Status, full.Stats.States, tc.states)
+		}
+		want := resultBytes(t, full)
+		exact, cp := Explicit{}.VerifyResumable(ctx, budget(tc.states), nil)
+		if got := resultBytes(t, exact); cp != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s at a budget of %d (checkpoint %v):\n%s\nvs unbounded:\n%s", tc.scenario.Name, tc.states, cp != nil, got, want)
+		}
+		short, cp := Explicit{}.VerifyResumable(ctx, budget(tc.states-1), nil)
+		if !short.Stats.Capped || short.Stats.States != tc.states-1 || cp == nil {
+			t.Fatalf("%s at a budget of %d: %+v, checkpoint %v", tc.scenario.Name, tc.states-1, short.Stats, cp != nil)
+		}
+		resumed, next := Explicit{}.VerifyResumable(ctx, budget(tc.states), checkpointRoundTrip(t, cp))
+		if got := resultBytes(t, resumed); next != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s cut at %d, resumed at %d (checkpoint %v):\n%s\nvs unbounded:\n%s", tc.scenario.Name, tc.states-1, tc.states, next != nil, got, want)
+		}
 	}
 }
 

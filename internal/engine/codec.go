@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"reflect"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -38,7 +37,8 @@ const SchemaVersion = 1
 // caches (mcaserved -cachedir) stop serving verdicts computed by the
 // old code instead of replaying them forever. SchemaVersion guards only
 // the wire format; this guards the meaning of a cached Result.
-const CacheEpoch = 2
+// docs/OPERATIONS.md keeps the history of its values.
+const CacheEpoch = 3
 
 // Codec invariants:
 //
@@ -975,24 +975,26 @@ func DecodeSummary(data []byte) (Summary, error) {
 // ---- content addressing ----
 
 // CacheKey returns the content address of (scenario, engine): the
-// SHA-256 of the engine's full descriptor — its Go type and every
-// configuration field, not just its display name, since fields like
-// Simulation's Runs and Seed change verdicts — and the canonical
-// scenario encoding with the display name blanked, so two identically
-// configured scenarios hit the same cache entry regardless of how they
-// are labelled. Auto resolves to its per-scenario delegate, so
+// SHA-256 of the CacheEpoch prefix, the engine spec (EncodeEngineSpec,
+// which carries every field that can change a verdict — Simulation's
+// Runs and Seed, not just the display name), and the canonical scenario
+// encoding with the display name blanked, so two identically configured
+// scenarios hit the same cache entry regardless of how they are
+// labelled. Auto resolves to its per-scenario delegate, so
 // auto-scheduled work shares entries with direct engine calls; nil
 // means Auto. An engine that only decides where another runs (the
 // fleet's remote executor) exposes it through Unwrap() Engine and is
 // addressed as that engine: one verdict, one address, wherever it was
 // computed. It returns EncodeScenario's error for a scenario the codec
-// cannot encode, which Validate would have rejected.
+// cannot encode, which Validate would have rejected, and
+// EncodeEngineSpec's for a user-defined engine, which has no spec and
+// so no address: it runs uncached.
 func CacheKey(s *Scenario, e Engine) (string, error) {
 	canonical, err := encodeUnnamed(s)
 	if err != nil {
 		return "", err
 	}
-	return contentAddress(canonical, s, e), nil
+	return contentAddress(canonical, s, e)
 }
 
 // encodeUnnamed is the canonical encoding CacheKey hashes: the scenario
@@ -1003,74 +1005,76 @@ func encodeUnnamed(s *Scenario) ([]byte, error) {
 	return EncodeScenario(&unnamed)
 }
 
-// contentAddress hashes the engine descriptor and canonical, which must
-// be encodeUnnamed(s) — CacheKey computes it, a decoded sweep carries
-// it. s itself is read only to resolve Auto.
-func contentAddress(canonical []byte, s *Scenario, e Engine) string {
-	return (*descriptors)(nil).address(canonical, s, e)
+// epochPrefix opens every content address, so a CacheEpoch bump moves
+// them all.
+var epochPrefix = fmt.Appendf(nil, "epoch%d\n", CacheEpoch)
+
+// contentAddress hashes the addressed engine's spec and canonical, which
+// must be encodeUnnamed(s) — CacheKey computes it, a decoded sweep
+// carries it. s itself is read only to resolve Auto.
+func contentAddress(canonical []byte, s *Scenario, e Engine) (string, error) {
+	return (*specMemo)(nil).address(canonical, s, e)
 }
 
-// descriptors memoizes the descriptor contentAddress hashes, per
-// addressed engine value. A Runner holds one for its lifetime — one
-// request — so it holds one entry per distinct engine of that request;
-// a nil *descriptors formats on every call.
-type descriptors struct {
+// specMemo keeps the encoded spec of each engine a Runner addresses. A
+// Runner holds one for its lifetime — one request — so it holds one
+// entry per distinct engine of that request; a nil *specMemo encodes on
+// every call.
+type specMemo struct {
 	m sync.Map // Engine → []byte
 }
 
-// address is contentAddress with the descriptor from d.
-func (d *descriptors) address(canonical []byte, s *Scenario, e Engine) string {
+// address is contentAddress with the spec from m. Spec and scenario are
+// both JSON objects, so their concatenation is unambiguous.
+func (m *specMemo) address(canonical []byte, s *Scenario, e Engine) (string, error) {
+	spec, err := m.encode(addressedEngine(e, s))
+	if err != nil {
+		return "", err
+	}
 	h := sha256.New()
-	h.Write(d.of(addressedEngine(e, s)))
+	h.Write(epochPrefix)
+	h.Write(spec)
 	h.Write(canonical)
 	var sum [sha256.Size]byte
-	return hex.EncodeToString(h.Sum(sum[:0]))
+	return hex.EncodeToString(h.Sum(sum[:0])), nil
 }
 
-// of returns the descriptor of e, formatted once per comparable engine
-// value (formatting runs no lock, so workers that meet a new engine at
-// the same moment may each format it; one result is kept). A value that
-// is not comparable cannot be a map key and is formatted on every call.
-func (d *descriptors) of(e Engine) []byte {
-	if d == nil || !reflect.ValueOf(e).Comparable() {
-		return descriptor(e)
+// encode is EncodeEngineSpec(e), encoded once per engine value (workers
+// that meet a new engine at the same moment may each encode it; one
+// result is kept).
+func (m *specMemo) encode(e Engine) ([]byte, error) {
+	w, err := engineSpec(e)
+	if err != nil {
+		return nil, err
 	}
-	if desc, ok := d.m.Load(e); ok {
-		return desc.([]byte)
+	if m == nil {
+		return json.Marshal(w)
 	}
-	desc, _ := d.m.LoadOrStore(e, descriptor(e))
-	return desc.([]byte)
+	// engineSpec accepted e, so e is comparable and can key the map.
+	if spec, ok := m.m.Load(e); ok {
+		return spec.([]byte), nil
+	}
+	spec, err := json.Marshal(w)
+	if err != nil {
+		return nil, err
+	}
+	m.m.Store(e, spec)
+	return spec, nil
 }
 
 // addressedEngine is the engine a content address names: e resolved for
-// s, with the fields that do not change a verdict normalized.
+// s, its defaulted Simulation fields filled in so Simulation{} and
+// Simulation{Runs: 16} — the same verification — share one address.
+// The spec does the rest of the normalizing: it drops what selects no
+// verification (Explicit's workers up to MaxWorkers, SAT's session
+// pool), so an incremental run shares the address of a one-shot run of
+// the same scenario — the verdict is the same, only the effort differs.
 func addressedEngine(e Engine, s *Scenario) Engine {
 	e = resolveEngine(e, s)
-	// Normalize defaulted fields so Simulation{} and Simulation{Runs:16}
-	// — the same verification — share one address.
 	if sim, ok := e.(Simulation); ok {
 		e = sim.withDefaults()
 	}
-	// Explicit{Workers: n} runs the same DFS as Explicit{}.
-	if ex, ok := e.(Explicit); ok {
-		e = ex.addressed()
-	}
-	// The session pool is a runtime handle, not configuration: an
-	// incremental run returns the same verdict as a one-shot run of the
-	// same scenario, so both share one address (and the pointer would
-	// make the key nondeterministic anyway).
-	if se, ok := e.(SAT); ok {
-		se.Sessions = nil
-		e = se
-	}
 	return e
-}
-
-// descriptor is the prefix of every content address of engine e: %T
-// pins the adapter type, %+v its configuration in declared field order
-// — deterministic for the flat engine structs.
-func descriptor(e Engine) []byte {
-	return fmt.Appendf(nil, "epoch%d %T%+v\n", CacheEpoch, e, e)
 }
 
 // VerifyCached verifies one scenario through a result cache: a
@@ -1097,8 +1101,8 @@ type encodedVerifier interface {
 // encodeUnnamed(&s): a decoded sweep's cells do, and are addressed from
 // those bytes instead of re-encoding the scenario they were decoded
 // from. A nil canonical is computed here when there is a cache to
-// address. Either way an encodedVerifier is handed the bytes. d is the
-// caller's descriptor memo, or nil.
+// address. Either way an encodedVerifier is handed the bytes. specs is
+// the caller's spec memo, or nil.
 //
 // This is also where a panic inside an engine is contained, once, for
 // every caller — the Runner's pool goroutines, mcaserved's /verify, a
@@ -1107,7 +1111,7 @@ type encodedVerifier interface {
 // ending the process, the way net/http contains a panicking handler.
 // Engines that start goroutines re-raise a goroutine's panic on the one
 // that called them, so it arrives here too.
-func verifyCached(ctx context.Context, eng Engine, s Scenario, canonical []byte, c ResultCache, d *descriptors) (res Result) {
+func verifyCached(ctx context.Context, eng Engine, s Scenario, canonical []byte, c ResultCache, specs *specMemo) (res Result) {
 	defer func() {
 		if p := recover(); p != nil {
 			err := fmt.Errorf("engine: scenario %q: panic in %s: %v", s.Name, eng.Name(), p)
@@ -1124,7 +1128,11 @@ func verifyCached(ctx context.Context, eng Engine, s Scenario, canonical []byte,
 			canonical, _ = encodeUnnamed(&s)
 		}
 		if canonical != nil {
-			key = d.address(canonical, &s, eng)
+			// A user-defined engine has no spec, so no address: it runs
+			// uncached.
+			key, _ = specs.address(canonical, &s, eng)
+		}
+		if key != "" {
 			if res, ok := c.Get(key); ok {
 				res.Index = -1
 				res.Scenario = s.Name

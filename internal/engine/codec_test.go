@@ -3,10 +3,13 @@ package engine
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -591,6 +594,74 @@ func TestCacheKey(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("%s: wrapped key %s != bare key %s", e.Name(), got, want)
+		}
+	}
+}
+
+// TestContentAddressIsSpecAndScenario rebuilds the content address of
+// every adapter kind from the two documents it names — the engine spec
+// and the canonical scenario with its name blanked — hashed here after
+// the epoch prefix, and holds CacheKey to it. Nothing else may reach
+// the address: not a session pool, not Explicit's workers, not the
+// wrapper a fleet dispatches through. A user engine has no spec, so no
+// address.
+func TestContentAddressIsSpecAndScenario(t *testing.T) {
+	var cells []Scenario
+	for _, doc := range [][]byte{[]byte(sweepDoc), sweepCorpus()["model-spec-merge"]} {
+		sw, err := DecodeSweep(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, sw.Scenarios()...)
+	}
+	kinds := map[string]bool{}
+	for i := range cells {
+		s := &cells[i]
+		unnamed := *s
+		unnamed.Name = ""
+		canonical, err := EncodeScenario(&unnamed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// What Auto resolves to, with Simulation's defaults spelled out.
+		auto := Auto{}.EngineFor(*s)
+		if _, ok := auto.(Simulation); ok {
+			auto = Simulation{Runs: 16, BudgetFactor: 8}
+		}
+		for _, tc := range []struct{ eng, named Engine }{
+			{Auto{}, auto},
+			{nil, auto},
+			{placed{placed{Auto{}}}, auto},
+			{Explicit{}, Explicit{}},
+			{Explicit{Workers: 2}, Explicit{}},
+			{Explicit{Workers: MaxWorkers + 1}, Explicit{Workers: MaxWorkers + 1}},
+			{Simulation{}, Simulation{Runs: 16, BudgetFactor: 8}},
+			{Simulation{Runs: 4, Seed: 1}, Simulation{Runs: 4, Seed: 1, BudgetFactor: 8}},
+			{Simulation{MaxDeliveries: 9, BudgetFactor: 3}, Simulation{Runs: 16, MaxDeliveries: 9}},
+			{SAT{}, SAT{}},
+			{SAT{Workers: 2}, SAT{Workers: 2}},
+			{SAT{Sessions: NewSessionPool()}, SAT{}},
+		} {
+			spec, err := EncodeEngineSpec(tc.named)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(slices.Concat(fmt.Appendf(nil, "epoch%d\n", CacheEpoch), spec, canonical))
+			want := hex.EncodeToString(sum[:])
+			if got, err := CacheKey(s, tc.eng); err != nil || got != want {
+				t.Fatalf("cell %q, %T%+v: CacheKey %s (%v), want %s over %s", s.Name, tc.eng, tc.eng, got, err, want, spec)
+			}
+			kinds[fmt.Sprintf("%T", tc.named)] = true
+		}
+		for _, e := range []Engine{sliceEngine{}, placed{anyEngine{}}} {
+			if key, err := CacheKey(s, e); err == nil {
+				t.Fatalf("cell %q: user engine %T has address %s", s.Name, e, key)
+			}
+		}
+	}
+	for _, kind := range []string{"engine.Explicit", "engine.Simulation", "engine.SAT"} {
+		if !kinds[kind] {
+			t.Fatalf("no address named %s: %v", kind, kinds)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -226,8 +227,9 @@ func (u unwrapping) Name() string                                  { return "unw
 func (u unwrapping) Verify(ctx context.Context, s Scenario) Result { return u.local.Verify(ctx, s) }
 func (u unwrapping) Unwrap() Engine                                { return u.local }
 
-// sliceEngine and anyEngine are user engines whose values are not
-// comparable, so they cannot key a map.
+// sliceEngine and anyEngine are user engines; their values are not
+// even comparable. EncodeEngineSpec refuses them, so they have no
+// content address.
 type sliceEngine struct{ Opts []int }
 
 func (sliceEngine) Name() string { return "slice" }
@@ -244,17 +246,20 @@ func (e anyEngine) Verify(ctx context.Context, s Scenario) Result {
 
 // keyCache answers every Get with a hit naming the key it was asked
 // for, so a Runner's lines report the content address of each cell
-// without running an engine.
-type keyCache struct{}
+// without running an engine. It counts the calls it sees.
+type keyCache struct{ gets, puts atomic.Int64 }
 
-func (keyCache) Get(key string) (Result, bool) { return Result{Engine: key, Status: StatusHolds}, true }
-func (keyCache) Put(string, Result)            {}
+func (c *keyCache) Get(key string) (Result, bool) {
+	c.gets.Add(1)
+	return Result{Engine: key, Status: StatusHolds}, true
+}
+func (c *keyCache) Put(string, Result) { c.puts.Add(1) }
 
-// TestContentAddressOncePerRunner: a Runner formats each addressed
-// engine's descriptor once, and every address it computes is the
-// CacheKey address — for Auto resolving to each backend, for the
-// normalized Simulation and SAT fields, through Unwrap, and for engines
-// that cannot be memoized at all.
+// TestContentAddressOncePerRunner: a Runner encodes each addressed
+// engine's spec once, and every address it computes is the CacheKey
+// address — for Auto resolving to each backend, for the normalized
+// Simulation and SAT fields, and through Unwrap — while a user engine,
+// which has no address, runs without touching the cache.
 func TestContentAddressOncePerRunner(t *testing.T) {
 	grid, err := DecodeSweep([]byte(sweepDoc))
 	if err != nil {
@@ -278,8 +283,8 @@ func TestContentAddressOncePerRunner(t *testing.T) {
 
 	owner := 1
 	for _, tc := range []struct {
-		eng         Engine
-		descriptors int // distinct addressed engines over both grids
+		eng   Engine
+		specs int // distinct addressed engines over both grids
 	}{
 		{Auto{}, 3},
 		{Auto{Workers: 2}, 3},
@@ -294,11 +299,19 @@ func TestContentAddressOncePerRunner(t *testing.T) {
 		{sliceEngine{Opts: []int{1, 2}}, 0},
 		{anyEngine{X: []int{3}}, 0},
 	} {
-		r := NewRunner(RunnerOptions{Workers: 2, Engine: tc.eng, Cache: keyCache{}})
+		addressed := tc.specs > 0
+		c := &keyCache{}
+		r := NewRunner(RunnerOptions{Workers: 2, Engine: tc.eng, Cache: c})
 		for _, sw := range []*Sweep{grid, models, grid} {
 			for i, line := range drainSweep(t, r, sw) {
 				s := &sw.cells[i].scenario
 				want, err := CacheKey(s, tc.eng)
+				if !addressed {
+					if err == nil || line.Result.Engine != tc.eng.Name() {
+						t.Fatalf("%T cell %q: CacheKey %s (%v), line from %q", tc.eng, s.Name, want, err, line.Result.Engine)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -307,25 +320,29 @@ func TestContentAddressOncePerRunner(t *testing.T) {
 				}
 			}
 		}
-		if n := memoized(&r.descriptors); n != tc.descriptors {
-			t.Fatalf("%T%+v: %d descriptors formatted, want %d", tc.eng, tc.eng, n, tc.descriptors)
+		if !addressed && (c.gets.Load() != 0 || c.puts.Load() != 0) {
+			t.Fatalf("%T: an engine without an address saw %d gets and %d puts", tc.eng, c.gets.Load(), c.puts.Load())
+		}
+		if n := encoded(&r.specs); n != tc.specs {
+			t.Fatalf("%T%+v: %d specs encoded, want %d", tc.eng, tc.eng, n, tc.specs)
 		}
 	}
 
 	// Simulation{} and Simulation{Runs: 16} are one verification: one
-	// descriptor, one address.
-	var d descriptors
+	// spec, one address.
+	var m specMemo
 	c := &grid.cells[2] // a sampled cell
-	a, b := d.address(c.canonical, &c.scenario, Simulation{}), d.address(c.canonical, &c.scenario, Simulation{Runs: 16})
-	if want, _ := CacheKey(&c.scenario, Simulation{}); a != want || b != want || memoized(&d) != 1 {
-		t.Fatalf("Simulation{} %s, Simulation{Runs: 16} %s, CacheKey %s, %d descriptors", a, b, want, memoized(&d))
+	a, _ := m.address(c.canonical, &c.scenario, Simulation{})
+	b, _ := m.address(c.canonical, &c.scenario, Simulation{Runs: 16})
+	if want, _ := CacheKey(&c.scenario, Simulation{}); a != want || b != want || encoded(&m) != 1 {
+		t.Fatalf("Simulation{} %s, Simulation{Runs: 16} %s, CacheKey %s, %d specs", a, b, want, encoded(&m))
 	}
 }
 
-// memoized counts the descriptors d holds.
-func memoized(d *descriptors) int {
+// encoded counts the specs m holds.
+func encoded(m *specMemo) int {
 	n := 0
-	d.m.Range(func(any, any) bool { n++; return true })
+	m.m.Range(func(any, any) bool { n++; return true })
 	return n
 }
 

@@ -162,11 +162,11 @@ func TestAssertStateScenarioRoundTrip(t *testing.T) {
 // satScenarioKey is the content address of assertStateSweep's first
 // scenario (the naive encoding, assert_state=0) under Auto{}, which
 // resolves to SAT{}. Like sweepDocKeys (sweepdiff_test.go), it moves
-// only on purpose: a field added to or removed from engine.SAT, or a
-// change to the mca-model codec, changes it, and a persistent cache
-// filled by an older build then misses every SAT entry. A CacheEpoch
-// bump moves it too (last: epoch 2, the simulator's new generator).
-const satScenarioKey = "93049ceebf2746503ee761981c04b5a9d52c19d94ab0e885a152162984bae478"
+// only on purpose: a change to the sat engine spec or to the mca-model
+// codec changes it, and a persistent cache filled by an older build
+// then misses every SAT entry. A CacheEpoch bump moves it too (last:
+// epoch 3, the address hashing the engine spec).
+const satScenarioKey = "52da5d445da1fb8a741c9d464412587149865db7fca4eaf220323114de7ad0b3"
 
 func TestSATContentAddressIsGolden(t *testing.T) {
 	s := assertStateSweep(t)[0]

@@ -18,11 +18,12 @@ type RunnerOptions struct {
 	// the natural backend per scenario.
 	Engine Engine
 	// Cache, when non-nil, short-circuits scenarios whose content
-	// address (CacheKey of the canonical scenario encoding plus the
-	// engine name) already has a conclusive result: the cached Result is
+	// address (CacheKey: the engine spec plus the canonical scenario
+	// encoding) already has a conclusive result: the cached Result is
 	// returned with Cached set instead of re-verifying. Fresh conclusive
 	// results (holds/violated) are stored back; inconclusive and error
-	// results are never cached.
+	// results are never cached. An engine without a spec (a user-defined
+	// Engine) has no address and runs uncached.
 	Cache ResultCache
 	// IncrementalSAT shares one SAT session pool across the batch: SAT
 	// scenarios whose models share a base (same encoding and scope,
@@ -52,8 +53,9 @@ type Runner struct {
 	// pool backs IncrementalSAT: one session pool shared by every SAT
 	// scenario of this runner's batches.
 	pool *SessionPool
-	// descriptors formats each engine's content-address prefix once.
-	descriptors descriptors
+	// specs encodes each engine's spec, the prefix of its content
+	// addresses, once.
+	specs specMemo
 }
 
 // NewRunner builds a batch runner.
@@ -129,7 +131,7 @@ func (r *Runner) runOne(ctx context.Context, i int, s Scenario, canonical []byte
 			eng = se
 		}
 	}
-	res := verifyCached(ctx, eng, s, canonical, r.opts.Cache, &r.descriptors)
+	res := verifyCached(ctx, eng, s, canonical, r.opts.Cache, &r.specs)
 	res.Index = i
 	return res
 }

@@ -12,10 +12,10 @@ import (
 // verdict. It exists so a verification request can travel between
 // processes — the fleet coordinator serializes the engine a sweep asked
 // for into each work unit, and workers rebuild an identical Engine
-// value on the other side. Because CacheKey hashes the engine's full
-// configuration, a spec round trip preserves content addresses: the
-// same (scenario, engine) pair computes the same cache key on every
-// node of a fleet.
+// value on the other side. CacheKey hashes these bytes, so a spec round
+// trip preserves content addresses: the same (scenario, engine) pair
+// computes the same cache key on every node of a fleet, and an engine
+// without a spec has no address.
 
 // EngineSpec is the wire struct. Kind selects the adapter; the
 // remaining fields mirror the adapter configuration fields and are
@@ -39,6 +39,16 @@ type EngineSpec struct {
 // rejected — they cannot be rebuilt on a remote node. A nil engine
 // encodes as Auto{}.
 func EncodeEngineSpec(e Engine) ([]byte, error) {
+	w, err := engineSpec(e)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(w)
+}
+
+// engineSpec is the spec EncodeEngineSpec encodes. It refuses every
+// engine but the four adapters, whose values are all comparable.
+func engineSpec(e Engine) (EngineSpec, error) {
 	w := EngineSpec{Version: SchemaVersion}
 	switch v := e.(type) {
 	case nil:
@@ -59,9 +69,9 @@ func EncodeEngineSpec(e Engine) ([]byte, error) {
 		w.Kind = "sat"
 		w.Workers = v.Workers
 	default:
-		return nil, fmt.Errorf("engine: spec: %T is not a serializable engine", e)
+		return EngineSpec{}, fmt.Errorf("engine: spec: %T is not a serializable engine", e)
 	}
-	return json.Marshal(w)
+	return w, nil
 }
 
 // DecodeEngineSpec parses an engine spec document back into the Engine

@@ -194,7 +194,7 @@ func checkAgainstReference(t *testing.T, doc []byte) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fromCarried := contentAddress(carried, &got[i], eng); fromCarried != key {
+			if fromCarried, _ := contentAddress(carried, &got[i], eng); fromCarried != key {
 				t.Fatalf("cell %q under %s: address %s from carried bytes, CacheKey %s", want[i].Name, eng.Name(), fromCarried, key)
 			}
 		}
@@ -432,22 +432,23 @@ func TestSweepErrorNamesFirstCell(t *testing.T) {
 // sweepDocKeys are the content addresses of sweepDoc's twelve cells
 // under Auto{}. Expansion must never move them: a persistent cache
 // filled by an older build keeps answering. They last moved with
-// CacheEpoch 2, when the simulator's generator changed and every
-// sampled verdict became a new sample; before that they had held since
-// the commit before expansion was rebuilt (2123da5).
+// CacheEpoch 3, when the address began hashing the engine spec instead
+// of the engine's Go value; before that with CacheEpoch 2, when the
+// simulator's generator changed and every sampled verdict became a new
+// sample.
 var sweepDocKeys = []string{
-	"6cca113a1e044d8bce4cf00e8255ff1a7834eb321efc2035746cfce85bf9d0b0", // base/n2/reliable/default
-	"f14aa4dc1f1a55d1c9c2c85eff9c6b21aa010428743396a6394bf7a923c49cc8", // base/n2/reliable/dup
-	"906bb5a59d7ed846fe344c8700c549e43f0c37c93b7969f4e34e41edd31d3dfc", // base/n2/drop20/default
-	"d33e0a297905c23533dba4273603fde237e34e7baffcbd5c3ac3f5ec1153977d", // base/n2/drop20/dup
-	"c3a456d801d82e4b35d61cfef09a05a2174131902ea0bd0e2dca1227d7a0d49f", // base/n2/delay2/default
-	"a3a469c289450c8fd8b3606406780295fc9a437316089cf5e96b6cbdbed2d5c4", // base/n2/delay2/dup
-	"44ba3f63317534f6fbd209390573dce5038f13587ce6884e2c5ea88db8d15e54", // base/n3/reliable/default
-	"b1434e9031351dacae44e6338b4add48ae42e05a247337282c4798bf3772d4f0", // base/n3/reliable/dup
-	"41061027ed0c663ba8144a0f8881bb8561191e305899ecfa2e45232e0dde422d", // base/n3/drop20/default
-	"db07c281a68c11b0f69022c8f329104d9eb5e5b830c51848001ed0322f56bbd9", // base/n3/drop20/dup
-	"0c141e00518741ac8606369198254e7f085684a0117dfba8dafe7e6ed5823ee7", // base/n3/delay2/default
-	"8f1bd13b964c26249b41f1243cb90cafe9562429c15d3d1f761abcf44d37df07", // base/n3/delay2/dup
+	"e55529716992567bf22ff1559093dc77e22285c163a76ab757d4bdda7290d16a", // base/n2/reliable/default
+	"4a8076a91c6b33aa7696e91d67b90042b8f38def0a44e78f2628522a3adc9340", // base/n2/reliable/dup
+	"1c744f2337ebcfb22153261c3c72e7ffadd2dcea30bd9bb394157bf7cdb0bc83", // base/n2/drop20/default
+	"c41caca3ab4e33c89a367d39d0ca01c0f0ac541caf56981e7ce5069562911075", // base/n2/drop20/dup
+	"d5df7fadc196e463c1dd9768d1932025701226af8e215fd4ab0fd97109256497", // base/n2/delay2/default
+	"5a53174bbae2c2a847ba8dddfcc649b3aa25bf159c0156343b63c8cc27e7604f", // base/n2/delay2/dup
+	"a2bf22e182d9a1013a9f7f01d7fb2dfe5d594fc3cabf35e8990c65bbc5a7fe45", // base/n3/reliable/default
+	"bec80c7b2a25f62abcaa3c2966a2e1bef8663dd9ef1bd0230ed914d45115d1b1", // base/n3/reliable/dup
+	"7d78ac0e2cc80b04b0f122fe4ff8a4e393bdeb5396a1ffbae6eb29888e704b7b", // base/n3/drop20/default
+	"192c2c33042eec18db3baf10c5c2f768dc18a7b9425a24c10a89130845ccc770", // base/n3/drop20/dup
+	"40456a1bf1d0372daf327c0978eb2133f89aa6bd3008e59cf1f973f25c384b7c", // base/n3/delay2/default
+	"144273e3e415dd6436ad724470cd558bc834378a1b102f22e8145e518826c04a", // base/n3/delay2/dup
 }
 
 func TestSweepContentAddressesAreGolden(t *testing.T) {
@@ -463,7 +464,7 @@ func TestSweepContentAddressesAreGolden(t *testing.T) {
 		if key, err := CacheKey(&c.scenario, Auto{}); err != nil || key != want {
 			t.Errorf("cell %q: CacheKey %s (%v), want %s", c.scenario.Name, key, err, want)
 		}
-		if key := contentAddress(c.canonical, &c.scenario, Auto{}); key != want {
+		if key, _ := contentAddress(c.canonical, &c.scenario, Auto{}); key != want {
 			t.Errorf("cell %q: address from carried bytes %s, want %s", c.scenario.Name, key, want)
 		}
 	}

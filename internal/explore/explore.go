@@ -354,7 +354,7 @@ func CheckFrom(agents []*mca.Agent, g *graph.Graph, opts Options, prior *DFSStat
 	if c.err != nil {
 		return Verdict{}, nil, c.err
 	}
-	c.verdict.Exhausted = !c.cancelled && !c.capped && c.verdict.States < opts.MaxStates
+	c.verdict.Exhausted = !c.cancelled && !c.capped
 	c.verdict.Capped = c.capped
 	c.verdict.OK = c.verdict.Violation == ViolationNone && c.verdict.Exhausted
 	c.verdict.MissProb = c.visited.missProb()
@@ -386,16 +386,6 @@ func (c *checker) dfs(depth, changes int) bool {
 	if depth > c.verdict.MaxDepth {
 		c.verdict.MaxDepth = depth
 	}
-	if c.verdict.States >= c.opts.MaxStates {
-		c.capped = true
-		if c.capture {
-			c.cut = make([]Step, len(c.path))
-			for i, st := range c.path {
-				c.cut[i] = Step{Edge: st.edge, Consume: st.consume}
-			}
-		}
-		return true // budget exhausted; inconclusive
-	}
 	if c.opts.Cancel != nil && c.verdict.States&255 == 0 && c.opts.Cancel() {
 		c.cancelled = true
 		return true // cancelled; inconclusive
@@ -414,6 +404,18 @@ func (c *checker) dfs(depth, changes int) bool {
 	}
 	if !c.opts.DisableVisitedSet && c.visited.has(key) {
 		return false
+	}
+	if c.verdict.States >= c.opts.MaxStates {
+		// Only an unseen state would go past the budget: a run whose
+		// state count equals MaxStates still concludes.
+		c.capped = true
+		if c.capture {
+			c.cut = make([]Step, len(c.path))
+			for i, st := range c.path {
+				c.cut[i] = Step{Edge: st.edge, Consume: st.consume}
+			}
+		}
+		return true // budget exhausted; inconclusive
 	}
 	c.verdict.States++
 

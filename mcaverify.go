@@ -161,8 +161,9 @@ type (
 	// serial DFS, with checkpoint/resume (VerifyResumable).
 	ExplicitEngine = engine.Explicit
 	// SATEngine is the relational/SAT backend: one serial solver
-	// (Workers 0, incremental across a sweep's assertion variants) or a
-	// race of diversified solvers (Workers ≠ 0).
+	// (Workers 0; incremental across a sweep's assertion variants under
+	// RunnerOptions.IncrementalSAT) or a race of diversified solvers
+	// (Workers ≠ 0).
 	SATEngine = engine.SAT
 	// SimulationEngine samples seeded executions under network fault
 	// models.
