@@ -568,6 +568,23 @@ func faultsFromWire(fw *faultsJSON) netsim.Faults {
 // one decoding rule for every document that crosses a trust boundary.
 // Anything but white space after the document is an error too.
 func StrictUnmarshal(data []byte, v any) error {
+	return strictDecodeEach(data, func(n int) any {
+		if n == 0 {
+			return v
+		}
+		return nil
+	})
+}
+
+// errTrailingData is strictDecodeEach's error for a document more than
+// next takes.
+var errTrailingData = errors.New("trailing data after JSON document")
+
+// strictDecodeEach is StrictUnmarshal for a sequence of documents with
+// white space between them: the n-th document (from 0) decodes into
+// next(n), until only white space is left. A document where next
+// returns nil is trailing data.
+func strictDecodeEach(data []byte, next func(n int) any) error {
 	recycle := len(data) <= maxRecycledDocument
 	var d *strictDecoder
 	if recycle {
@@ -576,13 +593,19 @@ func StrictUnmarshal(data []byte, v any) error {
 		d = newStrictDecoder()
 	}
 	d.src.Reset(data)
-	if err := d.dec.Decode(v); err != nil {
-		// A decoder that failed may hold a read error or half a
-		// document: it is not recycled.
-		return err
-	}
-	if len(bytes.TrimSpace(data[d.dec.InputOffset()-d.fed:])) > 0 {
-		return errors.New("trailing data after JSON document")
+	for n := 0; ; n++ {
+		v := next(n)
+		if v == nil {
+			return errTrailingData
+		}
+		if err := d.dec.Decode(v); err != nil {
+			// A decoder that failed may hold a read error or half a
+			// document: it is not recycled.
+			return err
+		}
+		if len(bytes.TrimSpace(data[d.dec.InputOffset()-d.fed:])) == 0 {
+			break
+		}
 	}
 	if recycle {
 		d.fed += int64(len(data) - d.src.Len())
@@ -736,26 +759,27 @@ func encodeResult(r *Result) ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// encodedLine is the encoding of a cached verdict, kept beside it: the
-// Result the cache stores points to one, every hit copied out of the
-// cache shares it, and it goes with the entry when the entry is
-// overwritten or evicted. The bytes are built by the first EncodeResult
-// of the stored verdict: its first hit's, or the write of a disk or peer
-// tier, which needs those bytes anyway. A verdict that a memory-only
-// cache stores and never serves is never encoded.
+// encodedLine is the encoding of a verdict, kept beside it: the Result
+// the cache stores points to one, every hit copied out of the cache
+// shares it, and it goes with the entry when the entry is overwritten or
+// evicted. The bytes are either the line a worker answered with
+// (DecodeResultLine), or built by the first EncodeResult of the stored
+// verdict: its first hit's, or the write of a disk or peer tier, which
+// needs those bytes anyway. A verdict that a memory-only cache stores
+// and never serves is never encoded.
 type encodedLine struct {
-	// base is the stored verdict with the fields a hit sets — Scenario,
-	// Index, Cached — zeroed; err is its error message.
+	// base is the verdict with the fields a hit sets — Scenario, Index,
+	// Cached — zeroed; err is its error message.
 	base Result
 	err  string
 
 	once sync.Once
-	// data is encodeResult of base with Cached set; nil if that failed.
-	// The three offsets split it around what a hit splices in: the
-	// scenario goes at name, the index replaces the 0 at index, and
-	// cachedMember starts at cached.
-	data                []byte
-	name, index, cached int
+	// data is an encoding of base; nil if building it failed. Three
+	// spans of it are what a splice replaces: [name, nameEnd) by the
+	// scenario member, [index, indexEnd) by the index, and [cached,
+	// cachedEnd) by cachedMember or nothing.
+	data                                              []byte
+	name, nameEnd, index, indexEnd, cached, cachedEnd int
 }
 
 // cachedMember is how the encoder writes Cached. Between the index and
@@ -801,16 +825,21 @@ func (l *encodedLine) splice(r *Result) []byte {
 		out = append(out, `,"scenario":`...)
 		out = appendJSONString(out, r.Scenario)
 	}
-	out = append(out, l.data[l.name:l.index]...)
+	out = append(out, l.data[l.nameEnd:l.index]...)
 	out = strconv.AppendInt(out, int64(r.Index), 10)
-	out = append(out, l.data[l.index+1:l.cached]...)
+	out = append(out, l.data[l.indexEnd:l.cached]...)
 	if r.Cached {
 		out = append(out, cachedMember...)
 	}
-	return append(out, l.data[l.cached+len(cachedMember):]...)
+	return append(out, l.data[l.cachedEnd:]...)
 }
 
+// build encodes base with Cached set, unless the line came with its
+// bytes.
 func (l *encodedLine) build() {
+	if l.data != nil {
+		return
+	}
 	r := l.base
 	r.Cached = true
 	data, err := encodeResult(&r)
@@ -829,7 +858,8 @@ func (l *encodedLine) build() {
 	if cached < 0 {
 		return
 	}
-	l.data, l.name, l.index, l.cached = data, name, index, index+cached
+	l.data, l.name, l.nameEnd, l.index, l.indexEnd = data, name, name, index, index+1
+	l.cached, l.cachedEnd = index+cached, index+cached+len(cachedMember)
 }
 
 // appendJSONString appends s as encoding/json writes a string. Names of
@@ -1149,9 +1179,13 @@ func verifyCached(ctx context.Context, eng Engine, s Scenario, canonical []byte,
 	if key != "" && (res.Status == StatusHolds || res.Status == StatusViolated) {
 		// eng may have answered from a cache of its own (a fleet
 		// worker's): the entry is stored in the shape a computed one has.
+		// A line eng answered with (the fleet's) is stored as it came.
 		stored := res
 		stored.Cached = false
-		c.Put(key, withLine(stored))
+		if stored.line == nil {
+			stored = withLine(stored)
+		}
+		c.Put(key, stored)
 	}
 	return res
 }

@@ -1,0 +1,417 @@
+package engine
+
+import (
+	"errors"
+	"strconv"
+	"time"
+	"unicode/utf8"
+
+	"repro/internal/trace"
+)
+
+// ---- reading a result line ----
+//
+// A fleet worker answers each unit with the line EncodeResult wrote for
+// its verdict, and the coordinator's client wants that same line back
+// with its own name and index. DecodeResultLine reads a line for such a
+// caller. It accepts and refuses exactly what DecodeResult does, but a
+// line spelled exactly as EncodeResult spells it — every worker's — is
+// read by hand in one pass over its bytes, and the bytes become the
+// Result's kept encoding (encodedLine): EncodeResult splices a name,
+// index and cached flag into them instead of encoding the Result again,
+// and the trace stays encoded until something reads its steps.
+//
+// The hand reader knows one spelling: members in the encoder's order, no
+// white space, no member the encoder omits (a zero count, a false flag,
+// an empty string or list), integers without a sign on zero or leading
+// zeros, and strings escaped exactly as encoding/json escapes them. A
+// line off that spelling — white space, a foreign or repeated member, a
+// miss_prob, whose float spelling is left to encoding/json — goes to
+// DecodeResult, which reads it or says why not.
+
+// DecodeResultLine is DecodeResult for a line that stays the Result's
+// encoding: see above. line holds one document and nothing after it;
+// the Result may keep it, so the caller must not change it.
+func DecodeResultLine(line []byte) (Result, error) {
+	if r, ok := readLine(line); ok {
+		return r, nil
+	}
+	return DecodeResult(line)
+}
+
+// lineReader walks a line in the encoder's spelling. ok turns false at
+// the first byte off it, and every later read is then a no-op.
+type lineReader struct {
+	b  []byte
+	i  int
+	ok bool
+	// scratch collects an escaped string's value.
+	scratch []byte
+}
+
+// readLine reads a line in the encoder's spelling into a Result that
+// keeps it; ok is false for any other line.
+func readLine(data []byte) (r Result, ok bool) {
+	p := &lineReader{b: data, ok: true}
+	l := &encodedLine{data: data}
+	p.need(canonicalHead)
+	l.name = p.i
+	if p.lit(`,"scenario":`) {
+		r.Scenario = p.str(true, true)
+	}
+	l.nameEnd = p.i
+	if p.lit(`,"engine":`) {
+		r.Engine = p.str(true, true)
+	}
+	p.need(`,"index":`)
+	l.index = p.i
+	r.Index = int(p.int(false, strconv.IntSize))
+	l.indexEnd = p.i
+	p.need(`,"status":`)
+	p.check(r.Status.UnmarshalText(p.token()))
+	if p.lit(`,"violation":`) {
+		p.check(r.Violation.UnmarshalText(p.token()))
+		p.ok = p.ok && r.Violation != 0
+	}
+	if p.lit(`,"sat_status":`) {
+		p.check(r.SATStatus.UnmarshalText(p.token()))
+		p.ok = p.ok && r.SATStatus != 0
+	}
+	l.cached = p.i
+	r.Cached = p.lit(cachedMember)
+	l.cachedEnd = p.i
+	if p.lit(`,"stats":`) {
+		r.Stats = p.stats()
+	}
+	if p.lit(`,"trace":`) {
+		start := p.i
+		names, _ := p.trace(false)
+		span := data[start:p.i]
+		r.Trace = trace.NewLazyRecorder(names, func() []trace.Step {
+			q := &lineReader{b: span, ok: true}
+			_, steps := q.trace(true)
+			return steps
+		})
+	}
+	if p.lit(`,"error":`) {
+		r.Err = errors.New(p.str(true, true))
+	}
+	p.need("}")
+	if !p.ok || p.i != len(data) {
+		return Result{}, false
+	}
+	l.base = r
+	l.base.Scenario, l.base.Index, l.base.Cached = "", 0, false
+	l.err = errText(r.Err)
+	r.line = l
+	return r, true
+}
+
+// lit consumes s when it comes next, and reports whether it did.
+func (p *lineReader) lit(s string) bool {
+	if p.ok && len(p.b)-p.i >= len(s) && string(p.b[p.i:p.i+len(s)]) == s {
+		p.i += len(s)
+		return true
+	}
+	return false
+}
+
+// need is lit for what must come next.
+func (p *lineReader) need(s string) {
+	if !p.lit(s) {
+		p.ok = false
+	}
+}
+
+func (p *lineReader) check(err error) {
+	if err != nil {
+		p.ok = false
+	}
+}
+
+// member consumes the key of an optional member of an object whose
+// first member is optional too: a comma comes before it unless nothing
+// has been read of its object yet (*first).
+func (p *lineReader) member(key string, first *bool) bool {
+	if !*first && !(p.i < len(p.b) && p.b[p.i] == ',') {
+		return false
+	}
+	j := p.i
+	if !*first {
+		p.i++
+	}
+	if !p.lit(key) {
+		p.i = j
+		return false
+	}
+	*first = false
+	return true
+}
+
+// int reads an integer of the given bit size; nonzero refuses 0, which
+// an omitted-when-empty member never holds.
+func (p *lineReader) int(nonzero bool, bits int) int64 {
+	start := p.i
+	if p.i < len(p.b) && p.b[p.i] == '-' {
+		p.i++
+	}
+	digits := p.i
+	for p.i < len(p.b) && '0' <= p.b[p.i] && p.b[p.i] <= '9' {
+		p.i++
+	}
+	// The encoder writes 0 as itself, never -0, 00 or 01.
+	if !p.ok || p.i == digits || p.b[digits] == '0' && (p.i-digits > 1 || digits > start || nonzero) {
+		p.ok = false
+		return 0
+	}
+	v, err := strconv.ParseInt(string(p.b[start:p.i]), 10, bits)
+	p.check(err)
+	return v
+}
+
+// ints reads a list of integers, which the encoder omits when empty;
+// the values are returned only when keep is set.
+func ints[T int | int64](p *lineReader, keep bool, bits int) (out []T) {
+	p.need("[")
+	for p.ok {
+		v := T(p.int(false, bits))
+		if keep {
+			out = append(out, v)
+		}
+		if !p.lit(",") {
+			break
+		}
+	}
+	p.need("]")
+	return out
+}
+
+// token reads a string of plain characters, as every enum token is, and
+// returns its bytes.
+func (p *lineReader) token() []byte {
+	p.need(`"`)
+	start := p.i
+	for p.ok && p.i < len(p.b) && p.b[p.i] != '"' && p.b[p.i] != '\\' {
+		p.i++
+	}
+	raw := p.b[start:p.i]
+	p.need(`"`)
+	return raw
+}
+
+// str reads a string and returns its value when keep is set. nonempty
+// refuses "", which an omitted-when-empty member never holds.
+func (p *lineReader) str(keep, nonempty bool) string {
+	p.need(`"`)
+	start, plain := p.i, true
+	p.scratch = p.scratch[:0]
+	for p.ok && p.i < len(p.b) {
+		c := p.b[p.i]
+		switch {
+		case c == '"':
+			raw := p.b[start:p.i]
+			p.i++
+			switch {
+			case nonempty && len(raw) == 0:
+				p.ok = false
+			case !keep:
+			case plain:
+				return string(raw)
+			default:
+				return string(p.scratch)
+			}
+			return ""
+		case c == '\\':
+			r, n := escaped(p.b[p.i:])
+			if n == 0 {
+				p.ok = false
+				return ""
+			}
+			if plain {
+				p.scratch, plain = append(p.scratch, p.b[start:p.i]...), false
+			}
+			p.scratch = utf8.AppendRune(p.scratch, r)
+			p.i += n
+		case c < utf8.RuneSelf:
+			// encoding/json escapes control characters and, for HTML, <, > and &.
+			if c < 0x20 || c == '<' || c == '>' || c == '&' {
+				p.ok = false
+				return ""
+			}
+			if !plain {
+				p.scratch = append(p.scratch, c)
+			}
+			p.i++
+		default:
+			// It writes invalid UTF-8 as \ufffd, and U+2028 and U+2029 escaped.
+			r, n := utf8.DecodeRune(p.b[p.i:])
+			if r == utf8.RuneError && n == 1 || r == '\u2028' || r == '\u2029' {
+				p.ok = false
+				return ""
+			}
+			if !plain {
+				p.scratch = append(p.scratch, p.b[p.i:p.i+n]...)
+			}
+			p.i += n
+		}
+	}
+	p.ok = false
+	return ""
+}
+
+// escaped reads the escape at the head of b and returns the character
+// and its length, or length 0 for an escape encoding/json does not
+// write: the short forms it uses, else \u00XX in lower-case hex for the
+// other control characters and for <, > and &, and U+2028 and U+2029.
+func escaped(b []byte) (rune, int) {
+	if len(b) < 2 {
+		return 0, 0
+	}
+	switch b[1] {
+	case '"', '\\':
+		return rune(b[1]), 2
+	case 'b':
+		return '\b', 2
+	case 'f':
+		return '\f', 2
+	case 'n':
+		return '\n', 2
+	case 'r':
+		return '\r', 2
+	case 't':
+		return '\t', 2
+	case 'u':
+	default:
+		return 0, 0
+	}
+	if len(b) < 6 {
+		return 0, 0
+	}
+	var r rune
+	for _, c := range b[2:6] {
+		switch {
+		case '0' <= c && c <= '9':
+			r = r<<4 | rune(c-'0')
+		case 'a' <= c && c <= 'f':
+			r = r<<4 | rune(c-'a'+10)
+		default:
+			return 0, 0
+		}
+	}
+	switch r {
+	case '<', '>', '&', '\u2028', '\u2029':
+		return r, 6
+	case '\b', '\f', '\n', '\r', '\t':
+		return 0, 0
+	}
+	if r < 0x20 {
+		return r, 6
+	}
+	return 0, 0
+}
+
+// stats reads the stats object: at least one member, each non-zero.
+func (p *lineReader) stats() (s Stats) {
+	p.need("{")
+	first := true
+	count := func(key string, bits int) int64 {
+		if p.member(key, &first) {
+			return p.int(true, bits)
+		}
+		return 0
+	}
+	const n = strconv.IntSize
+	s.States = int(count(`"states":`, n))
+	s.MaxDepth = int(count(`"max_depth":`, n))
+	s.Exhausted = p.member(`"exhausted":true`, &first)
+	s.Capped = p.member(`"capped":true`, &first)
+	if p.member(`"miss_prob":`, &first) {
+		p.ok = false // a float: encoding/json's spelling, DecodeResult's to read
+	}
+	s.PrimaryVars = int(count(`"primary_vars":`, n))
+	s.AuxVars = int(count(`"aux_vars":`, n))
+	s.Clauses = int(count(`"clauses":`, n))
+	s.TranslateTime = time.Duration(count(`"translate_ns":`, 64))
+	s.SolveTime = time.Duration(count(`"solve_ns":`, 64))
+	s.Conflicts = count(`"conflicts":`, 64)
+	s.Propagations = count(`"propagations":`, 64)
+	s.LearntClauses = count(`"learnt_clauses":`, 64)
+	s.Runs = int(count(`"runs":`, n))
+	s.Converged = int(count(`"converged":`, n))
+	s.Deliveries = int(count(`"deliveries":`, n))
+	s.Dropped = int(count(`"dropped":`, n))
+	s.Duplicated = int(count(`"duplicated":`, n))
+	s.Wall = time.Duration(count(`"wall_ns":`, 64))
+	if first {
+		p.ok = false // the encoder omits stats that are all zero
+	}
+	p.need("}")
+	return s
+}
+
+// trace reads a trace object. The item names are always returned; the
+// steps only when keep is set, else they are only checked.
+func (p *lineReader) trace(keep bool) (names []string, steps []trace.Step) {
+	p.need("{")
+	first := true
+	if p.member(`"item_names":`, &first) {
+		p.need("[")
+		for p.ok {
+			names = append(names, p.str(true, false))
+			if !p.lit(",") {
+				break
+			}
+		}
+		p.need("]")
+	}
+	if p.member(`"steps":`, &first) {
+		p.need("[")
+		for p.ok {
+			st := p.step(keep)
+			if keep {
+				steps = append(steps, st)
+			}
+			if !p.lit(",") {
+				break
+			}
+		}
+		p.need("]")
+	}
+	p.need("}")
+	return names, steps
+}
+
+func (p *lineReader) step(keep bool) (st trace.Step) {
+	p.need("{")
+	first := true
+	if p.member(`"label":`, &first) {
+		st.Label = p.str(keep, true)
+	}
+	if p.member(`"agents":`, &first) {
+		p.need("[")
+		for p.ok {
+			var a trace.AgentSnapshot
+			p.need(`{"id":`)
+			a.ID = int(p.int(false, strconv.IntSize))
+			if p.lit(`,"bids":`) {
+				a.Bids = ints[int64](p, keep, 64)
+			}
+			if p.lit(`,"winner":`) {
+				a.Winner = ints[int](p, keep, strconv.IntSize)
+			}
+			if p.lit(`,"bundle":`) {
+				a.Bundle = ints[int](p, keep, strconv.IntSize)
+			}
+			p.need("}")
+			if keep {
+				st.Agents = append(st.Agents, a)
+			}
+			if !p.lit(",") {
+				break
+			}
+		}
+		p.need("]")
+	}
+	p.need("}")
+	return st
+}

@@ -92,6 +92,16 @@ func FuzzDecodeResult(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"version":1,"status":"error","error":"boom"}`))
+	for _, r := range hitShapes() {
+		for _, name := range awkwardNames {
+			r.Scenario, r.Index = name, 5
+			data, err := EncodeResult(&r)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -100,12 +110,24 @@ func FuzzDecodeResult(f *testing.F) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+64*uint64(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
 		}
+		// DecodeResultLine reads what DecodeResult reads, and a line it
+		// keeps is exactly the one EncodeResult writes for it.
+		line, lineErr := DecodeResultLine(data)
+		if (lineErr == nil) != (err == nil) {
+			t.Fatalf("DecodeResultLine says %v, DecodeResult %v", lineErr, err)
+		}
 		if err != nil {
 			return
 		}
 		first, err := EncodeResult(&res)
 		if err != nil {
 			t.Fatalf("decoded result does not encode: %v", err)
+		}
+		if got := fullEncode(t, line); !bytes.Equal(got, first) {
+			t.Fatalf("DecodeResultLine reads\n%s\nDecodeResult\n%s", got, first)
+		}
+		if _, kept := readLine(data); kept && !bytes.Equal(first, data) {
+			t.Fatalf("kept a line EncodeResult does not write:\n%s\nwrites\n%s", data, first)
 		}
 		again, err := DecodeResult(first)
 		if err != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 )
@@ -91,6 +92,12 @@ func DecodeWorkUnit(data []byte) (index int, eng Engine, s Scenario, err error) 
 	if err = StrictUnmarshal(data, &w); err != nil {
 		return 0, nil, Scenario{}, fmt.Errorf("engine: unit: %w", err)
 	}
+	return w.parts()
+}
+
+// parts checks a decoded unit's versions and index, and builds its
+// engine and scenario.
+func (w *unitJSON) parts() (index int, eng Engine, s Scenario, err error) {
 	switch {
 	case w.Version != SchemaVersion:
 		err = fmt.Errorf("engine: unit: unsupported schema version %d (want %d)", w.Version, SchemaVersion)
@@ -111,4 +118,52 @@ func DecodeWorkUnit(data []byte) (index int, eng Engine, s Scenario, err error) 
 		return 0, nil, Scenario{}, err
 	}
 	return w.Index, eng, s, nil
+}
+
+// WorkUnit is one decoded unit of a sequence.
+type WorkUnit struct {
+	Index    int
+	Engine   Engine
+	Scenario Scenario
+}
+
+// DecodeWorkUnits reads a sequence of work units, as a fleet worker's
+// request body holds them: one or more unit documents with white space
+// between them (a coordinator writes one per line), each read as
+// DecodeWorkUnit reads one, at most max of them. A unit that does not
+// decode, a byte other than white space between or after them, or more
+// than max units refuse the whole sequence; an error past the first
+// unit names its position.
+func DecodeWorkUnits(data []byte, max int) ([]WorkUnit, error) {
+	var wire []*unitJSON
+	err := strictDecodeEach(data, func(n int) any {
+		if n == max {
+			return nil
+		}
+		wire = append(wire, new(unitJSON))
+		return wire[n]
+	})
+	switch {
+	case errors.Is(err, errTrailingData) && len(wire) == max:
+		return nil, fmt.Errorf("engine: more than %d units", max)
+	case err != nil:
+		return nil, positioned(len(wire), fmt.Errorf("engine: unit: %w", err))
+	}
+	units := make([]WorkUnit, len(wire))
+	for i := range wire {
+		u := &units[i]
+		if u.Index, u.Engine, u.Scenario, err = wire[i].parts(); err != nil {
+			return nil, positioned(i+1, err)
+		}
+	}
+	return units, nil
+}
+
+// positioned names unit n (from 1) of a sequence in err, unless it is
+// the first.
+func positioned(n int, err error) error {
+	if n > 1 {
+		return fmt.Errorf("unit %d: %w", n, err)
+	}
+	return err
 }

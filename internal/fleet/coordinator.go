@@ -35,11 +35,12 @@ type CoordinatorOptions struct {
 	// already conclusive never leaves the coordinator, and conclusive
 	// verdicts that come back from workers are stored.
 	Cache engine.ResultCache
-	// UnitTimeout bounds one dispatch round trip including the remote
-	// verification (default 2m). The remaining budget travels with the
-	// request (X-Fleet-Deadline-Ms), so the worker's engine context
-	// expires with the coordinator's interest in the answer. A unit
-	// that times out is re-dispatched.
+	// UnitTimeout is each unit's share of a dispatch's deadline
+	// (default 2m): a dispatch of n units, remote verification
+	// included, is bounded by n × UnitTimeout. The remaining budget
+	// travels with the request (X-Fleet-Deadline-Ms), so the worker's
+	// engine context expires with the coordinator's interest in the
+	// answer. The units of a dispatch that times out are re-dispatched.
 	UnitTimeout time.Duration
 }
 
@@ -106,13 +107,13 @@ type workerState struct {
 	// tokens in the coordinator's pool — one while it is unknown, so the
 	// breaker and the retry path still see it — plus surplus.
 	slots atomic.Int32
-	// relearn is set by a 429: the worker admits fewer units than its
-	// credit (it restarted with fewer slots), so the next learnCredit asks
-	// it again.
+	// relearn is set by a 429: the worker admits fewer requests than
+	// its credit (it restarted with fewer slots), so the next learnCredit
+	// asks it again.
 	relearn atomic.Bool
-	// surplus counts tokens beyond slots still in the pool after a
+	// surplus counts tokens beyond slots still in circulation after a
 	// relearned limit came back lower; each leaves the pool when it is
-	// next returned.
+	// next drawn or returned.
 	surplus atomic.Int32
 }
 
@@ -156,9 +157,11 @@ func DispatchTransport() *http.Transport {
 
 // Stats is a point-in-time snapshot of the coordinator's counters.
 type Stats struct {
-	// Dispatches counts HTTP dispatch attempts; Completed units that
-	// came back from a worker; Retries re-dispatches after a failure or
-	// rejection; Rejections 429 responses from saturated workers.
+	// Dispatches counts HTTP dispatch attempts, each carrying 1 to
+	// maxBatch units; Completed units that came back from a worker, so
+	// Completed ÷ Dispatches is about the units per dispatch; Retries
+	// unit re-dispatches after a failure or rejection; Rejections 429
+	// responses from saturated workers.
 	Dispatches uint64 `json:"dispatches"`
 	Completed  uint64 `json:"completed"`
 	Retries    uint64 `json:"retries"`
@@ -169,7 +172,8 @@ type Stats struct {
 	LocalFallbacks uint64 `json:"local_fallbacks"`
 	Drained        uint64 `json:"drained"`
 	// BreakerFastFails counts dispatch attempts answered by an open
-	// circuit breaker instead of an HTTP round trip.
+	// circuit breaker instead of an HTTP round trip; each one still
+	// counts against every unit it would have carried.
 	BreakerFastFails uint64 `json:"breaker_fast_fails"`
 	// Workers is the per-worker health view.
 	Workers []WorkerStatus `json:"workers"`
@@ -194,9 +198,10 @@ type Coordinator struct {
 	clock   clock
 	workers []*workerState
 
-	// tokens is the fleet's dispatch credit: one per unit a worker admits
-	// concurrently, held for the dispatch's round trip, so a healthy
-	// fleet is never over-offered however many batches are in flight.
+	// tokens is the fleet's dispatch credit: one per request a worker
+	// admits concurrently, held for the dispatch's round trip, so a
+	// healthy fleet is never over-offered however many batches are in
+	// flight.
 	tokens  chan *workerState
 	learnMu sync.Mutex   // serializes learnCredit
 	units   atomic.Int64 // work-unit index source
@@ -267,17 +272,21 @@ func (c *Coordinator) Stats() Stats {
 // worker instead of here. Results and summary are therefore
 // byte-identical (wall aside) to a single-process Runner over the same
 // scenarios and eng, at any worker count and under any failure/retry
-// interleaving. The pool is as wide as the fleet's credit, which Runner
-// first learns from any worker that has not yet said.
+// interleaving. Runner first learns the fleet's credit from any worker
+// that has not yet said, and makes the pool maxBatch times as wide, so
+// that units queue here for a dispatch to carry several.
 func (c *Coordinator) Runner(ctx context.Context, eng engine.Engine) *engine.Runner {
 	if eng == nil {
 		eng = engine.Auto{}
 	}
 	// A custom engine has no spec: its units all run here.
 	spec, _ := engine.EncodeEngineSpec(eng)
+	credit := c.learnCredit(ctx)
+	q := &queue{c: c, credit: credit, local: make(chan struct{}, credit), lanes: map[context.Context]*lane{}}
+	q.cost.Store(-1)
 	return engine.NewRunner(engine.RunnerOptions{
-		Workers: c.learnCredit(ctx),
-		Engine:  remote{c: c, local: eng, spec: string(spec)},
+		Workers: 2 * credit * maxBatch,
+		Engine:  remote{c: c, local: eng, spec: string(spec), q: q},
 		Cache:   c.opts.Cache,
 	})
 }
@@ -328,8 +337,8 @@ func (c *Coordinator) learnCredit(ctx context.Context) int {
 
 // resize sets ws's credit to n tokens: new tokens go into the pool at
 // once, first by cancelling surplus not yet retired; tokens beyond n
-// become surplus and leave the pool as they come back, so a worker never
-// drops below one token.
+// become surplus and leave the pool as they are drawn or come back, so
+// a worker never drops below one token.
 func (c *Coordinator) resize(ws *workerState, n int) {
 	old := max(int(ws.slots.Load()), 1)
 	if n < old {
@@ -351,6 +360,21 @@ func (c *Coordinator) release(ws *workerState) {
 	c.tokens <- ws
 }
 
+// A dispatch carries up to maxBatch queued units of one Runner, which
+// the worker verifies in order on one slot. It takes at most
+// ⌈queued ÷ credit⌉ of them, so every token has a share of the queue,
+// and more than one only while the Runner's last dispatch completed and
+// measured under cheapUnit of worker time per unit: the hop then costs
+// more than the unit. A Runner's first dispatches, and every one after
+// an expensive unit or a failed dispatch, carry one unit. cheapUnit is
+// set from the hop's cost (about 0.1 ms of CPU for a unit sent alone on
+// loopback) with margin; no workload of expensive units has measured
+// it yet.
+const (
+	maxBatch  = 16
+	cheapUnit = time.Millisecond
+)
+
 // remote is the fleet as an engine.Engine: Verify runs one scenario on
 // whichever worker has credit, and on the wrapped engine here when the
 // fleet cannot. It decides where local runs, never what it computes, so
@@ -362,6 +386,7 @@ type remote struct {
 	// and kept as a string so remote stays comparable; empty for a
 	// custom engine, which has none.
 	spec string
+	q    *queue
 }
 
 func (r remote) Name() string          { return r.local.Name() }
@@ -378,7 +403,8 @@ func (r remote) Verify(ctx context.Context, s engine.Scenario) engine.Result {
 // verification instead of a lost sweep. canonical is s's canonical
 // encoding with the name blanked, which engine.VerifyCached hands over
 // when it holds it (nil is encoded here): the unit is spliced around
-// those bytes instead of encoding the scenario again.
+// those bytes instead of encoding the scenario again. Every attempt is
+// the unit's own, whether it travelled alone or in a batch.
 func (r remote) VerifyEncoded(ctx context.Context, s engine.Scenario, canonical []byte) engine.Result {
 	c := r.c
 	if r.spec != "" && canonical == nil {
@@ -391,39 +417,197 @@ func (r remote) VerifyEncoded(ctx context.Context, s engine.Scenario, canonical 
 		// ill-formed scenario no document: verify on the coordinator,
 		// like the Runner would (local reports the ill-formed one).
 		c.localFallbacks.Add(1)
-		return r.local.Verify(ctx, s)
+		return r.q.verifyLocal(ctx, r.local, s)
 	}
-	index := int(c.units.Add(1))
-	unit := engine.AssembleWorkUnit(index, r.spec, s.Name, canonical)
+	u := &unit{index: int(c.units.Add(1)), done: make(chan struct{}, 1)}
+	u.body = engine.AssembleWorkUnit(u.index, r.spec, s.Name, canonical)
 	for attempt := 1; ; attempt++ {
-		ws, err := c.acquire(ctx)
-		if err != nil {
-			return c.unrun(&s, err)
-		}
-		res, retryAfter, err := c.try(ctx, ws, index, unit)
-		c.release(ws)
-		if err == nil {
-			return res
-		}
-		if ctx.Err() != nil {
+		r.q.carry(ctx, u)
+		switch {
+		case u.err == nil:
+			return u.res
+		case u.stopped:
+			return c.unrun(&s, u.err)
+		case ctx.Err() != nil:
 			return c.unrun(&s, ctx.Err())
-		}
-		if attempt >= maxAttempts {
+		case attempt >= maxAttempts:
 			c.localFallbacks.Add(1)
-			return r.local.Verify(ctx, s)
+			return r.q.verifyLocal(ctx, r.local, s)
 		}
 		c.retries.Add(1)
 		// A worker's Retry-After can stretch the backoff, never past
 		// the same cap.
-		if err := c.sleep(ctx, max(capped(backoffBase, attempt-1), retryAfter)); err != nil {
+		if err := c.sleep(ctx, max(capped(backoffBase, attempt-1), u.retryAfter)); err != nil {
 			return c.unrun(&s, err)
 		}
 	}
 }
 
-// acquire takes one token from the fleet's credit. A stop is checked
-// first because select picks at random among ready cases: a quiesced
-// coordinator must not start a dispatch because a token was free too.
+// unit is one scenario's work unit and the outcome of its latest
+// attempt, which the dispatch that carried it sets before done.
+type unit struct {
+	index int
+	body  []byte
+	done  chan struct{}
+
+	res        engine.Result
+	retryAfter time.Duration
+	err        error
+	// stopped marks an attempt that never started: the coordinator is
+	// draining, or the unit's context ended while it waited for credit.
+	stopped bool
+}
+
+// finish gives u the outcome of its attempt.
+func (u *unit) finish(res engine.Result, retryAfter time.Duration, err error, stopped bool) {
+	u.res, u.retryAfter, u.err, u.stopped = res, retryAfter, err, stopped
+	u.done <- struct{}{}
+}
+
+// queue holds one Runner's units waiting for dispatch credit, in one
+// lane per context: a dispatch runs under its units' context, so units
+// of different Run calls never share one.
+type queue struct {
+	c *Coordinator
+	// credit is the fleet's credit when the Runner was made: the most
+	// carriers a lane has, and the divisor of a dispatch's share.
+	credit int
+	// cost is the mean worker time per unit, in nanoseconds, of the
+	// Runner's last dispatch; -1 until one completes, and after one
+	// fails.
+	cost atomic.Int64
+	// local bounds the Runner's verifications on the coordinator to its
+	// credit: the pool is wide for units to queue in, not to run here.
+	local chan struct{}
+
+	mu    sync.Mutex
+	lanes map[context.Context]*lane
+}
+
+// lane is one context's queued units and the number of carriers working
+// them off.
+type lane struct {
+	units    []*unit
+	carriers int
+}
+
+// carry queues u and returns once it has the outcome of one attempt.
+// A lane's units are dispatched by its carriers, up to credit
+// goroutines that each take a token, send the next share of the lane on
+// it and give the token back, until the lane is empty; queuing a unit
+// starts one if the lane has fewer. So a unit's caller waits only for
+// its own outcome. Carriers are counted under q.mu, where a unit is
+// queued and where a carrier stops on an empty lane: a unit queued as
+// the last carrier stops finds the lane one short, and starts another.
+func (q *queue) carry(ctx context.Context, u *unit) {
+	q.mu.Lock()
+	l := q.lanes[ctx]
+	if l == nil {
+		l = &lane{}
+		q.lanes[ctx] = l
+	}
+	l.units = append(l.units, u)
+	if l.carriers < q.credit {
+		l.carriers++
+		go q.work(ctx, l)
+	}
+	q.mu.Unlock()
+	<-u.done
+}
+
+// work is one carrier of l: it sends shares of the lane until none is
+// left, returning each token between dispatches so that batches of
+// other Runners waiting for credit get their turn. When no token can be
+// had — the coordinator is draining, or the lane's context ended —
+// every unit still queued is stopped with that error.
+func (q *queue) work(ctx context.Context, l *lane) {
+	for {
+		q.mu.Lock()
+		if len(l.units) == 0 {
+			q.leave(ctx, l)
+			q.mu.Unlock()
+			return
+		}
+		q.mu.Unlock()
+		ws, err := q.c.acquire(ctx)
+		q.mu.Lock()
+		n := len(l.units) // a stop takes every unit queued
+		if err == nil {
+			n = q.share(n)
+		}
+		batch := l.units[:n:n]
+		l.units = l.units[n:]
+		if err != nil || n == 0 {
+			q.leave(ctx, l)
+		}
+		q.mu.Unlock()
+		if err != nil {
+			for _, u := range batch {
+				u.finish(engine.Result{}, 0, err, true)
+			}
+			return
+		}
+		if len(batch) == 0 {
+			q.c.release(ws)
+			return
+		}
+		q.send(ctx, ws, batch)
+	}
+}
+
+// leave records that one of l's carriers stopped, and forgets the lane
+// once it has neither units nor carriers. q.mu is held.
+func (q *queue) leave(ctx context.Context, l *lane) {
+	if l.carriers--; l.carriers == 0 && len(l.units) == 0 {
+		delete(q.lanes, ctx)
+	}
+}
+
+// share is how many of queued units the next dispatch carries.
+func (q *queue) share(queued int) int {
+	if cost := q.cost.Load(); cost < 0 || cost >= int64(cheapUnit) {
+		return min(queued, 1)
+	}
+	return min(queued, maxBatch, (queued+q.credit-1)/q.credit)
+}
+
+// send makes one attempt at batch on ws, gives the token back, and
+// gives every unit its outcome: its own result, or the dispatch's one
+// error. A failed dispatch says nothing of its units' cost, and may
+// have failed because of it: the Runner's dispatches carry one unit
+// again until one completes.
+func (q *queue) send(ctx context.Context, ws *workerState, batch []*unit) {
+	results, retryAfter, err := q.c.try(ctx, ws, batch)
+	q.c.release(ws)
+	cost := int64(-1)
+	if err == nil {
+		var wall time.Duration
+		for i := range results {
+			wall += results[i].Stats.Wall
+		}
+		cost = int64(wall) / int64(len(results))
+	}
+	q.cost.Store(cost)
+	for i, u := range batch {
+		var res engine.Result
+		if err == nil {
+			res = results[i]
+		}
+		u.finish(res, retryAfter, err, false)
+	}
+}
+
+// verifyLocal verifies s on the coordinator, at most credit at a time.
+func (q *queue) verifyLocal(ctx context.Context, eng engine.Engine, s engine.Scenario) engine.Result {
+	q.local <- struct{}{}
+	defer func() { <-q.local }()
+	return eng.Verify(ctx, s)
+}
+
+// acquire takes one token from the fleet's credit, retiring any
+// surplus token it draws. A stop is checked first because select picks
+// at random among ready cases: a quiesced coordinator must not start a
+// dispatch because a token was free too.
 func (c *Coordinator) acquire(ctx context.Context) (*workerState, error) {
 	select {
 	case <-c.quiesce:
@@ -438,6 +622,11 @@ func (c *Coordinator) acquire(ctx context.Context) (*workerState, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case ws := <-c.tokens:
+		if ws.retire() {
+			// A surplus token carries no dispatch: it leaves the pool
+			// here, and the next one is drawn.
+			return c.acquire(ctx)
+		}
 		return ws, nil
 	}
 }
@@ -466,23 +655,24 @@ func (c *Coordinator) unrun(s *engine.Scenario, err error) engine.Result {
 // errBreakerOpen is try's error for a fast-failed attempt.
 var errBreakerOpen = errors.New("fleet: circuit breaker open")
 
-// try makes one attempt on ws and folds its outcome into the worker's
-// health: a result, or an error with the worker's Retry-After hint.
-func (c *Coordinator) try(ctx context.Context, ws *workerState, index int, unit []byte) (engine.Result, time.Duration, error) {
+// try makes one attempt at batch on ws and folds its outcome into the
+// worker's health: a result per unit, or an error with the worker's
+// Retry-After hint.
+func (c *Coordinator) try(ctx context.Context, ws *workerState, batch []*unit) ([]engine.Result, time.Duration, error) {
 	if !ws.br.allow(c.clock.now()) {
 		// Open breaker: fail fast without an HTTP round trip. The
-		// fast-fail still consumes an attempt — the attempt cap (local
-		// fallback), not the breaker, is what guarantees progress when
-		// every worker is sick.
+		// fast-fail still consumes each unit's attempt — the attempt cap
+		// (local fallback), not the breaker, is what guarantees progress
+		// when every worker is sick.
 		c.breakerFastFails.Add(1)
-		return engine.Result{}, 0, errBreakerOpen
+		return nil, 0, errBreakerOpen
 	}
-	res, rejected, retryAfter, err := c.dispatch(ctx, ws, index, unit)
+	results, rejected, retryAfter, err := c.dispatch(ctx, ws, batch)
 	switch {
 	case err == nil:
 		ws.br.onSuccess()
-		ws.completed.Add(1)
-		c.completed.Add(1)
+		ws.completed.Add(uint64(len(batch)))
+		c.completed.Add(uint64(len(batch)))
 	case ctx.Err() != nil:
 		// The dispatch failed because the batch is over, not because
 		// the worker is sick.
@@ -490,61 +680,95 @@ func (c *Coordinator) try(ctx context.Context, ws *workerState, index int, unit 
 	case rejected:
 		// Admission, not failure: a 429 proves the worker is alive, so
 		// it does not dent health or the breaker. It does prove the
-		// worker admits fewer units than its credit, so the next batch
-		// asks it for its slots again.
+		// worker admits fewer requests than its credit, so the next
+		// batch asks it for its slots again.
 		ws.br.onRejected()
 		ws.relearn.Store(true)
 		c.rejections.Add(1)
 	default:
 		ws.failed(c.clock.now())
 	}
-	return res, retryAfter, err
+	return results, retryAfter, err
 }
 
-// dispatch posts one unit to one worker. rejected reports a 429 —
-// admission, not failure — which does not dent the worker's health;
-// retryAfter carries the worker's clamped Retry-After hint with it.
-// The remaining deadline budget travels in X-Fleet-Deadline-Ms so the
-// worker's engine context expires with the coordinator's interest, and
-// the response body is checked against the worker's X-Fleet-Checksum —
-// a response corrupted in transit, or sent without one, could otherwise
-// decode into a plausible but wrong Result.
-func (c *Coordinator) dispatch(ctx context.Context, ws *workerState, index int, unit []byte) (res engine.Result, rejected bool, retryAfter time.Duration, err error) {
+// dispatch posts batch to one worker, one unit per line. rejected
+// reports a 429 — admission, not failure — which does not dent the
+// worker's health; retryAfter carries the worker's clamped Retry-After
+// hint with it. The remaining deadline budget travels in
+// X-Fleet-Deadline-Ms so the worker's engine context expires with the
+// coordinator's interest, and the response body is checked against the
+// worker's X-Fleet-Checksum — a response corrupted in transit, or sent
+// without one, could otherwise read as plausible but wrong results.
+func (c *Coordinator) dispatch(ctx context.Context, ws *workerState, batch []*unit) (results []engine.Result, rejected bool, retryAfter time.Duration, err error) {
 	c.dispatches.Add(1)
-	dctx, cancel := context.WithTimeout(ctx, c.opts.UnitTimeout)
+	dctx, cancel := context.WithTimeout(ctx, c.opts.UnitTimeout*time.Duration(len(batch)))
 	defer cancel()
-	req, err := http.NewRequestWithContext(dctx, http.MethodPost, ws.url+"/fleet/work", bytes.NewReader(unit))
+	body := batch[0].body
+	if len(batch) > 1 {
+		var b bytes.Buffer
+		for _, u := range batch {
+			b.Write(u.body)
+			b.WriteByte('\n')
+		}
+		body = b.Bytes()
+	}
+	req, err := http.NewRequestWithContext(dctx, http.MethodPost, ws.url+"/fleet/work", bytes.NewReader(body))
 	if err != nil {
-		return engine.Result{}, false, 0, err
+		return nil, false, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	dl, _ := dctx.Deadline()
 	req.Header.Set(deadlineHeader, strconv.FormatInt(max(time.Until(dl).Milliseconds(), 1), 10))
-	resp, body, err := c.roundTrip(req)
+	resp, reply, err := c.roundTrip(req)
 	if err != nil {
-		return engine.Result{}, false, 0, err
+		return nil, false, 0, err
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusTooManyRequests:
-		return engine.Result{}, true, parseRetryAfter(resp.Header.Get("Retry-After")),
+		return nil, true, parseRetryAfter(resp.Header.Get("Retry-After")),
 			fmt.Errorf("fleet: worker %s at capacity", ws.url)
 	default:
-		return engine.Result{}, false, 0, fmt.Errorf("fleet: worker %s: status %d: %s", ws.url, resp.StatusCode, bytes.TrimSpace(body))
+		return nil, false, 0, fmt.Errorf("fleet: worker %s: status %d: %s", ws.url, resp.StatusCode, bytes.TrimSpace(reply))
 	}
-	if err = engine.CheckDigest(resp.Header.Get(resultChecksumHeader), body); err == nil {
-		res, err = engine.DecodeResult(body)
+	if err = engine.CheckDigest(resp.Header.Get(resultChecksumHeader), reply); err == nil {
+		results, err = readReply(reply, batch)
 	}
 	if err != nil {
-		return engine.Result{}, false, 0, fmt.Errorf("fleet: worker %s: %w", ws.url, err)
+		return nil, false, 0, fmt.Errorf("fleet: worker %s: %w", ws.url, err)
 	}
-	if res.Index != index {
-		return engine.Result{}, false, 0, fmt.Errorf("fleet: worker %s answered unit %d with unit %d", ws.url, index, res.Index)
+	return results, false, 0, nil
+}
+
+// readReply reads a worker's answer to batch: one result line per unit,
+// in the batch's order, each ending in a newline and echoing its unit's
+// index. Anything else fails the whole batch, so no unit gets a result
+// from another unit's line, and none gets one while another gets an
+// error. A line is read by engine.DecodeResultLine, so it stays the
+// Result's encoding. Like any Engine.Verify result, each carries no
+// batch position: the echo has done its job, and the Runner assigns it.
+func readReply(reply []byte, batch []*unit) ([]engine.Result, error) {
+	results := make([]engine.Result, len(batch))
+	for i, u := range batch {
+		line, rest, ok := bytes.Cut(reply, []byte("\n"))
+		if !ok {
+			return nil, fmt.Errorf("%d result lines for %d units", i, len(batch))
+		}
+		res, err := engine.DecodeResultLine(line)
+		if err != nil {
+			return nil, err
+		}
+		if res.Index != u.index {
+			return nil, fmt.Errorf("answered unit %d with unit %d", u.index, res.Index)
+		}
+		res.Index = -1
+		results[i] = res
+		reply = rest
 	}
-	// The echo has done its job; like any Engine.Verify, the result
-	// carries no batch position — the Runner assigns that.
-	res.Index = -1
-	return res, false, 0, nil
+	if len(reply) != 0 {
+		return nil, fmt.Errorf("more than %d result lines for %d units", len(batch), len(batch))
+	}
+	return results, nil
 }
 
 // parseRetryAfter reads an integer-seconds Retry-After value, clamped

@@ -187,7 +187,7 @@ func TestWorkerCachedResultStoredUncached(t *testing.T) {
 		}
 	}
 
-	dispatched := coord.Stats().Dispatches
+	completed := coord.Stats().Completed
 	second, secondSum := coord.Run(ctx, nil, scenarios)
 	if got, want := encodeSummary(t, secondSum), encodeSummary(t, wantSum); got != want {
 		t.Fatalf("second pass summary diverged from a Runner hit pass:\n got %s\nwant %s", got, want)
@@ -197,7 +197,7 @@ func TestWorkerCachedResultStoredUncached(t *testing.T) {
 			t.Fatalf("second pass result %d diverged from a Runner hit:\n got %s\nwant %s", i, got, want)
 		}
 	}
-	if extra := coord.Stats().Dispatches - dispatched; extra != uint64(len(scenarios)-conclusive) {
+	if extra := coord.Stats().Completed - completed; extra != uint64(len(scenarios)-conclusive) {
 		t.Fatalf("second pass dispatched %d units, want only the %d inconclusive ones", extra, len(scenarios)-conclusive)
 	}
 }

@@ -6,37 +6,46 @@
 // The tier has two halves:
 //
 //   - Worker: an HTTP handler (POST /fleet/work, GET /fleet/health)
-//     that verifies one work unit per request under a concurrency
-//     limit. A unit is a (scenario, engine-spec) pair in the canonical
-//     codec form plus an index the worker echoes (the coordinator's
-//     dispatch sequence number, so a reply to some other unit is
-//     rejected); its codec is engine's (EncodeWorkUnit and
-//     DecodeWorkUnit here delegate to it), and a worker reads a unit in
-//     one strict pass. The worker rebuilds the engine, runs VerifyCached
-//     against its own (optionally remote-tiered) cache, and returns
-//     the encoded Result. Over-capacity units are rejected with 429 +
-//     Retry-After rather than queued, so the coordinator owns all
-//     scheduling policy.
+//     that verifies the 1 to 16 work units of a request, in order, on
+//     one of its slots. A unit is a (scenario, engine-spec) pair in the
+//     canonical codec form plus an index the worker echoes (the
+//     coordinator's dispatch sequence number, so a reply to some other
+//     unit is rejected); its codec is engine's (EncodeWorkUnit and
+//     DecodeWorkUnit here delegate to it), and a worker reads a body's
+//     units in one strict pass, refusing the whole body if one does not
+//     decode. The worker rebuilds each engine, runs VerifyCached
+//     against its own (optionally remote-tiered) cache, and answers one
+//     encoded Result per line, in unit order. A request beyond the
+//     slots is rejected with 429 + Retry-After rather than queued, so
+//     the coordinator owns all scheduling policy.
 //
 //   - Coordinator: Runner → remote engine → worker. Coordinator.Runner
 //     is an ordinary engine.Runner whose engine is the fleet: it
 //     builds one work unit around the canonical scenario bytes the
 //     Runner already holds (VerifyCached hands them over; only the
 //     index and the name are encoded per unit, and the engine spec once
-//     per Runner), takes a token for a worker, dispatches, and returns
-//     that worker's Result. Pool, cache short-circuit and
-//     store (engine.VerifyCached, keyed through the remote engine to
-//     the engine it places), results by index and cancellation are the
-//     Runner's own. Tokens are dispatch credit: one pool per
+//     per Runner) and queues it. Pool, cache short-circuit and store
+//     (engine.VerifyCached, keyed through the remote engine to the
+//     engine it places), results by index and cancellation are the
+//     Runner's own; the pool is 2 × 16 times the fleet's credit wide so
+//     units queue. Tokens are dispatch credit: one pool per
 //     coordinator, shared by concurrent batches, with as many tokens
-//     per worker as the slots it advertises on /fleet/health (one
-//     until it has answered) — a healthy fleet is never offered more
-//     than it admits, so it never 429s itself. A 429 means a worker
-//     admits fewer units than its credit (it restarted with fewer
-//     slots): the next batch asks it again, and tokens above the new
-//     limit leave the pool as they come back. Failures and rejections
-//     are retried with exponential backoff on whichever worker has
-//     credit next; a worker that keeps failing trips its circuit
+//     per worker as the slots it advertises on /fleet/health (one until
+//     it has answered) — a healthy fleet is never offered more than it
+//     admits, so it never 429s itself. Up to credit carriers per Runner
+//     each take a token and send the next share of its queue in one
+//     POST: one unit until the Runner's last dispatch completed and
+//     measured under a millisecond of worker time per unit, then up to
+//     ⌈queued ÷ credit⌉, at most 16, with UnitTimeout for each unit it
+//     carries. Each reply line is checked strictly and kept as its
+//     Result's encoding (engine.DecodeResultLine), so the Runner
+//     streams the worker's bytes with its own name and index spliced
+//     in. A 429 means a worker admits fewer requests than its credit
+//     (it restarted with fewer slots): the next batch asks it again,
+//     and tokens above the new limit leave the pool when next drawn or
+//     returned. A dispatch fails or succeeds as a whole; each of its
+//     units then retries with exponential backoff on whichever worker
+//     has credit next; a worker that keeps failing trips its circuit
 //     breaker and fast-fails until a half-open probe dispatch succeeds;
 //     a unit that exhausts its remote attempts (or cannot be encoded)
 //     is verified locally, so a sweep always completes even with every
@@ -44,7 +53,8 @@
 //     draining) while letting in-flight units finish. The retry policy
 //     — 3 attempts, a 50ms backoff base, a breaker that opens after 2
 //     consecutive failures with a 500ms cooldown, every delay doubled
-//     and capped at 2s — is fixed in code, not an option.
+//     and capped at 2s — and the batching rule are fixed in code, not
+//     options.
 //
 // Determinism: verdicts are produced by the same engines from the same
 // canonical scenario bytes on every node, results are reassembled by

@@ -1,13 +1,42 @@
 package fleet
 
 import (
+	"context"
 	"sync"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // Cooldown is the breaker's first open interval, for tests that step
 // the clock past it.
 const Cooldown = breakerCooldown
+
+// MaxBatch is the most units one /fleet/work body carries.
+const MaxBatch = maxBatch
+
+// DecodeWorkBody is the worker's reader of a /fleet/work body.
+func DecodeWorkBody(body []byte) ([]engine.WorkUnit, error) {
+	return engine.DecodeWorkUnits(body, maxBatch)
+}
+
+// RemoteEngine is the engine a Runner of c verifies eng through, with a
+// queue of its own on the given credit; queued reports how many of its
+// units wait for a carrier.
+func RemoteEngine(c *Coordinator, eng engine.Engine, credit int) (e engine.Engine, queued func() int) {
+	spec, _ := engine.EncodeEngineSpec(eng)
+	q := &queue{c: c, credit: credit, local: make(chan struct{}, credit), lanes: map[context.Context]*lane{}}
+	q.cost.Store(-1)
+	return remote{c: c, local: eng, spec: string(spec), q: q}, func() int {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		n := 0
+		for _, l := range q.lanes {
+			n += len(l.units)
+		}
+		return n
+	}
+}
 
 // Credit is the number of tokens the worker at url has in c's dispatch
 // pool: its learned slots plus any surplus not yet retired.

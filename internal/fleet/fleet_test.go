@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -489,9 +490,13 @@ func TestWorkUnitCodecRoundTrip(t *testing.T) {
 // same index, engine and scenario; it never panics. On every document
 // without a repeated or case-folded top-level member, the one-pass
 // decoder and the two-pass reference accept or reject alike, and agree
-// on what they accept.
+// on what they accept. Read as a /fleet/work body, the same bytes are
+// 1 to MaxBatch units (checkWorkBody): one per line as a coordinator
+// writes them, or one unit of any spelling; any other body — a line
+// that does not decode, or too many units — is refused whole.
 func FuzzDecodeWorkUnit(f *testing.F) {
 	s := fleetScenarios()[0]
+	var units [][]byte
 	for i, eng := range []engine.Engine{
 		engine.Auto{}, engine.Explicit{Workers: 2}, engine.Simulation{Runs: 4, Seed: 9},
 		engine.SAT{}, engine.SAT{Workers: -1},
@@ -501,7 +506,15 @@ func FuzzDecodeWorkUnit(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
+		units = append(units, data)
 	}
+	nl := []byte("\n")
+	f.Add(bytes.Join(units, nl))
+	f.Add(append(bytes.Join(units[:2], nl), '\n'))
+	f.Add(bytes.Join([][]byte{units[0], []byte(`{"version":1}`), units[1]}, nl))
+	f.Add(bytes.Join([][]byte{units[0], nil, units[1]}, nl))
+	f.Add(bytes.Repeat(append(units[2], '\n'), fleet.MaxBatch+1))
+	f.Add(bytes.ReplaceAll(units[0], []byte(`,"`), []byte(",\n\"")))
 	for _, spec := range []string{
 		`{"version":1,"kind":"sat","cube":3}`, // the retired cube-and-conquer field
 		`{"version":1,"kind":"simulation","workers":2}`,
@@ -531,6 +544,7 @@ func FuzzDecodeWorkUnit(f *testing.F) {
 		f.Add([]byte(`{"version":1,"index":0,` + members + `}`))
 	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
+		checkWorkBody(t, doc)
 		index, eng, s, err := fleet.DecodeWorkUnit(doc)
 		if !ambiguousMembers(doc) {
 			refIndex, refEng, refS, refErr := decodeWorkUnitReference(doc)
@@ -562,6 +576,70 @@ func FuzzDecodeWorkUnit(f *testing.F) {
 			t.Fatalf("scenario moved across the round trip:\n got %s\nwant %s", got, want)
 		}
 	})
+}
+
+// checkWorkBody holds DecodeWorkBody to the body rule of
+// FuzzDecodeWorkUnit. A body whose every line decodes alone, at most
+// MaxBatch of them, is read as those units; a body that is one unit is
+// read as it; anything refused yields no unit; and what is accepted,
+// re-assembled one unit per line, reads back as the same units.
+func checkWorkBody(t *testing.T, body []byte) {
+	units, err := fleet.DecodeWorkBody(body)
+	var lineUnits []engine.WorkUnit
+	for _, line := range bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n")) {
+		var u engine.WorkUnit
+		var lineErr error
+		if u.Index, u.Engine, u.Scenario, lineErr = fleet.DecodeWorkUnit(line); lineErr != nil {
+			lineUnits = nil
+			break
+		}
+		lineUnits = append(lineUnits, u)
+	}
+	if len(lineUnits) > fleet.MaxBatch {
+		lineUnits = nil
+	}
+	var one []engine.WorkUnit
+	if index, eng, s, oneErr := fleet.DecodeWorkUnit(body); oneErr == nil {
+		one = []engine.WorkUnit{{Index: index, Engine: eng, Scenario: s}}
+	}
+	if err != nil {
+		if units != nil || lineUnits != nil || one != nil {
+			t.Fatalf("refused (%v) a body read as %d units, %d lines that each decode, %d whole", err, len(units), len(lineUnits), len(one))
+		}
+		return
+	}
+	if len(units) > fleet.MaxBatch {
+		t.Fatalf("read %d units, at most %d", len(units), fleet.MaxBatch)
+	}
+	sameUnits(t, "its lines", units, lineUnits)
+	sameUnits(t, "the one unit", units, one)
+	var again [][]byte
+	for _, u := range units {
+		again = append(again, []byte(encodeUnit(t, u.Index, u.Engine, &u.Scenario)))
+	}
+	back, err := fleet.DecodeWorkBody(bytes.Join(again, []byte("\n")))
+	if err != nil {
+		t.Fatalf("re-assembled body refused: %v", err)
+	}
+	sameUnits(t, "its re-assembly", units, back)
+}
+
+// sameUnits fails unless want is nil or holds the units of got.
+func sameUnits(t *testing.T, what string, got, want []engine.WorkUnit) {
+	t.Helper()
+	if want == nil {
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read %d units, %s %d", len(got), what, len(want))
+	}
+	for i := range got {
+		a, _ := engine.EncodeScenario(&got[i].Scenario)
+		b, _ := engine.EncodeScenario(&want[i].Scenario)
+		if got[i].Index != want[i].Index || got[i].Engine != want[i].Engine || string(a) != string(b) {
+			t.Fatalf("unit %d reads %d %#v %s, %s %d %#v %s", i, got[i].Index, got[i].Engine, a, what, want[i].Index, want[i].Engine, b)
+		}
+	}
 }
 
 // TestCoordinatorHealth probes a live and a dead worker.

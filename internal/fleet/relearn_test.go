@@ -117,10 +117,13 @@ func rejectFirst(inner http.Handler) http.Handler {
 }
 
 // TestRegrownCreditCancelsSurplus: a worker learned at 4 slots restarts
-// with 1, and restarts again with 4 before the surplus of the first
-// shrink has retired. The regrown credit first cancels that surplus, so
-// the pool ends at exactly 4 tokens for the worker, never over-filled,
-// and the next batch completes byte-identically without a rejection.
+// with 1, and restarts again with 4. The shrink's surplus stays pooled
+// until a token is next drawn, and that draw retires it, so no dispatch
+// rides on surplus credit; the regrown credit then fills the pool to
+// exactly 4 tokens for the worker, never over-filled, and the next
+// batch completes byte-identically without a rejection. (Surplus still
+// out on a dispatch when the credit regrows is cancelled instead:
+// TestRegrowCancelsOutstandingSurplus.)
 func TestRegrownCreditCancelsSurplus(t *testing.T) {
 	scenarios := fleetScenarios()[:4]
 	baseResults, _ := runnerBaseline(t, scenarios)
@@ -156,13 +159,13 @@ func TestRegrownCreditCancelsSurplus(t *testing.T) {
 	credit("shrunk, nothing retired yet", 4)
 
 	// Restart with 4 slots. One unit is rejected once, so the worker is
-	// relearned again; its two releases retire two of the surplus.
+	// relearned again; its first draw retires the three surplus tokens.
 	set(rejectFirst(fleet.NewWorker(fleet.WorkerOptions{Slots: 4}).Handler()))
 	rejected := coord.Stats().Rejections
 	if _, sum := coord.Run(ctx, nil, scenarios[:1]); sum.Inconclusive != 0 || coord.Stats().Rejections != rejected+1 {
 		t.Fatalf("the one-unit batch: %d inconclusive, %d rejections, want 0 and 1", sum.Inconclusive, coord.Stats().Rejections-rejected)
 	}
-	credit("one surplus token left", 2)
+	credit("surplus retired on its first draw", 1)
 
 	coord.Run(ctx, nil, nil)
 	credit("regrown", 4)

@@ -50,8 +50,9 @@ func newCache(t *testing.T) *cache.Cache {
 // unit is spliced around the canonical bytes the sweep holds — and its
 // lines equal a standalone Runner's byte for byte, timings aside, for
 // every engine kind and for cell names that need escaping. The workers
-// record what they receive: every cell reaches one exactly once, as
-// the unit fleet.EncodeWorkUnit writes for it.
+// record the units they receive, one per line of each request body:
+// every cell reaches one exactly once, as the unit
+// fleet.EncodeWorkUnit writes for it.
 func TestCoordinatorSweepSendsHeldBytes(t *testing.T) {
 	sw := decodeGrid(t, 8, awkwardName)
 	cells := map[string]*engine.Scenario{}
@@ -76,7 +77,7 @@ func TestCoordinatorSweepSendsHeldBytes(t *testing.T) {
 							return
 						}
 						mu.Lock()
-						units = append(units, body)
+						units = append(units, bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))...)
 						mu.Unlock()
 						r.Body = io.NopCloser(bytes.NewReader(body))
 					}

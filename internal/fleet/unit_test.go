@@ -123,7 +123,10 @@ func TestWorkUnitDecodeAllocations(t *testing.T) {
 // BenchmarkFleetSweep is a fleet /sweep minus the coordinator's HTTP
 // front: a 600-cell grid streamed through a coordinator and two
 // in-process workers, every cell verified on a worker, reporting the
-// cost per cell of the whole process (coordinator and workers).
+// cost per cell of the whole process (coordinator and workers) and the
+// units each dispatch carried. It fails on an error or inconclusive
+// cell, a local fallback, or a grid that took as many dispatches as it
+// has cells: its cells are cheap, so dispatches must carry several.
 //
 //	go test ./internal/fleet -run '^$' -bench FleetSweep -benchtime 20x
 func BenchmarkFleetSweep(b *testing.B) {
@@ -151,10 +154,15 @@ func BenchmarkFleetSweep(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	if st := coord.Stats(); st.LocalFallbacks != 0 {
+	st := coord.Stats()
+	if st.LocalFallbacks != 0 {
 		b.Fatalf("stats %+v: every cell must run on a worker", st)
 	}
+	if st.Dispatches >= uint64(b.N*sw.Len()) {
+		b.Fatalf("stats %+v: %d dispatches for %d cells, want fewer", st, st.Dispatches, b.N*sw.Len())
+	}
 	cells := float64(b.N * sw.Len())
+	b.ReportMetric(cells/float64(st.Dispatches), "units/dispatch")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/cells, "µs/cell")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/cells, "allocs/cell")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/cells, "B/cell")

@@ -34,9 +34,10 @@ func DecodeWorkUnit(data []byte) (index int, eng engine.Engine, s engine.Scenari
 
 // WorkerOptions configures a fleet worker.
 type WorkerOptions struct {
-	// Slots bounds concurrently executing work units (0 = one per
-	// CPU). Units beyond the limit are rejected with 429 so the
-	// coordinator re-dispatches them; the worker never queues.
+	// Slots bounds concurrently executing work requests, each of 1 to
+	// maxBatch units run in order (0 = one per CPU). Requests beyond the
+	// limit are rejected with 429 so the coordinator re-dispatches their
+	// units; the worker never queues.
 	Slots int
 	// Cache, when non-nil, is the worker's result cache. Point it at a
 	// layered cache with a RemoteURL (internal/cache) and every
@@ -74,7 +75,8 @@ type WorkerStats struct {
 	// Busy and Slots describe the admission state right now.
 	Busy  int `json:"busy"`
 	Slots int `json:"slots"`
-	// Units counts completed work units, Rejected over-capacity 429s.
+	// Units counts completed work units, Rejected over-capacity 429s
+	// (one per request, whatever it carried).
 	Units    uint64 `json:"units"`
 	Rejected uint64 `json:"rejected"`
 }
@@ -111,14 +113,18 @@ func writeJSONError(rw http.ResponseWriter, code int, err error) {
 	json.NewEncoder(rw).Encode(map[string]string{"error": err.Error()})
 }
 
-// HandleWork verifies one work unit. The verification runs under the
-// request context — further bounded by the coordinator's
-// X-Fleet-Deadline-Ms budget when present — so a coordinator timing
-// out (or draining) cancels the unit cooperatively, and a dispatch
-// whose deadline has passed cannot keep burning worker CPU even if the
-// connection lingers. The response carries X-Fleet-Checksum over the
-// exact body bytes so the coordinator can reject in-transit
-// corruption. Mount it for POST only, as Handler does.
+// HandleWork verifies the work units of one request body, in order, on
+// one slot: 1 to maxBatch units, one per line as a coordinator writes
+// them (engine.DecodeWorkUnits; a unit that does not decode refuses the
+// body before any unit runs). The verification runs under the request
+// context — further bounded by the coordinator's X-Fleet-Deadline-Ms
+// budget when present — so a coordinator timing out (or draining)
+// cancels the units cooperatively, and a dispatch whose deadline has
+// passed cannot keep burning worker CPU even if the connection lingers.
+// The response is one result line per unit, in the units' order, under
+// one X-Fleet-Checksum over the exact body bytes so the coordinator can
+// reject in-transit corruption. A one-unit body and its reply are a
+// single unit and its line. Mount it for POST only, as Handler does.
 func (w *Worker) HandleWork(rw http.ResponseWriter, r *http.Request) {
 	select {
 	case w.sem <- struct{}{}:
@@ -142,7 +148,7 @@ func (w *Worker) HandleWork(rw http.ResponseWriter, r *http.Request) {
 		writeJSONError(rw, status, err)
 		return
 	}
-	index, eng, scenario, err := DecodeWorkUnit(body)
+	units, err := engine.DecodeWorkUnits(body, maxBatch)
 	if err != nil {
 		writeJSONError(rw, http.StatusBadRequest, err)
 		return
@@ -154,18 +160,21 @@ func (w *Worker) HandleWork(rw http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
 		defer cancel()
 	}
-	res := engine.VerifyCached(ctx, eng, scenario, w.opts.Cache)
-	res.Index = index
-	data, err := engine.EncodeResult(&res)
-	if err != nil {
-		writeJSONError(rw, http.StatusInternalServerError, err)
-		return
+	var reply []byte
+	for _, u := range units {
+		res := engine.VerifyCached(ctx, u.Engine, u.Scenario, w.opts.Cache)
+		res.Index = u.Index
+		data, err := engine.EncodeResult(&res)
+		if err != nil {
+			writeJSONError(rw, http.StatusInternalServerError, err)
+			return
+		}
+		reply = append(append(reply, data...), '\n')
 	}
-	w.units.Add(1)
-	data = append(data, '\n')
+	w.units.Add(uint64(len(units)))
 	rw.Header().Set("Content-Type", "application/json")
-	rw.Header().Set(resultChecksumHeader, engine.Digest(data))
-	rw.Write(data)
+	rw.Header().Set(resultChecksumHeader, engine.Digest(reply))
+	rw.Write(reply)
 }
 
 // HandleHealth is the heartbeat the coordinator probes.

@@ -315,22 +315,34 @@ func (c *Circuit) Assert(n Node) {
 		c.addClause()
 		return
 	}
-	c.solver.Grow(c.unemitted())
+	gates, bins, longs, lits := c.unemitted()
+	c.solver.Grow(gates)
+	c.solver.Reserve(bins, longs, lits)
 	c.addClause(c.litFor(n))
 }
 
-// unemitted counts the AND gates without a Tseitin variable yet: an
-// upper bound on the variables litFor may create, so the solver can
-// grow its per-variable slices once. Reserving capacity allocates no
-// variable, so numbering and clauses do not move.
-func (c *Circuit) unemitted() int {
-	n := 0
+// unemitted counts the AND gates without a Tseitin variable yet, and
+// the clauses emitting them adds: a gate of n children emits n binary
+// clauses and one of n+1 literals. That bounds what litFor may create,
+// so the solver can grow its per-variable slices, clause lists and
+// arena once. Reserving capacity allocates no variable and adds no
+// clause, so numbering and clauses do not move.
+func (c *Circuit) unemitted() (gates, bins, longs, lits int) {
 	for i := range c.gates {
-		if c.gates[i].n != 0 && c.gates[i].v == varUnset {
-			n++
+		g := &c.gates[i]
+		if g.n == 0 || g.v != varUnset {
+			continue
+		}
+		gates++
+		bins += int(g.n)
+		if g.n == 1 {
+			bins++
+		} else {
+			longs++
+			lits += int(g.n) + 1
 		}
 	}
-	return n
+	return gates, bins, longs, lits
 }
 
 // NumClauses returns the number of CNF clauses emitted so far.

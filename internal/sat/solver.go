@@ -152,7 +152,17 @@ type Solver struct {
 	lbdStamp  uint64
 	reduceCl  []cref
 	addCl     []Lit // AddClause's sorted working copy of its argument
+
+	// spareWatches and spareBins are room Reserve set aside for the
+	// watch lists: a list that has none yet starts on firstWatches
+	// entries of it instead of an allocation of its own.
+	spareWatches []watcher
+	spareBins    []Lit
 }
+
+// firstWatches is the room a watch list starts with on Reserve's spare
+// block: a Tseitin literal is watched by a clause or two.
+const firstWatches = 2
 
 // NewSolver returns a solver with default options.
 func NewSolver() *Solver { return NewSolverWithOptions(Options{}) }
@@ -260,6 +270,34 @@ func (s *Solver) Grow(n int) {
 	s.binWatches = slices.Grow(s.binWatches, 2*n)
 	s.lbdSeen = slices.Grow(s.lbdSeen, n)
 	s.order.grow(n)
+}
+
+// Reserve makes room for clauses the caller is about to add: bins
+// binary clauses, and longs clauses of three or more literals holding
+// lits literals in all. The AddClause calls within those counts append
+// to the clause lists and the arena without reallocating them, and each
+// watch list they start takes its first room from one block set aside
+// here. It allocates no variable and adds no clause, so a search is the
+// same with it as without.
+func (s *Solver) Reserve(bins, longs, lits int) {
+	if bins > 0 {
+		s.bins = slices.Grow(s.bins, bins)
+		s.spareBins = make([]Lit, 2*bins)
+	}
+	if longs > 0 {
+		s.clauses = slices.Grow(s.clauses, longs)
+		s.ca.data = slices.Grow(s.ca.data, longs+lits)
+		s.spareWatches = make([]watcher, 2*longs)
+	}
+}
+
+// watch appends x to list, starting a list that has no room yet on the
+// spare block Reserve set aside while it lasts.
+func watch[T any](list []T, x T, spare *[]T) []T {
+	if cap(list) == 0 && len(*spare) >= firstWatches {
+		list, *spare = (*spare)[:0:firstWatches], (*spare)[firstWatches:]
+	}
+	return append(list, x)
 }
 
 // Clone returns a deep copy of the solver that searches under opts. For
@@ -412,8 +450,8 @@ func (s *Solver) AddClause(lits ...Lit) error {
 func (s *Solver) attach(c cref) {
 	ls := s.ca.lits(c)
 	l0, l1 := Lit(ls[0]), Lit(ls[1])
-	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{cr: c, blocker: l1})
-	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{cr: c, blocker: l0})
+	s.watches[l0.Not()] = watch(s.watches[l0.Not()], watcher{cr: c, blocker: l1}, &s.spareWatches)
+	s.watches[l1.Not()] = watch(s.watches[l1.Not()], watcher{cr: c, blocker: l0}, &s.spareWatches)
 }
 
 func (s *Solver) detach(c cref) {
@@ -432,8 +470,8 @@ func (s *Solver) detach(c cref) {
 
 // attachBin records the binary clause (a ∨ b) in both inline watch lists.
 func (s *Solver) attachBin(a, b Lit) {
-	s.binWatches[a.Not()] = append(s.binWatches[a.Not()], b)
-	s.binWatches[b.Not()] = append(s.binWatches[b.Not()], a)
+	s.binWatches[a.Not()] = watch(s.binWatches[a.Not()], b, &s.spareBins)
+	s.binWatches[b.Not()] = watch(s.binWatches[b.Not()], a, &s.spareBins)
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from reasonT) {

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Step is one recorded protocol step.
@@ -25,19 +26,44 @@ type AgentSnapshot struct {
 type Recorder struct {
 	ItemNames []string // optional, defaults to item indices
 	steps     []Step
+
+	// load, when set, supplies the steps on their first read: a trace
+	// read off the wire stays encoded until someone looks at it.
+	once sync.Once
+	load func() []Step
 }
 
 // NewRecorder creates an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
+// NewLazyRecorder returns a recorder of the named items whose steps load
+// supplies, once, when they are first read. Reads are safe from several
+// goroutines at once.
+func NewLazyRecorder(itemNames []string, load func() []Step) *Recorder {
+	return &Recorder{ItemNames: itemNames, load: load}
+}
+
+// loaded runs a lazy recorder's load.
+func (r *Recorder) loaded() {
+	if r.load != nil {
+		r.once.Do(func() { r.steps = r.load() })
+	}
+}
+
 // Record appends a step.
-func (r *Recorder) Record(s Step) { r.steps = append(r.steps, s) }
+func (r *Recorder) Record(s Step) {
+	r.loaded()
+	r.steps = append(r.steps, s)
+}
 
 // Steps returns the recorded steps.
-func (r *Recorder) Steps() []Step { return r.steps }
+func (r *Recorder) Steps() []Step {
+	r.loaded()
+	return r.steps
+}
 
 // Len returns the number of recorded steps.
-func (r *Recorder) Len() int { return len(r.steps) }
+func (r *Recorder) Len() int { return len(r.Steps()) }
 
 // itemName renders item j.
 func (r *Recorder) itemName(j int) string {
@@ -53,7 +79,7 @@ func (r *Recorder) itemName(j int) string {
 //	  a0: b={10,30} m={A,C} win={A:a0 C:a0}
 func (r *Recorder) String() string {
 	var b strings.Builder
-	for _, s := range r.steps {
+	for _, s := range r.Steps() {
 		fmt.Fprintf(&b, "== %s\n", s.Label)
 		for _, a := range s.Agents {
 			b.WriteString("  ")
@@ -102,7 +128,7 @@ func (r *Recorder) renderAgent(a AgentSnapshot) string {
 
 // Summary reports step count and final agent states on one line each.
 func (r *Recorder) Summary() string {
-	if len(r.steps) == 0 {
+	if r.Len() == 0 {
 		return "(empty trace)"
 	}
 	last := r.steps[len(r.steps)-1]
