@@ -55,12 +55,28 @@ func sweepNDJSON(t *testing.T, url, body string) ([]string, engine.Summary) {
 	if len(lines) == 0 || !strings.HasPrefix(lines[len(lines)-1], `{"summary":`) {
 		t.Fatalf("stream has no summary line: %q", lines)
 	}
-	last := lines[len(lines)-1]
-	sum, err := engine.DecodeSummary([]byte(strings.TrimSuffix(strings.TrimPrefix(last, `{"summary":`), "}")))
-	if err != nil {
-		t.Fatal(err)
+	return lines[:len(lines)-1], readSummary(t, []byte(lines[len(lines)-1]))
+}
+
+// readSummary reads a sweep stream's summary line, {"summary":{...}}.
+func readSummary(t *testing.T, line []byte) engine.Summary {
+	t.Helper()
+	var w struct {
+		Summary struct {
+			Version                                              int
+			Total, Holds, Violated, Inconclusive, Errors, Capped int
+			CacheHits                                            int `json:"cache_hits"`
+			Violations                                           map[explore.ViolationKind]int
+			Scenarios                                            []string
+			WallNS                                               int64 `json:"wall_ns"`
+		}
 	}
-	return lines[:len(lines)-1], sum
+	if err := engine.StrictUnmarshal(line, &w); err != nil || w.Summary.Version != engine.SchemaVersion {
+		t.Fatalf("summary line (version %d): %v\n%s", w.Summary.Version, err, line)
+	}
+	s := w.Summary
+	return engine.Summary{Total: s.Total, Holds: s.Holds, Violated: s.Violated, Inconclusive: s.Inconclusive, Errors: s.Errors,
+		Capped: s.Capped, CacheHits: s.CacheHits, Violations: s.Violations, Scenarios: s.Scenarios, Wall: time.Duration(s.WallNS)}
 }
 
 // summaryBytes canonicalizes a summary for byte comparison (wall time

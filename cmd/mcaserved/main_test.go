@@ -378,17 +378,7 @@ func TestSweepEndpointStreamsNDJSON(t *testing.T) {
 	for sc.Scan() {
 		line := sc.Bytes()
 		if bytes.HasPrefix(line, []byte(`{"summary":`)) {
-			var wrapper struct {
-				Summary json.RawMessage `json:"summary"`
-			}
-			if err := json.Unmarshal(line, &wrapper); err != nil {
-				t.Fatalf("summary line: %v\n%s", err, line)
-			}
-			sum, err := engine.DecodeSummary(wrapper.Summary)
-			if err != nil {
-				t.Fatalf("summary: %v\n%s", err, wrapper.Summary)
-			}
-			if sum.Total != 4 || sum.Holds != holds || sum.Violated != violated {
+			if sum := readSummary(t, line); sum.Total != 4 || sum.Holds != holds || sum.Violated != violated {
 				t.Fatalf("summary %+v (saw %d holds, %d violated)", sum, holds, violated)
 			}
 			sawSummary = true
@@ -435,17 +425,7 @@ func TestSweepWarmPassIsCached(t *testing.T) {
 	for sc.Scan() {
 		line := sc.Bytes()
 		if bytes.HasPrefix(line, []byte(`{"summary":`)) {
-			var wrapper struct {
-				Summary json.RawMessage `json:"summary"`
-			}
-			if err := json.Unmarshal(line, &wrapper); err != nil {
-				t.Fatal(err)
-			}
-			sum, err := engine.DecodeSummary(wrapper.Summary)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sum.CacheHits != sum.Total {
+			if sum := readSummary(t, line); sum.CacheHits != sum.Total {
 				t.Fatalf("warm sweep: %d hits of %d", sum.CacheHits, sum.Total)
 			}
 			return

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,8 +15,10 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/mca"
+	"repro/internal/trace"
 )
 
 // peerKey is a syntactically valid content address (64 hex chars).
@@ -464,4 +467,73 @@ func TestPeerPutRefusesInconclusiveVerdicts(t *testing.T) {
 	if st := local.Stats(); st.RemoteHits != 0 || st.RemoteErrors != 1 || st.Misses != 1 {
 		t.Fatalf("stats %+v", st)
 	}
+}
+
+// TestReadEntriesServeTheBytesRead: an entry promoted from disk, and one
+// a peer PUT stored, keeps the bytes it was read from, so its first hit
+// is spliced from them: EncodeResult allocates its output and nothing
+// more, where encoding the verdict again allocates for every member.
+func TestReadEntriesServeTheBytesRead(t *testing.T) {
+	rec := trace.NewRecorder()
+	rec.ItemNames = []string{"A", "B"}
+	rec.Record(trace.Step{Label: "deliver 0->1", Agents: []trace.AgentSnapshot{{ID: 0, Bids: []int64{10, 3}, Winner: []int{0, 1}, Bundle: []int{0}}}})
+	stored := engine.Result{Index: -1, Scenario: "first", Engine: "explicit", Status: engine.StatusViolated,
+		Violation: explore.ViolationOscillation, Trace: rec, Stats: engine.Stats{States: 12, MaxDepth: 4, Exhausted: true}}
+	key := peerKey(4)
+	firstHit := func(t *testing.T, c *Cache) {
+		t.Helper()
+		hit, ok := c.Get(key)
+		if !ok {
+			t.Fatal("entry missing")
+		}
+		want := stored
+		hit.Scenario, hit.Index, hit.Cached = "cell", 7, true
+		want.Scenario, want.Index, want.Cached = "cell", 7, true
+		wantData, err := engine.EncodeResult(&want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		data, err := engine.EncodeResult(&hit)
+		runtime.ReadMemStats(&after)
+		if err != nil || !bytes.Equal(data, wantData) {
+			t.Fatalf("first hit (%v):\n got %s\nwant %s", err, data, wantData)
+		}
+		if n := after.Mallocs - before.Mallocs; n > 1 {
+			t.Fatalf("first hit made %d allocations: encoded again, not spliced", n)
+		}
+	}
+
+	t.Run("disk", func(t *testing.T) {
+		dir := t.TempDir()
+		writer, err := New(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writer.Put(key, stored)
+		reader, err := New(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		firstHit(t, reader)
+	})
+	t.Run("peer-put", func(t *testing.T) {
+		c, err := New(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := engine.EncodeResult(&stored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPut, "/"+key, bytes.NewReader(doc))
+		req.Header.Set(checksumHeader, engine.Digest(doc))
+		w := httptest.NewRecorder()
+		HTTPHandler(c, "").ServeHTTP(w, req)
+		if w.Code != http.StatusNoContent {
+			t.Fatalf("PUT: %d %s", w.Code, w.Body)
+		}
+		firstHit(t, c)
+	})
 }

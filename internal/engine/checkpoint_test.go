@@ -476,11 +476,7 @@ func TestSummaryCountsCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeSummary(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Capped != 1 {
+	if dec := readSummary(t, enc); dec.Capped != 1 {
 		t.Fatalf("capped count lost in summary codec: %+v", dec)
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
+	"unicode/utf8"
 
 	"repro/internal/explore"
 	"repro/internal/graph"
@@ -22,7 +22,6 @@ import (
 	"repro/internal/mcamodel"
 	"repro/internal/netsim"
 	"repro/internal/sat"
-	"repro/internal/trace"
 )
 
 // SchemaVersion is the current version of the scenario/result/sweep
@@ -713,8 +712,8 @@ func EncodeResult(r *Result) ([]byte, error) {
 func encodeResult(r *Result) ([]byte, error) {
 	w := resultJSON{
 		Version:   SchemaVersion,
-		Scenario:  r.Scenario,
-		Engine:    r.Engine,
+		Scenario:  validUTF8(r.Scenario),
+		Engine:    validUTF8(r.Engine),
 		Index:     r.Index,
 		Status:    r.Status,
 		Violation: r.Violation,
@@ -745,9 +744,12 @@ func encodeResult(r *Result) ([]byte, error) {
 		w.Stats = &st
 	}
 	if r.Trace != nil {
-		tw := &traceJSON{ItemNames: r.Trace.ItemNames}
+		tw := &traceJSON{}
+		for _, name := range r.Trace.ItemNames {
+			tw.ItemNames = append(tw.ItemNames, validUTF8(name))
+		}
 		for _, step := range r.Trace.Steps() {
-			sw := traceStepJSON{Label: step.Label}
+			sw := traceStepJSON{Label: validUTF8(step.Label)}
 			for _, a := range step.Agents {
 				sw.Agents = append(sw.Agents, traceAgentJSON{ID: a.ID, Bids: a.Bids, Winner: a.Winner, Bundle: a.Bundle})
 			}
@@ -755,18 +757,29 @@ func encodeResult(r *Result) ([]byte, error) {
 		}
 		w.Trace = tw
 	}
-	w.Err = errText(r.Err)
+	w.Err = validUTF8(errText(r.Err))
 	return json.Marshal(w)
+}
+
+// validUTF8 is s with each byte that is not part of valid UTF-8
+// replaced by U+FFFD. encoding/json writes such a byte as the escape
+// \ufffd, which reads back as the character; the encoder writes the
+// character itself, so a string has one spelling (DecodeResult).
+func validUTF8(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	return string([]rune(s))
 }
 
 // encodedLine is the encoding of a verdict, kept beside it: the Result
 // the cache stores points to one, every hit copied out of the cache
 // shares it, and it goes with the entry when the entry is overwritten or
-// evicted. The bytes are either the line a worker answered with
-// (DecodeResultLine), or built by the first EncodeResult of the stored
-// verdict: its first hit's, or the write of a disk or peer tier, which
-// needs those bytes anyway. A verdict that a memory-only cache stores
-// and never serves is never encoded.
+// evicted. The bytes are either the document DecodeResult read (a
+// worker's reply line, a disk or peer entry), or built by the first
+// EncodeResult of the stored verdict: its first hit's, or the write of a
+// disk or peer tier, which needs those bytes anyway. A verdict that a
+// memory-only cache stores and never serves is never encoded.
 type encodedLine struct {
 	// base is the verdict with the fields a hit sets — Scenario, Index,
 	// Cached — zeroed; err is its error message.
@@ -774,18 +787,20 @@ type encodedLine struct {
 	err  string
 
 	once sync.Once
-	// data is an encoding of base; nil if building it failed. Three
-	// spans of it are what a splice replaces: [name, nameEnd) by the
-	// scenario member, [index, indexEnd) by the index, and [cached,
-	// cachedEnd) by cachedMember or nothing.
-	data                                              []byte
+	// data is an encoding of base; nil if building it failed.
+	data []byte
+	lineSpans
+}
+
+// lineSpans are the spans of a result line that a splice replaces, as
+// DecodeResult found them: [name, nameEnd) by the scenario member,
+// [index, indexEnd) by the index, and [cached, cachedEnd) by
+// cachedMember or nothing.
+type lineSpans struct {
 	name, nameEnd, index, indexEnd, cached, cachedEnd int
 }
 
-// cachedMember is how the encoder writes Cached. Between the index and
-// it come only tokens and the engine name, a string in which encoding/json
-// escapes every quote, so its first occurrence past the index is the
-// member itself.
+// cachedMember is how the encoder writes Cached.
 const cachedMember = `,"cached":true`
 
 // withLine returns r with a fresh encodedLine: the Result a cache
@@ -835,7 +850,7 @@ func (l *encodedLine) splice(r *Result) []byte {
 }
 
 // build encodes base with Cached set, unless the line came with its
-// bytes.
+// bytes, and reads the spans off the encoding.
 func (l *encodedLine) build() {
 	if l.data != nil {
 		return
@@ -846,98 +861,24 @@ func (l *encodedLine) build() {
 	if err != nil {
 		return
 	}
-	// The document opens with the version, a number; with no scenario,
-	// the first comma ends it.
-	name := bytes.IndexByte(data, ',')
-	index := bytes.Index(data, []byte(`"index":0`))
-	if name < 0 || index < 0 {
-		return
+	if read, err := readLine(data); err == nil {
+		l.data, l.lineSpans = data, read.line.lineSpans
 	}
-	index += len(`"index":`)
-	cached := bytes.Index(data[index:], []byte(cachedMember))
-	if cached < 0 {
-		return
-	}
-	l.data, l.name, l.nameEnd, l.index, l.indexEnd = data, name, name, index, index+1
-	l.cached, l.cachedEnd = index+cached, index+cached+len(cachedMember)
 }
 
-// appendJSONString appends s as encoding/json writes a string. Names of
+// appendJSONString appends s as the encoder writes a string. Names of
 // printable ASCII without the characters it escapes are copied; any
-// other name is left to encoding/json itself.
+// other name is left to encoding/json, after validUTF8.
 func appendJSONString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s)
+			q, _ := json.Marshal(validUTF8(s))
 			return append(dst, q...)
 		}
 	}
 	dst = append(dst, '"')
 	dst = append(dst, s...)
 	return append(dst, '"')
-}
-
-// DecodeResult parses a canonical result document. Err comes back as a
-// plain error carrying the original message (sentinel identity such as
-// context.Canceled is not preserved).
-func DecodeResult(data []byte) (Result, error) {
-	var w resultJSON
-	if err := StrictUnmarshal(data, &w); err != nil {
-		return Result{}, fmt.Errorf("engine: result: %w", err)
-	}
-	if w.Version != SchemaVersion {
-		return Result{}, fmt.Errorf("engine: result: unsupported schema version %d (want %d)", w.Version, SchemaVersion)
-	}
-	r := Result{
-		Scenario:  w.Scenario,
-		Engine:    w.Engine,
-		Index:     w.Index,
-		Status:    w.Status,
-		Violation: w.Violation,
-		SATStatus: w.SATStatus,
-		Cached:    w.Cached,
-	}
-	if w.Stats != nil {
-		r.Stats = Stats{
-			States:        w.Stats.States,
-			MaxDepth:      w.Stats.MaxDepth,
-			Exhausted:     w.Stats.Exhausted,
-			Capped:        w.Stats.Capped,
-			MissProb:      w.Stats.MissProb,
-			PrimaryVars:   w.Stats.PrimaryVars,
-			AuxVars:       w.Stats.AuxVars,
-			Clauses:       w.Stats.Clauses,
-			TranslateTime: time.Duration(w.Stats.TranslateNS),
-			SolveTime:     time.Duration(w.Stats.SolveNS),
-			Conflicts:     w.Stats.Conflicts,
-			Propagations:  w.Stats.Props,
-			LearntClauses: w.Stats.LearntCl,
-			Runs:          w.Stats.Runs,
-			Converged:     w.Stats.Converged,
-			Deliveries:    w.Stats.Deliveries,
-			Dropped:       w.Stats.Dropped,
-			Duplicated:    w.Stats.Duplicated,
-			Wall:          time.Duration(w.Stats.WallNS),
-		}
-	}
-	if w.Trace != nil {
-		rec := trace.NewRecorder()
-		rec.ItemNames = w.Trace.ItemNames
-		for _, sw := range w.Trace.Steps {
-			step := trace.Step{Label: sw.Label}
-			for _, a := range sw.Agents {
-				step.Agents = append(step.Agents, trace.AgentSnapshot{ID: a.ID, Bids: a.Bids, Winner: a.Winner, Bundle: a.Bundle})
-			}
-			rec.Record(step)
-		}
-		r.Trace = rec
-	}
-	if w.Err != "" {
-		r.Err = errors.New(w.Err)
-	}
-	// A decoded result is what a cache's disk and peer tiers hand to its
-	// memory tier, so it carries a line like a stored one.
-	return withLine(r), nil
 }
 
 // ---- summary codec ----
@@ -973,33 +914,6 @@ func EncodeSummary(s *Summary) ([]byte, error) {
 		WallNS:       int64(s.Wall),
 	}
 	return json.Marshal(w)
-}
-
-// DecodeSummary parses a summary document.
-func DecodeSummary(data []byte) (Summary, error) {
-	var w summaryJSON
-	if err := StrictUnmarshal(data, &w); err != nil {
-		return Summary{}, fmt.Errorf("engine: summary: %w", err)
-	}
-	if w.Version != SchemaVersion {
-		return Summary{}, fmt.Errorf("engine: summary: unsupported schema version %d (want %d)", w.Version, SchemaVersion)
-	}
-	s := Summary{
-		Total:        w.Total,
-		Holds:        w.Holds,
-		Violated:     w.Violated,
-		Inconclusive: w.Inconclusive,
-		Errors:       w.Errors,
-		Capped:       w.Capped,
-		CacheHits:    w.CacheHits,
-		Violations:   w.Violations,
-		Scenarios:    w.Scenarios,
-		Wall:         time.Duration(w.WallNS),
-	}
-	if s.Violations == nil {
-		s.Violations = map[explore.ViolationKind]int{}
-	}
-	return s, nil
 }
 
 // ---- content addressing ----

@@ -28,12 +28,14 @@
 // encodes; DecodeSweep turns
 // a sweep document — a base scenario plus axes of named variants — into
 // a Sweep, the cartesian scenario grid (ExpandSweep returns just its
-// scenarios); EncodeResult/DecodeResult do the same for Results, and
-// EncodeWorkUnit/DecodeWorkUnit for the fleet's work units (a scenario,
-// an engine spec and a dispatch index in one document). Every one of
-// these decoders reads through StrictUnmarshal — unknown members and
-// trailing data refused — which keeps its json.Decoders for reuse, so
-// a small document costs no fresh decoder or buffer.
+// scenarios); EncodeWorkUnit/DecodeWorkUnit do the same for the
+// fleet's work units (a scenario, an engine spec and a dispatch index in
+// one document). Every one of these decoders reads through
+// StrictUnmarshal — unknown members and trailing data refused — which
+// keeps its json.Decoders for reuse, so a small document costs no fresh
+// decoder or buffer. A Result has one spelling, the one EncodeResult
+// writes, and DecodeResult reads that spelling and no other, keeping
+// the bytes it read as the Result's encoding.
 // Canonical encoding gives every scenario a content address (CacheKey),
 // which RunnerOptions.Cache uses to skip already-verified scenarios:
 // repeated sweeps only pay for cells whose content changed.

@@ -1,60 +1,70 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"strconv"
+	"strings"
 	"time"
 	"unicode/utf8"
 
 	"repro/internal/trace"
 )
 
-// ---- reading a result line ----
+// ---- reading a result document ----
 //
-// A fleet worker answers each unit with the line EncodeResult wrote for
-// its verdict, and the coordinator's client wants that same line back
-// with its own name and index. DecodeResultLine reads a line for such a
-// caller. It accepts and refuses exactly what DecodeResult does, but a
-// line spelled exactly as EncodeResult spells it — every worker's — is
-// read by hand in one pass over its bytes, and the bytes become the
+// A result document has one spelling, the one EncodeResult writes, and
+// DecodeResult reads that spelling and no other: members in the
+// encoder's order, no white space, no member the encoder omits (a zero
+// count or float, a false flag, an empty string or list), integers
+// without a sign on zero or leading zeros, miss_prob as encoding/json
+// formats a float, and strings escaped exactly as encoding/json escapes
+// them, with U+FFFD written as itself. Every document it accepts is
+// EncodeResult of what it reads, byte for byte, so the bytes become the
 // Result's kept encoding (encodedLine): EncodeResult splices a name,
 // index and cached flag into them instead of encoding the Result again,
 // and the trace stays encoded until something reads its steps.
-//
-// The hand reader knows one spelling: members in the encoder's order, no
-// white space, no member the encoder omits (a zero count, a false flag,
-// an empty string or list), integers without a sign on zero or leading
-// zeros, and strings escaped exactly as encoding/json escapes them. A
-// line off that spelling — white space, a foreign or repeated member, a
-// miss_prob, whose float spelling is left to encoding/json — goes to
-// DecodeResult, which reads it or says why not.
 
-// DecodeResultLine is DecodeResult for a line that stays the Result's
-// encoding: see above. line holds one document and nothing after it;
-// the Result may keep it, so the caller must not change it.
-func DecodeResultLine(line []byte) (Result, error) {
-	if r, ok := readLine(line); ok {
-		return r, nil
-	}
-	return DecodeResult(line)
+// DecodeResult parses a result document, and at most one newline after
+// it, which is not kept. Err comes back as a plain error carrying the
+// original message (sentinel identity such as context.Canceled is not
+// preserved). Any other spelling is refused with the byte offset where
+// it leaves the encoder's. The Result keeps data, so the caller must not
+// change it.
+func DecodeResult(data []byte) (Result, error) {
+	return readLine(bytes.TrimSuffix(data, []byte("\n")))
 }
 
+// errSpelling is DecodeResult's reason for a byte off the encoder's
+// spelling.
+var errSpelling = errors.New("not as EncodeResult writes it")
+
 // lineReader walks a line in the encoder's spelling. ok turns false at
-// the first byte off it, and every later read is then a no-op.
+// the first byte off it, where at and why say where and why, and every
+// later read is then a no-op.
 type lineReader struct {
-	b  []byte
-	i  int
-	ok bool
+	b   []byte
+	i   int
+	ok  bool
+	at  int
+	why error
 	// scratch collects an escaped string's value.
 	scratch []byte
 }
 
 // readLine reads a line in the encoder's spelling into a Result that
-// keeps it; ok is false for any other line.
-func readLine(data []byte) (r Result, ok bool) {
+// keeps it.
+func readLine(data []byte) (Result, error) {
+	var r Result
 	p := &lineReader{b: data, ok: true}
 	l := &encodedLine{data: data}
-	p.need(canonicalHead)
+	p.need(`{"version":`)
+	if at, v := p.i, p.int(false, 64); v != SchemaVersion {
+		p.i = at
+		p.fail(fmt.Errorf("unsupported schema version %d (want %d)", v, SchemaVersion))
+	}
 	l.name = p.i
 	if p.lit(`,"scenario":`) {
 		r.Scenario = p.str(true, true)
@@ -71,11 +81,11 @@ func readLine(data []byte) (r Result, ok bool) {
 	p.check(r.Status.UnmarshalText(p.token()))
 	if p.lit(`,"violation":`) {
 		p.check(r.Violation.UnmarshalText(p.token()))
-		p.ok = p.ok && r.Violation != 0
+		p.nonzero(r.Violation != 0)
 	}
 	if p.lit(`,"sat_status":`) {
 		p.check(r.SATStatus.UnmarshalText(p.token()))
-		p.ok = p.ok && r.SATStatus != 0
+		p.nonzero(r.SATStatus != 0)
 	}
 	l.cached = p.i
 	r.Cached = p.lit(cachedMember)
@@ -97,14 +107,24 @@ func readLine(data []byte) (r Result, ok bool) {
 		r.Err = errors.New(p.str(true, true))
 	}
 	p.need("}")
-	if !p.ok || p.i != len(data) {
-		return Result{}, false
+	if p.i != len(data) {
+		p.fail(errSpelling)
+	}
+	if !p.ok {
+		return Result{}, fmt.Errorf("engine: result: byte %d: %w", p.at, p.why)
 	}
 	l.base = r
 	l.base.Scenario, l.base.Index, l.base.Cached = "", 0, false
 	l.err = errText(r.Err)
 	r.line = l
-	return r, true
+	return r, nil
+}
+
+// fail stops the reader at the current byte, unless it stopped before.
+func (p *lineReader) fail(why error) {
+	if p.ok {
+		p.ok, p.at, p.why = false, p.i, why
+	}
 }
 
 // lit consumes s when it comes next, and reports whether it did.
@@ -119,13 +139,20 @@ func (p *lineReader) lit(s string) bool {
 // need is lit for what must come next.
 func (p *lineReader) need(s string) {
 	if !p.lit(s) {
-		p.ok = false
+		p.fail(errSpelling)
 	}
 }
 
 func (p *lineReader) check(err error) {
 	if err != nil {
-		p.ok = false
+		p.fail(err)
+	}
+}
+
+// nonzero refuses a value that an omitted-when-empty member never holds.
+func (p *lineReader) nonzero(ok bool) {
+	if !ok {
+		p.fail(errSpelling)
 	}
 }
 
@@ -161,11 +188,15 @@ func (p *lineReader) int(nonzero bool, bits int) int64 {
 	}
 	// The encoder writes 0 as itself, never -0, 00 or 01.
 	if !p.ok || p.i == digits || p.b[digits] == '0' && (p.i-digits > 1 || digits > start || nonzero) {
-		p.ok = false
+		p.i = start
+		p.fail(errSpelling)
 		return 0
 	}
 	v, err := strconv.ParseInt(string(p.b[start:p.i]), 10, bits)
-	p.check(err)
+	if err != nil {
+		p.i = start
+		p.fail(err)
+	}
 	return v
 }
 
@@ -184,6 +215,38 @@ func ints[T int | int64](p *lineReader, keep bool, bits int) (out []T) {
 	}
 	p.need("]")
 	return out
+}
+
+// float reads a nonzero float64 spelled as encoding/json writes it:
+// the shortest form that reads back, in 'e' notation below 1e-6 and from
+// 1e21 on, with a one-digit negative exponent written without its zero.
+func (p *lineReader) float() float64 {
+	start := p.i
+	for p.i < len(p.b) && strings.IndexByte("+-.0123456789e", p.b[p.i]) >= 0 {
+		p.i++
+	}
+	f, err := strconv.ParseFloat(string(p.b[start:p.i]), 64)
+	var buf [32]byte
+	if err != nil || f == 0 || !bytes.Equal(appendJSONFloat(buf[:0], f), p.b[start:p.i]) {
+		p.i = start
+		p.fail(errSpelling)
+		return 0
+	}
+	return f
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // token reads a string of plain characters, as every enum token is, and
@@ -213,7 +276,8 @@ func (p *lineReader) str(keep, nonempty bool) string {
 			p.i++
 			switch {
 			case nonempty && len(raw) == 0:
-				p.ok = false
+				p.i = start
+				p.fail(errSpelling)
 			case !keep:
 			case plain:
 				return string(raw)
@@ -224,7 +288,7 @@ func (p *lineReader) str(keep, nonempty bool) string {
 		case c == '\\':
 			r, n := escaped(p.b[p.i:])
 			if n == 0 {
-				p.ok = false
+				p.fail(errSpelling)
 				return ""
 			}
 			if plain {
@@ -235,7 +299,7 @@ func (p *lineReader) str(keep, nonempty bool) string {
 		case c < utf8.RuneSelf:
 			// encoding/json escapes control characters and, for HTML, <, > and &.
 			if c < 0x20 || c == '<' || c == '>' || c == '&' {
-				p.ok = false
+				p.fail(errSpelling)
 				return ""
 			}
 			if !plain {
@@ -243,10 +307,11 @@ func (p *lineReader) str(keep, nonempty bool) string {
 			}
 			p.i++
 		default:
-			// It writes invalid UTF-8 as \ufffd, and U+2028 and U+2029 escaped.
+			// The encoder writes invalid UTF-8 as U+FFFD, and U+2028 and
+			// U+2029 escaped.
 			r, n := utf8.DecodeRune(p.b[p.i:])
 			if r == utf8.RuneError && n == 1 || r == '\u2028' || r == '\u2029' {
-				p.ok = false
+				p.fail(errSpelling)
 				return ""
 			}
 			if !plain {
@@ -255,7 +320,7 @@ func (p *lineReader) str(keep, nonempty bool) string {
 			p.i += n
 		}
 	}
-	p.ok = false
+	p.fail(errSpelling)
 	return ""
 }
 
@@ -326,7 +391,7 @@ func (p *lineReader) stats() (s Stats) {
 	s.Exhausted = p.member(`"exhausted":true`, &first)
 	s.Capped = p.member(`"capped":true`, &first)
 	if p.member(`"miss_prob":`, &first) {
-		p.ok = false // a float: encoding/json's spelling, DecodeResult's to read
+		s.MissProb = p.float()
 	}
 	s.PrimaryVars = int(count(`"primary_vars":`, n))
 	s.AuxVars = int(count(`"aux_vars":`, n))
@@ -342,9 +407,7 @@ func (p *lineReader) stats() (s Stats) {
 	s.Dropped = int(count(`"dropped":`, n))
 	s.Duplicated = int(count(`"duplicated":`, n))
 	s.Wall = time.Duration(count(`"wall_ns":`, 64))
-	if first {
-		p.ok = false // the encoder omits stats that are all zero
-	}
+	p.nonzero(!first) // the encoder omits stats that are all zero
 	p.need("}")
 	return s
 }

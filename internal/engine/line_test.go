@@ -11,29 +11,13 @@ import (
 var awkwardNames = []string{"", "grid/submodular-residual-x4000012/reliable", "a<b>&c", `say "hi" \ bye`,
 	"line\u2028sep\u2029end", "ñandú/日本", "tab\there\x01\b\f\n\r", "bad\xffutf8", "del\x7f"}
 
-// sameAsDecodeResult fails unless DecodeResultLine and DecodeResult
-// agree on data: both refuse it, or both read a Result of one encoding.
-func sameAsDecodeResult(t *testing.T, data []byte) (Result, error) {
-	t.Helper()
-	got, gotErr := DecodeResultLine(data)
-	want, wantErr := DecodeResult(data)
-	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("DecodeResultLine says %v, DecodeResult %v, on\n%s", gotErr, wantErr, data)
-	}
-	if gotErr == nil && !bytes.Equal(fullEncode(t, got), fullEncode(t, want)) {
-		t.Fatalf("DecodeResultLine reads\n%s\nDecodeResult\n%s", fullEncode(t, got), fullEncode(t, want))
-	}
-	return got, gotErr
-}
-
 // TestDecodeResultLineKeepsTheLine: every line EncodeResult writes —
 // each shape of verdict under every awkward name, index and cached flag,
-// and every cell of the benchmark-shaped grid — is read by hand and
-// kept. The Result is DecodeResult's, its full encoding is the line
-// (the trace read from it when asked), and a splice of another name,
-// index and cached flag is the full encoding of those. A miss_prob line,
-// and one whose name was invalid UTF-8, are read by DecodeResult
-// instead.
+// every cell of the benchmark-shaped grid, and miss_prob in each of
+// encoding/json's float formats — is read, with the newline a stream
+// appends, and kept without it. Its full encoding is the line (the trace
+// read from it when asked), and a splice of another name, index and
+// cached flag is the full encoding of those.
 func TestDecodeResultLineKeepsTheLine(t *testing.T) {
 	var lines [][]byte
 	for _, r := range hitShapes() {
@@ -53,20 +37,18 @@ func TestDecodeResultLineKeepsTheLine(t *testing.T) {
 	for _, line := range drainSweep(t, NewRunner(RunnerOptions{Workers: 2}), sw) {
 		lines = append(lines, line.Data)
 	}
+	// encoding/json writes a float in 'e' notation below 1e-6 and from
+	// 1e21 on.
+	for _, p := range []float64{1e-7, 1e-6, 0.25, 1e20, 1e21, -3.5e-9, 5e-324} {
+		lines = append(lines, fullEncode(t, Result{Status: StatusHolds, Stats: Stats{MissProb: p}}))
+	}
 	for _, data := range lines {
-		r, ok := readLine(data)
-		decoded, _ := sameAsDecodeResult(t, data)
-		// A name of invalid UTF-8 is written with \ufffd, which reads
-		// back as the valid rune: such a line is not what EncodeResult
-		// writes for what it reads.
-		if strings.Contains(string(data), `"miss_prob"`) || !bytes.Equal(fullEncode(t, decoded), data) {
-			if ok {
-				t.Fatalf("read by hand:\n%s", data)
-			}
-			continue
+		r, err := DecodeResult(append(data[:len(data):len(data)], '\n'))
+		if err != nil {
+			t.Fatalf("%v:\n%s", err, data)
 		}
-		if !ok {
-			t.Fatalf("an encoder's line was not read by hand:\n%s", data)
+		if !bytes.Equal(r.line.data, data) {
+			t.Fatalf("kept\n%q\nof\n%q", r.line.data, data)
 		}
 		if got := fullEncode(t, r); !bytes.Equal(got, data) {
 			t.Fatalf("read as\n%s\nfrom\n%s", got, data)
@@ -85,18 +67,20 @@ func TestDecodeResultLineKeepsTheLine(t *testing.T) {
 	}
 }
 
-// TestDecodeResultLineLeavesOtherSpellings: a line off the encoder's
-// spelling — each edit below of a line it writes — is never read by
-// hand, and DecodeResultLine then reads or refuses it as DecodeResult
-// does.
-func TestDecodeResultLineLeavesOtherSpellings(t *testing.T) {
+// TestDecodeResultRefusesOtherSpellings: a line off the encoder's
+// spelling — each edit below of a line it writes — is refused, and the
+// error names the byte where it leaves that spelling.
+func TestDecodeResultRefusesOtherSpellings(t *testing.T) {
 	r := hitShapes()["trace"]
 	r.Scenario, r.Index = "cell", 12
 	line := string(fullEncode(t, r))
+	miss := hitShapes()["miss-prob"]
+	missLine := string(fullEncode(t, miss))
 	for name, edit := range map[string]func(string) string{
-		"space":    func(s string) string { return strings.Replace(s, `,"index"`, `, "index"`, 1) },
-		"newline":  func(s string) string { return s + "\n" },
-		"trailing": func(s string) string { return s + "}" },
+		"space":        func(s string) string { return strings.Replace(s, `,"index"`, `, "index"`, 1) },
+		"newline":      func(s string) string { return strings.Replace(s, `,"index"`, ",\n\"index\"", 1) },
+		"two-newlines": func(s string) string { return s + "\n\n" },
+		"trailing":     func(s string) string { return s + "}" },
 		"order": func(s string) string {
 			return strings.Replace(s, `"engine":"explicit","index":12`, `"index":12,"engine":"explicit"`, 1)
 		},
@@ -116,6 +100,8 @@ func TestDecodeResultLineLeavesOtherSpellings(t *testing.T) {
 		"raw-html":       func(s string) string { return strings.Replace(s, `\u003c`, `<`, 1) },
 		"slash-escape":   func(s string) string { return strings.Replace(s, `"cell"`, `"c\/ell"`, 1) },
 		"escaped-letter": func(s string) string { return strings.Replace(s, `"cell"`, `"c\u0065ll"`, 1) },
+		"escaped-fffd":   func(s string) string { return strings.Replace(s, `"cell"`, `"c\ufffdll"`, 1) },
+		"invalid-utf8":   func(s string) string { return strings.Replace(s, `"cell"`, "\"c\xffll\"", 1) },
 		"long-newline":   func(s string) string { return strings.Replace(s, `"cycle"`, `"cy\u000acle"`, 1) },
 		"empty-name":     func(s string) string { return strings.Replace(s, `"cell"`, `""`, 1) },
 		"version":        func(s string) string { return strings.Replace(s, `"version":1`, `"version":10`, 1) },
@@ -123,14 +109,19 @@ func TestDecodeResultLineLeavesOtherSpellings(t *testing.T) {
 		"overflow":       func(s string) string { return strings.Replace(s, `"id":1`, `"id":99999999999999999999`, 1) },
 		"truncated":      func(s string) string { return s[:len(s)-1] },
 		"null-trace":     func(s string) string { return s[:strings.Index(s, `,"trace"`)] + `,"trace":null}` },
+		"exponent-zero":  func(string) string { return strings.Replace(missLine, `1.25e-7`, `1.25e-07`, 1) },
+		"float-upper":    func(string) string { return strings.Replace(missLine, `1.25e-7`, `1.25E-7`, 1) },
+		"float-fixed":    func(string) string { return strings.Replace(missLine, `1.25e-7`, `0.000000125`, 1) },
+		"float-digits":   func(string) string { return strings.Replace(missLine, `1.25e-7`, `1.250e-7`, 1) },
+		"float-plus":     func(string) string { return strings.Replace(missLine, `1.25e-7`, `+1.25e-7`, 1) },
+		"zero-float":     func(string) string { return strings.Replace(missLine, `1.25e-7`, `0`, 1) },
 	} {
 		data := []byte(edit(line))
-		if string(data) == line {
-			t.Fatalf("%s: the edit does not apply to\n%s", name, line)
+		if string(data) == line || string(data) == missLine {
+			t.Fatalf("%s: the edit does not apply", name)
 		}
-		if _, ok := readLine(data); ok {
-			t.Fatalf("%s: read by hand:\n%s", name, data)
+		if _, err := DecodeResult(data); err == nil || !strings.Contains(err.Error(), "byte ") {
+			t.Fatalf("%s: %v, reading\n%s", name, err, data)
 		}
-		sameAsDecodeResult(t, data)
 	}
 }

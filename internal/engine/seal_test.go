@@ -3,11 +3,15 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/mca"
+	"repro/internal/trace"
 )
 
 // TestSealIsGolden pins the envelope bytes of both on-disk formats: a
@@ -75,9 +79,10 @@ func TestCheckDigestFailsClosed(t *testing.T) {
 
 // FuzzDecodeResult: DecodeResult reads bytes from the network (worker
 // replies, peer cache PUT bodies and GET replies) and from disk. Each
-// input decodes to an error, or to a value whose encoding decodes back
-// to the same encoding; never a panic, and allocation in proportion to
-// the input.
+// input decodes to an error, or to a value whose full encoding is the
+// input itself; never a panic, and allocation in proportion to the
+// input. The other way round, a Result whose strings and miss_prob come
+// from the input encodes to a document that reads back to itself.
 func FuzzDecodeResult(f *testing.F) {
 	pol := mca.Policy{Target: 2, Utility: mca.NonSubmodularSynergy{}, ReleaseOutbid: true, Rebid: mca.RebidOnChange}
 	osc := Explicit{}.Verify(context.Background(), Scenario{Name: "osc", AgentSpecs: specs(2, 2, pol), Graph: graph.Complete(2)})
@@ -102,6 +107,13 @@ func FuzzDecodeResult(f *testing.F) {
 			f.Add(data)
 		}
 	}
+	// miss_prob at encoding/json's format boundaries, and error text of
+	// invalid UTF-8: as the encoder writes it, and raw.
+	for _, p := range []float64{1e-7, 1e-6, 0.25, 1e20, 1e21} {
+		f.Add(fullEncode(f, Result{Engine: "explicit", Status: StatusHolds, Stats: Stats{States: 9, MissProb: p}}))
+	}
+	f.Add(fullEncode(f, Result{Status: StatusError, Err: errors.New("bad\xffutf8")}))
+	f.Add([]byte("{\"version\":1,\"index\":0,\"status\":\"error\",\"error\":\"bad\xffutf8\"}"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -110,31 +122,29 @@ func FuzzDecodeResult(f *testing.F) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+64*uint64(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
 		}
-		// DecodeResultLine reads what DecodeResult reads, and a line it
-		// keeps is exactly the one EncodeResult writes for it.
-		line, lineErr := DecodeResultLine(data)
-		if (lineErr == nil) != (err == nil) {
-			t.Fatalf("DecodeResultLine says %v, DecodeResult %v", lineErr, err)
+		if err == nil {
+			if got := fullEncode(t, res); !bytes.Equal(got, bytes.TrimSuffix(data, []byte("\n"))) {
+				t.Fatalf("read\n%q\nwhich encodes as\n%q", data, got)
+			}
 		}
+		s := string(data)
+		rec := trace.NewRecorder()
+		rec.ItemNames = []string{s}
+		rec.Record(trace.Step{Label: s})
+		var bits [8]byte
+		copy(bits[:], data)
+		r := Result{Scenario: s, Engine: s, Index: len(data) - 4, Status: StatusHolds, Trace: rec, Err: errors.New(s),
+			Stats: Stats{MissProb: math.Float64frombits(binary.LittleEndian.Uint64(bits[:]))}}
+		first, err := EncodeResult(&r)
 		if err != nil {
-			return
-		}
-		first, err := EncodeResult(&res)
-		if err != nil {
-			t.Fatalf("decoded result does not encode: %v", err)
-		}
-		if got := fullEncode(t, line); !bytes.Equal(got, first) {
-			t.Fatalf("DecodeResultLine reads\n%s\nDecodeResult\n%s", got, first)
-		}
-		if _, kept := readLine(data); kept && !bytes.Equal(first, data) {
-			t.Fatalf("kept a line EncodeResult does not write:\n%s\nwrites\n%s", data, first)
+			return // a NaN or infinite miss_prob has no JSON spelling
 		}
 		again, err := DecodeResult(first)
 		if err != nil {
-			t.Fatalf("re-encoded result does not decode: %v\n%s", err, first)
+			t.Fatalf("%v, reading what EncodeResult wrote:\n%q", err, first)
 		}
-		if second, err := EncodeResult(&again); err != nil || !bytes.Equal(first, second) {
-			t.Fatalf("round trip moved the bytes (%v):\n%s\n%s", err, first, second)
+		if second := fullEncode(t, again); !bytes.Equal(first, second) {
+			t.Fatalf("round trip moved the bytes:\n%q\n%q", first, second)
 		}
 	})
 }

@@ -744,9 +744,9 @@ func (c *Coordinator) dispatch(ctx context.Context, ws *workerState, batch []*un
 // in the batch's order, each ending in a newline and echoing its unit's
 // index. Anything else fails the whole batch, so no unit gets a result
 // from another unit's line, and none gets one while another gets an
-// error. A line is read by engine.DecodeResultLine, so it stays the
-// Result's encoding. Like any Engine.Verify result, each carries no
-// batch position: the echo has done its job, and the Runner assigns it.
+// error. engine.DecodeResult keeps each line as its Result's encoding.
+// Like any Engine.Verify result, each carries no batch position: the
+// echo has done its job, and the Runner assigns it.
 func readReply(reply []byte, batch []*unit) ([]engine.Result, error) {
 	results := make([]engine.Result, len(batch))
 	for i, u := range batch {
@@ -754,7 +754,7 @@ func readReply(reply []byte, batch []*unit) ([]engine.Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("%d result lines for %d units", i, len(batch))
 		}
-		res, err := engine.DecodeResultLine(line)
+		res, err := engine.DecodeResult(line)
 		if err != nil {
 			return nil, err
 		}

@@ -37,8 +37,8 @@
 //     POST: one unit until the Runner's last dispatch completed and
 //     measured under a millisecond of worker time per unit, then up to
 //     ⌈queued ÷ credit⌉, at most 16, with UnitTimeout for each unit it
-//     carries. Each reply line is checked strictly and kept as its
-//     Result's encoding (engine.DecodeResultLine), so the Runner
+//     carries. Each reply line is read strictly and kept as its
+//     Result's encoding (engine.DecodeResult), so the Runner
 //     streams the worker's bytes with its own name and index spliced
 //     in. A 429 means a worker admits fewer requests than its credit
 //     (it restarted with fewer slots): the next batch asks it again,
