@@ -381,12 +381,12 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if isResumeRequest(body) {
-		s.handleResume(w, r, body)
-		return
-	}
 	scenario, err := engine.DecodeScenario(body)
 	if err != nil {
+		if isResumeRequest(body) {
+			s.handleResume(w, r, body)
+			return
+		}
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -412,10 +412,11 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	w.Write(append(data, '\n'))
 }
 
-// isResumeRequest distinguishes a resume body ({"resume": token, ...})
-// from a scenario document. Scenario documents never carry a "resume"
-// key — the strict scenario codec would reject one — so a non-empty
-// resume field is unambiguous.
+// isResumeRequest tells a resume body ({"resume": token, ...}) among
+// the bodies that are not scenario documents. A scenario document never
+// carries a "resume" key — the strict scenario codec rejects one — so a
+// body is probed only after it failed to decode as a scenario, and a
+// non-empty resume field is unambiguous.
 func isResumeRequest(body []byte) bool {
 	var probe struct {
 		Resume string `json:"resume"`

@@ -336,6 +336,17 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 128<<20+64*uint64(len(doc)) {
 				t.Fatalf("decoding %d bytes allocated %d", len(doc), grew)
 			}
+			ref, refErr := decodeCheckpointReflect(doc)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("DecodeCheckpoint says %v, the reflective decode %v", err, refErr)
+			}
+			if err == nil {
+				got, _ := EncodeCheckpoint(cp)
+				want, _ := EncodeCheckpoint(ref)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("DecodeCheckpoint reads\n%s\nthe reflective decode\n%s", got, want)
+				}
+			}
 			if err != nil {
 				if !errors.Is(err, ErrCorruptCheckpoint) && !strings.Contains(err.Error(), "unsupported schema version") {
 					t.Fatalf("untyped error %v", err)

@@ -246,20 +246,21 @@ func modelFromWire(name string, w *modelJSON) (*mcamodel.Encoding, error) {
 // utility is a kind plus parameters, so it is mapped here, keyed by the
 // kinds mca names.
 
-func encodeUtility(u mca.Utility) (*utilityJSON, error) {
+// encodeUtility returns u's wire form, and false for no utility.
+func encodeUtility(u mca.Utility) (utilityJSON, bool, error) {
 	switch u := u.(type) {
 	case nil:
-		return nil, nil
+		return utilityJSON{}, false, nil
 	case mca.SubmodularResidual:
-		return &utilityJSON{Kind: mca.KindSubmodularResidual, Decay: u.Decay}, nil
+		return utilityJSON{Kind: mca.KindSubmodularResidual, Decay: u.Decay}, true, nil
 	case mca.NonSubmodularSynergy:
-		return &utilityJSON{Kind: mca.KindNonSubmodularSynergy, SynergyNum: u.SynergyNum, SynergyDen: u.SynergyDen}, nil
+		return utilityJSON{Kind: mca.KindNonSubmodularSynergy, SynergyNum: u.SynergyNum, SynergyDen: u.SynergyDen}, true, nil
 	case mca.FlatUtility:
-		return &utilityJSON{Kind: mca.KindFlat}, nil
+		return utilityJSON{Kind: mca.KindFlat}, true, nil
 	case mca.EscalatingUtility:
-		return &utilityJSON{Kind: mca.KindEscalatingAttack, Step: u.Step, Cap: u.Cap}, nil
+		return utilityJSON{Kind: mca.KindEscalatingAttack, Step: u.Step, Cap: u.Cap}, true, nil
 	}
-	return nil, fmt.Errorf("custom utility %q (%T); use one of the named mca utilities", u.Name(), u)
+	return utilityJSON{}, false, fmt.Errorf("custom utility %q (%T); use one of the named mca utilities", u.Name(), u)
 }
 
 func decodeUtility(w *utilityJSON) (mca.Utility, error) {
@@ -286,24 +287,42 @@ func decodeUtility(w *utilityJSON) (mca.Utility, error) {
 // addressing. See the codec invariants at the top of this file for what
 // cannot be encoded.
 func EncodeScenario(s *Scenario) ([]byte, error) {
-	w, err := scenarioToWire(s)
-	if err != nil {
+	var w scenarioJSON
+	if err := scenarioToWire(s, &w); err != nil {
 		return nil, err
 	}
-	return json.Marshal(w)
+	// Room for a typical scenario, so that it takes one allocation.
+	return appendScenario(make([]byte, 0, 512), &w)
 }
 
-func scenarioToWire(s *Scenario) (*scenarioJSON, error) {
-	w := &scenarioJSON{Version: SchemaVersion, Name: s.Name}
-	for _, cfg := range s.AgentSpecs {
+// scenarioToWire fills w with the wire form of s. It reuses the agent
+// list w holds and the utilities its agents point to, so a caller that
+// converts many scenarios through one w stops allocating for them.
+func scenarioToWire(s *Scenario, w *scenarioJSON) error {
+	agents := w.Agents[:0]
+	if cap(agents) < len(s.AgentSpecs) {
+		agents = make([]agentJSON, 0, len(s.AgentSpecs))
+	}
+	var utils []utilityJSON // this call's, when agents has none to reuse
+	for i, cfg := range s.AgentSpecs {
 		if cfg.Resolver != nil {
-			return nil, fmt.Errorf("engine: scenario %q agent %d has a custom resolver; only the default conflict table is serializable", s.Name, cfg.ID)
+			return fmt.Errorf("engine: scenario %q agent %d has a custom resolver; only the default conflict table is serializable", s.Name, cfg.ID)
 		}
-		util, err := encodeUtility(cfg.Policy.Utility)
+		u, ok, err := encodeUtility(cfg.Policy.Utility)
 		if err != nil {
-			return nil, fmt.Errorf("engine: scenario %q agent %d: %w", s.Name, cfg.ID, err)
+			return fmt.Errorf("engine: scenario %q agent %d: %w", s.Name, cfg.ID, err)
 		}
-		w.Agents = append(w.Agents, agentJSON{
+		var util *utilityJSON
+		if ok {
+			if util = agents[:i+1][i].Policy.Utility; util == nil {
+				if utils == nil {
+					utils = make([]utilityJSON, len(s.AgentSpecs))
+				}
+				util = &utils[i]
+			}
+			*util = u
+		}
+		agents = append(agents, agentJSON{
 			ID:       int(cfg.ID),
 			Items:    cfg.Items,
 			Base:     cfg.Base,
@@ -318,6 +337,7 @@ func scenarioToWire(s *Scenario) (*scenarioJSON, error) {
 			},
 		})
 	}
+	*w = scenarioJSON{Version: SchemaVersion, Name: s.Name, Agents: agents}
 	if s.Graph != nil {
 		gw := &graphJSON{Nodes: s.Graph.N()}
 		for _, e := range s.Graph.Edges() { // sorted by (U, V)
@@ -349,7 +369,7 @@ func scenarioToWire(s *Scenario) (*scenarioJSON, error) {
 	w.Faults = faultsToWire(s.Faults)
 	var err error
 	if w.Model, err = modelToWire(s.Model); err != nil {
-		return nil, err
+		return err
 	}
 	if sv := (solverJSON{
 		DisableVSIDS:       s.Solver.DisableVSIDS,
@@ -363,7 +383,7 @@ func scenarioToWire(s *Scenario) (*scenarioJSON, error) {
 	}); sv != (solverJSON{}) {
 		w.Solver = &sv
 	}
-	return w, nil
+	return nil
 }
 
 func faultsToWire(f netsim.Faults) *faultsJSON {
@@ -420,7 +440,9 @@ func lessIntSlice(a, b []int) bool {
 // well formed.
 func DecodeScenario(data []byte) (Scenario, error) {
 	var w scenarioJSON
-	if err := StrictUnmarshal(data, &w); err != nil {
+	r := newReader(data)
+	r.scenario(&w, nil)
+	if err := r.end(); err != nil {
 		return Scenario{}, fmt.Errorf("engine: scenario: %w", err)
 	}
 	if w.Version != SchemaVersion {
@@ -460,7 +482,11 @@ func scenarioFromWire(w *scenarioJSON) (Scenario, error) {
 
 func agentsFromWire(name string, agents []agentJSON) ([]mca.Config, error) {
 	var specs []mca.Config
-	for _, aw := range agents {
+	if len(agents) > 0 {
+		specs = make([]mca.Config, 0, len(agents))
+	}
+	for i := range agents {
+		aw := &agents[i]
 		util, err := decodeUtility(aw.Policy.Utility)
 		if err != nil {
 			return nil, fmt.Errorf("engine: scenario %q agent %d: %w", name, aw.ID, err)
@@ -563,83 +589,27 @@ func faultsFromWire(fw *faultsJSON) netsim.Faults {
 	return f
 }
 
-// StrictUnmarshal is json.Unmarshal with unknown members refused: the
-// one decoding rule for every document that crosses a trust boundary.
-// Anything but white space after the document is an error too.
+// StrictUnmarshal is json.Unmarshal with unknown members refused, and
+// anything but JSON white space after the document an error too: the
+// decoding rule of the documents that cross a trust boundary and are not
+// scenario-shaped — a checkpoint's envelope, a generator profile, a
+// resume body. Scenario-shaped documents have a reader of their own
+// (wire.go) that accepts what this accepts into their wire structs.
 func StrictUnmarshal(data []byte, v any) error {
-	return strictDecodeEach(data, func(n int) any {
-		if n == 0 {
-			return v
-		}
-		return nil
-	})
-}
-
-// errTrailingData is strictDecodeEach's error for a document more than
-// next takes.
-var errTrailingData = errors.New("trailing data after JSON document")
-
-// strictDecodeEach is StrictUnmarshal for a sequence of documents with
-// white space between them: the n-th document (from 0) decodes into
-// next(n), until only white space is left. A document where next
-// returns nil is trailing data.
-func strictDecodeEach(data []byte, next func(n int) any) error {
-	recycle := len(data) <= maxRecycledDocument
-	var d *strictDecoder
-	if recycle {
-		d = strictDecoders.Get().(*strictDecoder)
-	} else {
-		d = newStrictDecoder()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
 	}
-	d.src.Reset(data)
-	for n := 0; ; n++ {
-		v := next(n)
-		if v == nil {
-			return errTrailingData
-		}
-		if err := d.dec.Decode(v); err != nil {
-			// A decoder that failed may hold a read error or half a
-			// document: it is not recycled.
-			return err
-		}
-		if len(bytes.TrimSpace(data[d.dec.InputOffset()-d.fed:])) == 0 {
-			break
-		}
-	}
-	if recycle {
-		d.fed += int64(len(data) - d.src.Len())
-		strictDecoders.Put(d)
+	at := int(dec.InputOffset())
+	if rest := bytes.TrimLeft(data[at:], " \t\n\r"); len(rest) > 0 {
+		return fmt.Errorf("byte %d: %w", len(data)-len(rest), errTrailingData)
 	}
 	return nil
 }
 
-// strictDecoder is StrictUnmarshal's json.Decoder, kept for reuse: a
-// decoder copies its input into a buffer it grows by doubling from 512
-// bytes, and a recycled one reads the next document into the buffer it
-// already grew. It reads each document from src, reset per call. fed
-// counts the bytes it has read from all earlier documents; what it read
-// but did not consume is the white space after the last one, which it
-// skips before the next, so data[InputOffset()-fed:] is what follows
-// the document just decoded.
-type strictDecoder struct {
-	src bytes.Reader
-	dec *json.Decoder
-	fed int64
-}
-
-func newStrictDecoder() *strictDecoder {
-	d := new(strictDecoder)
-	d.dec = json.NewDecoder(&d.src)
-	d.dec.DisallowUnknownFields()
-	return d
-}
-
-var strictDecoders = sync.Pool{New: func() any { return newStrictDecoder() }}
-
-// maxRecycledDocument bounds the documents StrictUnmarshal reads with a
-// recycled decoder, and so the buffer one keeps: a sweep file can be
-// megabytes, a unit, scenario or result is a few kilobytes.
-const maxRecycledDocument = 64 << 10
+// errTrailingData is the error for bytes after a document.
+var errTrailingData = errors.New("trailing data after JSON document")
 
 // ---- result codec ----
 
@@ -866,18 +836,62 @@ func (l *encodedLine) build() {
 	}
 }
 
-// appendJSONString appends s as the encoder writes a string. Names of
-// printable ASCII without the characters it escapes are copied; any
-// other name is left to encoding/json, after validUTF8.
+// appendJSONString appends s as the result encoder writes a string:
+// after validUTF8, as json.Marshal writes it.
 func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(validUTF8(s))
-			return append(dst, q...)
-		}
-	}
+	return appendString(dst, validUTF8(s))
+}
+
+// appendString appends s as json.Marshal writes a string: <, > and & and
+// the control characters escaped, each byte of invalid UTF-8 as \ufffd,
+// and U+2028 and U+2029 escaped.
+func appendString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
-	dst = append(dst, s...)
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
 	return append(dst, '"')
 }
 
@@ -992,16 +1006,13 @@ func (m *specMemo) encode(e Engine) ([]byte, error) {
 		return nil, err
 	}
 	if m == nil {
-		return json.Marshal(w)
+		return encodeSpec(&w), nil
 	}
 	// engineSpec accepted e, so e is comparable and can key the map.
 	if spec, ok := m.m.Load(e); ok {
 		return spec.([]byte), nil
 	}
-	spec, err := json.Marshal(w)
-	if err != nil {
-		return nil, err
-	}
+	spec := encodeSpec(&w)
 	m.m.Store(e, spec)
 	return spec, nil
 }

@@ -5,13 +5,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -295,79 +293,6 @@ func TestDecodeScenarioStrict(t *testing.T) {
 			}
 		})
 	}
-}
-
-// strictUnmarshalFresh is StrictUnmarshal on a decoder of its own, as
-// it was before decoders were recycled: the oracle for a recycled one.
-func strictUnmarshalFresh(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if len(bytes.TrimSpace(data[dec.InputOffset():])) > 0 {
-		return errors.New("trailing data after JSON document")
-	}
-	return nil
-}
-
-// TestStrictUnmarshalRecycledDecoder: documents decoded one after
-// another, on the decoders they leave behind, read exactly as each does
-// on a fresh decoder — whatever white space, error or size came before,
-// and however far past the first 512-byte buffer a document reaches.
-func TestStrictUnmarshalRecycledDecoder(t *testing.T) {
-	type doc struct {
-		A int            `json:"a"`
-		B []string       `json:"b"`
-		C map[string]int `json:"c"`
-	}
-	long := `{"a":1,"b":["` + strings.Repeat("x", 3000) + `"]}`
-	huge := `{"b":["` + strings.Repeat("y", maxRecycledDocument) + `"]}`
-	docs := []string{
-		`{"a":1}`,
-		"{\"a\":2,\"b\":[\"p\",\"q\"]}  \n\t ",
-		long + "\n",
-		`{"a":3}}`,
-		`{"c":{"k":4}}`,
-		`{"a":5,"surprise":true}`,
-		`{"b":["z"]}`,
-		`{"a":`,
-		`{"a":6} {"a":7}`,
-		"   ",
-		``,
-		`{"a":"eight"}`,
-		long,
-		`[1]`,
-		huge + "  ",
-		`{"a":9}` + strings.Repeat(" ", 2000),
-		`{"a":10,"b":null}`,
-		`{"a":11}x`,
-		long[:len(long)-1],
-		`{"a":12}`,
-	}
-	// The pool is shared: four goroutines run the sequence at once,
-	// each from a different place in it.
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := 0; n < 2*len(docs); n++ {
-				i := (n + 5*g) % len(docs)
-				var got, want doc
-				gotErr, wantErr := StrictUnmarshal([]byte(docs[i]), &got), strictUnmarshalFresh([]byte(docs[i]), &want)
-				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-					t.Errorf("goroutine %d doc %d: error %v, a fresh decoder's %v", g, i, gotErr, wantErr)
-					return
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("goroutine %d doc %d: decoded %+v, a fresh decoder %+v", g, i, got, want)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func TestEncodeScenarioErrors(t *testing.T) {

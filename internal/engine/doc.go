@@ -30,12 +30,14 @@
 // a Sweep, the cartesian scenario grid (ExpandSweep returns just its
 // scenarios); EncodeWorkUnit/DecodeWorkUnit do the same for the
 // fleet's work units (a scenario, an engine spec and a dispatch index in
-// one document). Every one of these decoders reads through
-// StrictUnmarshal — unknown members and trailing data refused — which
-// keeps its json.Decoders for reuse, so a small document costs no fresh
-// decoder or buffer. A Result has one spelling, the one EncodeResult
-// writes, and DecodeResult reads that spelling and no other, keeping
-// the bytes it read as the Result's encoding.
+// one document). Every one of these decoders reads through one hand
+// reader (wire.go) in a single pass, with no reflection: it accepts
+// exactly what a strict encoding/json decode into the wire structs
+// accepts — unknown members and trailing data refused — and the matching
+// writer produces exactly json.Marshal's bytes. A Result has one
+// spelling, the one EncodeResult writes, and DecodeResult reads that
+// spelling and no other, keeping the bytes it read as the Result's
+// encoding.
 // Canonical encoding gives every scenario a content address (CacheKey),
 // which RunnerOptions.Cache uses to skip already-verified scenarios:
 // repeated sweeps only pay for cells whose content changed.

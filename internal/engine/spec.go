@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // ---- engine spec codec ----
 //
@@ -43,7 +40,7 @@ func EncodeEngineSpec(e Engine) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(w)
+	return encodeSpec(&w), nil
 }
 
 // engineSpec is the spec EncodeEngineSpec encodes. It refuses every
@@ -80,7 +77,9 @@ func engineSpec(e Engine) (EngineSpec, error) {
 // belong to the kind (e.g. runs on an explicit spec) are errors.
 func DecodeEngineSpec(data []byte) (Engine, error) {
 	var w EngineSpec
-	if err := StrictUnmarshal(data, &w); err != nil {
+	r := newReader(data)
+	r.spec(&w)
+	if err := r.end(); err != nil {
 		return nil, fmt.Errorf("engine: spec: %w", err)
 	}
 	if w.Version != SchemaVersion {

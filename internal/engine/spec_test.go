@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -135,8 +136,33 @@ func FuzzDecodeEngineSpec(f *testing.F) {
 	for _, doc := range badSpecDocs {
 		f.Add([]byte(doc))
 	}
+	for _, doc := range []string{
+		`{"version":1,"KIND":"auto","Workers":2}`,
+		"{\"version\":1,\"\xe2\x84\xaaind\":\"sat\"}",
+		`{"version":1,"kind":"simulation","runs":4,"runs":null,"seed":-0}`,
+		`{"version":1,"kind":"simulation","runs":1e2}`,
+		`{"version":1,"kind":"simulation","runs":1.0}`,
+		`{"version":1,"kind":"simulation","seed":9223372036854775808}`,
+		"{\"version\":1,\"kind\":\"auto\"}\f",
+		"{\"version\":1,\"kind\":\"au\xffto\"}",
+	} {
+		f.Add([]byte(doc))
+	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
+		checkSpecWire(t, doc)
 		e, err := DecodeEngineSpec(doc)
+		var want EngineSpec
+		refErr := StrictUnmarshal(doc, &want)
+		if refErr == nil && want.Version != SchemaVersion {
+			refErr = errors.New("version")
+		}
+		var refEng Engine
+		if refErr == nil {
+			refEng, refErr = want.Engine()
+		}
+		if (err == nil) != (refErr == nil) || err == nil && e != refEng {
+			t.Fatalf("DecodeEngineSpec reads %#v (%v), the reflective decode %#v (%v)", e, err, refEng, refErr)
+		}
 		if err != nil {
 			return
 		}

@@ -470,7 +470,7 @@ func TestSweepContentAddressesAreGolden(t *testing.T) {
 	}
 }
 
-// TestCanonicalHead: the frame canonicalFragment cuts away is the one
+// TestCanonicalHead: the frame fragment cuts away is the one
 // the encoder writes.
 func TestCanonicalHead(t *testing.T) {
 	data, err := EncodeScenario(&Scenario{})
@@ -495,12 +495,20 @@ func FuzzExpandSweep(f *testing.F) {
 		// An unknown member inside a variant's section: only the source's
 		// own strict decode sees it.
 		`{"version":1,"base":{},"axes":[{"axis":"a","variants":[{"name":"v","scenario":{"explore":{"nope":1}}}]}]}`,
+		// The reading rules inside sources and around them: folded and
+		// escaped names, repeated lists and sources, nulls, integers, and
+		// a byte after the document that is not JSON white space.
+		`{"version":1,"base":{"AGENTS":[{"id":0,"items":1,"base":[2],"policy":{"target":1}}]},"axes":[{"axis":"a","variants":[{"name":"v","scenario":{"\u0061gents":[{"id":0,"items":1,"base":[3],"policy":{"target":1}}]}}]}]}`,
+		`{"version":1,"base":{"agents":[{"id":0,"items":2,"base":[2,3],"policy":{"target":1}},{"id":1,"items":2,"base":[4,5],"policy":{"target":1}}],"agents":[{"id":0}]},"axes":[{"axis":"a","variants":[{"name":"v","scenario":{}}]}]}`,
+		`{"version":1,"base":{"explore":{"max_states":5}},"base":{"faults":{"drop":0.5}},"axes":[{"axis":"a","variants":[{"name":"v","scenario":{}},{"name":"w","scenario":{"faults":{"delay":1}}}]}],"axes":[{"axis":"b","variants":[{"name":"x","scenario":{"explore":{"bound":1e2}}}]}]}`,
+		`{"version":1,"base":{"graph":null,"solver":{"rand_seed":18446744073709551616}},"axes":[{"axis":"a","variants":[{"name":"v","scenario":{"solver":{"rand_seed":-1}}}]}]}`,
+		"{\"version\":1,\"base\":{\"\xe2\x84\xaaxplore\":{}},\"axes\":[{\"axis\":\"a\",\"variants\":[{\"name\":\"v\xff\",\"scenario\":{}}]}]}\f",
 	} {
 		f.Add([]byte(doc))
 	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
+		checkSweepAgainstReflect(t, doc)
 		if ambiguousKeys(doc) {
-			DecodeSweep(doc) // must still not panic
 			return
 		}
 		checkAgainstReference(t, doc)
@@ -524,11 +532,19 @@ func FuzzDecodeScenario(f *testing.F) {
 	for _, row := range rows {
 		f.Add([]byte(row.New))
 	}
+	for _, doc := range readingRuleDocs {
+		f.Add([]byte(doc))
+	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
+		checkScenarioWire(t, doc)
 		s, err := DecodeScenario(doc)
+		if _, refErr := decodeScenarioReflect(doc); (err == nil) != (refErr == nil) {
+			t.Fatalf("DecodeScenario says %v, the reflective decode %v", err, refErr)
+		}
 		if err != nil {
 			return
 		}
+		checkEncodeScenario(t, &s)
 		first, err := EncodeScenario(&s)
 		if err != nil {
 			t.Fatalf("decoded scenario does not encode: %v", err)
@@ -596,14 +612,37 @@ func TestDecodeScenarioBounds(t *testing.T) {
 	}
 }
 
+// objectMergeGrid is benchShapedGrid(n) with every agents variant also
+// patching the base's explore object: each of its n values is a tree
+// merge, marshalled and read back.
+func objectMergeGrid(n int) []byte {
+	doc := strings.Replace(string(benchShapedGrid(n)), `"explore":{"max_states":100000}`, `"explore":{"max_states":100000,"queue_depth":2}`, 1)
+	parts := strings.Split(doc, `,"scenario":{"agents":[`)
+	var b strings.Builder
+	b.WriteString(parts[0])
+	for i, p := range parts[1:] {
+		fmt.Fprintf(&b, `,"scenario":{"explore":{"max_states":%d},"agents":[%s`, 1000*(1+i%5), p)
+	}
+	return []byte(b.String())
+}
+
+// BenchmarkDecodeSweep decodes the 600-cell bench grid, and the grid
+// whose 200 agent variants each merge an object into the base's.
+//
+//	go test ./internal/engine -run '^$' -bench 'DecodeSweep$' -benchmem -cpu 2
 func BenchmarkDecodeSweep(b *testing.B) {
-	doc := benchShapedGrid(200)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeSweep(doc); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		doc  []byte
+	}{{"bench-grid", benchShapedGrid(200)}, {"object-merge", objectMergeGrid(200)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeSweep(c.doc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

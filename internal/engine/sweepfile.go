@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
-	"strings"
 )
 
 // A sweep file describes a parameter grid of scenarios as data: one
@@ -38,23 +36,24 @@ import (
 // 200 agent lists and 3 fault models decodes 200 agent lists and 3
 // fault models, not 600 scenarios.
 //
-// The document is read in one strict pass. The base and each variant's
-// patch (a source) decode themselves during it, each section straight
-// into its typed wire value, so a section's bytes are decoded once. A
-// source reads its members as DecodeScenario reads a document: names
-// match ignoring case, and a member given twice decodes over the
-// earlier copy. That typed value is the section's final value unless
-// an object is patched onto an object. Such a merge works on generic
-// trees split out of each source's bytes: each source contributes its
-// last member of the name, as written, and members inside the section
-// merge by exact name before the merged tree is strict-decoded.
+// The document is read in one pass of the wire reader (wire.go). The
+// base and each variant's patch (a source) are read during it, each
+// section straight into its typed wire value, so a section's bytes are
+// read once. A source reads its members as DecodeScenario reads a
+// document: names match ignoring case, and a member given twice decodes
+// over the earlier copy. That typed value is the section's final value
+// unless an object is patched onto an object. Such a merge works on
+// generic trees of the bytes the reader marked in each source: each
+// source contributes its last member of the name, as written, and
+// members inside the section merge by exact name before the merged tree
+// is read back into the section.
 
 // MaxSweepScenarios caps a sweep expansion; a grid larger than this is
 // almost certainly a mistake and would stall the service.
 const MaxSweepScenarios = 100000
 
-// sweepFileJSON is a sweep document; its sources decode themselves
-// (sweepSource.UnmarshalJSON).
+// sweepFileJSON is a sweep document; the reader reads each source
+// afresh (reader.source).
 type sweepFileJSON struct {
 	Version int         `json:"version"`
 	Name    string      `json:"name,omitempty"`
@@ -85,29 +84,10 @@ const (
 	numSections
 )
 
-// section returns a pointer to the wire field of one section, for the
-// JSON decoder to fill.
-func (w *scenarioJSON) section(sec int) any {
-	switch sec {
-	case secAgents:
-		return &w.Agents
-	case secGraph:
-		return &w.Graph
-	case secExplore:
-		return &w.Explore
-	case secFaults:
-		return &w.Faults
-	case secModel:
-		return &w.Model
-	default:
-		return &w.Solver
-	}
-}
-
-// sweepSource is the base scenario or one variant patch, decoded
-// strictly and once into its typed wire value — the only decode a
-// section that no other source merges into ever gets — with whether
-// each section was absent, null or set.
+// sweepSource is the base scenario or one variant patch, read once
+// into its typed wire value — the only decode a section that no other
+// source merges into ever gets — with whether each section was absent,
+// null or set.
 type sweepSource struct {
 	// opens is the first byte of the source's JSON value, 0 when the
 	// member is absent.
@@ -115,60 +95,10 @@ type sweepSource struct {
 	err       error // reported by DecodeSweep under the source's name
 	wire      scenarioJSON
 	null, set [numSections]bool
-	// raw is the source's bytes, kept only when it sets an object
-	// section, for tree to split if a merge needs it.
-	raw   []byte
+	// raw is each section's last member as written, for tree to read if
+	// a merge needs it; the bytes are the document's.
+	raw   [numSections][]byte
 	trees *[numSections]any
-}
-
-// sourceJSON is a source as its strict decode sees it. Each section
-// field is pointed, before the decode, at the source's own nil value: a
-// member written null sets the field itself to nil, a value is decoded
-// through it, and an absent member leaves both alone. A member given
-// twice decodes the second copy over the first, as in DecodeScenario.
-type sourceJSON struct {
-	Version int           `json:"version"`
-	Name    string        `json:"name"`
-	Agents  *[]agentJSON  `json:"agents"`
-	Graph   **graphJSON   `json:"graph"`
-	Explore **exploreJSON `json:"explore"`
-	Faults  **faultsJSON  `json:"faults"`
-	Model   **modelJSON   `json:"model"`
-	Solver  **solverJSON  `json:"solver"`
-}
-
-// UnmarshalJSON decodes the source while the document around it is
-// decoded. It strict-decodes its own bytes, because the outer decoder's
-// DisallowUnknownFields does not reach a nested UnmarshalJSON, and it
-// keeps its error instead of returning it, because the outer decoder
-// would report that error without saying which source it came from.
-// A source given twice is read from its last copy.
-func (src *sweepSource) UnmarshalJSON(data []byte) error {
-	*src = sweepSource{opens: data[0]}
-	w := &src.wire
-	d := sourceJSON{Agents: &w.Agents, Graph: &w.Graph, Explore: &w.Explore, Faults: &w.Faults, Model: &w.Model, Solver: &w.Solver}
-	if src.err = StrictUnmarshal(data, &d); src.err != nil {
-		return nil
-	}
-	// Read every section back through d: a value followed by null is
-	// still in w, and null followed by a value went into a fresh value
-	// of the decoder's.
-	w.Version, w.Name = d.Version, d.Name
-	w.Agents, w.Graph, w.Explore = deref(d.Agents), deref(d.Graph), deref(d.Explore)
-	w.Faults, w.Model, w.Solver = deref(d.Faults), deref(d.Model), deref(d.Solver)
-	src.null = [numSections]bool{d.Agents == nil, d.Graph == nil, d.Explore == nil, d.Faults == nil, d.Model == nil, d.Solver == nil}
-	src.set = [numSections]bool{w.Agents != nil, w.Graph != nil, w.Explore != nil, w.Faults != nil, w.Model != nil, w.Solver != nil}
-	if slices.Contains(src.set[secAgents+1:], true) {
-		src.raw = bytes.Clone(data) // data is the outer decoder's buffer
-	}
-	return nil
-}
-
-func deref[T any](p *T) (v T) {
-	if p != nil {
-		v = *p
-	}
-	return v
 }
 
 // mentions reports whether the source has the section as a member at
@@ -179,28 +109,14 @@ func (src *sweepSource) mentions(sec int) bool { return src.null[sec] || src.set
 // mergeTrees works on: the section's last member as written.
 func (src *sweepSource) tree(sec int) (any, error) {
 	if src.trees == nil {
-		var split struct {
-			Graph   json.RawMessage `json:"graph"`
-			Explore json.RawMessage `json:"explore"`
-			Faults  json.RawMessage `json:"faults"`
-			Model   json.RawMessage `json:"model"`
-			Solver  json.RawMessage `json:"solver"`
-		}
-		if err := json.Unmarshal(src.raw, &split); err != nil {
+		src.trees = new([numSections]any)
+	}
+	if src.trees[sec] == nil {
+		t, err := decodeTree(src.raw[sec])
+		if err != nil {
 			return nil, err
 		}
-		raws := [numSections]json.RawMessage{secGraph: split.Graph, secExplore: split.Explore, secFaults: split.Faults, secModel: split.Model, secSolver: split.Solver}
-		src.trees = new([numSections]any)
-		for sec := secGraph; sec < numSections; sec++ {
-			if !src.set[sec] {
-				continue
-			}
-			t, err := decodeTree(raws[sec])
-			if err != nil {
-				return nil, err
-			}
-			src.trees[sec] = t
-		}
+		src.trees[sec] = t
 	}
 	return src.trees[sec], nil
 }
@@ -211,6 +127,7 @@ func (src *sweepSource) tree(sec int) (any, error) {
 // the section). Cells share s by reference except the model, which
 // every cell after the first decodes afresh from model.
 type sectionValue struct {
+	done  bool // the value is resolved
 	s     Scenario
 	model *modelJSON
 	frag  []byte
@@ -225,7 +142,11 @@ type sweepExpansion struct {
 	touch [numSections][]int
 	// memo holds the section's values, indexed by the touching axes'
 	// picks in mixed radix.
-	memo [numSections][]*sectionValue
+	memo [numSections][]sectionValue
+	// wire and frags are where fragment encodes: every fragment is cut
+	// from frags.
+	wire  scenarioJSON
+	frags []byte
 }
 
 // resolve folds the base's and the picked variants' values of one
@@ -276,7 +197,9 @@ func (x *sweepExpansion) resolve(sec int, pick []int) (*scenarioJSON, error) {
 		return nil, err
 	}
 	w := new(scenarioJSON)
-	if err := StrictUnmarshal(data, w.section(sec)); err != nil {
+	r := newReader(data)
+	r.scenarioMember(w, firstSection+sec)
+	if err := r.end(); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -292,14 +215,14 @@ func (x *sweepExpansion) value(sec int, pick []int, name string) (*sectionValue,
 	for _, ai := range x.touch[sec] {
 		idx = idx*len(x.patches[ai]) + pick[ai]
 	}
-	if v := x.memo[sec][idx]; v != nil {
+	v := &x.memo[sec][idx]
+	if v.done {
 		return v, nil
 	}
 	w, err := x.resolve(sec, pick)
 	if err != nil {
 		return nil, err
 	}
-	v := new(sectionValue)
 	switch sec {
 	case secAgents:
 		v.s.AgentSpecs, err = agentsFromWire(name, w.Agents)
@@ -321,35 +244,34 @@ func (x *sweepExpansion) value(sec int, pick []int, name string) (*sectionValue,
 	if err == nil {
 		// A validated value encodes; were it ever not to, the cell would
 		// fail here rather than run unaddressed.
-		v.frag, err = canonicalFragment(&v.s)
+		v.frag, err = x.fragment(&v.s)
 	}
 	if err != nil {
 		return nil, err
 	}
-	x.memo[sec][idx] = v
+	v.done = true
 	return v, nil
 }
 
-// cell assembles one grid cell from the memoised section values.
-func (x *sweepExpansion) cell(name string, pick []int) (sweepCell, error) {
+// cell assembles one grid cell from the memoised section values, and
+// returns them: its canonical bytes are their fragments, in order.
+func (x *sweepExpansion) cell(c *sweepCell, name string, pick []int) ([numSections]*sectionValue, error) {
 	var vals [numSections]*sectionValue
-	size := len(canonicalHead) + 1
 	for sec := range vals {
 		v, err := x.value(sec, pick, name)
 		if err != nil {
-			return sweepCell{}, err
+			return vals, err
 		}
 		vals[sec] = v
-		size += len(v.frag)
 	}
-	c := sweepCell{scenario: Scenario{
+	c.scenario = Scenario{
 		Name:       name,
 		AgentSpecs: vals[secAgents].s.AgentSpecs,
 		Graph:      vals[secGraph].s.Graph,
 		Explore:    vals[secExplore].s.Explore,
 		Faults:     vals[secFaults].s.Faults,
 		Solver:     vals[secSolver].s.Solver,
-	}}
+	}
 	// Models are not shared: a decode builds fresh relations, and engines
 	// may keep per-model state. The value's own instance — decoded to
 	// validate and encode it — goes to its first cell.
@@ -357,36 +279,72 @@ func (x *sweepExpansion) cell(name string, pick []int) (sweepCell, error) {
 	if c.scenario.Model, m.s.Model = m.s.Model, nil; c.scenario.Model == nil {
 		var err error
 		if c.scenario.Model, err = modelFromWire(name, m.model); err != nil {
-			return sweepCell{}, err
+			return vals, err
 		}
 	}
 	// A grid cell is a scenario, the base need not be: the rules that
 	// read two sections are checked here, once per cell.
-	if err := c.scenario.validateCross(); err != nil {
-		return sweepCell{}, err
-	}
-	c.canonical = append(make([]byte, 0, size), canonicalHead...)
-	for _, v := range vals {
-		c.canonical = append(c.canonical, v.frag...)
-	}
-	c.canonical = append(c.canonical, '}')
-	return c, nil
+	return vals, c.scenario.validateCross()
 }
 
 // canonicalHead opens every canonical scenario document; with the name
 // blanked, what follows is one fragment per section, in order.
 var canonicalHead = fmt.Sprintf(`{"version":%d`, SchemaVersion)
 
-// canonicalFragment is the canonical encoding of a scenario that holds
-// one section, minus the document frame: what that section contributes
-// to any unnamed scenario's encoding. It is cut out of EncodeScenario's
-// own output, so there is no second encoder to keep in step.
-func canonicalFragment(s *Scenario) ([]byte, error) {
-	data, err := EncodeScenario(s)
+// fragment is the canonical encoding of a scenario that holds one
+// section, minus the document frame: what that section contributes to
+// any unnamed scenario's encoding. It is cut out of the writer's own
+// encoding of the scenario, so there is no second encoder to keep in
+// step, and it is cut from frags, so fragments cost no allocation each.
+func (x *sweepExpansion) fragment(s *Scenario) ([]byte, error) {
+	if err := scenarioToWire(s, &x.wire); err != nil {
+		return nil, err
+	}
+	start := len(x.frags)
+	frags, err := appendScenario(x.frags, &x.wire)
 	if err != nil {
 		return nil, err
 	}
-	return data[len(canonicalHead) : len(data)-1], nil
+	n := copy(frags[start:], frags[start+len(canonicalHead):len(frags)-1])
+	x.frags = frags[:start+n]
+	return x.frags[start : start+n : start+n], nil
+}
+
+// advance moves pick to the next cell in grid order, the last axis
+// fastest, and reports false after the last cell.
+func advance(pick []int, axes []axisJSON) bool {
+	for i := len(pick) - 1; i >= 0; i-- {
+		if pick[i]++; pick[i] < len(axes[i].Variants) {
+			return true
+		}
+		pick[i] = 0
+	}
+	return false
+}
+
+// cellNames returns the names of a grid's cells in grid order,
+// "<base>/<variant>/<variant>/...", as one string and the end of each
+// name in it.
+func cellNames(base string, axes []axisJSON, total int) (string, []int) {
+	size := total * len(base)
+	for _, ax := range axes {
+		for _, v := range ax.Variants {
+			size += (1 + len(v.Name)) * (total / len(ax.Variants))
+		}
+	}
+	buf := make([]byte, 0, size)
+	ends := make([]int, total)
+	pick := make([]int, len(axes))
+	for c := range ends {
+		buf = append(buf, base...)
+		for ai, vi := range pick {
+			buf = append(buf, '/')
+			buf = append(buf, axes[ai].Variants[vi].Name...)
+		}
+		ends[c] = len(buf)
+		advance(pick, axes)
+	}
+	return string(buf), ends
 }
 
 // Sweep is a decoded sweep document: the grid's scenarios in
@@ -441,9 +399,17 @@ func ExpandSweep(data []byte) ([]Scenario, error) {
 // short.
 func DecodeSweep(data []byte) (*Sweep, error) {
 	var doc sweepFileJSON
-	if err := StrictUnmarshal(data, &doc); err != nil {
+	r := newReader(data)
+	r.sweepFile(&doc)
+	if err := r.end(); err != nil {
 		return nil, fmt.Errorf("engine: sweep: %w", err)
 	}
+	return expandSweep(&doc, len(data))
+}
+
+// expandSweep checks a read sweep document of size bytes and expands
+// its grid. The sources' raw bytes must still be valid: the document's.
+func expandSweep(doc *sweepFileJSON, size int) (*Sweep, error) {
 	if doc.Version != SchemaVersion {
 		return nil, fmt.Errorf("engine: sweep: unsupported schema version %d (want %d)", doc.Version, SchemaVersion)
 	}
@@ -462,7 +428,8 @@ func DecodeSweep(data []byte) (*Sweep, error) {
 		return nil, fmt.Errorf("engine: sweep %q: base scenario must not carry its own version (the sweep version governs)", doc.Name)
 	}
 
-	x := &sweepExpansion{base: base, patches: make([][]*sweepSource, len(doc.Axes))}
+	// A grid's distinct fragments take about as many bytes as the document.
+	x := &sweepExpansion{base: base, patches: make([][]*sweepSource, len(doc.Axes)), frags: make([]byte, 0, size)}
 	total := 1
 	for ai, ax := range doc.Axes {
 		if ax.Axis == "" {
@@ -503,40 +470,45 @@ func DecodeSweep(data []byte) (*Sweep, error) {
 				}
 			}
 		}
-		x.memo[sec] = make([]*sectionValue, distinct)
+		x.memo[sec] = make([]sectionValue, distinct)
 	}
 
 	baseName := base.wire.Name
 	if baseName == "" {
 		baseName = doc.Name
 	}
-	sw := &Sweep{cells: make([]sweepCell, 0, total)}
-	pick := make([]int, len(doc.Axes)) // odometer over the axes
-	nameParts := make([]string, 1+len(pick))
-	nameParts[0] = baseName
-	for {
-		for ai, vi := range pick {
-			nameParts[1+ai] = doc.Axes[ai].Variants[vi].Name
-		}
-		cellName := strings.Join(nameParts, "/")
-		c, err := x.cell(cellName, pick)
+	// Every cell's name is cut from one string, and its canonical bytes
+	// from one buffer.
+	names, ends := cellNames(baseName, doc.Axes, total)
+	sw := &Sweep{cells: make([]sweepCell, total)}
+	size, start := 0, 0
+	pick := make([]int, len(doc.Axes))
+	for c := range sw.cells {
+		name := names[start:ends[c]]
+		start = ends[c]
+		vals, err := x.cell(&sw.cells[c], name, pick)
 		if err != nil {
-			return nil, fmt.Errorf("engine: sweep %q cell %q: %w", doc.Name, cellName, err)
+			return nil, fmt.Errorf("engine: sweep %q cell %q: %w", doc.Name, name, err)
 		}
-		sw.cells = append(sw.cells, c)
-
-		// Advance the odometer, last axis fastest.
-		i := len(pick) - 1
-		for ; i >= 0; i-- {
-			pick[i]++
-			if pick[i] < len(doc.Axes[i].Variants) {
-				break
-			}
-			pick[i] = 0
+		size += len(canonicalHead) + 1
+		for _, v := range vals {
+			size += len(v.frag)
 		}
-		if i < 0 {
-			break
+		advance(pick, doc.Axes)
+	}
+	// Every value is memoised now: a second pass over the grid reads the
+	// fragments back.
+	buf := make([]byte, 0, size)
+	for c := range sw.cells {
+		start := len(buf)
+		buf = append(buf, canonicalHead...)
+		for sec := range x.memo {
+			v, _ := x.value(sec, pick, "")
+			buf = append(buf, v.frag...)
 		}
+		buf = append(buf, '}')
+		sw.cells[c].canonical = buf[start:len(buf):len(buf)]
+		advance(pick, doc.Axes)
 	}
 	return sw, nil
 }

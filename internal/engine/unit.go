@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 )
@@ -18,22 +17,21 @@ import (
 // scenario's unnamed canonical encoding. EncodeWorkUnit computes that
 // encoding; the fleet's coordinator hands over the one it already holds.
 //
-// Decoding is one strict pass into unitJSON, whose engine and scenario
-// members are the spec and scenario wire structs themselves; every rule
-// of the standalone decoders holds: unknown members at any depth and
-// trailing data are errors, the unit, spec and scenario versions must be
-// SchemaVersion, the index must not be negative, the spec must pass
-// EngineSpec.Engine's kind and field rules, and the scenario
-// Scenario.Validate.
+// Decoding is one pass of the wire reader (wire.go) into unitJSON, whose
+// engine and scenario members are the spec and scenario wire structs
+// themselves; every rule of the standalone decoders holds: unknown
+// members at any depth and trailing data are errors, the unit, spec and
+// scenario versions must be SchemaVersion, the index must not be
+// negative, the spec must pass EngineSpec.Engine's kind and field rules,
+// and the scenario Scenario.Validate.
 //
-// Repeated members are read as encoding/json reads them into a typed
-// struct, at every depth alike. A repeated number or string keeps its
-// last value. A repeated object — "engine" or "scenario" — is decoded
-// into the one value it names, so a later copy overwrites the members it
-// states and leaves the rest: `"scenario":{…agents…},"scenario":
-// {"version":1}` is the scenario with those agents, the way
-// DecodeScenario merges a repeated section. Member names match
-// case-insensitively, so "Scenario" is the scenario member.
+// Repeated members are read by the reader's rules, at every depth alike.
+// A repeated number or string keeps its last value. A repeated object —
+// "engine" or "scenario" — is decoded into the one value it names, so a
+// later copy overwrites the members it states and leaves the rest:
+// `"scenario":{…agents…},"scenario":{"version":1}` is the scenario with
+// those agents, the way DecodeScenario merges a repeated section. Member
+// names match case-insensitively, so "Scenario" is the scenario member.
 
 type unitJSON struct {
 	Version  int          `json:"version"`
@@ -89,7 +87,9 @@ func AssembleWorkUnit(index int, spec, name string, canonical []byte) []byte {
 // pass; see the codec rules above.
 func DecodeWorkUnit(data []byte) (index int, eng Engine, s Scenario, err error) {
 	var w unitJSON
-	if err = StrictUnmarshal(data, &w); err != nil {
+	r := newReader(data)
+	r.unit(&w)
+	if err = r.end(); err != nil {
 		return 0, nil, Scenario{}, fmt.Errorf("engine: unit: %w", err)
 	}
 	return w.parts()
@@ -131,27 +131,35 @@ type WorkUnit struct {
 // request body holds them: one or more unit documents with white space
 // between them (a coordinator writes one per line), each read as
 // DecodeWorkUnit reads one, at most max of them. A unit that does not
-// decode, a byte other than white space between or after them, or more
-// than max units refuse the whole sequence; an error past the first
-// unit names its position.
+// decode, or more than max units, refuse the whole sequence, and so
+// does anything after a unit that does not open another: trailing data,
+// at its byte offset. An error past the first unit names its position.
 func DecodeWorkUnits(data []byte, max int) ([]WorkUnit, error) {
-	var wire []*unitJSON
-	err := strictDecodeEach(data, func(n int) any {
-		if n == max {
-			return nil
+	r := newReader(data)
+	var wire []unitJSON
+	for {
+		if c := r.peek(); len(wire) > 0 && c != '{' {
+			if r.i == len(data) {
+				break
+			}
+			return nil, fmt.Errorf("engine: unit: byte %d: %w", r.i, errTrailingData)
 		}
-		wire = append(wire, new(unitJSON))
-		return wire[n]
-	})
-	switch {
-	case errors.Is(err, errTrailingData) && len(wire) == max:
-		return nil, fmt.Errorf("engine: more than %d units", max)
-	case err != nil:
-		return nil, positioned(len(wire), fmt.Errorf("engine: unit: %w", err))
+		if len(wire) == max {
+			return nil, fmt.Errorf("engine: more than %d units", max)
+		}
+		wire = append(wire, unitJSON{})
+		r.unit(&wire[len(wire)-1])
+		if err := r.syn; err != nil || r.err != nil {
+			if err == nil {
+				err = r.err
+			}
+			return nil, positioned(len(wire), fmt.Errorf("engine: unit: %w", err))
+		}
 	}
 	units := make([]WorkUnit, len(wire))
 	for i := range wire {
 		u := &units[i]
+		var err error
 		if u.Index, u.Engine, u.Scenario, err = wire[i].parts(); err != nil {
 			return nil, positioned(i+1, err)
 		}

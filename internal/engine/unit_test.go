@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -145,4 +149,67 @@ func TestVerifyCachedHandsHeldBytes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// benchUnits is a body of n units of bench-grid cells, one per line.
+func benchUnits(t testing.TB, n int) []byte {
+	sw, err := DecodeSweep(benchShapedGrid(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units [][]byte
+	for i := 0; i < n; i++ {
+		unit, err := EncodeWorkUnit(i, Auto{}, &sw.cells[i].scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units = append(units, unit)
+	}
+	return bytes.Join(units, []byte("\n"))
+}
+
+// TestWorkUnitsTellMoreUnitsFromTrailingData: after the last unit a
+// body may hold, another unit is "more than max units", and anything
+// that does not open one is trailing data, at its byte offset — after
+// any unit alike.
+func TestWorkUnitsTellMoreUnitsFromTrailingData(t *testing.T) {
+	two := benchUnits(t, 2)
+	if units, err := DecodeWorkUnits(append(bytes.Clone(two), " \n\t"...), 2); err != nil || len(units) != 2 {
+		t.Fatalf("two units and white space: %d units, %v", len(units), err)
+	}
+	third := benchUnits(t, 3)
+	if _, err := DecodeWorkUnits(third, 2); err == nil || err.Error() != "engine: more than 2 units" {
+		t.Fatalf("three units, at most two: %v", err)
+	}
+	for _, max := range []int{2, 3} {
+		for _, tail := range []string{"x", "}", "[1]", "\f", "\"unit\""} {
+			body := append(bytes.Clone(two), "\n"+tail...)
+			_, err := DecodeWorkUnits(body, max)
+			if !errors.Is(err, errTrailingData) || !strings.Contains(err.Error(), "byte ") {
+				t.Errorf("max %d, two units and %q: %v", max, tail, err)
+			}
+		}
+	}
+}
+
+// BenchmarkDecodeWorkUnits reads a 16-unit body of bench-grid cells, as
+// a worker reads a full dispatch, and reports the cost per unit.
+//
+//	go test ./internal/engine -run '^$' -bench DecodeWorkUnits -benchmem
+func BenchmarkDecodeWorkUnits(b *testing.B) {
+	body := benchUnits(b, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if units, err := DecodeWorkUnits(body, 16); err != nil || len(units) != 16 {
+			b.Fatal(len(units), err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(16*b.N), "µs/unit")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	DecodeWorkUnits(body, 16)
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/16, "allocs/unit")
 }

@@ -81,7 +81,7 @@ func (s *Scenario) validateSections(name string) error {
 		case cfg.Resolver != nil:
 			return illFormed(name, " agent %d: custom resolver (a scenario uses the default conflict table)", i)
 		}
-		if _, err := encodeUtility(cfg.Policy.Utility); err != nil {
+		if _, _, err := encodeUtility(cfg.Policy.Utility); err != nil {
 			return illFormed(name, " agent %d: %w", i, err)
 		}
 	}

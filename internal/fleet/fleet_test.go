@@ -488,9 +488,9 @@ func TestWorkUnitCodecRoundTrip(t *testing.T) {
 // FuzzDecodeWorkUnit: a work unit is what a fleet worker reads off the
 // network. It either fails to decode, or its re-encoding decodes to the
 // same index, engine and scenario; it never panics. On every document
-// without a repeated or case-folded top-level member, the one-pass
-// decoder and the two-pass reference accept or reject alike, and agree
-// on what they accept. Read as a /fleet/work body, the same bytes are
+// the wire reader and the reflective strict decode it replaced
+// (decodeWorkUnitReference) accept or reject alike, and agree on what
+// they accept. Read as a /fleet/work body, the same bytes are
 // 1 to MaxBatch units (checkWorkBody): one per line as a coordinator
 // writes them, or one unit of any spelling; any other body — a line
 // that does not decode, or too many units — is refused whole.
@@ -540,23 +540,25 @@ func FuzzDecodeWorkUnit(f *testing.F) {
 		`"engine":{"version":1,"kind":"simulation","runs":4},"engine":{"version":1,"kind":"simulation","seed":9},"scenario":` + string(scen),
 		`"engine":` + spec + `,"Scenario":` + string(scen),
 		`"engine":` + spec + `,"scenario":` + string(scen) + `}`,
+		`"engine":` + spec + `,"\u0073cenario":` + string(scen),
+		`"engine":{"version":1,"kind":"auto","\u212aind":"sat"},"scenario":` + string(scen),
+		`"engine":` + spec + `,"scenario":` + string(scen) + `,"index":1e2`,
 	} {
 		f.Add([]byte(`{"version":1,"index":0,` + members + `}`))
 	}
+	f.Add(append(bytes.Clone(units[0]), '\f')) // not JSON white space
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		checkWorkBody(t, doc)
 		index, eng, s, err := fleet.DecodeWorkUnit(doc)
-		if !ambiguousMembers(doc) {
-			refIndex, refEng, refS, refErr := decodeWorkUnitReference(doc)
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("one pass says %v, the reference %v", err, refErr)
-			}
-			if err == nil {
-				got, _ := engine.EncodeScenario(&s)
-				want, _ := engine.EncodeScenario(&refS)
-				if index != refIndex || eng != refEng || string(got) != string(want) {
-					t.Fatalf("one pass decodes %d %#v %s, the reference %d %#v %s", index, eng, got, refIndex, refEng, want)
-				}
+		refIndex, refEng, refS, refErr := decodeWorkUnitReference(doc)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("the reader says %v, the reflective decode %v", err, refErr)
+		}
+		if err == nil {
+			got, _ := engine.EncodeScenario(&s)
+			want, _ := engine.EncodeScenario(&refS)
+			if index != refIndex || eng != refEng || string(got) != string(want) {
+				t.Fatalf("the reader decodes %d %#v %s, the reflective decode %d %#v %s", index, eng, got, refIndex, refEng, want)
 			}
 		}
 		if err != nil {

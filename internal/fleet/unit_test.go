@@ -92,9 +92,12 @@ func TestWorkUnitReadsRepeatedMembers(t *testing.T) {
 }
 
 // TestWorkUnitDecodeAllocations bounds what a worker allocates to read
-// one grid cell's unit: one strict pass into the typed unit, on a
-// recycled decoder, where the two-pass decoder read the scenario's bytes
-// four times on a fresh decoder each (69 allocations, 7.5 KB).
+// one grid cell's unit: one pass of the wire reader into the typed unit,
+// which allocates only the values it reads and the scenario built from
+// them (20 allocations, 1.9 KB), where the reflective decode on a
+// recycled json.Decoder took 29 and 2.0 KB, and the two-pass decoder
+// before it, reading the scenario's bytes four times on a fresh decoder
+// each, 69 and 7.5 KB.
 func TestWorkUnitDecodeAllocations(t *testing.T) {
 	s := decodeGrid(t, 1, "mca").Scenarios()[1]
 	unit, err := fleet.EncodeWorkUnit(12, engine.Auto{}, &s)
@@ -112,11 +115,11 @@ func TestWorkUnitDecodeAllocations(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	t.Logf("%d allocations, %d bytes a unit", (after.Mallocs-before.Mallocs)/n, (after.TotalAlloc-before.TotalAlloc)/n)
-	if per := (after.Mallocs - before.Mallocs) / n; per > 50 {
-		t.Errorf("a unit decodes in %d allocations, want at most 50", per)
+	if per := (after.Mallocs - before.Mallocs) / n; per > 26 {
+		t.Errorf("a unit decodes in %d allocations, want at most 26", per)
 	}
-	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 5632 {
-		t.Errorf("a unit decodes in %d bytes, want at most 5.5 KB", per)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 2560 {
+		t.Errorf("a unit decodes in %d bytes, want at most 2.5 KB", per)
 	}
 }
 
