@@ -106,8 +106,9 @@ func getBody(t *testing.T, url string) (int, string) {
 // TestFleetRolesEndToEnd is the full topology acceptance test: a
 // coordinator fronting two worker processes that share a remote cache
 // peer. The first sweep must match a standalone server byte for byte
-// (wall aside); the second must be served from the shared cache, with
-// the remote tier and the fleet counters visible on /metrics.
+// (the summary's wall aside); the second must be served from the
+// shared cache, with the remote tier and the fleet counters visible on
+// /metrics.
 func TestFleetRolesEndToEnd(t *testing.T) {
 	// The shared cache peer every worker layers behind its local tiers.
 	peerCache, err := cache.New(cache.Options{Capacity: 256})

@@ -545,8 +545,8 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	// One scheduler serves every role; a coordinator's runs each cell on
 	// a fleet worker (pool sized by the fleet's credit, not -workers)
-	// instead of in this process. Result and summary bytes are the same
-	// (wall-clock aside), so clients need not know which served them.
+	// instead of in this process. Result bytes, and the summary's but for
+	// its wall, are the same, so clients need not know which served them.
 	var runner *engine.Runner
 	if s.coord != nil {
 		runner = s.coord.Runner(ctx, eng)

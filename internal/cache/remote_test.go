@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -480,28 +481,36 @@ func TestReadEntriesServeTheBytesRead(t *testing.T) {
 	stored := engine.Result{Index: -1, Scenario: "first", Engine: "explicit", Status: engine.StatusViolated,
 		Violation: explore.ViolationOscillation, Trace: rec, Stats: engine.Stats{States: 12, MaxDepth: 4, Exhausted: true}}
 	key := peerKey(4)
-	firstHit := func(t *testing.T, c *Cache) {
+	// firstHit checks the first encoding of a hit on key in each of five
+	// fresh caches from open, and that the fewest allocations the process
+	// made during one is at most the output's. Mallocs counts every
+	// goroutine's, so another's can only add to the hit's own.
+	firstHit := func(t *testing.T, open func() *Cache) {
 		t.Helper()
-		hit, ok := c.Get(key)
-		if !ok {
-			t.Fatal("entry missing")
-		}
 		want := stored
-		hit.Scenario, hit.Index, hit.Cached = "cell", 7, true
 		want.Scenario, want.Index, want.Cached = "cell", 7, true
 		wantData, err := engine.EncodeResult(&want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		data, err := engine.EncodeResult(&hit)
-		runtime.ReadMemStats(&after)
-		if err != nil || !bytes.Equal(data, wantData) {
-			t.Fatalf("first hit (%v):\n got %s\nwant %s", err, data, wantData)
+		fewest := uint64(math.MaxUint64)
+		for range 5 {
+			hit, ok := open().Get(key)
+			if !ok {
+				t.Fatal("entry missing")
+			}
+			hit.Scenario, hit.Index, hit.Cached = "cell", 7, true
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			data, err := engine.EncodeResult(&hit)
+			runtime.ReadMemStats(&after)
+			if err != nil || !bytes.Equal(data, wantData) {
+				t.Fatalf("first hit (%v):\n got %s\nwant %s", err, data, wantData)
+			}
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
 		}
-		if n := after.Mallocs - before.Mallocs; n > 1 {
-			t.Fatalf("first hit made %d allocations: encoded again, not spliced", n)
+		if fewest > 1 {
+			t.Fatalf("first hit made %d allocations: encoded again, not spliced", fewest)
 		}
 	}
 
@@ -512,28 +521,32 @@ func TestReadEntriesServeTheBytesRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		writer.Put(key, stored)
-		reader, err := New(Options{Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		firstHit(t, reader)
+		firstHit(t, func() *Cache {
+			reader, err := New(Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return reader
+		})
 	})
 	t.Run("peer-put", func(t *testing.T) {
-		c, err := New(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		doc, err := engine.EncodeResult(&stored)
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := httptest.NewRequest(http.MethodPut, "/"+key, bytes.NewReader(doc))
-		req.Header.Set(checksumHeader, engine.Digest(doc))
-		w := httptest.NewRecorder()
-		HTTPHandler(c, "").ServeHTTP(w, req)
-		if w.Code != http.StatusNoContent {
-			t.Fatalf("PUT: %d %s", w.Code, w.Body)
-		}
-		firstHit(t, c)
+		firstHit(t, func() *Cache {
+			c, err := New(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := httptest.NewRequest(http.MethodPut, "/"+key, bytes.NewReader(doc))
+			req.Header.Set(checksumHeader, engine.Digest(doc))
+			w := httptest.NewRecorder()
+			HTTPHandler(c, "").ServeHTTP(w, req)
+			if w.Code != http.StatusNoContent {
+				t.Fatalf("PUT: %d %s", w.Code, w.Body)
+			}
+			return c
+		})
 	})
 }

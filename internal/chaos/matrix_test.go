@@ -68,16 +68,6 @@ func summaryBytes(t *testing.T, sum engine.Summary) string {
 	return string(data)
 }
 
-func resultBytes(t *testing.T, res engine.Result) string {
-	t.Helper()
-	res.Stats.Wall, res.Stats.TranslateTime, res.Stats.SolveTime = 0, 0, 0
-	data, err := engine.EncodeResult(&res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
-}
-
 // fullFaultMix is the matrix's injector profile: every transport fault
 // model armed at once, aggressively enough that every schedule injects
 // (asserted below) while retry + breaker + fallback still converge.
@@ -129,8 +119,10 @@ func TestChaosMatrixCoordinatorMatchesRunner(t *testing.T) {
 					t.Fatalf("summary diverged under chaos:\n got %s\nwant %s", got, want)
 				}
 				for i := range results {
-					if got, want := resultBytes(t, results[i]), resultBytes(t, baseResults[i]); got != want {
-						t.Fatalf("result %d diverged under chaos:\n got %s\nwant %s", i, got, want)
+					got, err := engine.EncodeResult(&results[i])
+					want, wantErr := engine.EncodeResult(&baseResults[i])
+					if err != nil || wantErr != nil || string(got) != string(want) {
+						t.Fatalf("result %d diverged under chaos:\n got %s\nwant %s (%v, %v)", i, got, want, err, wantErr)
 					}
 				}
 				if st := coord.Stats(); st.Drained != 0 {

@@ -32,18 +32,6 @@ func resumableScenario(budget int) Scenario {
 	}
 }
 
-// resultBytes encodes a result with wall-clock (the one legitimately
-// non-deterministic field) zeroed, for byte-identity comparison.
-func resultBytes(t *testing.T, res Result) []byte {
-	t.Helper()
-	res.Stats.Wall = 0
-	data, err := EncodeResult(&res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 // oscScenario oscillates: two agents, non-submodular synergy with
 // release, 12 states to the violation.
 func oscScenario(budget int) Scenario {
@@ -76,8 +64,8 @@ func checkpointRoundTrip(t *testing.T, cp *Checkpoint) *Checkpoint {
 
 // The engine-level acceptance pin: capping a run, serializing the
 // checkpoint through its codec, and resuming with a raised budget
-// yields a result byte-identical (via the result codec, wall-time
-// aside) to the same verification executed uninterrupted — and, where
+// yields a result byte-identical (via the result codec) to the same
+// verification executed uninterrupted — and, where
 // that run caps too, the same checkpoint. The cuts cover line-3 that
 // holds, an oscillation found after the cut, and line-3 with duplicate
 // deliveries (its first 3,000 states), cut inside a branch that leaves
@@ -101,7 +89,7 @@ func TestVerifyResumableByteIdenticalToUninterrupted(t *testing.T) {
 		{"line-3 duplicates", dup, 3000, []int{40, 700, 1500, 2999}},
 	} {
 		full, fullCp := Explicit{}.VerifyResumable(ctx, tc.scenario(tc.full), nil)
-		fullBytes := resultBytes(t, full)
+		fullBytes := fullEncode(t, full)
 		if tc.name == "oscillation" && full.Violation != explore.ViolationOscillation {
 			t.Fatalf("%s: reference run: %+v", tc.name, full)
 		}
@@ -121,7 +109,7 @@ func TestVerifyResumableByteIdenticalToUninterrupted(t *testing.T) {
 				inFlight = inFlight || !step.Consume
 			}
 			resumed, next := Explicit{}.VerifyResumable(ctx, tc.scenario(tc.full), cp)
-			if got := resultBytes(t, resumed); !bytes.Equal(got, fullBytes) {
+			if got := fullEncode(t, resumed); !bytes.Equal(got, fullBytes) {
 				t.Fatalf("%s cut at %d: resumed result diverged:\n%s\nvs uninterrupted:\n%s", tc.name, cut, got, fullBytes)
 			}
 			if (next == nil) != (fullCp == nil) || next != nil && !bytes.Equal(next.State, fullCp.State) {
@@ -138,14 +126,14 @@ func TestVerifyResumableByteIdenticalToUninterrupted(t *testing.T) {
 func TestVerifyResumableChain(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
-	full := resultBytes(t, Explicit{}.Verify(ctx, resumableScenario(0)))
+	full := fullEncode(t, Explicit{}.Verify(ctx, resumableScenario(0)))
 	_, cp := Explicit{}.VerifyResumable(ctx, resumableScenario(100), nil)
 	mid, cp2 := Explicit{}.VerifyResumable(ctx, resumableScenario(300), checkpointRoundTrip(t, cp))
 	if !mid.Stats.Capped || mid.Stats.States != 300 || cp2 == nil {
 		t.Fatalf("first resume: %+v, checkpoint %v", mid.Stats, cp2 != nil)
 	}
 	last, cp3 := Explicit{}.VerifyResumable(ctx, resumableScenario(0), checkpointRoundTrip(t, cp2))
-	if got := resultBytes(t, last); cp3 != nil || !bytes.Equal(got, full) {
+	if got := fullEncode(t, last); cp3 != nil || !bytes.Equal(got, full) {
 		t.Fatalf("second resume (checkpoint %v):\n%s\nvs uninterrupted:\n%s", cp3 != nil, got, full)
 	}
 }
@@ -180,9 +168,9 @@ func TestExactBudgetConcludes(t *testing.T) {
 		if full.Status != StatusHolds || full.Stats.States != tc.states {
 			t.Fatalf("%s unbounded: %v after %d states, want holds after %d", tc.scenario.Name, full.Status, full.Stats.States, tc.states)
 		}
-		want := resultBytes(t, full)
+		want := fullEncode(t, full)
 		exact, cp := Explicit{}.VerifyResumable(ctx, budget(tc.states), nil)
-		if got := resultBytes(t, exact); cp != nil || !bytes.Equal(got, want) {
+		if got := fullEncode(t, exact); cp != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s at a budget of %d (checkpoint %v):\n%s\nvs unbounded:\n%s", tc.scenario.Name, tc.states, cp != nil, got, want)
 		}
 		short, cp := Explicit{}.VerifyResumable(ctx, budget(tc.states-1), nil)
@@ -190,7 +178,7 @@ func TestExactBudgetConcludes(t *testing.T) {
 			t.Fatalf("%s at a budget of %d: %+v, checkpoint %v", tc.scenario.Name, tc.states-1, short.Stats, cp != nil)
 		}
 		resumed, next := Explicit{}.VerifyResumable(ctx, budget(tc.states), checkpointRoundTrip(t, cp))
-		if got := resultBytes(t, resumed); next != nil || !bytes.Equal(got, want) {
+		if got := fullEncode(t, resumed); next != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s cut at %d, resumed at %d (checkpoint %v):\n%s\nvs unbounded:\n%s", tc.scenario.Name, tc.states-1, tc.states, next != nil, got, want)
 		}
 	}
@@ -414,7 +402,7 @@ func TestLossyStoreSerialOnly(t *testing.T) {
 		t.Fatalf("serial bitstate run reported MissProb %v, want > 0", serial.Stats.MissProb)
 	}
 	par := Explicit{Workers: 2}.Verify(ctx, s)
-	if !bytes.Equal(resultBytes(t, par), resultBytes(t, serial)) {
+	if !bytes.Equal(fullEncode(t, par), fullEncode(t, serial)) {
 		t.Fatalf("workers=2 bitstate run: status=%v err=%v, want the serial result", par.Status, par.Err)
 	}
 	res, cp := Explicit{}.VerifyResumable(ctx, s, nil)

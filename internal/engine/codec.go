@@ -636,8 +636,6 @@ type statsJSON struct {
 	PrimaryVars int     `json:"primary_vars,omitempty"`
 	AuxVars     int     `json:"aux_vars,omitempty"`
 	Clauses     int     `json:"clauses,omitempty"`
-	TranslateNS int64   `json:"translate_ns,omitempty"`
-	SolveNS     int64   `json:"solve_ns,omitempty"`
 	Conflicts   int64   `json:"conflicts,omitempty"`
 	Props       int64   `json:"propagations,omitempty"`
 	LearntCl    int64   `json:"learnt_clauses,omitempty"`
@@ -646,7 +644,6 @@ type statsJSON struct {
 	Deliveries  int     `json:"deliveries,omitempty"`
 	Dropped     int     `json:"dropped,omitempty"`
 	Duplicated  int     `json:"duplicated,omitempty"`
-	WallNS      int64   `json:"wall_ns,omitempty"`
 }
 
 type traceJSON struct {
@@ -699,8 +696,6 @@ func encodeResult(r *Result) ([]byte, error) {
 		PrimaryVars: r.Stats.PrimaryVars,
 		AuxVars:     r.Stats.AuxVars,
 		Clauses:     r.Stats.Clauses,
-		TranslateNS: int64(r.Stats.TranslateTime),
-		SolveNS:     int64(r.Stats.SolveTime),
 		Conflicts:   r.Stats.Conflicts,
 		Props:       r.Stats.Propagations,
 		LearntCl:    r.Stats.LearntClauses,
@@ -709,7 +704,6 @@ func encodeResult(r *Result) ([]byte, error) {
 		Deliveries:  r.Stats.Deliveries,
 		Dropped:     r.Stats.Dropped,
 		Duplicated:  r.Stats.Duplicated,
-		WallNS:      int64(r.Stats.Wall),
 	}); st != (statsJSON{}) {
 		w.Stats = &st
 	}

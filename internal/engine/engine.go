@@ -114,7 +114,8 @@ func (s *Status) UnmarshalText(text []byte) error {
 	return fmt.Errorf("engine: unknown status %q", text)
 }
 
-// Stats aggregates the per-engine effort counters into one shape.
+// Stats aggregates the per-engine effort counters into one shape; its
+// times stay in the process that measured them (EncodeResult omits them).
 type Stats struct {
 	// Explicit-state: states visited, deepest path, full exploration;
 	// Capped marks runs stopped by the MaxStates budget (Exhausted is

@@ -113,12 +113,11 @@ func TestExplicitEngineMatchesLegacyCheck(t *testing.T) {
 
 // TestExplicitWorkersRunTheDFS: Workers selects nothing, so
 // Explicit{Workers: n} returns Explicit{}'s result document, byte for
-// byte (wall time aside), on every shared fixture — the capped ring
-// included — and through Auto.
+// byte, on every shared fixture — the capped ring included — and
+// through Auto.
 func TestExplicitWorkersRunTheDFS(t *testing.T) {
 	encode := func(t *testing.T, res engine.Result) string {
 		t.Helper()
-		res.Stats.Wall = 0
 		data, err := engine.EncodeResult(&res)
 		if err != nil {
 			t.Fatal(err)

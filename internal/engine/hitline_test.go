@@ -147,7 +147,6 @@ func TestEncodeResultOfAHitIsByteIdentical(t *testing.T) {
 			"sat":       func(r *Result) { r.SATStatus = sat.StatusSat },
 			"trace":     func(r *Result) { r.Trace = other },
 			"stats":     func(r *Result) { r.Stats.States++ },
-			"wall":      func(r *Result) { r.Stats.Wall = 1 },
 			"error":     func(r *Result) { r.Err = errors.New("other") },
 			"no-error":  func(r *Result) { r.Err = nil },
 		}

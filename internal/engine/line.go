@@ -7,7 +7,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"time"
 	"unicode/utf8"
 
 	"repro/internal/trace"
@@ -396,8 +395,6 @@ func (p *lineReader) stats() (s Stats) {
 	s.PrimaryVars = int(count(`"primary_vars":`, n))
 	s.AuxVars = int(count(`"aux_vars":`, n))
 	s.Clauses = int(count(`"clauses":`, n))
-	s.TranslateTime = time.Duration(count(`"translate_ns":`, 64))
-	s.SolveTime = time.Duration(count(`"solve_ns":`, 64))
 	s.Conflicts = count(`"conflicts":`, 64)
 	s.Propagations = count(`"propagations":`, 64)
 	s.LearntClauses = count(`"learnt_clauses":`, 64)
@@ -406,7 +403,6 @@ func (p *lineReader) stats() (s Stats) {
 	s.Deliveries = int(count(`"deliveries":`, n))
 	s.Dropped = int(count(`"dropped":`, n))
 	s.Duplicated = int(count(`"duplicated":`, n))
-	s.Wall = time.Duration(count(`"wall_ns":`, 64))
 	p.nonzero(!first) // the encoder omits stats that are all zero
 	p.need("}")
 	return s

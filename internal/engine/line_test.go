@@ -69,7 +69,9 @@ func TestDecodeResultLineKeepsTheLine(t *testing.T) {
 
 // TestDecodeResultRefusesOtherSpellings: a line off the encoder's
 // spelling — each edit below of a line it writes — is refused, and the
-// error names the byte where it leaves that spelling.
+// error names the byte where it leaves that spelling. The edits include
+// the times older encoders wrote: a line says what was decided, not how
+// long one run took.
 func TestDecodeResultRefusesOtherSpellings(t *testing.T) {
 	r := hitShapes()["trace"]
 	r.Scenario, r.Index = "cell", 12
@@ -115,6 +117,9 @@ func TestDecodeResultRefusesOtherSpellings(t *testing.T) {
 		"float-digits":   func(string) string { return strings.Replace(missLine, `1.25e-7`, `1.250e-7`, 1) },
 		"float-plus":     func(string) string { return strings.Replace(missLine, `1.25e-7`, `+1.25e-7`, 1) },
 		"zero-float":     func(string) string { return strings.Replace(missLine, `1.25e-7`, `0`, 1) },
+		"translate-ns":   func(s string) string { return strings.Replace(s, `true}`, `true,"translate_ns":9}`, 1) },
+		"solve-ns":       func(s string) string { return strings.Replace(s, `true}`, `true,"solve_ns":9}`, 1) },
+		"wall-ns":        func(s string) string { return strings.Replace(s, `true}`, `true,"wall_ns":9}`, 1) },
 	} {
 		data := []byte(edit(line))
 		if string(data) == line || string(data) == missLine {

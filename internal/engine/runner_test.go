@@ -88,44 +88,20 @@ func satModels(t testing.TB) []*mcamodel.Encoding {
 	return []*mcamodel.Encoding{n, o}
 }
 
-// comparable strips the non-deterministic parts (wall clock, traces) of
-// a result down to the fields the determinism guarantee covers.
-type comparable struct {
-	Index     int
-	Scenario  string
-	Engine    string
-	Status    engine.Status
-	Violation explore.ViolationKind
-	States    int
-	Runs      int
-	Converged int
-}
-
-func comparableResults(results []engine.Result) []comparable {
-	out := make([]comparable, len(results))
-	for i, r := range results {
-		out[i] = comparable{
-			Index: r.Index, Scenario: r.Scenario, Engine: r.Engine,
-			Status: r.Status, Violation: r.Violation,
-			States: r.Stats.States, Runs: r.Stats.Runs, Converged: r.Stats.Converged,
-		}
-	}
-	return out
-}
-
 // TestRunnerSweepDeterministicAcrossWorkerCounts is the acceptance
 // test: a ≥100-scenario sweep including drop, delay, and partition
-// fault models completes with identical per-scenario results and
-// aggregate summary at any worker count.
+// fault models completes with byte-identical result lines and an
+// identical aggregate summary at any worker count.
 func TestRunnerSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	scenarios := sweepScenarios(t)
 	t.Logf("sweep size: %d scenarios", len(scenarios))
 
-	var baseline []comparable
+	var baseline []string
 	var baseSummary engine.Summary
 	for _, workers := range []int{1, 2, 8} {
 		r := engine.NewRunner(engine.RunnerOptions{Workers: workers})
 		results, sum := r.Run(context.Background(), scenarios)
+		comp := make([]string, len(results))
 		for i, res := range results {
 			if res.Index != i {
 				t.Fatalf("workers=%d: result %d has index %d", workers, i, res.Index)
@@ -133,8 +109,12 @@ func TestRunnerSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 			if res.Status == engine.StatusError {
 				t.Fatalf("workers=%d: scenario %q errored: %v", workers, res.Scenario, res.Err)
 			}
+			line, err := engine.EncodeResult(&res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comp[i] = string(line)
 		}
-		comp := comparableResults(results)
 		sum.Wall = 0
 		if baseline == nil {
 			baseline, baseSummary = comp, sum
@@ -148,7 +128,7 @@ func TestRunnerSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		for i := range comp {
 			if comp[i] != baseline[i] {
-				t.Fatalf("workers=%d: result %d diverged:\n  got  %+v\n  want %+v", workers, i, comp[i], baseline[i])
+				t.Fatalf("workers=%d: result %d diverged:\n  got  %s\n  want %s", workers, i, comp[i], baseline[i])
 			}
 		}
 		if fmt.Sprintf("%+v", sum) != fmt.Sprintf("%+v", baseSummary) {

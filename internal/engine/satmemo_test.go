@@ -66,18 +66,6 @@ var memoOptions = []struct {
 	{"RandSeed+RandomPolarityFreq", sat.Options{RandSeed: 99, RandomPolarityFreq: 0.5}},
 }
 
-// canonical is a result's document without its times, the part two
-// runs of one check must agree on byte for byte.
-func canonical(t *testing.T, r Result) []byte {
-	t.Helper()
-	r.Stats.TranslateTime, r.Stats.SolveTime, r.Stats.Wall = 0, 0, 0
-	b, err := EncodeResult(&r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // A memo hit must answer as a fresh translation does: for both
 // encodings, every assert state and each solver option, a check that
 // copies the process's translation returns the status, SAT status,
@@ -117,7 +105,7 @@ func TestMemoHitMatchesFreshSolve(t *testing.T) {
 				if gs != ws {
 					t.Errorf("%s: stats %+v, fresh %+v", name, gs, ws)
 				}
-				if g, w := canonical(t, got), canonical(t, want); !bytes.Equal(g, w) {
+				if g, w := fullEncode(t, got), fullEncode(t, want); !bytes.Equal(g, w) {
 					t.Errorf("%s: result\n%s\nfresh\n%s", name, g, w)
 				}
 				if got.Stats.Conflicts > 0 {

@@ -5,9 +5,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -79,7 +81,7 @@ func TestWorkBodyCarriesUnitsInOrder(t *testing.T) {
 	line := func(index int) string {
 		res := cheap.Verify(context.Background(), cells[index])
 		res.Index = index
-		return encodeResultNoWall(t, res) + "\n"
+		return encodeResult(t, res) + "\n"
 	}
 
 	for _, indexes := range [][]int{{4}, {5, 2, 9}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}} {
@@ -97,14 +99,14 @@ func TestWorkBodyCarriesUnitsInOrder(t *testing.T) {
 			if code != http.StatusOK || engine.CheckDigest(h.Get("X-Fleet-Checksum"), []byte(reply)) != nil {
 				t.Fatalf("%d units: status %d, checksum %q over %q", len(indexes), code, h.Get("X-Fleet-Checksum"), reply)
 			}
-			if got := timings.ReplaceAllString(reply, ""); got != want.String() {
-				t.Fatalf("%d units answered\n%s\nwant\n%s", len(indexes), got, want.String())
+			if reply != want.String() {
+				t.Fatalf("%d units answered\n%s\nwant\n%s", len(indexes), reply, want.String())
 			}
 		}
 	}
 
 	pretty := strings.ReplaceAll(unit(3), `,"`, ",\n  \"")
-	if code, reply, _ := post(pretty); code != http.StatusOK || timings.ReplaceAllString(reply, "") != line(3) {
+	if code, reply, _ := post(pretty); code != http.StatusOK || reply != line(3) {
 		t.Fatalf("one unit over several lines: status %d, reply %s", code, reply)
 	}
 
@@ -146,34 +148,28 @@ func heavyScenario(i int) engine.Scenario {
 // unit each, and so does every dispatch once its units measure over a
 // millisecond of worker time: 8 such cells on a credit of 4 go in 8
 // dispatches, 4 at a time, both on a fresh Runner and on one that has
-// measured them.
+// measured them. The worker holds the requests in groups of four, each
+// until its fourth arrives: four must be in flight at once, however the
+// dispatches interleave, or the test fails.
 func TestExpensiveUnitsTravelAlone(t *testing.T) {
 	var heavy []engine.Scenario
 	for i := 0; i < 8; i++ {
 		heavy = append(heavy, heavyScenario(i))
 	}
-	var inFlight, peak, widest atomic.Int64
-	inner := fleet.NewWorker(fleet.WorkerOptions{Slots: 4}).Handler()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/fleet/work" {
-			n := inFlight.Add(1)
-			defer inFlight.Add(-1)
-			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-			}
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				t.Error(err)
+	var widest, arrived atomic.Int64
+	url := recordingWorker(t, 4, func(body []byte) {
+		n := int64(len(bodyUnits(body)))
+		for p := widest.Load(); n > p && !widest.CompareAndSwap(p, n); p = widest.Load() {
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for group := (arrived.Add(1) + 3) / 4 * 4; arrived.Load() < group; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("a dispatch waited 10 s for four to be in flight")
 				return
 			}
-			units := int64(len(bodyUnits(body)))
-			for p := widest.Load(); units > p && !widest.CompareAndSwap(p, units); p = widest.Load() {
-			}
-			r.Body = io.NopCloser(bytes.NewReader(body))
 		}
-		inner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(srv.Close)
-	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: []string{srv.URL}})
+	})
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: []string{url}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +182,8 @@ func TestExpensiveUnitsTravelAlone(t *testing.T) {
 			t.Fatalf("pass %d: stats %+v, want one dispatch per expensive unit", pass, st)
 		}
 	}
-	if widest.Load() != 1 || peak.Load() < 4 {
-		t.Fatalf("widest body %d units, %d dispatches at once: want 1 unit each, 4 at a time", widest.Load(), peak.Load())
+	if widest.Load() != 1 {
+		t.Fatalf("widest body %d units: want 1 unit each", widest.Load())
 	}
 }
 
@@ -376,13 +372,68 @@ func reseal(w http.ResponseWriter, reply []byte) {
 	w.Write(reply)
 }
 
+// relay answers w with the reply rec recorded, stating work as its
+// X-Fleet-Work-Ns: no header when work is empty.
+func relay(w http.ResponseWriter, rec *httptest.ResponseRecorder, work ...string) {
+	maps.Copy(w.Header(), rec.Header())
+	w.Header()["X-Fleet-Work-Ns"] = work
+	w.WriteHeader(rec.Code)
+	w.Write(rec.Body.Bytes())
+}
+
+// queuedSweep streams sw with cheap through a coordinator of one
+// one-slot worker, and returns the lines and the coordinator's stats.
+// answer sends each /fleet/work reply, given the request's unit count,
+// its number and what the worker recorded. The first request is held
+// until every other cell waits behind it, so the share rule alone sizes
+// the next dispatch.
+func queuedSweep(t *testing.T, sw *engine.Sweep, answer func(w http.ResponseWriter, units, n int64, rec *httptest.ResponseRecorder)) ([]string, fleet.Stats) {
+	t.Helper()
+	var requests atomic.Int64
+	var queued func() int
+	inner := fleet.NewWorker(fleet.WorkerOptions{Slots: 1}).Handler()
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/fleet/work" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		n := requests.Add(1)
+		for deadline := time.Now().Add(10 * time.Second); n == 1 && queued() < sw.Len()-1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("the other cells did not queue behind the first")
+				break
+			}
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		answer(w, int64(len(bodyUnits(body))), n, rec)
+	}))
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: []string{"http://" + srv.Listener.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet.UseFakeClock(coord)
+	remote, waiting := fleet.RemoteEngine(coord, cheap, 1)
+	queued = waiting
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return sweepLines(t, engine.NewRunner(engine.RunnerOptions{Workers: 2 * fleet.MaxBatch, Engine: remote}), sw), coord.Stats()
+}
+
 // TestBatchFaultsRetryEachUnit: a dispatch answered with a 500, a 429, a
 // bad checksum, too few lines or a result for another unit fails as a
 // whole, and each of its units is retried on its own. Faulting the
 // first batch only, the retries finish the sweep on the worker; faulting
 // every dispatch after the first, each other unit spends its three
 // attempts and is verified locally. Either way the lines are a
-// standalone Runner's.
+// standalone Runner's. The worker states every unit it answers free,
+// however long it took, so batches form.
 func TestBatchFaultsRetryEachUnit(t *testing.T) {
 	sw := decodeGrid(t, 4, "mca")
 	want := sweepLines(t, engine.NewRunner(engine.RunnerOptions{Workers: 2, Engine: cheap}), sw)
@@ -413,42 +464,19 @@ func TestBatchFaultsRetryEachUnit(t *testing.T) {
 	for name, fault := range faults {
 		for _, always := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/always=%v", name, always), func(t *testing.T) {
-				var requests, faulted atomic.Int64
-				inner := fleet.NewWorker(fleet.WorkerOptions{Slots: 1}).Handler()
-				srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					if r.URL.Path != "/fleet/work" {
-						inner.ServeHTTP(w, r)
-						return
-					}
-					body, err := io.ReadAll(r.Body)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					r.Body = io.NopCloser(bytes.NewReader(body))
-					units := int64(len(bodyUnits(body)))
-					n := requests.Add(1)
+				var faulted atomic.Int64
+				got, st := queuedSweep(t, sw, func(w http.ResponseWriter, units, n int64, rec *httptest.ResponseRecorder) {
 					if always && n == 1 || !always && (units == 1 || !faulted.CompareAndSwap(0, units)) {
-						inner.ServeHTTP(w, r)
+						relay(w, rec, "0")
 						return
 					}
-					rec := httptest.NewRecorder()
-					inner.ServeHTTP(rec, r)
 					fault(w, rec.Body.Bytes())
-				}))
-				t.Cleanup(srv.Close)
-				coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Workers: []string{srv.URL}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				fleet.UseFakeClock(coord)
-				got := sweepLines(t, coord.Runner(context.Background(), cheap), sw)
+				})
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("cell %d:\n got %s\nwant %s", i, got[i], want[i])
 					}
 				}
-				st := coord.Stats()
 				cells := uint64(sw.Len())
 				if always {
 					if st.Completed != 1 || st.LocalFallbacks != cells-1 || st.Retries != 2*(cells-1) {
@@ -460,6 +488,29 @@ func TestBatchFaultsRetryEachUnit(t *testing.T) {
 					t.Fatalf("stats %+v: want each of the %d units of the faulted batch retried once, and every cell completed remotely", st, k)
 				}
 			})
+		}
+	}
+}
+
+// TestWorkHeaderOnlySizesBatches: the checksum does not cover
+// X-Fleet-Work-Ns, so the coordinator reads it as a hint. A missing,
+// empty, non-numeric, negative or overflowing value is an unknown cost:
+// every dispatch carries one unit, and none fails, is retried or changes
+// a line. A stated cost of 0 batches the same sweep.
+func TestWorkHeaderOnlySizesBatches(t *testing.T) {
+	sw := decodeGrid(t, 4, "mca")
+	want := sweepLines(t, engine.NewRunner(engine.RunnerOptions{Workers: 2, Engine: cheap}), sw)
+	for name, work := range map[string][]string{
+		"absent": nil, "empty": {""}, "non-numeric": {"1ms"}, "negative": {"-1"},
+		"overflowing": {"9223372036854775808"}, "free": {"0"},
+	} {
+		got, st := queuedSweep(t, sw, func(w http.ResponseWriter, _, _ int64, rec *httptest.ResponseRecorder) { relay(w, rec, work...) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: lines\n%q\nwant\n%q", name, got, want)
+		}
+		if st.Completed != uint64(sw.Len()) || st.Retries+st.LocalFallbacks+st.Workers[0].Failures != 0 ||
+			(st.Dispatches < st.Completed) != (name == "free") {
+			t.Fatalf("%s: stats %+v: want every cell answered on its first attempt, one to a dispatch unless free", name, st)
 		}
 	}
 }

@@ -62,7 +62,7 @@ func TestFleetPropagatesCapped(t *testing.T) {
 			t.Fatalf("scenario %q: fleet capped=%v, runner capped=%v",
 				scenarios[i].Name, results[i].Stats.Capped, baseResults[i].Stats.Capped)
 		}
-		if got, want := encodeResultNoWall(t, results[i]), encodeResultNoWall(t, baseResults[i]); got != want {
+		if got, want := encodeResult(t, results[i]), encodeResult(t, baseResults[i]); got != want {
 			t.Fatalf("scenario %q result diverged:\n%s\nvs\n%s", scenarios[i].Name, got, want)
 		}
 	}

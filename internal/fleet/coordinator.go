@@ -269,8 +269,8 @@ func (c *Coordinator) Stats() Stats {
 // Runner returns the scheduler for one batch over the fleet: an
 // ordinary engine.Runner — pool, cache short-circuit and store, results
 // by index, cancellation — whose engine runs eng (nil = Auto) on a
-// worker instead of here. Results and summary are therefore
-// byte-identical (wall aside) to a single-process Runner over the same
+// worker instead of here. Results, and the summary but for its wall,
+// are therefore byte-identical to a single-process Runner over the same
 // scenarios and eng, at any worker count and under any failure/retry
 // interleaving. Runner first learns the fleet's credit from any worker
 // that has not yet said, and makes the pool maxBatch times as wide, so
@@ -364,7 +364,7 @@ func (c *Coordinator) release(ws *workerState) {
 // the worker verifies in order on one slot. It takes at most
 // ⌈queued ÷ credit⌉ of them, so every token has a share of the queue,
 // and more than one only while the Runner's last dispatch completed and
-// measured under cheapUnit of worker time per unit: the hop then costs
+// its worker stated under cheapUnit of time per unit: the hop then costs
 // more than the unit. A Runner's first dispatches, and every one after
 // an expensive unit or a failed dispatch, carry one unit. cheapUnit is
 // set from the hop's cost (about 0.1 ms of CPU for a unit sent alone on
@@ -472,9 +472,9 @@ type queue struct {
 	// credit is the fleet's credit when the Runner was made: the most
 	// carriers a lane has, and the divisor of a dispatch's share.
 	credit int
-	// cost is the mean worker time per unit, in nanoseconds, of the
-	// Runner's last dispatch; -1 until one completes, and after one
-	// fails.
+	// cost is the worker time per unit, in nanoseconds, that the worker
+	// stated for the Runner's last dispatch; -1 until one completes,
+	// after one fails, and when it states none.
 	cost atomic.Int64
 	// local bounds the Runner's verifications on the coordinator to its
 	// credit: the pool is wide for units to queue in, not to run here.
@@ -577,16 +577,8 @@ func (q *queue) share(queued int) int {
 // have failed because of it: the Runner's dispatches carry one unit
 // again until one completes.
 func (q *queue) send(ctx context.Context, ws *workerState, batch []*unit) {
-	results, retryAfter, err := q.c.try(ctx, ws, batch)
+	results, cost, retryAfter, err := q.c.try(ctx, ws, batch)
 	q.c.release(ws)
-	cost := int64(-1)
-	if err == nil {
-		var wall time.Duration
-		for i := range results {
-			wall += results[i].Stats.Wall
-		}
-		cost = int64(wall) / int64(len(results))
-	}
 	q.cost.Store(cost)
 	for i, u := range batch {
 		var res engine.Result
@@ -656,18 +648,18 @@ func (c *Coordinator) unrun(s *engine.Scenario, err error) engine.Result {
 var errBreakerOpen = errors.New("fleet: circuit breaker open")
 
 // try makes one attempt at batch on ws and folds its outcome into the
-// worker's health: a result per unit, or an error with the worker's
-// Retry-After hint.
-func (c *Coordinator) try(ctx context.Context, ws *workerState, batch []*unit) ([]engine.Result, time.Duration, error) {
+// worker's health: a result per unit and their cost (dispatch), or an
+// error with the worker's Retry-After hint.
+func (c *Coordinator) try(ctx context.Context, ws *workerState, batch []*unit) (results []engine.Result, cost int64, retryAfter time.Duration, err error) {
 	if !ws.br.allow(c.clock.now()) {
 		// Open breaker: fail fast without an HTTP round trip. The
 		// fast-fail still consumes each unit's attempt — the attempt cap
 		// (local fallback), not the breaker, is what guarantees progress
 		// when every worker is sick.
 		c.breakerFastFails.Add(1)
-		return nil, 0, errBreakerOpen
+		return nil, -1, 0, errBreakerOpen
 	}
-	results, rejected, retryAfter, err := c.dispatch(ctx, ws, batch)
+	results, cost, rejected, retryAfter, err := c.dispatch(ctx, ws, batch)
 	switch {
 	case err == nil:
 		ws.br.onSuccess()
@@ -688,7 +680,7 @@ func (c *Coordinator) try(ctx context.Context, ws *workerState, batch []*unit) (
 	default:
 		ws.failed(c.clock.now())
 	}
-	return results, retryAfter, err
+	return results, cost, retryAfter, err
 }
 
 // dispatch posts batch to one worker, one unit per line. rejected
@@ -699,7 +691,11 @@ func (c *Coordinator) try(ctx context.Context, ws *workerState, batch []*unit) (
 // coordinator's interest, and the response body is checked against the
 // worker's X-Fleet-Checksum — a response corrupted in transit, or sent
 // without one, could otherwise read as plausible but wrong results.
-func (c *Coordinator) dispatch(ctx context.Context, ws *workerState, batch []*unit) (results []engine.Result, rejected bool, retryAfter time.Duration, err error) {
+// cost is the worker's X-Fleet-Work-Ns per unit; -1, for one-unit
+// dispatches, on a failure or a value that is not a count of
+// nanoseconds. The checksum does not cover it: a wrong or lying value
+// can steer only the size of the Runner's next dispatch, never a verdict.
+func (c *Coordinator) dispatch(ctx context.Context, ws *workerState, batch []*unit) (results []engine.Result, cost int64, rejected bool, retryAfter time.Duration, err error) {
 	c.dispatches.Add(1)
 	dctx, cancel := context.WithTimeout(ctx, c.opts.UnitTimeout*time.Duration(len(batch)))
 	defer cancel()
@@ -714,30 +710,34 @@ func (c *Coordinator) dispatch(ctx context.Context, ws *workerState, batch []*un
 	}
 	req, err := http.NewRequestWithContext(dctx, http.MethodPost, ws.url+"/fleet/work", bytes.NewReader(body))
 	if err != nil {
-		return nil, false, 0, err
+		return nil, -1, false, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	dl, _ := dctx.Deadline()
 	req.Header.Set(deadlineHeader, strconv.FormatInt(max(time.Until(dl).Milliseconds(), 1), 10))
 	resp, reply, err := c.roundTrip(req)
 	if err != nil {
-		return nil, false, 0, err
+		return nil, -1, false, 0, err
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusTooManyRequests:
-		return nil, true, parseRetryAfter(resp.Header.Get("Retry-After")),
+		return nil, -1, true, parseRetryAfter(resp.Header.Get("Retry-After")),
 			fmt.Errorf("fleet: worker %s at capacity", ws.url)
 	default:
-		return nil, false, 0, fmt.Errorf("fleet: worker %s: status %d: %s", ws.url, resp.StatusCode, bytes.TrimSpace(reply))
+		return nil, -1, false, 0, fmt.Errorf("fleet: worker %s: status %d: %s", ws.url, resp.StatusCode, bytes.TrimSpace(reply))
 	}
 	if err = engine.CheckDigest(resp.Header.Get(resultChecksumHeader), reply); err == nil {
 		results, err = readReply(reply, batch)
 	}
 	if err != nil {
-		return nil, false, 0, fmt.Errorf("fleet: worker %s: %w", ws.url, err)
+		return nil, -1, false, 0, fmt.Errorf("fleet: worker %s: %w", ws.url, err)
 	}
-	return results, false, 0, nil
+	cost = -1
+	if ns, err := strconv.ParseInt(resp.Header.Get(workHeader), 10, 64); err == nil && ns >= 0 {
+		cost = ns / int64(len(batch))
+	}
+	return results, cost, false, 0, nil
 }
 
 // readReply reads a worker's answer to batch: one result line per unit,
@@ -798,6 +798,10 @@ func (c *Coordinator) roundTrip(req *http.Request) (*http.Response, []byte, erro
 // verification the coordinator has given up on stops burning worker
 // CPU.
 const deadlineHeader = "X-Fleet-Deadline-Ms"
+
+// workHeader carries the nanoseconds the worker spent verifying a
+// dispatch's units, from which the Runner's next dispatch is sized.
+const workHeader = "X-Fleet-Work-Ns"
 
 // resultChecksumHeader carries the body digest (engine.Digest) of the
 // worker's response; the coordinator rejects a missing or mismatching

@@ -181,9 +181,9 @@ func TestWorkerCachedResultStoredUncached(t *testing.T) {
 		if !ok || stored.Cached {
 			t.Fatalf("scenario %d: coordinator cache entry ok=%v cached=%v, want an uncached-shape entry", i, ok, stored.Cached)
 		}
-		if ref, _ := runnerCache.Get(key); encodeResultNoWall(t, stored) != encodeResultNoWall(t, ref) {
+		if ref, _ := runnerCache.Get(key); encodeResult(t, stored) != encodeResult(t, ref) {
 			t.Fatalf("scenario %d: stored entry differs from a Runner's:\n got %s\nwant %s",
-				i, encodeResultNoWall(t, stored), encodeResultNoWall(t, ref))
+				i, encodeResult(t, stored), encodeResult(t, ref))
 		}
 	}
 
@@ -193,7 +193,7 @@ func TestWorkerCachedResultStoredUncached(t *testing.T) {
 		t.Fatalf("second pass summary diverged from a Runner hit pass:\n got %s\nwant %s", got, want)
 	}
 	for i := range second {
-		if got, want := encodeResultNoWall(t, second[i]), encodeResultNoWall(t, wantResults[i]); got != want {
+		if got, want := encodeResult(t, second[i]), encodeResult(t, wantResults[i]); got != want {
 			t.Fatalf("second pass result %d diverged from a Runner hit:\n got %s\nwant %s", i, got, want)
 		}
 	}

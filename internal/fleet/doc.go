@@ -34,10 +34,10 @@
 //     it has answered) — a healthy fleet is never offered more than it
 //     admits, so it never 429s itself. Up to credit carriers per Runner
 //     each take a token and send the next share of its queue in one
-//     POST: one unit until the Runner's last dispatch completed and
-//     measured under a millisecond of worker time per unit, then up to
-//     ⌈queued ÷ credit⌉, at most 16, with UnitTimeout for each unit it
-//     carries. Each reply line is read strictly and kept as its
+//     POST: one unit until the Runner's last dispatch completed and its
+//     worker stated under a millisecond per unit (X-Fleet-Work-Ns),
+//     then up to ⌈queued ÷ credit⌉, at most 16, with UnitTimeout for
+//     each unit it carries. Each reply line is read strictly and kept as its
 //     Result's encoding (engine.DecodeResult), so the Runner
 //     streams the worker's bytes with its own name and index spliced
 //     in. A 429 means a worker admits fewer requests than its credit

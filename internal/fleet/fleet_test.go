@@ -74,11 +74,10 @@ func encodeSummary(t *testing.T, sum engine.Summary) string {
 	return string(data)
 }
 
-// encodeResultNoWall canonicalizes one result: the three time fields
-// are measurements, everything else must be bit-stable across nodes.
-func encodeResultNoWall(t *testing.T, res engine.Result) string {
+// encodeResult is engine.EncodeResult of res: the line every node must
+// write for it, byte for byte.
+func encodeResult(t *testing.T, res engine.Result) string {
 	t.Helper()
-	res.Stats.Wall, res.Stats.TranslateTime, res.Stats.SolveTime = 0, 0, 0
 	data, err := engine.EncodeResult(&res)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +125,7 @@ func TestCoordinatorMatchesRunner(t *testing.T) {
 				t.Fatalf("summary diverged at %d workers:\n got %s\nwant %s", n, got, want)
 			}
 			for i := range results {
-				if got, want := encodeResultNoWall(t, results[i]), encodeResultNoWall(t, baseResults[i]); got != want {
+				if got, want := encodeResult(t, results[i]), encodeResult(t, baseResults[i]); got != want {
 					t.Fatalf("result %d diverged:\n got %s\nwant %s", i, got, want)
 				}
 			}
@@ -246,7 +245,7 @@ func TestCoordinatorRefusesUnsealedReply(t *testing.T) {
 	}
 	fleet.UseFakeClock(coord)
 	results, _ := coord.Run(context.Background(), nil, scenarios)
-	if got, want := encodeResultNoWall(t, results[0]), encodeResultNoWall(t, baseResults[0]); got != want {
+	if got, want := encodeResult(t, results[0]), encodeResult(t, baseResults[0]); got != want {
 		t.Fatalf("unsealed reply became the verdict:\n got %s\nwant %s", got, want)
 	}
 	// Two failures open the breaker, so the third attempt fails fast.

@@ -83,7 +83,7 @@ func TestRestartedWorkerCreditIsRelearned(t *testing.T) {
 			t.Fatalf("batch %d summary diverged:\n got %s\nwant %s", batch, got, want)
 		}
 		for i := range results {
-			if got, want := encodeResultNoWall(t, results[i]), encodeResultNoWall(t, baseResults[i]); got != want {
+			if got, want := encodeResult(t, results[i]), encodeResult(t, baseResults[i]); got != want {
 				t.Fatalf("batch %d result %d diverged:\n got %s\nwant %s", batch, i, got, want)
 			}
 		}
@@ -176,7 +176,7 @@ func TestRegrownCreditCancelsSurplus(t *testing.T) {
 		t.Fatalf("the regrown batch met %d rejections, want none", n)
 	}
 	for i := range results {
-		if got, want := encodeResultNoWall(t, results[i]), encodeResultNoWall(t, baseResults[i]); got != want {
+		if got, want := encodeResult(t, results[i]), encodeResult(t, baseResults[i]); got != want {
 			t.Fatalf("result %d diverged:\n got %s\nwant %s", i, got, want)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,11 +17,8 @@ import (
 	"repro/internal/fleet"
 )
 
-// timings matches the measured members of a result line.
-var timings = regexp.MustCompile(`,?"(?:wall|translate|solve)_ns":\d+`)
-
-// sweepLines streams sw through r and returns each cell's line with its
-// timings removed, by cell index.
+// sweepLines streams sw through r and returns each cell's line, by cell
+// index.
 func sweepLines(t *testing.T, r *engine.Runner, sw *engine.Sweep) []string {
 	t.Helper()
 	lines := make([]string, sw.Len())
@@ -30,7 +26,7 @@ func sweepLines(t *testing.T, r *engine.Runner, sw *engine.Sweep) []string {
 		if line.Err != nil {
 			t.Fatal(line.Err)
 		}
-		lines[line.Result.Index] = timings.ReplaceAllString(string(line.Data), "")
+		lines[line.Result.Index] = string(line.Data)
 	}
 	return lines
 }
@@ -48,7 +44,7 @@ func newCache(t *testing.T) *cache.Cache {
 // TestCoordinatorSweepSendsHeldBytes pins the coordinator's sweep path:
 // a coordinator with a cache streams a decoded sweep — where each cell's
 // unit is spliced around the canonical bytes the sweep holds — and its
-// lines equal a standalone Runner's byte for byte, timings aside, for
+// lines equal a standalone Runner's byte for byte, for
 // every engine kind and for cell names that need escaping. The workers
 // record the units they receive, one per line of each request body:
 // every cell reaches one exactly once, as the unit
@@ -121,15 +117,11 @@ func TestCoordinatorSweepSendsHeldBytes(t *testing.T) {
 	}
 }
 
-// oldResultFormat rewrites a result line into the format workers wrote
-// before results stopped carrying derived facts: "explicit" on an
-// explicit verdict, and the coverage signature in the stats.
-func oldResultFormat(line []byte) []byte {
-	s := string(line)
-	if strings.Contains(s, `"engine":"explicit"`) {
-		s = strings.Replace(s, `,"stats":`, `,"explicit":true,"stats":`, 1)
-	}
-	return []byte(strings.Replace(s, `,"wall_ns":`, `,"cov_occupancy":3,"cov_depth":2,"cov_shape":1,"wall_ns":`, 1))
+// oldResultFormat rewrites a worker's reply into the format workers
+// wrote before result lines stopped carrying measured times: each line's
+// stats closing with its "wall_ns".
+func oldResultFormat(reply []byte) []byte {
+	return regexp.MustCompile(`("stats":\{[^}]*)\}`).ReplaceAll(reply, []byte(`$1,"wall_ns":1234567}`))
 }
 
 // TestMixedVersionFleet: one of two workers answers in the old result

@@ -123,8 +123,9 @@ func writeJSONError(rw http.ResponseWriter, code int, err error) {
 // passed cannot keep burning worker CPU even if the connection lingers.
 // The response is one result line per unit, in the units' order, under
 // one X-Fleet-Checksum over the exact body bytes so the coordinator can
-// reject in-transit corruption. A one-unit body and its reply are a
-// single unit and its line. Mount it for POST only, as Handler does.
+// reject in-transit corruption, and X-Fleet-Work-Ns states the time the
+// units took here. A one-unit body and its reply are a single unit and
+// its line. Mount it for POST only, as Handler does.
 func (w *Worker) HandleWork(rw http.ResponseWriter, r *http.Request) {
 	select {
 	case w.sem <- struct{}{}:
@@ -160,6 +161,7 @@ func (w *Worker) HandleWork(rw http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
 		defer cancel()
 	}
+	start := time.Now()
 	var reply []byte
 	for _, u := range units {
 		res := engine.VerifyCached(ctx, u.Engine, u.Scenario, w.opts.Cache)
@@ -174,6 +176,7 @@ func (w *Worker) HandleWork(rw http.ResponseWriter, r *http.Request) {
 	w.units.Add(uint64(len(units)))
 	rw.Header().Set("Content-Type", "application/json")
 	rw.Header().Set(resultChecksumHeader, engine.Digest(reply))
+	rw.Header().Set(workHeader, strconv.FormatInt(int64(time.Since(start)), 10))
 	rw.Write(reply)
 }
 
