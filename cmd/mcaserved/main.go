@@ -95,7 +95,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -129,19 +129,20 @@ func main() {
 	maxInFlight := fs.Int("maxinflight", 0, "cap on concurrently executing client requests: /verify, /sweep (0 = unlimited; a worker admits /fleet/work by -fleetslots alone)")
 	chaosSpec := fs.String("chaos", "", "arm seeded fault injection on fleet dispatch, peer cache, and disk cache writes (internal/chaos spec, e.g. \"seed=1,crash=0.1,corrupt=0.05\"); for failure-semantics testing only")
 	fs.Parse(os.Args[1:])
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 
 	var injector *chaos.Injector
 	if *chaosSpec != "" {
 		cfg, err := chaos.ParseSpec(*chaosSpec)
 		if err != nil {
-			log.Fatal(err)
+			fatal("parsing -chaos", err)
 		}
 		injector = chaos.New(cfg)
-		log.Printf("mcaserved: CHAOS ARMED (%s) — fault injection is live, do not run in production", *chaosSpec)
+		slog.Warn("CHAOS ARMED: fault injection is live, do not run in production", "spec", *chaosSpec)
 	}
 	c, err := cache.New(cache.Options{Capacity: *cacheSize, Dir: *cacheDir, RemoteURL: *remoteCache, RemoteSecret: *cacheSecret, Chaos: injector})
 	if err != nil {
-		log.Fatal(err)
+		fatal("opening the cache", err)
 	}
 	s, err := newServer(serverConfig{
 		Workers:        *workers,
@@ -160,7 +161,7 @@ func main() {
 		Chaos:          injector,
 	})
 	if err != nil {
-		log.Fatal(err)
+		fatal("configuring the server", err)
 	}
 	srv := &http.Server{
 		Addr:              *addr,
@@ -172,18 +173,18 @@ func main() {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("mcaserved listening on %s (role %s, cache capacity %d, dir %q)", *addr, *role, c.Stats().Capacity, *cacheDir)
+	slog.Info("listening", "addr", *addr, "role", *role, "cache_capacity", c.Stats().Capacity, "cache_dir", *cacheDir)
 
 	select {
 	case err := <-errc:
-		log.Fatal(err)
+		fatal("serving", err)
 	case <-ctx.Done():
 	}
 	// Restore the default signal disposition before draining, so a
 	// second SIGINT/SIGTERM genuinely kills the process instead of
 	// being swallowed by the (still registered) notify channel.
 	stop()
-	log.Print("mcaserved draining (second signal aborts immediately)")
+	slog.Info("draining (second signal aborts immediately)")
 	// Quiesce the fleet first: in-flight dispatches finish, pending
 	// units come back inconclusive, and only then is the HTTP side
 	// drained — so a coordinator's open /sweep streams can still emit
@@ -192,8 +193,14 @@ func main() {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("shutdown: %v", err)
+		slog.Error("shutdown", "err", err)
 	}
+}
+
+// fatal logs err and ends the process.
+func fatal(msg string, err error) {
+	slog.Error(msg, "err", err)
+	os.Exit(1)
 }
 
 // splitPeers parses the -peers list, tolerating blanks.
@@ -604,7 +611,7 @@ func (s *ndjsonStream) write(label string, data []byte, err error) {
 		_, err = s.w.Write(append(data, '\n'))
 	}
 	if err != nil {
-		log.Printf("%s: aborting stream at %q: %v", s.name, label, err)
+		slog.Error("aborting stream", "endpoint", s.name, "at", label, "err", err)
 		s.aborted = true
 		s.cancel()
 	}
@@ -638,7 +645,7 @@ func (s *ndjsonStream) summary(data []byte, err error) {
 		return
 	}
 	if err != nil {
-		log.Printf("%s: encoding summary: %v", s.name, err)
+		slog.Error("encoding summary", "endpoint", s.name, "err", err)
 		return
 	}
 	s.w.Write([]byte(`{"summary":`))

@@ -8,7 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -613,128 +613,34 @@ var errTrailingData = errors.New("trailing data after JSON document")
 
 // ---- result codec ----
 
-type resultJSON struct {
-	Version   int                   `json:"version"`
-	Scenario  string                `json:"scenario,omitempty"`
-	Engine    string                `json:"engine,omitempty"`
-	Index     int                   `json:"index"`
-	Status    Status                `json:"status"`
-	Violation explore.ViolationKind `json:"violation,omitempty"`
-	SATStatus sat.Status            `json:"sat_status,omitempty"`
-	Cached    bool                  `json:"cached,omitempty"`
-	Stats     *statsJSON            `json:"stats,omitempty"`
-	Trace     *traceJSON            `json:"trace,omitempty"`
-	Err       string                `json:"error,omitempty"`
-}
-
-type statsJSON struct {
-	States      int     `json:"states,omitempty"`
-	MaxDepth    int     `json:"max_depth,omitempty"`
-	Exhausted   bool    `json:"exhausted,omitempty"`
-	Capped      bool    `json:"capped,omitempty"`
-	MissProb    float64 `json:"miss_prob,omitempty"`
-	PrimaryVars int     `json:"primary_vars,omitempty"`
-	AuxVars     int     `json:"aux_vars,omitempty"`
-	Clauses     int     `json:"clauses,omitempty"`
-	Conflicts   int64   `json:"conflicts,omitempty"`
-	Props       int64   `json:"propagations,omitempty"`
-	LearntCl    int64   `json:"learnt_clauses,omitempty"`
-	Runs        int     `json:"runs,omitempty"`
-	Converged   int     `json:"converged,omitempty"`
-	Deliveries  int     `json:"deliveries,omitempty"`
-	Dropped     int     `json:"dropped,omitempty"`
-	Duplicated  int     `json:"duplicated,omitempty"`
-}
-
-type traceJSON struct {
-	ItemNames []string        `json:"item_names,omitempty"`
-	Steps     []traceStepJSON `json:"steps,omitempty"`
-}
-
-type traceStepJSON struct {
-	Label  string           `json:"label,omitempty"`
-	Agents []traceAgentJSON `json:"agents,omitempty"`
-}
-
-type traceAgentJSON struct {
-	ID     int     `json:"id"`
-	Bids   []int64 `json:"bids,omitempty"`
-	Winner []int   `json:"winner,omitempty"`
-	Bundle []int   `json:"bundle,omitempty"`
-}
-
-// EncodeResult renders a Result as canonical versioned JSON. Err is
-// flattened to its message. A cached verdict's line is built once
-// (encodedLine); every hit splices its own name, index and cached flag
-// into those bytes.
+// EncodeResult renders a Result as canonical versioned JSON
+// (appendResult). Err is flattened to its message. A cached verdict's
+// line is built once (encodedLine); every hit splices its own name,
+// index and cached flag into those bytes.
 func EncodeResult(r *Result) ([]byte, error) {
 	if r.line != nil {
 		if data := r.line.splice(r); data != nil {
 			return data, nil
 		}
 	}
-	return encodeResult(r)
+	data, _, err := encodeLine(r)
+	return data, err
 }
 
-func encodeResult(r *Result) ([]byte, error) {
-	w := resultJSON{
-		Version:   SchemaVersion,
-		Scenario:  validUTF8(r.Scenario),
-		Engine:    validUTF8(r.Engine),
-		Index:     r.Index,
-		Status:    r.Status,
-		Violation: r.Violation,
-		SATStatus: r.SATStatus,
-		Cached:    r.Cached,
+// encodeLine is appendResult into a pooled buffer, copied out at its size
+// and a byte for an NDJSON newline; nil if r has no encoding.
+func encodeLine(r *Result) ([]byte, lineSpans, error) {
+	buf := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(buf)
+	data, spans, err := appendResult((*buf)[:0], r)
+	*buf = data
+	if err != nil {
+		return nil, spans, err
 	}
-	if st := (statsJSON{
-		States:      r.Stats.States,
-		MaxDepth:    r.Stats.MaxDepth,
-		Exhausted:   r.Stats.Exhausted,
-		Capped:      r.Stats.Capped,
-		MissProb:    r.Stats.MissProb,
-		PrimaryVars: r.Stats.PrimaryVars,
-		AuxVars:     r.Stats.AuxVars,
-		Clauses:     r.Stats.Clauses,
-		Conflicts:   r.Stats.Conflicts,
-		Props:       r.Stats.Propagations,
-		LearntCl:    r.Stats.LearntClauses,
-		Runs:        r.Stats.Runs,
-		Converged:   r.Stats.Converged,
-		Deliveries:  r.Stats.Deliveries,
-		Dropped:     r.Stats.Dropped,
-		Duplicated:  r.Stats.Duplicated,
-	}); st != (statsJSON{}) {
-		w.Stats = &st
-	}
-	if r.Trace != nil {
-		tw := &traceJSON{}
-		for _, name := range r.Trace.ItemNames {
-			tw.ItemNames = append(tw.ItemNames, validUTF8(name))
-		}
-		for _, step := range r.Trace.Steps() {
-			sw := traceStepJSON{Label: validUTF8(step.Label)}
-			for _, a := range step.Agents {
-				sw.Agents = append(sw.Agents, traceAgentJSON{ID: a.ID, Bids: a.Bids, Winner: a.Winner, Bundle: a.Bundle})
-			}
-			tw.Steps = append(tw.Steps, sw)
-		}
-		w.Trace = tw
-	}
-	w.Err = validUTF8(errText(r.Err))
-	return json.Marshal(w)
+	return append(make([]byte, 0, len(data)+1), data...), spans, nil
 }
 
-// validUTF8 is s with each byte that is not part of valid UTF-8
-// replaced by U+FFFD. encoding/json writes such a byte as the escape
-// \ufffd, which reads back as the character; the encoder writes the
-// character itself, so a string has one spelling (DecodeResult).
-func validUTF8(s string) string {
-	if utf8.ValidString(s) {
-		return s
-	}
-	return string([]rune(s))
-}
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // encodedLine is the encoding of a verdict, kept beside it: the Result
 // the cache stores points to one, every hit copied out of the cache
@@ -757,15 +663,12 @@ type encodedLine struct {
 }
 
 // lineSpans are the spans of a result line that a splice replaces, as
-// DecodeResult found them: [name, nameEnd) by the scenario member,
-// [index, indexEnd) by the index, and [cached, cachedEnd) by
-// cachedMember or nothing.
+// appendResult wrote them or DecodeResult found them: [name, nameEnd) by
+// the scenario member, [index, indexEnd) by the index, and [cached,
+// cachedEnd) by the cached member or nothing.
 type lineSpans struct {
 	name, nameEnd, index, indexEnd, cached, cachedEnd int
 }
-
-// cachedMember is how the encoder writes Cached.
-const cachedMember = `,"cached":true`
 
 // withLine returns r with a fresh encodedLine: the Result a cache
 // stores. Nothing is encoded here.
@@ -798,48 +701,32 @@ func (l *encodedLine) splice(r *Result) []byte {
 	}
 	// Room for the scenario member, any index and the newline an NDJSON
 	// writer appends.
-	out := make([]byte, 0, len(l.data)+len(`,"scenario":""`)+len(r.Scenario)+21)
-	out = append(out, l.data[:l.name]...)
-	if r.Scenario != "" {
-		out = append(out, `,"scenario":`...)
-		out = appendJSONString(out, r.Scenario)
-	}
-	out = append(out, l.data[l.nameEnd:l.index]...)
-	out = strconv.AppendInt(out, int64(r.Index), 10)
-	out = append(out, l.data[l.indexEnd:l.cached]...)
-	if r.Cached {
-		out = append(out, cachedMember...)
-	}
-	return append(out, l.data[l.cachedEnd:]...)
+	w := writer{b: make([]byte, 0, len(l.data)+len(`,"scenario":""`)+len(r.Scenario)+21)}
+	w.b = append(w.b, l.data[:l.name]...)
+	w.text("scenario", r.Scenario)
+	w.b = strconv.AppendInt(append(w.b, l.data[l.nameEnd:l.index]...), int64(r.Index), 10)
+	w.b = append(w.b, l.data[l.indexEnd:l.cached]...)
+	w.omitBool("cached", r.Cached)
+	return append(w.b, l.data[l.cachedEnd:]...)
 }
 
 // build encodes base with Cached set, unless the line came with its
-// bytes, and reads the spans off the encoding.
+// bytes, and keeps the spans the writer records.
 func (l *encodedLine) build() {
-	if l.data != nil {
-		return
+	if l.data == nil {
+		r := l.base
+		r.Cached = true
+		l.data, l.lineSpans, _ = encodeLine(&r)
 	}
-	r := l.base
-	r.Cached = true
-	data, err := encodeResult(&r)
-	if err != nil {
-		return
-	}
-	if read, err := readLine(data); err == nil {
-		l.data, l.lineSpans = data, read.line.lineSpans
-	}
-}
-
-// appendJSONString appends s as the result encoder writes a string:
-// after validUTF8, as json.Marshal writes it.
-func appendJSONString(dst []byte, s string) []byte {
-	return appendString(dst, validUTF8(s))
 }
 
 // appendString appends s as json.Marshal writes a string: <, > and & and
 // the control characters escaped, each byte of invalid UTF-8 as \ufffd,
-// and U+2028 and U+2029 escaped.
-func appendString(dst []byte, s string) []byte {
+// and U+2028 and U+2029 escaped. With line set, such a byte is written
+// as U+FFFD itself, which is what the escape reads back as: a result
+// line and a work unit write it so, and a string has one spelling
+// (DecodeResult).
+func appendString(dst []byte, s string, line bool) []byte {
 	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
 	start := 0
@@ -874,7 +761,11 @@ func appendString(dst []byte, s string) []byte {
 		switch {
 		case r == utf8.RuneError && size == 1:
 			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
+			if line {
+				dst = append(dst, "\uFFFD"...)
+			} else {
+				dst = append(dst, `\ufffd`...)
+			}
 		case r == '\u2028' || r == '\u2029':
 			dst = append(dst, s[start:i]...)
 			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
@@ -1064,7 +955,7 @@ func verifyCached(ctx context.Context, eng Engine, s Scenario, canonical []byte,
 	defer func() {
 		if p := recover(); p != nil {
 			err := fmt.Errorf("engine: scenario %q: panic in %s: %v", s.Name, eng.Name(), p)
-			log.Printf("%v\n%s", err, debug.Stack())
+			slog.Error("engine panic", "err", err, "stack", string(debug.Stack()))
 			res = errorResult(&s, eng.Name(), err)
 		}
 	}()

@@ -35,9 +35,9 @@
 // exactly what a strict encoding/json decode into the wire structs
 // accepts — unknown members and trailing data refused — and the matching
 // writer produces exactly json.Marshal's bytes. A Result has one
-// spelling, the one EncodeResult writes, and DecodeResult reads that
-// spelling and no other, keeping the bytes it read as the Result's
-// encoding.
+// spelling, written by one writer that records the spans a hit splices
+// and read, beside it in line.go, by DecodeResult and no other reader,
+// which keeps the bytes it read as the Result's encoding.
 // Canonical encoding gives every scenario a content address (CacheKey),
 // which RunnerOptions.Cache uses to skip already-verified scenarios:
 // repeated sweeps only pay for cells whose content changed.

@@ -12,19 +12,135 @@ import (
 	"repro/internal/trace"
 )
 
-// ---- reading a result document ----
+// ---- the result document ----
 //
-// A result document has one spelling, the one EncodeResult writes, and
-// DecodeResult reads that spelling and no other: members in the
-// encoder's order, no white space, no member the encoder omits (a zero
-// count or float, a false flag, an empty string or list), integers
-// without a sign on zero or leading zeros, miss_prob as encoding/json
-// formats a float, and strings escaped exactly as encoding/json escapes
-// them, with U+FFFD written as itself. Every document it accepts is
-// EncodeResult of what it reads, byte for byte, so the bytes become the
-// Result's kept encoding (encodedLine): EncodeResult splices a name,
-// index and cached flag into them instead of encoding the Result again,
-// and the trace stays encoded until something reads its steps.
+// A result document has one spelling, and this file holds its one
+// writer (appendResult) and its one reader (DecodeResult), over the same
+// members in the same order: no white space, no member that is empty (a
+// zero count or float, a false flag, an empty string or list), integers
+// without a sign on zero or leading zeros, and numbers and strings as
+// encoding/json writes them, but for a byte of invalid UTF-8, written as
+// U+FFFD itself. Every document DecodeResult accepts is EncodeResult of
+// what it reads, byte for byte, so the bytes become the Result's kept
+// encoding (encodedLine): EncodeResult splices a name, index and cached
+// flag into them at the spans the writer or the reader recorded, and the
+// trace stays encoded until something reads its steps.
+
+// appendResult appends the document of r to dst and returns the spans a
+// splice replaces. The error is json.Marshal's for a value that has no
+// spelling: an enum without a token, or a NaN or infinite miss_prob.
+func appendResult(dst []byte, r *Result) ([]byte, lineSpans, error) {
+	var l lineSpans
+	w := writer{b: strconv.AppendInt(append(dst, `{"version":`...), SchemaVersion, 10)}
+	l.name = len(w.b)
+	w.text("scenario", r.Scenario)
+	l.nameEnd = len(w.b)
+	w.text("engine", r.Engine)
+	w.key("index")
+	l.index = len(w.b)
+	w.b = strconv.AppendInt(w.b, int64(r.Index), 10)
+	l.indexEnd = len(w.b)
+	writeToken(&w, "status", r.Status, statusTokens[:])
+	omitToken(&w, "violation", r.Violation, violationTokens)
+	omitToken(&w, "sat_status", r.SATStatus, satTokens)
+	l.cached = len(w.b)
+	w.omitBool("cached", r.Cached)
+	l.cachedEnd = len(w.b)
+	s := r.Stats // its times stay in the process that measured them
+	if s.TranslateTime, s.SolveTime, s.Wall = 0, 0, 0; s != (Stats{}) {
+		w.key("stats")
+		w.b = append(w.b, '{')
+		for _, m := range statsMembers(&s) {
+			switch v := m.field.(type) {
+			case *int:
+				w.omitInt(m.key, int64(*v))
+			case *int64:
+				w.omitInt(m.key, *v)
+			case *bool:
+				w.omitBool(m.key, *v)
+			case *float64:
+				w.omitFloat(m.key, *v)
+			}
+		}
+		w.b = append(w.b, '}')
+	}
+	if r.Trace != nil {
+		w.trace(r.Trace)
+	}
+	w.text("error", errText(r.Err))
+	return append(w.b, '}'), l, w.err
+}
+
+// text writes a string member unless it is empty, as a result line
+// writes a string.
+func (w *writer) text(name, v string) {
+	if v != "" {
+		w.key(name)
+		w.b = appendString(w.b, v, true)
+	}
+}
+
+// statsMember is a stats member: its key, and a pointer to the field that
+// holds it, an *int, *int64, *bool or *float64.
+type statsMember struct {
+	key   string
+	field any
+}
+
+// statsMembers is the stats object's member list, in the document's
+// order, over s.
+func statsMembers(s *Stats) [16]statsMember {
+	return [...]statsMember{{"states", &s.States}, {"max_depth", &s.MaxDepth}, {"exhausted", &s.Exhausted},
+		{"capped", &s.Capped}, {"miss_prob", &s.MissProb}, {"primary_vars", &s.PrimaryVars},
+		{"aux_vars", &s.AuxVars}, {"clauses", &s.Clauses}, {"conflicts", &s.Conflicts},
+		{"propagations", &s.Propagations}, {"learnt_clauses", &s.LearntClauses}, {"runs", &s.Runs},
+		{"converged", &s.Converged}, {"deliveries", &s.Deliveries}, {"dropped", &s.Dropped},
+		{"duplicated", &s.Duplicated}}
+}
+
+// trace writes the trace member: its item names, and every step with
+// the agents' snapshots.
+func (w *writer) trace(t *trace.Recorder) {
+	w.key("trace")
+	w.b = append(w.b, '{')
+	if w.list("item_names", len(t.ItemNames)) {
+		for i, name := range t.ItemNames {
+			w.sep(i)
+			w.b = appendString(w.b, name, true)
+		}
+		w.b = append(w.b, ']')
+	}
+	steps := t.Steps()
+	if w.list("steps", len(steps)) {
+		for i, st := range steps {
+			w.sep(i)
+			w.b = append(w.b, '{')
+			w.text("label", st.Label)
+			if w.list("agents", len(st.Agents)) {
+				for j, a := range st.Agents {
+					w.sep(j)
+					w.b = strconv.AppendInt(append(w.b, `{"id":`...), int64(a.ID), 10)
+					omitInts(w, "bids", a.Bids)
+					omitInts(w, "winner", a.Winner)
+					omitInts(w, "bundle", a.Bundle)
+					w.b = append(w.b, '}')
+				}
+				w.b = append(w.b, ']')
+			}
+			w.b = append(w.b, '}')
+		}
+		w.b = append(w.b, ']')
+	}
+	w.b = append(w.b, '}')
+}
+
+// omitInts writes a list of integers unless it is empty.
+func omitInts[T int | int64](w *writer, name string, v []T) {
+	if len(v) > 0 {
+		w.key(name)
+		writeInts(w, v)
+	}
+}
 
 // DecodeResult parses a result document, and at most one newline after
 // it, which is not kept. Err comes back as a plain error carrying the
@@ -57,8 +173,8 @@ type lineReader struct {
 // keeps it.
 func readLine(data []byte) (Result, error) {
 	var r Result
+	var l lineSpans
 	p := &lineReader{b: data, ok: true}
-	l := &encodedLine{data: data}
 	p.need(`{"version":`)
 	if at, v := p.i, p.int(false, 64); v != SchemaVersion {
 		p.i = at
@@ -87,7 +203,7 @@ func readLine(data []byte) (Result, error) {
 		p.nonzero(r.SATStatus != 0)
 	}
 	l.cached = p.i
-	r.Cached = p.lit(cachedMember)
+	r.Cached = p.lit(`,"cached":true`)
 	l.cachedEnd = p.i
 	if p.lit(`,"stats":`) {
 		r.Stats = p.stats()
@@ -112,10 +228,8 @@ func readLine(data []byte) (Result, error) {
 	if !p.ok {
 		return Result{}, fmt.Errorf("engine: result: byte %d: %w", p.at, p.why)
 	}
-	l.base = r
-	l.base.Scenario, l.base.Index, l.base.Cached = "", 0, false
-	l.err = errText(r.Err)
-	r.line = l
+	r = withLine(r)
+	r.line.data, r.line.lineSpans = data, l
 	return r, nil
 }
 
@@ -155,23 +269,20 @@ func (p *lineReader) nonzero(ok bool) {
 	}
 }
 
-// member consumes the key of an optional member of an object whose
-// first member is optional too: a comma comes before it unless nothing
-// has been read of its object yet (*first).
-func (p *lineReader) member(key string, first *bool) bool {
-	if !*first && !(p.i < len(p.b) && p.b[p.i] == ',') {
-		return false
-	}
+// member consumes the key of an optional member, after a comma unless
+// it opens its object, as the writer's key writes it.
+func (p *lineReader) member(key string) bool {
 	j := p.i
-	if !*first {
-		p.i++
-	}
-	if !p.lit(key) {
+	if !(p.opened() || p.lit(",")) || !p.lit(`"`) || !p.lit(key) || !p.lit(`":`) {
 		p.i = j
 		return false
 	}
-	*first = false
 	return true
+}
+
+// opened reports whether the last byte read opened an object.
+func (p *lineReader) opened() bool {
+	return p.i > 0 && p.b[p.i-1] == '{'
 }
 
 // int reads an integer of the given bit size; nonzero refuses 0, which
@@ -377,33 +488,23 @@ func escaped(b []byte) (rune, int) {
 // stats reads the stats object: at least one member, each non-zero.
 func (p *lineReader) stats() (s Stats) {
 	p.need("{")
-	first := true
-	count := func(key string, bits int) int64 {
-		if p.member(key, &first) {
-			return p.int(true, bits)
+	for _, m := range statsMembers(&s) {
+		if !p.member(m.key) {
+			continue
 		}
-		return 0
+		switch v := m.field.(type) {
+		case *int:
+			*v = int(p.int(true, strconv.IntSize))
+		case *int64:
+			*v = p.int(true, 64)
+		case *bool:
+			p.need("true")
+			*v = true
+		case *float64:
+			*v = p.float()
+		}
 	}
-	const n = strconv.IntSize
-	s.States = int(count(`"states":`, n))
-	s.MaxDepth = int(count(`"max_depth":`, n))
-	s.Exhausted = p.member(`"exhausted":true`, &first)
-	s.Capped = p.member(`"capped":true`, &first)
-	if p.member(`"miss_prob":`, &first) {
-		s.MissProb = p.float()
-	}
-	s.PrimaryVars = int(count(`"primary_vars":`, n))
-	s.AuxVars = int(count(`"aux_vars":`, n))
-	s.Clauses = int(count(`"clauses":`, n))
-	s.Conflicts = count(`"conflicts":`, 64)
-	s.Propagations = count(`"propagations":`, 64)
-	s.LearntClauses = count(`"learnt_clauses":`, 64)
-	s.Runs = int(count(`"runs":`, n))
-	s.Converged = int(count(`"converged":`, n))
-	s.Deliveries = int(count(`"deliveries":`, n))
-	s.Dropped = int(count(`"dropped":`, n))
-	s.Duplicated = int(count(`"duplicated":`, n))
-	p.nonzero(!first) // the encoder omits stats that are all zero
+	p.nonzero(!p.opened()) // the encoder omits stats that are all zero
 	p.need("}")
 	return s
 }
@@ -412,8 +513,7 @@ func (p *lineReader) stats() (s Stats) {
 // steps only when keep is set, else they are only checked.
 func (p *lineReader) trace(keep bool) (names []string, steps []trace.Step) {
 	p.need("{")
-	first := true
-	if p.member(`"item_names":`, &first) {
+	if p.member("item_names") {
 		p.need("[")
 		for p.ok {
 			names = append(names, p.str(true, false))
@@ -423,7 +523,7 @@ func (p *lineReader) trace(keep bool) (names []string, steps []trace.Step) {
 		}
 		p.need("]")
 	}
-	if p.member(`"steps":`, &first) {
+	if p.member("steps") {
 		p.need("[")
 		for p.ok {
 			st := p.step(keep)
@@ -442,11 +542,10 @@ func (p *lineReader) trace(keep bool) (names []string, steps []trace.Step) {
 
 func (p *lineReader) step(keep bool) (st trace.Step) {
 	p.need("{")
-	first := true
-	if p.member(`"label":`, &first) {
+	if p.member("label") {
 		st.Label = p.str(keep, true)
 	}
-	if p.member(`"agents":`, &first) {
+	if p.member("agents") {
 		p.need("[")
 		for p.ok {
 			var a trace.AgentSnapshot

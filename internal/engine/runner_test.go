@@ -1,8 +1,12 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"log"
+	"log/slog"
 	"strings"
 	"testing"
 
@@ -192,14 +196,34 @@ func (p panicky) Verify(ctx context.Context, s engine.Scenario) engine.Result {
 
 // TestRunnerContainsEnginePanic: a panic inside one scenario's Verify —
 // on a pool goroutine, where nothing else would recover it — is that
-// scenario's error result; every other scenario still reports.
+// scenario's error result; every other scenario still reports. The
+// panic is logged once, through the default slog.Logger, with its
+// message and the stack it was raised on. (The test swaps the default
+// logger, so it does not run in parallel.)
 func TestRunnerContainsEnginePanic(t *testing.T) {
 	scenarios := sweepScenarios(t)[:12]
 	bad := scenarios[5].Name
 	want, _ := engine.NewRunner(engine.RunnerOptions{Workers: 3}).Run(context.Background(), scenarios)
 
+	var logged bytes.Buffer
+	// SetDefault also routes the log package through the handler; undo
+	// both.
+	defer log.SetOutput(log.Writer())
+	defer log.SetFlags(log.Flags())
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&logged, nil)))
 	results, sum := engine.NewRunner(engine.RunnerOptions{Workers: 3, Engine: panicky{bad: true}}).
 		Run(context.Background(), scenarios)
+	var record struct{ Level, Msg, Err, Stack string }
+	dec := json.NewDecoder(&logged)
+	if err := dec.Decode(&record); err != nil || dec.More() {
+		t.Fatalf("want one log record of the panic, got %v, more %v", err, dec.More())
+	}
+	if record.Level != "ERROR" || !strings.Contains(record.Err, "panic in panicky") ||
+		!strings.Contains(record.Err, "index out of range") ||
+		!strings.Contains(record.Stack, "runtime/debug.Stack") || !strings.Contains(record.Stack, "panicky.Verify") {
+		t.Fatalf("panic logged as %+v", record)
+	}
 	if sum.Total != len(scenarios) || sum.Errors != 1 {
 		t.Fatalf("summary %+v, want one error in %d", sum, len(scenarios))
 	}

@@ -82,7 +82,9 @@ func TestCheckDigestFailsClosed(t *testing.T) {
 // input decodes to an error, or to a value whose full encoding is the
 // input itself; never a panic, and allocation in proportion to the
 // input. The other way round, a Result whose strings and miss_prob come
-// from the input encodes to a document that reads back to itself.
+// from the input encodes to a document that reads back to itself. On
+// both halves the writer is held to json.Marshal of the mirror structs
+// (marshalResult).
 func FuzzDecodeResult(f *testing.F) {
 	pol := mca.Policy{Target: 2, Utility: mca.NonSubmodularSynergy{}, ReleaseOutbid: true, Rebid: mca.RebidOnChange}
 	osc := Explicit{}.Verify(context.Background(), Scenario{Name: "osc", AgentSpecs: specs(2, 2, pol), Graph: graph.Complete(2)})
@@ -126,6 +128,7 @@ func FuzzDecodeResult(f *testing.F) {
 			if got := fullEncode(t, res); !bytes.Equal(got, bytes.TrimSuffix(data, []byte("\n"))) {
 				t.Fatalf("read\n%q\nwhich encodes as\n%q", data, got)
 			}
+			checkMarshal(t, res)
 		}
 		s := string(data)
 		rec := trace.NewRecorder()
@@ -135,6 +138,7 @@ func FuzzDecodeResult(f *testing.F) {
 		copy(bits[:], data)
 		r := Result{Scenario: s, Engine: s, Index: len(data) - 4, Status: StatusHolds, Trace: rec, Err: errors.New(s),
 			Stats: Stats{MissProb: math.Float64frombits(binary.LittleEndian.Uint64(bits[:]))}}
+		checkMarshal(t, r)
 		first, err := EncodeResult(&r)
 		if err != nil {
 			return // a NaN or infinite miss_prob has no JSON spelling

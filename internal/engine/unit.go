@@ -77,7 +77,7 @@ func AssembleWorkUnit(index int, spec, name string, canonical []byte) []byte {
 	unit = append(unit, canonicalHead...)
 	if name != "" {
 		unit = append(unit, `,"name":`...)
-		unit = appendJSONString(unit, name)
+		unit = appendString(unit, name, true)
 	}
 	unit = append(unit, canonical[len(canonicalHead):]...)
 	return append(unit, '}')

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/explore"
 	"repro/internal/mca"
+	"repro/internal/sat"
 )
 
 // ---- the wire reader and writer ----
@@ -1214,7 +1215,7 @@ func (w *writer) float(v float64) {
 
 func (w *writer) str(name, v string) {
 	w.key(name)
-	w.b = appendString(w.b, v)
+	w.b = appendString(w.b, v, false)
 }
 
 func (w *writer) omitStr(name, v string) {
@@ -1223,16 +1224,25 @@ func (w *writer) omitStr(name, v string) {
 	}
 }
 
-// omitToken writes an enum member unless it is the zero value, as
-// MarshalText spells it: from tokens, which holds what MarshalText
-// returns for each value it accepts, so as not to allocate.
-func omitToken[T interface {
+// textEnum is an enum that a document spells as a token.
+type textEnum interface {
 	~int
 	encoding.TextMarshaler
-}](w *writer, name string, v T, tokens []string) {
+}
+
+// omitToken writes an enum member unless it is the zero value.
+func omitToken[T textEnum](w *writer, name string, v T, tokens []string) {
+	if v != 0 {
+		writeToken(w, name, v, tokens)
+	}
+}
+
+// writeToken writes an enum member as MarshalText spells it: from
+// tokens, which holds what MarshalText returns for each value it
+// accepts, so as not to allocate.
+func writeToken[T textEnum](w *writer, name string, v T, tokens []string) {
 	switch {
-	case v == 0:
-	case 0 < v && int(v) < len(tokens) && tokens[v] != "":
+	case 0 <= v && int(v) < len(tokens) && tokens[v] != "":
 		w.str(name, tokens[v])
 	default:
 		if text, err := v.MarshalText(); err != nil {
@@ -1247,10 +1257,7 @@ func omitToken[T interface {
 
 // textTokens is MarshalText of the values 1 to 7 of an enum, "" where it
 // fails.
-func textTokens[T interface {
-	~int
-	encoding.TextMarshaler
-}]() []string {
+func textTokens[T textEnum]() []string {
 	tokens := make([]string, 8)
 	for v := T(1); v < 8; v++ {
 		if text, err := v.MarshalText(); err == nil {
@@ -1261,8 +1268,10 @@ func textTokens[T interface {
 }
 
 var (
-	rebidTokens = textTokens[mca.RebidMode]()
-	storeTokens = textTokens[explore.StoreKind]()
+	rebidTokens     = textTokens[mca.RebidMode]()
+	storeTokens     = textTokens[explore.StoreKind]()
+	violationTokens = textTokens[explore.ViolationKind]()
+	satTokens       = textTokens[sat.Status]()
 )
 
 // writeInts writes a list of integers, and null for a nil one.

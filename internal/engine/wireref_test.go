@@ -379,7 +379,7 @@ func TestMemberListsAreTheWireTags(t *testing.T) {
 // json.Marshal writes and invalid UTF-8 included.
 func TestWriterMatchesMarshalOnStrings(t *testing.T) {
 	for _, s := range []string{"", "plain", "q\"b\\s", "<a&b>", "\x00\x07\b\f\n\r\t\x1f\x7f", "ünï  ĉode", "a\xffb\xed\xa0\x80", "\xf0\x9f\x98"} {
-		if got, want := appendString(nil, s), mustMarshal(t, s); !bytes.Equal(got, want) {
+		if got, want := appendString(nil, s, false), mustMarshal(t, s); !bytes.Equal(got, want) {
 			t.Errorf("%q: appendString %s, json.Marshal %s", s, got, want)
 		}
 	}
