@@ -22,7 +22,7 @@ func satCheckDoc(seed int) []byte {
 // on the serial SAT engine. The first iteration may translate; the rest
 // copy the process's translation. Random polarity is off, so the seed
 // does not steer the search: every check must be a counterexample found
-// after exactly 546 conflicts.
+// after exactly 546 conflicts and 329,637 propagations.
 func BenchmarkSATCheck(b *testing.B) {
 	var translate, solve time.Duration
 	for i := 0; i < b.N; i++ {
@@ -31,9 +31,9 @@ func BenchmarkSATCheck(b *testing.B) {
 			b.Fatal(err)
 		}
 		r := engine.SAT{}.Verify(context.Background(), s)
-		if r.Status != engine.StatusViolated || r.SATStatus != sat.StatusSat || r.Stats.Conflicts != 546 {
-			b.Fatalf("check %d: %v/%v after %d conflicts, want violated/SAT after 546 (err %v)",
-				i, r.Status, r.SATStatus, r.Stats.Conflicts, r.Err)
+		if r.Status != engine.StatusViolated || r.SATStatus != sat.StatusSat || r.Stats.Conflicts != 546 || r.Stats.Propagations != 329637 {
+			b.Fatalf("check %d: %v/%v after %d conflicts and %d propagations, want violated/SAT after 546 and 329637 (err %v)",
+				i, r.Status, r.SATStatus, r.Stats.Conflicts, r.Stats.Propagations, r.Err)
 		}
 		translate += r.Stats.TranslateTime
 		solve += r.Stats.SolveTime

@@ -78,10 +78,14 @@ func translate(b *Bounds, f Formula, opts sat.Options) *Translation {
 // Translate translates a bounded formula once, for solving many times
 // under different solver options. It keeps only what a solve reads:
 // the circuit and the translator's caches are dropped, leaving the
-// clauses and the primary variables of the bounds' relations.
+// clauses and the primary variables of the bounds' relations. The
+// solver kept is a copy of the one the clauses went into: a copy drops
+// the room its watch lists left behind as they grew, so each solve's
+// copy of it is a few flat copies.
 func Translate(b *Bounds, f Formula) *Translation {
 	t := translate(b, f, sat.Options{})
 	t.tr = &Translator{bounds: t.tr.bounds, usize: t.tr.usize, primaryVars: t.tr.primaryVars}
+	t.solver = t.solver.Clone(sat.Options{})
 	return t
 }
 

@@ -93,7 +93,7 @@ func TestCloneCoversEveryField(t *testing.T) {
 	handled := map[string]bool{
 		// copied
 		"opts": true, "ca": true, "clauses": true, "bins": true, "learnts": true,
-		"watches": true, "binWatches": true, "assigns": true, "level": true,
+		"watches": true, "binWatches": true, "vals": true, "level": true,
 		"reason": true, "activity": true, "phase": true, "trail": true,
 		"trailLim": true, "qhead": true, "order": true, "varInc": true,
 		"claInc": true, "ok": true, "stats": true, "rng": true, "conflCr": true,
@@ -102,9 +102,6 @@ func TestCloneCoversEveryField(t *testing.T) {
 		"cancelled": true,
 		// scratch buffers, empty between calls
 		"analyzeCl": true, "clearList": true, "reduceCl": true, "addCl": true,
-		// dropped: room for watch lists a copy, whose lists are flat, does
-		// not start
-		"spareWatches": true, "spareBins": true,
 	}
 	typ := reflect.TypeOf(Solver{})
 	for i := 0; i < typ.NumField(); i++ {

@@ -21,8 +21,15 @@
 // literal keeps an inline list of its binary implications, propagated
 // in a dedicated pass before the long-clause walk. Long-clause watchers
 // carry a blocker literal whose satisfaction skips the clause without
-// loading it. Propagation resumes from the trail position where the
-// last call stopped, and the per-conflict path allocates nothing.
+// loading it. The watch lists of each kind live in one slab: a backing
+// array plus an {off, n, room} span per literal; a full list moves to
+// the end of the slab with twice its room, and only Clone compacts,
+// keeping each list's room. Values are indexed by literal, so testing
+// one is a single load, and each slot of the VSIDS heap carries its
+// variable's activity. No piece of the state holds a pointer, so the
+// garbage collector scans none of it and a Clone is a few slice
+// copies. Propagation resumes from the trail position where the last
+// call stopped, and the per-conflict path allocates nothing.
 //
 // # Learnt-clause management
 //

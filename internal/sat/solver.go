@@ -10,15 +10,6 @@ import (
 // unsatisfiable at the root level.
 var ErrAddAfterUnsat = errors.New("sat: clause added to a solver already proven unsat")
 
-// watcher is one entry of a long-clause watch list: the clause reference
-// plus a blocker literal whose truth satisfies the clause without
-// touching the arena. Eight bytes per entry keeps watch-list walks
-// inside a few cache lines.
-type watcher struct {
-	cr      cref
-	blocker Lit
-}
-
 // reasonT is the implication reason of an assigned variable, packed into
 // one word. Values:
 //
@@ -99,7 +90,8 @@ type Options struct {
 // dedicated watch lists (binWatches) and never touch the arena; units
 // become root-level trail assignments. Deleted learnts leave dead words
 // behind that a compacting GC reclaims once a quarter of the arena is
-// waste.
+// waste. The watch lists live in two slabs, and every other piece of
+// state is a flat slice of plain values.
 type Solver struct {
 	opts Options
 
@@ -108,13 +100,14 @@ type Solver struct {
 	bins    [][2]Lit // problem binary clauses (for export/counting)
 	learnts []cref   // learnt clauses of size >= 3
 
-	// watches[l] holds the long clauses that must be inspected when l
-	// becomes true, i.e. that watch l.Not(). binWatches[l] holds, for
-	// each binary clause (l.Not() ∨ q), the implied literal q.
-	watches    [][]watcher
-	binWatches [][]Lit
+	// watches' list of l holds the long clauses that must be inspected
+	// when l becomes true, i.e. that watch l.Not(). binWatches' list of
+	// l holds, for each binary clause (l.Not() ∨ q), the implied
+	// literal q.
+	watches    slab[watcher]
+	binWatches slab[Lit]
 
-	assigns  []LBool // indexed by Var
+	vals     []LBool // indexed by Lit: vals[l] is l's value
 	level    []int32
 	reason   []reasonT
 	activity []float64
@@ -124,7 +117,7 @@ type Solver struct {
 	trailLim []int
 	qhead    int
 
-	order  *varHeap
+	order  varHeap
 	varInc float64
 
 	claInc float64
@@ -152,17 +145,7 @@ type Solver struct {
 	lbdStamp  uint64
 	reduceCl  []cref
 	addCl     []Lit // AddClause's sorted working copy of its argument
-
-	// spareWatches and spareBins are room Reserve set aside for the
-	// watch lists: a list that has none yet starts on firstWatches
-	// entries of it instead of an allocation of its own.
-	spareWatches []watcher
-	spareBins    []Lit
 }
-
-// firstWatches is the room a watch list starts with on Reserve's spare
-// block: a Tseitin literal is watched by a clause or two.
-const firstWatches = 2
 
 // NewSolver returns a solver with default options.
 func NewSolver() *Solver { return NewSolverWithOptions(Options{}) }
@@ -170,7 +153,6 @@ func NewSolver() *Solver { return NewSolverWithOptions(Options{}) }
 // NewSolverWithOptions returns a solver with the given tuning options.
 func NewSolverWithOptions(opts Options) *Solver {
 	s := &Solver{opts: opts, varInc: 1, claInc: 1, ok: true, rng: seedRand(opts.RandSeed)}
-	s.order = newVarHeap(&s.activity)
 	s.lbdSeen = []uint64{0} // level 0; NewVar adds one slot per level
 	return s
 }
@@ -217,7 +199,7 @@ func (s *Solver) gcFrac() float64 {
 }
 
 // NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NumClauses returns the number of problem (non-learnt) clauses.
 func (s *Solver) NumClauses() int { return len(s.clauses) + len(s.bins) }
@@ -227,24 +209,24 @@ func (s *Solver) Stats() Stats { return s.stats }
 
 // NewVar allocates a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assigns))
-	s.assigns = append(s.assigns, Undef)
+	v := Var(len(s.level))
+	s.vals = append(s.vals, Undef, Undef)
 	s.level = append(s.level, -1)
 	s.reason = append(s.reason, reasonNone)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, s.opts.InvertPhase)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
-	s.binWatches = append(s.binWatches, nil, nil)
+	s.watches.addVar()
+	s.binWatches.addVar()
 	s.lbdSeen = append(s.lbdSeen, 0) // decision levels range 0..NumVars
-	s.order.insert(v)
+	s.order.insert(v, 0)
 	return v
 }
 
 // NewVars allocates n fresh variables and returns the first one. Each
 // per-variable slice grows once, not once per variable.
 func (s *Solver) NewVars(n int) Var {
-	first := Var(len(s.assigns))
+	first := Var(len(s.level))
 	s.Grow(n)
 	for i := 0; i < n; i++ {
 		s.NewVar()
@@ -260,14 +242,14 @@ func (s *Solver) Grow(n int) {
 	if n <= 0 {
 		return
 	}
-	s.assigns = slices.Grow(s.assigns, n)
+	s.vals = slices.Grow(s.vals, 2*n)
 	s.level = slices.Grow(s.level, n)
 	s.reason = slices.Grow(s.reason, n)
 	s.activity = slices.Grow(s.activity, n)
 	s.phase = slices.Grow(s.phase, n)
 	s.seen = slices.Grow(s.seen, n)
-	s.watches = slices.Grow(s.watches, 2*n)
-	s.binWatches = slices.Grow(s.binWatches, 2*n)
+	s.watches.grow(n)
+	s.binWatches.grow(n)
 	s.lbdSeen = slices.Grow(s.lbdSeen, n)
 	s.order.grow(n)
 }
@@ -275,30 +257,27 @@ func (s *Solver) Grow(n int) {
 // Reserve makes room for clauses the caller is about to add: bins
 // binary clauses, and longs clauses of three or more literals holding
 // lits literals in all. The AddClause calls within those counts append
-// to the clause lists and the arena without reallocating them, and each
-// watch list they start takes its first room from one block set aside
-// here. It allocates no variable and adds no clause, so a search is the
-// same with it as without.
+// to the clause lists and the arena without reallocating them, and the
+// watch slabs grow once by slabPerClause entries a clause. It allocates
+// no variable and adds no clause, so a search is the same with it as
+// without.
 func (s *Solver) Reserve(bins, longs, lits int) {
 	if bins > 0 {
 		s.bins = slices.Grow(s.bins, bins)
-		s.spareBins = make([]Lit, 2*bins)
+		s.binWatches.reserve(slabPerClause * bins)
 	}
 	if longs > 0 {
 		s.clauses = slices.Grow(s.clauses, longs)
 		s.ca.data = slices.Grow(s.ca.data, longs+lits)
-		s.spareWatches = make([]watcher, 2*longs)
+		s.watches.reserve(slabPerClause * longs)
 	}
 }
 
-// watch appends x to list, starting a list that has no room yet on the
-// spare block Reserve set aside while it lasts.
-func watch[T any](list []T, x T, spare *[]T) []T {
-	if cap(list) == 0 && len(*spare) >= firstWatches {
-		list, *spare = (*spare)[:0:firstWatches], (*spare)[firstWatches:]
-	}
-	return append(list, x)
-}
+// slabPerClause is the slab a clause takes as its lists grow: its two
+// watches, the spare room of lists that double, and the room they left
+// behind when they moved. The consensus check of internal/mcamodel, at
+// the benchmark's and the paper's scope, takes 4.5–4.7 in both slabs.
+const slabPerClause = 5
 
 // Clone returns a deep copy of the solver that searches under opts. For
 // a solver that has not searched yet, the copy's search — every
@@ -311,6 +290,11 @@ func watch[T any](list []T, x T, spare *[]T) []T {
 // carry over, as they would from the same AddClause calls. The copy has
 // no cancellation check. Clone only reads the receiver, so any number
 // of goroutines may clone one solver nobody searches.
+//
+// Every piece of the state is a flat slice, so a copy is a few slice
+// copies. Each watch list keeps its room, so the copy's lists grow no
+// sooner than the original's would; the room that moved lists left
+// behind is dropped, so a copy of a copy is plain copies throughout.
 func (s *Solver) Clone(opts Options) *Solver {
 	c := &Solver{
 		opts:       opts,
@@ -318,9 +302,9 @@ func (s *Solver) Clone(opts Options) *Solver {
 		clauses:    slices.Clone(s.clauses),
 		bins:       slices.Clone(s.bins),
 		learnts:    slices.Clone(s.learnts),
-		watches:    flatten(s.watches),
-		binWatches: flatten(s.binWatches),
-		assigns:    slices.Clone(s.assigns),
+		watches:    s.watches.clone(),
+		binWatches: s.binWatches.clone(),
+		vals:       slices.Clone(s.vals),
 		level:      slices.Clone(s.level),
 		reason:     slices.Clone(s.reason),
 		activity:   slices.Clone(s.activity),
@@ -338,11 +322,11 @@ func (s *Solver) Clone(opts Options) *Solver {
 		seen:       make([]bool, len(s.seen)), // all false outside analyze
 		lbdSeen:    slices.Clone(s.lbdSeen),
 		lbdStamp:   s.lbdStamp,
+		order:      s.order.clone(),
 	}
-	c.order = &varHeap{act: &c.activity, heap: slices.Clone(s.order.heap), indices: slices.Clone(s.order.indices)}
 	if opts.InvertPhase != s.opts.InvertPhase {
-		for v, a := range c.assigns {
-			if a == Undef {
+		for v := range c.phase {
+			if c.vals[PosLit(Var(v))] == Undef {
 				c.phase[v] = opts.InvertPhase
 			}
 		}
@@ -350,36 +334,12 @@ func (s *Solver) Clone(opts Options) *Solver {
 	return c
 }
 
-// flatten deep-copies lists into one backing array. Each copy is capped
-// at its own length, so a list that grows during the search moves out
-// instead of writing over its neighbour.
-func flatten[T any](lists [][]T) [][]T {
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	backing := make([]T, 0, n)
-	out := make([][]T, len(lists))
-	for i, l := range lists {
-		start := len(backing)
-		backing = append(backing, l...)
-		out[i] = backing[start:len(backing):len(backing)]
-	}
-	return out
-}
-
-func (s *Solver) valueLit(l Lit) LBool {
-	b := s.assigns[l.Var()]
-	if l.Neg() {
-		return b.Not()
-	}
-	return b
-}
+func (s *Solver) valueLit(l Lit) LBool { return s.vals[l] }
 
 // Value returns the model value of v after a SAT answer (Undef if the
 // variable was never assigned, which can happen for variables not
 // occurring in any clause).
-func (s *Solver) Value(v Var) LBool { return s.assigns[v] }
+func (s *Solver) Value(v Var) LBool { return s.vals[PosLit(v)] }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
@@ -450,18 +410,16 @@ func (s *Solver) AddClause(lits ...Lit) error {
 func (s *Solver) attach(c cref) {
 	ls := s.ca.lits(c)
 	l0, l1 := Lit(ls[0]), Lit(ls[1])
-	s.watches[l0.Not()] = watch(s.watches[l0.Not()], watcher{cr: c, blocker: l1}, &s.spareWatches)
-	s.watches[l1.Not()] = watch(s.watches[l1.Not()], watcher{cr: c, blocker: l0}, &s.spareWatches)
+	s.watches.push(l0.Not(), watcher{cr: c, blocker: l1})
+	s.watches.push(l1.Not(), watcher{cr: c, blocker: l0})
 }
 
 func (s *Solver) detach(c cref) {
 	ls := s.ca.lits(c)
 	for _, l := range [2]Lit{Lit(ls[0]).Not(), Lit(ls[1]).Not()} {
-		ws := s.watches[l]
-		for i := range ws {
-			if ws[i].cr == c {
-				ws[i] = ws[len(ws)-1]
-				s.watches[l] = ws[:len(ws)-1]
+		for i, w := range s.watches.list(l) {
+			if w.cr == c {
+				s.watches.remove(l, i)
 				break
 			}
 		}
@@ -470,17 +428,14 @@ func (s *Solver) detach(c cref) {
 
 // attachBin records the binary clause (a ∨ b) in both inline watch lists.
 func (s *Solver) attachBin(a, b Lit) {
-	s.binWatches[a.Not()] = watch(s.binWatches[a.Not()], b, &s.spareBins)
-	s.binWatches[b.Not()] = watch(s.binWatches[b.Not()], a, &s.spareBins)
+	s.binWatches.push(a.Not(), b)
+	s.binWatches.push(b.Not(), a)
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from reasonT) {
 	v := l.Var()
-	if l.Neg() {
-		s.assigns[v] = False
-	} else {
-		s.assigns[v] = True
-	}
+	s.vals[l] = True
+	s.vals[l.Not()] = False
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.phase[v] = !l.Neg()
@@ -492,7 +447,7 @@ func (s *Solver) uncheckedEnqueue(l Lit, from reasonT) {
 // s.conflBin for analyze. Per trail literal it makes one pass over the
 // inline binary list — which never touches the arena — and one
 // in-place compacting walk over the long watch list with the blocker
-// fast path. It allocates only when a watch list itself must grow.
+// fast path. It allocates only when the watch slab itself must grow.
 func (s *Solver) propagate() bool {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true; clauses watching p.Not() must move
@@ -500,7 +455,7 @@ func (s *Solver) propagate() bool {
 		s.stats.Propagations++
 
 		// Binary pass: each q completes a clause (p.Not() ∨ q).
-		for _, q := range s.binWatches[p] {
+		for _, q := range s.binWatches.list(p) {
 			switch s.valueLit(q) {
 			case True:
 			case False:
@@ -514,7 +469,12 @@ func (s *Solver) propagate() bool {
 		}
 
 		// Long pass: single bounds-checked walk, compacted in place.
-		ws := s.watches[p]
+		// Moving a watch to another list may move that list and grow
+		// the slab; p's own list never moves while it is walked, so ws
+		// is re-sliced from the same span after every move.
+		sp := &s.watches.spans[p]
+		off, n := sp.off, sp.n
+		ws := s.watches.data[off : off+n]
 		pn := uint32(p.Not())
 		i, j := 0, 0
 		for i < len(ws) {
@@ -543,8 +503,8 @@ func (s *Solver) propagate() bool {
 			for k := 2; k < len(ls); k++ {
 				if s.valueLit(Lit(ls[k])) != False {
 					ls[1], ls[k] = ls[k], ls[1]
-					nl := Lit(ls[1]).Not()
-					s.watches[nl] = append(s.watches[nl], watcher{cr: c, blocker: first})
+					s.watches.push(Lit(ls[1]).Not(), watcher{cr: c, blocker: first})
+					ws = s.watches.data[off : off+n]
 					moved = true
 					break
 				}
@@ -565,12 +525,12 @@ func (s *Solver) propagate() bool {
 					i++
 					j++
 				}
-				s.watches[p] = ws[:j]
+				sp.n = uint32(j)
 				return true
 			}
 			s.uncheckedEnqueue(first, reasonT(c))
 		}
-		s.watches[p] = ws[:j]
+		sp.n = uint32(j)
 	}
 	return false
 }
@@ -581,9 +541,10 @@ func (s *Solver) bumpVar(v Var) {
 		for i := range s.activity {
 			s.activity[i] *= 1e-100
 		}
+		s.order.scale(1e-100)
 		s.varInc *= 1e-100
 	}
-	s.order.update(v)
+	s.order.update(v, s.activity[v])
 }
 
 func (s *Solver) decayVar() { s.varInc /= 0.95 }
@@ -829,11 +790,12 @@ func (s *Solver) backtrack(toLevel int) {
 	}
 	bound := s.trailLim[toLevel]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.assigns[v] = Undef
+		l := s.trail[i]
+		v := l.Var()
+		s.vals[l], s.vals[l.Not()] = Undef, Undef
 		s.reason[v] = reasonNone
 		s.level[v] = -1
-		s.order.insert(v)
+		s.order.insert(v, s.activity[v])
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:toLevel]
@@ -850,7 +812,7 @@ func (s *Solver) backtrack(toLevel int) {
 func (s *Solver) pickBranchVar() Var {
 	if s.opts.DisableVSIDS {
 		for v := 0; v < s.NumVars(); v++ {
-			if s.assigns[v] == Undef {
+			if s.vals[PosLit(Var(v))] == Undef {
 				return Var(v)
 			}
 		}
@@ -858,7 +820,7 @@ func (s *Solver) pickBranchVar() Var {
 	}
 	for !s.order.empty() {
 		v := s.order.removeMax()
-		if s.assigns[v] == Undef {
+		if s.vals[PosLit(v)] == Undef {
 			return v
 		}
 	}
@@ -949,9 +911,11 @@ func (s *Solver) garbageCollect() {
 		s.learnts[i] = s.ca.relocate(c, &newData)
 	}
 	// Watchers of deleted clauses were detached by reduceDB, so every
-	// remaining reference has a forwarding address by now.
-	for li := range s.watches {
-		ws := s.watches[li]
+	// remaining reference has a forwarding address by now. Only the
+	// entries of each span are live: the rest of its room and the rooms
+	// moved lists left behind hold stale references.
+	for _, sp := range s.watches.spans {
+		ws := s.watches.data[sp.off : sp.off+sp.n]
 		for i := range ws {
 			ws[i].cr = s.ca.relocate(ws[i].cr, &newData)
 		}
@@ -1136,7 +1100,7 @@ func (s *Solver) search(floorLevel int) Status {
 func (s *Solver) Model() []bool {
 	m := make([]bool, s.NumVars())
 	for v := range m {
-		m[v] = s.assigns[v] == True
+		m[v] = s.vals[PosLit(Var(v))] == True
 	}
 	return m
 }
@@ -1156,8 +1120,8 @@ func (s *Solver) ExportCNF() *CNF {
 		return f
 	}
 	for v := 0; v < s.NumVars(); v++ {
-		if s.level[v] == 0 && s.assigns[v] != Undef && s.reason[v] == reasonNone {
-			f.AddClause(MkLit(Var(v), s.assigns[v] == False))
+		if val := s.vals[PosLit(Var(v))]; s.level[v] == 0 && val != Undef && s.reason[v] == reasonNone {
+			f.AddClause(MkLit(Var(v), val == False))
 		}
 	}
 	for _, bc := range s.bins {
